@@ -936,6 +936,46 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_centroid_history_degrades_to_sample_and_hold() {
+        use utilcast_timeseries::arima::{ArimaFitOptions, ArimaOrder};
+        // A restored checkpoint whose centroid history for cluster 1 holds
+        // a NaN. ARIMA rejects that history with a typed error before
+        // spending any optimizer budget, and the stage degrades the cluster
+        // exactly as it does for any other fit failure (the counts below
+        // are those of the undiagnosed `FitDiverged` this used to end in);
+        // the clean cluster fits.
+        let config = ForecastStageConfig {
+            model: ModelSpec::Arima {
+                order: ArimaOrder::new(1, 0, 0),
+                options: ArimaFitOptions::default(),
+            },
+            warmup: 12,
+            ..quick(4, 2)
+        };
+        let z = |i: usize| {
+            let wobble = 0.01 * (i % 5) as f64;
+            [0.1 + wobble, 0.12, 0.9, 0.88 - wobble]
+        };
+        let mut stage = ForecastStage::new(config).unwrap();
+        for i in 0..8 {
+            stage.step(&z(i)).unwrap();
+        }
+        let mut snapshot = stage.snapshot();
+        snapshot.forecasters[1].state.history[3] = f64::NAN;
+        let mut stage = ForecastStage::restore(snapshot).unwrap();
+        for i in 8..40 {
+            stage.step(&z(i)).unwrap();
+        }
+        assert_eq!(stage.degraded(), &[false, true]);
+        // 1 initial degradation (step 12) + 2 failed recoveries (22, 32).
+        assert_eq!(stage.model_fallbacks(), 3);
+        assert_eq!(stage.fallback_fit_failures(), 0);
+        for row in stage.forecast(2).unwrap() {
+            assert!(row.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
     fn concurrent_retraining_is_bit_identical_to_sequential() {
         let run = |threads: usize| {
             let mut stage = ForecastStage::new(ForecastStageConfig {

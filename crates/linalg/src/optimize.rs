@@ -50,6 +50,10 @@ pub struct OptimizeResult {
 /// caller can return `f64::NAN` for out-of-domain points (e.g. non-invertible
 /// MA coefficients) and the simplex will move away from them.
 ///
+/// The `n + 1` vertices, the centroid and the two trial points are allocated
+/// once; an iteration recycles them (a replaced vertex swaps buffers with
+/// the trial point that replaces it) and allocates nothing.
+///
 /// # Example
 ///
 /// ```
@@ -106,10 +110,28 @@ where
         let fi = eval(&mut f, &xi, &mut evals);
         simplex.push((xi, fi));
     }
+    // Stable insertion sort of the vertices by objective value. A stable
+    // sort under a total order has exactly one result, so this orders the
+    // simplex as `sort_by(total_cmp)` does — without a scratch allocation,
+    // and in linear time on the nearly sorted simplex an iteration leaves.
+    let sort_by_value = |simplex: &mut [(Vec<f64>, f64)]| {
+        for i in 1..simplex.len() {
+            let mut j = i;
+            while j > 0 && simplex[j - 1].1.total_cmp(&simplex[j].1).is_gt() {
+                simplex.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+    };
+    let mut centroid = vec![0.0; n];
+    // The reflected point, and the expansion or contraction point tried
+    // after it.
+    let mut xr = vec![0.0; n];
+    let mut xt = vec![0.0; n];
 
     let mut converged = false;
     while evals < opts.max_evals {
-        simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
+        sort_by_value(&mut simplex);
 
         // Convergence checks on objective spread and coordinate spread.
         let f_best = simplex[0].1;
@@ -125,56 +147,55 @@ where
         }
 
         // Centroid of all points except the worst.
-        let mut centroid = vec![0.0; n];
+        centroid.fill(0.0);
         for (x, _) in &simplex[..n] {
             for (c, v) in centroid.iter_mut().zip(x) {
                 *c += v / n as f64;
             }
         }
-        let worst = simplex[n].clone();
-
-        let blend = |a: &[f64], b: &[f64], t: f64| -> Vec<f64> {
-            a.iter().zip(b).map(|(u, v)| u + t * (v - u)).collect()
-        };
 
         // Reflection.
-        let xr = blend(&centroid, &worst.0, -1.0);
+        blend_into(&mut xr, &centroid, &simplex[n].0, -1.0);
         let fr = eval(&mut f, &xr, &mut evals);
-        if fr < simplex[0].1 {
+        if fr < f_best {
             // Expansion.
-            let xe = blend(&centroid, &worst.0, -2.0);
-            let fe = eval(&mut f, &xe, &mut evals);
-            simplex[n] = if fe < fr { (xe, fe) } else { (xr, fr) };
+            blend_into(&mut xt, &centroid, &simplex[n].0, -2.0);
+            let fe = eval(&mut f, &xt, &mut evals);
+            if fe < fr {
+                replace_vertex(&mut simplex[n], &mut xt, fe);
+            } else {
+                replace_vertex(&mut simplex[n], &mut xr, fr);
+            }
             continue;
         }
         if fr < simplex[n - 1].1 {
-            simplex[n] = (xr, fr);
+            replace_vertex(&mut simplex[n], &mut xr, fr);
             continue;
         }
         // Contraction (outside if reflected point improved on the worst,
         // inside otherwise).
-        let (xc, fc) = if fr < worst.1 {
-            let xc = blend(&centroid, &xr, 0.5);
-            let fc = eval(&mut f, &xc, &mut evals);
-            (xc, fc)
+        if fr < f_worst {
+            blend_into(&mut xt, &centroid, &xr, 0.5);
         } else {
-            let xc = blend(&centroid, &worst.0, 0.5);
-            let fc = eval(&mut f, &xc, &mut evals);
-            (xc, fc)
-        };
-        if fc < worst.1.min(fr) {
-            simplex[n] = (xc, fc);
+            blend_into(&mut xt, &centroid, &simplex[n].0, 0.5);
+        }
+        let fc = eval(&mut f, &xt, &mut evals);
+        if fc < f_worst.min(fr) {
+            replace_vertex(&mut simplex[n], &mut xt, fc);
             continue;
         }
         // Shrink towards the best vertex.
-        let best = simplex[0].0.clone();
-        for entry in simplex.iter_mut().skip(1) {
-            entry.0 = blend(&best, &entry.0, 0.5);
-            entry.1 = eval(&mut f, &entry.0, &mut evals);
+        if let Some((best, rest)) = simplex.split_first_mut() {
+            for entry in rest {
+                for (v, u) in entry.0.iter_mut().zip(&best.0) {
+                    *v = u + 0.5 * (*v - u);
+                }
+                entry.1 = eval(&mut f, &entry.0, &mut evals);
+            }
         }
     }
 
-    simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
+    sort_by_value(&mut simplex);
     let (x, fx) = simplex.swap_remove(0);
     OptimizeResult {
         x,
@@ -184,9 +205,139 @@ where
     }
 }
 
+/// Writes `a + t · (b − a)` into `out`.
+fn blend_into(out: &mut [f64], a: &[f64], b: &[f64], t: f64) {
+    for ((o, u), v) in out.iter_mut().zip(a).zip(b) {
+        *o = u + t * (v - u);
+    }
+}
+
+/// Installs the trial point as the vertex; the trial buffer takes the old
+/// vertex's storage and is overwritten by the next blend.
+fn replace_vertex(vertex: &mut (Vec<f64>, f64), trial: &mut Vec<f64>, value: f64) {
+    std::mem::swap(&mut vertex.0, trial);
+    vertex.1 = value;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating implementation this module shipped before the
+    /// vertex/centroid buffers were recycled, kept verbatim as the oracle
+    /// the rewrite is compared against bit for bit.
+    fn nelder_mead_reference<F>(mut f: F, x0: &[f64], opts: &NelderMeadOptions) -> OptimizeResult
+    where
+        F: FnMut(&[f64]) -> f64,
+    {
+        assert!(
+            !x0.is_empty(),
+            "nelder_mead requires at least one dimension"
+        );
+        let n = x0.len();
+        let mut evals = 0usize;
+        let eval = |f: &mut F, x: &[f64], evals: &mut usize| -> f64 {
+            *evals += 1;
+            let v = f(x);
+            if v.is_nan() {
+                f64::INFINITY
+            } else {
+                v
+            }
+        };
+
+        // Build the initial simplex: x0 plus a step along each axis.
+        let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
+        let f0 = eval(&mut f, x0, &mut evals);
+        simplex.push((x0.to_vec(), f0));
+        for i in 0..n {
+            let mut xi = x0.to_vec();
+            let step = if xi[i] == 0.0 {
+                opts.initial_step
+            } else {
+                opts.initial_step * xi[i].abs().max(1.0)
+            };
+            xi[i] += step;
+            let fi = eval(&mut f, &xi, &mut evals);
+            simplex.push((xi, fi));
+        }
+
+        let mut converged = false;
+        while evals < opts.max_evals {
+            simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
+
+            // Convergence checks on objective spread and coordinate spread.
+            let f_best = simplex[0].1;
+            let f_worst = simplex[n].1;
+            let f_spread = (f_worst - f_best).abs();
+            let x_spread = simplex[1..]
+                .iter()
+                .flat_map(|(x, _)| x.iter().zip(&simplex[0].0).map(|(a, b)| (a - b).abs()))
+                .fold(0.0, f64::max);
+            if f_spread < opts.f_tol && x_spread < opts.x_tol {
+                converged = true;
+                break;
+            }
+
+            // Centroid of all points except the worst.
+            let mut centroid = vec![0.0; n];
+            for (x, _) in &simplex[..n] {
+                for (c, v) in centroid.iter_mut().zip(x) {
+                    *c += v / n as f64;
+                }
+            }
+            let worst = simplex[n].clone();
+
+            let blend = |a: &[f64], b: &[f64], t: f64| -> Vec<f64> {
+                a.iter().zip(b).map(|(u, v)| u + t * (v - u)).collect()
+            };
+
+            // Reflection.
+            let xr = blend(&centroid, &worst.0, -1.0);
+            let fr = eval(&mut f, &xr, &mut evals);
+            if fr < simplex[0].1 {
+                // Expansion.
+                let xe = blend(&centroid, &worst.0, -2.0);
+                let fe = eval(&mut f, &xe, &mut evals);
+                simplex[n] = if fe < fr { (xe, fe) } else { (xr, fr) };
+                continue;
+            }
+            if fr < simplex[n - 1].1 {
+                simplex[n] = (xr, fr);
+                continue;
+            }
+            // Contraction (outside if reflected point improved on the worst,
+            // inside otherwise).
+            let (xc, fc) = if fr < worst.1 {
+                let xc = blend(&centroid, &xr, 0.5);
+                let fc = eval(&mut f, &xc, &mut evals);
+                (xc, fc)
+            } else {
+                let xc = blend(&centroid, &worst.0, 0.5);
+                let fc = eval(&mut f, &xc, &mut evals);
+                (xc, fc)
+            };
+            if fc < worst.1.min(fr) {
+                simplex[n] = (xc, fc);
+                continue;
+            }
+            // Shrink towards the best vertex.
+            let best = simplex[0].0.clone();
+            for entry in simplex.iter_mut().skip(1) {
+                entry.0 = blend(&best, &entry.0, 0.5);
+                entry.1 = eval(&mut f, &entry.0, &mut evals);
+            }
+        }
+
+        simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let (x, fx) = simplex.swap_remove(0);
+        OptimizeResult {
+            x,
+            f: fx,
+            evals,
+            converged,
+        }
+    }
 
     #[test]
     fn minimizes_quadratic() {
@@ -258,6 +409,82 @@ mod tests {
         // The final iteration may overshoot by at most the simplex size.
         assert!(res.evals <= budget + 4, "used {} evals", res.evals);
         assert!(!res.converged);
+    }
+
+    fn rosenbrock(x: &[f64]) -> f64 {
+        (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
+    }
+
+    /// Runs both implementations on one objective and requires the same
+    /// evaluation sequence (every point, bit for bit) and the same result.
+    fn assert_matches_reference(
+        objective: impl Fn(&[f64]) -> f64,
+        x0: &[f64],
+        opts: &NelderMeadOptions,
+    ) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut seen = Vec::new();
+        let got = nelder_mead(
+            |x| {
+                seen.push(bits(x));
+                objective(x)
+            },
+            x0,
+            opts,
+        );
+        let mut seen_ref = Vec::new();
+        let want = nelder_mead_reference(
+            |x| {
+                seen_ref.push(bits(x));
+                objective(x)
+            },
+            x0,
+            opts,
+        );
+        assert_eq!(seen, seen_ref, "evaluation sequences differ");
+        assert_eq!(bits(&got.x), bits(&want.x));
+        assert_eq!(got.f.to_bits(), want.f.to_bits());
+        assert_eq!(got.evals, want.evals);
+        assert_eq!(got.converged, want.converged);
+    }
+
+    #[test]
+    fn matches_reference_implementation_bitwise() {
+        let quadratic = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 2.0).powi(2);
+        assert_matches_reference(quadratic, &[0.0, 0.0], &NelderMeadOptions::default());
+        for max_evals in [3, 57, 600, 10_000] {
+            let opts = NelderMeadOptions {
+                max_evals,
+                ..Default::default()
+            };
+            assert_matches_reference(rosenbrock, &[-1.2, 1.0], &opts);
+        }
+        // Shrink steps, ties between vertices and a NaN region: a flat
+        // plateau around a narrow well, out of domain below zero.
+        let plateau = |x: &[f64]| {
+            if x.iter().any(|v| *v < 0.0) {
+                return f64::NAN;
+            }
+            let d: f64 = x.iter().map(|v| (v - 1.0).abs()).sum();
+            if d < 0.25 {
+                d
+            } else {
+                1.0
+            }
+        };
+        for step in [0.05, 0.4, 1.5] {
+            let opts = NelderMeadOptions {
+                max_evals: 400,
+                initial_step: step,
+                ..Default::default()
+            };
+            assert_matches_reference(plateau, &[1.1, 0.9, 1.2, 0.0, 1.0], &opts);
+        }
+        assert_matches_reference(
+            |x| (x[0] - 7.0).powi(2),
+            &[0.0],
+            &NelderMeadOptions::default(),
+        );
     }
 
     #[test]

@@ -100,6 +100,9 @@ pub enum ItemKind {
     ExternCrate(String),
     /// `macro_rules!` definition (body skipped).
     MacroDef(String),
+    /// Item-position macro invocation such as `proptest! { … }` (body
+    /// skipped: the items it expands to are not visible to the parser).
+    MacroCall(String),
     /// Anything the parser could not classify (counts against coverage).
     Unknown,
 }
@@ -437,6 +440,21 @@ impl<'a> Parser<'a> {
                     self.i = matching(self.t, self.i, "{", "}") + 1;
                 }
                 Some(ItemKind::MacroDef(name))
+            } else if self.peek(0).is_some_and(|t| t.kind == TokenKind::Ident)
+                && self.is_punct(1, "!")
+            {
+                let name = self.take_ident().unwrap_or_default();
+                self.i += 1;
+                for (open, close) in [("{", "}"), ("(", ")"), ("[", "]")] {
+                    if self.is_punct(0, open) {
+                        self.i = matching(self.t, self.i, open, close) + 1;
+                        break;
+                    }
+                }
+                if self.is_punct(0, ";") {
+                    self.i += 1;
+                }
+                Some(ItemKind::MacroCall(name))
             } else {
                 None
             };
@@ -1742,6 +1760,26 @@ mod tests {
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[0].name, "a");
         assert!(f.ret.contains("Result"));
+    }
+
+    #[test]
+    fn item_position_macro_calls_are_opaque_items() {
+        let src = "proptest! { #[test] fn p(x in 0..3) { body(x); } }\n\
+                   thread_local!(static N: u8 = 0);\n\
+                   fn after() {}";
+        let pf = parse(src);
+        assert_eq!(pf.coverage.failures, vec![]);
+        assert_eq!(pf.coverage.total, 3);
+        let calls: Vec<&str> = pf
+            .items
+            .iter()
+            .filter_map(|i| match &i.kind {
+                ItemKind::MacroCall(name) => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, ["proptest", "thread_local"]);
+        assert_eq!(fns(&pf).len(), 1, "only `after` is a visible fn");
     }
 
     #[test]

@@ -240,11 +240,6 @@ impl Arima {
         self.fitted.as_ref().map(|f| f.aicc)
     }
 
-    /// Unpacks a flat parameter vector into (φ, θ, Φ, Θ, μ).
-    fn unpack(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64) {
-        unpack_order(self.order, x)
-    }
-
     /// Fits on an already-differenced series (the grid search differences
     /// once per `(d, D)` pair and shares the result across orders).
     ///
@@ -262,12 +257,6 @@ impl Arima {
     /// capping mid-search poisons the simplex with non-finite values and
     /// stalls Nelder–Mead's convergence test. `f64::INFINITY` disables the
     /// screen.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // timeseries::arima::auto_arima_warm ->
-    // timeseries::arima::Arima::fit_differenced
     fn fit_differenced(
         &mut self,
         w: &[f64],
@@ -275,31 +264,35 @@ impl Arima {
         warm_x0: Option<&[f64]>,
         css_cap: f64,
     ) -> Result<(), TimeSeriesError> {
+        let bound = self.options.coef_bound;
+        let mut ws = CssWorkspace::new(self.order, w.len());
+        self.fit_with_objective(w.len(), w_mean, warm_x0, css_cap, |x, cap| {
+            ws.objective(w, x, bound, cap)
+        })
+    }
+
+    /// The fit driver behind [`Arima::fit_differenced`], over any evaluator
+    /// `(x, cap) -> css` of the CSS objective (`NaN` = out of domain). The
+    /// seam lets the differential tests drive the same warm/cold logic with
+    /// the allocating reference evaluator.
+    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+    // dimensions validated at the public boundary and restated by
+    // debug_assert contracts; the overflow-checked debug-assert CI job
+    // backstops the proof at runtime; exemplar chain:
+    // timeseries::arima::auto_arima_warm ->
+    // timeseries::arima::Arima::fit_differenced ->
+    // timeseries::arima::Arima::fit_with_objective
+    fn fit_with_objective(
+        &mut self,
+        w_len: usize,
+        w_mean: f64,
+        warm_x0: Option<&[f64]>,
+        css_cap: f64,
+        mut css_eval: impl FnMut(&[f64], f64) -> f64,
+    ) -> Result<(), TimeSeriesError> {
         let o = self.order;
         let n_params = o.num_coefficients();
         let bound = self.options.coef_bound;
-
-        let css_eval = |x: &[f64], cap: f64| -> f64 {
-            if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
-                return f64::NAN;
-            }
-            let (phi, theta, sphi, stheta, mu) = unpack_order(o, x);
-            let ar = expand(&phi, &sphi, o.s.max(1));
-            let ma = expand_ma(&theta, &stheta, o.s.max(1));
-            // Reject non-stationary AR and non-invertible MA parameter
-            // regions; the e-recursion coefficients are the negated
-            // combined MA coefficients.
-            let neg_ma: Vec<f64> = ma.iter().map(|v| -v).collect();
-            if !recursion_is_stable(&ar, 500) || !recursion_is_stable(&neg_ma, 500) {
-                return f64::NAN;
-            }
-            let wc: Vec<f64> = w.iter().map(|v| v - mu).collect();
-            match innovations_capped(&wc, &ar, &ma, cap) {
-                Some((_, css)) => css,
-                None => f64::NAN,
-            }
-        };
-        let mut objective = |x: &[f64]| css_eval(x, f64::INFINITY);
 
         let result = 'fit: {
             if let Some(hint) = warm_x0 {
@@ -314,7 +307,7 @@ impl Arima {
                         self.options.warm_max_evals
                     };
                     let warm = nelder_mead(
-                        &mut objective,
+                        |x: &[f64]| css_eval(x, f64::INFINITY),
                         hint,
                         &NelderMeadOptions {
                             max_evals: warm_evals,
@@ -330,7 +323,7 @@ impl Arima {
             let mut x0 = vec![0.0; n_params];
             x0[n_params - 1] = w_mean;
             nelder_mead(
-                &mut objective,
+                |x: &[f64]| css_eval(x, f64::INFINITY),
                 &x0,
                 &NelderMeadOptions {
                     max_evals: self.options.max_evals,
@@ -342,9 +335,9 @@ impl Arima {
         if !result.f.is_finite() {
             return Err(TimeSeriesError::FitDiverged);
         }
-        let (phi, theta, sphi, stheta, mu) = self.unpack(&result.x);
+        let (phi, theta, sphi, stheta, mu) = split_params(o, &result.x);
         let ar_span = o.ar_span();
-        let n_eff = (w.len() - ar_span).max(1);
+        let n_eff = (w_len - ar_span).max(1);
         let css = result.f;
         let sigma2 = (css / n_eff as f64).max(1e-300);
         // k counts all estimated parameters including the innovation
@@ -358,10 +351,10 @@ impl Arima {
         };
         let aicc = n * sigma2.ln() + 2.0 * k + correction;
         self.fitted = Some(FittedArima {
-            phi,
-            theta,
-            sphi,
-            stheta,
+            phi: phi.to_vec(),
+            theta: theta.to_vec(),
+            sphi: sphi.to_vec(),
+            stheta: stheta.to_vec(),
             mu,
             sigma2,
             css,
@@ -371,151 +364,347 @@ impl Arima {
     }
 }
 
-/// Unpacks a flat parameter vector into (φ, θ, Φ, Θ, μ) for `order`.
+/// Rejects a series holding a NaN or an infinity. Every CSS evaluation reads
+/// every point, so such a series makes the objective `NaN` everywhere: the
+/// optimizer would burn its whole budget (per grid order) and report a
+/// [`TimeSeriesError::FitDiverged`] that names no cause.
+fn require_finite(series: &[f64]) -> Result<(), TimeSeriesError> {
+    match series.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(TimeSeriesError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
+
+/// Splits a flat parameter vector into (φ, θ, Φ, Θ, μ) for `order`.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain: timeseries::arima::auto_arima_warm ->
 // timeseries::arima::Arima::fit_differenced ->
-// timeseries::arima::unpack_order
-fn unpack_order(o: ArimaOrder, x: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, f64) {
-    let mut i = 0;
-    let phi = x[i..i + o.p].to_vec();
-    i += o.p;
-    let theta = x[i..i + o.q].to_vec();
-    i += o.q;
-    let sphi = x[i..i + o.sp].to_vec();
-    i += o.sp;
-    let stheta = x[i..i + o.sq].to_vec();
-    i += o.sq;
-    let mu = x[i];
-    (phi, theta, sphi, stheta, mu)
+// timeseries::arima::split_params
+fn split_params(o: ArimaOrder, x: &[f64]) -> (&[f64], &[f64], &[f64], &[f64], f64) {
+    let (phi, rest) = x.split_at(o.p);
+    let (theta, rest) = rest.split_at(o.q);
+    let (sphi, rest) = rest.split_at(o.sp);
+    let (stheta, rest) = rest.split_at(o.sq);
+    (phi, theta, sphi, stheta, rest[0])
 }
 
-/// Expands `poly(B) * seasonal_poly(B^s)` where both polynomials have the
-/// form `1 - c_1 B - c_2 B² - ...`; returns the combined lag coefficients
-/// `a` such that the product is `1 - Σ a_i B^i` (index 0 unused).
+// The stability-screen contract.
+//
+// CSS scores one-step residuals inside the training window only, so it is
+// happy to pick a non-stationary AR polynomial (multi-step forecasts then
+// explode) or a non-invertible MA polynomial (the innovation recursion
+// `e_t = … − Σ b_j e_{t−1−j}` diverges once extended past the window).
+// Both are rejected before the objective is scored, by following the
+// impulse response of the linear recursion `x_t = Σ c_i x_{t−1−i}` from a
+// unit impulse: the AR screen runs it on the combined AR coefficients, the
+// MA screen on the negated combined MA coefficients. A candidate passes
+// when all of the first `SCREEN_STEPS` responses are finite and at most
+// `SCREEN_LIMIT` in magnitude — for a single lag that is `|c|` up to about
+// `SCREEN_LIMIT^(1/SCREEN_STEPS)` ≈ 1.0079, a unit root with a little
+// slack. The accept/reject decision is part of the fitted model (it shapes
+// the region Nelder–Mead searches), so it is pinned at its boundary by
+// `stability_screen_boundary_is_pinned`.
+//
+// Inside the scored window a residual that is non-finite or larger than
+// `RESIDUAL_LIMIT` in magnitude abandons the candidate: the series fitted
+// here are utilizations in [0, 1], and a residual of that size has left any
+// model worth scoring.
+
+/// Impulse-response steps each stability screen follows.
+const SCREEN_STEPS: usize = 500;
+/// Largest impulse-response magnitude a stable recursion may show.
+const SCREEN_LIMIT: f64 = 50.0;
+/// Largest CSS residual magnitude before the recursion counts as exploded.
+const RESIDUAL_LIMIT: f64 = 1e8;
+/// Widest lag span the register-window screen handles; wider (seasonal)
+/// spans take the buffered screen.
+const SCREEN_WINDOW: usize = 8;
+
+/// Scratch for evaluating the CSS objective of one order on one series:
+/// the expanded polynomials, the innovations and the wide-span screen
+/// buffers. Built once per fit (or forecast), after which an evaluation
+/// allocates nothing and performs the floating-point operations of the
+/// allocating evaluator it replaced, in the same order (the `oracle`
+/// test module keeps that evaluator; `differential` compares the two bit
+/// for bit).
+struct CssWorkspace {
+    order: ArimaOrder,
+    /// Seasonal factor and product of the polynomial multiplication.
+    seasonal: Vec<f64>,
+    product: Vec<f64>,
+    /// Combined AR lag coefficients `a`: φ(B)Φ(Bˢ) = 1 − Σ aᵢ Bⁱ.
+    ar: Vec<f64>,
+    /// Combined MA lag coefficients `b`: θ(B)Θ(Bˢ) = 1 + Σ bᵢ Bⁱ.
+    ma: Vec<f64>,
+    /// `−b`, the coefficients of the innovation recursion the MA screen
+    /// follows.
+    neg_ma: Vec<f64>,
+    /// Innovations `e[t]`. The first `ar.len()` entries are never written
+    /// and stay zero; every later entry is written before it is read, so
+    /// nothing of an earlier evaluation survives into the next.
+    e: Vec<f64>,
+    /// Impulse responses of the AR and MA screens when a span exceeds
+    /// [`SCREEN_WINDOW`]; unallocated otherwise.
+    impulse: [Vec<f64>; 2],
+}
+
+impl CssWorkspace {
+    /// Scratch for `order` on a differenced series of `n` points.
+    fn new(order: ArimaOrder, n: usize) -> Self {
+        // Sized as the expansion sizes them (`s = 0` multiplies as `s = 1`).
+        let s = order.s.max(1);
+        let (ar_span, ma_span) = (order.p + order.sp * s, order.q + order.sq * s);
+        let buffered = ar_span.max(ma_span) > SCREEN_WINDOW;
+        let impulse_len = |span: usize| if buffered { span + SCREEN_STEPS } else { 0 };
+        CssWorkspace {
+            order,
+            seasonal: Vec::with_capacity(order.sp.max(order.sq) * s + 1),
+            product: Vec::with_capacity(ar_span.max(ma_span) + 1),
+            ar: vec![0.0; ar_span],
+            ma: vec![0.0; ma_span],
+            neg_ma: vec![0.0; ma_span],
+            e: vec![0.0; n],
+            impulse: [
+                Vec::with_capacity(impulse_len(ar_span)),
+                Vec::with_capacity(impulse_len(ma_span)),
+            ],
+        }
+    }
+
+    /// Scratch holding the expanded polynomials of a fitted model.
+    fn for_model(order: ArimaOrder, fitted: &FittedArima, n: usize) -> Self {
+        let mut ws = CssWorkspace::new(order, n);
+        ws.load(&fitted.phi, &fitted.theta, &fitted.sphi, &fitted.stheta);
+        ws
+    }
+
+    /// Expands the seasonal and non-seasonal polynomials of a candidate
+    /// into the combined `ar`, `ma` and `neg_ma` lag coefficients.
+    fn load(&mut self, phi: &[f64], theta: &[f64], sphi: &[f64], stheta: &[f64]) {
+        let s = self.order.s.max(1);
+        // AR side, `1 − Σ c B` convention: the factors carry −φ and −Φ,
+        // and the combined coefficient is the negated product term.
+        lag_product(phi, sphi, s, true, &mut self.seasonal, &mut self.product);
+        for (a, &v) in self.ar.iter_mut().zip(self.product.iter().skip(1)) {
+            *a = -v;
+        }
+        // MA side, `1 + Σ c B` convention: factors and product as they are.
+        lag_product(
+            theta,
+            stheta,
+            s,
+            false,
+            &mut self.seasonal,
+            &mut self.product,
+        );
+        for ((b, nb), &v) in self
+            .ma
+            .iter_mut()
+            .zip(self.neg_ma.iter_mut())
+            .zip(self.product.iter().skip(1))
+        {
+            *b = v;
+            *nb = -v;
+        }
+    }
+
+    /// Whether the loaded candidate passes both stability screens (see the
+    /// contract above). The two impulse responses are independent, so they
+    /// advance together in one loop: two dependency chains in flight
+    /// instead of one after the other.
+    fn screens_pass(&mut self) -> bool {
+        let (ar, neg_ma) = (self.ar.as_slice(), self.neg_ma.as_slice());
+        match ar.len().max(neg_ma.len()) {
+            0 => true,
+            1 => screen_windows::<1>(ar, neg_ma),
+            2 => screen_windows::<2>(ar, neg_ma),
+            3 => screen_windows::<3>(ar, neg_ma),
+            4 => screen_windows::<4>(ar, neg_ma),
+            5 => screen_windows::<5>(ar, neg_ma),
+            6 => screen_windows::<6>(ar, neg_ma),
+            7 => screen_windows::<7>(ar, neg_ma),
+            8 => screen_windows::<8>(ar, neg_ma),
+            _ => screen_buffered(ar, neg_ma, &mut self.impulse),
+        }
+    }
+
+    /// Runs the CSS recursion of the loaded candidate over the differenced
+    /// series `w` centred on `mu`, leaving the innovations in `self.e`, and
+    /// returns the conditional sum of squares. Returns `None` if the
+    /// recursion explodes (a residual that is non-finite or beyond
+    /// [`RESIDUAL_LIMIT`]) or the partial CSS exceeds `cap` — the partial
+    /// sum is a monotone lower bound on the final CSS, so any candidate
+    /// that crosses the cap can be abandoned without finishing.
+    ///
+    /// With `cap = f64::INFINITY` the returned CSS is the plain sequential
+    /// sum `Σ e_t²` over `t ≥ ar.len()`.
+    fn css(&mut self, w: &[f64], mu: f64, cap: f64) -> Option<f64> {
+        let (ar, ma, e) = (self.ar.as_slice(), self.ma.as_slice(), &mut self.e);
+        debug_assert_eq!(e.len(), w.len());
+        let start = ar.len();
+        let mut css = 0.0;
+        for t in start..w.len() {
+            let mut pred = 0.0;
+            // a_i pairs with the centred w[t-1-i], b_j with e[t-1-j].
+            for (&a, &v) in ar.iter().zip(w[t - start..t].iter().rev()) {
+                pred += a * (v - mu);
+            }
+            let lags = ma.len().min(t);
+            for (&b, &v) in ma.iter().zip(e[t - lags..t].iter().rev()) {
+                pred += b * v;
+            }
+            let resid = (w[t] - mu) - pred;
+            if !resid.is_finite() || resid.abs() > RESIDUAL_LIMIT {
+                return None;
+            }
+            e[t] = resid;
+            css += resid * resid;
+            if css > cap {
+                return None;
+            }
+        }
+        Some(css)
+    }
+
+    /// The CSS objective at the flat parameter vector `x`: `NaN` outside
+    /// the coefficient bound, outside the stable region, or when the
+    /// recursion explodes or crosses `cap`.
+    fn objective(&mut self, w: &[f64], x: &[f64], bound: f64, cap: f64) -> f64 {
+        if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
+            return f64::NAN;
+        }
+        let (phi, theta, sphi, stheta, mu) = split_params(self.order, x);
+        self.load(phi, theta, sphi, stheta);
+        // Reject non-stationary AR and non-invertible MA parameter regions.
+        if !self.screens_pass() {
+            return f64::NAN;
+        }
+        self.css(w, mu, cap).unwrap_or(f64::NAN)
+    }
+}
+
+/// Multiplies `(1 ± Σ cᵢ Bⁱ)(1 ± Σ Cⱼ Bʲˢ)` — minus signs when `negate`,
+/// the AR convention; plus signs otherwise, the MA convention — into
+/// `product`, index = lag, constant term included.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain:
 // timeseries::arima::Arima::forecast_with_interval ->
-// timeseries::arima::expand
-fn expand(coef: &[f64], scoef: &[f64], s: usize) -> Vec<f64> {
-    // Represent polynomials with full coefficient vectors (constant term 1).
-    let deg = coef.len() + scoef.len() * s;
-    let mut a = vec![0.0; deg + 1];
-    a[0] = 1.0;
-    for (i, &c) in coef.iter().enumerate() {
-        a[i + 1] = -c;
-    }
-    let mut b = vec![0.0; scoef.len() * s + 1];
-    b[0] = 1.0;
+// timeseries::arima::CssWorkspace::load -> timeseries::arima::lag_product
+fn lag_product(
+    coef: &[f64],
+    scoef: &[f64],
+    s: usize,
+    negate: bool,
+    seasonal: &mut Vec<f64>,
+    product: &mut Vec<f64>,
+) {
+    let signed = |c: f64| if negate { -c } else { c };
+    seasonal.clear();
+    seasonal.resize(scoef.len() * s + 1, 0.0);
+    seasonal[0] = 1.0;
     for (j, &c) in scoef.iter().enumerate() {
-        b[(j + 1) * s] = -c;
+        seasonal[(j + 1) * s] = signed(c);
     }
-    let mut prod = vec![0.0; deg + 1];
-    for (i, &ai) in a.iter().enumerate() {
+    product.clear();
+    product.resize(coef.len() + scoef.len() * s + 1, 0.0);
+    let factor = std::iter::once(1.0).chain(coef.iter().map(|&c| signed(c)));
+    for (i, ai) in factor.enumerate() {
         // lint:allow(float-eq): exact zero skip in the sparse polynomial
         // product; small coefficients must still contribute
         if ai == 0.0 {
             continue;
         }
-        for (j, &bj) in b.iter().enumerate() {
-            if i + j <= deg {
-                prod[i + j] += ai * bj;
-            }
+        for (slot, &bj) in product[i..].iter_mut().zip(seasonal.iter()) {
+            *slot += ai * bj;
         }
     }
-    // prod = 1 - Σ a_i B^i  =>  combined a_i = -prod[i].
-    prod.iter().skip(1).map(|&v| -v).collect()
 }
 
-/// Expands the MA side `θ(B)Θ(B^s)` where both polynomials use the
-/// `1 + Σ c_i B^i` convention; returns combined coefficients `b` such that
-/// the product is `1 + Σ b_i B^i`.
-fn expand_ma(theta: &[f64], stheta: &[f64], s: usize) -> Vec<f64> {
-    let neg_t: Vec<f64> = theta.iter().map(|v| -v).collect();
-    let neg_st: Vec<f64> = stheta.iter().map(|v| -v).collect();
-    expand(&neg_t, &neg_st, s).iter().map(|v| -v).collect()
+/// One value per stability screen: the AR recursion and the MA recursion
+/// advance side by side.
+#[derive(Clone, Copy)]
+struct Lanes {
+    ar: f64,
+    ma: f64,
 }
 
-/// Checks that the linear recursion `x_t = Σ coefs_i x_{t-1-i}` is stable
-/// by bounding its impulse response over `horizon` steps.
-///
-/// Used to reject non-stationary AR fits (explosive multi-step forecasts)
-/// and non-invertible MA fits (the innovation recursion `e_t = ... − Σ b_j
-/// e_{t-1-j}` diverges when extended beyond the training window) — CSS is
-/// happy to pick either because they can fit one-step residuals in-sample.
+/// Both stability screens over register windows of `N ≥ max(span)` lags,
+/// most recent response first. A shorter recursion is padded with zero
+/// coefficients at its highest lags; those append `0 · x = ±0` terms to
+/// its sum, which can change the sign of a zero response and nothing else,
+/// so the decision is that of the unpadded recursion.
+fn screen_windows<const N: usize>(ar: &[f64], neg_ma: &[f64]) -> bool {
+    let mut coefs = [Lanes { ar: 0.0, ma: 0.0 }; N];
+    for (c, &a) in coefs.iter_mut().zip(ar) {
+        c.ar = a;
+    }
+    for (c, &b) in coefs.iter_mut().zip(neg_ma) {
+        c.ma = b;
+    }
+    let mut window = [Lanes { ar: 0.0, ma: 0.0 }; N];
+    if let Some(newest) = window.first_mut() {
+        *newest = Lanes { ar: 1.0, ma: 1.0 }; // unit impulses
+    }
+    for _ in 0..SCREEN_STEPS {
+        let mut next = Lanes { ar: 0.0, ma: 0.0 };
+        for (c, x) in coefs.iter().zip(&window) {
+            next.ar += c.ar * x.ar;
+            next.ma += c.ma * x.ma;
+        }
+        // `<=` is false for NaN, so this also rejects non-finite responses.
+        let bounded = next.ar.abs() <= SCREEN_LIMIT && next.ma.abs() <= SCREEN_LIMIT;
+        if !bounded {
+            return false;
+        }
+        window.rotate_right(1);
+        if let Some(newest) = window.first_mut() {
+            *newest = next;
+        }
+    }
+    true
+}
+
+/// Both stability screens for spans beyond [`SCREEN_WINDOW`]: each impulse
+/// response is appended to its own pre-sized buffer (no sliding window to
+/// shift), and the two advance together.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain: timeseries::arima::auto_arima_warm ->
 // timeseries::arima::Arima::fit_differenced ->
-// timeseries::arima::recursion_is_stable
-fn recursion_is_stable(coefs: &[f64], horizon: usize) -> bool {
-    if coefs.is_empty() {
-        return true;
-    }
-    let span = coefs.len();
-    let mut state = vec![0.0; span];
-    state[span - 1] = 1.0; // unit impulse
-    for _ in 0..horizon {
-        let next: f64 = coefs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| a * state[state.len() - 1 - i])
-            .sum();
-        if !next.is_finite() || next.abs() > 50.0 {
-            return false;
+// timeseries::arima::screen_buffered
+fn screen_buffered(ar: &[f64], neg_ma: &[f64], impulse: &mut [Vec<f64>; 2]) -> bool {
+    let [ar_response, ma_response] = impulse;
+    let mut chains = [(ar, ar_response), (neg_ma, ma_response)];
+    for (coefs, response) in &mut chains {
+        response.clear();
+        response.resize(coefs.len(), 0.0);
+        if let Some(newest) = response.last_mut() {
+            *newest = 1.0; // unit impulse
         }
-        state.push(next);
-        state.remove(0);
+    }
+    for _ in 0..SCREEN_STEPS {
+        for (coefs, response) in &mut chains {
+            if coefs.is_empty() {
+                continue;
+            }
+            let recent = &response[response.len() - coefs.len()..];
+            let next: f64 = coefs
+                .iter()
+                .zip(recent.iter().rev())
+                .map(|(&a, &x)| a * x)
+                .sum();
+            if !next.is_finite() || next.abs() > SCREEN_LIMIT {
+                return false;
+            }
+            response.push(next);
+        }
     }
     true
-}
-
-/// Computes the CSS innovations of a combined ARMA recursion over the
-/// mean-centered differenced series, accumulating the conditional sum of
-/// squares as it goes. Returns `None` if the recursion explodes (non-finite
-/// or absurdly large residuals) or the partial CSS exceeds `cap` — the
-/// partial sum is a monotone lower bound on the final CSS, so any candidate
-/// that crosses the cap can be abandoned without finishing the recursion.
-///
-/// With `cap = f64::INFINITY` the returned CSS is the plain sequential sum
-/// `Σ e_t²` over `t ≥ ar.len()`, bit-identical to summing the full
-/// innovation vector after the fact.
-fn innovations_capped(wc: &[f64], ar: &[f64], ma: &[f64], cap: f64) -> Option<(Vec<f64>, f64)> {
-    let n = wc.len();
-    let start = ar.len();
-    let mut e = vec![0.0; n];
-    let mut css = 0.0;
-    for t in start..n {
-        let mut pred = 0.0;
-        for (i, &a) in ar.iter().enumerate() {
-            pred += a * wc[t - 1 - i];
-        }
-        for (j, &b) in ma.iter().enumerate() {
-            if t > j {
-                pred += b * e[t - 1 - j];
-            }
-        }
-        let resid = wc[t] - pred;
-        if !resid.is_finite() || resid.abs() > 1e8 {
-            return None;
-        }
-        e[t] = resid;
-        css += resid * resid;
-        if css > cap {
-            return None;
-        }
-    }
-    Some((e, css))
-}
-
-/// Computes the CSS innovations without a pruning cap (forecast path).
-fn innovations(wc: &[f64], ar: &[f64], ma: &[f64]) -> Option<Vec<f64>> {
-    innovations_capped(wc, ar, ma, f64::INFINITY).map(|(e, _)| e)
 }
 
 impl Forecaster for Arima {
@@ -527,6 +716,7 @@ impl Forecaster for Arima {
                 got: history.len(),
             });
         }
+        require_finite(history)?;
         let (w, _state) = difference(history, o.d, o.sd, o.s)?;
         let w_mean = mean(&w);
         // Standalone fits are always cold and unpruned: the CSS objective,
@@ -549,18 +739,25 @@ impl Forecaster for Arima {
             return Ok(Vec::new());
         }
         let (w, state) = difference(history, o.d, o.sd, o.s)?;
-        let ar = expand(&fitted.phi, &fitted.sphi, o.s.max(1));
-        let ma = expand_ma(&fitted.theta, &fitted.stheta, o.s.max(1));
-        let mut wc: Vec<f64> = w.iter().map(|v| v - fitted.mu).collect();
-        let mut e = innovations(&wc, &ar, &ma).ok_or(TimeSeriesError::FitDiverged)?;
-        let n = wc.len();
+        let n = w.len();
+        let mut ws = CssWorkspace::for_model(o, fitted, n);
+        ws.css(&w, fitted.mu, f64::INFINITY)
+            .ok_or(TimeSeriesError::FitDiverged)?;
+        let (ar, ma, e) = (&ws.ar, &ws.ma, &ws.e);
+        // The centred series continues past `n` with its own forecasts.
+        let mut ahead: Vec<f64> = Vec::with_capacity(horizon);
         let mut out = Vec::with_capacity(horizon);
         for h in 0..horizon {
             let t = n + h;
             let mut pred = 0.0;
             for (i, &a) in ar.iter().enumerate() {
                 if t > i {
-                    pred += a * wc[t - 1 - i];
+                    let centred = if t - 1 - i < n {
+                        w[t - 1 - i] - fitted.mu
+                    } else {
+                        ahead[t - 1 - i - n]
+                    };
+                    pred += a * centred;
                 }
             }
             for (j, &b) in ma.iter().enumerate() {
@@ -568,8 +765,7 @@ impl Forecaster for Arima {
                     pred += b * e[t - 1 - j];
                 }
             }
-            wc.push(pred);
-            e.push(0.0);
+            ahead.push(pred);
             out.push(pred + fitted.mu);
         }
         Ok(integrate(&out, &state))
@@ -617,7 +813,8 @@ impl Arima {
         let o = self.order;
         // Full (nonstationary) AR operator: φ(B) Φ(B^s) (1-B)^d (1-B^s)^D,
         // in the `1 - Σ a_i B^i` convention.
-        let mut full_ar = expand(&fitted.phi, &fitted.sphi, o.s.max(1));
+        let ws = CssWorkspace::for_model(o, fitted, 0);
+        let mut full_ar = ws.ar.clone();
         for _ in 0..o.d {
             full_ar = multiply_lag_ops(&full_ar, &[1.0]); // (1 - B)
         }
@@ -626,7 +823,7 @@ impl Arima {
             seasonal[o.s - 1] = 1.0; // (1 - B^s)
             full_ar = multiply_lag_ops(&full_ar, &seasonal);
         }
-        let ma = expand_ma(&fitted.theta, &fitted.stheta, o.s.max(1));
+        let ma = &ws.ma;
         // ψ recursion: ψ_0 = 1, ψ_j = b_j + Σ a_i ψ_{j-i}.
         let mut psi = vec![0.0; horizon];
         let mut var_acc = Vec::with_capacity(horizon);
@@ -849,8 +1046,9 @@ fn lag1_autocorr(w: &[f64], m: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`TimeSeriesError::FitDiverged`] if *no* candidate order could be
-/// fitted.
+/// Returns [`TimeSeriesError::NonFinite`] (naming the first offending index)
+/// if the series holds a NaN or an infinity, and
+/// [`TimeSeriesError::FitDiverged`] if *no* candidate order could be fitted.
 pub fn auto_arima(
     series: &[f64],
     grid: &ArimaGrid,
@@ -875,14 +1073,16 @@ type DiffEntry = Option<(Vec<f64>, f64, f64)>;
 ///
 /// # Errors
 ///
-/// Returns [`TimeSeriesError::FitDiverged`] if *no* candidate order could be
-/// fitted.
+/// Returns [`TimeSeriesError::NonFinite`] (naming the first offending index)
+/// if the series holds a NaN or an infinity, and
+/// [`TimeSeriesError::FitDiverged`] if *no* candidate order could be fitted.
 pub fn auto_arima_warm(
     series: &[f64],
     grid: &ArimaGrid,
     options: &ArimaFitOptions,
     warm: &mut ArimaWarmStart,
 ) -> Result<Arima, TimeSeriesError> {
+    require_finite(series)?;
     let orders = grid.orders();
     // Difference once per (d, D) pair; every order sharing the pair reuses
     // the differenced series, its mean, and its lag-1 autocorrelation.
@@ -1054,6 +1254,11 @@ impl Forecaster for AutoArima {
 }
 
 #[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -1069,6 +1274,14 @@ mod tests {
             xs.push(x);
         }
         xs
+    }
+
+    /// The combined AR lag coefficients of φ(B)Φ(Bˢ).
+    fn expand(phi: &[f64], sphi: &[f64], s: usize) -> Vec<f64> {
+        let order = ArimaOrder::seasonal(phi.len(), 0, 0, sphi.len(), 0, 0, s);
+        let mut ws = CssWorkspace::new(order, 0);
+        ws.load(phi, &[], sphi, &[]);
+        ws.ar
     }
 
     #[test]
@@ -1169,6 +1382,25 @@ mod tests {
         let mut model = Arima::new(ArimaOrder::new(2, 1, 2));
         let err = model.fit(&[1.0, 2.0, 3.0]).unwrap_err();
         assert!(matches!(err, TimeSeriesError::TooShort { .. }));
+    }
+
+    #[test]
+    fn non_finite_history_is_rejected_with_its_index() {
+        let mut series = ar1_series(120, 0.6, 71);
+        series[17] = f64::INFINITY;
+        series[40] = f64::NAN;
+        let expected = Err(TimeSeriesError::NonFinite { index: 17 });
+        let mut model = Arima::new(ArimaOrder::new(2, 0, 1));
+        assert_eq!(model.fit(&series), expected);
+        assert!(model.fitted().is_none());
+        let mut auto = AutoArima::quick();
+        assert_eq!(auto.fit(&series), expected);
+        assert!(auto.selected().is_none() && auto.warm().is_empty());
+        // Length is still checked first: a short series says so.
+        assert!(matches!(
+            model.fit(&[f64::NAN; 3]),
+            Err(TimeSeriesError::TooShort { .. })
+        ));
     }
 
     #[test]
@@ -1375,16 +1607,5 @@ mod tests {
         assert_eq!(warm.get(ArimaOrder::new(0, 0, 0)), None);
         warm.clear();
         assert!(warm.is_empty());
-    }
-
-    #[test]
-    fn recursion_stability_check() {
-        assert!(recursion_is_stable(&[], 100));
-        assert!(recursion_is_stable(&[0.9], 500));
-        assert!(!recursion_is_stable(&[1.1], 500));
-        // Complex explosive pair (roots ~1.04 e^{±iθ}).
-        assert!(!recursion_is_stable(&[1.6, -1.08], 500));
-        // Stable oscillation.
-        assert!(recursion_is_stable(&[1.2, -0.5], 500));
     }
 }

@@ -21,6 +21,11 @@ pub enum TimeSeriesError {
     },
     /// The optimizer failed to produce finite parameters.
     FitDiverged,
+    /// The series handed to `fit` holds a NaN or an infinity.
+    NonFinite {
+        /// Index of the first non-finite value.
+        index: usize,
+    },
 }
 
 impl fmt::Display for TimeSeriesError {
@@ -37,6 +42,9 @@ impl fmt::Display for TimeSeriesError {
                 write!(f, "invalid configuration: {reason}")
             }
             TimeSeriesError::FitDiverged => write!(f, "model fitting diverged"),
+            TimeSeriesError::NonFinite { index } => {
+                write!(f, "series value at index {index} is not finite")
+            }
         }
     }
 }
@@ -62,6 +70,10 @@ mod tests {
         }
         .to_string()
         .contains("window"));
+        assert_eq!(
+            TimeSeriesError::NonFinite { index: 7 }.to_string(),
+            "series value at index 7 is not finite"
+        );
     }
 
     #[test]

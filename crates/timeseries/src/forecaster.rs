@@ -18,7 +18,9 @@ pub trait Forecaster: Send {
     ///
     /// Returns [`TimeSeriesError::TooShort`] when the history cannot support
     /// the model order, or [`TimeSeriesError::FitDiverged`] if optimization
-    /// fails to find finite parameters.
+    /// fails to find finite parameters. The ARIMA models also reject a
+    /// history holding a NaN or an infinity with
+    /// [`TimeSeriesError::NonFinite`].
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError>;
 
     /// Forecasts `horizon` future values given the (possibly longer than the

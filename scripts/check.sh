@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 build + test suite.
+# Local CI gate: formatting, lints, the tier-1 build + test suite, the
+# numeric crates' own suites, and the end-to-end benchmark's tests + smoke.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +28,26 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The root package's tests do not reach the numeric crates' own suites.
+# These two hold the bitwise contracts of the ARIMA fit path: the CSS
+# evaluator and stability screens against their allocating oracle, the
+# Nelder–Mead rewrite against the reference implementation, the warm-start
+# cold-fallback cases and the zero-allocation check of the hot loop.
+echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg"
+cargo test -q -p utilcast-timeseries -p utilcast-linalg
+
+# The end-to-end benchmark is a workspace of its own (benchmark/), so
+# nothing above builds or tests it. Its unit tests cover the estimator,
+# generator and spans; the smoke run drives all four workloads, traced and
+# untraced, through its built-in checks — table bitwise equal to the
+# recompute path, crash/restore replay, replay agreement of every
+# deterministic output — and exits non-zero if any of them fails.
+echo "==> benchmark tests (cd benchmark && cargo test --offline -q)"
+(cd benchmark && cargo test --offline -q)
+
+echo "==> benchmark smoke (benchmark/run.sh --smoke)"
+benchmark/run.sh --smoke
 
 # Smoke-run the forecast hot-path benchmark at tiny scale: proves the
 # bench binary stays runnable without spending real timing reps. The
