@@ -58,6 +58,8 @@ mod error;
 pub mod metrics;
 pub mod multi;
 pub mod offset;
+#[cfg(test)]
+mod oracle;
 pub mod pipeline;
 pub mod stage;
 pub mod table;

@@ -12,6 +12,46 @@
 //!   centroids of that step — the offset must not push the estimate into a
 //!   different cluster's territory.
 
+/// The majority vote behind `j*`: the label occurring most often in one
+/// node's most-recent-first label sequence, ties going to the label seen
+/// most recently. `counts` is the caller's all-zero scratch of length `k`,
+/// handed back all-zero, so one scratch serves every node of a table build.
+///
+/// Integer-exact and equal to the two-array (count, first-seen) argmax it
+/// replaced: scanning ages in order, a label's first occurrence carries its
+/// full count and wins only on a strictly larger one, so among equal counts
+/// the earliest first occurrence — the most recent label — stays.
+///
+/// # Panics
+///
+/// Panics if a label is `>= counts.len()`.
+// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+// dimensions validated at the public boundary and restated by debug_assert
+// contracts; the overflow-checked debug-assert CI job backstops the proof
+// at runtime; exemplar chain: core::offset::majority_label
+pub(crate) fn majority_label(
+    labels: impl Iterator<Item = usize> + Clone,
+    counts: &mut [usize],
+) -> usize {
+    let k = counts.len();
+    for label in labels.clone() {
+        assert!(label < k, "assignment {label} out of range (k = {k})");
+        counts[label] += 1;
+    }
+    let mut best = 0;
+    let mut best_count = 0;
+    for label in labels {
+        // Taking the count zeroes it: a later occurrence of the same label
+        // reads 0 and cannot win, and the scratch ends all-zero.
+        let count = std::mem::take(&mut counts[label]);
+        if count > best_count {
+            best = label;
+            best_count = count;
+        }
+    }
+    best
+}
+
 /// Returns the cluster index node `i` belonged to most frequently in the
 /// given assignment window (most recent first). Ties break toward the most
 /// recent occurrence, which matches the online intuition of trusting newer
@@ -26,31 +66,12 @@
 // at runtime; exemplar chain: core::offset::forecast_membership
 pub fn forecast_membership(window: &[&[usize]], i: usize, k: usize) -> usize {
     assert!(!window.is_empty(), "membership window must be non-empty");
-    let mut counts = vec![0usize; k];
-    // `window` is most-recent-first; remember first (most recent) position
-    // of each label for tie-breaking.
-    let mut first_seen = vec![usize::MAX; k];
-    for (age, assignment) in window.iter().enumerate() {
-        let label = assignment[i];
-        assert!(label < k, "assignment {label} out of range (k = {k})");
-        counts[label] += 1;
-        if first_seen[label] == usize::MAX {
-            first_seen[label] = age;
-        }
-    }
-    // Infallible argmax (the label-range assertions above guarantee
-    // k >= 1 once the window is non-empty): highest count wins, ties go
-    // to the lower age (more recently seen).
-    let mut best = 0usize;
-    for cand in 1..k {
-        if counts[cand] > counts[best]
-            || (counts[cand] == counts[best] && first_seen[cand] < first_seen[best])
-        {
-            best = cand;
-        }
-    }
-    best
+    majority_label(window.iter().map(|a| a[i]), &mut vec![0; k])
 }
+
+/// Squared distance below which two centroids count as coincident: their
+/// bisector is degenerate, so neither bounds the other's `α`.
+pub(crate) const COINCIDENT_DIST_SQ: f64 = 1e-24;
 
 /// Computes the largest `α ∈ (0, 1]` such that `c_j + α (z − c_j)` remains
 /// closest to `centroids[j]` among all centroids. Returns `1.0` when the
@@ -72,23 +93,30 @@ pub fn clip_alpha(z: &[f64], j: usize, centroids: &[Vec<f64>]) -> f64 {
     assert!(j < centroids.len(), "cluster {j} out of range");
     let cj = &centroids[j];
     assert_eq!(z.len(), cj.len(), "dimension mismatch");
-    let delta: Vec<f64> = z.iter().zip(cj).map(|(a, b)| a - b).collect();
     let mut alpha: f64 = 1.0;
     for (l, cl) in centroids.iter().enumerate() {
         if l == j || cl.is_empty() {
             continue;
         }
-        let diff: Vec<f64> = cj.iter().zip(cl).map(|(a, b)| a - b).collect();
-        let dist_sq: f64 = diff.iter().map(|v| v * v).sum();
-        if dist_sq < 1e-24 {
+        // ‖c_j − c_l‖² and Δ·(c_j − c_l) in one pass over the coordinates,
+        // each sum accumulated in coordinate order — the same additions as
+        // summing a collected `Δ` and `c_j − c_l`, without the vectors. (A
+        // sum started from +0.0 instead of `Iterator::sum`'s −0.0 can only
+        // differ in the sign of a zero, which no comparison below sees.)
+        let mut dist_sq = 0.0;
+        let mut proj = 0.0;
+        for ((zv, a), b) in z.iter().zip(cj).zip(cl) {
+            let diff = a - b;
+            dist_sq += diff * diff;
+            proj += (zv - a) * diff;
+        }
+        if dist_sq < COINCIDENT_DIST_SQ {
             // Coincident centroids: the bisector is degenerate; skip.
             continue;
         }
-        let proj: f64 = delta.iter().zip(&diff).map(|(a, b)| a * b).sum();
         if proj < 0.0 {
             // Upper bound: α ≤ dist_sq / (-2 proj).
-            let bound = dist_sq / (-2.0 * proj);
-            alpha = alpha.min(bound);
+            alpha = alpha.min(dist_sq / (-2.0 * proj));
         }
     }
     alpha.clamp(0.0, 1.0)
@@ -133,50 +161,6 @@ pub fn node_offset(window: &[OffsetSnapshot<'_>], i: usize, j: usize) -> Vec<f64
     acc
 }
 
-/// One step of history used by the offset estimator, with the stored
-/// measurements in one contiguous row-major buffer (`n * dim` values) —
-/// the view the flat ingest path's history snapshots expose. Centroids
-/// stay nested: there are only `K` of them, and they are produced nested
-/// by the clustering stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OffsetSnapshotFlat<'a> {
-    /// Stored measurements `z_{i,t-m}` for all nodes, row-major.
-    pub values: &'a [f64],
-    /// Values per node.
-    pub dim: usize,
-    /// Centroids `c_{j,t-m}` of that step.
-    pub centroids: &'a [Vec<f64>],
-}
-
-/// [`node_offset`] over flat-buffer snapshots; identical arithmetic, so
-/// the result is bit-identical to the nested path on equivalent inputs.
-///
-/// # Panics
-///
-/// Panics if `window` is empty or shapes are inconsistent.
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: core::offset::node_offset_flat
-pub fn node_offset_flat(window: &[OffsetSnapshotFlat<'_>], i: usize, j: usize) -> Vec<f64> {
-    assert!(!window.is_empty(), "offset window must be non-empty");
-    let dim = window[0].dim;
-    let mut acc = vec![0.0; dim];
-    for snap in window {
-        assert_eq!(snap.dim, dim, "dimension mismatch in offset window");
-        let z = &snap.values[i * dim..(i + 1) * dim];
-        let cj = &snap.centroids[j];
-        let alpha = clip_alpha(z, j, snap.centroids);
-        for ((a, zv), cv) in acc.iter_mut().zip(z).zip(cj) {
-            *a += alpha * (zv - cv);
-        }
-    }
-    for a in &mut acc {
-        *a /= window.len() as f64;
-    }
-    acc
-}
-
 /// Eq. 12 without the `α` clipping (every deviation taken in full) — the
 /// ablation counterpart of [`node_offset`], used by the `ablation_offset_alpha`
 /// bench to quantify what the clipping buys.
@@ -209,6 +193,7 @@ pub fn node_offset_unclipped(window: &[OffsetSnapshot<'_>], i: usize, j: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{node_offset_flat, OffsetSnapshotFlat};
 
     #[test]
     fn unclipped_offset_exceeds_clipped_when_outside_cell() {
@@ -314,8 +299,8 @@ mod tests {
     #[test]
     fn flat_offset_is_bit_identical_to_nested() {
         // Multi-node, multi-dimensional window with clipping active for
-        // some nodes: the flat view must reproduce the nested arithmetic
-        // exactly.
+        // some nodes: the nested path over the fused `clip_alpha` must
+        // reproduce the oracle's flat-view arithmetic exactly.
         let values1 = vec![vec![0.3, 0.1], vec![0.9, 0.85], vec![0.55, 0.5]];
         let centroids1 = vec![vec![0.2, 0.15], vec![0.9, 0.9]];
         let values2 = vec![vec![0.1, 0.2], vec![0.95, 0.8], vec![0.45, 0.55]];

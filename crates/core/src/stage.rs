@@ -21,11 +21,10 @@ use crate::cluster::{
     ClusterStep, ClustererSnapshot, DynamicClusterer, DynamicClustererConfig, SimilarityMeasure,
 };
 use crate::compute::ComputeOptions;
-use crate::offset::OffsetSnapshotFlat;
 use crate::pipeline::{ClusterModel, ModelSpec};
 use crate::table::{
-    assemble_forecast, interval_half_widths, resolve_nodes, ForecastTable, TableCell,
-    INTERVAL_WINDOW,
+    assemble_forecast, interval_half_widths, resolve_nodes, ForecastTable, NodeResolution,
+    TableCell, WindowStep, INTERVAL_WINDOW,
 };
 use crate::CoreError;
 
@@ -84,6 +83,60 @@ struct Snapshot {
     values: Matrix,
     centroids: Vec<Vec<f64>>,
     assignments: Vec<usize>,
+}
+
+impl Snapshot {
+    /// Checks a deserialized snapshot against the shape every snapshot
+    /// recorded by [`ForecastStage::step`] has — `n` scalar values, `k`
+    /// one-value centroids, `n` labels below `k` — which is what
+    /// [`resolve_nodes`] indexes by. `index` is the snapshot's position in
+    /// the checkpoint's history, for the error message.
+    fn validate(&self, index: usize, n: usize, k: usize) -> Result<(), CoreError> {
+        let invalid = |what: String| {
+            Err(CoreError::InvalidConfig {
+                reason: format!("snapshot history[{index}].{what}"),
+            })
+        };
+        let (rows, cols, len) = (
+            self.values.nrows(),
+            self.values.ncols(),
+            self.values.as_slice().len(),
+        );
+        if rows != n || cols != 1 || len != n {
+            return invalid(format!(
+                "values is {rows} x {cols} over {len} numbers (expected {n} x 1)"
+            ));
+        }
+        if self.centroids.len() != k {
+            return invalid(format!(
+                "centroids holds {} centroids for k = {k}",
+                self.centroids.len()
+            ));
+        }
+        if let Some((j, c)) = self
+            .centroids
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.len() != 1)
+        {
+            return invalid(format!(
+                "centroids[{j}] has {} values (expected 1)",
+                c.len()
+            ));
+        }
+        if self.assignments.len() != n {
+            return invalid(format!(
+                "assignments holds {} labels for {n} nodes",
+                self.assignments.len()
+            ));
+        }
+        if let Some((i, label)) = self.assignments.iter().enumerate().find(|(_, &a)| a >= k) {
+            return invalid(format!(
+                "assignments[{i}] = {label} is out of range (k = {k})"
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One forecaster's checkpoint: the fitted model plus its harness state.
@@ -353,7 +406,11 @@ impl ForecastStage {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the embedded configuration
-    /// is invalid or the snapshot's per-cluster vectors do not match `k`.
+    /// is invalid, the snapshot's per-cluster vectors do not match `k`, or
+    /// the look-back history is longer than `m_prime + 1` snapshots or holds
+    /// one that [`ForecastStage::step`] could not have recorded (the reason
+    /// names the snapshot index and the offending field) — a checkpoint is
+    /// outside input, and the per-node resolve indexes by these shapes.
     pub fn restore(snapshot: StageSnapshot) -> Result<Self, CoreError> {
         let mut stage = ForecastStage::new(snapshot.config)?;
         let k = stage.config.k;
@@ -365,6 +422,18 @@ impl ForecastStage {
                     snapshot.degraded.len()
                 ),
             });
+        }
+        if snapshot.history.len().saturating_sub(1) > stage.config.m_prime {
+            return Err(CoreError::InvalidConfig {
+                reason: format!(
+                    "snapshot history holds {} snapshots for m_prime = {} (at most m_prime + 1)",
+                    snapshot.history.len(),
+                    stage.config.m_prime
+                ),
+            });
+        }
+        for (index, recorded) in snapshot.history.iter().enumerate() {
+            recorded.validate(index, stage.config.num_nodes, k)?;
         }
         stage.clusterer = DynamicClusterer::restore(snapshot.clusterer);
         stage.forecasters = snapshot
@@ -597,7 +666,7 @@ impl ForecastStage {
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
     pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>, CoreError> {
-        let (resolution, _) = self.resolve_window()?;
+        let resolution = self.resolve_window()?;
         let cluster_fc: Vec<Vec<f64>> = self
             .forecasters
             .iter()
@@ -608,33 +677,25 @@ impl ForecastStage {
 
     /// Resolves every node's membership and offset over the current
     /// look-back window — the shared per-node preamble of the recompute
-    /// path and the table builder — returning the resolution and the node
-    /// count.
+    /// path and the table builder.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
-    fn resolve_window(&self) -> Result<(crate::table::NodeResolution, usize), CoreError> {
-        let newest = self.history.front().ok_or(CoreError::NotStarted)?;
-        let window_assign: Vec<&[usize]> = self
+    fn resolve_window(&self) -> Result<NodeResolution, CoreError> {
+        if self.history.is_empty() {
+            return Err(CoreError::NotStarted);
+        }
+        let window: Vec<WindowStep<'_>> = self
             .history
             .iter()
-            .map(|s| s.assignments.as_slice())
-            .collect();
-        let window_snaps: Vec<OffsetSnapshotFlat<'_>> = self
-            .history
-            .iter()
-            .map(|s| OffsetSnapshotFlat {
+            .map(|s| WindowStep {
+                assignments: &s.assignments,
                 values: s.values.as_slice(),
-                dim: 1,
                 centroids: &s.centroids,
             })
             .collect();
-        let n = newest.values.nrows();
-        Ok((
-            resolve_nodes(&window_assign, &window_snaps, n, self.config.k),
-            n,
-        ))
+        Ok(resolve_nodes(&window, self.config.num_nodes, self.config.k))
     }
 
     /// The read plane's input-version counter: bumped by every step and by
@@ -666,7 +727,7 @@ impl ForecastStage {
     // debug-assert CI job backstops the proof at runtime; exemplar chain:
     // core::stage::ForecastStage::build_forecast_table
     pub fn build_forecast_table(&self) -> Result<ForecastTable, CoreError> {
-        let (resolution, _) = self.resolve_window()?;
+        let resolution = self.resolve_window()?;
         let horizon = self.config.compute.query_horizon();
         let k = self.config.k;
         let mut cluster_fc = Vec::with_capacity(k * horizon);
@@ -1289,6 +1350,69 @@ mod tests {
         assert_eq!(restored.generation(), 0);
         assert_eq!(restored.forecast_table_rebuilds(), 0);
         assert_eq!(restored.forecast_reads_served(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_every_hostile_history_shape() {
+        // Each of these restored `Ok` and then panicked (or worse, resolved
+        // garbage) in the first `forecast()` / `forecast_table()`.
+        let mut stage = ForecastStage::new(quick(4, 2)).unwrap();
+        for i in 0..8 {
+            let z = [0.2, 0.21 + 0.001 * i as f64, 0.7, 0.72];
+            stage.step(&z).unwrap();
+        }
+        let good = stage.snapshot();
+        assert_eq!(good.history.len(), good.config.m_prime + 1);
+        assert!(ForecastStage::restore(good.clone()).is_ok());
+        type Corrupt = fn(&mut StageSnapshot);
+        let cases: [(&str, Corrupt); 9] = [
+            (
+                "history[0].assignments[2] = 9 is out of range (k = 2)",
+                |s| s.history[0].assignments[2] = 9,
+            ),
+            ("history[3].assignments holds 3 labels for 4 nodes", |s| {
+                s.history[3].assignments.truncate(3)
+            }),
+            (
+                "history[1].values is 3 x 1 over 3 numbers (expected 4 x 1)",
+                |s| s.history[1].values = Matrix::zeros(3, 1),
+            ),
+            (
+                "history[1].values is 2 x 2 over 4 numbers (expected 4 x 1)",
+                |s| s.history[1].values = Matrix::zeros(2, 2),
+            ),
+            (
+                // Only a decoder can produce a matrix whose shape disagrees
+                // with its buffer.
+                "history[5].values is 4 x 1 over 3 numbers (expected 4 x 1)",
+                |s| {
+                    s.history[5].values =
+                        serde_json::from_str(r#"{"rows":4,"cols":1,"data":[0.2,0.2,0.7]}"#).unwrap()
+                },
+            ),
+            ("history[2].centroids holds 3 centroids for k = 2", |s| {
+                s.history[2].centroids.push(vec![0.5])
+            }),
+            ("history[5].centroids[1] has 2 values (expected 1)", |s| {
+                s.history[5].centroids[1].push(0.5)
+            }),
+            ("history[4].centroids[0] has 0 values (expected 1)", |s| {
+                s.history[4].centroids[0].clear()
+            }),
+            ("history holds 7 snapshots for m_prime = 5", |s| {
+                s.history.push(s.history[0].clone())
+            }),
+        ];
+        for (expected, corrupt) in cases {
+            let mut snapshot = good.clone();
+            corrupt(&mut snapshot);
+            match ForecastStage::restore(snapshot) {
+                Err(CoreError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(expected), "{expected}: got {reason}");
+                }
+                other => panic!("{expected}: got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

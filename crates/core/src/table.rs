@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use utilcast_gaussian::model::GaussianModel;
 use utilcast_linalg::Matrix;
 
-use crate::offset::{forecast_membership, node_offset_flat, OffsetSnapshotFlat};
+use crate::offset::{majority_label, COINCIDENT_DIST_SQ};
 
 /// Number of trailing centroid observations the Gaussian interval model is
 /// fitted on. Bounded so table builds stay `O(K² · window)` regardless of
@@ -68,31 +68,137 @@ pub struct NodeResolution {
     pub offsets: Vec<f64>,
 }
 
+/// One step of the look-back window as [`resolve_nodes`] reads it,
+/// borrowed from the stage's history: who was where, what was stored, and
+/// the step's matched centroids.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowStep<'a> {
+    /// Cluster label of every node at this step.
+    pub assignments: &'a [usize],
+    /// Stored scalar measurement `z_{i,t-m}` of every node.
+    pub values: &'a [f64],
+    /// Centroids `c_{j,t-m}`, one per label: vectors of one value. An empty
+    /// vector marks a label without a centroid at this step — no competitor
+    /// in anyone's `α`, and not resolvable as a node's `j*`.
+    pub centroids: &'a [Vec<f64>],
+}
+
+/// What the `α` clipping reads of a window's centroids, computed once per
+/// build instead of once per node: for every step `s` and label `j`, the
+/// scalar `c_j` and `j`'s competitors in ascending label order as
+/// `(c_j − c_l, (c_j − c_l)²)`. Left out are exactly the labels
+/// [`crate::offset::clip_alpha`] skips — `l = j`, labels without a centroid,
+/// centroids coincident with `c_j` — so a node's `α` is one straight loop
+/// over its row.
+struct CentroidPairs {
+    /// `c_j` of step `s` at `s * k + j` (a placeholder where that step has
+    /// no centroid for `j`).
+    centroids: Vec<f64>,
+    /// Whether label `j` has a centroid at every step; only such a label
+    /// can be resolved as a node's `j*`.
+    resolvable: Vec<bool>,
+    /// Row `s * k + j` is `pairs[row_start[s * k + j]..row_start[s * k + j + 1]]`.
+    row_start: Vec<usize>,
+    pairs: Vec<(f64, f64)>,
+}
+
+impl CentroidPairs {
+    /// Every step of `window` must hold `k` centroids of at most one value.
+    fn new(window: &[WindowStep<'_>], k: usize) -> Self {
+        let rows = window.len() * k;
+        let mut centroids = Vec::with_capacity(rows);
+        let mut resolvable = vec![true; k];
+        let mut row_start = Vec::with_capacity(rows + 1);
+        let mut pairs = Vec::with_capacity(rows * k.saturating_sub(1));
+        for step in window {
+            for ((j, cj), every_step) in step.centroids.iter().enumerate().zip(&mut resolvable) {
+                row_start.push(pairs.len());
+                centroids.push(cj.first().copied().unwrap_or(f64::NAN));
+                let Some(cj) = cj.first() else {
+                    *every_step = false;
+                    continue;
+                };
+                for (l, cl) in step.centroids.iter().enumerate() {
+                    let Some(cl) = cl.first() else { continue };
+                    let diff = cj - cl;
+                    let dist_sq = diff * diff;
+                    if l == j || dist_sq < COINCIDENT_DIST_SQ {
+                        continue;
+                    }
+                    pairs.push((diff, dist_sq));
+                }
+            }
+        }
+        row_start.push(pairs.len());
+        CentroidPairs {
+            centroids,
+            resolvable,
+            row_start,
+            pairs,
+        }
+    }
+}
+
 /// Resolves every node's forecast membership `j*` and clipped offset `ŝ_i`
-/// over a most-recent-first history window. This is verbatim the per-node
-/// preamble the recompute path ran inline; both callers now share it.
+/// (Eq. 12) over a most-recent-first history window of scalar steps: per
+/// node a majority vote over its labels and, per window step, `α` against
+/// the hoisted [`CentroidPairs`] row of `j*` and one accumulation of
+/// `α·(z − c_j*)` — no allocation, no centroid arithmetic.
+///
+/// Performs the floating-point operations of
+/// [`crate::offset::forecast_membership`] + [`crate::offset::node_offset`]
+/// at `dim = 1` in the same order (at one coordinate each of their sums is
+/// its single term), so results are bitwise theirs; the allocating code it
+/// replaced is kept as the `#[cfg(test)]` oracle this is tested against.
 ///
 /// # Panics
 ///
-/// Panics if the window is empty or `i` exceeds any entry (see
-/// [`forecast_membership`] / [`node_offset_flat`]).
+/// Panics if the window is empty, a step holds fewer than `n` assignments
+/// or values, a label is `>= k`, a step does not hold `k` centroids of at
+/// most one value, or a node's `j*` has no centroid at some step.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
 // contracts; the overflow-checked debug-assert CI job backstops the proof
 // at runtime; exemplar chain: core::table::resolve_nodes
-pub fn resolve_nodes(
-    window_assign: &[&[usize]],
-    window_snaps: &[OffsetSnapshotFlat<'_>],
-    n: usize,
-    k: usize,
-) -> NodeResolution {
+pub fn resolve_nodes(window: &[WindowStep<'_>], n: usize, k: usize) -> NodeResolution {
+    assert!(!window.is_empty(), "resolve window must be non-empty");
+    for step in window {
+        assert!(
+            step.assignments.len() >= n && step.values.len() >= n,
+            "window step holds {} assignments / {} values for {n} nodes",
+            step.assignments.len(),
+            step.values.len()
+        );
+        assert!(
+            step.centroids.len() == k && step.centroids.iter().all(|c| c.len() <= 1),
+            "window step must hold {k} scalar centroids"
+        );
+    }
+    let table = CentroidPairs::new(window, k);
+    let mut counts = vec![0usize; k];
     let mut memberships = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
     for i in 0..n {
-        let j_star = forecast_membership(window_assign, i, k);
-        let offset = node_offset_flat(window_snaps, i, j_star)[0];
+        let j_star = majority_label(window.iter().map(|step| step.assignments[i]), &mut counts);
+        assert!(
+            table.resolvable[j_star],
+            "cluster {j_star} has no centroid at some window step"
+        );
+        let mut acc = 0.0;
+        for (s, step) in window.iter().enumerate() {
+            let row = s * k + j_star;
+            let delta = step.values[i] - table.centroids[row];
+            let mut alpha: f64 = 1.0;
+            for &(diff, dist_sq) in &table.pairs[table.row_start[row]..table.row_start[row + 1]] {
+                let proj = delta * diff;
+                if proj < 0.0 {
+                    alpha = alpha.min(dist_sq / (-2.0 * proj));
+                }
+            }
+            acc += alpha.clamp(0.0, 1.0) * delta;
+        }
         memberships.push(j_star);
-        offsets.push(offset);
+        offsets.push(acc / window.len() as f64);
     }
     NodeResolution {
         memberships,
@@ -527,6 +633,21 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], vec![0.2 + 0.01, 0.8 - 0.02, 0.8]);
         assert_eq!(out[1], vec![0.3 + 0.01, 0.7 - 0.02, 0.7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 1 has no centroid")]
+    fn resolving_onto_a_label_without_a_centroid_panics() {
+        // An empty centroid vector is skipped as a competitor (node 0
+        // resolves) but cannot anchor a node's offset (node 1).
+        let centroids = vec![vec![0.2], vec![]];
+        let window = [WindowStep {
+            assignments: &[0, 1],
+            values: &[0.25, 0.8],
+            centroids: &centroids,
+        }];
+        assert_eq!(resolve_nodes(&window, 1, 2).memberships, vec![0]);
+        resolve_nodes(&window, 2, 2);
     }
 
     #[test]

@@ -609,7 +609,9 @@ impl Controller {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the embedded configuration
-    /// is invalid or the snapshot's per-node vectors do not match it.
+    /// is invalid or the snapshot's per-node vectors do not match it, and
+    /// [`SimError::Core`] when the forecast stage rejects its part of the
+    /// checkpoint (see [`ForecastStage::restore`]).
     pub fn restore(snapshot: ControllerSnapshot) -> Result<Self, SimError> {
         let mut controller = Controller::new(snapshot.config)?;
         let n = controller.config.num_nodes;
@@ -1004,6 +1006,32 @@ mod tests {
             Controller::restore(snapshot),
             Err(SimError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn restore_surfaces_a_hostile_stage_history_as_a_core_error() {
+        // One digit of a real checkpoint patched — a label >= k in the
+        // newest history snapshot. It used to restore `Ok` and panic in the
+        // first `forecast_table()`.
+        let mut c = Controller::new(quick_config(3, 2)).unwrap();
+        for t in 0..8 {
+            let reports = (0..3).map(|i| report(i, t, 0.2 + 0.1 * i as f64)).collect();
+            c.tick(reports).unwrap();
+        }
+        let json = serde_json::to_string(&c.snapshot()).unwrap();
+        let key = "\"assignments\":[";
+        let at = json.find(key).unwrap() + key.len();
+        let hostile = format!("{}9{}", &json[..at], &json[at + 1..]);
+        let snapshot: ControllerSnapshot = serde_json::from_str(&hostile).unwrap();
+        match Controller::restore(snapshot) {
+            Err(SimError::Core(utilcast_core::CoreError::InvalidConfig { reason })) => {
+                assert!(
+                    reason.contains("history[0].assignments[0] = 9 is out of range (k = 2)"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a typed core error, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

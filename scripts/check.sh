@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the tier-1 build + test suite, the
-# numeric crates' own suites, and the end-to-end benchmark's tests + smoke.
+# numeric and core crates' own suites, and the end-to-end benchmark's tests
+# + smoke.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,12 +31,16 @@ echo "==> cargo test -q"
 cargo test -q
 
 # The root package's tests do not reach the numeric crates' own suites.
-# These two hold the bitwise contracts of the ARIMA fit path: the CSS
-# evaluator and stability screens against their allocating oracle, the
-# Nelder–Mead rewrite against the reference implementation, the warm-start
-# cold-fallback cases and the zero-allocation check of the hot loop.
-echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg"
-cargo test -q -p utilcast-timeseries -p utilcast-linalg
+# timeseries and linalg hold the bitwise contracts of the ARIMA fit path:
+# the CSS evaluator and stability screens against their allocating oracle,
+# the Nelder–Mead rewrite against the reference implementation, the
+# warm-start cold-fallback cases and the zero-allocation check of the hot
+# loop. core holds those of the forecast-table build: the Eq. 12 resolve
+# kernel and the fused clip_alpha against their allocating oracle, the
+# allocations-do-not-grow-with-N check, and the hostile-checkpoint cases of
+# ForecastStage::restore.
+echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core"
+cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core
 
 # The end-to-end benchmark is a workspace of its own (benchmark/), so
 # nothing above builds or tests it. Its unit tests cover the estimator,
