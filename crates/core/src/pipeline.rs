@@ -129,6 +129,17 @@ impl Forecaster for ClusterModel {
         }
     }
 
+    fn refit(&mut self, history: &[f64]) -> Result<(), utilcast_timeseries::TimeSeriesError> {
+        match self {
+            ClusterModel::SampleAndHold(m) => m.refit(history),
+            ClusterModel::LongTermMean(m) => m.refit(history),
+            ClusterModel::Arima(m) => m.refit(history),
+            ClusterModel::AutoArima(m) => m.refit(history),
+            ClusterModel::Lstm(m) => m.refit(history),
+            ClusterModel::HoltWinters(m) => m.refit(history),
+        }
+    }
+
     fn forecast(
         &self,
         history: &[f64],

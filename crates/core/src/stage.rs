@@ -1036,6 +1036,116 @@ mod tests {
         }
     }
 
+    /// An ARIMA(2,0,1) stage over 24 nodes in 3 groups: first fits at
+    /// step 24, the first scheduled retrain — a warm refit — at step 40.
+    fn arima_stage(threads: usize) -> ForecastStage {
+        use utilcast_timeseries::arima::{ArimaFitOptions, ArimaOrder};
+        ForecastStage::new(ForecastStageConfig {
+            num_nodes: 24,
+            k: 3,
+            warmup: 24,
+            retrain_every: 16,
+            model: ModelSpec::Arima {
+                order: ArimaOrder::new(2, 0, 1),
+                options: ArimaFitOptions::default(),
+            },
+            compute: ComputeOptions {
+                threads,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    /// Step `t` of a 24-node fleet: three well-separated groups whose
+    /// levels swing on different periods, plus per-node pseudo-noise, in
+    /// units of `scale` (1 = utilization fractions, 100 = percent).
+    fn grouped_fleet(t: usize, scale: f64) -> Vec<f64> {
+        (0..24usize)
+            .map(|i| {
+                let group = i % 3;
+                let phase = ((t + 7 * group) % (16 + 5 * group)) as f64 / (16 + 5 * group) as f64;
+                let swing = 0.05 * (1.0 - 4.0 * (phase - 0.5).abs());
+                let noise = ((t * 31 + i * 17) % 23) as f64 / 23.0 - 0.5;
+                scale * (0.2 + 0.3 * group as f64 + swing + 0.02 * noise)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arima_refit_replays_bitwise_from_a_checkpoint_and_at_any_thread_count() {
+        use utilcast_timeseries::arima::Arima;
+        // A warm refit depends on the outgoing model as well as on the
+        // history, so the outgoing model is replay state: it must survive a
+        // serialized checkpoint exactly, and stay private to its cluster at
+        // any fan-out.
+        type Trace = Vec<(StageReport, Vec<Vec<f64>>)>;
+        let drive = |stage: &mut ForecastStage, ticks: std::ops::RangeInclusive<usize>| -> Trace {
+            ticks
+                .map(|t| {
+                    let report = stage.step(&grouped_fleet(t, 1.0)).unwrap();
+                    (report, stage.forecast(4).unwrap())
+                })
+                .collect()
+        };
+        let mut stage = arima_stage(1);
+        let mut trace = drive(&mut stage, 1..=30);
+        let checkpoint = serde_json::to_string(&stage.snapshot()).unwrap();
+        trace.extend(drive(&mut stage, 31..=44));
+        assert!(trace[23].0.retrained && trace[39].0.retrained);
+        assert_eq!(stage.model_fallbacks(), 0);
+
+        // The retrain at step 40 continued from the step-24 models: no
+        // cluster holds what a cold fit of its history gives.
+        for f in &stage.forecasters {
+            let ClusterModel::Arima(model) = f.model() else {
+                panic!("an ARIMA stage holds ARIMA models");
+            };
+            let mut cold = Arima::new(model.order());
+            cold.fit(&f.history()[..40]).unwrap();
+            assert_ne!(model.fitted(), cold.fitted());
+        }
+
+        let snapshot: StageSnapshot = serde_json::from_str(&checkpoint).unwrap();
+        let mut restored = ForecastStage::restore(snapshot).unwrap();
+        assert_eq!(drive(&mut restored, 31..=44), trace[30..]);
+        assert_eq!(restored.snapshot(), stage.snapshot());
+
+        for threads in [2, 8] {
+            let mut fanned = arima_stage(threads);
+            assert_eq!(
+                drive(&mut fanned, 1..=44),
+                trace,
+                "diverged at {threads} threads"
+            );
+            assert_eq!(fanned.snapshot().forecasters, stage.snapshot().forecasters);
+        }
+    }
+
+    #[test]
+    fn percent_scale_fleet_fits_without_fallbacks() {
+        // Utilization in percent (0-100), as a raw trace loaded through
+        // `datasets::csv` may carry it: centroid means far above the ARIMA
+        // coefficient bound must not cost a single cluster its model.
+        let mut stage = arima_stage(1);
+        for t in 1..=44 {
+            stage.step(&grouped_fleet(t, 100.0)).unwrap();
+        }
+        assert_eq!(stage.model_fallbacks(), 0);
+        assert_eq!(stage.degraded(), &[false; 3]);
+        assert!(stage.forecasters.iter().all(|f| f.retrain_count() == 2));
+        let next = grouped_fleet(45, 100.0);
+        for (h, row) in stage.forecast(4).unwrap().iter().enumerate() {
+            for (forecast, truth) in row.iter().zip(&next) {
+                assert!(
+                    (forecast - truth).abs() < 12.0,
+                    "h = {h}: forecast {forecast} for a node near {truth}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn concurrent_retraining_is_bit_identical_to_sequential() {
         let run = |threads: usize| {

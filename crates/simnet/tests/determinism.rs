@@ -486,6 +486,66 @@ fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
     }
 }
 
+/// A warm ARIMA refit continues from the outgoing model, so that model is
+/// replay state. A controller that crashes between its first fits (tick 24)
+/// and the scheduled retrain (tick 40) and restarts from a serialized
+/// checkpoint must go through the refit tick exactly as the one that never
+/// stopped: same `TickReport`s, same forecasts, same final state.
+#[test]
+fn crash_restore_across_an_arima_refit_tick_replays_identically() {
+    use utilcast_timeseries::arima::{ArimaFitOptions, ArimaOrder};
+    const NODES: usize = 12;
+    let controller = || {
+        Controller::new(ControllerConfig {
+            num_nodes: NODES,
+            k: 3,
+            warmup: 24,
+            retrain_every: 16,
+            model: ModelSpec::Arima {
+                order: ArimaOrder::new(2, 0, 1),
+                options: ArimaFitOptions::default(),
+            },
+            ..Default::default()
+        })
+        .unwrap()
+    };
+    // Three groups swinging on different periods; every fourth node skips
+    // every third tick, so the stored values carry some staleness.
+    let reports = |t: usize| -> Vec<Report> {
+        (0..NODES)
+            .filter(|i| i % 4 != 3 || !t.is_multiple_of(3))
+            .map(|node| {
+                let group = node % 3;
+                let period = 14 + 6 * group;
+                let phase = ((t + 5 * group) % period) as f64 / period as f64;
+                let swing = 0.06 * (1.0 - 4.0 * (phase - 0.5).abs());
+                let noise = ((t * 29 + node * 13) % 19) as f64 / 19.0 - 0.5;
+                Report {
+                    node,
+                    t,
+                    values: vec![0.2 + 0.3 * group as f64 + swing + 0.02 * noise],
+                }
+            })
+            .collect()
+    };
+    let drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
+        ticks
+            .map(|t| (c.tick(reports(t)).unwrap(), c.forecast(4).unwrap()))
+            .collect::<Vec<_>>()
+    };
+
+    let mut uninterrupted = controller();
+    let mut trace = drive(&mut uninterrupted, 0..30);
+    let checkpoint = serde_json::to_string(&uninterrupted.snapshot()).unwrap();
+    trace.extend(drive(&mut uninterrupted, 30..46));
+    let retrain_ticks: Vec<usize> = (0..46).filter(|&t| trace[t].0.retrained).collect();
+    assert_eq!(retrain_ticks, [23, 39], "first fits, then one refit");
+
+    let mut restarted = Controller::restore(serde_json::from_str(&checkpoint).unwrap()).unwrap();
+    assert_eq!(drive(&mut restarted, 30..46), trace[30..]);
+    assert_eq!(restarted.snapshot(), uninterrupted.snapshot());
+}
+
 const PROP_NODES: usize = 6;
 
 fn arb_tick_reports() -> impl Strategy<Value = Vec<(usize, f64)>> {

@@ -132,18 +132,33 @@ pub struct FittedArima {
     pub aicc: f64,
 }
 
+impl FittedArima {
+    /// The coefficients as the optimizer's flat vector `(φ, θ, Φ, Θ, μ)` —
+    /// the warm hint a later fit of the same order starts from.
+    fn params(&self) -> Vec<f64> {
+        let coefs = [&self.phi, &self.theta, &self.sphi, &self.stheta];
+        let mut x = coefs.into_iter().flatten().copied().collect::<Vec<f64>>();
+        x.push(self.mu);
+        x
+    }
+}
+
 /// Configuration for the CSS optimizer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArimaFitOptions {
     /// Maximum objective evaluations for Nelder–Mead.
     pub max_evals: usize,
-    /// Coefficient magnitude above which the objective is treated as
-    /// out-of-domain (keeps the simplex inside a sane region).
+    /// Magnitude of an AR/MA coefficient (φ, θ, Φ, Θ) above which the
+    /// objective is treated as out-of-domain (keeps the simplex inside a
+    /// sane region). The intercept μ is not bounded: it lives on the scale
+    /// of the series and must merely be finite.
     pub coef_bound: f64,
     /// Maximum objective evaluations when the optimizer is warm-started
-    /// from a previous retrain's solution (`0` = use `max_evals`). Warm
-    /// starts begin near the optimum, so a much smaller budget suffices;
-    /// divergence falls back to a full cold start.
+    /// from a previous retrain's solution — [`Forecaster::refit`] on an
+    /// [`Arima`], every order of an [`AutoArima`] grid after its first fit
+    /// (`0` = use `max_evals`). Warm starts begin near the optimum, so a
+    /// much smaller budget suffices; divergence falls back to a full cold
+    /// start.
     pub warm_max_evals: usize,
     /// Grid-search pruning margin: an order is skipped without running the
     /// optimizer when the CSS of its warm hint (which sits near the
@@ -240,6 +255,26 @@ impl Arima {
         self.fitted.as_ref().map(|f| f.aicc)
     }
 
+    /// Checks and differences `history`, then fits on it: cold, or warm
+    /// from `hint` (see [`Arima::fit_differenced`]). Never pruned.
+    fn fit_history(
+        &mut self,
+        history: &[f64],
+        hint: Option<&[f64]>,
+    ) -> Result<(), TimeSeriesError> {
+        let o = self.order;
+        if history.len() < o.min_series_len() {
+            return Err(TimeSeriesError::TooShort {
+                needed: o.min_series_len(),
+                got: history.len(),
+            });
+        }
+        require_finite(history)?;
+        let (w, _state) = difference(history, o.d, o.sd, o.s)?;
+        let w_mean = mean(&w);
+        self.fit_differenced(&w, w_mean, hint, f64::INFINITY)
+    }
+
     /// Fits on an already-differenced series (the grid search differences
     /// once per `(d, D)` pair and shares the result across orders).
     ///
@@ -296,8 +331,7 @@ impl Arima {
 
         let result = 'fit: {
             if let Some(hint) = warm_x0 {
-                if hint.len() == n_params && hint.iter().all(|v| v.is_finite() && v.abs() <= bound)
-                {
+                if hint.len() == n_params && in_domain(hint, bound) {
                     if css_cap.is_finite() && !css_eval(hint, css_cap).is_finite() {
                         return Err(TimeSeriesError::FitDiverged);
                     }
@@ -373,6 +407,18 @@ fn require_finite(series: &[f64]) -> Result<(), TimeSeriesError> {
         Some(index) => Err(TimeSeriesError::NonFinite { index }),
         None => Ok(()),
     }
+}
+
+/// Whether the flat parameter vector `x = (φ, θ, Φ, Θ, μ)` lies in the
+/// optimizer's domain: every AR/MA coefficient finite and within `bound`,
+/// the intercept finite. The bound exists to keep the simplex near the
+/// stable region, where coefficients are of order one; μ sits wherever the
+/// series does (a percent-scale trace has μ ≈ 50), so bounding it would put
+/// the whole start simplex out of domain.
+fn in_domain(x: &[f64], bound: f64) -> bool {
+    x.split_last().is_some_and(|(mu, coefs)| {
+        mu.is_finite() && coefs.iter().all(|v| v.is_finite() && v.abs() <= bound)
+    })
 }
 
 /// Splits a flat parameter vector into (φ, θ, Φ, Θ, μ) for `order`.
@@ -569,10 +615,10 @@ impl CssWorkspace {
     }
 
     /// The CSS objective at the flat parameter vector `x`: `NaN` outside
-    /// the coefficient bound, outside the stable region, or when the
-    /// recursion explodes or crosses `cap`.
+    /// the domain (see [`in_domain`]), outside the stable region, or when
+    /// the recursion explodes or crosses `cap`.
     fn objective(&mut self, w: &[f64], x: &[f64], bound: f64, cap: f64) -> f64 {
-        if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
+        if !in_domain(x, bound) {
             return f64::NAN;
         }
         let (phi, theta, sphi, stheta, mu) = split_params(self.order, x);
@@ -708,21 +754,21 @@ fn screen_buffered(ar: &[f64], neg_ma: &[f64], impulse: &mut [Vec<f64>; 2]) -> b
 }
 
 impl Forecaster for Arima {
+    /// Always cold: Nelder–Mead starts from `(0, …, 0, w̄)` with the full
+    /// `max_evals` budget whatever this model held before, so the result
+    /// depends on `history` alone.
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
-        let o = self.order;
-        if history.len() < o.min_series_len() {
-            return Err(TimeSeriesError::TooShort {
-                needed: o.min_series_len(),
-                got: history.len(),
-            });
-        }
-        require_finite(history)?;
-        let (w, _state) = difference(history, o.d, o.sd, o.s)?;
-        let w_mean = mean(&w);
-        // Standalone fits are always cold and unpruned: the CSS objective,
-        // optimizer trajectory, and AICc are bit-identical to the original
-        // exhaustive path.
-        self.fit_differenced(&w, w_mean, None, f64::INFINITY)
+        self.fit_history(history, None)
+    }
+
+    /// Warm: the optimizer continues from the outgoing coefficients
+    /// `(φ, θ, Φ, Θ, μ)` with the `warm_max_evals` budget and a tighter
+    /// start simplex. An unfitted model, a hint outside the optimizer's
+    /// domain (a hostile checkpoint) and a warm attempt that diverges all
+    /// end in the cold fit, bit for bit.
+    fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        let hint = self.fitted.as_ref().map(FittedArima::params);
+        self.fit_history(history, hint.as_deref())
     }
 
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
@@ -1161,18 +1207,7 @@ pub fn auto_arima_warm(
             continue;
         }
         let (aicc, x) = match model.fitted() {
-            Some(f) if f.aicc.is_finite() => {
-                let x: Vec<f64> = f
-                    .phi
-                    .iter()
-                    .chain(f.theta.iter())
-                    .chain(f.sphi.iter())
-                    .chain(f.stheta.iter())
-                    .copied()
-                    .chain(std::iter::once(f.mu))
-                    .collect();
-                (f.aicc, x)
-            }
+            Some(f) if f.aicc.is_finite() => (f.aicc, f.params()),
             _ => continue,
         };
         warm.put(order, x);
@@ -1445,6 +1480,144 @@ mod tests {
         a.fit(&series).unwrap();
         b.fit(&series).unwrap();
         assert_eq!(a.fitted(), b.fitted());
+    }
+
+    /// `level` plus a slow wave plus AR(1) noise: a centroid-like series
+    /// on any scale.
+    fn levelled_series(n: usize, level: f64, seed: u64) -> Vec<f64> {
+        ar1_series(n, 0.8, seed)
+            .iter()
+            .enumerate()
+            .map(|(t, x)| level + 0.2 * x + 0.05 * (t as f64 / 20.0).sin())
+            .collect()
+    }
+
+    /// What `fit` (`warm = false`) or `refit` (`warm = true`) does to
+    /// `model`, driven through the evaluator seam so the objective
+    /// evaluations can be counted. Returns that count.
+    fn counted_fit(model: &mut Arima, history: &[f64], warm: bool) -> usize {
+        let o = model.order;
+        let (w, _) = difference(history, o.d, o.sd, o.s).unwrap();
+        let hint = model.fitted.as_ref().filter(|_| warm).map(|f| f.params());
+        let bound = model.options.coef_bound;
+        let mut ws = CssWorkspace::new(o, w.len());
+        let mut evals = 0;
+        model
+            .fit_with_objective(
+                w.len(),
+                mean(&w),
+                hint.as_deref(),
+                f64::INFINITY,
+                |x, cap| {
+                    evals += 1;
+                    ws.objective(&w, x, bound, cap)
+                },
+            )
+            .unwrap();
+        evals
+    }
+
+    #[test]
+    fn refit_spends_the_warm_budget_and_fit_the_cold_one() {
+        let series = levelled_series(168, 0.4, 67);
+        let (early, grown) = (&series[..120], &series[..]);
+        let order = ArimaOrder::new(2, 0, 1);
+        let options = ArimaFitOptions::default();
+        let n_params = order.num_coefficients();
+        let mut outgoing = Arima::new(order);
+        outgoing.fit(early).unwrap();
+
+        let mut cold = Arima::new(order);
+        let cold_evals = counted_fit(&mut cold, grown, false);
+        // Nelder–Mead checks its budget once per iteration, so the last one
+        // may overrun it: by one evaluation, or by a shrink's `n`.
+        assert!(
+            cold_evals > options.max_evals / 2 && cold_evals <= options.max_evals + 1 + n_params,
+            "a cold fit works through the cold budget: {cold_evals}"
+        );
+
+        // `refit` is the warm drive from the outgoing coefficients, bit for
+        // bit, and that drive stays within the warm budget.
+        let mut warm = outgoing.clone();
+        let warm_evals = counted_fit(&mut warm, grown, true);
+        assert!(
+            warm_evals <= options.warm_max_evals + 1,
+            "a refit spent {warm_evals} evaluations"
+        );
+        let mut refitted = outgoing.clone();
+        refitted.refit(grown).unwrap();
+        assert_eq!(refitted.fitted(), warm.fitted());
+        assert_ne!(
+            refitted.fitted(),
+            cold.fitted(),
+            "warm and cold must differ"
+        );
+        let (w, c) = (refitted.fitted().unwrap(), cold.fitted().unwrap());
+        assert!((w.css / c.css - 1.0).abs() < 0.05, "{} vs {}", w.css, c.css);
+
+        // `fit` ignores what the model holds; an unfitted model has nothing
+        // to continue from.
+        let mut fitted_again = outgoing.clone();
+        fitted_again.fit(grown).unwrap();
+        assert_eq!(fitted_again.fitted(), cold.fitted());
+        let mut fresh = Arima::new(order);
+        fresh.refit(grown).unwrap();
+        assert_eq!(fresh.fitted(), cold.fitted());
+
+        // Outgoing coefficients no fit could have produced (a hostile
+        // checkpoint): the hint is dropped before anything is evaluated.
+        let poisons: [fn(&mut FittedArima); 4] = [
+            |f| f.phi[1] = f64::NAN,
+            |f| f.theta[0] = 5.5,
+            |f| f.mu = f64::INFINITY,
+            |f| f.phi.push(0.1),
+        ];
+        for poison in poisons {
+            let mut poisoned = outgoing.clone();
+            poison(poisoned.fitted.as_mut().unwrap());
+            let mut counted = poisoned.clone();
+            assert_eq!(counted_fit(&mut counted, grown, true), cold_evals);
+            poisoned.refit(grown).unwrap();
+            assert_eq!(poisoned.fitted(), cold.fitted());
+        }
+
+        // In-domain but explosive: the warm attempt finds nothing finite
+        // within its budget and the cold fit follows.
+        let mut unstable = outgoing.clone();
+        unstable.fitted.as_mut().unwrap().phi = vec![1.5, 0.5];
+        let mut counted = unstable.clone();
+        let evals = counted_fit(&mut counted, grown, true);
+        assert!(evals > cold_evals && evals <= cold_evals + options.warm_max_evals + 1 + n_params);
+        unstable.refit(grown).unwrap();
+        assert_eq!(unstable.fitted(), cold.fitted());
+    }
+
+    #[test]
+    fn series_far_from_zero_fit() {
+        // The coefficient bound once covered the intercept: with |mean|
+        // above it every vertex of the start simplex was out of domain and
+        // the fit diverged.
+        for (level, seed) in [(6.0, 73), (50.0, 79), (-20.0, 83)] {
+            let series = levelled_series(300, level, seed);
+            for order in [ArimaOrder::new(1, 0, 0), ArimaOrder::new(2, 0, 1)] {
+                let mut model = Arima::new(order);
+                model
+                    .fit(&series[..252])
+                    .unwrap_or_else(|e| panic!("level {level} {order:?}: {e}"));
+                for refit in [false, true] {
+                    if refit {
+                        model.refit(&series).unwrap();
+                    }
+                    let mu = model.fitted().unwrap().mu;
+                    assert!((mu - level).abs() < 0.5, "level {level}: mu = {mu}");
+                    let fc = model.forecast(&series, 16).unwrap();
+                    assert!(
+                        fc.iter().all(|v| (v - level).abs() < 1.0),
+                        "level {level}: forecast {fc:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

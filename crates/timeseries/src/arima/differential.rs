@@ -217,8 +217,7 @@ fn fits_and_forecasts_match_oracle_bitwise() {
 
         // A warm refit three points later, screened by a finite cap.
         let f = model.fitted().expect("fitted");
-        let hint: Vec<f64> = [&f.phi[..], &f.theta, &f.sphi, &f.stheta, &[f.mu]].concat();
-        let cap = 4.0 * f.css;
+        let (hint, cap) = (f.params(), 4.0 * f.css);
         let later = centroid_like(seed, history.len() + 3);
         let (w, _) = difference(&later, order.d, order.sd, order.s).expect("difference");
         let warm = model.fit_differenced(&w, mean(&w), Some(&hint), cap);

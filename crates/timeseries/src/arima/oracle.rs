@@ -147,9 +147,13 @@ fn innovations(wc: &[f64], ar: &[f64], ma: &[f64]) -> Option<Vec<f64>> {
 
 /// The CSS objective at `x` as `Arima::fit_differenced` evaluated it: `NaN`
 /// outside the coefficient bound, outside the stable region, or when the
-/// recursion explodes or crosses `cap`.
+/// recursion explodes or crosses `cap`. The one departure from the shipped
+/// code is the domain itself: the bound once covered the intercept too
+/// (which made a series with |mean| > bound unfittable); like production,
+/// the oracle now bounds φ, θ, Φ, Θ and asks of μ only that it is finite.
 pub(super) fn css_objective(o: ArimaOrder, w: &[f64], x: &[f64], bound: f64, cap: f64) -> f64 {
-    if x.iter().any(|v| !v.is_finite() || v.abs() > bound) {
+    let coefs = &x[..x.len() - 1];
+    if x.iter().any(|v| !v.is_finite()) || coefs.iter().any(|v| v.abs() > bound) {
         return f64::NAN;
     }
     let (phi, theta, sphi, stheta, mu) = unpack_order(o, x);

@@ -12,7 +12,9 @@ use crate::TimeSeriesError;
 /// Implementors: [`crate::arima::Arima`], [`crate::lstm::Lstm`],
 /// [`crate::baselines::SampleAndHold`], [`crate::baselines::LongTermMean`].
 pub trait Forecaster: Send {
-    /// Fits (or refits) model parameters on the training history.
+    /// Fits model parameters on the training history, from scratch: the
+    /// result depends on `history` (and the model's configuration) alone,
+    /// never on what the model was fitted on before.
     ///
     /// # Errors
     ///
@@ -22,6 +24,28 @@ pub trait Forecaster: Send {
     /// history holding a NaN or an infinity with
     /// [`TimeSeriesError::NonFinite`].
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError>;
+
+    /// Retrains on a `history` that *extends* the series this model was last
+    /// fitted on (the retraining protocol of Sec. V-C: the same centroid
+    /// series, a few intervals longer). A model may continue from its
+    /// current parameters instead of starting over — [`crate::arima::Arima`]
+    /// warm-starts its optimizer from the outgoing coefficients — so the
+    /// result may depend on the outgoing fit as well as on `history`. The
+    /// default is [`Forecaster::fit`], which is also what an unfitted model
+    /// does.
+    ///
+    /// This is a separate method, not a state of `fit`, because only the
+    /// caller knows whether the history merely grew: parameters fitted on an
+    /// *unrelated* series are a worse starting point than none. For a
+    /// from-scratch retrain, call `fit` (or build a fresh model).
+    ///
+    /// # Errors
+    ///
+    /// As [`Forecaster::fit`]; a failed refit leaves the previous fit in
+    /// place.
+    fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        self.fit(history)
+    }
 
     /// Forecasts `horizon` future values given the (possibly longer than the
     /// training set) up-to-date history. Returns forecasts for steps
@@ -43,6 +67,10 @@ pub trait Forecaster: Send {
 impl Forecaster for Box<dyn Forecaster> {
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
         (**self).fit(history)
+    }
+
+    fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        (**self).refit(history)
     }
 
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {

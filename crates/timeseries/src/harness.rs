@@ -84,6 +84,9 @@ impl<F: Forecaster> RetrainingForecaster<F> {
 
     /// Ingests one observation; trains or retrains the model when the
     /// policy says so. Returns `true` if a (re)training happened this step.
+    /// The first training is a [`Forecaster::fit`]; every later one is a
+    /// [`Forecaster::refit`], since the harness owns the history and knows
+    /// it only grew (or, under `max_train_window`, slid forward).
     ///
     /// A model that reports [`TimeSeriesError::TooShort`] is not yet
     /// trainable on the collected history (e.g. a seasonal model whose
@@ -116,7 +119,12 @@ impl<F: Forecaster> RetrainingForecaster<F> {
             Some(w) if self.history.len() > w => &self.history[self.history.len() - w..],
             _ => &self.history[..],
         };
-        match self.model.fit(window) {
+        let fitted = if self.trained {
+            self.model.refit(window)
+        } else {
+            self.model.fit(window)
+        };
+        match fitted {
             Ok(()) => {}
             Err(TimeSeriesError::TooShort { .. }) => {
                 // Not enough history yet: stay in the warmup state (or keep
@@ -284,6 +292,40 @@ mod tests {
         // Retrained on [1, 1, 4, 4, 4]: mean 2.8.
         let fc = rf.forecast(1).unwrap();
         assert!((fc[0] - 2.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn first_training_fits_and_later_ones_refit() {
+        /// Records which training entry point saw how long a history.
+        #[derive(Default)]
+        struct Recorder(Vec<(&'static str, usize)>);
+        impl Forecaster for Recorder {
+            fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+                self.0.push(("fit", history.len()));
+                Ok(())
+            }
+            fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+                self.0.push(("refit", history.len()));
+                Ok(())
+            }
+            fn forecast(&self, _: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
+                Ok(vec![0.0; horizon])
+            }
+            fn name(&self) -> &'static str {
+                "recorder"
+            }
+        }
+        let mut rf = RetrainingForecaster::new(Recorder::default(), policy(3, 2));
+        for t in 0..7 {
+            rf.observe(t as f64).unwrap();
+        }
+        assert_eq!(rf.model().0, [("fit", 3), ("refit", 5), ("refit", 7)]);
+        // A stand-in installed after a failure is fitted on this history,
+        // so its next training is a refit too.
+        rf.install_model(Recorder::default());
+        rf.observe(7.0).unwrap();
+        rf.observe(8.0).unwrap();
+        assert_eq!(rf.model().0, [("refit", 9)]);
     }
 
     #[test]

@@ -116,6 +116,39 @@ fn models_are_refittable_on_grown_history() {
 }
 
 #[test]
+fn refit_is_fit_unless_a_model_says_otherwise() {
+    // `Forecaster::refit` defaults to `fit`. On an unfitted model that
+    // holds for every implementation; on a fitted one for every
+    // implementation but the fixed-order ARIMA, which continues from its
+    // outgoing coefficients and must still land next to the cold fit.
+    let hist = series(600);
+    let bits = |fc: Vec<f64>| fc.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for (mut fitted, mut refitted) in all_models().into_iter().zip(all_models()) {
+        let name = fitted.name();
+        fitted.fit(&hist[..300]).unwrap();
+        refitted.refit(&hist[..300]).unwrap();
+        assert_eq!(
+            bits(fitted.forecast(&hist[..300], 8).unwrap()),
+            bits(refitted.forecast(&hist[..300], 8).unwrap()),
+            "{name}: refit of an unfitted model"
+        );
+        fitted.fit(&hist).unwrap();
+        refitted.refit(&hist).unwrap();
+        let (cold, warm) = (
+            fitted.forecast(&hist, 8).unwrap(),
+            refitted.forecast(&hist, 8).unwrap(),
+        );
+        if name == "arima" {
+            for (h, (c, w)) in cold.iter().zip(&warm).enumerate() {
+                assert!((c - w).abs() < 0.02, "{name} h={h}: cold {c} vs warm {w}");
+            }
+        } else {
+            assert_eq!(bits(cold), bits(warm), "{name}: refit of a fitted model");
+        }
+    }
+}
+
+#[test]
 fn names_are_stable_and_distinct_enough() {
     let names: Vec<&str> = all_models().iter().map(|m| m.name()).collect();
     // Two Arima orders share a name, and the two HoltWinters configs do;

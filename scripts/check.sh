@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the tier-1 build + test suite, the
-# numeric and core crates' own suites, and the end-to-end benchmark's tests
-# + smoke.
+# numeric, core and simnet crates' own suites, and the end-to-end
+# benchmark's tests + smoke.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,9 +38,12 @@ cargo test -q
 # loop. core holds those of the forecast-table build: the Eq. 12 resolve
 # kernel and the fused clip_alpha against their allocating oracle, the
 # allocations-do-not-grow-with-N check, and the hostile-checkpoint cases of
-# ForecastStage::restore.
-echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core"
-cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core
+# ForecastStage::restore. simnet holds the contracts a state-dependent
+# refit could break: crash/restore replay (also across an ARIMA refit
+# tick), the chaos suite, and SimReport equality at any thread and shard
+# count.
+echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core -p utilcast-simnet"
+cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core -p utilcast-simnet
 
 # The end-to-end benchmark is a workspace of its own (benchmark/), so
 # nothing above builds or tests it. Its unit tests cover the estimator,

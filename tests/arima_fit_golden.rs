@@ -13,6 +13,12 @@
 //! platform-dependent operation behind these bits is the `ln` in the AICc.
 //! On an intended change of fit results, re-record from the table the
 //! failing assertion prints.
+//!
+//! `GOLDEN` pins first fits, which are always cold. `GOLDEN_REFITS` pins
+//! the other half of the retraining protocol: `Forecaster::refit` on the
+//! series grown by 48 points, which continues Nelder–Mead from the
+//! outgoing coefficients — a different, shorter trajectory whose result a
+//! checkpointed controller must reproduce bit for bit after a restore.
 
 use utilcast::timeseries::arima::{Arima, ArimaOrder};
 use utilcast::timeseries::Forecaster;
@@ -51,35 +57,60 @@ fn hex(values: &[f64]) -> String {
     format!("[{}]", words.join(" "))
 }
 
-fn render() -> String {
-    let orders = [
+fn orders() -> [(&'static str, ArimaOrder); 3] {
+    [
         ("(2,0,1)", ArimaOrder::new(2, 0, 1)),
         ("(1,1,1)", ArimaOrder::new(1, 1, 1)),
         (
             "(1,0,0)(1,0,0)12",
             ArimaOrder::seasonal(1, 0, 0, 1, 0, 0, 12),
         ),
-    ];
+    ]
+}
+
+/// One table row: the fitted model and its 16-step forecast from `series`.
+fn row(label: &str, model: &Arima, series: &[f64]) -> String {
+    let f = model.fitted().expect("fitted after fit");
+    let forecast = model.forecast(series, 16).expect("forecast");
+    format!(
+        "{label} phi={} theta={} sphi={} stheta={} mu={} css={} aicc={} forecast={}\n",
+        hex(&f.phi),
+        hex(&f.theta),
+        hex(&f.sphi),
+        hex(&f.stheta),
+        hex(&[f.mu]),
+        hex(&[f.css]),
+        hex(&[f.aicc]),
+        hex(&forecast),
+    )
+}
+
+fn render() -> String {
     let mut out = String::new();
     for seed in 1..=3u64 {
         let series = centroid_like(seed, 120);
-        for (name, order) in orders {
+        for (name, order) in orders() {
             let mut model = Arima::new(order);
             model.fit(&series).expect("golden series fits");
-            let f = model.fitted().expect("fitted after fit");
-            let forecast = model.forecast(&series, 16).expect("forecast");
-            out.push_str(&format!(
-                "series {seed} {name} phi={} theta={} sphi={} stheta={} mu={} css={} aicc={} forecast={}\n",
-                hex(&f.phi),
-                hex(&f.theta),
-                hex(&f.sphi),
-                hex(&f.stheta),
-                hex(&[f.mu]),
-                hex(&[f.css]),
-                hex(&[f.aicc]),
-                hex(&forecast),
-            ));
+            out.push_str(&row(&format!("series {seed} {name}"), &model, &series));
         }
+    }
+    out
+}
+
+/// Series `i` under order `i`: fitted on 120 points, then `refit` on 168.
+fn render_refits() -> String {
+    let mut out = String::new();
+    for (seed, (name, order)) in (1..=3u64).zip(orders()) {
+        let series = centroid_like(seed, 168);
+        let mut model = Arima::new(order);
+        model.fit(&series[..120]).expect("golden series fits");
+        model.refit(&series).expect("golden series refits");
+        out.push_str(&row(
+            &format!("series {seed} {name} refit"),
+            &model,
+            &series,
+        ));
     }
     out
 }
@@ -96,15 +127,29 @@ series 3 (1,1,1) phi=[3fe12c5053b695ab] theta=[3fb826307e6ffe24] sphi=[] stheta=
 series 3 (1,0,0)(1,0,0)12 phi=[3fe6f965588cb7ad] theta=[] sphi=[3fee1fdf18864ad8] stheta=[] mu=[3feebe421e0fac2e] css=[3f5afe11f3d20294] aicc=[c092653dc9a1c623] forecast=[3fed91ea7709b417 3fedd35c95d91df3 3fee2a689a994a47 3fee6fb8d055fc8e 3feedcf36a031f0d 3fef406db261619c 3fef86cf7086093d 3fef12b236bf0b36 3feef30f41a15ce0 3fee97b6bc38050d 3fee34130895540e 3fede94bc4b4d952 3feda411e83df2ce 3fede18647a292ef 3fee335babf6296b 3fee748763c72c6c]\n\
 ";
 
-#[test]
-fn arima_fit_results_are_bitwise_pinned() {
-    let actual = render();
-    for (i, (got, want)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
+const GOLDEN_REFITS: &str = "\
+series 1 (2,0,1) refit phi=[3ffafa99d567e589 bfedc346bd275d6e] theta=[bfe37b6739c67e46] sphi=[] stheta=[] mu=[3fdcba433a189f89] css=[3f773c0dcd348327] aicc=[c09a83267fbcf898] forecast=[3fdb2ed98de8a84b 3fdb316fd8e2dccf 3fdb93a7ce8ac844 3fdc36dd1aeb7751 3fdceeb5e4405cce 3fdd8ce96b86e6cd 3fddecac9f9d43c5 3fddfb019cb74110 3fddba1ae9555251 3fdd3f57062f16ff 3fdcacb303db5023 3fdc279e6a779dbe 3fdbcf9c0d8895cc 3fdbb6fc8a246484 3fdbdf52e0ab2863 3fdc3a3dc7abb225]\n\
+series 2 (1,1,1) refit phi=[3fe104d2ef40622a] theta=[3fc14a59d11aceff] sphi=[] stheta=[] mu=[bf289c92e31c343d] css=[3f864df526e3676f] aicc=[c098da886daa663a] forecast=[3fe5645f960003e9 3fe54f8b4d7b4365 3fe543bf082e0c1a 3fe53cc0611ed7c7 3fe5384faf7da49f 3fe5353acad443dc 3fe532dedf7cc353 3fe530e5547b3748 3fe52f201b7bd798 3fe52d76b5f0c11a 3fe52bdc1ced4bbe 3fe52a4962cd01cf 3fe528bad84524e3 3fe5272e87a7cc93 3fe525a36624f4be 3fe52418e5d5e273]\n\
+series 3 (1,0,0)(1,0,0)12 refit phi=[3fe6f64583effffe] theta=[] sphi=[3fed896e8b1d20fd] stheta=[] mu=[3fee5b1fa0ecb7c7] css=[3f63ed4ecc6268ab] aicc=[c09aa9896d1ecc91] forecast=[3fed840d25f39640 3fedcd53eadf4ed0 3fee1657c29e7cee 3fee4fe15cf303d6 3fee9ce6dc071356 3fef09f21eaea753 3fef2a7b27ecdda0 3feece711ed20998 3fee7b8c26a64c77 3fee2751515a2c83 3fedea8d5fb24c62 3fedb5c26395a084 3fed94625118213a 3fedd815389badcc 3fee1b85d01a14db 3fee50a9e5931e24]\n\
+";
+
+fn assert_table(actual: &str, golden: &str) {
+    for (i, (got, want)) in actual.lines().zip(golden.lines()).enumerate() {
         assert_eq!(got, want, "fit {i} drifted; full table:\n{actual}");
     }
     assert_eq!(
         actual.lines().count(),
-        GOLDEN.lines().count(),
+        golden.lines().count(),
         "golden table has the wrong number of fits; full table:\n{actual}"
     );
+}
+
+#[test]
+fn arima_fit_results_are_bitwise_pinned() {
+    assert_table(&render(), GOLDEN);
+}
+
+#[test]
+fn arima_refit_results_are_bitwise_pinned() {
+    assert_table(&render_refits(), GOLDEN_REFITS);
 }
