@@ -9,7 +9,6 @@ use rand::{Rng, SeedableRng};
 use utilcast_clustering::hungarian::{greedy_matching, max_weight_matching};
 use utilcast_clustering::kmeans::{KMeans, KMeansConfig};
 use utilcast_clustering::similarity::intersection_similarity;
-use utilcast_core::compute::ComputeOptions;
 use utilcast_core::offset::{clip_alpha, node_offset, OffsetSnapshot};
 use utilcast_core::pipeline::{Pipeline, PipelineConfig};
 use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
@@ -65,48 +64,42 @@ fn bench_similarity(c: &mut Criterion) {
 fn bench_pipeline_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_tick_n1000_k10");
     group.sample_size(10);
-    for (label, compute) in [
-        ("baseline", ComputeOptions::baseline()),
-        ("optimized", ComputeOptions::default()),
-    ] {
-        let mut pipeline = Pipeline::new(PipelineConfig {
-            num_nodes: 1000,
-            k: 10,
-            warmup: 4,
-            retrain_every: 10_000,
-            compute,
-            ..Default::default()
+    let mut pipeline = Pipeline::new(PipelineConfig {
+        num_nodes: 1000,
+        k: 10,
+        warmup: 4,
+        retrain_every: 10_000,
+        ..Default::default()
+    })
+    .expect("valid config");
+    let mut rng = StdRng::seed_from_u64(6);
+    // Ten drifting utilization bands, mirroring the scaling_report
+    // controller-tick workload; inputs are generated up front so the
+    // timed region contains only pipeline work.
+    let inputs: Vec<Vec<f64>> = (0..512)
+        .map(|t| {
+            (0..1000)
+                .map(|i| {
+                    let band = (i % 10) as f64 / 10.0;
+                    (band + 0.05 + (t as f64 * 0.01).sin() * 0.03 + rng.gen::<f64>() * 0.01)
+                        .clamp(0.0, 1.0)
+                })
+                .collect()
         })
-        .expect("valid config");
-        let mut rng = StdRng::seed_from_u64(6);
-        // Ten drifting utilization bands, mirroring the scaling_report
-        // controller-tick workload; inputs are generated up front so the
-        // timed region contains only pipeline work.
-        let inputs: Vec<Vec<f64>> = (0..512)
-            .map(|t| {
-                (0..1000)
-                    .map(|i| {
-                        let band = (i % 10) as f64 / 10.0;
-                        (band + 0.05 + (t as f64 * 0.01).sin() * 0.03 + rng.gen::<f64>() * 0.01)
-                            .clamp(0.0, 1.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut t = 0usize;
-        for _ in 0..6 {
-            pipeline.step(&inputs[t % inputs.len()]).expect("step");
-            t += 1;
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                pipeline
-                    .step(black_box(&inputs[t % inputs.len()]))
-                    .expect("step");
-                t += 1;
-            });
-        });
+        .collect();
+    let mut t = 0usize;
+    for _ in 0..6 {
+        pipeline.step(&inputs[t % inputs.len()]).expect("step");
+        t += 1;
     }
+    group.bench_function("tick", |b| {
+        b.iter(|| {
+            pipeline
+                .step(black_box(&inputs[t % inputs.len()]))
+                .expect("step");
+            t += 1;
+        });
+    });
     group.finish();
 }
 

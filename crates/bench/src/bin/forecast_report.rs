@@ -1,22 +1,13 @@
 //! Forecast-training hot-path report: wall-clock cost of the per-cluster
 //! retrain (LSTM fit + auto-ARIMA grid search) and of the steady-state
-//! controller tick, comparing the seed implementation against the fused
-//! flat-buffer LSTM kernels, the warm-started/pruned ARIMA search, and
-//! staggered retraining.
+//! controller tick with synchronized and staggered retraining.
 //!
-//! The seed path is pinned exactly: `LstmKernel::Exact` (the original
-//! scalar per-gate kernels) and `ArimaFitOptions::baseline()` with a fresh
-//! warm table per retrain (the original exhaustive cold grid search). The
-//! optimized path is the default configuration: `LstmKernel::FusedFlat`
-//! plus `auto_arima_warm` with a persistent warm-start table and CSS grid
-//! pruning. Results are written to `BENCH_forecast.json` (in
-//! `UTILCAST_BENCH_DIR`, default the working directory) so the speedup is
+//! The auto-ARIMA search is timed both ways: `ArimaFitOptions::baseline()`
+//! with a fresh warm table per retrain (the exhaustive cold grid search)
+//! against `auto_arima_warm` with a persistent warm-start table and CSS
+//! grid pruning. Results are written to `BENCH_forecast.json` (in
+//! `UTILCAST_BENCH_DIR`, default the working directory) so the numbers are
 //! tracked in-repo.
-//!
-//! A third LSTM tier benches `LstmKernel::SimdFlat` (the lane-array gemv
-//! kernels) against `FusedFlat` at hidden widths where the eight-wide
-//! column folds engage, guarded by a parity check: bitwise identity below
-//! lane width, a small relative envelope at lane width.
 //!
 //! Scale knobs: `UTILCAST_STEPS` = successive retrains to simulate
 //! (default 6), `UTILCAST_NODES` = nodes in the tick section (default
@@ -32,7 +23,7 @@ use utilcast_core::compute::ComputeOptions;
 use utilcast_core::multi::{MultiPipeline, MultiPipelineConfig};
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_timeseries::arima::{auto_arima_warm, ArimaFitOptions, ArimaGrid, ArimaWarmStart};
-use utilcast_timeseries::lstm::{Lstm, LstmConfig, LstmKernel};
+use utilcast_timeseries::lstm::{Lstm, LstmConfig};
 use utilcast_timeseries::Forecaster;
 
 /// Clusters per resource, matching the paper-scale `K = 10` workload.
@@ -55,22 +46,12 @@ fn bench_grid() -> ArimaGrid {
     }
 }
 
-/// One seed-vs-optimized measurement pair.
+/// One auto-ARIMA search, cold exhaustive vs warm-started + pruned.
 #[derive(Serialize)]
-struct PathPair {
-    seed_micros: f64,
-    optimized_micros: f64,
+struct ColdWarm {
+    cold_micros: f64,
+    warm_micros: f64,
     speedup: f64,
-}
-
-impl PathPair {
-    fn new(seed_micros: f64, optimized_micros: f64) -> Self {
-        PathPair {
-            seed_micros,
-            optimized_micros,
-            speedup: seed_micros / optimized_micros.max(1e-9),
-        }
-    }
 }
 
 /// Per-tick latency statistics over a window that includes retrain steps.
@@ -80,17 +61,13 @@ struct TickStats {
     max_micros: f64,
 }
 
-/// One fused-vs-simd LSTM fit measurement: `FusedFlat` against
-/// `SimdFlat` at a hidden width where the lane `gemv` engages, with a
-/// gemv-dominated GFLOP/s estimate for each path.
+/// One LSTM fit at one hidden width, with a gemv-dominated GFLOP/s
+/// estimate.
 #[derive(Serialize)]
-struct LstmSimdRow {
+struct LstmFitRow {
     hidden: usize,
-    fused_micros: f64,
-    simd_micros: f64,
-    speedup: f64,
-    fused_gflops: f64,
-    simd_gflops: f64,
+    micros: f64,
+    gflops: f64,
 }
 
 /// The full report serialized to `BENCH_forecast.json`.
@@ -103,18 +80,15 @@ struct ForecastBench {
     history_len: usize,
     /// Compute configuration the benchmark resolved to.
     resolved: ResolvedConfig,
-    /// Single LSTM fit: `Exact` kernel vs `FusedFlat`.
-    lstm_fit: PathPair,
-    /// Single LSTM fit at lane-width hidden sizes: `FusedFlat` vs
-    /// `SimdFlat` (the vectorized lane tier).
-    lstm_fit_simd: Vec<LstmSimdRow>,
-    /// Single auto-ARIMA quick-grid search: cold exhaustive vs
-    /// warm-started + pruned.
-    arima_grid: PathPair,
-    /// Full per-cluster retrain (LSTM fit + auto-ARIMA grid) averaged over
-    /// `retrains` successive retrains across `K` clusters. This is the
-    /// headline number: the acceptance bar is a ≥ 3x speedup.
-    cluster_retrain: PathPair,
+    /// Single LSTM fit per hidden width.
+    lstm_fit: Vec<LstmFitRow>,
+    /// Single auto-ARIMA grid search: cold exhaustive vs warm-started +
+    /// pruned.
+    arima_grid: ColdWarm,
+    /// Full per-cluster retrain (LSTM fit + warm auto-ARIMA grid) in
+    /// microseconds, averaged over `retrains` successive retrains across
+    /// `K` clusters.
+    cluster_retrain_micros: f64,
     /// N-node, d-resource controller tick with synchronized retraining.
     tick_synchronized: TickStats,
     /// The same workload with `retrain_stagger` enabled: per-cluster
@@ -136,25 +110,25 @@ fn centroid_series(j: usize, len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// LSTM sized like a per-centroid forecaster: big enough that the kernel
-/// choice dominates, small enough that the seed path finishes in seconds.
-fn bench_lstm_config(kernel: LstmKernel, seed: u64) -> LstmConfig {
+/// LSTM sized like a per-centroid forecaster.
+fn bench_lstm_config(hidden: usize, seed: u64) -> LstmConfig {
     LstmConfig {
         window: 12,
-        hidden: 12,
+        hidden,
         layers: 2,
         epochs: 12,
         learning_rate: 0.01,
         grad_clip: 1.0,
         seed,
-        kernel,
     }
 }
 
+/// Hidden width of the per-cluster retrain benchmark's LSTM.
+const RETRAIN_HIDDEN: usize = 12;
+
 /// Minimum wall-clock microseconds of `f` over `passes` runs — the
 /// standard minimum-time estimator, discarding scheduler interference
-/// instead of averaging it in. Both paths use the same estimator, so the
-/// speedup ratio stays honest.
+/// instead of averaging it in.
 fn min_time_micros(passes: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..passes.max(1) {
@@ -163,30 +137,6 @@ fn min_time_micros(passes: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() * 1e6);
     }
     best
-}
-
-/// One LSTM fit on a full-length history, per kernel.
-fn lstm_fit_bench(history: &[f64]) -> PathPair {
-    let time_kernel = |kernel: LstmKernel| {
-        min_time_micros(3, || {
-            let mut model = Lstm::new(bench_lstm_config(kernel, 1));
-            model.fit(history).expect("lstm fit");
-            std::hint::black_box(model.train_mse());
-        })
-    };
-    PathPair::new(
-        time_kernel(LstmKernel::Exact),
-        time_kernel(LstmKernel::FusedFlat),
-    )
-}
-
-/// `bench_lstm_config` with an explicit hidden width, for the simd tier
-/// where lane engagement depends on `hidden ≥ 8`.
-fn simd_lstm_config(kernel: LstmKernel, hidden: usize, seed: u64) -> LstmConfig {
-    LstmConfig {
-        hidden,
-        ..bench_lstm_config(kernel, seed)
-    }
 }
 
 /// Gemv-dominated flop estimate for one LSTM fit: per epoch, per sliding
@@ -205,76 +155,32 @@ fn lstm_fit_flops(c: &LstmConfig, history_len: usize) -> f64 {
     c.epochs as f64 * samples * c.window as f64 * per_step
 }
 
-/// Parity guard for the simd LSTM tier: below lane width the lane `gemv`
-/// degenerates to the scalar tail, so `SimdFlat` must reproduce
-/// `FusedFlat` bit for bit; at lane width the reassociated column folds
-/// may differ only inside a small relative envelope. Exits non-zero on
-/// violation so CI catches kernel drift.
-fn simd_lstm_parity_guard(history: &[f64]) {
-    let fit = |kernel: LstmKernel, hidden: usize| {
-        let mut model = Lstm::new(simd_lstm_config(kernel, hidden, 7));
-        model.fit(history).expect("parity fit");
-        let fc = model.forecast(history, 8).expect("parity forecast");
-        (model.train_mse().expect("train mse"), fc)
-    };
-    let (mse_f, fc_f) = fit(LstmKernel::FusedFlat, 4);
-    let (mse_s, fc_s) = fit(LstmKernel::SimdFlat, 4);
-    if mse_f.to_bits() != mse_s.to_bits()
-        || fc_f.len() != fc_s.len()
-        || fc_f
-            .iter()
-            .zip(&fc_s)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        eprintln!("PARITY FAILURE: SimdFlat diverged from FusedFlat below lane width");
-        std::process::exit(1);
-    }
-    let (mse_f, fc_f) = fit(LstmKernel::FusedFlat, 32);
-    let (mse_s, fc_s) = fit(LstmKernel::SimdFlat, 32);
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 + 1e-3 * a.abs().max(b.abs());
-    if !close(mse_f, mse_s) || fc_f.iter().zip(&fc_s).any(|(&a, &b)| !close(a, b)) {
-        eprintln!("PARITY FAILURE: SimdFlat outside tolerance of FusedFlat at lane width");
-        std::process::exit(1);
-    }
-    println!("parity guard: SimdFlat bitwise below lane width, within tolerance at lane width");
-}
-
-/// The simd LSTM tier: one fit per hidden width, `FusedFlat` vs
-/// `SimdFlat`, minimum-time over three passes each.
-fn lstm_fit_simd_bench(history: &[f64]) -> Vec<LstmSimdRow> {
-    [12usize, 32]
+/// One LSTM fit on a full-length history per hidden width, minimum-time
+/// over three passes each.
+fn lstm_fit_bench(history: &[f64]) -> Vec<LstmFitRow> {
+    [RETRAIN_HIDDEN, 32]
         .iter()
         .map(|&hidden| {
-            let time_kernel = |kernel: LstmKernel| {
-                min_time_micros(3, || {
-                    let mut model = Lstm::new(simd_lstm_config(kernel, hidden, 1));
-                    model.fit(history).expect("lstm fit");
-                    std::hint::black_box(model.train_mse());
-                })
-            };
-            let fused = time_kernel(LstmKernel::FusedFlat);
-            let simd = time_kernel(LstmKernel::SimdFlat);
-            let flops = lstm_fit_flops(
-                &simd_lstm_config(LstmKernel::SimdFlat, hidden, 1),
-                history.len(),
-            );
-            LstmSimdRow {
+            let config = bench_lstm_config(hidden, 1);
+            let micros = min_time_micros(3, || {
+                let mut model = Lstm::new(config.clone());
+                model.fit(history).expect("lstm fit");
+                std::hint::black_box(model.train_mse());
+            });
+            LstmFitRow {
                 hidden,
-                fused_micros: fused,
-                simd_micros: simd,
-                speedup: fused / simd.max(1e-9),
-                fused_gflops: flops / fused.max(1e-9) * 1e-3,
-                simd_gflops: flops / simd.max(1e-9) * 1e-3,
+                micros,
+                gflops: lstm_fit_flops(&config, history.len()) / micros.max(1e-9) * 1e-3,
             }
         })
         .collect()
 }
 
-/// One auto-ARIMA quick-grid search at retrain time: the seed path re-runs
-/// the exhaustive cold search; the optimized path warm-starts from the
-/// previous retrain's solutions (seeded here by fitting the history minus
-/// the newest observations) and prunes the grid.
-fn arima_grid_bench(history: &[f64]) -> PathPair {
+/// One auto-ARIMA grid search at retrain time: the cold side re-runs the
+/// exhaustive search; the warm side starts from the previous retrain's
+/// solutions (seeded here by fitting the history minus the newest
+/// observations) and prunes the grid.
+fn arima_grid_bench(history: &[f64]) -> ColdWarm {
     let grid = bench_grid();
     let cold = min_time_micros(3, || {
         let mut fresh = ArimaWarmStart::default();
@@ -290,38 +196,24 @@ fn arima_grid_bench(history: &[f64]) -> PathPair {
         let model = auto_arima_warm(history, &grid, &ArimaFitOptions::default(), &mut table);
         std::hint::black_box(model.expect("warm auto_arima").aicc());
     });
-    PathPair::new(cold, warm)
+    ColdWarm {
+        cold_micros: cold,
+        warm_micros: warm,
+        speedup: cold / warm.max(1e-9),
+    }
 }
 
-/// The headline benchmark: `retrains` successive retrain rounds over `K`
-/// clusters, each retrain fitting the cluster's LSTM and re-running the
-/// auto-ARIMA grid on the grown history — exactly the controller's
-/// per-cluster retrain work. Returns microseconds per single cluster
-/// retrain.
-fn cluster_retrain_bench(retrains: usize) -> PathPair {
+/// `retrains` successive retrain rounds over `K` clusters, each retrain
+/// fitting the cluster's LSTM and re-running the warm auto-ARIMA grid on the
+/// grown history — exactly the controller's per-cluster retrain work.
+/// Returns microseconds per single cluster retrain.
+fn cluster_retrain_bench(retrains: usize) -> f64 {
     let grid = bench_grid();
     // One extra untimed round warms the per-cluster tables, so the timed
-    // region measures steady-state retrains on both paths (the seed path's
-    // rounds are all identical, so its warm-up round changes nothing).
+    // region measures steady-state retrains.
     let rounds = retrains + 1;
     let full_len = BASE_HISTORY + rounds * GROWTH_PER_RETRAIN;
     let histories: Vec<Vec<f64>> = (0..K).map(|j| centroid_series(j, full_len)).collect();
-
-    let seed_total = min_time_micros(1, || {
-        for r in 1..rounds {
-            let len = BASE_HISTORY + r * GROWTH_PER_RETRAIN;
-            for (j, series) in histories.iter().enumerate() {
-                let history = &series[..len];
-                let mut lstm = Lstm::new(bench_lstm_config(LstmKernel::Exact, j as u64));
-                lstm.fit(history).expect("seed lstm fit");
-                let mut fresh = ArimaWarmStart::default();
-                let arima =
-                    auto_arima_warm(history, &grid, &ArimaFitOptions::baseline(), &mut fresh);
-                std::hint::black_box((lstm.train_mse(), arima.expect("seed arima").aicc()));
-            }
-        }
-    });
-
     let mut tables: Vec<ArimaWarmStart> = vec![ArimaWarmStart::default(); K];
     for (j, series) in histories.iter().enumerate() {
         auto_arima_warm(
@@ -332,22 +224,20 @@ fn cluster_retrain_bench(retrains: usize) -> PathPair {
         )
         .expect("warm-up fit");
     }
-    let optimized_total = min_time_micros(1, || {
+    let total = min_time_micros(1, || {
         for r in 1..rounds {
             let len = BASE_HISTORY + r * GROWTH_PER_RETRAIN;
             for (j, series) in histories.iter().enumerate() {
                 let history = &series[..len];
-                let mut lstm = Lstm::new(bench_lstm_config(LstmKernel::FusedFlat, j as u64));
-                lstm.fit(history).expect("optimized lstm fit");
+                let mut lstm = Lstm::new(bench_lstm_config(RETRAIN_HIDDEN, j as u64));
+                lstm.fit(history).expect("lstm fit");
                 let arima =
                     auto_arima_warm(history, &grid, &ArimaFitOptions::default(), &mut tables[j]);
                 std::hint::black_box((lstm.train_mse(), arima.expect("warm arima").aicc()));
             }
         }
     });
-
-    let per_retrain = (retrains * K) as f64;
-    PathPair::new(seed_total / per_retrain, optimized_total / per_retrain)
+    total / (retrains * K) as f64
 }
 
 /// Deterministic synthetic measurement for node `i`, resource `r`, step
@@ -411,57 +301,30 @@ fn main() {
     let history_len = BASE_HISTORY + retrains * GROWTH_PER_RETRAIN;
     let history = centroid_series(0, history_len);
 
-    report::banner(
-        "forecast-hot-path",
-        "per-cluster retrain + controller tick: seed vs optimized",
-    );
+    report::banner("forecast-hot-path", "per-cluster retrain + controller tick");
 
-    simd_lstm_parity_guard(&history);
     let lstm_fit = lstm_fit_bench(&history);
-    let lstm_fit_simd = lstm_fit_simd_bench(&history);
     let arima_grid = arima_grid_bench(&history);
-    let cluster_retrain = cluster_retrain_bench(retrains);
+    let cluster_retrain_micros = cluster_retrain_bench(retrains);
     let tick_synchronized = tick_bench(nodes, false);
     let tick_staggered = tick_bench(nodes, true);
 
-    let row = |name: &str, p: &PathPair| {
-        vec![
-            name.into(),
-            format!("{:.0}", p.seed_micros),
-            format!("{:.0}", p.optimized_micros),
-            format!("{:.1}x", p.speedup),
-        ]
-    };
     report::table(
-        &["stage", "seed (us)", "optimized (us)", "speedup"],
-        &[
-            row("lstm fit", &lstm_fit),
-            row("auto-arima grid", &arima_grid),
-            row("cluster retrain", &cluster_retrain),
-        ],
-    );
-    report::table(
-        &[
-            "hidden",
-            "fused (us)",
-            "simd (us)",
-            "speedup",
-            "fused GFLOP/s",
-            "simd GFLOP/s",
-        ],
-        &lstm_fit_simd
+        &["hidden", "lstm fit (us)", "GFLOP/s"],
+        &lstm_fit
             .iter()
             .map(|r| {
                 vec![
                     r.hidden.to_string(),
-                    format!("{:.0}", r.fused_micros),
-                    format!("{:.0}", r.simd_micros),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.2}", r.fused_gflops),
-                    format!("{:.2}", r.simd_gflops),
+                    format!("{:.0}", r.micros),
+                    format!("{:.2}", r.gflops),
                 ]
             })
             .collect::<Vec<_>>(),
+    );
+    println!(
+        "auto-arima grid: cold {:.0} us, warm {:.0} us ({:.1}x); cluster retrain {:.0} us",
+        arima_grid.cold_micros, arima_grid.warm_micros, arima_grid.speedup, cluster_retrain_micros
     );
     report::table(
         &["tick schedule", "mean (us)", "max (us)"],
@@ -487,9 +350,8 @@ fn main() {
         history_len,
         resolved: ResolvedConfig::capture(&ComputeOptions::default()),
         lstm_fit,
-        lstm_fit_simd,
         arima_grid,
-        cluster_retrain,
+        cluster_retrain_micros,
         tick_synchronized,
         tick_staggered,
     };

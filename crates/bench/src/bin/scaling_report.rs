@@ -7,22 +7,17 @@
 //! this report shows how many orders of magnitude of headroom the K=3
 //! pipeline has.
 //!
-//! The second section benchmarks the deterministic parallel compute layer:
-//! the `N=1000, K=10, d=2` multi-resource controller tick with the
-//! baseline compute path (sequential, cold k-means every step — the
-//! original implementation) against the optimized path (warm-start
-//! clustering + threaded k-means/retraining).
+//! The second section times the `N=1000, K=10, d=2` multi-resource
+//! controller tick (warm-start clustering through the vector block scan,
+//! threaded k-means/retraining).
 //!
-//! The third section benchmarks the SIMD lane-kernel tier: the warm
-//! k-means descent under the scalar `CachedNorms` kernel vs its
-//! `SimdNorms` lane twin at `N` up to one million nodes, with per-kernel
-//! GFLOP/s and GB/s, guarded by a bitwise result-parity check.
+//! The third section times the k-means vector scan alone: the warm descent
+//! at `N` up to one million nodes, with GFLOP/s and GB/s.
 //!
 //! The fourth section benchmarks the hierarchical (two-level) controller:
-//! the `N=100k, K=10` scalar controller tick under the flat baseline, flat
-//! warm, and hierarchical full/mini-batch shard kernels, plus the `N=1M`
-//! tick that motivates the tier. It is guarded by a single-shard parity
-//! check — the hierarchical configuration with `shards <= 1` must
+//! the `N=100k, K=10` scalar controller tick flat and sharded, plus the
+//! `N=1M` tick that motivates the tier. It is guarded by a single-shard
+//! parity check — the hierarchical configuration with `shards <= 1` must
 //! reproduce the seed `SimReport` bit-for-bit at several thread counts,
 //! and the sharded configuration must be thread-count invariant — which
 //! exits nonzero on any bitwise mismatch so CI fails loudly.
@@ -37,8 +32,8 @@ use std::time::Instant;
 use serde::Serialize;
 use utilcast_bench::report::ResolvedConfig;
 use utilcast_bench::{report, Scale};
-use utilcast_clustering::kmeans::{KMeans, KMeansConfig, Kernel};
-use utilcast_core::compute::{ComputeOptions, ShardKernel};
+use utilcast_clustering::kmeans::{KMeans, KMeansConfig};
+use utilcast_core::compute::ComputeOptions;
 use utilcast_core::multi::{MultiPipeline, MultiPipelineConfig};
 use utilcast_core::pipeline::{Pipeline, PipelineConfig, TransmissionMode};
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig};
@@ -53,67 +48,53 @@ struct Row {
 }
 
 /// The hierarchical controller tick at one scale: the same scalar
-/// `ForecastStage` workload timed under four compute configurations. The
-/// headline `speedup_vs_flat_baseline` compares the mini-batch
-/// hierarchical tick against the unoptimized flat controller
-/// ([`ComputeOptions::baseline`] — the same baseline the `N=1000` tick
-/// section uses); `speedup_vs_flat_warm` is the honest steady-state ratio
-/// against the warm-started flat path, which on a single core is bounded
-/// by the shared `O(N)` identity bookkeeping both paths pay per tick.
+/// `ForecastStage` workload timed single-level and sharded. On a single
+/// core the ratio is bounded by the shared `O(N)` identity bookkeeping both
+/// paths pay per tick.
 #[derive(Serialize)]
 struct HierarchicalTier {
     nodes: usize,
     k: usize,
     shards: usize,
     reps: usize,
-    flat_baseline_tick_micros: f64,
-    flat_warm_tick_micros: f64,
-    hier_full_tick_micros: f64,
-    hier_mini_tick_micros: f64,
-    speedup_vs_flat_baseline: f64,
-    speedup_vs_flat_warm: f64,
+    flat_tick_micros: f64,
+    hier_tick_micros: f64,
+    speedup_vs_flat: f64,
 }
 
-/// The million-node tick: flat warm vs hierarchical mini-batch, plus the
-/// headroom left in the paper's 300-second sampling slot.
+/// The million-node tick: flat vs hierarchical, plus the headroom left in
+/// the paper's 300-second sampling slot.
 #[derive(Serialize)]
 struct MillionNodeTier {
     nodes: usize,
     k: usize,
     shards: usize,
     reps: usize,
-    flat_warm_tick_micros: f64,
-    hier_mini_tick_micros: f64,
+    flat_tick_micros: f64,
+    hier_tick_micros: f64,
     slot_headroom: f64,
 }
 
-/// One SIMD-tier measurement: the warm k-means descent (`fit_from_flat`,
-/// where the assignment kernel dominates at `k = 10`) timed under the
-/// scalar `CachedNorms` kernel and its lane twin `SimdNorms`. The two are
-/// bit-identical by construction, and a guard verifies it on the real
-/// result before anything is timed. GFLOP/s counts `n·k·(2d + 2)`
-/// assignment flops plus `2·n·d` update flops per Lloyd iteration; GB/s
-/// counts the point buffer, centroid buffer, and assignment vector touched
-/// per iteration.
+/// One measurement of the vector assignment scan: the warm k-means descent
+/// (`fit_from_flat`, where the scan dominates at `k = 10`). GFLOP/s counts
+/// `n·k·(2d + 2)` assignment flops plus `2·n·d` update flops per Lloyd
+/// iteration; GB/s counts the point buffer, centroid buffer, and assignment
+/// vector touched per iteration.
 #[derive(Serialize)]
-struct SimdKernelRow {
+struct KMeansScanRow {
     nodes: usize,
     dim: usize,
     k: usize,
     iterations: usize,
     reps: usize,
-    cached_micros: f64,
-    simd_micros: f64,
-    speedup: f64,
-    cached_gflops: f64,
-    simd_gflops: f64,
-    simd_gbps: f64,
+    micros: f64,
+    gflops: f64,
+    gbps: f64,
 }
 
 /// The tick benchmark's parameters and measurements, serialized to
 /// `BENCH_controller.json`. `resolved` records the compute configuration
-/// the optimized path actually ran under (thread auto-detection included),
-/// so recorded speedups can be read in context.
+/// the tick actually ran under (thread auto-detection included).
 #[derive(Serialize)]
 struct ControllerBench {
     nodes: usize,
@@ -121,12 +102,9 @@ struct ControllerBench {
     resources: usize,
     reps: usize,
     resolved: ResolvedConfig,
-    baseline_tick_micros: f64,
-    optimized_tick_micros: f64,
-    speedup: f64,
-    baseline_compute: ComputeOptions,
-    optimized_compute: ComputeOptions,
-    simd_kernels: Vec<SimdKernelRow>,
+    tick_micros: f64,
+    compute: ComputeOptions,
+    kmeans_scan: Vec<KMeansScanRow>,
     hierarchical: HierarchicalTier,
     million_node: MillionNodeTier,
 }
@@ -153,8 +131,7 @@ fn tick_input(n: usize, d: usize, t: usize) -> Vec<Vec<f64>> {
 /// generated up front so the timed region contains only pipeline work, and
 /// the ticks are timed in batches with the fastest batch reported — the
 /// standard minimum-time estimator, which discards scheduler interference
-/// on shared machines instead of averaging it in. Both compute paths go
-/// through the same estimator, so the speedup ratio stays honest.
+/// on shared machines instead of averaging it in.
 fn time_ticks(n: usize, k: usize, d: usize, reps: usize, compute: ComputeOptions) -> f64 {
     let mut mp = MultiPipeline::new(MultiPipelineConfig {
         num_nodes: n,
@@ -170,8 +147,8 @@ fn time_ticks(n: usize, k: usize, d: usize, reps: usize, compute: ComputeOptions
     let per_batch = (reps / batches).max(1);
     let timed = batches * per_batch;
     let inputs: Vec<Vec<Vec<f64>>> = (0..8 + timed).map(|t| tick_input(n, d, t)).collect();
-    // Warm the pipeline: first ticks include allocation effects and (for
-    // the optimized path) the initial cold seeding.
+    // Warm the pipeline: first ticks include allocation effects and the
+    // initial cold seeding.
     for x in &inputs[..8] {
         mp.step(x).expect("step");
     }
@@ -235,17 +212,11 @@ fn min_time_micros(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// The SIMD lane-kernel tier: warm `fit_from_flat` descents (3 Lloyd
-/// iterations, sequential, `k = 10`) under `CachedNorms` vs `SimdNorms`,
-/// at `N = 100k` for `d ∈ {2, 8}` and `N = 1M` for `d = 2` (all scaled by
-/// `UTILCAST_NODES` in smoke runs). A bitwise parity guard on the full
-/// result (assignments, centroids, inertia, iteration count) runs before
-/// any timing and exits nonzero on divergence.
-fn simd_kernel_bench(scale: &Scale) -> Vec<SimdKernelRow> {
-    report::banner(
-        "simd-kernels",
-        "warm k-means assignment: CachedNorms vs SimdNorms lane kernel",
-    );
+/// The vector scan alone: warm `fit_from_flat` descents (3 Lloyd
+/// iterations, sequential, `k = 10`) at `N = 100k` for `d ∈ {2, 8}` and
+/// `N = 1M` for `d = 2` (all scaled by `UTILCAST_NODES` in smoke runs).
+fn kmeans_scan_bench(scale: &Scale) -> Vec<KMeansScanRow> {
+    report::banner("kmeans-scan", "warm k-means descent through the block scan");
     let shapes: Vec<(usize, usize, usize)> = if scale.nodes > 0 {
         let n = scale.nodes.max(64);
         vec![(n, 2, 3), (n, 8, 3)]
@@ -266,79 +237,42 @@ fn simd_kernel_bench(scale: &Scale) -> Vec<SimdKernelRow> {
                 flat[row * dim..(row + 1) * dim].to_vec()
             })
             .collect();
-        let config = |kernel: Kernel| KMeansConfig {
+        let km = KMeans::new(KMeansConfig {
             k,
             max_iters: 3,
             tol: 0.0,
             threads: 1,
-            kernel,
             ..Default::default()
-        };
-        let fit = |kernel: Kernel| {
-            KMeans::new(config(kernel))
-                .fit_from_flat(&flat, dim, &init)
-                .expect("warm fit")
-        };
-        let cached = fit(Kernel::CachedNorms);
-        let simd = fit(Kernel::SimdNorms);
-        if cached.assignments != simd.assignments
-            || cached.centroids != simd.centroids
-            || cached.inertia.to_bits() != simd.inertia.to_bits()
-            || cached.iterations != simd.iterations
-        {
-            eprintln!(
-                "PARITY FAILURE: SimdNorms diverged from CachedNorms at \
-                 n={n} d={dim} (inertia {} vs {})",
-                cached.inertia, simd.inertia
-            );
-            std::process::exit(1);
-        }
-        let time = |kernel: Kernel| {
-            min_time_micros(reps, || {
-                std::hint::black_box(fit(kernel));
-            })
-        };
-        let cached_micros = time(Kernel::CachedNorms);
-        let simd_micros = time(Kernel::SimdNorms);
-        let iters = cached.iterations.max(1);
+        });
+        let fit = || km.fit_from_flat(&flat, dim, &init).expect("warm fit");
+        let iters = fit().iterations.max(1);
+        let micros = min_time_micros(reps, || {
+            std::hint::black_box(fit());
+        });
         let flops = (iters * (n * k * (2 * dim + 2) + 2 * n * dim)) as f64;
         let bytes = (iters * (n * dim + k * dim + n) * 8) as f64;
-        rows.push(SimdKernelRow {
+        rows.push(KMeansScanRow {
             nodes: n,
             dim,
             k,
             iterations: iters,
             reps,
-            cached_micros,
-            simd_micros,
-            speedup: cached_micros / simd_micros.max(1e-9),
-            cached_gflops: flops / (cached_micros.max(1e-9) * 1e3),
-            simd_gflops: flops / (simd_micros.max(1e-9) * 1e3),
-            simd_gbps: bytes / (simd_micros.max(1e-9) * 1e3),
+            micros,
+            gflops: flops / (micros.max(1e-9) * 1e3),
+            gbps: bytes / (micros.max(1e-9) * 1e3),
         });
     }
-    println!("parity guard: SimdNorms bit-identical to CachedNorms on every shape");
     report::table(
-        &[
-            "nodes",
-            "d",
-            "cached (us)",
-            "simd (us)",
-            "speedup",
-            "GFLOP/s",
-            "GB/s",
-        ],
+        &["nodes", "d", "descent (us)", "GFLOP/s", "GB/s"],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r.nodes.to_string(),
                     r.dim.to_string(),
-                    format!("{:.0}", r.cached_micros),
-                    format!("{:.0}", r.simd_micros),
-                    format!("{:.2}x", r.speedup),
-                    format!("{:.2}", r.simd_gflops),
-                    format!("{:.2}", r.simd_gbps),
+                    format!("{:.0}", r.micros),
+                    format!("{:.2}", r.gflops),
+                    format!("{:.2}", r.gbps),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -419,175 +353,95 @@ fn single_shard_parity_guard() {
     println!("parity guard: single-shard == seed and shards=4 thread-invariant (bitwise)");
 }
 
-/// The hierarchical controller benchmark: `N=100k` four-way comparison and
-/// the `N=1M` tick (both scaled down by `UTILCAST_NODES` in smoke runs).
+/// The hierarchical controller benchmark: the `N=100k` flat-vs-sharded
+/// comparison and the `N=1M` tick (both scaled down by `UTILCAST_NODES` in
+/// smoke runs).
 fn hierarchical_tick_bench(scale: &Scale, reps: usize) -> (HierarchicalTier, MillionNodeTier) {
     let (hier_nodes, million_nodes) = if scale.nodes > 0 {
         (scale.nodes.max(8), scale.nodes.max(8))
     } else {
         (100_000, 1_000_000)
     };
-    let k = 10usize.min(hier_nodes);
-    let shards = shards_for(hier_nodes);
     report::banner(
         "hierarchical-tick",
         "scalar controller tick: flat vs two-level sharded clustering",
     );
     single_shard_parity_guard();
 
+    // (flat, hierarchical) tick times at one scale.
+    let time_pair = |nodes: usize, reps: usize, warmup: usize| {
+        let k = 10usize.min(nodes);
+        let time = |shards: usize| {
+            let compute = ComputeOptions {
+                threads: 0,
+                shards,
+                ..Default::default()
+            };
+            time_stage_ticks(nodes, k, reps, warmup, compute)
+        };
+        (time(1), time(shards_for(nodes)))
+    };
     let hier_reps = reps.min(12);
-    let flat_baseline = time_stage_ticks(hier_nodes, k, hier_reps, 4, ComputeOptions::baseline());
-    let flat_warm = time_stage_ticks(
-        hier_nodes,
-        k,
-        hier_reps,
-        4,
-        ComputeOptions {
-            threads: 0,
-            ..Default::default()
-        },
-    );
-    let hier_full = time_stage_ticks(
-        hier_nodes,
-        k,
-        hier_reps,
-        4,
-        ComputeOptions {
-            threads: 0,
-            shards,
-            ..Default::default()
-        },
-    );
-    let hier_mini = time_stage_ticks(
-        hier_nodes,
-        k,
-        hier_reps,
-        4,
-        ComputeOptions {
-            threads: 0,
-            shards,
-            shard_kernel: ShardKernel::MiniBatch,
-            ..Default::default()
-        },
-    );
+    let (flat, hier) = time_pair(hier_nodes, hier_reps, 4);
     let tier = HierarchicalTier {
         nodes: hier_nodes,
-        k,
-        shards,
+        k: 10usize.min(hier_nodes),
+        shards: shards_for(hier_nodes),
         reps: hier_reps,
-        flat_baseline_tick_micros: flat_baseline,
-        flat_warm_tick_micros: flat_warm,
-        hier_full_tick_micros: hier_full,
-        hier_mini_tick_micros: hier_mini,
-        speedup_vs_flat_baseline: flat_baseline / hier_mini.max(1e-9),
-        speedup_vs_flat_warm: flat_warm / hier_mini.max(1e-9),
+        flat_tick_micros: flat,
+        hier_tick_micros: hier,
+        speedup_vs_flat: flat / hier.max(1e-9),
     };
     report::table(
-        &["path", "tick (us)", "vs baseline"],
+        &["path", "tick (us)", "vs flat"],
         &[
+            vec!["flat".into(), format!("{flat:.0}"), "1.0x".into()],
             vec![
-                "flat baseline".into(),
-                format!("{flat_baseline:.0}"),
-                "1.0x".into(),
-            ],
-            vec![
-                "flat warm".into(),
-                format!("{flat_warm:.0}"),
-                format!("{:.1}x", flat_baseline / flat_warm.max(1e-9)),
-            ],
-            vec![
-                format!("hier full s={shards}"),
-                format!("{hier_full:.0}"),
-                format!("{:.1}x", flat_baseline / hier_full.max(1e-9)),
-            ],
-            vec![
-                format!("hier mini s={shards}"),
-                format!("{hier_mini:.0}"),
-                format!("{:.1}x", tier.speedup_vs_flat_baseline),
+                format!("hier s={}", tier.shards),
+                format!("{hier:.0}"),
+                format!("{:.2}x", tier.speedup_vs_flat),
             ],
         ],
     );
 
-    let million_k = 10usize.min(million_nodes);
-    let million_shards = shards_for(million_nodes);
     let million_reps = reps.min(4);
-    let million_flat = time_stage_ticks(
-        million_nodes,
-        million_k,
-        million_reps,
-        3,
-        ComputeOptions {
-            threads: 0,
-            ..Default::default()
-        },
-    );
-    let million_mini = time_stage_ticks(
-        million_nodes,
-        million_k,
-        million_reps,
-        3,
-        ComputeOptions {
-            threads: 0,
-            shards: million_shards,
-            shard_kernel: ShardKernel::MiniBatch,
-            ..Default::default()
-        },
-    );
+    let (million_flat, million_hier) = time_pair(million_nodes, million_reps, 3);
     let million = MillionNodeTier {
         nodes: million_nodes,
-        k: million_k,
-        shards: million_shards,
+        k: 10usize.min(million_nodes),
+        shards: shards_for(million_nodes),
         reps: million_reps,
-        flat_warm_tick_micros: million_flat,
-        hier_mini_tick_micros: million_mini,
-        slot_headroom: 300e6 / million_mini.max(1.0),
+        flat_tick_micros: million_flat,
+        hier_tick_micros: million_hier,
+        slot_headroom: 300e6 / million_hier.max(1.0),
     };
     println!(
-        "N={} tick: flat warm {:.0} us, hier mini s={} {:.0} us ({:.0}x headroom in a 5-min slot)",
-        million.nodes, million_flat, million.shards, million_mini, million.slot_headroom
+        "N={} tick: flat {:.0} us, hier s={} {:.0} us ({:.0}x headroom in a 5-min slot)",
+        million.nodes, million_flat, million.shards, million_hier, million.slot_headroom
     );
     (tier, million)
 }
 
 fn controller_tick_bench(scale: &Scale, reps: usize) {
     let (n, k, d) = (1000, 10, 2);
-    report::banner(
-        "controller-tick",
-        "N=1000, K=10, d=2 tick: baseline vs optimized compute",
-    );
-    let baseline_compute = ComputeOptions::baseline();
-    let optimized_compute = ComputeOptions {
+    report::banner("controller-tick", "N=1000, K=10, d=2 controller tick");
+    let compute = ComputeOptions {
         threads: 0,
         ..Default::default()
     };
-    let baseline = time_ticks(n, k, d, reps, baseline_compute);
-    let optimized = time_ticks(n, k, d, reps, optimized_compute);
-    let speedup = baseline / optimized.max(1e-9);
-    report::table(
-        &["path", "tick (us)", "speedup"],
-        &[
-            vec!["baseline".into(), format!("{baseline:.0}"), "1.0x".into()],
-            vec![
-                "optimized".into(),
-                format!("{optimized:.0}"),
-                format!("{speedup:.1}x"),
-            ],
-        ],
-    );
-    let simd_kernels = simd_kernel_bench(scale);
+    let tick_micros = time_ticks(n, k, d, reps, compute);
+    println!("tick: {tick_micros:.0} us");
+    let kmeans_scan = kmeans_scan_bench(scale);
     let (hierarchical, million_node) = hierarchical_tick_bench(scale, reps);
     let bench = ControllerBench {
         nodes: n,
         k,
         resources: d,
         reps,
-        resolved: ResolvedConfig::capture(&optimized_compute),
-        baseline_tick_micros: baseline,
-        optimized_tick_micros: optimized,
-        speedup,
-        baseline_compute,
-        optimized_compute,
-        simd_kernels,
+        resolved: ResolvedConfig::capture(&compute),
+        tick_micros,
+        compute,
+        kmeans_scan,
         hierarchical,
         million_node,
     };

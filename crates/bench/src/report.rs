@@ -9,20 +9,14 @@ use utilcast_core::compute::ComputeOptions;
 
 /// The compute configuration a benchmark actually ran under, recorded
 /// uniformly in every `BENCH_*.json` so speedups can be read in context
-/// (what "auto" threads resolved to, which kernels were selected, how many
-/// shards). Construct with [`ResolvedConfig::capture`].
+/// (what "auto" threads resolved to, how many shards). Construct with
+/// [`ResolvedConfig::capture`].
 #[derive(Debug, Clone, Serialize)]
 pub struct ResolvedConfig {
     /// What `threads: 0` ("auto") resolves to on the benchmarking machine.
     pub resolved_threads: usize,
     /// Shard count of the benchmarked configuration.
     pub shards: usize,
-    /// Lloyd-iteration kernel (`Kernel` enum variant name).
-    pub kernel: String,
-    /// Shard kernel (`ShardKernel` enum variant name).
-    pub shard_kernel: String,
-    /// Bank batch-decide kernel (`BankKernel` enum variant name).
-    pub bank_kernel: String,
 }
 
 impl ResolvedConfig {
@@ -32,9 +26,6 @@ impl ResolvedConfig {
         ResolvedConfig {
             resolved_threads: resolve_threads(compute.threads),
             shards: compute.shards,
-            kernel: format!("{:?}", compute.kernel),
-            shard_kernel: format!("{:?}", compute.shard_kernel),
-            bank_kernel: format!("{:?}", compute.bank_kernel),
         }
     }
 }

@@ -17,19 +17,18 @@
 //! * **Warm starts** — [`KMeans::fit_from`] runs a single Lloyd descent from
 //!   caller-supplied centroids (e.g. the previous time step's result), which
 //!   converges in a handful of iterations on slowly drifting data.
-//! * **Three kernels** — [`Kernel::CachedNorms`] (default) flattens points
-//!   and centroids into contiguous buffers allocated once per fit, ranks
-//!   centroids by `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point),
-//!   and derives the final inertia from the same identity with per-point
-//!   norms cached up front. [`Kernel::SimdNorms`] computes the same scores
-//!   through a transposed centroid buffer whose inner loop streams
-//!   unit-stride lanes shaped for SIMD autovectorization — bit-identical
-//!   to `CachedNorms` by construction, because the per-centroid reduction
-//!   order is preserved (see `utilcast_linalg::simd`). [`Kernel::Exact`]
-//!   is the original implementation — exact squared-distance scans over
-//!   the nested `Vec<Vec<f64>>` representation with per-iteration buffer
-//!   allocation — kept selectable as the benchmark baseline and for
-//!   differential testing.
+//! * **One assignment scan per shape** — points and centroids live in flat
+//!   contiguous buffers allocated once per fit, and centroids are ranked by
+//!   `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point) with the final
+//!   inertia derived from the same identity. Scalar points (`d = 1`, the
+//!   paper's per-resource mode) count sorted centroid midpoints
+//!   ([`ScalarIndex`]); vector points go through a point-blocked scan over
+//!   a transposed centroid buffer whose inner loops stream unit-stride
+//!   lanes (see `utilcast_linalg::simd`). The block scan accumulates every
+//!   point×centroid dot in ascending dimension order, so it is
+//!   bit-identical to the plain row scan it replaced; that row scan and the
+//!   original nested exact-distance descent survive as the `#[cfg(test)]`
+//!   oracle the differential suite compares against.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,38 +41,6 @@ use crate::ClusteringError;
 /// Minimum number of points before the assignment step fans out to
 /// threads; below this the spawn overhead dominates the scan itself.
 const MIN_PARALLEL_POINTS: usize = 256;
-
-/// Which Lloyd-iteration kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Kernel {
-    /// Reference kernel: exact squared-distance scans over the nested
-    /// point representation, allocating its accumulators on every
-    /// iteration. This is the original (pre-optimization) compute path,
-    /// kept selectable so benchmarks can compare against it and tests can
-    /// cross-check the optimized kernel. Always runs its descent
-    /// sequentially (restart-level parallelism still applies).
-    Exact,
-    /// Optimized kernel (default): points and centroids live in flat
-    /// contiguous buffers allocated once per fit, the assignment step
-    /// ranks centroids through cached squared norms, and the final
-    /// inertia reuses the cached per-point norms. Bit-identical at any
-    /// thread count; inertia may differ from [`Kernel::Exact`] in the
-    /// last few ulps because it is accumulated through the norm identity
-    /// (clamped at zero per point) rather than explicit differences.
-    #[default]
-    CachedNorms,
-    /// Vectorized kernel: identical math to [`Kernel::CachedNorms`], but
-    /// the assignment scan walks a *transposed* `dim x k` centroid buffer
-    /// with the dimension loop outermost, so the inner loop updates `k`
-    /// independent accumulators through unit-stride memory — the shape
-    /// LLVM autovectorizes to SIMD (see `utilcast_linalg::simd`). Each
-    /// per-centroid score still accumulates its `dim` terms in ascending
-    /// order, exactly like the scalar dot, so results are **bit-identical
-    /// to `CachedNorms`** on every input, at every thread count (the
-    /// `dim == 1` scalar fast path is shared verbatim). The weighted
-    /// merge descent gains the same transposed scan.
-    SimdNorms,
-}
 
 /// Configuration for [`KMeans`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,8 +63,6 @@ pub struct KMeansConfig {
     /// `0` = one per available CPU, `1` = fully sequential (default).
     /// The result is bit-identical at every thread count.
     pub threads: usize,
-    /// Lloyd-iteration kernel (see [`Kernel`]).
-    pub kernel: Kernel,
 }
 
 impl Default for KMeansConfig {
@@ -110,7 +75,6 @@ impl Default for KMeansConfig {
             seed: 0,
             plus_plus_init: true,
             threads: 1,
-            kernel: Kernel::CachedNorms,
         }
     }
 }
@@ -167,15 +131,12 @@ fn flatten(points: &[Vec<f64>], n: usize, dim: usize) -> Vec<f64> {
 }
 
 /// Splits a flat `k * dim` centroid buffer back into `k` vectors.
-fn unflatten(flat: &[f64], k: usize, dim: usize) -> Vec<Vec<f64>> {
-    if dim == 0 {
-        return vec![Vec::new(); k];
-    }
+fn unflatten(flat: &[f64], dim: usize) -> Vec<Vec<f64>> {
     flat.chunks_exact(dim).map(|c| c.to_vec()).collect()
 }
 
-/// Reusable per-fit buffers for the [`Kernel::CachedNorms`] path: one
-/// allocation per fit, reused by every Lloyd iteration.
+/// Reusable per-fit buffers: one allocation per fit, reused by every Lloyd
+/// iteration.
 struct Scratch {
     assignments: Vec<usize>,
     /// The previous iteration's assignments, for the partition-fixed-point
@@ -190,8 +151,8 @@ struct Scratch {
     sums: Vec<f64>,
     counts: Vec<usize>,
     centroid_norms: Vec<f64>,
-    /// Transposed `dim x k` centroid buffer for the [`Kernel::SimdNorms`]
-    /// assignment scan (empty unless that kernel runs).
+    /// Transposed `dim x k` centroid buffer of the block scan (unused when
+    /// `dim == 1`, where the row-major buffer already has that layout).
     cent_t: Vec<f64>,
     /// Search structure of the scalar assignment fast path (unused unless
     /// `dim == 1`).
@@ -212,42 +173,6 @@ impl Scratch {
             scalar_index: ScalarIndex::default(),
         }
     }
-}
-
-/// Index of and cached-norm score of the centroid minimizing `‖x − c‖²`,
-/// ranked as `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point). Strict
-/// `<` keeps the lowest index on ties, matching a naive sequential scan.
-/// The `dim == 1` arm is the scalar fast path for the paper's per-resource
-/// mode; it computes exactly the same expression as the general arm.
-// lint:allow(panic-path): fn-scope audit: assignment labels are < k and
-// flat buffers are validated to n * dim by validate_flat/validate_weighted
-// before any kernel runs, so every centroid and point window stays in
-// bounds; exemplar chain: clustering::kmeans::KMeans::fit_from_flat ->
-// clustering::kmeans::KMeans::lloyd_flat -> clustering::kmeans::assign_step
-// -> clustering::kmeans::nearest_by_norms
-fn nearest_by_norms(p: &[f64], centroids: &[f64], norms: &[f64]) -> (usize, f64) {
-    let dim = p.len();
-    let mut best = 0usize;
-    let mut best_score = f64::INFINITY;
-    if dim == 1 {
-        let x = p[0];
-        for (c, (&cv, &norm)) in centroids.iter().zip(norms).enumerate() {
-            let score = norm - 2.0 * (x * cv);
-            if score < best_score {
-                best = c;
-                best_score = score;
-            }
-        }
-    } else {
-        for (c, (centroid, &norm)) in centroids.chunks_exact(dim).zip(norms).enumerate() {
-            let score = norm - 2.0 * utilcast_linalg::kernels::dot(p, centroid);
-            if score < best_score {
-                best = c;
-                best_score = score;
-            }
-        }
-    }
-    (best, best_score)
 }
 
 /// Search structure of the scalar assignment fast path: the distinct
@@ -314,14 +239,14 @@ impl ScalarIndex {
     }
 }
 
-/// [`assign_step`] specialized to one-dimensional points (the paper's
+/// The assignment step for one-dimensional points (the paper's
 /// per-resource scalar mode): ranks each point against the sorted distinct
 /// centroid values via [`ScalarIndex`]. The winning score is the same
-/// `‖c‖² − 2·x·c` expression the generic path produces, so inertia and
+/// `‖c‖² − 2·x·c` expression [`assign_step_block`] produces, so inertia and
 /// empty-cluster reseeding are unaffected by which path ran. Falls back to
-/// the generic scan when a centroid is non-finite (the sorted order would
-/// be meaningless). Pure per point, so the fan-out is identical at any
-/// worker count.
+/// the block scan when a centroid is non-finite (the sorted order would be
+/// meaningless; a `1 x k` centroid buffer is its own transpose). Pure per
+/// point, so the fan-out is identical at any worker count.
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
 // before any kernel runs, so every centroid and point window stays in
@@ -338,7 +263,7 @@ fn assign_step_scalar(
     workers: usize,
 ) {
     if !centroids.iter().all(|v| v.is_finite()) {
-        assign_step(flat, 1, centroids, norms, assignments, scores, workers);
+        assign_step_block(flat, 1, centroids, norms, assignments, scores, workers);
         return;
     }
     index.build(centroids);
@@ -368,70 +293,26 @@ fn assign_step_scalar(
     });
 }
 
-/// Runs the assignment step over the flat point buffer, fanned out over
-/// scoped threads when `workers > 1` and the input is large enough. Every
-/// entry is a pure function of its point, so the result is identical at any
-/// worker count.
-#[allow(clippy::too_many_arguments)]
-fn assign_step(
-    flat: &[f64],
-    dim: usize,
-    centroids: &[f64],
-    norms: &[f64],
-    assignments: &mut [usize],
-    scores: &mut [f64],
-    workers: usize,
-) {
-    let n = assignments.len();
-    if workers <= 1 || n < MIN_PARALLEL_POINTS {
-        for ((p, a), s) in flat
-            .chunks_exact(dim)
-            .zip(assignments.iter_mut())
-            .zip(scores.iter_mut())
-        {
-            (*a, *s) = nearest_by_norms(p, centroids, norms);
-        }
-        return;
-    }
-    let chunk = chunk_len(n, workers);
-    std::thread::scope(|scope| {
-        for ((pts, asg), scs) in flat
-            .chunks(chunk * dim)
-            .zip(assignments.chunks_mut(chunk))
-            .zip(scores.chunks_mut(chunk))
-        {
-            scope.spawn(move || {
-                for ((p, a), s) in pts
-                    .chunks_exact(dim)
-                    .zip(asg.iter_mut())
-                    .zip(scs.iter_mut())
-                {
-                    (*a, *s) = nearest_by_norms(p, centroids, norms);
-                }
-            });
-        }
-    });
-}
-
-/// [`assign_step`] through the [`Kernel::SimdNorms`] point-blocked scan:
-/// points are processed `simd::POINT_BLOCK` at a time — each block is
-/// transposed once, then `utilcast_linalg::simd::norm_scores_block_lanes`
-/// runs a register-blocked mini-GEMM against the `dim x k` transposed
-/// centroid buffer (broadcast centroid value, unit-stride accumulate over
-/// the eight points) and `simd::argmin_block` picks each point's winner.
-/// The sub-block remainder falls back to the per-point
-/// `simd::norm_scores_lanes` scan. Every point×centroid dot still gains
-/// its `dim` terms in ascending order — the same order as
-/// [`nearest_by_norms`]'s scalar dot — and the argmin comparison sequence
-/// is identical, so this step is bit-identical to [`assign_step`] on every
-/// input. Pure per point; the fan-out mirrors [`assign_step`].
+/// The assignment step for vector points, fanned out over scoped threads
+/// when `workers > 1` and the input is large enough. Points are processed
+/// `simd::POINT_BLOCK` at a time — each block is transposed once, then
+/// `utilcast_linalg::simd::norm_scores_block_lanes` runs a register-blocked
+/// mini-GEMM against the `dim x k` transposed centroid buffer (broadcast
+/// centroid value, unit-stride accumulate over the eight points) and
+/// `simd::argmin_block` picks each point's winner. The sub-block remainder
+/// goes through the per-point `simd::norm_scores_lanes` scan. Every
+/// point×centroid dot gains its `dim` terms in ascending order and winners
+/// are picked by a `+∞`-seeded strict-`<` ascending scan — the op sequence
+/// of the `#[cfg(test)]` row-scan oracle, which the differential suite
+/// holds this step to bit for bit. Pure per point, so the result is
+/// identical at any worker count.
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
 // before any kernel runs, so every centroid and point window stays in
 // bounds; exemplar chain: clustering::kmeans::KMeans::fit_from_flat ->
 // clustering::kmeans::KMeans::lloyd_flat ->
-// clustering::kmeans::assign_step_simd
-fn assign_step_simd(
+// clustering::kmeans::assign_step_block
+fn assign_step_block(
     flat: &[f64],
     dim: usize,
     cent_t: &[f64],
@@ -569,14 +450,16 @@ impl KMeans {
         }
     }
 
-    /// The kernel to actually run: zero-dimensional points carry no
-    /// distance information, so they take the nested reference path (the
-    /// flat kernel's chunked iteration needs `dim >= 1`).
-    fn effective_kernel(&self, dim: usize) -> Kernel {
-        if dim == 0 {
-            Kernel::Exact
-        } else {
-            self.config.kernel
+    /// The result for zero-dimensional points, which carry no distance
+    /// information: one cluster holds everything. Representable only in
+    /// the nested API (the flat entry points reject `dim == 0`), and
+    /// returned before any scan runs — the flat buffers need `dim >= 1`.
+    fn zero_dimensional(&self, n: usize) -> KMeansResult {
+        KMeansResult {
+            assignments: vec![0; n],
+            centroids: vec![Vec::new(); self.config.k],
+            inertia: 0.0,
+            iterations: 0,
         }
     }
 
@@ -614,17 +497,19 @@ impl KMeans {
             return Ok(self.degenerate(points));
         }
         let n = points.len();
+        if dim == 0 {
+            return Ok(self.zero_dimensional(n));
+        }
         let flat = flatten(points, n, dim);
-        Ok(self.fit_restarts(points, &flat, n, dim))
+        Ok(self.fit_restarts(&flat, n, dim))
     }
 
     /// Clusters points supplied as one contiguous row-major buffer
     /// (`n * dim` values) — the allocation-free twin of [`KMeans::fit`]
     /// for callers that already hold flat data (e.g. the controller's
     /// stored vector). Produces bit-identical results to [`KMeans::fit`]
-    /// on the equivalent nested input: the default kernel consumes the
-    /// flat buffer directly, and the [`Kernel::Exact`] reference path
-    /// materializes the nested representation internally.
+    /// on the equivalent nested input, which is flattened into the same
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -637,18 +522,7 @@ impl KMeans {
         if self.config.k >= n {
             return Ok(self.degenerate_flat(flat, n, dim));
         }
-        // The reference kernel is defined over the nested representation;
-        // build it here so flat callers can still select it. The default
-        // kernel never touches the nested slice.
-        let nested_for_exact: Vec<Vec<f64>>;
-        let points: &[Vec<f64>] = match self.effective_kernel(dim) {
-            Kernel::Exact => {
-                nested_for_exact = unflatten(flat, n, dim);
-                &nested_for_exact
-            }
-            Kernel::CachedNorms | Kernel::SimdNorms => &[],
-        };
-        Ok(self.fit_restarts(points, flat, n, dim))
+        Ok(self.fit_restarts(flat, n, dim))
     }
 
     /// Warm-started clustering over a contiguous row-major point buffer —
@@ -684,28 +558,16 @@ impl KMeans {
                 ),
             });
         }
-        let result = match self.effective_kernel(dim) {
-            Kernel::Exact => self.lloyd_exact(&unflatten(flat, n, dim), init.to_vec()),
-            Kernel::CachedNorms | Kernel::SimdNorms => {
-                let init_flat = flatten(init, cfg.k, dim);
-                self.lloyd_flat(flat, n, dim, init_flat, resolve_threads(cfg.threads))
-            }
-        };
+        let init_flat = flatten(init, cfg.k, dim);
+        let result = self.lloyd_flat(flat, n, dim, init_flat, resolve_threads(cfg.threads));
         debug_assert_partition(&result, n, cfg.k);
         Ok(result)
     }
 
     /// The shared restart driver behind [`KMeans::fit`] and
     /// [`KMeans::fit_flat`]: runs `n_init` seeded restarts (parallel when
-    /// configured) and reduces them in restart order. `points` is only
-    /// consulted by the [`Kernel::Exact`] reference path.
-    fn fit_restarts(
-        &self,
-        points: &[Vec<f64>],
-        flat: &[f64],
-        n: usize,
-        dim: usize,
-    ) -> KMeansResult {
+    /// configured) and reduces them in restart order.
+    fn fit_restarts(&self, flat: &[f64], n: usize, dim: usize) -> KMeansResult {
         let cfg = &self.config;
         let n_init = cfg.n_init.max(1);
         let workers = resolve_threads(cfg.threads);
@@ -719,14 +581,7 @@ impl KMeans {
                 for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
                     scope.spawn(move || {
                         for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = Some(self.fit_once(
-                                points,
-                                flat,
-                                n,
-                                dim,
-                                (w * chunk + off) as u64,
-                                1,
-                            ));
+                            *slot = Some(self.fit_once(flat, n, dim, (w * chunk + off) as u64, 1));
                         }
                     });
                 }
@@ -734,7 +589,7 @@ impl KMeans {
             slots.into_iter().flatten().collect()
         } else {
             (0..n_init)
-                .map(|r| self.fit_once(points, flat, n, dim, r as u64, workers))
+                .map(|r| self.fit_once(flat, n, dim, r as u64, workers))
                 .collect()
         };
         // Reduce in restart order: earliest restart wins ties, so the
@@ -750,7 +605,7 @@ impl KMeans {
         // sequential fallback keeps this branch panic-free regardless.
         let best = match best {
             Some(b) => b,
-            None => self.fit_once(points, flat, n, dim, 0, workers),
+            None => self.fit_once(flat, n, dim, 0, workers),
         };
         debug_assert_partition(&best, n, self.config.k);
         best
@@ -793,25 +648,21 @@ impl KMeans {
                 ),
             });
         }
-        let result = match self.effective_kernel(dim) {
-            Kernel::Exact => self.lloyd_exact(points, init.to_vec()),
-            Kernel::CachedNorms | Kernel::SimdNorms => {
-                let n = points.len();
-                let flat = flatten(points, n, dim);
-                let init_flat = flatten(init, cfg.k, dim);
-                self.lloyd_flat(&flat, n, dim, init_flat, resolve_threads(cfg.threads))
-            }
-        };
-        debug_assert_partition(&result, points.len(), cfg.k);
+        let n = points.len();
+        if dim == 0 {
+            return Ok(self.zero_dimensional(n));
+        }
+        let flat = flatten(points, n, dim);
+        let init_flat = flatten(init, cfg.k, dim);
+        let result = self.lloyd_flat(&flat, n, dim, init_flat, resolve_threads(cfg.threads));
+        debug_assert_partition(&result, n, cfg.k);
         Ok(result)
     }
 
     /// One restart: seed centroids from the restart's derived RNG stream,
-    /// then run Lloyd's descent through the configured kernel.
-    #[allow(clippy::too_many_arguments)]
+    /// then run Lloyd's descent.
     fn fit_once(
         &self,
-        points: &[Vec<f64>],
         flat: &[f64],
         n: usize,
         dim: usize,
@@ -824,13 +675,10 @@ impl KMeans {
         } else {
             random_seed(flat, n, dim, self.config.k, &mut rng)
         };
-        match self.effective_kernel(dim) {
-            Kernel::Exact => self.lloyd_exact(points, unflatten(&init, self.config.k, dim)),
-            Kernel::CachedNorms | Kernel::SimdNorms => self.lloyd_flat(flat, n, dim, init, workers),
-        }
+        self.lloyd_flat(flat, n, dim, init, workers)
     }
 
-    /// Optimized Lloyd descent over the flat buffers. All floating-point
+    /// Lloyd descent over the flat buffers. All floating-point
     /// reductions (centroid sums, movement, inertia) run sequentially in
     /// point/cluster order on the calling thread; only the pure per-point
     /// assignment scan fans out, so the result is bit-identical at any
@@ -851,16 +699,13 @@ impl KMeans {
     ) -> KMeansResult {
         let cfg = &self.config;
         let k = cfg.k;
-        let kernel = self.effective_kernel(dim);
         let mut scratch = Scratch::new(n, k, dim);
         for (pn, p) in scratch.point_norms.iter_mut().zip(flat.chunks_exact(dim)) {
             *pn = utilcast_linalg::kernels::sq_norm(p);
         }
         // One assignment dispatch for both the iteration loop and the final
-        // pass: the `dim == 1` scalar fast path is shared by both flat
-        // kernels (it is already branch-free and lane-friendly), the
-        // transposed SimdNorms scan covers `dim >= 2`, and every arm
-        // produces bit-identical assignments and scores.
+        // pass: the midpoint count for scalar points, the transposed block
+        // scan for vectors.
         let run_assign = |centroids: &[f64], scratch: &mut Scratch| {
             refresh_norms(centroids, dim, &mut scratch.centroid_norms);
             if dim == 1 {
@@ -873,22 +718,12 @@ impl KMeans {
                     &mut scratch.scores,
                     workers,
                 );
-            } else if kernel == Kernel::SimdNorms {
+            } else {
                 simd::transpose_centroids(centroids, k, dim, &mut scratch.cent_t);
-                assign_step_simd(
+                assign_step_block(
                     flat,
                     dim,
                     &scratch.cent_t,
-                    &scratch.centroid_norms,
-                    &mut scratch.assignments,
-                    &mut scratch.scores,
-                    workers,
-                );
-            } else {
-                assign_step(
-                    flat,
-                    dim,
-                    centroids,
                     &scratch.centroid_norms,
                     &mut scratch.assignments,
                     &mut scratch.scores,
@@ -991,84 +826,7 @@ impl KMeans {
         }
         KMeansResult {
             assignments: scratch.assignments,
-            centroids: unflatten(&centroids, k, dim),
-            inertia,
-            iterations,
-        }
-    }
-
-    /// Reference Lloyd descent ([`Kernel::Exact`]): the original
-    /// implementation, byte-for-byte — exact distance scans over the
-    /// nested representation, fresh accumulators every iteration, always
-    /// sequential.
-    // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
-    // flat buffers are validated to n * dim by
-    // validate_flat/validate_weighted before any kernel runs, so every
-    // centroid and point window stays in bounds; exemplar chain:
-    // clustering::kmeans::KMeans::fit_from_flat ->
-    // clustering::kmeans::KMeans::lloyd_exact
-    fn lloyd_exact(&self, points: &[Vec<f64>], mut centroids: Vec<Vec<f64>>) -> KMeansResult {
-        let cfg = &self.config;
-        let n = points.len();
-        let k = cfg.k;
-        let mut assignments = vec![0usize; n];
-        let mut iterations = 0;
-        for iter in 0..cfg.max_iters {
-            iterations = iter + 1;
-            // Assignment step.
-            for (i, p) in points.iter().enumerate() {
-                assignments[i] = nearest_centroid(p, &centroids).0;
-            }
-            // Update step.
-            let mut sums = vec![vec![0.0; points[0].len()]; k];
-            let mut counts = vec![0usize; k];
-            for (i, p) in points.iter().enumerate() {
-                counts[assignments[i]] += 1;
-                for (s, v) in sums[assignments[i]].iter_mut().zip(p) {
-                    *s += v;
-                }
-            }
-            let mut movement: f64 = 0.0;
-            for c in 0..k {
-                if counts[c] == 0 {
-                    // Empty cluster: re-seed at the point farthest from its
-                    // assigned centroid to keep exactly k non-empty
-                    // clusters. `total_cmp` keeps the argmax well-defined
-                    // (and deterministic) even if a distance went NaN.
-                    let Some(far) = points
-                        .iter()
-                        .enumerate()
-                        .max_by(|(i, a), (j, b)| {
-                            let da = sq_dist(a, &centroids[assignments[*i]]);
-                            let db = sq_dist(b, &centroids[assignments[*j]]);
-                            da.total_cmp(&db)
-                        })
-                        .map(|(i, _)| i)
-                    else {
-                        continue; // points are validated non-empty
-                    };
-                    movement += sq_dist(&centroids[c], &points[far]);
-                    centroids[c] = points[far].clone();
-                    continue;
-                }
-                let new: Vec<f64> = sums[c].iter().map(|s| s / counts[c] as f64).collect();
-                movement += sq_dist(&centroids[c], &new);
-                centroids[c] = new;
-            }
-            if movement <= cfg.tol {
-                break;
-            }
-        }
-        // Final assignment pass and exact inertia.
-        let mut inertia = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let (c, d) = nearest_centroid(p, &centroids);
-            assignments[i] = c;
-            inertia += d;
-        }
-        KMeansResult {
-            assignments,
-            centroids,
+            centroids: unflatten(&centroids, dim),
             inertia,
             iterations,
         }
@@ -1300,12 +1058,6 @@ fn weighted_maxmin_seed(flat: &[f64], n: usize, dim: usize, weights: &[f64], k: 
 /// problem is tiny (shards × K points) — and mirrors [`KMeans::lloyd_flat`]'s
 /// structure: partition fixed-point stop, farthest-point reseed of
 /// weightless clusters, movement tolerance, final assignment pass.
-///
-/// [`Kernel::SimdNorms`] swaps the per-point distance scan for the
-/// transposed lane scan (`sq_dist_scores_lanes`), which accumulates each
-/// per-centroid distance in the same ascending-dimension order as
-/// [`sq_dist`] and compares winners in the same sequence — bit-identical
-/// results. The other kernels take the scalar scan.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
 // flat buffers are validated to n * dim by validate_flat/validate_weighted
@@ -1321,57 +1073,35 @@ fn lloyd_weighted(
     k: usize,
     max_iters: usize,
     tol: f64,
-    kernel: Kernel,
 ) -> KMeansResult {
     let pt = |i: usize| &flat[i * dim..(i + 1) * dim];
     let mut assignments = vec![0usize; n];
     let mut prev = vec![usize::MAX; n];
     let mut sums = vec![0.0f64; k * dim];
     let mut mass = vec![0.0f64; k];
-    let lanes = kernel == Kernel::SimdNorms;
-    let mut cent_t = Vec::new();
-    let mut dists = vec![0.0f64; if lanes { k } else { 0 }];
-    // Assignment scan shared by the iteration loop and the final pass. The
-    // scalar arm seeds the running best with centroid 0's distance and
-    // compares the rest with strict `<`; the lane arm computes all k
-    // distances first (bitwise equal per centroid) and replays exactly
-    // that comparison sequence.
-    let mut scan = |centroids: &[f64], assignments: &mut [usize], cent_t: &mut Vec<f64>| {
-        if lanes {
-            simd::transpose_centroids(centroids, k, dim, cent_t);
-            for (i, a) in assignments.iter_mut().enumerate() {
-                simd::sq_dist_scores_lanes(pt(i), cent_t, k, &mut dists);
-                let mut best = 0usize;
-                let mut best_d = dists[0];
-                for (c, &d) in dists.iter().enumerate().skip(1) {
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
+    // Assignment scan shared by the iteration loop and the final pass: the
+    // running best starts at centroid 0's distance and the rest compare
+    // with strict `<`.
+    let scan = |centroids: &[f64], assignments: &mut [usize]| {
+        for (i, a) in assignments.iter_mut().enumerate() {
+            let p = pt(i);
+            let mut best = 0usize;
+            let mut best_d = sq_dist(p, &centroids[..dim]);
+            for (c, centroid) in centroids.chunks_exact(dim).enumerate().skip(1) {
+                let d = sq_dist(p, centroid);
+                if d < best_d {
+                    best = c;
+                    best_d = d;
                 }
-                *a = best;
             }
-        } else {
-            for (i, a) in assignments.iter_mut().enumerate() {
-                let p = pt(i);
-                let mut best = 0usize;
-                let mut best_d = sq_dist(p, &centroids[..dim]);
-                for (c, centroid) in centroids.chunks_exact(dim).enumerate().skip(1) {
-                    let d = sq_dist(p, centroid);
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
-                }
-                *a = best;
-            }
+            *a = best;
         }
     };
     let mut iterations = 0;
     let mut converged = false;
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
-        scan(&centroids, &mut assignments, &mut cent_t);
+        scan(&centroids, &mut assignments);
         // Partition fixed point: the weighted means recompute identically,
         // so nothing can move — stop without the no-op update.
         if iter > 0 && assignments == prev {
@@ -1422,7 +1152,7 @@ fn lloyd_weighted(
         }
     }
     if !converged {
-        scan(&centroids, &mut assignments, &mut cent_t);
+        scan(&centroids, &mut assignments);
     }
     let mut inertia = 0.0;
     for (i, &a) in assignments.iter().enumerate() {
@@ -1430,7 +1160,7 @@ fn lloyd_weighted(
     }
     KMeansResult {
         assignments,
-        centroids: unflatten(&centroids, k, dim),
+        centroids: unflatten(&centroids, dim),
         inertia,
         iterations,
     }
@@ -1472,7 +1202,6 @@ pub fn fit_weighted_flat(
         config.k,
         config.max_iters,
         config.tol,
-        config.kernel,
     ))
 }
 
@@ -1519,7 +1248,6 @@ pub fn fit_weighted_from_flat(
         config.k,
         config.max_iters,
         config.tol,
-        config.kernel,
     ))
 }
 
@@ -1539,6 +1267,11 @@ fn degenerate_weighted(flat: &[f64], n: usize, dim: usize, k: usize) -> KMeansRe
         iterations: 0,
     }
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1677,25 +1410,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exact_kernel_agrees_with_optimized_kernel() {
-        // Differential test: the reference kernel and the optimized kernel
-        // must land on the same clustering (FP tie-breaks could in theory
-        // differ, but not on well-separated deterministic data).
-        let pts = blob_field(400, 13);
-        let mk = |kernel: Kernel| {
-            KMeans::new(KMeansConfig {
-                k: 6,
-                n_init: 3,
-                seed: 17,
-                kernel,
-                ..Default::default()
-            })
-            .fit(&pts)
-            .unwrap()
-        };
-        let exact = mk(Kernel::Exact);
-        let fast = mk(Kernel::CachedNorms);
+    /// The production fit lands on the clustering of the nested
+    /// exact-distance descent: same labels, inertia and centroids to a few
+    /// ulps (the inertia goes through the norm identity, and FP tie-breaks
+    /// could in theory differ, but not on well-separated data).
+    fn assert_agrees_with_exact_descent(pts: &[Vec<f64>], config: KMeansConfig) {
+        let exact = oracle::fit_exact(&config, pts);
+        let fast = KMeans::new(config).fit(pts).unwrap();
         assert_eq!(exact.assignments, fast.assignments);
         assert!(
             (exact.inertia - fast.inertia).abs() <= 1e-9 * (1.0 + exact.inertia),
@@ -1706,47 +1427,40 @@ mod tests {
         for (a, b) in exact.centroids.iter().zip(&fast.centroids) {
             assert!(sq_dist(a, b) < 1e-18);
         }
-        // The vectorized tier shares CachedNorms' score formula and
-        // reduction order, so it must agree with Exact on assignments and
-        // with CachedNorms bit for bit.
-        let simd = mk(Kernel::SimdNorms);
-        assert_eq!(exact.assignments, simd.assignments);
-        assert_eq!(fast, simd, "SimdNorms diverged from CachedNorms");
     }
 
     #[test]
-    fn scalar_fast_path_agrees_with_exact_kernel() {
-        // The dim == 1 binary-search assignment must land on the same
-        // clustering as the reference kernel's naive score scan.
+    fn block_scan_fit_agrees_with_exact_descent() {
+        assert_agrees_with_exact_descent(
+            &blob_field(400, 13),
+            KMeansConfig {
+                k: 6,
+                n_init: 3,
+                seed: 17,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    fn scalar_fast_path_agrees_with_exact_descent() {
+        // The dim == 1 midpoint-count assignment must land on the same
+        // clustering as the naive distance scan.
         let pts: Vec<Vec<f64>> = (0..500)
             .map(|i| {
                 let band = (i % 7) as f64 / 7.0;
                 vec![band + 0.03 * (((i * 37) % 100) as f64 / 100.0 - 0.5)]
             })
             .collect();
-        let mk = |kernel: Kernel| {
-            KMeans::new(KMeansConfig {
+        assert_agrees_with_exact_descent(
+            &pts,
+            KMeansConfig {
                 k: 7,
                 n_init: 4,
                 seed: 23,
-                kernel,
                 ..Default::default()
-            })
-            .fit(&pts)
-            .unwrap()
-        };
-        let exact = mk(Kernel::Exact);
-        let fast = mk(Kernel::CachedNorms);
-        assert_eq!(exact.assignments, fast.assignments);
-        assert!(
-            (exact.inertia - fast.inertia).abs() <= 1e-9 * (1.0 + exact.inertia),
-            "inertia diverged: {} vs {}",
-            exact.inertia,
-            fast.inertia
+            },
         );
-        for (a, b) in exact.centroids.iter().zip(&fast.centroids) {
-            assert!(sq_dist(a, b) < 1e-18);
-        }
     }
 
     #[test]
@@ -1785,6 +1499,32 @@ mod tests {
         .unwrap();
         assert_eq!(res.assignments.len(), 5);
         assert_eq!(res.inertia, 0.0);
+    }
+
+    #[test]
+    fn zero_dimensional_points_form_the_trivial_partition() {
+        let pts = vec![Vec::new(); 5];
+        let km = KMeans::new(KMeansConfig {
+            k: 2,
+            seed: 1,
+            ..Default::default()
+        });
+        let trivial = KMeansResult {
+            assignments: vec![0; 5],
+            centroids: vec![Vec::new(); 2],
+            inertia: 0.0,
+            iterations: 0,
+        };
+        assert_eq!(km.fit(&pts).unwrap(), trivial);
+        assert_eq!(
+            km.fit_from(&pts, &[Vec::new(), Vec::new()]).unwrap(),
+            trivial
+        );
+        // The initializer is still validated first.
+        assert!(matches!(
+            km.fit_from(&pts, &[Vec::new()]).unwrap_err(),
+            ClusteringError::InvalidInit { .. }
+        ));
     }
 
     #[test]
@@ -1914,7 +1654,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_norm_kernel_matches_exact_nearest() {
+    fn norm_ranked_assignments_match_exact_nearest() {
         let pts = blob_field(300, 9);
         let km = KMeans::new(KMeansConfig {
             k: 7,
@@ -1935,23 +1675,20 @@ mod tests {
         for (pts, k) in [(blob_field(400, 31), 6), (two_blobs(), 2)] {
             let dim = pts[0].len();
             let flat: Vec<f64> = pts.iter().flatten().copied().collect();
-            for kernel in [Kernel::CachedNorms, Kernel::Exact] {
-                for threads in [1, 4] {
-                    let km = KMeans::new(KMeansConfig {
-                        k,
-                        n_init: 3,
-                        seed: 19,
-                        kernel,
-                        threads,
-                        ..Default::default()
-                    });
-                    let nested = km.fit(&pts).unwrap();
-                    let from_flat = km.fit_flat(&flat, dim).unwrap();
-                    assert_eq!(nested, from_flat, "kernel {kernel:?} threads {threads}");
-                    let warm_nested = km.fit_from(&pts, &nested.centroids).unwrap();
-                    let warm_flat = km.fit_from_flat(&flat, dim, &nested.centroids).unwrap();
-                    assert_eq!(warm_nested, warm_flat);
-                }
+            for threads in [1, 4] {
+                let km = KMeans::new(KMeansConfig {
+                    k,
+                    n_init: 3,
+                    seed: 19,
+                    threads,
+                    ..Default::default()
+                });
+                let nested = km.fit(&pts).unwrap();
+                let from_flat = km.fit_flat(&flat, dim).unwrap();
+                assert_eq!(nested, from_flat, "threads {threads}");
+                let warm_nested = km.fit_from(&pts, &nested.centroids).unwrap();
+                let warm_flat = km.fit_from_flat(&flat, dim, &nested.centroids).unwrap();
+                assert_eq!(warm_nested, warm_flat);
             }
         }
     }

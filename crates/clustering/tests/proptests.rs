@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use utilcast_clustering::hungarian::{brute_force_max_matching, max_weight_matching};
-use utilcast_clustering::kmeans::{
-    fit_weighted_flat, nearest_centroid, sq_dist, KMeans, KMeansConfig, Kernel,
-};
+use utilcast_clustering::kmeans::{nearest_centroid, sq_dist, KMeans, KMeansConfig};
 use utilcast_clustering::quality::{silhouette, within_cluster_sse};
 use utilcast_clustering::similarity::{intersection_similarity, jaccard_similarity};
 use utilcast_linalg::Matrix;
@@ -75,50 +73,6 @@ proptest! {
             .fit(&points)
             .unwrap();
         prop_assert_eq!(sequential, parallel);
-    }
-
-    /// The vectorized [`Kernel::SimdNorms`] point-blocked scan must be
-    /// bit-identical to the default [`Kernel::CachedNorms`] path on any
-    /// input and at any thread count: every point×centroid dot accumulates
-    /// in the same ascending-dimension order and the argmin comparison
-    /// sequence is unchanged, so the whole fit (assignments, centroids,
-    /// inertia, iterations) is an exact match.
-    #[test]
-    fn kmeans_simd_kernel_bitwise(
-        seed in 0u64..30,
-        threads in 1usize..5,
-        raw in proptest::collection::vec(0.0f64..1.0, 16..60),
-    ) {
-        let points: Vec<Vec<f64>> = raw.chunks_exact(2).map(|c| c.to_vec()).collect();
-        let cached = KMeans::new(KMeansConfig { k: 3, seed, threads: 1, ..Default::default() })
-            .fit(&points)
-            .unwrap();
-        let simd = KMeans::new(KMeansConfig {
-            k: 3,
-            seed,
-            threads,
-            kernel: Kernel::SimdNorms,
-            ..Default::default()
-        })
-        .fit(&points)
-        .unwrap();
-        prop_assert_eq!(cached, simd);
-    }
-
-    /// The weighted Lloyd descent (the hierarchical controller's merge
-    /// primitive) must also be kernel-invariant bit for bit.
-    #[test]
-    fn weighted_kmeans_simd_kernel_bitwise(
-        raw in proptest::collection::vec(0.0f64..1.0, 16..48),
-        weights_raw in proptest::collection::vec(0.1f64..5.0, 24),
-    ) {
-        let n = (raw.len() / 2).min(weights_raw.len());
-        let flat = &raw[..n * 2];
-        let weights = &weights_raw[..n];
-        let config = |kernel: Kernel| KMeansConfig { k: 3, kernel, ..Default::default() };
-        let cached = fit_weighted_flat(flat, 2, weights, &config(Kernel::CachedNorms)).unwrap();
-        let simd = fit_weighted_flat(flat, 2, weights, &config(Kernel::SimdNorms)).unwrap();
-        prop_assert_eq!(cached, simd);
     }
 
     /// Inertia must equal the sum of squared distances to assigned centroids.

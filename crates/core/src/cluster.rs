@@ -21,14 +21,6 @@
 //! re-indexing as the single-level path, so cluster identity (and with it
 //! forecaster state) survives re-sharding: the matching is over node-level
 //! assignments, which do not care how the partition was computed.
-//!
-//! [`ShardKernel::MiniBatch`] replaces each warm shard's full Lloyd fit
-//! with an incremental step: only a rotating `1/`[`MINI_BATCH_ROTATION`]
-//! batch of the shard is re-assigned per tick (cached labels carry the
-//! rest), while the centroid update still averages all current values.
-//! That drops the per-tick assignment cost from `O(n·K)` to
-//! `O(n·K / 8 + n)` — the speedup lever behind the hierarchical
-//! controller benchmark.
 
 use std::collections::VecDeque;
 
@@ -40,124 +32,8 @@ use utilcast_clustering::kmeans::{
 use utilcast_clustering::parallel::{chunk_len, resolve_threads};
 use utilcast_clustering::similarity::{intersection_similarity, jaccard_similarity};
 use utilcast_clustering::ClusteringError;
-use utilcast_linalg::simd;
 
-use crate::compute::{ComputeOptions, Kernel, ShardKernel};
-
-/// Rotation period of the mini-batch shard kernel: each tick re-assigns
-/// the shard points whose local index `i` satisfies
-/// `(i + t) % MINI_BATCH_ROTATION == 0`, so every node is re-assigned at
-/// least once per `MINI_BATCH_ROTATION` ticks and the per-tick assignment
-/// cost drops from `O(n·K)` to `O(n·K / 8)`. The centroid update still
-/// averages **all** current values (a `K`-free pass), so centroids track
-/// the data every tick even while stale labels wait for their rotation.
-const MINI_BATCH_ROTATION: usize = 8;
-
-/// One mini-batch step for one shard (see [`MINI_BATCH_ROTATION`]):
-/// re-assigns the rotating batch against the previous shard centroids,
-/// recomputes every centroid as the mean of its (partially refreshed)
-/// members' current values, and scores the result. A centroid left with
-/// no members keeps its previous position so it can re-acquire points on
-/// a later rotation. Fully sequential, no RNG — bit-identical wherever
-/// it runs.
-///
-/// Under [`Kernel::SimdNorms`] the rotating re-assignment scans a
-/// transposed `dim x k` centroid buffer through
-/// `utilcast_linalg::simd::sq_dist_scores_lanes`, which accumulates each
-/// per-centroid distance in the same ascending-dimension order as the
-/// scalar zip-sum and replays the same running-best comparison — results
-/// are bit-identical to the scalar scan.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: core::cluster::DynamicClusterer::step ->
-// core::cluster::DynamicClusterer::hierarchical_fit ->
-// core::cluster::mini_batch_step
-fn mini_batch_step(
-    flat: &[f64],
-    n: usize,
-    dim: usize,
-    k: usize,
-    warm: &[Vec<f64>],
-    prev_assign: &[usize],
-    t: usize,
-    kernel: Kernel,
-) -> KMeansResult {
-    let mut assignments = prev_assign.to_vec();
-    let lanes = kernel == Kernel::SimdNorms;
-    let mut cent_t = Vec::new();
-    let mut dists = Vec::new();
-    if lanes {
-        cent_t.resize(k * dim, 0.0);
-        for (j, c) in warm.iter().enumerate() {
-            for (d, &v) in c.iter().enumerate() {
-                cent_t[d * k + j] = v;
-            }
-        }
-        dists.resize(k, 0.0);
-    }
-    // lint:allow(panic-path): MINI_BATCH_ROTATION is a nonzero const (8);
-    // chain DynamicClusterer::step -> hierarchical_fit -> mini_batch_step
-    let mut i = (MINI_BATCH_ROTATION - t % MINI_BATCH_ROTATION) % MINI_BATCH_ROTATION;
-    while i < n {
-        let x = &flat[i * dim..(i + 1) * dim];
-        let best = if lanes {
-            simd::sq_dist_scores_lanes(x, &cent_t, k, &mut dists);
-            simd::argmin(&dists)
-        } else {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (j, c) in warm.iter().enumerate() {
-                let d: f64 = x.iter().zip(c.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
-            }
-            best
-        };
-        assignments[i] = best;
-        i += MINI_BATCH_ROTATION;
-    }
-    let mut sums = vec![0.0f64; k * dim];
-    let mut counts = vec![0usize; k];
-    for (i, &a) in assignments.iter().enumerate() {
-        counts[a] += 1;
-        for (slot, v) in sums[a * dim..(a + 1) * dim]
-            .iter_mut()
-            .zip(&flat[i * dim..(i + 1) * dim])
-        {
-            *slot += v;
-        }
-    }
-    let centroids: Vec<Vec<f64>> = (0..k)
-        .map(|j| {
-            if counts[j] > 0 {
-                sums[j * dim..(j + 1) * dim]
-                    .iter()
-                    .map(|v| v / counts[j] as f64)
-                    .collect()
-            } else {
-                warm[j].clone()
-            }
-        })
-        .collect();
-    let mut inertia = 0.0;
-    for (i, &a) in assignments.iter().enumerate() {
-        inertia += flat[i * dim..(i + 1) * dim]
-            .iter()
-            .zip(centroids[a].iter())
-            .map(|(x, c)| (x - c) * (x - c))
-            .sum::<f64>();
-    }
-    KMeansResult {
-        assignments,
-        centroids,
-        inertia,
-        iterations: 1,
-    }
-}
+use crate::compute::ComputeOptions;
 
 /// Derives shard `shard`'s base seed from the clusterer seed with a
 /// SplitMix64-style mix (the same mixer k-means uses for restart seeds),
@@ -198,8 +74,8 @@ pub struct DynamicClustererConfig {
     pub max_iters: usize,
     /// RNG seed for the k-means seeding (advanced per step).
     pub seed: u64,
-    /// Threading and warm-start knobs for the per-step k-means (see
-    /// [`ComputeOptions`]).
+    /// Threading, re-seed cadence and sharding of the per-step k-means
+    /// (see [`ComputeOptions`]).
     pub compute: ComputeOptions,
 }
 
@@ -249,20 +125,14 @@ pub struct DynamicClusterer {
     config: DynamicClustererConfig,
     /// Recent final assignments, most recent first; bounded by `m`.
     history: VecDeque<Vec<usize>>,
-    /// The previous step's matched centroids, used as the warm-start
-    /// initializer when [`ComputeOptions::warm_start`] is enabled.
+    /// The previous step's matched centroids, the warm-start initializer
+    /// of every step that is not a cold re-seed.
     warm_centroids: Option<Vec<Vec<f64>>>,
     /// Per-shard local centroids from the previous hierarchical step
     /// (pre-merge), used to warm-start each shard's fit when
     /// [`ComputeOptions::shards`] `> 1`. Empty outside hierarchical mode;
     /// entries that no longer match the shard shape are ignored.
     shard_warm: Vec<Vec<Vec<f64>>>,
-    /// Per-shard local assignments from the previous hierarchical step,
-    /// kept only under [`ShardKernel::MiniBatch`]: the rotating batch
-    /// refreshes a slice of these each tick and the rest carry over.
-    /// Empty under the full kernel; entries that no longer match the
-    /// shard shape are ignored (the shard re-anchors with a full fit).
-    shard_assign: Vec<Vec<usize>>,
     /// Time step counter.
     t: usize,
 }
@@ -275,7 +145,6 @@ impl DynamicClusterer {
             history: VecDeque::new(),
             warm_centroids: None,
             shard_warm: Vec::new(),
-            shard_assign: Vec::new(),
             t: 0,
         }
     }
@@ -395,9 +264,7 @@ impl DynamicClusterer {
         // Never more shards than nodes; a tiny population degrades to
         // fewer (possibly single-node) shards rather than empty ones.
         let shards = compute.shards.min(n);
-        let cold_due =
-            compute.cold_reseed_every > 0 && self.t.is_multiple_of(compute.cold_reseed_every);
-        let warm_ok = compute.warm_start && !cold_due;
+        let warm_ok = !self.cold_due();
         // Deterministic contiguous partition: shard `s` owns nodes
         // [s*n/shards, (s+1)*n/shards) — balanced to within one node and
         // independent of thread count.
@@ -417,37 +284,12 @@ impl DynamicClusterer {
             } else {
                 None
             };
-            // Mini-batch kernel: a warm shard with a usable assignment
-            // cache re-assigns only the rotating batch and nudges every
-            // centroid toward the current data (see [`mini_batch_step`]);
-            // cold shards (no usable warm set) still anchor with a full
-            // fit, which also rebuilds the cache.
-            if compute.shard_kernel == ShardKernel::MiniBatch {
-                if let (Some(init), Some(prev)) = (
-                    warm,
-                    self.shard_assign
-                        .get(s)
-                        .filter(|a| a.len() == hi - lo && a.iter().all(|&l| l < shard_k)),
-                ) {
-                    return Ok(mini_batch_step(
-                        shard_flat,
-                        hi - lo,
-                        dim,
-                        shard_k,
-                        init,
-                        prev,
-                        self.t,
-                        compute.kernel,
-                    ));
-                }
-            }
             let km = KMeans::new(KMeansConfig {
                 k: shard_k,
                 max_iters: self.config.max_iters,
                 n_init: self.config.n_init,
                 seed: shard_seed(self.config.seed, s as u64).wrapping_add(self.t as u64),
                 threads: 1,
-                kernel: compute.kernel,
                 ..Default::default()
             });
             match warm {
@@ -519,7 +361,6 @@ impl DynamicClusterer {
             k,
             max_iters: self.config.max_iters,
             seed: self.config.seed.wrapping_add(self.t as u64),
-            kernel: compute.kernel,
             ..Default::default()
         };
         let global_warm = if warm_ok {
@@ -542,17 +383,7 @@ impl DynamicClusterer {
                 assignments[lo + i] = merge.assignments[offsets[s] + a];
             }
         }
-        self.shard_warm = Vec::with_capacity(shards);
-        self.shard_assign.clear();
-        for result in shard_results {
-            // The assignment cache only pays its O(n) memory under the
-            // mini-batch kernel; the full kernel re-assigns everything
-            // anyway, so it keeps none.
-            if compute.shard_kernel == ShardKernel::MiniBatch {
-                self.shard_assign.push(result.assignments);
-            }
-            self.shard_warm.push(result.centroids);
-        }
+        self.shard_warm = shard_results.into_iter().map(|r| r.centroids).collect();
         Ok(KMeansResult {
             assignments,
             centroids: merge.centroids,
@@ -561,11 +392,17 @@ impl DynamicClusterer {
         })
     }
 
+    /// Whether this step is a periodic cold re-seed.
+    fn cold_due(&self) -> bool {
+        let every = self.config.compute.cold_reseed_every;
+        every > 0 && self.t.is_multiple_of(every)
+    }
+
     /// Builds this step's k-means instance and selects the warm-start
-    /// initializer: the previous step's matched centroids when warm
-    /// starting is enabled and usable; `None` on the first step, on the
-    /// periodic cold re-seed, or whenever the stored centroids no longer
-    /// match the data (k or dimension changed).
+    /// initializer: the previous step's matched centroids when usable;
+    /// `None` on the first step, on the periodic cold re-seed, or whenever
+    /// the stored centroids no longer match the data (k or dimension
+    /// changed).
     fn prepare(&self, dim: usize) -> (KMeans, Option<&Vec<Vec<f64>>>) {
         let k = self.config.k;
         let compute = self.config.compute;
@@ -575,17 +412,14 @@ impl DynamicClusterer {
             n_init: self.config.n_init,
             seed: self.config.seed.wrapping_add(self.t as u64),
             threads: compute.threads,
-            kernel: compute.kernel,
             ..Default::default()
         });
-        let cold_due =
-            compute.cold_reseed_every > 0 && self.t.is_multiple_of(compute.cold_reseed_every);
-        let warm_init = if compute.warm_start && !cold_due {
+        let warm_init = if self.cold_due() {
+            None
+        } else {
             self.warm_centroids
                 .as_ref()
                 .filter(|init| init.len() == k && init.iter().all(|c| c.len() == dim))
-        } else {
-            None
         };
         (km, warm_init)
     }
@@ -672,7 +506,6 @@ impl DynamicClusterer {
         self.history.clear();
         self.warm_centroids = None;
         self.shard_warm.clear();
-        self.shard_assign.clear();
         self.t = 0;
     }
 
@@ -683,7 +516,6 @@ impl DynamicClusterer {
             history: self.history.iter().cloned().collect(),
             warm_centroids: self.warm_centroids.clone(),
             shard_warm: self.shard_warm.clone(),
-            shard_assign: self.shard_assign.clone(),
             t: self.t,
         }
     }
@@ -698,7 +530,6 @@ impl DynamicClusterer {
             history: snapshot.history.into(),
             warm_centroids: snapshot.warm_centroids,
             shard_warm: snapshot.shard_warm,
-            shard_assign: snapshot.shard_assign,
             t: snapshot.t,
         }
     }
@@ -722,11 +553,6 @@ pub struct ClustererSnapshot {
     /// cleanly (a shard simply cold-starts its first post-restore fit).
     #[serde(default)]
     pub shard_warm: Vec<Vec<Vec<f64>>>,
-    /// Per-shard local assignments carried by the mini-batch shard kernel;
-    /// empty under the full kernel. Defaults to empty for the same
-    /// backward-compatibility reason as `shard_warm`.
-    #[serde(default)]
-    pub shard_assign: Vec<Vec<usize>>,
     /// Time step counter.
     pub t: usize,
 }
@@ -867,7 +693,6 @@ mod tests {
         let config = DynamicClustererConfig {
             k: 2,
             compute: ComputeOptions {
-                warm_start: true,
                 cold_reseed_every: 4,
                 ..Default::default()
             },
@@ -914,7 +739,6 @@ mod tests {
         let warm_cfg = DynamicClustererConfig {
             k: 2,
             compute: ComputeOptions {
-                warm_start: true,
                 cold_reseed_every: 0,
                 ..Default::default()
             },
@@ -922,7 +746,10 @@ mod tests {
         };
         let cold_cfg = DynamicClustererConfig {
             k: 2,
-            compute: ComputeOptions::baseline(),
+            compute: ComputeOptions {
+                cold_reseed_every: 1,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let mut warm = DynamicClusterer::new(warm_cfg);
@@ -969,7 +796,6 @@ mod tests {
             k: 2,
             m: 3,
             compute: ComputeOptions {
-                warm_start: true,
                 cold_reseed_every: 4,
                 ..Default::default()
             },
@@ -1144,50 +970,6 @@ mod tests {
                 "labels flipped after re-sharding to {shards}"
             );
         }
-    }
-
-    #[test]
-    fn mini_batch_shard_kernel_tracks_drift() {
-        let config = DynamicClustererConfig {
-            k: 2,
-            compute: ComputeOptions {
-                shards: 3,
-                shard_kernel: ShardKernel::MiniBatch,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut dc = DynamicClusterer::new(config.clone());
-        let mut dc2 = DynamicClusterer::new(config);
-        let s1 = dc.step(&interleaved_groups(12, 0.2, 0.8)).unwrap();
-        let mut prev = s1.assignments.clone();
-        let mut last = None;
-        for i in 1..25 {
-            let drift = i as f64 * 0.004;
-            let pts = interleaved_groups(12, 0.2 + drift, 0.8 - drift);
-            let s = dc.step(&pts).unwrap();
-            assert_eq!(s.assignments, prev, "labels flipped at step {i}");
-            prev = s.assignments.clone();
-            last = Some((s, pts));
-        }
-        // The rotating-batch nudges still track the drifting groups: the
-        // centroid update averages current values every tick, so only
-        // labels (not centroids) wait for their rotation slot.
-        let (s, pts) = last.unwrap();
-        let low_label = s.assignments[0];
-        assert!((s.centroids[low_label][0] - pts[0][0]).abs() < 0.05);
-        // And the mini-batch stream is deterministic.
-        let mut replay = Vec::new();
-        let s1b = dc2.step(&interleaved_groups(12, 0.2, 0.8)).unwrap();
-        replay.push(s1b);
-        for i in 1..25 {
-            let drift = i as f64 * 0.004;
-            replay.push(
-                dc2.step(&interleaved_groups(12, 0.2 + drift, 0.8 - drift))
-                    .unwrap(),
-            );
-        }
-        assert_eq!(replay.last().unwrap(), &s);
     }
 
     #[test]

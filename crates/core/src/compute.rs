@@ -3,79 +3,50 @@
 //! The controller re-runs clustering and per-cluster model retraining every
 //! time step (Sec. V-B/V-C); the paper's Table II shows this compute —
 //! not message handling — dominates controller wall-clock as `N` and `K`
-//! grow. [`ComputeOptions`] bundles the knobs that accelerate it:
+//! grow. Every plane runs one implementation; [`ComputeOptions`] holds the
+//! values a caller actually sets:
 //!
 //! * `threads` — deterministic parallelism for k-means restarts, the Lloyd
 //!   assignment step, and per-cluster retraining. Results are
 //!   **bit-identical at any thread count**; threads change wall-clock time
 //!   only.
-//! * `warm_start` / `cold_reseed_every` — reuse the previous step's matched
-//!   centroids as the k-means initializer. The paper's temporal-continuity
-//!   premise (clusters persist across steps; that is what makes re-indexing
-//!   meaningful at all) makes the previous centroids near-converged, so a
-//!   single short Lloyd descent replaces `n_init` cold restarts. A periodic
-//!   cold re-seed bounds how long a poor local optimum can persist.
-//! * `kernel` — the Lloyd-iteration kernel: the optimized flat
-//!   cached-norm kernel (default), its SIMD-shaped transposed-scan twin,
-//!   or the original nested exact-distance reference kernel (see
-//!   [`Kernel`]).
-//! * `bank_kernel` — the collection plane's batch-decide kernel: the seed
-//!   per-row loop (default) or the phased lane sweeps (see
-//!   [`BankKernel`]); both bit-identical.
-//! * `shards` / `shard_kernel` — the hierarchical two-level controller:
-//!   with `shards > 1` each deterministic contiguous node shard clusters
-//!   locally (in parallel across shards), and the count-weighted shard
-//!   centroids feed a small global merge that preserves cluster identity
-//!   through the usual Hungarian re-indexing. Turns the per-tick
-//!   clustering cost from one `O(N·K·d)` descent into `shards`
-//!   independent `O((N/shards)·K·d)` descents plus an `O(shards·K²·d)`
-//!   merge — the scaling lever for `N` in the millions.
+//! * `cold_reseed_every` — each step's k-means starts from the previous
+//!   step's matched centroids. The paper's temporal-continuity premise
+//!   (clusters persist across steps; that is what makes re-indexing
+//!   meaningful at all) makes those near-converged, so a single short Lloyd
+//!   descent replaces `n_init` cold restarts. A periodic cold re-seed bounds
+//!   how long a poor local optimum can persist.
+//! * `shards` — the hierarchical two-level controller: with `shards > 1`
+//!   each deterministic contiguous node shard clusters locally (in parallel
+//!   across shards), and the count-weighted shard centroids feed a small
+//!   global merge that preserves cluster identity through the usual
+//!   Hungarian re-indexing. Turns the per-tick clustering cost from one
+//!   `O(N·K·d)` descent into `shards` independent `O((N/shards)·K·d)`
+//!   descents plus an `O(shards·K²·d)` merge — the scaling lever for `N` in
+//!   the millions.
+//! * `retrain_stagger`, `staleness_age_limit`, `max_query_horizon` — the
+//!   retrain schedule, the staleness mask and the read-plane depth.
 
 use serde::{Deserialize, Serialize};
 
-pub use crate::transmit::BankKernel;
-pub use utilcast_clustering::kmeans::Kernel;
-
-/// Per-shard Lloyd kernel for the hierarchical (two-level) controller,
-/// selected by [`ComputeOptions::shard_kernel`] and only consulted when
-/// [`ComputeOptions::shards`] `> 1`. Follows the [`Kernel`] enum pattern:
-/// a full reference mode plus an incremental optimized mode, both
-/// deterministic at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ShardKernel {
-    /// Run each shard's k-means to convergence every step (warm-started
-    /// from the shard's previous centroids when warm starts are on).
-    #[default]
-    Full,
-    /// Mini-batch/incremental mode: a warm shard re-assigns only a
-    /// rotating 1/8 batch of its nodes per step (cached labels carry the
-    /// rest, so every node is refreshed at least once per 8 ticks) while
-    /// the centroid update still averages **all** current values — the
-    /// per-tick assignment cost drops from `O(n·K)` to `O(n·K/8 + n)`,
-    /// amortizing convergence across the tick stream. Cold steps (first
-    /// step, periodic cold re-seed, shape change) still run the full fit
-    /// so the stream re-anchors and the label cache rebuilds.
-    MiniBatch,
-}
-
 /// Knobs for the controller's per-step compute (see module docs).
+///
+/// Checkpoints written while the kernel/mode matrix existed carry more keys
+/// (`kernel`, `warm_start`, `flat_points`, `shard_kernel`, `bank_kernel`);
+/// deserialization ignores them, so such a checkpoint restores onto the one
+/// path that is left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComputeOptions {
     /// Worker threads for clustering and retraining: `0` = one per
     /// available CPU, `1` = fully sequential (default). Results are
     /// bit-identical at every setting.
     pub threads: usize,
-    /// Initialize each step's k-means from the previous step's matched
-    /// centroids instead of re-seeding from scratch (default `true`).
-    pub warm_start: bool,
-    /// Force a cold k-means++ re-seed every this many steps (`0` = never
-    /// after the first step). Only meaningful with `warm_start`; the
+    /// Force a cold k-means++ re-seed every this many steps; every other
+    /// step warm-starts from the previous step's matched centroids. `0` =
+    /// never after the first step, `1` = every step (no warm starts); the
     /// default of 288 re-seeds once per day at the paper's 5-minute
     /// cadence.
     pub cold_reseed_every: usize,
-    /// Lloyd-iteration kernel for the per-step k-means (default: the
-    /// optimized flat cached-norm kernel).
-    pub kernel: Kernel,
     /// Phase-offset each cluster's retraining schedule by
     /// `j · retrain_every / K` steps so at most ~one model refits per tick
     /// instead of all `K` spiking on the same tick (default `false`).
@@ -83,19 +54,11 @@ pub struct ComputeOptions {
     /// thread count; it changes *when* each model retrains, so reports
     /// differ from the unstaggered schedule by construction.
     pub retrain_stagger: bool,
-    /// Feed the per-step k-means through the flat strided-points entry
-    /// point, recycling one buffer per step (default `true`). `false`
-    /// selects the reference path — a fresh per-tick `Vec<Vec<f64>>` that
-    /// the clusterer re-flattens internally — which is bit-identical but
-    /// allocates per node per step; kept selectable as the benchmark
-    /// baseline.
-    pub flat_points: bool,
     /// Mask nodes whose staleness age (ticks since their freshest admitted
     /// measurement) exceeds this limit: before clustering/retraining their
     /// stored value is imputed with the mean of the fresh nodes, so stale
     /// state stops poisoning centroids and model fits when links degrade.
-    /// `0` disables masking (default) — every stored value is used as-is,
-    /// which preserves the seed behavior bit-identically.
+    /// `0` disables masking (default) — every stored value is used as-is.
     pub staleness_age_limit: usize,
     /// Shard count for the hierarchical two-level clustering: nodes are
     /// partitioned into this many deterministic contiguous shards, each
@@ -103,23 +66,10 @@ pub struct ComputeOptions {
     /// per shard), and the shard centroids — weighted by member counts —
     /// feed a small global merge whose labels go through the usual
     /// Hungarian re-indexing against node-level history. `<= 1` (default
-    /// `1`) runs the seed single-level clustering bit-identically; the
-    /// hierarchical result at any fixed shard count is itself
-    /// bit-identical at every thread count.
+    /// `1`) runs the single-level clustering; the hierarchical result at
+    /// any fixed shard count is itself bit-identical at every thread count.
     #[serde(default)]
     pub shards: usize,
-    /// Per-shard Lloyd kernel when `shards > 1` (default
-    /// [`ShardKernel::Full`]; ignored by the single-level path).
-    #[serde(default)]
-    pub shard_kernel: ShardKernel,
-    /// Batch-decide kernel for the collection plane's
-    /// [`TransmitterBank`](crate::transmit::TransmitterBank) sweeps
-    /// (default [`BankKernel::PerRow`], the seed loop shape). Both kernels
-    /// are bit-identical; [`BankKernel::Lanes`] runs the phased batched
-    /// passes shaped for SIMD. Absent from old checkpoints, which
-    /// deserialize to the default.
-    #[serde(default)]
-    pub bank_kernel: BankKernel,
     /// Maximum horizon (steps ahead) precomputed into the cached
     /// [`ForecastTable`](crate::table::ForecastTable) — the read plane
     /// answers point queries for horizon indices `0..max_query_horizon`
@@ -139,15 +89,10 @@ impl Default for ComputeOptions {
     fn default() -> Self {
         ComputeOptions {
             threads: 1,
-            warm_start: true,
             cold_reseed_every: 288,
-            kernel: Kernel::CachedNorms,
             retrain_stagger: false,
-            flat_points: true,
             staleness_age_limit: 0,
             shards: 1,
-            shard_kernel: ShardKernel::Full,
-            bank_kernel: BankKernel::PerRow,
             max_query_horizon: DEFAULT_QUERY_HORIZON,
         }
     }
@@ -165,25 +110,6 @@ impl ComputeOptions {
             self.max_query_horizon
         }
     }
-    /// The compute path of the original implementation — fully sequential,
-    /// cold k-means++ restarts every step, exact-distance reference kernel
-    /// with per-iteration allocation, synchronized retrains — used as the
-    /// benchmark baseline.
-    pub fn baseline() -> Self {
-        ComputeOptions {
-            threads: 1,
-            warm_start: false,
-            cold_reseed_every: 0,
-            kernel: Kernel::Exact,
-            retrain_stagger: false,
-            flat_points: false,
-            staleness_age_limit: 0,
-            shards: 1,
-            shard_kernel: ShardKernel::Full,
-            bank_kernel: BankKernel::PerRow,
-            max_query_horizon: DEFAULT_QUERY_HORIZON,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,43 +117,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_sequential_warm() {
+    fn default_is_sequential_single_level() {
         let c = ComputeOptions::default();
         assert_eq!(c.threads, 1);
-        assert!(c.warm_start);
         assert_eq!(c.cold_reseed_every, 288);
-        assert_eq!(c.kernel, Kernel::CachedNorms);
         assert!(!c.retrain_stagger);
-        assert!(c.flat_points);
         assert_eq!(c.staleness_age_limit, 0, "masking is off by default");
         assert_eq!(c.shards, 1, "single-level clustering by default");
-        assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(c.bank_kernel, BankKernel::PerRow);
         assert_eq!(c.max_query_horizon, 16);
     }
 
     #[test]
-    fn baseline_matches_original_path() {
-        let c = ComputeOptions::baseline();
-        assert_eq!(c.threads, 1);
-        assert!(!c.warm_start);
-        assert_eq!(c.kernel, Kernel::Exact);
-        assert!(!c.retrain_stagger);
-        assert!(!c.flat_points);
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(c.bank_kernel, BankKernel::PerRow);
-        assert_eq!(
-            c.max_query_horizon, 16,
-            "read-plane depth does not belong to the seed contract"
-        );
-    }
-
-    #[test]
-    fn snapshots_without_shard_fields_deserialize_to_single_level() {
-        // Checkpoints written before the hierarchical tier existed carry
-        // no shard fields; they must restore onto the single-level path
-        // (`shards == 0` is treated as `<= 1` everywhere).
+    fn old_snapshots_deserialize_onto_the_single_path() {
+        // A checkpoint written before the hierarchical tier and the read
+        // plane existed, under the kernel/mode matrix: the retired keys are
+        // ignored, the absent ones take their defaults (`shards == 0` is
+        // treated as `<= 1` everywhere).
         let json = r#"{
             "threads": 1, "warm_start": true, "cold_reseed_every": 288,
             "kernel": "CachedNorms", "retrain_stagger": false,
@@ -235,17 +140,19 @@ mod tests {
         }"#;
         let c: ComputeOptions = serde_json::from_str(json).unwrap();
         assert!(c.shards <= 1);
-        assert_eq!(c.shard_kernel, ShardKernel::Full);
-        assert_eq!(
-            c.bank_kernel,
-            BankKernel::PerRow,
-            "old checkpoints take the seed bank kernel"
-        );
         assert_eq!(c.max_query_horizon, 0, "field absent from old JSON");
         assert_eq!(
             c.query_horizon(),
             16,
             "old checkpoints take the default read-plane depth"
+        );
+        assert_eq!(
+            ComputeOptions {
+                shards: 1,
+                max_query_horizon: 16,
+                ..c
+            },
+            ComputeOptions::default()
         );
     }
 }

@@ -11,7 +11,6 @@
 //! time so long-run average error dominates once the queue is stable.
 
 use serde::{Deserialize, Serialize};
-use utilcast_linalg::simd;
 
 /// Parameters of the adaptive transmission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -244,26 +243,6 @@ impl AdaptiveTransmitter {
     }
 }
 
-/// Which batch-decide kernel a driver runs over a [`TransmitterBank`].
-///
-/// Both kernels execute the identical per-node op sequence — error norm in
-/// ascending component order, strict threshold compare, queue update — so
-/// they are **bit-identical** on every trace; the lane kernel only changes
-/// the loop shape (phased passes over the whole batch instead of one
-/// interleaved pass per node) so the compiler can vectorize across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BankKernel {
-    /// Seed shape (default): one fused loop over nodes, each iteration
-    /// computing its error, decision, queue update, and send counter.
-    #[default]
-    PerRow,
-    /// Vectorized shape: three phased sweeps — batched error norms
-    /// (`sq_err_rows_lanes`), batched compare + queue update
-    /// (`threshold_queue_update_lanes`), then the scalar send-counter
-    /// pass. See [`TransmitterBank::decide_batch_lanes_against`].
-    Lanes,
-}
-
 /// Structure-of-arrays state for a whole shard of adaptive transmitters
 /// stepped in lockstep.
 ///
@@ -277,8 +256,7 @@ pub enum BankKernel {
 /// The per-element arithmetic replicates
 /// [`AdaptiveTransmitter::decide_with_vt`] operation for operation, so a
 /// bank is bit-identical to a fleet of per-node transmitters over any
-/// trace (property-tested in `tests/bank_parity.rs`, the same contract
-/// the clustering kernels keep against their `Exact` reference).
+/// trace (property-tested in `tests/bank_parity.rs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransmitterBank {
     config: TransmitConfig,
@@ -405,88 +383,6 @@ impl TransmitterBank {
         // to the per-node update-after-decide protocol.
         let mut stored = std::mem::take(&mut self.stored);
         self.decide_batch_against(xs, &stored, out);
-        let rows = xs
-            .chunks_exact(self.width)
-            .zip(stored.chunks_exact_mut(self.width));
-        for (&send, (x, z)) in out.iter().zip(rows) {
-            if send {
-                z.copy_from_slice(x);
-            }
-        }
-        self.stored = stored;
-    }
-
-    /// [`TransmitterBank::decide_batch_against`] through the
-    /// [`BankKernel::Lanes`] phased kernel: batched error norms into the
-    /// caller-recycled `errs` scratch, then a batched compare +
-    /// queue-update sweep, then the scalar send-counter pass. Per node the
-    /// op sequence is identical to the per-row loop (the error sum runs in
-    /// the same ascending component order, the compare and update use the
-    /// same expressions, and nodes never interact), so decisions, queues,
-    /// and counters are **bit-identical** on every input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` or `zs` have the wrong length.
-    pub fn decide_batch_lanes_against(
-        &mut self,
-        xs: &[f64],
-        zs: &[f64],
-        errs: &mut Vec<f64>,
-        out: &mut Vec<bool>,
-    ) {
-        let n = self.queues.len();
-        assert_eq!(
-            xs.len(),
-            n * self.width,
-            "measurement dimensionality mismatch"
-        );
-        assert_eq!(zs.len(), n * self.width, "stored dimensionality mismatch");
-        out.clear();
-        out.resize(n, false);
-        errs.clear();
-        errs.resize(n, 0.0);
-        // Same expression as the per-node path: V_t from the pre-increment
-        // clock, then one shared increment for the whole bank.
-        let vt = self.next_vt();
-        self.t += 1;
-        simd::sq_err_rows_lanes(xs, zs, self.width, errs);
-        simd::threshold_queue_update_lanes(&mut self.queues, errs, vt, self.config.budget, out);
-        for (&beta, sent) in out.iter().zip(self.sent.iter_mut()) {
-            if beta {
-                *sent += 1;
-                self.total_sent += 1;
-            }
-        }
-        if cfg!(debug_assertions) {
-            for queue in &self.queues {
-                debug_assert!(
-                    queue.is_finite(),
-                    "virtual queue went non-finite at step {}",
-                    self.t
-                );
-                debug_assert!(
-                    *queue >= -(self.config.budget * self.t as f64) - 1e-6
-                        && *queue <= (1.0 - self.config.budget) * self.t as f64 + 1e-6,
-                    "virtual queue {} outside [-B*t, (1-B)*t] at step {}",
-                    queue,
-                    self.t
-                );
-            }
-        }
-    }
-
-    /// [`TransmitterBank::decide_batch`] through the lane kernel: decides
-    /// against the bank's own stored mirror and updates transmitting rows,
-    /// with the error scratch recycled by the caller. Bit-identical to
-    /// [`TransmitterBank::decide_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != len() * width()`.
-    pub fn decide_batch_lanes(&mut self, xs: &[f64], errs: &mut Vec<f64>, out: &mut Vec<bool>) {
-        let mut stored = std::mem::take(&mut self.stored);
-        self.decide_batch_lanes_against(xs, &stored, errs, out);
         let rows = xs
             .chunks_exact(self.width)
             .zip(stored.chunks_exact_mut(self.width));

@@ -1,9 +1,7 @@
 //! Property-based parity suite: the SoA [`TransmitterBank`] must be
 //! bit-identical to a fleet of per-node [`AdaptiveTransmitter`]s for any
 //! configuration and input trace — decisions, queue backlogs (compared via
-//! `to_bits`), send counters, and clocks all match exactly. The lane batch
-//! kernel (`BankKernel::Lanes`, ISSUE 9) must in turn be bit-identical to
-//! the per-row batch path on every observable.
+//! `to_bits`), send counters, and clocks all match exactly.
 
 use proptest::prelude::*;
 use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
@@ -92,68 +90,6 @@ proptest! {
         }
         let flat_stored: Vec<f64> = fleet_stored.iter().flatten().copied().collect();
         prop_assert_eq!(&flat_stored[..], bank.stored());
-    }
-
-    /// The lane batch kernel (`BankKernel::Lanes`) must be bit-identical
-    /// to `decide_batch` for any width-1 trace: its phased passes keep the
-    /// within-row error sum, threshold compare, and queue update in the
-    /// per-node order, so decisions, queues, counters, and the stored
-    /// mirror all match exactly.
-    #[test]
-    fn bank_lanes_matches_per_row_scalar(
-        budget in 0.05f64..1.0,
-        v0 in 0.0f64..5.0,
-        gamma in 0.0f64..1.0,
-        trace in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1.0, 7),
-            1..60,
-        ),
-    ) {
-        let config = TransmitConfig { budget, v0, gamma };
-        let n = trace[0].len();
-        let mut per_row = TransmitterBank::new(config, n);
-        let mut lanes = TransmitterBank::new(config, n);
-        let (mut d_p, mut d_l, mut errs) = (Vec::new(), Vec::new(), Vec::new());
-        for (t, xs) in trace.iter().enumerate() {
-            per_row.decide_batch(xs, &mut d_p);
-            lanes.decide_batch_lanes(xs, &mut errs, &mut d_l);
-            prop_assert_eq!(&d_p, &d_l, "decisions diverged at t {}", t);
-            for (i, (a, b)) in per_row.queues().iter().zip(lanes.queues()).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "queue diverged at node {}", i);
-            }
-            prop_assert_eq!(per_row.stored(), lanes.stored());
-        }
-        prop_assert_eq!(per_row.total_sent(), lanes.total_sent());
-        prop_assert_eq!(per_row.sent_counts(), lanes.sent_counts());
-    }
-
-    /// Width-2 lane parity: the lane kernel's per-row mean-squared error
-    /// must keep the ascending-dimension sum, so wider payloads are also
-    /// bit-identical.
-    #[test]
-    fn bank_lanes_matches_per_row_width_two(
-        budget in 0.05f64..1.0,
-        v0 in 0.0f64..5.0,
-        trace in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1.0, 10),
-            1..40,
-        ),
-    ) {
-        let config = TransmitConfig { budget, v0, gamma: 0.65 };
-        let (n, width) = (5, 2);
-        let mut per_row = TransmitterBank::with_width(config, n, width);
-        let mut lanes = TransmitterBank::with_width(config, n, width);
-        let (mut d_p, mut d_l, mut errs) = (Vec::new(), Vec::new(), Vec::new());
-        for (t, xs) in trace.iter().enumerate() {
-            per_row.decide_batch(xs, &mut d_p);
-            lanes.decide_batch_lanes(xs, &mut errs, &mut d_l);
-            prop_assert_eq!(&d_p, &d_l, "decisions diverged at t {}", t);
-            for (i, (a, b)) in per_row.queues().iter().zip(lanes.queues()).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "queue diverged at node {}", i);
-            }
-            prop_assert_eq!(per_row.stored(), lanes.stored());
-        }
-        prop_assert_eq!(per_row.total_sent(), lanes.total_sent());
     }
 
     /// The signed-queue identity holds for the bank exactly as it does for

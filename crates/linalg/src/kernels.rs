@@ -31,8 +31,8 @@ pub fn sigmoid(x: f64) -> f64 {
 /// This is **the** scalar reference for every dot-product-shaped primitive in
 /// the workspace (k-means cached-norm scores, similarity measures, LSTM gemv
 /// rows): terms are added one at a time, left to right, starting from `0.0`,
-/// with no FMA. Lane kernels in [`crate::simd`] cite this exact reduction
-/// order in their bitwise/tolerance contracts.
+/// with no FMA. The scan kernels in [`crate::simd`] cite this exact reduction
+/// order in their bitwise contract.
 ///
 /// Trailing elements of the longer slice are ignored (zip semantics), which
 /// lets callers pass a strided row prefix.

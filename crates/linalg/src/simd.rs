@@ -1,277 +1,19 @@
-//! Lane-array compute kernels shaped for LLVM autovectorization.
+//! The k-means assignment scan, shaped for LLVM autovectorization.
 //!
 //! Every kernel here is dependency-free, `forbid(unsafe_code)`-clean safe
-//! Rust: fixed-width `[f64; LANES]` accumulator arrays over
-//! `chunks_exact(LANES)` with multiple independent accumulators so the
-//! per-lane dependency chains are short enough for the backend to keep SIMD
-//! units busy. No intrinsics, no `mul_add`/FMA — the op set is plain
-//! `+`/`-`/`*` so results are reproducible across targets.
+//! Rust: unit-stride inner loops over independent accumulators, so the
+//! backend can keep SIMD units busy. No intrinsics, no `mul_add`/FMA — the
+//! op set is plain `+`/`-`/`*` so results are reproducible across targets.
 //!
 //! # Reduction-order contract
 //!
-//! Kernels fall into two classes, and each one documents which it is:
-//!
-//! * **Order-preserving (bitwise).** The kernel accumulates into every
-//!   output element in exactly the ascending-index order of the scalar
-//!   reference in [`crate::kernels`] ([`kernels::dot`], [`kernels::sq_dist`],
-//!   `gemv_t_acc`, `rank1_acc`, `gemm_acc`, `lstm_gate_fuse`). Lane shaping
-//!   only changes which *independent outputs* are in flight together, never
-//!   the op sequence seen by a single accumulator. These kernels are
-//!   bit-identical to their references on all inputs. The transposed
-//!   centroid scans ([`norm_scores_lanes`], [`sq_dist_scores_lanes`]) and
-//!   the transmitter-bank passes ([`sq_err_rows_lanes`],
-//!   [`threshold_queue_update_lanes`]) are in this class.
-//!
-//! * **Reassociating (tolerance).** [`dot_lanes`] / [`sq_dist_lanes`] (and
-//!   [`gemv_lanes`], which is a row of `dot_lanes` calls) split one long sum
-//!   into `LANES` interleaved partial sums that are combined left-to-right
-//!   at the end, then add the scalar tail. For inputs shorter than `LANES`
-//!   the lane stage is empty and the kernel degenerates to the exact scalar
-//!   reduction — bitwise equal to the reference. For longer inputs the
-//!   reassociation changes rounding: with `γ_m = m·ε/(1−m·ε)` (ε = 2⁻⁵³,
-//!   `m` the term count), both the scalar and the lane sum are within
-//!   `γ_m·Σ|terms|` of the real-arithmetic value, so the two differ by at
-//!   most `2·γ_m·Σ|terms|` — a relative bound of roughly `2m·ε` against the
-//!   magnitude sum. Callers that need the seed bits exactly select the
-//!   scalar kernel tier (`baseline()` configs); parity suites bound the
-//!   observed error well inside this envelope.
-//!
-//! [`kernels::dot`]: crate::kernels::dot
-//! [`kernels::sq_dist`]: crate::kernels::sq_dist
-
-use crate::kernels::sigmoid;
-
-/// Lane width: eight `f64` accumulators per reduction.
-///
-/// Eight lanes fill one AVX-512 register or two AVX2 registers; on narrower
-/// targets the backend splits them further. Eight independent partial sums
-/// also hide the ~4-cycle FP add latency behind the 2/cycle issue rate, so
-/// the width does double duty as an ILP unroll even without SIMD.
-pub const LANES: usize = 8;
-
-/// Lane dot product `Σ_i a[i]·b[i]` — **reassociating**.
-///
-/// Splits the sum into `LANES` interleaved partials over
-/// `chunks_exact(LANES)`, combines them left-to-right, then adds the scalar
-/// tail in ascending order. Bitwise equal to [`crate::kernels::dot`] when
-/// `min(a.len(), b.len()) < LANES`; otherwise within the documented
-/// tolerance envelope (see the module docs).
-///
-/// Trailing elements of the longer slice are ignored (zip semantics).
-#[inline]
-// lint:allow(panic-path): fn-scope audit: both slices are truncated to
-// `n = min(a.len(), b.len())` before any access, so the `..n` reslice and
-// the fixed-width `[0..LANES)` chunk indexing stay in bounds; exemplar
-// chain: linalg::simd::dot_lanes
-pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut chunks_a = a.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for l in 0..LANES {
-            acc[l] += ca[l] * cb[l];
-        }
-    }
-    let mut s = 0.0;
-    for &lane in &acc {
-        s += lane;
-    }
-    for (&x, &y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        s += x * y;
-    }
-    s
-}
-
-/// Lane squared Euclidean distance `Σ_i (a[i]−b[i])²` — **reassociating**.
-///
-/// Same lane split and combine order as [`dot_lanes`]; bitwise equal to
-/// [`crate::kernels::sq_dist`] when the common length is below `LANES`.
-#[inline]
-// lint:allow(panic-path): fn-scope audit: both slices are truncated to
-// `n = min(a.len(), b.len())` before any access, so the `..n` reslice and
-// the fixed-width `[0..LANES)` chunk indexing stay in bounds; exemplar
-// chain: linalg::simd::sq_dist_lanes
-pub fn sq_dist_lanes(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let mut chunks_a = a.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for l in 0..LANES {
-            let d = ca[l] - cb[l];
-            acc[l] += d * d;
-        }
-    }
-    let mut s = 0.0;
-    for &lane in &acc {
-        s += lane;
-    }
-    for (&x, &y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        let d = x - y;
-        s += d * d;
-    }
-    s
-}
-
-/// `y += A x` with one lane dot per row — **reassociating** per row.
-///
-/// Each output seeds its accumulator with the incoming `y[r]` (so callers
-/// can pre-load a bias, like `gemv_acc`), runs the [`dot_lanes`] lane split
-/// over the row, folds the lane partials in left-to-right, then adds the
-/// scalar tail in ascending order. When `cols < LANES` the lane stage is
-/// empty and no lane partials are folded in, so the op sequence is exactly
-/// `gemv_acc`'s remainder-row loop — bitwise equal to the reference.
-#[inline]
-pub fn gemv_lanes(y: &mut [f64], a: &[f64], rows: usize, cols: usize, x: &[f64]) {
-    debug_assert_eq!(y.len(), rows);
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(x.len(), cols);
-    if cols == 0 {
-        return;
-    }
-    for (yv, row) in y.iter_mut().zip(a.chunks_exact(cols)) {
-        let mut s = *yv;
-        let mut chunks_a = row.chunks_exact(LANES);
-        let mut chunks_x = x.chunks_exact(LANES);
-        if cols >= LANES {
-            let mut acc = [0.0f64; LANES];
-            for (ca, cx) in (&mut chunks_a).zip(&mut chunks_x) {
-                for l in 0..LANES {
-                    acc[l] += ca[l] * cx[l];
-                }
-            }
-            for &lane in &acc {
-                s += lane;
-            }
-        }
-        for (&av, &xv) in chunks_a.remainder().iter().zip(chunks_x.remainder()) {
-            s += av * xv;
-        }
-        *yv = s;
-    }
-}
-
-/// `y += Aᵀ x` — **order-preserving (bitwise)** vs `gemv_t_acc`.
-///
-/// Rows outermost, outputs streamed along the contiguous `c` axis: each
-/// `y[c]` gains its terms in ascending `r` order, exactly the scalar
-/// backprop loop. The inner loop is a unit-stride axpy with no reduction,
-/// which vectorizes without any reassociation.
-#[inline]
-pub fn gemv_t_lanes(y: &mut [f64], a: &[f64], rows: usize, cols: usize, x: &[f64]) {
-    debug_assert_eq!(y.len(), cols);
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(x.len(), rows);
-    if cols == 0 {
-        return;
-    }
-    for (row, &xv) in a.chunks_exact(cols).zip(x) {
-        for (yv, &av) in y.iter_mut().zip(row) {
-            *yv += xv * av;
-        }
-    }
-}
-
-/// Rank-1 update `A += x yᵀ` — **order-preserving (bitwise)** vs
-/// `rank1_acc` (each `A[r,c]` gains exactly one term; the unit-stride row
-/// pass vectorizes as-is).
-#[inline]
-pub fn rank1_lanes(a: &mut [f64], x: &[f64], y: &[f64]) {
-    let cols = y.len();
-    debug_assert_eq!(a.len(), x.len() * cols);
-    if cols == 0 {
-        return;
-    }
-    for (row, &xv) in a.chunks_exact_mut(cols).zip(x) {
-        for (av, &yv) in row.iter_mut().zip(y) {
-            *av += xv * yv;
-        }
-    }
-}
-
-/// `C += A B` — **order-preserving (bitwise)** vs `gemm_acc`.
-///
-/// Classic `ikj` loop: every `C[r,j]` accumulates in ascending `k` order and
-/// the `j` inner loop is a unit-stride axpy over `B`'s row. Unlike
-/// `gemm_acc` there is no exact-zero skip — the skip is a bitwise no-op on
-/// `+=` accumulators (adding `±0.0` to a non-`-0.0` accumulator never
-/// changes its bits), so dropping it preserves results while keeping the
-/// inner loop branch-free for the vectorizer.
-#[inline]
-pub fn gemm_lanes(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k_dim: usize, n: usize) {
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(a.len(), m * k_dim);
-    debug_assert_eq!(b.len(), k_dim * n);
-    if m == 0 || k_dim == 0 || n == 0 {
-        return;
-    }
-    for (c_row, a_row) in c.chunks_exact_mut(n).zip(a.chunks_exact(k_dim)) {
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
-/// Fused LSTM gate update restructured into contiguous block passes —
-/// **order-preserving (bitwise)** vs `lstm_gate_fuse`.
-///
-/// Each output element is pointwise in `j` (no cross-`j` reduction), so
-/// computing all `i` gates, then all `f`, `g`, `o` gates, then the
-/// `c`/`tanh(c)`/`h` states as five streaming passes produces exactly the
-/// same expression — and the same bits — per element as the interleaved
-/// scalar loop, while each pass reads and writes contiguous blocks.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic-path): fn-scope audit: every gate-block slice is an
-// affine `[m*hidden, m'*hidden)` window with `m' <= 4`, in bounds of the
-// `4*hidden`-length buffers restated by the debug_assert contracts above
-// the passes; exemplar chain:
-// timeseries::lstm::Lstm::fit -> timeseries::lstm::forward_layer_fused ->
-// linalg::simd::lstm_gate_fuse_lanes
-pub fn lstm_gate_fuse_lanes(
-    z: &[f64],
-    c_prev: &[f64],
-    hidden: usize,
-    gates: &mut [f64],
-    c_out: &mut [f64],
-    tanh_c_out: &mut [f64],
-    h_out: &mut [f64],
-) {
-    debug_assert_eq!(z.len(), 4 * hidden);
-    debug_assert_eq!(c_prev.len(), hidden);
-    debug_assert_eq!(gates.len(), 4 * hidden);
-    debug_assert_eq!(c_out.len(), hidden);
-    debug_assert_eq!(tanh_c_out.len(), hidden);
-    debug_assert_eq!(h_out.len(), hidden);
-    // Gate blocks: sigmoid over (i, f, o), tanh over g, each a contiguous
-    // streamed pass. The transcendentals dominate; the win is locality.
-    for (g, &zv) in gates[..2 * hidden].iter_mut().zip(&z[..2 * hidden]) {
-        *g = sigmoid(zv);
-    }
-    for (g, &zv) in gates[2 * hidden..3 * hidden]
-        .iter_mut()
-        .zip(&z[2 * hidden..3 * hidden])
-    {
-        *g = zv.tanh();
-    }
-    for (g, &zv) in gates[3 * hidden..].iter_mut().zip(&z[3 * hidden..]) {
-        *g = sigmoid(zv);
-    }
-    // State pass: c = f·c_prev + i·g, h = o·tanh(c) — identical per-element
-    // expression to the scalar reference.
-    for j in 0..hidden {
-        let c = gates[hidden + j] * c_prev[j] + gates[j] * gates[2 * hidden + j];
-        let tanh_c = c.tanh();
-        c_out[j] = c;
-        tanh_c_out[j] = tanh_c;
-        h_out[j] = gates[3 * hidden + j] * tanh_c;
-    }
-}
+//! Every kernel is **order-preserving**: it accumulates into each output
+//! element in exactly the ascending-index order of the scalar reference
+//! ([`crate::kernels::dot`] per point×centroid pair). Lane shaping only
+//! changes which *independent outputs* are in flight together, never the op
+//! sequence seen by a single accumulator, so the scans are bit-identical to
+//! a plain per-point row scan on all inputs — `utilcast-clustering` holds
+//! them to that with a differential suite against its row-scan oracle.
 
 /// Transposes a row-major `k x dim` centroid buffer into a `dim x k` layout
 /// (`cent_t[d·k + c] = centroids[c·dim + d]`), resizing `cent_t` as needed.
@@ -329,41 +71,10 @@ pub fn norm_scores_lanes(
     }
 }
 
-/// Squared distances from one point to `k` transposed centroids —
-/// **order-preserving (bitwise)** vs [`crate::kernels::sq_dist`] per
-/// centroid: `scores[c] = Σ_d (p[d] − cent_t[d·k + c])²` accumulates in
-/// ascending `d` order via the same `d`-outer / unit-stride-`c`-inner shape
-/// as [`norm_scores_lanes`].
-#[inline]
-pub fn sq_dist_scores_lanes(p: &[f64], cent_t: &[f64], k: usize, scores: &mut [f64]) {
-    debug_assert_eq!(cent_t.len(), p.len() * k);
-    debug_assert_eq!(scores.len(), k);
-    if k == 0 {
-        return;
-    }
-    scores.fill(0.0);
-    for (&pv, trow) in p.iter().zip(cent_t.chunks_exact(k)) {
-        for (s, &tv) in scores.iter_mut().zip(trow) {
-            let d = pv - tv;
-            *s += d * d;
-        }
-    }
-}
-
-/// Index of the strictly smallest score, lowest index on ties — the exact
-/// comparison sequence of the scalar assignment scans (`<` against the
-/// running best, scanning ascending `c`).
-///
-/// Returns `0` for an empty slice.
-#[inline]
-pub fn argmin(scores: &[f64]) -> usize {
-    argmin_score(scores).0
-}
-
-/// [`argmin`] plus the winning score, seeded at `+∞` exactly like the
-/// scalar running-best scan: on an all-NaN input the index stays `0` and
-/// the reported score stays `+∞`, matching the reference comparison
-/// sequence bit for bit.
+/// Index of and value of the strictly smallest score, lowest index on ties
+/// — the comparison sequence of a scalar running-best scan (`<` against the
+/// running best, scanning ascending `c`). Seeded at `+∞`: on an all-NaN or
+/// empty input the index stays `0` and the reported score stays `+∞`.
 #[inline]
 pub fn argmin_score(scores: &[f64]) -> (usize, f64) {
     let mut best = 0usize;
@@ -462,197 +173,16 @@ pub fn argmin_block(scores: &[f64], k: usize, idx: &mut [usize], best: &mut [f64
     }
 }
 
-/// Per-row mean squared error over a strided node batch —
-/// **order-preserving (bitwise)** vs the per-node scalar loop.
-///
-/// `xs` and `zs` are `n x width` row-major; `errs[i]` receives
-/// `Σ_w (xs[i,w] − zs[i,w])² / width` with the within-row sum in ascending
-/// `w` order (matching [`crate::kernels::sq_dist`]). Rows are independent,
-/// so the `width == 1` fast path is a pure pointwise pass over the batch —
-/// the shape the vectorizer turns into packed compare-free SIMD.
-#[inline]
-pub fn sq_err_rows_lanes(xs: &[f64], zs: &[f64], width: usize, errs: &mut [f64]) {
-    debug_assert!(width > 0);
-    debug_assert_eq!(xs.len(), errs.len() * width);
-    debug_assert_eq!(zs.len(), errs.len() * width);
-    if width == 1 {
-        for ((e, &x), &z) in errs.iter_mut().zip(xs).zip(zs) {
-            let d = x - z;
-            *e = (d * d) / 1.0;
-        }
-        return;
-    }
-    let w = width as f64;
-    for ((e, xrow), zrow) in errs
-        .iter_mut()
-        .zip(xs.chunks_exact(width))
-        .zip(zs.chunks_exact(width))
-    {
-        let mut s = 0.0;
-        for (&x, &z) in xrow.iter().zip(zrow) {
-            let d = x - z;
-            s += d * d;
-        }
-        *e = s / w;
-    }
-}
-
-/// Lyapunov threshold compare + virtual-queue update over a node batch —
-/// **order-preserving (bitwise)** vs the per-node scalar decide.
-///
-/// For each node `i`: `out[i] = queues[i] < vt·errs[i]`, then
-/// `queues[i] += (out[i] ? 1.0 : 0.0) − budget` — exactly the scalar
-/// transmitter's op sequence, pointwise across nodes with no cross-node
-/// reduction, so packing the batch changes nothing but throughput.
-#[inline]
-pub fn threshold_queue_update_lanes(
-    queues: &mut [f64],
-    errs: &[f64],
-    vt: f64,
-    budget: f64,
-    out: &mut [bool],
-) {
-    debug_assert_eq!(queues.len(), errs.len());
-    debug_assert_eq!(out.len(), errs.len());
-    for ((q, &e), o) in queues.iter_mut().zip(errs).zip(out.iter_mut()) {
-        let beta = *q < vt * e;
-        *o = beta;
-        *q += if beta { 1.0 } else { 0.0 } - budget;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{self, dot, sq_dist};
+    use crate::kernels::{self, dot};
     use crate::rng::normal;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn random_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| normal(rng, 0.0, 1.0)).collect()
-    }
-
-    #[test]
-    fn dot_lanes_bitwise_below_lane_width() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for n in 0..LANES {
-            let a = random_vec(&mut rng, n);
-            let b = random_vec(&mut rng, n);
-            assert_eq!(dot_lanes(&a, &b), dot(&a, &b), "n={n}");
-            assert_eq!(sq_dist_lanes(&a, &b), sq_dist(&a, &b), "n={n}");
-        }
-    }
-
-    #[test]
-    fn dot_lanes_within_tolerance_above_lane_width() {
-        let mut rng = StdRng::seed_from_u64(37);
-        for n in [LANES, LANES + 3, 64, 129] {
-            let a = random_vec(&mut rng, n);
-            let b = random_vec(&mut rng, n);
-            let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            let gamma = 2.0 * n as f64 * f64::EPSILON * mag;
-            assert!(
-                (dot_lanes(&a, &b) - dot(&a, &b)).abs() <= gamma,
-                "dot n={n} outside envelope"
-            );
-            let magd: f64 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
-            assert!(
-                (sq_dist_lanes(&a, &b) - sq_dist(&a, &b)).abs()
-                    <= 2.0 * n as f64 * f64::EPSILON * magd,
-                "sq_dist n={n} outside envelope"
-            );
-        }
-    }
-
-    #[test]
-    fn gemv_lanes_bitwise_below_lane_width_and_bounded_above() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for (rows, cols) in [(3, 4), (5, 7), (4, 16), (9, 33)] {
-            let a = random_vec(&mut rng, rows * cols);
-            let x = random_vec(&mut rng, cols);
-            let y0 = random_vec(&mut rng, rows);
-            let mut y_lane = y0.clone();
-            let mut y_ref = y0.clone();
-            gemv_lanes(&mut y_lane, &a, rows, cols, &x);
-            kernels::gemv_acc(&mut y_ref, &a, rows, cols, &x);
-            for r in 0..rows {
-                if cols < LANES {
-                    assert_eq!(y_lane[r], y_ref[r], "rows={rows} cols={cols} r={r}");
-                } else {
-                    let mag: f64 = a[r * cols..(r + 1) * cols]
-                        .iter()
-                        .zip(&x)
-                        .map(|(av, xv)| (av * xv).abs())
-                        .sum();
-                    let tol = 2.0 * cols as f64 * f64::EPSILON * mag;
-                    assert!(
-                        (y_lane[r] - y_ref[r]).abs() <= tol,
-                        "rows={rows} cols={cols} r={r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn order_preserving_kernels_bitwise_match_references() {
-        let mut rng = StdRng::seed_from_u64(43);
-        for (rows, cols) in [(1, 1), (3, 5), (8, 8), (9, 17)] {
-            let a = random_vec(&mut rng, rows * cols);
-            let x_r = random_vec(&mut rng, rows);
-            let y0 = random_vec(&mut rng, cols);
-            let mut y_lane = y0.clone();
-            let mut y_ref = y0.clone();
-            gemv_t_lanes(&mut y_lane, &a, rows, cols, &x_r);
-            kernels::gemv_t_acc(&mut y_ref, &a, rows, cols, &x_r);
-            assert_eq!(y_lane, y_ref, "gemv_t rows={rows} cols={cols}");
-
-            let yv = random_vec(&mut rng, cols);
-            let a0 = random_vec(&mut rng, rows * cols);
-            let mut a_lane = a0.clone();
-            let mut a_ref = a0.clone();
-            rank1_lanes(&mut a_lane, &x_r, &yv);
-            kernels::rank1_acc(&mut a_ref, &x_r, &yv);
-            assert_eq!(a_lane, a_ref, "rank1 rows={rows} cols={cols}");
-        }
-        for &(m, k_dim, n) in &[(1, 1, 1), (3, 4, 5), (7, 3, 6), (9, 5, 2)] {
-            let mut a = random_vec(&mut rng, m * k_dim);
-            for (i, v) in a.iter_mut().enumerate() {
-                if i % 3 == 0 {
-                    *v = 0.0; // exercise the reference's zero-skip: still bitwise
-                }
-            }
-            let b = random_vec(&mut rng, k_dim * n);
-            let mut c_lane = vec![0.0; m * n];
-            let mut c_ref = vec![0.0; m * n];
-            gemm_lanes(&mut c_lane, &a, &b, m, k_dim, n);
-            kernels::gemm_acc(&mut c_ref, &a, &b, m, k_dim, n);
-            assert_eq!(c_lane, c_ref, "gemm m={m} k={k_dim} n={n}");
-        }
-    }
-
-    #[test]
-    fn gate_fuse_lanes_bitwise_matches_reference() {
-        let mut rng = StdRng::seed_from_u64(47);
-        for h in [1, 4, 8, 13] {
-            let z = random_vec(&mut rng, 4 * h);
-            let c_prev = random_vec(&mut rng, h);
-            let mut g_l = vec![0.0; 4 * h];
-            let mut c_l = vec![0.0; h];
-            let mut t_l = vec![0.0; h];
-            let mut h_l = vec![0.0; h];
-            let mut g_r = vec![0.0; 4 * h];
-            let mut c_r = vec![0.0; h];
-            let mut t_r = vec![0.0; h];
-            let mut h_r = vec![0.0; h];
-            lstm_gate_fuse_lanes(&z, &c_prev, h, &mut g_l, &mut c_l, &mut t_l, &mut h_l);
-            kernels::lstm_gate_fuse(&z, &c_prev, h, &mut g_r, &mut c_r, &mut t_r, &mut h_r);
-            assert_eq!(g_l, g_r, "gates h={h}");
-            assert_eq!(c_l, c_r, "c h={h}");
-            assert_eq!(t_l, t_r, "tanh_c h={h}");
-            assert_eq!(h_l, h_r, "h h={h}");
-        }
     }
 
     #[test]
@@ -671,12 +201,6 @@ mod tests {
                 let reference = norms[c] - 2.0 * dot(&p, &centroids[c * dim..(c + 1) * dim]);
                 assert_eq!(scores[c], reference, "norm score k={k} dim={dim} c={c}");
             }
-            let mut dists = vec![0.0; k];
-            sq_dist_scores_lanes(&p, &cent_t, k, &mut dists);
-            for c in 0..k {
-                let reference = sq_dist(&p, &centroids[c * dim..(c + 1) * dim]);
-                assert_eq!(dists[c], reference, "sq dist k={k} dim={dim} c={c}");
-            }
             // The argmin scan reproduces the scalar running-best comparison.
             let mut best = 0;
             let mut best_v = f64::INFINITY;
@@ -686,7 +210,7 @@ mod tests {
                     best = c;
                 }
             }
-            assert_eq!(argmin(&scores), best);
+            assert_eq!(argmin_score(&scores), (best, best_v));
         }
     }
 
@@ -726,40 +250,8 @@ mod tests {
 
     #[test]
     fn argmin_prefers_lowest_index_on_ties() {
-        assert_eq!(argmin(&[2.0, 1.0, 1.0, 3.0]), 1);
-        assert_eq!(argmin(&[]), 0);
-        assert_eq!(argmin(&[f64::INFINITY, f64::INFINITY]), 0);
-    }
-
-    #[test]
-    fn bank_passes_bitwise_match_per_node_loops() {
-        let mut rng = StdRng::seed_from_u64(59);
-        for (n, width) in [(1, 1), (17, 1), (6, 2), (5, 9)] {
-            let xs = random_vec(&mut rng, n * width);
-            let zs = random_vec(&mut rng, n * width);
-            let mut errs = vec![0.0; n];
-            sq_err_rows_lanes(&xs, &zs, width, &mut errs);
-            for i in 0..n {
-                let mut s = 0.0;
-                for w in 0..width {
-                    let d = xs[i * width + w] - zs[i * width + w];
-                    s += d * d;
-                }
-                assert_eq!(errs[i], s / width as f64, "err n={n} width={width} i={i}");
-            }
-            let q0 = random_vec(&mut rng, n);
-            let vt = 3.7;
-            let budget = 0.25;
-            let mut q_lane = q0.clone();
-            let mut out = vec![false; n];
-            threshold_queue_update_lanes(&mut q_lane, &errs, vt, budget, &mut out);
-            let mut q_ref = q0.clone();
-            for i in 0..n {
-                let beta = q_ref[i] < vt * errs[i];
-                assert_eq!(out[i], beta, "decision n={n} i={i}");
-                q_ref[i] += if beta { 1.0 } else { 0.0 } - budget;
-            }
-            assert_eq!(q_lane, q_ref, "queues n={n} width={width}");
-        }
+        assert_eq!(argmin_score(&[2.0, 1.0, 1.0, 3.0]), (1, 1.0));
+        assert_eq!(argmin_score(&[]), (0, f64::INFINITY));
+        assert_eq!(argmin_score(&[f64::INFINITY, f64::NAN]), (0, f64::INFINITY));
     }
 }

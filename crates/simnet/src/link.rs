@@ -173,10 +173,9 @@ impl LinkSummary {
 
 /// A payload a [`LinkModel`] can carry: it exposes its entries so the
 /// link's corruption injector can flip individual reports. Implemented
-/// for [`ReportFrame`] (the frame path), [`Report`] and `Vec<Report>`
-/// (the per-report reference path), and [`AckFrame`] — one corruption
-/// draw per entry regardless of representation, which is what keeps the
-/// frame and per-report ingest paths on identical RNG streams.
+/// for [`ReportFrame`] (the drivers' payload), [`Report`] (the
+/// fault-injection driver's) and [`AckFrame`] — one corruption draw per
+/// entry regardless of representation.
 pub trait LinkPayload: Clone {
     /// Number of corruptible entries the payload carries.
     fn entry_count(&self) -> usize;
@@ -232,21 +231,6 @@ impl LinkPayload for Report {
             }
             _ => self.node += num_nodes,
         }
-    }
-}
-
-impl LinkPayload for Vec<Report> {
-    fn entry_count(&self) -> usize {
-        self.len()
-    }
-
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // simnet::link::LinkModel::send -> simnet::link::Vec::corrupt_entry
-    fn corrupt_entry(&mut self, idx: usize, variant: usize, num_nodes: usize) {
-        self[idx].corrupt_entry(0, variant, num_nodes);
     }
 }
 
@@ -742,46 +726,6 @@ mod tests {
         }
         assert_eq!(link.summary().overflowed, 3);
         assert_eq!(link.collect(10).len(), 2);
-    }
-
-    #[test]
-    fn corruption_draws_match_between_frame_and_reports() {
-        // One frame with E entries and one Vec<Report> with E entries must
-        // consume identical RNG streams and corrupt identical entries —
-        // the property the frame-vs-reports determinism suite relies on.
-        let plan = LinkPlan {
-            corrupt_prob: 0.4,
-            seed: 99,
-            ..LinkPlan::perfect()
-        };
-        let mut frame_link = LinkModel::<ReportFrame>::new(plan, 0);
-        let mut report_link = LinkModel::<Vec<Report>>::new(plan, 0);
-        for t in 0..50 {
-            let f = frame(t, &[(0, 0.1), (1, 0.2), (2, 0.3)]);
-            let r = f.to_reports();
-            frame_link.send(f, t, 3);
-            report_link.send(r, t, 3);
-            let df = frame_link.collect(t);
-            let dr = report_link.collect(t);
-            assert_eq!(df.len(), 1);
-            assert_eq!(dr.len(), 1);
-            // Bit-level comparison: NaN corruption breaks `==` on f64.
-            let as_bits = |rs: &[Report]| -> Vec<(usize, usize, Vec<u64>)> {
-                rs.iter()
-                    .map(|r| (r.node, r.t, r.values.iter().map(|v| v.to_bits()).collect()))
-                    .collect()
-            };
-            assert_eq!(
-                as_bits(&df[0].to_reports()),
-                as_bits(&dr[0]),
-                "diverged at t={t}"
-            );
-        }
-        assert_eq!(
-            frame_link.summary().corrupted,
-            report_link.summary().corrupted
-        );
-        assert!(frame_link.summary().corrupted > 0);
     }
 
     #[test]

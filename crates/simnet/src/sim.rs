@@ -1,15 +1,15 @@
 //! The single-threaded reference simulation driver.
 
 use serde::{Deserialize, Serialize};
-use utilcast_core::compute::{BankKernel, ComputeOptions};
+use utilcast_core::compute::ComputeOptions;
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::pipeline::ModelSpec;
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
+use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
 
 use crate::controller::{Controller, ControllerConfig};
-use crate::link::{DeliveryOptions, DeliveryPlane, LinkModel, LinkSummary};
-use crate::transport::{IngestMode, Meter, Report, ReportFrame};
+use crate::link::{DeliveryOptions, DeliveryPlane, LinkSummary};
+use crate::transport::{Meter, ReportFrame};
 use crate::SimError;
 
 /// Full simulation configuration (node side + controller side).
@@ -35,13 +35,9 @@ pub struct SimConfig {
     pub model: ModelSpec,
     /// K-means seed.
     pub seed: u64,
-    /// Threading and warm-start knobs for the controller compute (see
-    /// [`ComputeOptions`]).
+    /// Threading, re-seed cadence and sharding of the controller compute
+    /// (see [`ComputeOptions`]).
     pub compute: ComputeOptions,
-    /// Collection-plane wire format (see [`IngestMode`]). The default
-    /// [`IngestMode::Frame`] path is bit-identical to the per-report
-    /// reference path but allocation-free at steady state.
-    pub ingest: IngestMode,
     /// Link degradation + at-least-once delivery layer between the nodes
     /// and the controller (see [`DeliveryOptions`]). The default is fully
     /// passthrough: the drivers skip the layer entirely and run the seed
@@ -71,7 +67,6 @@ impl Default for SimConfig {
             model: ModelSpec::SampleAndHold,
             seed: 0,
             compute: ComputeOptions::default(),
-            ingest: IngestMode::default(),
             delivery: DeliveryOptions::default(),
             query_probe: 0,
         }
@@ -156,13 +151,6 @@ impl Simulation {
             });
         }
         config.delivery.validate()?;
-        if config.delivery.arq.is_enabled() && config.ingest == IngestMode::Reports {
-            return Err(SimError::InvalidConfig {
-                reason: "ARQ retransmission requires frame ingest \
-                         (sequence numbers live on ReportFrame)"
-                    .into(),
-            });
-        }
         Ok(Simulation {
             config,
             controller: None,
@@ -200,127 +188,55 @@ impl Simulation {
         let mut staleness = TimeAveragedRmse::new();
         let mut intermediate = TimeAveragedRmse::new();
         let mut sent: u64 = 0;
-        let mut link_summary = LinkSummary::default();
         // The delivery layer only engages when configured to degrade
-        // something; otherwise the seed fast path below runs verbatim, so
-        // healthy runs stay bit-identical and pay nothing.
+        // something; otherwise frames go straight to the controller, so
+        // healthy runs pay nothing for it.
         let delivery_active = !self.config.delivery.is_passthrough();
-        match self.config.ingest {
-            IngestMode::Reports => {
-                let mut transmitters: Vec<AdaptiveTransmitter> = (0..n)
-                    .map(|_| AdaptiveTransmitter::new(tx_config))
-                    .collect();
-                // In report mode the whole tick's report batch crosses the
-                // link as one payload with one corruption draw per report —
-                // the same per-entry stream a frame of equal size consumes.
-                let mut link = delivery_active
-                    .then(|| LinkModel::<Vec<Report>>::new(self.config.delivery.link, 0));
-                for t in 0..steps {
-                    let x = trace.snapshot(resource, t)?;
-                    let mut reports = Vec::new();
-                    // At t == 0 everyone reports (bootstrap) so the
-                    // controller has a value for every node; the transmitter
-                    // still consumes its clock against z = x.
-                    let zs: &[f64] = if t == 0 { &x } else { controller.stored() };
-                    for (i, &v) in x.iter().enumerate() {
-                        let decision = transmitters[i].decide(&[v], &[zs[i]]);
-                        if t == 0 || decision {
-                            reports.push(Report {
-                                node: i,
-                                t,
-                                values: vec![v],
-                            });
-                        }
-                    }
-                    sent += reports.len() as u64;
-                    let tick = match &mut link {
-                        None => {
-                            for r in &reports {
-                                meter.record(r);
-                            }
-                            controller.tick(reports)?
-                        }
-                        Some(link) => {
-                            link.send(reports, t, n);
-                            let mut arrived: Vec<Report> = Vec::new();
-                            for batch in link.collect(t) {
-                                arrived.extend(batch);
-                            }
-                            // Bandwidth is counted at delivery: lost
-                            // batches cost nothing, duplicates cost twice.
-                            for r in &arrived {
-                                meter.record(r);
-                            }
-                            controller.tick(arrived)?
-                        }
-                    };
-                    staleness.add(rmse_step_scalar(controller.stored(), &x));
-                    intermediate.add(tick.intermediate_rmse);
-                    // Query plane: serve the configured probe batch between
-                    // ticks (no-op at the default of 0).
-                    controller.serve_query_probes(self.config.query_probe)?;
-                }
-                if let Some(link) = &link {
-                    link_summary = *link.summary();
+        let mut bank = TransmitterBank::new(tx_config, n);
+        let mut decisions = Vec::with_capacity(n);
+        let mut frame = ReportFrame::with_capacity(1, n);
+        let mut plane = delivery_active.then(|| DeliveryPlane::new(1, &self.config.delivery));
+        let mut inbox: Vec<ReportFrame> = Vec::new();
+        for t in 0..steps {
+            let x = trace.snapshot(resource, t)?;
+            // At t == 0 everyone reports (bootstrap) so the controller has a
+            // value for every node; the bank still consumes its clock
+            // against z = x.
+            let zs: &[f64] = if t == 0 { &x } else { controller.stored() };
+            bank.decide_batch_against(&x, zs, &mut decisions);
+            frame.reset(t);
+            for (i, &v) in x.iter().enumerate() {
+                if t == 0 || decisions[i] {
+                    frame.push_scalar(i, v);
                 }
             }
-            IngestMode::Frame => {
-                let mut bank = TransmitterBank::new(tx_config, n);
-                let mut decisions = Vec::with_capacity(n);
-                // Scratch error buffer for the lane kernel; unused (and
-                // unallocated) on the per-row path.
-                let mut errs = Vec::new();
-                let bank_kernel = self.config.compute.bank_kernel;
-                let mut frame = ReportFrame::with_capacity(1, n);
-                let mut plane =
-                    delivery_active.then(|| DeliveryPlane::new(1, &self.config.delivery));
-                let mut inbox: Vec<ReportFrame> = Vec::new();
-                for t in 0..steps {
-                    let x = trace.snapshot(resource, t)?;
-                    let zs: &[f64] = if t == 0 { &x } else { controller.stored() };
-                    match bank_kernel {
-                        BankKernel::PerRow => bank.decide_batch_against(&x, zs, &mut decisions),
-                        BankKernel::Lanes => {
-                            bank.decide_batch_lanes_against(&x, zs, &mut errs, &mut decisions)
-                        }
-                    }
-                    frame.reset(t);
-                    for (i, &v) in x.iter().enumerate() {
-                        if t == 0 || decisions[i] {
-                            frame.push_scalar(i, v);
-                        }
-                    }
-                    sent += frame.len() as u64;
-                    let tick = match &mut plane {
-                        None => {
-                            meter.record_frame(&frame);
-                            controller.tick_frame(&frame)?
-                        }
-                        Some(plane) => {
-                            plane.submit(0, t, Some(&frame), n);
-                            plane.collect_into(t, &mut inbox);
-                            // Bandwidth is counted at delivery; every
-                            // delivered frame (retransmissions and
-                            // duplicates included) costs wire bytes.
-                            for f in &inbox {
-                                meter.record_frame(f);
-                            }
-                            let tick = controller.tick_frames(&inbox)?;
-                            plane.ack_delivered(&inbox, t);
-                            tick
-                        }
-                    };
-                    staleness.add(rmse_step_scalar(controller.stored(), &x));
-                    intermediate.add(tick.intermediate_rmse);
-                    // Query plane: serve the configured probe batch between
-                    // ticks (no-op at the default of 0).
-                    controller.serve_query_probes(self.config.query_probe)?;
+            sent += frame.len() as u64;
+            let tick = match &mut plane {
+                None => {
+                    meter.record_frame(&frame);
+                    controller.tick_frame(&frame)?
                 }
-                if let Some(plane) = &plane {
-                    link_summary = plane.summary();
+                Some(plane) => {
+                    plane.submit(0, t, Some(&frame), n);
+                    plane.collect_into(t, &mut inbox);
+                    // Bandwidth is counted at delivery; every delivered
+                    // frame (retransmissions and duplicates included) costs
+                    // wire bytes.
+                    for f in &inbox {
+                        meter.record_frame(f);
+                    }
+                    let tick = controller.tick_frames(&inbox)?;
+                    plane.ack_delivered(&inbox, t);
+                    tick
                 }
-            }
+            };
+            staleness.add(rmse_step_scalar(controller.stored(), &x));
+            intermediate.add(tick.intermediate_rmse);
+            // Query plane: serve the configured probe batch between ticks
+            // (no-op at the default of 0).
+            controller.serve_query_probes(self.config.query_probe)?;
         }
+        let link_summary: LinkSummary = plane.map(|p| p.summary()).unwrap_or_default();
         Ok(SimReport {
             steps,
             messages: meter.messages(),
@@ -379,23 +295,6 @@ mod tests {
         );
         assert!(report.staleness_rmse >= 0.0 && report.staleness_rmse < 0.5);
         assert!(report.intermediate_rmse > 0.0);
-    }
-
-    #[test]
-    fn frame_path_matches_report_path_bitwise() {
-        let trace = small_trace();
-        let framed = Simulation::new(quick_config())
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap();
-        let per_report = Simulation::new(SimConfig {
-            ingest: IngestMode::Reports,
-            ..quick_config()
-        })
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-        assert_eq!(framed, per_report);
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! crashes.
 //!
 //! Nodes are partitioned into `shards` contiguous ranges; each worker
-//! thread owns its shard's transmitters and, for every tick, receives the
-//! controller's current stored values for its nodes, runs the transmission
-//! decisions, and sends the resulting [`Report`]s back over a channel. The
-//! controller waits for all shards each tick (the system is time-slotted),
-//! applies the reports in node order, and advances the clustering +
-//! forecasting stage.
+//! thread owns its shard's [`TransmitterBank`] and, for every tick,
+//! receives the controller's current stored values for its nodes, runs the
+//! transmission decisions, and sends the resulting [`ReportFrame`] back
+//! over a channel. The controller waits for all shards each tick (the
+//! system is time-slotted), applies the frames in shard — hence node —
+//! order, and advances the clustering + forecasting stage.
 //!
 //! Because decisions only depend on per-node transmitter state and the
-//! shared stored values — and the controller sorts reports by node id —
-//! the run is **deterministic and identical to the single-threaded
-//! driver**, regardless of thread scheduling.
+//! shared stored values, the run is **deterministic and identical to the
+//! single-threaded driver**, regardless of thread scheduling.
 //!
 //! The driver is *supervised*: when a worker thread panics, the supervisor
 //! reaps it, respawns the shard, rebuilds the transmitters' state by
@@ -28,23 +27,23 @@
 use crossbeam::channel::{self, Receiver, Sender};
 use std::any::Any;
 use std::thread::{self, JoinHandle};
-use utilcast_core::compute::BankKernel;
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
+use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
 
 use crate::controller::{Controller, ControllerConfig, ControllerSnapshot};
-use crate::link::{DeliveryPlane, LinkModel, LinkSummary};
+use crate::link::{DeliveryPlane, LinkSummary};
 use crate::sim::{SimConfig, SimReport};
-use crate::transport::{IngestMode, Meter, Report, ReportFrame};
+use crate::transport::{Meter, ReportFrame};
 use crate::SimError;
 
 /// Per-tick instruction to a worker.
 #[derive(Debug, Clone)]
 enum WorkerMsg {
-    /// Run tick `t`'s transmission decisions and report back. In frame
-    /// mode the supervisor ships the shard's recycled output buffer along
-    /// with the inputs; in report mode `frame` is `None`.
+    /// Run tick `t`'s transmission decisions and report back. The
+    /// supervisor ships the shard's recycled output buffer along with the
+    /// inputs (`None` right after a respawn, when the old buffer died with
+    /// the previous worker).
     Tick {
         t: usize,
         xs: Vec<f64>,
@@ -61,16 +60,6 @@ enum WorkerMsg {
     },
     /// Shut the worker down.
     Shutdown,
-}
-
-/// One shard's per-tick output batch.
-#[derive(Debug)]
-enum ShardBatch {
-    /// Per-report path: one heap `Report` per transmitting node.
-    Reports(Vec<Report>),
-    /// Frame path: the shard's recycled flat buffer, returned to the
-    /// supervisor for merging (and recycling into the next tick).
-    Frame(ReportFrame),
 }
 
 /// Supervision parameters for [`run_threaded_supervised`].
@@ -106,166 +95,54 @@ impl Default for SupervisorOptions {
 /// One worker's communication endpoints.
 struct ShardLink {
     in_tx: Sender<WorkerMsg>,
-    out_rx: Receiver<ShardBatch>,
+    out_rx: Receiver<ReportFrame>,
     handle: Option<JoinHandle<()>>,
 }
 
-/// A shard's node-side transmission state, shaped by the ingest mode.
-enum ShardState {
-    /// One [`AdaptiveTransmitter`] per node (the seed reference path).
-    PerNode(Vec<AdaptiveTransmitter>),
-    /// One SoA [`TransmitterBank`] for the whole shard plus recycled
-    /// decision and lane-error buffers (the flat frame path).
-    Bank {
-        bank: TransmitterBank,
-        decisions: Vec<bool>,
-        /// Scratch per-node error buffer for [`BankKernel::Lanes`]; stays
-        /// empty on the per-row path.
-        errs: Vec<f64>,
-    },
-}
-
-/// Runs one shard's transmission decisions for one tick; returns the
-/// per-node send decisions.
-fn decide_shard(
-    transmitters: &mut [AdaptiveTransmitter],
-    t: usize,
-    xs: &[f64],
-    zs: &[f64],
-) -> Vec<bool> {
-    xs.iter()
-        .zip(zs)
-        .zip(transmitters)
-        .map(|((&x, &z), tr)| {
-            if t == 0 {
-                // Bootstrap tick: everyone reports (clock still consumed to
-                // stay aligned with the reference driver).
-                let _ = tr.decide(&[x], &[x]);
-                true
-            } else {
-                tr.decide(&[x], &[z])
-            }
-        })
-        .collect()
-}
-
-/// The bank-based twin of [`decide_shard`]: one batched pass over the
-/// shard, bit-identical decisions, results in `out`. Both bank kernels
-/// produce bit-identical decisions; [`BankKernel::Lanes`] runs the phased
-/// SIMD-shaped sweeps through the shared `errs` scratch.
-fn decide_bank(
-    bank: &mut TransmitterBank,
-    kernel: BankKernel,
-    t: usize,
-    xs: &[f64],
-    zs: &[f64],
-    errs: &mut Vec<f64>,
-    out: &mut Vec<bool>,
-) {
-    // Bootstrap tick compares against the measurement itself, exactly like
-    // the per-node path (everyone reports regardless of the decision).
+/// One batched decision pass over a shard's bank; results in `out`.
+fn decide_bank(bank: &mut TransmitterBank, t: usize, xs: &[f64], zs: &[f64], out: &mut Vec<bool>) {
+    // Bootstrap tick: everyone reports regardless of the decision, and the
+    // bank consumes its clock against the measurement itself to stay
+    // aligned with the reference driver.
     let zref: &[f64] = if t == 0 { xs } else { zs };
-    match kernel {
-        BankKernel::PerRow => bank.decide_batch_against(xs, zref, out),
-        BankKernel::Lanes => bank.decide_batch_lanes_against(xs, zref, errs, out),
-    }
+    bank.decide_batch_against(xs, zref, out);
 }
 
 /// The worker thread body for nodes `lo..hi`.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: simnet::threaded::run_threaded_supervised ->
-// simnet::threaded::worker_loop
 fn worker_loop(
     lo: usize,
     hi: usize,
-    mode: IngestMode,
-    bank_kernel: BankKernel,
     tx_config: TransmitConfig,
     meter: Meter,
     in_rx: Receiver<WorkerMsg>,
-    out_tx: Sender<ShardBatch>,
+    out_tx: Sender<ReportFrame>,
     panic_at: Option<usize>,
 ) {
-    let mut state = match mode {
-        IngestMode::Reports => ShardState::PerNode(
-            (lo..hi)
-                .map(|_| AdaptiveTransmitter::new(tx_config))
-                .collect(),
-        ),
-        IngestMode::Frame => ShardState::Bank {
-            bank: TransmitterBank::new(tx_config, hi - lo),
-            decisions: Vec::with_capacity(hi - lo),
-            errs: Vec::new(),
-        },
-    };
+    let mut bank = TransmitterBank::new(tx_config, hi - lo);
+    let mut decisions = Vec::with_capacity(hi - lo);
     while let Ok(msg) = in_rx.recv() {
         match msg {
             WorkerMsg::Shutdown => break,
-            WorkerMsg::Replay { t, xs, zs } => match &mut state {
-                ShardState::PerNode(transmitters) => {
-                    decide_shard(transmitters, t, &xs, &zs);
-                }
-                ShardState::Bank {
-                    bank,
-                    decisions,
-                    errs,
-                } => {
-                    decide_bank(bank, bank_kernel, t, &xs, &zs, errs, decisions);
-                }
-            },
+            WorkerMsg::Replay { t, xs, zs } => decide_bank(&mut bank, t, &xs, &zs, &mut decisions),
             WorkerMsg::Tick { t, xs, zs, frame } => {
                 if panic_at == Some(t) {
                     // lint:allow(panic): injected fault for the chaos suite;
                     // the supervisor must observe a real worker panic
                     panic!("injected fault: worker for nodes {lo}..{hi} at tick {t}");
                 }
-                let batch = match &mut state {
-                    ShardState::PerNode(transmitters) => {
-                        let reports: Vec<Report> = decide_shard(transmitters, t, &xs, &zs)
-                            .into_iter()
-                            .enumerate()
-                            .filter(|&(_, send)| send)
-                            .map(|(off, _)| Report {
-                                node: lo + off,
-                                t,
-                                values: vec![xs[off]],
-                            })
-                            .collect();
-                        // Meter only after every decision succeeded, so a
-                        // panic mid-tick never leaves partial accounting
-                        // behind.
-                        for r in &reports {
-                            meter.record(r);
-                        }
-                        ShardBatch::Reports(reports)
+                decide_bank(&mut bank, t, &xs, &zs, &mut decisions);
+                let mut frame = frame.unwrap_or_else(|| ReportFrame::new(1));
+                frame.reset(t);
+                for (off, &x) in xs.iter().enumerate() {
+                    if t == 0 || decisions[off] {
+                        frame.push_scalar(lo + off, x);
                     }
-                    ShardState::Bank {
-                        bank,
-                        decisions,
-                        errs,
-                    } => {
-                        decide_bank(bank, bank_kernel, t, &xs, &zs, errs, decisions);
-                        // The supervisor ships the shard's recycled buffer
-                        // with the tick; a fresh one is only needed right
-                        // after a respawn, when the old buffer died with
-                        // the previous worker.
-                        let mut frame = frame.unwrap_or_else(|| ReportFrame::new(1));
-                        frame.reset(t);
-                        for (off, &x) in xs.iter().enumerate() {
-                            if t == 0 || decisions[off] {
-                                frame.push_scalar(lo + off, x);
-                            }
-                        }
-                        // One metering call for the whole shard, after all
-                        // decisions succeeded.
-                        meter.record_frame(&frame);
-                        ShardBatch::Frame(frame)
-                    }
-                };
-                if out_tx.send(batch).is_err() {
+                }
+                // One metering call for the whole shard, after all
+                // decisions succeeded, so a panic mid-tick never leaves
+                // partial accounting behind.
+                meter.record_frame(&frame);
+                if out_tx.send(frame).is_err() {
                     break;
                 }
             }
@@ -336,13 +213,6 @@ pub fn run_threaded_supervised(
         });
     }
     config.delivery.validate()?;
-    if config.delivery.arq.is_enabled() && config.ingest == IngestMode::Reports {
-        return Err(SimError::InvalidConfig {
-            reason: "ARQ retransmission requires frame ingest \
-                     (sequence numbers live on ReportFrame)"
-                .into(),
-        });
-    }
     let n = trace.num_nodes();
     let steps = trace.num_steps();
     let shards = shards.min(n);
@@ -381,25 +251,12 @@ pub fn run_threaded_supervised(
         .map(|s| (s * n / shards, (s + 1) * n / shards))
         .collect();
 
-    let mode = config.ingest;
-    let bank_kernel = config.compute.bank_kernel;
     let spawn = |(lo, hi): (usize, usize), panic_at: Option<usize>| -> ShardLink {
         let (in_tx, in_rx) = channel::unbounded::<WorkerMsg>();
-        let (out_tx, out_rx) = channel::unbounded::<ShardBatch>();
+        let (out_tx, out_rx) = channel::unbounded::<ReportFrame>();
         let meter = worker_meter.clone();
-        let handle = thread::spawn(move || {
-            worker_loop(
-                lo,
-                hi,
-                mode,
-                bank_kernel,
-                tx_config,
-                meter,
-                in_rx,
-                out_tx,
-                panic_at,
-            )
-        });
+        let handle =
+            thread::spawn(move || worker_loop(lo, hi, tx_config, meter, in_rx, out_tx, panic_at));
         ShardLink {
             in_tx,
             out_rx,
@@ -424,38 +281,26 @@ pub fn run_threaded_supervised(
     let mut last_checkpoint: Option<ControllerSnapshot> =
         checkpoints_wanted.then(|| controller.snapshot());
 
-    // Frame-mode recycled buffers: one per shard (shipped to the worker
-    // each tick and returned with its batch) plus one merge target. Worker
-    // death loses the in-flight shard buffer; the respawned worker simply
-    // allocates a fresh one.
-    let mut shard_bufs: Vec<Option<ReportFrame>> = (0..shards)
-        .map(|_| (mode == IngestMode::Frame).then(|| ReportFrame::new(1)))
-        .collect();
-    let mut merged = ReportFrame::with_capacity(1, if mode == IngestMode::Frame { n } else { 0 });
+    // Recycled buffers: one per shard (shipped to the worker each tick and
+    // returned with its batch) plus one merge target. Worker death loses
+    // the in-flight shard buffer; the respawned worker simply allocates a
+    // fresh one.
+    let mut shard_bufs: Vec<Option<ReportFrame>> =
+        (0..shards).map(|_| Some(ReportFrame::new(1))).collect();
+    let mut merged = ReportFrame::with_capacity(1, n);
 
-    // Delivery plane (frame mode) / per-shard link models (report mode).
-    // Each shard keeps its own seeded RNG stream, so results are
+    // Each shard keeps its own seeded link RNG stream, so results are
     // independent of shard interleaving and match the reference driver.
-    let mut plane = (delivery_active && mode == IngestMode::Frame)
-        .then(|| DeliveryPlane::new(shards, &config.delivery));
-    let mut report_links: Vec<LinkModel<Vec<Report>>> =
-        if delivery_active && mode == IngestMode::Reports {
-            (0..shards)
-                .map(|s| LinkModel::new(config.delivery.link, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
+    let mut plane = delivery_active.then(|| DeliveryPlane::new(shards, &config.delivery));
     let mut inbox: Vec<ReportFrame> = Vec::new();
-    // Hierarchical controller + frame mode without a delivery plane: the
-    // workers already produce one frame per supervisor shard, so hand the
-    // per-shard frames straight to the controller's multi-frame entry
-    // point instead of copying them into one merged frame first. The
-    // admitted set is identical (admission is per node/tick and the
-    // frames arrive in ascending node order); this only skips the merge
-    // copy that the hierarchical tick would immediately re-partition.
-    let route_shard_frames =
-        mode == IngestMode::Frame && !delivery_active && config.compute.shards > 1;
+    // Hierarchical controller without a delivery plane: the workers already
+    // produce one frame per supervisor shard, so hand the per-shard frames
+    // straight to the controller's multi-frame entry point instead of
+    // copying them into one merged frame first. The admitted set is
+    // identical (admission is per node/tick and the frames arrive in
+    // ascending node order); this only skips the merge copy that the
+    // hierarchical tick would immediately re-partition.
+    let route_shard_frames = !delivery_active && config.compute.shards > 1;
     let mut shard_frames: Vec<ReportFrame> = Vec::with_capacity(shards);
 
     let mut staleness = TimeAveragedRmse::new();
@@ -475,7 +320,6 @@ pub fn run_threaded_supervised(
         for (s, &(lo, hi)) in bounds.iter().enumerate() {
             input_log[s].push((x[lo..hi].to_vec(), stored[lo..hi].to_vec()));
         }
-        let mut tick_reports = Vec::new();
         merged.reset(t);
         for (s, &b) in bounds.iter().enumerate() {
             // Same values the loop above logged for this shard, rebuilt
@@ -493,42 +337,25 @@ pub fn run_threaded_supervised(
                     })
                     .is_ok();
                 if delivered {
-                    match links[s].out_rx.recv() {
-                        Ok(ShardBatch::Reports(mut reports)) => {
-                            sent += reports.len() as u64;
-                            if delivery_active {
-                                // The whole tick batch travels as one link
-                                // payload (same granularity as a frame), so
-                                // the RNG stream matches frame mode for the
-                                // same plan.
-                                report_links[s].send(reports, t, n);
-                            } else {
-                                tick_reports.append(&mut reports);
-                            }
+                    if let Ok(frame) = links[s].out_rx.recv() {
+                        sent += frame.len() as u64;
+                        if let Some(plane) = &mut plane {
+                            plane.submit(s, t, Some(&frame), n);
+                        } else if route_shard_frames {
+                            // Shard `s`'s frame is `shard_frames[s]` (every
+                            // shard yields exactly one frame per tick
+                            // here); the buffer returns to `shard_bufs`
+                            // after the controller tick.
+                            shard_frames.push(frame);
                             break;
+                        } else {
+                            // Shards merge in ascending shard order, so the
+                            // merged frame is in ascending node order — the
+                            // order the controller admits in.
+                            merged.extend_from(&frame);
                         }
-                        Ok(ShardBatch::Frame(frame)) => {
-                            sent += frame.len() as u64;
-                            if let Some(plane) = &mut plane {
-                                plane.submit(s, t, Some(&frame), n);
-                            } else if route_shard_frames {
-                                // Shard `s`'s frame is `shard_frames[s]`
-                                // (every shard yields exactly one frame per
-                                // tick here); the buffer returns to
-                                // `shard_bufs` after the controller tick.
-                                shard_frames.push(frame);
-                                break;
-                            } else {
-                                // Shards merge in ascending shard order, so
-                                // the merged frame is in ascending node order
-                                // — the same order `Controller::tick` sorts
-                                // into.
-                                merged.extend_from(&frame);
-                            }
-                            shard_bufs[s] = Some(frame);
-                            break;
-                        }
-                        Err(_) => {}
+                        shard_bufs[s] = Some(frame);
+                        break;
                     }
                 }
                 // The worker died. Reap it for the panic payload, then
@@ -556,41 +383,24 @@ pub fn run_threaded_supervised(
                 }
             }
         }
-        let tick = match mode {
-            IngestMode::Reports => {
-                if delivery_active {
-                    for link in &mut report_links {
-                        for batch in link.collect(t) {
-                            // Bandwidth is metered at delivery: lost batches
-                            // cost nothing, duplicated batches cost twice.
-                            for r in &batch {
-                                meter.record(r);
-                            }
-                            tick_reports.extend(batch);
-                        }
-                    }
+        let tick = match &mut plane {
+            None if route_shard_frames => {
+                let tick = controller.tick_frames(&shard_frames)?;
+                for (s, frame) in shard_frames.drain(..).enumerate() {
+                    shard_bufs[s] = Some(frame);
                 }
-                controller.tick(tick_reports)?
+                tick
             }
-            IngestMode::Frame => match &mut plane {
-                None if route_shard_frames => {
-                    let tick = controller.tick_frames(&shard_frames)?;
-                    for (s, frame) in shard_frames.drain(..).enumerate() {
-                        shard_bufs[s] = Some(frame);
-                    }
-                    tick
+            None => controller.tick_frame(&merged)?,
+            Some(plane) => {
+                plane.collect_into(t, &mut inbox);
+                for f in &inbox {
+                    meter.record_frame(f);
                 }
-                None => controller.tick_frame(&merged)?,
-                Some(plane) => {
-                    plane.collect_into(t, &mut inbox);
-                    for f in &inbox {
-                        meter.record_frame(f);
-                    }
-                    let tick = controller.tick_frames(&inbox)?;
-                    plane.ack_delivered(&inbox, t);
-                    tick
-                }
-            },
+                let tick = controller.tick_frames(&inbox)?;
+                plane.ack_delivered(&inbox, t);
+                tick
+            }
         };
         staleness.add(rmse_step_scalar(controller.stored(), &x));
         intermediate.add(tick.intermediate_rmse);
@@ -612,13 +422,7 @@ pub fn run_threaded_supervised(
             let _ = handle.join();
         }
     }
-    let mut link_summary = LinkSummary::default();
-    if let Some(plane) = &plane {
-        link_summary = plane.summary();
-    }
-    for link in &report_links {
-        link_summary.merge(link.summary());
-    }
+    let link_summary: LinkSummary = plane.map(|p| p.summary()).unwrap_or_default();
     Ok(SimReport {
         steps,
         messages: meter.messages(),
@@ -710,33 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn report_mode_matches_frame_mode_across_shards() {
-        let trace = presets::google_like()
-            .nodes(20)
-            .steps(120)
-            .seed(9)
-            .generate();
-        let reports_config = SimConfig {
-            ingest: crate::transport::IngestMode::Reports,
-            ..quick_config()
-        };
-        let reference = Simulation::new(reports_config.clone())
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap();
-        for shards in [1, 3, 7] {
-            let framed = run_threaded(&quick_config(), &trace, Resource::Cpu, shards).unwrap();
-            let per_report = run_threaded(&reports_config, &trace, Resource::Cpu, shards).unwrap();
-            assert_eq!(framed, reference, "frame mode, {shards} shards diverged");
-            assert_eq!(
-                per_report, reference,
-                "report mode, {shards} shards diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_panic_recovery_is_bit_identical_in_frame_mode() {
+    fn worker_panic_recovery_is_bit_identical() {
         let trace = presets::google_like()
             .nodes(20)
             .steps(120)
@@ -864,37 +642,6 @@ mod tests {
             run_threaded(&quick_config(), &trace, Resource::Cpu, 0),
             Err(SimError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn worker_panic_recovery_is_bit_identical() {
-        let trace = presets::google_like()
-            .nodes(20)
-            .steps(120)
-            .seed(9)
-            .generate();
-        let config = SimConfig {
-            ingest: crate::transport::IngestMode::Reports,
-            ..quick_config()
-        };
-        let reference = Simulation::new(config.clone())
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap();
-        // Shard 2 dies mid-run; the supervisor must rebuild its transmitter
-        // state so exactly the same reports flow afterwards.
-        let supervised = run_threaded_supervised(
-            &config,
-            &trace,
-            Resource::Cpu,
-            4,
-            &SupervisorOptions {
-                worker_panic_at: Some((2, 57)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(supervised, reference);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //!
 //! Two wire representations exist:
 //!
-//! * [`Report`] — one heap-allocated record per transmission, the seed
-//!   representation retained for the reference ingest path
-//!   ([`IngestMode::Reports`]);
 //! * [`ReportFrame`] — one recycled flat buffer per shard per tick (node
-//!   ids + contiguous values + count), the batched representation of the
-//!   default [`IngestMode::Frame`] path. Frames are metered with **one**
-//!   accounting call ([`Meter::record_batch`]) and expose a compat
-//!   iterator ([`ReportFrame::iter`]) so the controller's quarantine and
-//!   validation logic is byte-for-byte shared with the per-report path.
+//!   ids + contiguous values + count), the representation both drivers
+//!   send. Frames are metered with **one** accounting call
+//!   ([`Meter::record_batch`]) and expose a compat iterator
+//!   ([`ReportFrame::iter`]) so the controller's quarantine and validation
+//!   logic is byte-for-byte shared with the per-report path;
+//! * [`Report`] — one heap-allocated record per transmission, the seed
+//!   representation: what [`crate::controller::Controller::tick`] ingests,
+//!   what the fault-injection driver sends, and what the test-only
+//!   per-report reference loop holds the frame drivers to.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,21 +26,6 @@ use serde::{Deserialize, Serialize};
 
 /// Modelled header bytes per report (node id + timestamp + framing).
 pub const HEADER_BYTES: u64 = 16;
-
-/// Which node→controller ingest representation a driver runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IngestMode {
-    /// Batched flat-buffer path (default): [`crate::transport::ReportFrame`]
-    /// per shard per tick, one meter call per frame, and
-    /// [`crate::controller::Controller::tick_frame`] batch ingest.
-    #[default]
-    Frame,
-    /// The seed per-record path: one [`Report`] allocation per
-    /// transmission, one meter call per report, and
-    /// [`crate::controller::Controller::tick`]. Kept selectable so
-    /// benchmarks and the determinism suite can compare against it.
-    Reports,
-}
 
 /// A measurement report from a local node to the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

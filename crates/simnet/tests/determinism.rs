@@ -3,19 +3,23 @@
 //! retraining must be invisible in the results — bit-identical
 //! [`SimReport`]s at any thread count, with and without periodic cold
 //! re-seeding, and bit-identical snapshot/restore replay while the
-//! concurrent paths are active. The ISSUE 9 kernel matrix runs the same
-//! stack with each vectorized kernel (`Kernel::SimdNorms`,
-//! `BankKernel::Lanes`, `LstmKernel::SimdFlat`) forced.
+//! concurrent paths are active. The frame drivers are also held, bit for
+//! bit, to the seed's per-report collection loop, which lives on here as a
+//! test-only reference, and a checkpoint written before the kernel/mode
+//! matrix was retired must still restore and replay.
 
 use proptest::prelude::*;
-use utilcast_core::compute::{BankKernel, ComputeOptions, Kernel, ShardKernel};
+use utilcast_core::compute::ComputeOptions;
+use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::pipeline::ModelSpec;
+use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
 use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
-use utilcast_simnet::sim::{SimConfig, Simulation};
+use utilcast_simnet::link::{LinkModel, LinkSummary};
+use utilcast_simnet::sim::{SimConfig, SimReport, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{IngestMode, Report, ReportFrame};
-use utilcast_timeseries::lstm::{LstmConfig, LstmKernel};
+use utilcast_simnet::transport::{Meter, Report, ReportFrame};
+use utilcast_timeseries::lstm::LstmConfig;
 
 fn trace() -> Trace {
     presets::google_like()
@@ -25,7 +29,7 @@ fn trace() -> Trace {
         .generate()
 }
 
-fn run_with(compute: ComputeOptions) -> utilcast_simnet::sim::SimReport {
+fn run_with(compute: ComputeOptions) -> SimReport {
     Simulation::new(SimConfig {
         k: 4,
         warmup: 30,
@@ -65,7 +69,6 @@ fn sim_report_bit_identical_at_any_thread_count() {
 fn warm_start_with_cold_reseed_bit_identical_at_any_thread_count() {
     let compute = |threads: usize| ComputeOptions {
         threads,
-        warm_start: true,
         cold_reseed_every: 13,
         ..Default::default()
     };
@@ -122,20 +125,23 @@ fn staggered_retraining_is_a_distinct_schedule() {
 fn warm_start_is_a_distinct_code_path() {
     let warm = run_with(ComputeOptions {
         threads: 1,
-        warm_start: true,
         cold_reseed_every: 0,
         ..Default::default()
     });
     let cold = run_with(ComputeOptions {
         threads: 1,
-        warm_start: false,
-        cold_reseed_every: 0,
+        cold_reseed_every: 1,
         ..Default::default()
     });
     // Same workload, same seed: both must be valid runs with comparable
     // error, but the intermediate RMSE traces need not coincide bitwise.
     assert_eq!(warm.steps, cold.steps);
     assert!(warm.intermediate_rmse.is_finite() && cold.intermediate_rmse.is_finite());
+    assert_ne!(
+        warm.intermediate_rmse.to_bits(),
+        cold.intermediate_rmse.to_bits(),
+        "warm starts never engaged"
+    );
 }
 
 /// A hierarchical (two-level) controller configured with a single shard
@@ -187,210 +193,137 @@ fn hierarchical_report_bit_identical_at_any_thread_count() {
     }
 }
 
-/// The mini-batch shard kernel (one warm Lloyd nudge per shard per tick)
-/// is a different schedule from the full kernel but equally deterministic:
-/// bit-identical across thread counts, including across cold re-seeds.
-#[test]
-fn mini_batch_shard_kernel_bit_identical_at_any_thread_count() {
-    let compute = |threads: usize| ComputeOptions {
-        shards: 4,
-        shard_kernel: ShardKernel::MiniBatch,
-        cold_reseed_every: 13,
-        threads,
-        ..Default::default()
-    };
-    let sequential = run_with(compute(1));
-    assert!(sequential.intermediate_rmse.is_finite());
-    for threads in [2, 8] {
-        assert_eq!(
-            run_with(compute(threads)),
-            sequential,
-            "threads = {threads} diverged"
-        );
-    }
-}
-
-/// The vectorized clustering kernel forced through the full seed stack
-/// (ISSUE 9 kernel matrix): `Kernel::SimdNorms` preserves the cached-norm
-/// reduction order, so the whole `SimReport` is bit-identical to the
-/// default `CachedNorms` stack at every thread count, and the hierarchical
-/// mini-batch shard path (which routes its re-assignment scan through the
-/// same lane kernel) is kernel-invariant too.
-#[test]
-fn simd_norms_kernel_bit_identical_through_full_stack() {
-    let reference = run_with(ComputeOptions::default());
-    for threads in [1, 2, 8] {
-        let simd = run_with(ComputeOptions {
-            kernel: Kernel::SimdNorms,
-            threads,
-            ..Default::default()
-        });
-        assert_eq!(
-            simd, reference,
-            "SimdNorms diverged from the default stack at {threads} threads"
-        );
-    }
-    let hier = |kernel: Kernel| ComputeOptions {
-        shards: 4,
-        shard_kernel: ShardKernel::MiniBatch,
-        cold_reseed_every: 13,
-        kernel,
-        ..Default::default()
-    };
-    assert_eq!(
-        run_with(hier(Kernel::SimdNorms)),
-        run_with(hier(Kernel::CachedNorms)),
-        "SimdNorms diverged on the hierarchical mini-batch path"
-    );
-}
-
-/// The lane batch-decide kernel forced through the full seed stack:
-/// `BankKernel::Lanes` keeps the per-row error sum and threshold compare
-/// in scalar order, so the frame-mode `SimReport` is bit-identical to the
-/// default per-row kernel, single-threaded and at every supervisor shard
-/// count.
-#[test]
-fn lane_bank_kernel_bit_identical_through_full_stack() {
-    let trace = trace();
-    let config = |bank_kernel: BankKernel| SimConfig {
-        k: 4,
-        warmup: 30,
-        retrain_every: 40,
-        ingest: IngestMode::Frame,
-        compute: ComputeOptions {
-            bank_kernel,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let reference = Simulation::new(config(BankKernel::PerRow))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    let lanes = Simulation::new(config(BankKernel::Lanes))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    assert_eq!(lanes, reference, "lane bank kernel diverged");
-    for shards in [1, 2, 8] {
-        let threaded =
-            run_threaded(&config(BankKernel::Lanes), &trace, Resource::Cpu, shards).unwrap();
-        assert_eq!(
-            threaded, reference,
-            "threaded lane bank kernel diverged at {shards} shards"
-        );
-    }
-}
-
-/// The vectorized LSTM kernel forced through the full stack: below lane
-/// width (`hidden < 8`) `LstmKernel::SimdFlat` is bit-identical to the
-/// default `FusedFlat`, and at the default hidden width (16, where the
-/// lane folds reassociate) the SimdFlat run is still deterministic — the
-/// same `SimReport` bit for bit at every thread count.
-#[test]
-fn simd_flat_lstm_kernel_deterministic_through_full_stack() {
-    let trace = trace();
-    let config = |kernel: LstmKernel, hidden: usize, threads: usize| SimConfig {
-        k: 4,
-        warmup: 30,
-        retrain_every: 40,
-        model: ModelSpec::Lstm(LstmConfig {
-            hidden,
-            epochs: 2,
-            kernel,
-            ..Default::default()
-        }),
-        compute: ComputeOptions {
-            threads,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let run = |c: SimConfig| {
-        Simulation::new(c)
-            .unwrap()
-            .run(&trace, Resource::Cpu)
-            .unwrap()
-    };
-    // Bitwise parity below lane width: the lane gemv degenerates to the
-    // order-preserving scalar tail.
-    assert_eq!(
-        run(config(LstmKernel::SimdFlat, 4, 1)),
-        run(config(LstmKernel::FusedFlat, 4, 1)),
-        "SimdFlat diverged from FusedFlat below lane width"
-    );
-    // Determinism at lane width: thread count must be invisible.
-    let sequential = run(config(LstmKernel::SimdFlat, 16, 1));
-    for threads in [2, 8] {
-        assert_eq!(
-            run(config(LstmKernel::SimdFlat, 16, threads)),
-            sequential,
-            "SimdFlat nondeterministic at {threads} threads"
-        );
-    }
-}
-
-fn config_with_ingest(ingest: IngestMode) -> SimConfig {
+fn base_config() -> SimConfig {
     SimConfig {
         k: 4,
         warmup: 30,
         retrain_every: 40,
-        ingest,
         ..Default::default()
     }
 }
 
-/// The flat frame-based collection plane is bit-identical to the seed
-/// per-report path: same `SimReport` (exact `f64` equality) from the
+/// The seed's collection loop, kept as the reference the frame drivers are
+/// held to: one [`AdaptiveTransmitter`] per node, one heap [`Report`] per
+/// transmission, [`Controller::tick`]. With a degraded link each of the
+/// `shards` sending edges puts its tick's reports on its own link as one
+/// frame — the only payload the link plane carries — and the controller
+/// unpacks what arrives into reports again.
+fn reference_run(config: &SimConfig, trace: &Trace, shards: usize) -> SimReport {
+    assert!(
+        !config.delivery.arq.is_enabled(),
+        "no ARQ edge in the reference"
+    );
+    let (n, steps) = (trace.num_nodes(), trace.num_steps());
+    let mut controller = Controller::new(ControllerConfig {
+        num_nodes: n,
+        k: config.k,
+        m: config.m,
+        m_prime: config.m_prime,
+        warmup: config.warmup,
+        retrain_every: config.retrain_every,
+        model: config.model.clone(),
+        seed: config.seed,
+        compute: config.compute,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut transmitters = vec![
+        AdaptiveTransmitter::new(TransmitConfig {
+            budget: config.budget,
+            v0: config.v0,
+            gamma: config.gamma,
+        });
+        n
+    ];
+    let mut links: Vec<LinkModel<ReportFrame>> = if config.delivery.is_passthrough() {
+        Vec::new()
+    } else {
+        (0..shards)
+            .map(|s| LinkModel::new(config.delivery.link, s))
+            .collect()
+    };
+    let meter = Meter::new();
+    let (mut staleness, mut intermediate) = (TimeAveragedRmse::new(), TimeAveragedRmse::new());
+    let mut sent = 0u64;
+    for t in 0..steps {
+        let x = trace.snapshot(Resource::Cpu, t).unwrap();
+        // Bootstrap tick: everyone reports, and the transmitters consume
+        // their clock against z = x.
+        let zs = if t == 0 {
+            x.clone()
+        } else {
+            controller.stored().to_vec()
+        };
+        let mut reports: Vec<Report> = (0..n)
+            .filter(|&i| transmitters[i].decide(&[x[i]], &[zs[i]]) || t == 0)
+            .map(|i| Report {
+                node: i,
+                t,
+                values: vec![x[i]],
+            })
+            .collect();
+        sent += reports.len() as u64;
+        if !links.is_empty() {
+            let mut arrived = Vec::new();
+            for (s, link) in links.iter_mut().enumerate() {
+                let mut frame = ReportFrame::new(1);
+                frame.reset(t);
+                for r in &reports[..] {
+                    if (s * n / shards..(s + 1) * n / shards).contains(&r.node) {
+                        frame.push_scalar(r.node, r.values[0]);
+                    }
+                }
+                link.send(frame, t, n);
+                arrived.extend(link.collect(t).iter().flat_map(ReportFrame::to_reports));
+            }
+            reports = arrived;
+        }
+        // Bandwidth is counted at delivery.
+        reports.iter().for_each(|r| meter.record(r));
+        let tick = controller.tick(reports).unwrap();
+        staleness.add(rmse_step_scalar(controller.stored(), &x));
+        intermediate.add(tick.intermediate_rmse);
+    }
+    let mut link = LinkSummary::default();
+    links.iter().for_each(|l| link.merge(l.summary()));
+    SimReport {
+        steps,
+        messages: meter.messages(),
+        bytes: meter.bytes(),
+        realized_frequency: sent as f64 / (steps as f64 * n as f64),
+        staleness_rmse: staleness.value(),
+        intermediate_rmse: intermediate.value(),
+        quarantined: controller.quarantined(),
+        model_fallbacks: controller.model_fallbacks(),
+        fallback_fit_failures: controller.fallback_fit_failures(),
+        duplicates: controller.duplicates(),
+        mean_age: controller.age().mean(),
+        peak_age: controller.age().peak(),
+        masked_node_steps: controller.masked_node_steps(),
+        link,
+        forecast_table_rebuilds: controller.forecast_table_rebuilds(),
+        forecast_reads_served: controller.forecast_reads_served(),
+    }
+}
+
+/// The frame-based collection plane is bit-identical to the seed
+/// per-report loop: same `SimReport` (exact `f64` equality) from the
 /// single-threaded driver and from the threaded driver at shard counts
 /// 1, 2, and 8.
 #[test]
-fn frame_ingest_bit_identical_to_report_ingest_at_any_shard_count() {
+fn frame_drivers_bit_identical_to_the_per_report_reference_at_any_shard_count() {
     let trace = trace();
-    let seed_path = Simulation::new(config_with_ingest(IngestMode::Reports))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    let frame_path = Simulation::new(config_with_ingest(IngestMode::Frame))
+    let seed_path = reference_run(&base_config(), &trace, 1);
+    let frame_path = Simulation::new(base_config())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
     assert_eq!(frame_path, seed_path, "single-threaded frame path diverged");
-    // The full seed stack — per-report ingest plus the nested points path
-    // into the clustering stage — must also match the optimized stack.
-    let full_seed_stack = Simulation::new(SimConfig {
-        compute: ComputeOptions {
-            flat_points: false,
-            ..Default::default()
-        },
-        ..config_with_ingest(IngestMode::Reports)
-    })
-    .unwrap()
-    .run(&trace, Resource::Cpu)
-    .unwrap();
-    assert_eq!(full_seed_stack, seed_path, "nested points path diverged");
     for shards in [1, 2, 8] {
-        let threaded_frame = run_threaded(
-            &config_with_ingest(IngestMode::Frame),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
+        let threaded = run_threaded(&base_config(), &trace, Resource::Cpu, shards).unwrap();
         assert_eq!(
-            threaded_frame, seed_path,
+            threaded, seed_path,
             "threaded frame path diverged at {shards} shards"
-        );
-        let threaded_reports = run_threaded(
-            &config_with_ingest(IngestMode::Reports),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        assert_eq!(
-            threaded_reports, seed_path,
-            "threaded report path diverged at {shards} shards"
         );
     }
 }
@@ -409,7 +342,7 @@ fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
             shards: 4,
             ..Default::default()
         },
-        ..config_with_ingest(IngestMode::Frame)
+        ..base_config()
     };
     let reference = Simulation::new(hier_config.clone())
         .unwrap()
@@ -425,17 +358,17 @@ fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
     }
 }
 
-/// Under injected in-flight corruption, the frame and per-report ingest
-/// paths stay bit-identical — same quarantine and duplicate counters, same
-/// link accounting — at shard counts 1, 2, and 8. This holds because the
-/// link draws corruption **per payload entry**: a frame with E entries and
-/// a report batch with E entries consume the same RNG stream, and each
-/// shard's stream derives from `(plan seed, shard)` alone.
+/// Under injected in-flight corruption, the frame drivers and the
+/// per-report reference stay bit-identical — same quarantine and duplicate
+/// counters, same link accounting — at shard counts 1, 2, and 8: admission
+/// of a corrupted entry is the same decision whether it arrives in a frame
+/// (`tick_frames`) or as a report (`tick`), and each shard's link stream
+/// derives from `(plan seed, shard)` alone.
 #[test]
-fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
+fn corrupt_link_frame_drivers_bit_identical_to_the_per_report_reference() {
     use utilcast_simnet::link::{DeliveryOptions, LinkPlan};
     let trace = trace();
-    let corrupt_config = |ingest: IngestMode| SimConfig {
+    let corrupt_config = SimConfig {
         delivery: DeliveryOptions {
             link: LinkPlan {
                 corrupt_prob: 0.25,
@@ -444,13 +377,10 @@ fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
             },
             ..DeliveryOptions::none()
         },
-        ..config_with_ingest(ingest)
+        ..base_config()
     };
-    let report_path = Simulation::new(corrupt_config(IngestMode::Reports))
-        .unwrap()
-        .run(&trace, Resource::Cpu)
-        .unwrap();
-    let frame_path = Simulation::new(corrupt_config(IngestMode::Frame))
+    let report_path = reference_run(&corrupt_config, &trace, 1);
+    let frame_path = Simulation::new(corrupt_config.clone())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
@@ -464,24 +394,12 @@ fn corrupt_link_frame_ingest_bit_identical_to_report_ingest() {
         "single-threaded frame path diverged under corruption"
     );
     for shards in [1, 2, 8] {
-        let threaded_frame = run_threaded(
-            &corrupt_config(IngestMode::Frame),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        let threaded_reports = run_threaded(
-            &corrupt_config(IngestMode::Reports),
-            &trace,
-            Resource::Cpu,
-            shards,
-        )
-        .unwrap();
-        assert!(threaded_frame.quarantined > 0);
+        let threaded = run_threaded(&corrupt_config, &trace, Resource::Cpu, shards).unwrap();
+        assert!(threaded.quarantined > 0);
         assert_eq!(
-            threaded_frame, threaded_reports,
-            "frame vs report ingest diverged under corruption at {shards} shards"
+            threaded,
+            reference_run(&corrupt_config, &trace, shards),
+            "frame driver vs per-report reference diverged under corruption at {shards} shards"
         );
     }
 }
@@ -546,6 +464,108 @@ fn crash_restore_across_an_arima_refit_tick_replays_identically() {
     assert_eq!(restarted.snapshot(), uninterrupted.snapshot());
 }
 
+const FIXTURE_NODES: usize = 24;
+/// Ticks the fixture's controller had processed when it was written.
+const FIXTURE_CUT: usize = 20;
+
+/// The controller `fixtures/checkpoint_pr18.json` was cut from, as it is
+/// spelled today: the writer's `ComputeOptions` and `LstmConfig` were the
+/// defaults of the retired kernel/mode fields.
+fn fixture_controller() -> Controller {
+    Controller::new(ControllerConfig {
+        num_nodes: FIXTURE_NODES,
+        k: 3,
+        m_prime: 3,
+        warmup: 28,
+        retrain_every: 12,
+        model: ModelSpec::Lstm(LstmConfig {
+            window: 4,
+            hidden: 3,
+            epochs: 1,
+            seed: 3,
+            ..Default::default()
+        }),
+        seed: 11,
+        compute: ComputeOptions {
+            shards: 4,
+            retrain_stagger: true,
+            staleness_age_limit: 3,
+            cold_reseed_every: 9,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// Tick `t` of the fixture run (exact arithmetic only): three groups
+/// swinging on different periods, every node silent on every third tick.
+fn fixture_frame(t: usize, frame: &mut ReportFrame) {
+    frame.reset(t);
+    for node in 0..FIXTURE_NODES {
+        if t > 0 && (t + node).is_multiple_of(3) {
+            continue;
+        }
+        let group = node % 3;
+        let period = 10 + 4 * group;
+        let phase = ((t + 3 * group) % period) as f64 / period as f64;
+        let swing = 0.05 * (1.0 - 4.0 * (phase - 0.5).abs());
+        let own = ((t * 31 + node * 17) % 23) as f64 / 23.0 - 0.5;
+        frame.push_scalar(node, 0.2 + 0.3 * group as f64 + swing + 0.02 * own);
+    }
+}
+
+/// A checkpoint written by the last commit that had the kernel/mode matrix
+/// (under its defaults, 20 ticks in, models not yet trained — the LSTM fits
+/// happen on this side, so the replay does not depend on the writer's libm)
+/// carries `kernel`, `flat_points`, `warm_start`, `shard_kernel`,
+/// `bank_kernel`, `shard_assign` and `LstmConfig.kernel`. It must restore
+/// into exactly the state an uninterrupted controller has at that tick and
+/// replay the next 30 ticks — first fits and a staggered retrain included —
+/// bit for bit.
+#[test]
+fn checkpoint_written_under_the_mode_matrix_restores_and_replays_bitwise() {
+    let json = include_str!("fixtures/checkpoint_pr18.json");
+    for retired in [
+        "\"kernel\":\"CachedNorms\"",
+        "\"kernel\":\"FusedFlat\"",
+        "\"flat_points\":true",
+        "\"warm_start\":true",
+        "\"shard_kernel\":\"Full\"",
+        "\"bank_kernel\":\"PerRow\"",
+        "\"shard_assign\":[]",
+    ] {
+        assert!(json.contains(retired), "fixture lost its {retired} key");
+    }
+    let mut frame = ReportFrame::new(1);
+    let mut drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
+        ticks
+            .map(|t| {
+                fixture_frame(t, &mut frame);
+                (c.tick_frame(&frame).unwrap(), c.forecast(4).unwrap())
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut uninterrupted = fixture_controller();
+    drive(&mut uninterrupted, 0..FIXTURE_CUT);
+    let mut restored = Controller::restore(serde_json::from_str(json).unwrap()).unwrap();
+    assert_eq!(
+        restored.snapshot(),
+        uninterrupted.snapshot(),
+        "the unknown keys must be all the restore dropped"
+    );
+    let replay = drive(&mut restored, FIXTURE_CUT..FIXTURE_CUT + 30);
+    assert!(
+        replay.iter().filter(|(tick, _)| tick.retrained).count() > 1,
+        "the replay must cross the first fits and a staggered retrain"
+    );
+    assert_eq!(
+        replay,
+        drive(&mut uninterrupted, FIXTURE_CUT..FIXTURE_CUT + 30)
+    );
+    assert_eq!(restored.snapshot(), uninterrupted.snapshot());
+}
+
 const PROP_NODES: usize = 6;
 
 fn arb_tick_reports() -> impl Strategy<Value = Vec<(usize, f64)>> {
@@ -560,7 +580,6 @@ fn concurrent_controller() -> Controller {
         retrain_every: 5,
         compute: ComputeOptions {
             threads: 8,
-            warm_start: true,
             cold_reseed_every: 7,
             retrain_stagger: true,
             ..Default::default()

@@ -11,54 +11,21 @@
 //! such models are needed for the whole datacenter, so each one trains in
 //! seconds on a laptop core (Table II).
 //!
-//! Three compute paths implement the same math (see [`LstmKernel`]): the
-//! original allocating scalar loops (`Exact`, kept as the differential
-//! reference), a fused flat-buffer path (`FusedFlat`, the default) built
-//! on the blocked kernels in `utilcast_linalg::kernels` with one recycled
-//! workspace per fit instead of per-step `Vec<Vec<f64>>` caches, and a
-//! SIMD-shaped lane path (`SimdFlat`) that swaps each fused kernel for its
-//! `utilcast_linalg::simd` lane twin. `Exact` and `FusedFlat` are
-//! bit-identical by construction — every accumulator sees the same IEEE op
-//! sequence — and a proptest suite enforces it. `SimdFlat` is bit-identical
-//! too whenever `hidden < utilcast_linalg::simd::LANES` (the lane dot
-//! degenerates to the scalar tail); at wider hidden sizes the lane `gemv`
-//! row dots reassociate and the parity suite bounds the drift by the
-//! documented tolerance envelope instead.
+//! Training and forecasting run one compute path: fused flat-buffer
+//! kernels from `utilcast_linalg::kernels` (blocked GEMV, rank-1 update,
+//! fused gate activation) over one recycled workspace per fit. The
+//! allocating nested-`Vec` scalar loops it replaced are kept as the
+//! `#[cfg(test)]` oracle in `lstm/oracle.rs`; the two are bit-identical by
+//! construction — every accumulator sees the same IEEE op sequence — and
+//! the differential suite beside the oracle enforces it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc};
 use utilcast_linalg::rng::normal;
-use utilcast_linalg::simd::{gemv_lanes, gemv_t_lanes, lstm_gate_fuse_lanes, rank1_lanes};
 
 use crate::{Forecaster, TimeSeriesError};
-
-/// Which compute path the trainer runs.
-///
-/// `Exact` and `FusedFlat` produce bit-identical weights, training MSE, and
-/// forecasts; the fused path is the production default, the exact path is
-/// the transparent scalar reference kept for differential tests and
-/// benchmarking. `SimdFlat` matches them bit for bit when
-/// `hidden < utilcast_linalg::simd::LANES`; at wider hidden sizes its lane
-/// `gemv` reassociates the per-row dot and results agree within the
-/// tolerance envelope documented in `utilcast_linalg::simd`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LstmKernel {
-    /// The original nested-`Vec` scalar loops with per-step cache
-    /// allocation.
-    Exact,
-    /// Blocked flat-buffer GEMV/rank-1 kernels with fused gate activation
-    /// and a recycled forward/backward workspace.
-    #[default]
-    FusedFlat,
-    /// The fused flat path with every kernel swapped for its SIMD-shaped
-    /// lane twin from `utilcast_linalg::simd` (fixed-width `[f64; 8]`
-    /// accumulators over `chunks_exact`, shaped so LLVM autovectorizes).
-    /// Same workspace, same op count — only the `gemv` row-dot reduction
-    /// order differs, and only when `hidden >= 8`.
-    SimdFlat,
-}
 
 /// Hyperparameters for [`Lstm`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,9 +44,6 @@ pub struct LstmConfig {
     pub grad_clip: f64,
     /// RNG seed for weight initialization and sample shuffling.
     pub seed: u64,
-    /// Compute path; see [`LstmKernel`] for the parity contract between
-    /// the three.
-    pub kernel: LstmKernel,
 }
 
 impl Default for LstmConfig {
@@ -92,13 +56,8 @@ impl Default for LstmConfig {
             learning_rate: 0.01,
             grad_clip: 1.0,
             seed: 0,
-            kernel: LstmKernel::FusedFlat,
         }
     }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// One LSTM layer's parameters: gate order is (input, forget, candidate,
@@ -114,19 +73,6 @@ struct LstmLayer {
     /// recurrent weights (`4*hidden x hidden`, row-major), gate biases
     /// (`4*hidden`).
     params: Vec<f64>,
-}
-
-/// Cached activations of one layer over one sequence, for BPTT (exact path).
-#[derive(Debug, Clone, Default)]
-struct LayerCache {
-    /// Inputs x_t per step.
-    xs: Vec<Vec<f64>>,
-    /// Gate activations per step: i, f, g, o (each `hidden` long).
-    gates: Vec<[Vec<f64>; 4]>,
-    /// Cell states per step.
-    cs: Vec<Vec<f64>>,
-    /// Hidden states per step.
-    hs: Vec<Vec<f64>>,
 }
 
 impl LstmLayer {
@@ -207,130 +153,9 @@ impl LstmLayer {
     fn b(&self) -> &[f64] {
         &self.params[self.b_offset()..]
     }
-
-    /// Runs the layer over a sequence, returning the hidden states and a
-    /// cache for BPTT (exact scalar path).
-    fn forward(&self, sequence: &[Vec<f64>]) -> LayerCache {
-        let h = self.hidden;
-        let mut cache = LayerCache::default();
-        let mut h_prev = vec![0.0; h];
-        let mut c_prev = vec![0.0; h];
-        for x in sequence {
-            debug_assert_eq!(x.len(), self.input);
-            // z = Wx x + Wh h_prev + b, packed (i, f, g, o).
-            let mut z = self.b().to_vec();
-            for (row, zv) in z.iter_mut().enumerate() {
-                let wx_row = &self.wx()[row * self.input..(row + 1) * self.input];
-                for (w, xv) in wx_row.iter().zip(x) {
-                    *zv += w * xv;
-                }
-                let wh_row = &self.wh()[row * h..(row + 1) * h];
-                for (w, hv) in wh_row.iter().zip(&h_prev) {
-                    *zv += w * hv;
-                }
-            }
-            let mut gi = vec![0.0; h];
-            let mut gf = vec![0.0; h];
-            let mut gg = vec![0.0; h];
-            let mut go = vec![0.0; h];
-            for j in 0..h {
-                gi[j] = sigmoid(z[j]);
-                gf[j] = sigmoid(z[h + j]);
-                gg[j] = z[2 * h + j].tanh();
-                go[j] = sigmoid(z[3 * h + j]);
-            }
-            let mut c = vec![0.0; h];
-            let mut hidden_state = vec![0.0; h];
-            for j in 0..h {
-                c[j] = gf[j] * c_prev[j] + gi[j] * gg[j];
-                hidden_state[j] = go[j] * c[j].tanh();
-            }
-            cache.xs.push(x.clone());
-            cache.gates.push([gi, gf, gg, go]);
-            cache.cs.push(c.clone());
-            cache.hs.push(hidden_state.clone());
-            c_prev = c;
-            h_prev = hidden_state;
-        }
-        cache
-    }
-
-    /// BPTT through the cached sequence (exact scalar path). `dh_per_step[t]`
-    /// is the external gradient flowing into `h_t` (from the head or the
-    /// layer above). Returns `(grads, dx_per_step)` where `grads` matches the
-    /// parameter layout `[wx | wh | b]` flattened.
-    fn backward(&self, cache: &LayerCache, dh_per_step: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
-        let h = self.hidden;
-        let steps = cache.xs.len();
-        let mut d_wx = vec![0.0; 4 * h * self.input];
-        let mut d_wh = vec![0.0; 4 * h * h];
-        let mut d_b = vec![0.0; 4 * h];
-        let mut dxs = vec![vec![0.0; self.input]; steps];
-        let mut dh_next = vec![0.0; h];
-        let mut dc_next = vec![0.0; h];
-        for t in (0..steps).rev() {
-            let [gi, gf, gg, go] = &cache.gates[t];
-            let c = &cache.cs[t];
-            let c_prev: &[f64] = if t == 0 { &[] } else { &cache.cs[t - 1] };
-            let h_prev: &[f64] = if t == 0 { &[] } else { &cache.hs[t - 1] };
-            let mut dh: Vec<f64> = dh_per_step[t].clone();
-            for (a, b) in dh.iter_mut().zip(&dh_next) {
-                *a += b;
-            }
-            let mut dz = vec![0.0; 4 * h];
-            let mut dc_prev = vec![0.0; h];
-            for j in 0..h {
-                let tanh_c = c[j].tanh();
-                let dc = dc_next[j] + dh[j] * go[j] * (1.0 - tanh_c * tanh_c);
-                let d_o = dh[j] * tanh_c;
-                let cp = if t == 0 { 0.0 } else { c_prev[j] };
-                let d_i = dc * gg[j];
-                let d_f = dc * cp;
-                let d_g = dc * gi[j];
-                dz[j] = d_i * gi[j] * (1.0 - gi[j]);
-                dz[h + j] = d_f * gf[j] * (1.0 - gf[j]);
-                dz[2 * h + j] = d_g * (1.0 - gg[j] * gg[j]);
-                dz[3 * h + j] = d_o * go[j] * (1.0 - go[j]);
-                dc_prev[j] = dc * gf[j];
-            }
-            // Accumulate parameter gradients and propagate to x and h_prev.
-            let mut dh_prev = vec![0.0; h];
-            for (row, &dzv) in dz.iter().enumerate() {
-                // lint:allow(float-eq): exact zero skip of a no-op
-                // gradient row; tiny gradients must still accumulate
-                if dzv == 0.0 {
-                    continue;
-                }
-                let x = &cache.xs[t];
-                for (k, xv) in x.iter().enumerate() {
-                    d_wx[row * self.input + k] += dzv * xv;
-                }
-                if t > 0 {
-                    for (k, hv) in h_prev.iter().enumerate() {
-                        d_wh[row * h + k] += dzv * hv;
-                    }
-                }
-                d_b[row] += dzv;
-                let wx_row = &self.wx()[row * self.input..(row + 1) * self.input];
-                for (k, w) in wx_row.iter().enumerate() {
-                    dxs[t][k] += dzv * w;
-                }
-                let wh_row = &self.wh()[row * h..(row + 1) * h];
-                for (k, w) in wh_row.iter().enumerate() {
-                    dh_prev[k] += dzv * w;
-                }
-            }
-            dh_next = dh_prev;
-            dc_next = dc_prev;
-        }
-        let mut grads = d_wx;
-        grads.extend(d_wh);
-        grads.extend(d_b);
-        (grads, dxs)
-    }
 }
 
-/// Recycled per-layer buffers for the fused flat path: forward activations
+/// Recycled per-layer buffers: forward activations
 /// over the whole window plus the gradient accumulator, laid out flat.
 #[derive(Debug, Clone, Default)]
 struct LayerWs {
@@ -353,8 +178,8 @@ struct LayerWs {
     grads: Vec<f64>,
 }
 
-/// One recycled workspace per fit/forecast: all per-step state the exact
-/// path allocates fresh, hoisted into flat buffers.
+/// One recycled workspace per fit/forecast: all per-step state, hoisted
+/// into flat buffers.
 #[derive(Debug, Clone)]
 struct Workspace {
     layers: Vec<LayerWs>,
@@ -372,13 +197,10 @@ struct Workspace {
     zeros: Vec<f64>,
     /// Head gradient buffer, `hidden + 1`.
     head_grads: Vec<f64>,
-    /// `true` routes every kernel call through the SIMD-shaped lane twins
-    /// in `utilcast_linalg::simd` ([`LstmKernel::SimdFlat`]).
-    simd: bool,
 }
 
 impl Workspace {
-    fn new(layers: &[LstmLayer], steps: usize, simd: bool) -> Self {
+    fn new(layers: &[LstmLayer], steps: usize) -> Self {
         let h = layers.last().map_or(0, |l| l.hidden);
         Workspace {
             layers: layers
@@ -399,23 +221,19 @@ impl Workspace {
             dc_scratch: vec![0.0; h],
             zeros: vec![0.0; h],
             head_grads: vec![0.0; h + 1],
-            simd,
         }
     }
 }
 
 /// Fused forward pass of one layer over `steps` inputs (`xs` is the flat
 /// `steps x input` input sequence). Writes gates/cell/hidden states into the
-/// layer workspace. Bit-identical to [`LstmLayer::forward`]: each `z[row]`
-/// starts at the bias and accumulates the `wx` terms then the `wh` terms in
-/// ascending column order, and the gate fusion replays the scalar sequence.
-/// At `t == 0` the recurrent contribution is skipped outright — the exact
-/// path adds `w * 0.0` terms there, which cannot change any accumulator bit
-/// (an accumulator built from `+=` of finite terms is never `-0.0`).
-///
-/// With `simd` set, every kernel call routes to its lane twin in
-/// `utilcast_linalg::simd`; only the `gemv` row-dot reduction order can
-/// differ, and only when the row length reaches the lane width.
+/// layer workspace. Bit-identical to the scalar oracle's layer forward: each
+/// `z[row]` starts at the bias and accumulates the `wx` terms then the `wh`
+/// terms in ascending column order, and the gate fusion replays the scalar
+/// sequence. At `t == 0` the recurrent contribution is skipped outright —
+/// the oracle adds `w * 0.0` terms there, which cannot change any
+/// accumulator bit (an accumulator built from `+=` of finite terms is never
+/// `-0.0`).
 // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
 // affine in the hidden/input dims fixed at construction, with buffer
 // lengths debug_asserted at kernel entry; exemplar chain:
@@ -429,20 +247,13 @@ fn forward_layer_fused(
     z: &mut [f64],
     zeros: &[f64],
     lw: &mut LayerWs,
-    simd: bool,
 ) {
     let h = layer.hidden;
     let input = layer.input;
-    let gemv = if simd { gemv_lanes } else { gemv_acc };
-    let gate_fuse = if simd {
-        lstm_gate_fuse_lanes
-    } else {
-        lstm_gate_fuse
-    };
     for t in 0..steps {
         let z_t = &mut z[..4 * h];
         z_t.copy_from_slice(layer.b());
-        gemv(
+        gemv_acc(
             z_t,
             layer.wx(),
             4 * h,
@@ -454,14 +265,14 @@ fn forward_layer_fused(
         let tanh_c_cur = &mut lw.tanh_cs[t * h..(t + 1) * h];
         // At t == 0 the recurrent term is `W_h · 0` and `c_prev` is the zero
         // state: skipping the gemv and fusing against the shared zero buffer
-        // reproduces the exact path's arithmetic term for term.
+        // reproduces the oracle's arithmetic term for term.
         let c_prev: &[f64] = if t > 0 {
-            gemv(z_t, layer.wh(), 4 * h, h, &h_done[(t - 1) * h..]);
+            gemv_acc(z_t, layer.wh(), 4 * h, h, &h_done[(t - 1) * h..]);
             &c_done[(t - 1) * h..]
         } else {
             &zeros[..h]
         };
-        gate_fuse(
+        lstm_gate_fuse(
             z_t,
             c_prev,
             h,
@@ -477,11 +288,10 @@ fn forward_layer_fused(
 /// per-step hidden gradient (`lw.dh`), accumulates parameter gradients into
 /// `lw.grads` (caller pre-zeroes), and, when `dx_out` is given, writes the
 /// per-step input gradients (pre-zeroed by the caller) for the layer below.
-/// Bit-identical to [`LstmLayer::backward`]: the scalar path skips rows with
-/// an exactly-zero `dz`, which only ever adds `±0.0` terms — a bitwise no-op
-/// on accumulators that `+=` finite values — so the kernels run unconditionally.
-/// With `simd` set, the rank-1 and transposed-gemv calls route to their lane
-/// twins, which are order-preserving (bitwise) — see `utilcast_linalg::simd`.
+/// Bit-identical to the scalar oracle's layer backward: the scalar path skips
+/// rows with an exactly-zero `dz`, which only ever adds `±0.0` terms — a
+/// bitwise no-op on accumulators that `+=` finite values — so the kernels run
+/// unconditionally.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
 // affine in the hidden/input dims fixed at construction, with buffer
@@ -504,12 +314,9 @@ fn backward_layer_fused(
     dh_carry: &mut [f64],
     dc_carry: &mut [f64],
     dc_scratch: &mut [f64],
-    simd: bool,
 ) {
     let h = layer.hidden;
     let input = layer.input;
-    let rank1 = if simd { rank1_lanes } else { rank1_acc };
-    let gemv_t = if simd { gemv_t_lanes } else { gemv_t_acc };
     let wh_off = layer.wh_offset();
     let b_off = layer.b_offset();
     for v in dh_carry.iter_mut() {
@@ -541,15 +348,15 @@ fn backward_layer_fused(
             dc_scratch[j] = dc * gf;
         }
         let dz_t = &dz[..4 * h];
-        rank1(&mut grads[..wh_off], dz_t, &xs[t * input..(t + 1) * input]);
+        rank1_acc(&mut grads[..wh_off], dz_t, &xs[t * input..(t + 1) * input]);
         if t > 0 {
-            rank1(&mut grads[wh_off..b_off], dz_t, &lw_hs[(t - 1) * h..t * h]);
+            rank1_acc(&mut grads[wh_off..b_off], dz_t, &lw_hs[(t - 1) * h..t * h]);
         }
         for (g, &d) in grads[b_off..].iter_mut().zip(dz_t) {
             *g += d;
         }
         if let Some(dx) = dx_out.as_deref_mut() {
-            gemv_t(
+            gemv_t_acc(
                 &mut dx[t * input..(t + 1) * input],
                 layer.wx(),
                 4 * h,
@@ -560,7 +367,7 @@ fn backward_layer_fused(
         for v in dh_carry.iter_mut() {
             *v = 0.0;
         }
-        gemv_t(dh_carry, layer.wh(), 4 * h, h, dz_t);
+        gemv_t_acc(dh_carry, layer.wh(), 4 * h, h, dz_t);
         dc_carry.copy_from_slice(dc_scratch);
     }
 }
@@ -585,7 +392,6 @@ impl Adam {
     }
 
     /// Applies one Adam update, handing each parameter's delta to `out`.
-    /// This is the allocation-free core shared by both compute paths.
     fn apply(&mut self, grads: &[f64], clip: f64, mut out: impl FnMut(usize, f64)) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
@@ -604,18 +410,6 @@ impl Adam {
             let vh = self.v[i] / bc2;
             out(i, -self.lr * mh / (vh.sqrt() + EPS));
         }
-    }
-
-    /// Applies one Adam update; returns the per-parameter deltas (exact
-    /// path).
-    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
-    // affine in the hidden/input dims fixed at construction, with buffer
-    // lengths debug_asserted at kernel entry; exemplar chain:
-    // core::multi::MultiPipeline::step -> timeseries::lstm::Adam::step
-    fn step(&mut self, grads: &[f64], clip: f64) -> Vec<f64> {
-        let mut deltas = vec![0.0; grads.len()];
-        self.apply(grads, clip, |i, d| deltas[i] = d);
-        deltas
     }
 }
 
@@ -688,35 +482,7 @@ impl Lstm {
         Ok(())
     }
 
-    /// Full forward pass (exact path): window of normalized values -> scalar
-    /// prediction. Returns `(prediction, caches, head_input)`.
-    fn forward(state: &LstmState, window: &[f64]) -> (f64, Vec<LayerCache>, Vec<f64>) {
-        let mut seq: Vec<Vec<f64>> = window.iter().map(|&v| vec![v]).collect();
-        let mut caches = Vec::with_capacity(state.layers.len());
-        for layer in &state.layers {
-            let cache = layer.forward(&seq);
-            seq = cache.hs.clone();
-            caches.push(cache);
-        }
-        // `validate` rejects window == 0 before any forward pass; an empty
-        // sequence maps to the zero hidden state rather than a panic.
-        let last_h = match seq.last() {
-            Some(h) => h.clone(),
-            None => vec![0.0; state.head_w.len()],
-        };
-        let pre: f64 = state
-            .head_w
-            .iter()
-            .zip(&last_h)
-            .map(|(w, h)| w * h)
-            .sum::<f64>()
-            + state.head_b;
-        // ReLU head (utilizations are non-negative on the normalized scale).
-        let y = pre.max(0.0);
-        (y, caches, last_h)
-    }
-
-    /// Full forward pass (fused path) into the recycled workspace. Returns
+    /// Full forward pass into the recycled workspace. Returns
     /// the pre-activation of the head (`y = pre.max(0.0)`); the top layer's
     /// last hidden state stays readable in the workspace.
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
@@ -727,22 +493,13 @@ impl Lstm {
     // timeseries::lstm::Lstm::forward_fused
     fn forward_fused(state: &LstmState, ws: &mut Workspace, window: &[f64]) -> f64 {
         let steps = window.len();
-        let simd = ws.simd;
         for (idx, layer) in state.layers.iter().enumerate() {
             let (below, cur) = ws.layers.split_at_mut(idx);
             let lw = &mut cur[0];
             if idx == 0 {
-                forward_layer_fused(layer, window, steps, &mut ws.z, &ws.zeros, lw, simd);
+                forward_layer_fused(layer, window, steps, &mut ws.z, &ws.zeros, lw);
             } else {
-                forward_layer_fused(
-                    layer,
-                    &below[idx - 1].hs,
-                    steps,
-                    &mut ws.z,
-                    &ws.zeros,
-                    lw,
-                    simd,
-                );
+                forward_layer_fused(layer, &below[idx - 1].hs, steps, &mut ws.z, &ws.zeros, lw);
             }
         }
         let h = state.head_w.len();
@@ -841,7 +598,6 @@ fn fused_train_sample(
             &mut ws.dh_carry,
             &mut ws.dc_carry,
             &mut ws.dc_scratch,
-            ws.simd,
         );
     }
     // Apply Adam updates in place — no delta vectors allocated.
@@ -866,84 +622,21 @@ fn fused_train_sample(
     err * err
 }
 
-/// One exact training step — the original allocating scalar path, kept as
-/// the differential reference. Returns the squared error of the sample.
-// lint:allow(panic-path): fn-scope audit: gate and weight offsets are
-// affine in the hidden/input dims fixed at construction, with buffer
-// lengths debug_asserted at kernel entry; exemplar chain:
-// clustering::baselines::StaticClustering::fit ->
-// timeseries::lstm::Lstm::fit -> timeseries::lstm::exact_train_sample
-fn exact_train_sample(
-    state: &mut LstmState,
-    window: &[f64],
-    target: f64,
-    layer_opts: &mut [Adam],
-    head_opt: &mut Adam,
-    hidden: usize,
-    grad_clip: f64,
-) -> f64 {
-    let (y, caches, last_h) = Lstm::forward(state, window);
-    let err = y - target;
-    // dLoss/dy for squared error (factor 2 folded into lr).
-    let mut dy = err;
-    // ReLU gate.
-    let pre = state
-        .head_w
-        .iter()
-        .zip(&last_h)
-        .map(|(w, h)| w * h)
-        .sum::<f64>()
-        + state.head_b;
-    if pre <= 0.0 {
-        // Leaky gradient through the ReLU during training so the
-        // single output unit cannot die permanently.
-        dy *= 0.01;
-    }
-    // Head gradients.
-    let mut head_grads: Vec<f64> = last_h.iter().map(|h| dy * h).collect();
-    head_grads.push(dy);
-    // Gradient into the top layer's last hidden state.
-    let steps = window.len();
-    let mut dh_top = vec![vec![0.0; hidden]; steps];
-    for (j, w) in state.head_w.iter().enumerate() {
-        dh_top[steps - 1][j] = dy * w;
-    }
-    // Backward through the stack.
-    let mut dh_per_step = dh_top;
-    let mut layer_grads: Vec<Vec<f64>> = Vec::with_capacity(state.layers.len());
-    for (layer, cache) in state.layers.iter().zip(&caches).rev() {
-        let (grads, dxs) = layer.backward(cache, &dh_per_step);
-        layer_grads.push(grads);
-        dh_per_step = dxs;
-    }
-    layer_grads.reverse();
-    // Apply Adam updates.
-    for ((layer, grads), opt) in state
-        .layers
-        .iter_mut()
-        .zip(&layer_grads)
-        .zip(layer_opts.iter_mut())
-    {
-        let deltas = opt.step(grads, grad_clip);
-        for (p, d) in layer.params.iter_mut().zip(&deltas) {
-            *p += d;
-        }
-    }
-    let head_deltas = head_opt.step(&head_grads, grad_clip);
-    for (w, d) in state.head_w.iter_mut().zip(&head_deltas) {
-        *w += d;
-    }
-    state.head_b += head_deltas[hidden];
-    err * err
-}
-
-impl Forecaster for Lstm {
+impl Lstm {
+    /// The fit driver over any per-sample training step `(state, window,
+    /// target, layer optimizers, head optimizer) -> squared error` — the
+    /// seam through which the `#[cfg(test)]` oracle runs its scalar step on
+    /// the same normalization, initialization and shuffle sequence.
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
     // affine in the hidden/input dims fixed at construction, with buffer
     // lengths debug_asserted at kernel entry; exemplar chain:
     // clustering::baselines::StaticClustering::fit ->
-    // timeseries::lstm::Lstm::fit
-    fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::Lstm::fit_with
+    fn fit_with(
+        &mut self,
+        history: &[f64],
+        mut train_sample: impl FnMut(&mut LstmState, &[f64], f64, &mut [Adam], &mut Adam) -> f64,
+    ) -> Result<(), TimeSeriesError> {
         self.validate()?;
         let c = self.config.clone();
         let needed = c.window + 2;
@@ -988,11 +681,6 @@ impl Forecaster for Lstm {
             .map(|&n| Adam::new(n, c.learning_rate))
             .collect();
         let mut head_opt = Adam::new(c.hidden + 1, c.learning_rate);
-        let mut ws = match c.kernel {
-            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, c.window, false)),
-            LstmKernel::SimdFlat => Some(Workspace::new(&state.layers, c.window, true)),
-            LstmKernel::Exact => None,
-        };
 
         let mut last_epoch_mse = f64::INFINITY;
         for _epoch in 0..c.epochs {
@@ -1007,26 +695,7 @@ impl Forecaster for Lstm {
             let mut sse = 0.0;
             for &(start, target) in &samples {
                 let window = &norm[start..start + c.window];
-                sse += match ws.as_mut() {
-                    Some(ws) => fused_train_sample(
-                        &mut state,
-                        ws,
-                        window,
-                        target,
-                        &mut layer_opts,
-                        &mut head_opt,
-                        c.grad_clip,
-                    ),
-                    None => exact_train_sample(
-                        &mut state,
-                        window,
-                        target,
-                        &mut layer_opts,
-                        &mut head_opt,
-                        c.hidden,
-                        c.grad_clip,
-                    ),
-                };
+                sse += train_sample(&mut state, window, target, &mut layer_opts, &mut head_opt);
             }
             last_epoch_mse = sse / samples.len() as f64;
         }
@@ -1038,12 +707,21 @@ impl Forecaster for Lstm {
         Ok(())
     }
 
+    /// The closed-loop forecast driver over any one-step predictor `(state,
+    /// normalized window) -> normalized prediction` (the oracle's seam, like
+    /// [`Lstm::fit_with`]).
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
     // affine in the hidden/input dims fixed at construction, with buffer
     // lengths debug_asserted at kernel entry; exemplar chain:
     // timeseries::arima::Arima::forecast_with_interval ->
-    // timeseries::lstm::Lstm::forecast
-    fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
+    // timeseries::lstm::Lstm::forecast ->
+    // timeseries::lstm::Lstm::forecast_with
+    fn forecast_with(
+        &self,
+        history: &[f64],
+        horizon: usize,
+        mut predict: impl FnMut(&LstmState, &[f64]) -> f64,
+    ) -> Result<Vec<f64>, TimeSeriesError> {
         let state = self.state.as_ref().ok_or(TimeSeriesError::NotFitted)?;
         let w = self.config.window;
         if history.len() < w {
@@ -1061,17 +739,9 @@ impl Forecaster for Lstm {
             .iter()
             .map(|v| ((v - state.lo) / span).clamp(-0.5, 1.5))
             .collect();
-        let mut ws = match self.config.kernel {
-            LstmKernel::FusedFlat => Some(Workspace::new(&state.layers, w, false)),
-            LstmKernel::SimdFlat => Some(Workspace::new(&state.layers, w, true)),
-            LstmKernel::Exact => None,
-        };
         let mut out = Vec::with_capacity(horizon);
         for _ in 0..horizon {
-            let y = match ws.as_mut() {
-                Some(ws) => Lstm::forward_fused(state, ws, &window).max(0.0),
-                None => Lstm::forward(state, &window).0,
-            };
+            let y = predict(state, &window);
             out.push(state.lo + y * span);
             window.remove(0);
             // Clamp the recursive feedback to the (slightly padded)
@@ -1081,11 +751,35 @@ impl Forecaster for Lstm {
         }
         Ok(out)
     }
+}
+
+impl Forecaster for Lstm {
+    fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        let grad_clip = self.config.grad_clip;
+        let mut ws = None;
+        self.fit_with(history, |state, window, target, layer_opts, head_opt| {
+            let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
+            fused_train_sample(state, ws, window, target, layer_opts, head_opt, grad_clip)
+        })
+    }
+
+    fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
+        let mut ws = None;
+        self.forecast_with(history, horizon, |state, window| {
+            let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
+            Lstm::forward_fused(state, ws, window).max(0.0)
+        })
+    }
 
     fn name(&self) -> &'static str {
         "lstm"
     }
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1100,7 +794,6 @@ mod tests {
             learning_rate: 0.02,
             grad_clip: 1.0,
             seed: 3,
-            kernel: LstmKernel::FusedFlat,
         }
     }
 
@@ -1230,137 +923,26 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_bit_identical_to_exact() {
-        // The headline determinism contract: same seed, same series ->
-        // identical weights, MSE, and forecasts, bit for bit, across the
-        // two compute paths. (The proptest suite widens this over shapes.)
-        let series: Vec<f64> = (0..120)
-            .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
-            .collect();
-        let mut exact = Lstm::new(LstmConfig {
-            kernel: LstmKernel::Exact,
-            ..tiny_config()
-        });
-        let mut fused = Lstm::new(tiny_config());
-        exact.fit(&series).unwrap();
-        fused.fit(&series).unwrap();
-        assert_eq!(exact.train_mse().unwrap(), fused.train_mse().unwrap());
-        assert_eq!(exact.state, fused.state, "fitted state must match bitwise");
-        assert_eq!(
-            exact.forecast(&series, 8).unwrap(),
-            fused.forecast(&series, 8).unwrap()
-        );
-    }
-
-    #[test]
-    fn simd_kernel_bit_identical_below_lane_width() {
-        // With hidden < LANES every lane reduction degenerates to the
-        // scalar tail, so SimdFlat must reproduce FusedFlat bit for bit.
-        let series: Vec<f64> = (0..120)
-            .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
-            .collect();
-        let cfg = LstmConfig {
-            hidden: 4,
-            ..tiny_config()
-        };
-        let mut fused = Lstm::new(cfg.clone());
-        let mut simd = Lstm::new(LstmConfig {
-            kernel: LstmKernel::SimdFlat,
-            ..cfg
-        });
-        fused.fit(&series).unwrap();
-        simd.fit(&series).unwrap();
-        assert_eq!(fused.state, simd.state, "fitted state must match bitwise");
-        assert_eq!(
-            fused.forecast(&series, 8).unwrap(),
-            simd.forecast(&series, 8).unwrap()
-        );
-    }
-
-    #[test]
-    fn simd_kernel_close_to_fused_at_lane_width() {
-        // At hidden >= LANES the lane gemv reassociates; training still has
-        // to land on an equivalent model (same series, same seed).
-        let series: Vec<f64> = (0..120)
-            .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
-            .collect();
-        let mut fused = Lstm::new(tiny_config());
-        let mut simd = Lstm::new(LstmConfig {
-            kernel: LstmKernel::SimdFlat,
-            ..tiny_config()
-        });
-        fused.fit(&series).unwrap();
-        simd.fit(&series).unwrap();
-        let a = fused.forecast(&series, 4).unwrap();
-        let b = simd.forecast(&series, 4).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!(
-                (x - y).abs() < 1e-3,
-                "forecasts diverged beyond tolerance: {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn gradient_check_single_layer() {
-        // Numerical gradient check of the LSTM layer backward pass: perturb
-        // one weight and compare finite difference against analytic grad.
-        let mut rng = StdRng::seed_from_u64(9);
-        let layer = LstmLayer::new(1, 4, &mut rng);
-        let seq: Vec<Vec<f64>> = vec![vec![0.3], vec![-0.1], vec![0.5]];
-        // Loss = sum of final hidden state.
-        let loss = |l: &LstmLayer| -> f64 { l.forward(&seq).hs.last().unwrap().iter().sum() };
-        let cache = layer.forward(&seq);
-        let mut dh = vec![vec![0.0; 4]; 3];
-        dh[2] = vec![1.0; 4];
-        let (grads, _) = layer.backward(&cache, &dh);
-        // Check a few wx entries and a bias entry.
-        let eps = 1e-6;
-        for &idx in &[0usize, 3, 7] {
-            let mut lp = layer.clone();
-            lp.params[idx] += eps;
-            let mut lm = layer.clone();
-            lm.params[idx] -= eps;
-            let numeric = (loss(&lp) - loss(&lm)) / (2.0 * eps);
-            let analytic = grads[idx];
-            assert!(
-                (numeric - analytic).abs() < 1e-5,
-                "wx[{idx}]: numeric {numeric} vs analytic {analytic}"
-            );
-        }
-        let b_offset = layer.b_offset();
-        let mut lp = layer.clone();
-        lp.params[b_offset + 2] += eps;
-        let mut lm = layer.clone();
-        lm.params[b_offset + 2] -= eps;
-        let numeric = (loss(&lp) - loss(&lm)) / (2.0 * eps);
-        assert!(
-            (numeric - grads[b_offset + 2]).abs() < 1e-5,
-            "bias grad mismatch"
-        );
-    }
-
-    #[test]
     fn gradient_check_fused_backward() {
-        // Same finite-difference check against the fused flat-buffer
-        // backward pass: run forward + backward through the workspace and
-        // compare analytic gradients to numeric ones from the fused forward.
+        // Finite-difference check of the fused flat-buffer backward pass:
+        // run forward + backward through the workspace and compare analytic
+        // gradients to numeric ones from the fused forward.
         let mut rng = StdRng::seed_from_u64(9);
         let layer = LstmLayer::new(2, 4, &mut rng);
         let xs = vec![0.3, -0.2, -0.1, 0.4, 0.5, 0.05];
         let steps = 3;
         let fused_loss = |l: &LstmLayer| -> f64 {
-            let mut ws = Workspace::new(std::slice::from_ref(l), steps, false);
+            let mut ws = Workspace::new(std::slice::from_ref(l), steps);
             let mut z = vec![0.0; 4 * l.hidden];
             let zeros = vec![0.0; l.hidden];
-            forward_layer_fused(l, &xs, steps, &mut z, &zeros, &mut ws.layers[0], false);
+            forward_layer_fused(l, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
             ws.layers[0].hs[(steps - 1) * l.hidden..].iter().sum()
         };
-        let mut ws = Workspace::new(std::slice::from_ref(&layer), steps, false);
+        let mut ws = Workspace::new(std::slice::from_ref(&layer), steps);
         {
             let mut z = vec![0.0; 4 * layer.hidden];
             let zeros = vec![0.0; layer.hidden];
-            forward_layer_fused(&layer, &xs, steps, &mut z, &zeros, &mut ws.layers[0], false);
+            forward_layer_fused(&layer, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
         }
         // dLoss/dh = 1 on the last step only.
         let mut dh = vec![0.0; steps * layer.hidden];
@@ -1384,7 +966,6 @@ mod tests {
             &mut ws.dh_carry,
             &mut ws.dc_carry,
             &mut ws.dc_scratch,
-            false,
         );
         let eps = 1e-6;
         // Probe entries across all three parameter blocks.

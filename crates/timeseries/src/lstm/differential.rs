@@ -1,0 +1,178 @@
+//! Differential tests: the fused flat-buffer training and forecasting path
+//! against the scalar [`super::oracle`] it replaced — same training
+//! trajectory (per-epoch MSE), same fitted state, same forecasts. Equality
+//! is exact floating-point equality, never a tolerance: both sides call the
+//! same libm `exp`/`tanh` on the same inputs.
+
+#![cfg(test)]
+
+use proptest::prelude::*;
+
+use super::*;
+
+/// A bounded synthetic utilization-like series: deterministic mix of trend,
+/// seasonality, and hash noise.
+fn series(n: usize, seed: u64) -> Vec<f64> {
+    (0..n)
+        .map(|t| {
+            let wave = ((t as f64) * 0.35).sin() * 0.2;
+            let noise = (((t as u64).wrapping_mul(2654435761).wrapping_add(seed * 97)) % 1000)
+                as f64
+                / 10_000.0;
+            0.5 + wave + noise
+        })
+        .collect()
+}
+
+/// The same model fitted through the oracle and through the production path.
+fn fit_pair(config: &LstmConfig, data: &[f64]) -> (Lstm, Lstm) {
+    let mut exact = Lstm::new(config.clone());
+    let mut fused = Lstm::new(config.clone());
+    exact.fit_exact(data).expect("oracle fit");
+    fused.fit(data).expect("fused fit");
+    (exact, fused)
+}
+
+proptest! {
+    /// Fused training and forecasting are bitwise equal to the scalar
+    /// oracle across window/hidden/layer/epoch/seed shapes.
+    #[test]
+    fn fused_path_bit_identical_across_shapes(
+        window in 2usize..6,
+        hidden in 1usize..6,
+        layers in 1usize..3,
+        epochs in 1usize..4,
+        seed in 0u64..1000,
+        data_seed in 0u64..1000,
+    ) {
+        let config = LstmConfig {
+            window,
+            hidden,
+            layers,
+            epochs,
+            learning_rate: 0.02,
+            grad_clip: 1.0,
+            seed,
+        };
+        let data = series(window * 4 + 24, data_seed);
+        let (exact, fused) = fit_pair(&config, &data);
+        // Training trajectory: the last-epoch MSE is an accumulation over
+        // every per-sample forward/backward pass, so bitwise equality here
+        // certifies the whole trajectory matched.
+        prop_assert_eq!(
+            exact.train_mse().expect("trained").to_bits(),
+            fused.train_mse().expect("trained").to_bits(),
+            "train_mse diverged"
+        );
+        prop_assert_eq!(&exact.state, &fused.state, "fitted state diverged");
+        // Closed-loop multi-step forecasts feed predictions back through
+        // the network, compounding any kernel difference.
+        let ef = exact.forecast_exact(&data, 8).expect("oracle forecast");
+        let ff = fused.forecast(&data, 8).expect("fused forecast");
+        for (h, (e, f)) in ef.iter().zip(ff.iter()).enumerate() {
+            prop_assert_eq!(e.to_bits(), f.to_bits(), "forecast h={} diverged", h);
+        }
+    }
+
+    /// Both paths accept the same minimum history and reject the same short
+    /// inputs.
+    #[test]
+    fn fused_path_same_error_surface(
+        window in 2usize..6,
+        seed in 0u64..100,
+    ) {
+        let config = LstmConfig {
+            window,
+            hidden: 3,
+            layers: 1,
+            epochs: 1,
+            learning_rate: 0.02,
+            grad_clip: 1.0,
+            seed,
+        };
+        let short = series(window, seed); // too short: needs window + 2
+        let mut exact = Lstm::new(config.clone());
+        let mut fused = Lstm::new(config);
+        prop_assert_eq!(exact.fit_exact(&short), fused.fit(&short));
+    }
+}
+
+/// The headline contract at the benchmark's width (hidden 8) and the
+/// default one (16): identical weights, MSE and forecasts, bit for bit.
+#[test]
+fn fused_path_bit_identical_at_production_widths() {
+    let data: Vec<f64> = (0..120)
+        .map(|t| 0.4 + 0.3 * (t as f64 * 0.21).sin() + 0.01 * (t % 7) as f64)
+        .collect();
+    for hidden in [8, 16] {
+        let config = LstmConfig {
+            window: 8,
+            hidden,
+            epochs: 3,
+            learning_rate: 0.02,
+            seed: 3,
+            ..Default::default()
+        };
+        let (exact, fused) = fit_pair(&config, &data);
+        assert_eq!(exact.state, fused.state, "hidden {hidden}");
+        assert_eq!(
+            exact.forecast_exact(&data, 8).unwrap(),
+            fused.forecast(&data, 8).unwrap(),
+            "hidden {hidden}"
+        );
+    }
+}
+
+/// Forecast feedback clamps engage on out-of-range data; the clamp path
+/// must also be bit-identical.
+#[test]
+fn fused_path_bit_identical_with_clamped_feedback() {
+    let config = LstmConfig {
+        window: 4,
+        hidden: 4,
+        layers: 2,
+        epochs: 3,
+        learning_rate: 0.05,
+        grad_clip: 0.5,
+        seed: 7,
+    };
+    // Data hugging the range edges so normalized values hit the clamps.
+    let data: Vec<f64> = (0..40)
+        .map(|t| if t % 7 < 3 { 0.001 } else { 0.999 })
+        .collect();
+    let (exact, fused) = fit_pair(&config, &data);
+    let ef = exact.forecast_exact(&data, 12).expect("oracle forecast");
+    let ff = fused.forecast(&data, 12).expect("fused forecast");
+    assert_eq!(ef, ff);
+}
+
+/// Numerical gradient check of the oracle's layer backward pass: perturb
+/// one weight and compare the finite difference against the analytic
+/// gradient.
+#[test]
+fn gradient_check_oracle_layer() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let layer = LstmLayer::new(1, 4, &mut rng);
+    let seq: Vec<Vec<f64>> = vec![vec![0.3], vec![-0.1], vec![0.5]];
+    // Loss = sum of final hidden state.
+    let loss = |l: &LstmLayer| -> f64 { l.forward(&seq).hs.last().unwrap().iter().sum() };
+    let cache = layer.forward(&seq);
+    let mut dh = vec![vec![0.0; 4]; 3];
+    dh[2] = vec![1.0; 4];
+    let (grads, _) = layer.backward(&cache, &dh);
+    // Check a few wx entries and a bias entry.
+    let eps = 1e-6;
+    let b_offset = layer.b_offset();
+    for idx in [0usize, 3, 7, b_offset + 2] {
+        let mut lp = layer.clone();
+        lp.params[idx] += eps;
+        let mut lm = layer.clone();
+        lm.params[idx] -= eps;
+        let numeric = (loss(&lp) - loss(&lm)) / (2.0 * eps);
+        assert!(
+            (numeric - grads[idx]).abs() < 1e-5,
+            "param[{idx}]: numeric {numeric} vs analytic {}",
+            grads[idx]
+        );
+    }
+}

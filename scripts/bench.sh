@@ -1,26 +1,20 @@
 #!/usr/bin/env bash
 # Quick-mode benchmark run: criterion micro-benchmarks for the per-step
 # primitives (k-means, Hungarian matching, pipeline tick) plus the
-# controller scaling report, which records the baseline-vs-optimized
-# N=1000/K=10/d=2 tick benchmark in BENCH_controller.json at the repo
-# root, the forecast-training hot-path report, which records the
-# per-cluster retrain speedup (fused LSTM kernels + warm-started ARIMA)
-# and the staggered-retraining tick profile in BENCH_forecast.json, and
-# the collection-plane ingest report, which records the end-to-end tick
-# speedup of the flat frame path over the seed per-report path at
-# N=10k/100k in BENCH_ingest.json, and the forecast read-plane query
-# report, which records the cached-table per-read speedup over the
-# recompute path plus multi-reader throughput in BENCH_query.json.
+# controller scaling report, which records the N=1000/K=10/d=2 tick, the
+# k-means vector scan and the flat-vs-hierarchical ticks in
+# BENCH_controller.json at the repo root, the forecast-training hot-path
+# report, which records the LSTM fit, the cold-vs-warm auto-ARIMA grid and
+# the staggered-retraining tick profile in BENCH_forecast.json, and the
+# forecast read-plane query report, which records the cached-table per-read
+# speedup over the recompute path plus multi-reader throughput in
+# BENCH_query.json.
 #
-# The three report binaries are built with RUSTFLAGS="-C target-cpu=native"
-# (into their own target dir, target/native, so the portable build cache
-# is untouched): the vectorized kernel tiers (Kernel::SimdNorms,
-# LstmKernel::SimdFlat, BankKernel::Lanes) are safe Rust shaped for
-# autovectorization, and the default x86-64 target caps codegen at SSE2 —
-# native codegen lets the committed JSONs reflect the host's real vector
-# width (AVX2/AVX-512 where present). Parity guards run in the same
-# binaries, so the bitwise contracts are re-checked under native codegen
-# on every refresh.
+# The report binaries are built with RUSTFLAGS="-C target-cpu=native" (into
+# their own target dir, target/native, so the portable build cache is
+# untouched), so the committed JSONs reflect the host's real vector width.
+# Parity guards run in the same binaries, so the bitwise contracts are
+# re-checked under native codegen on every refresh.
 #
 # Usage: scripts/bench.sh [--full]
 #   default    quick mode (few timing reps; minutes, not hours)
@@ -30,11 +24,9 @@ cd "$(dirname "$0")/.."
 
 REPS=32
 FC_RETRAINS=6
-INGEST_TICKS=40
 if [[ "${1:-}" == "--full" ]]; then
   REPS=256
   FC_RETRAINS=16
-  INGEST_TICKS=120
 fi
 
 # Native-codegen build environment for the report binaries only.
@@ -56,17 +48,13 @@ UTILCAST_STEPS="$REPS" report scaling_report
 echo "==> forecast_report (writes BENCH_forecast.json, ${FC_RETRAINS} retrains, native codegen)"
 UTILCAST_STEPS="$FC_RETRAINS" report forecast_report
 
-echo "==> ingest_report (writes BENCH_ingest.json, ${INGEST_TICKS} ticks/pass, native codegen)"
-UTILCAST_STEPS="$INGEST_TICKS" report ingest_report
-
 echo "==> query_report (writes BENCH_query.json, native codegen)"
 report query_report
 
 echo "==> faults_smoke (lossy completion + perfect-link bitwise identity)"
 cargo run --release -p utilcast-bench --bin faults_smoke
 
-echo "Benchmarks complete. Speedup summary:"
-grep -E '"(baseline|optimized)_tick_micros"|"speedup"' BENCH_controller.json
-grep -E '"speedup"|"(mean|max)_micros"' BENCH_forecast.json
-grep -E '"speedup"' BENCH_ingest.json
+echo "Benchmarks complete. Summary:"
+grep -E '"(tick|flat_tick|hier_tick)_micros"|"speedup_vs_flat"' BENCH_controller.json
+grep -E '"speedup"|"(mean|max|cluster_retrain)_micros"' BENCH_forecast.json
 grep -E '"speedup"|"reads_per_sec"' BENCH_query.json

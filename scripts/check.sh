@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build + test suite, the
-# numeric, core and simnet crates' own suites, and the end-to-end
-# benchmark's tests + smoke.
+# Local CI gate: formatting, lints, the tier-1 build + test suite, every
+# workspace crate's own suite, and the end-to-end benchmark's tests + smoke.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,20 +29,17 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-# The root package's tests do not reach the numeric crates' own suites.
-# timeseries and linalg hold the bitwise contracts of the ARIMA fit path:
-# the CSS evaluator and stability screens against their allocating oracle,
-# the Nelder–Mead rewrite against the reference implementation, the
-# warm-start cold-fallback cases and the zero-allocation check of the hot
-# loop. core holds those of the forecast-table build: the Eq. 12 resolve
-# kernel and the fused clip_alpha against their allocating oracle, the
-# allocations-do-not-grow-with-N check, and the hostile-checkpoint cases of
-# ForecastStage::restore. simnet holds the contracts a state-dependent
-# refit could break: crash/restore replay (also across an ARIMA refit
-# tick), the chaos suite, and SimReport equality at any thread and shard
-# count.
-echo "==> cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core -p utilcast-simnet"
-cargo test -q -p utilcast-timeseries -p utilcast-linalg -p utilcast-core -p utilcast-simnet
+# The root package's tests do not reach the crates' own suites, and those
+# hold every plane's oracle: the k-means block scan against the row scan
+# and the nested exact descent (clustering), the fused LSTM path against
+# the scalar loops and the ARIMA CSS evaluator against its allocating
+# twin (timeseries), the Nelder–Mead rewrite (linalg), the transmitter bank
+# against a per-node fleet and the Eq. 12 resolve kernel against its
+# allocating twin (core), the frame drivers against the per-report
+# reference loop, crash/restore replay, the chaos suite and SimReport
+# equality at any thread and shard count (simnet).
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 # The end-to-end benchmark is a workspace of its own (benchmark/), so
 # nothing above builds or tests it. Its unit tests cover the estimator,
@@ -65,17 +61,6 @@ echo "==> bench smoke (forecast_report, tiny scale)"
 SMOKE_DIR="$(mktemp -d)"
 UTILCAST_BENCH_DIR="$SMOKE_DIR" UTILCAST_NODES=64 UTILCAST_STEPS=2 \
   cargo run --release -q -p utilcast-bench --bin forecast_report
-rm -rf "$SMOKE_DIR"
-
-# Smoke-run the collection-plane ingest benchmark at tiny scale. Besides
-# keeping the binary runnable, this exercises its built-in parity guard:
-# ingest_report exits non-zero unless the frame path's SimReport is
-# bit-identical to the seed per-report path (single-threaded and
-# sharded), so a frame/seed divergence fails the gate here.
-echo "==> bench smoke (ingest_report, tiny scale + frame/seed parity guard)"
-SMOKE_DIR="$(mktemp -d)"
-UTILCAST_BENCH_DIR="$SMOKE_DIR" UTILCAST_NODES=64 UTILCAST_STEPS=2 \
-  cargo run --release -q -p utilcast-bench --bin ingest_report
 rm -rf "$SMOKE_DIR"
 
 # Smoke-run the controller scaling benchmark (hierarchical tier) at tiny
