@@ -4,9 +4,9 @@
 //! measurement vector (`F` averages the squared error over resource types,
 //! and one decision ships the whole vector), while clustering and
 //! forecasting run per resource on scalars (Sec. VI-C1). [`MultiPipeline`]
-//! implements exactly that split: one transmitter per node deciding on the
-//! whole vector, one [`crate::stage::ForecastStage`] per resource on the
-//! controller.
+//! implements exactly that split: one width-`d` [`TransmitterBank`] deciding
+//! for every node on the whole vector, one [`crate::stage::ForecastStage`]
+//! per resource on the controller.
 //!
 //! # Example
 //!
@@ -39,7 +39,7 @@ use crate::cluster::SimilarityMeasure;
 use crate::compute::ComputeOptions;
 use crate::pipeline::ModelSpec;
 use crate::stage::{ForecastStage, ForecastStageConfig, StageReport};
-use crate::transmit::{AdaptiveTransmitter, TransmitConfig};
+use crate::transmit::{TransmitConfig, TransmitterBank};
 use crate::CoreError;
 
 /// Configuration of the multi-resource pipeline.
@@ -110,15 +110,13 @@ pub struct MultiStepReport {
 /// The multi-resource pipeline (see module docs).
 pub struct MultiPipeline {
     config: MultiPipelineConfig,
-    transmitters: Vec<AdaptiveTransmitter>,
-    /// Row-major stored values: `stored[node * d + resource]`. Flat so the
-    /// per-resource gather in [`MultiPipeline::step`] reads contiguous
-    /// memory instead of chasing one heap pointer per node.
-    stored: Vec<f64>,
-    /// Scratch buffer for the per-resource gather (avoids a per-resource
-    /// allocation each step).
+    /// The nodes' transmitters; the bank's row-major stored mirror
+    /// (`stored[node * d + resource]`) is the controller's copy.
+    bank: TransmitterBank,
+    /// Scratch buffers: the step's measurements flattened row-major, and
+    /// the per-resource gather (no allocation per step or resource).
+    xbuf: Vec<f64>,
     zbuf: Vec<f64>,
-    started: bool,
     stages: Vec<ForecastStage>,
     t: usize,
     total_transmissions: u64,
@@ -167,20 +165,19 @@ impl MultiPipeline {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let transmitters = (0..config.num_nodes)
-            .map(|_| {
-                AdaptiveTransmitter::new(TransmitConfig {
-                    budget: config.budget,
-                    v0: config.v0,
-                    gamma: config.gamma,
-                })
-            })
-            .collect();
+        let bank = TransmitterBank::with_width(
+            TransmitConfig {
+                budget: config.budget,
+                v0: config.v0,
+                gamma: config.gamma,
+            },
+            config.num_nodes,
+            config.num_resources,
+        );
         Ok(MultiPipeline {
-            stored: vec![0.0; config.num_nodes * config.num_resources],
+            bank,
+            xbuf: Vec::with_capacity(config.num_nodes * config.num_resources),
             zbuf: vec![0.0; config.num_nodes],
-            started: false,
-            transmitters,
             stages,
             t: 0,
             total_transmissions: 0,
@@ -218,9 +215,9 @@ impl MultiPipeline {
     // backstops the proof at runtime; exemplar chain:
     // core::multi::MultiPipeline::stored
     pub fn stored(&self, node: usize) -> &[f64] {
-        assert!(self.started, "pipeline has not processed any step");
+        assert!(self.t > 0, "pipeline has not processed any step");
         let d = self.config.num_resources;
-        &self.stored[node * d..(node + 1) * d]
+        &self.bank.stored()[node * d..(node + 1) * d]
     }
 
     /// Processes one step: `x[node]` is the node's `d`-dimensional fresh
@@ -230,11 +227,6 @@ impl MultiPipeline {
     ///
     /// Returns [`CoreError::NodeCountMismatch`] for a wrong node count or
     /// an inconsistent resource dimension, and propagates stage errors.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // core::multi::MultiPipeline::step
     pub fn step(&mut self, x: &[Vec<f64>]) -> Result<MultiStepReport, CoreError> {
         let n = self.config.num_nodes;
         let d = self.config.num_resources;
@@ -249,28 +241,20 @@ impl MultiPipeline {
                 reason: format!("measurement has {} resources, expected {d}", bad.len()),
             });
         }
-        let mut transmitted = vec![false; n];
-        // Every transmitter is stepped exactly once per tick, so their
-        // clocks agree and the penalty weight V_t — which depends only on
-        // the clock and the shared (V_0, γ) — is computed once for the
-        // whole fleet instead of once per node.
-        let vt = self.transmitters[0].next_vt();
-        if !self.started {
-            for (i, m) in x.iter().enumerate() {
-                self.stored[i * d..(i + 1) * d].copy_from_slice(m);
-                let _ = self.transmitters[i].decide_with_vt(m, m, vt);
-                transmitted[i] = true;
-            }
+        self.xbuf.clear();
+        x.iter().for_each(|m| self.xbuf.extend_from_slice(m));
+        let mut transmitted = Vec::with_capacity(n);
+        if self.t == 0 {
+            // Bootstrap: everyone transmits; the bank still consumes its
+            // clock, against z = x.
+            self.bank
+                .decide_batch_against(&self.xbuf, &self.xbuf, &mut transmitted);
+            self.bank.store_all(&self.xbuf);
+            transmitted.fill(true);
             self.total_transmissions += n as u64;
-            self.started = true;
         } else {
-            for (i, m) in x.iter().enumerate() {
-                if self.transmitters[i].decide_with_vt(m, &self.stored[i * d..(i + 1) * d], vt) {
-                    self.stored[i * d..(i + 1) * d].copy_from_slice(m);
-                    transmitted[i] = true;
-                    self.total_transmissions += 1;
-                }
-            }
+            self.bank.decide_batch(&self.xbuf, &mut transmitted);
+            self.total_transmissions += transmitted.iter().filter(|&&sent| sent).count() as u64;
         }
         self.t += 1;
 
@@ -280,7 +264,7 @@ impl MultiPipeline {
         // length before the gather rather than assuming it.
         z.resize(n, 0.0);
         for (r, stage) in self.stages.iter_mut().enumerate() {
-            for (zi, row) in z.iter_mut().zip(self.stored.chunks_exact(d)) {
+            for (zi, row) in z.iter_mut().zip(self.bank.stored().chunks_exact(d)) {
                 *zi = row[r];
             }
             stages.push(stage.step(&z)?);

@@ -188,13 +188,8 @@ pub struct PipelineConfig {
     /// Number of clusters / forecasting models `K` (the paper's default 3).
     pub k: usize,
     /// Transmission-frequency budget `B` (the paper's default 0.3), applied
-    /// to every node unless [`PipelineConfig::per_node_budgets`] overrides
-    /// it.
+    /// to every node.
     pub budget: f64,
-    /// Optional heterogeneous per-node budgets `B_i` (the paper states the
-    /// constraint per node). When set, must contain one entry per node,
-    /// each within `(0, 1]`; overrides [`PipelineConfig::budget`].
-    pub per_node_budgets: Option<Vec<f64>>,
     /// Lyapunov `V_0` (see [`crate::transmit::TransmitConfig`] for the
     /// scaling discussion; paper: 1e-12, effective default here: 1.0).
     pub v0: f64,
@@ -229,7 +224,6 @@ impl Default for PipelineConfig {
             num_nodes: 100,
             k: 3,
             budget: 0.3,
-            per_node_budgets: None,
             v0: 1.0,
             gamma: 0.65,
             m: 1,
@@ -318,11 +312,6 @@ impl Pipeline {
     ///
     /// Returns [`CoreError::InvalidConfig`] when `num_nodes == 0`,
     /// `k == 0`, `k > num_nodes`, or the budget is outside `(0, 1]`.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // core::pipeline::Pipeline::new
     pub fn new(config: PipelineConfig) -> Result<Self, CoreError> {
         if config.num_nodes == 0 {
             return Err(CoreError::InvalidConfig {
@@ -342,39 +331,17 @@ impl Pipeline {
                 reason: format!("budget must be within (0, 1], got {}", config.budget),
             });
         }
-        if let Some(budgets) = &config.per_node_budgets {
-            if budgets.len() != config.num_nodes {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "per_node_budgets has {} entries for {} nodes",
-                        budgets.len(),
-                        config.num_nodes
-                    ),
-                });
-            }
-            if let Some(bad) = budgets.iter().find(|b| !(**b > 0.0 && **b <= 1.0)) {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!("per-node budget {bad} outside (0, 1]"),
-                });
-            }
-        }
-        let budget_of = |i: usize| {
-            config
-                .per_node_budgets
-                .as_ref()
-                .map_or(config.budget, |b| b[i])
-        };
         let transmitters = (0..config.num_nodes)
-            .map(|i| match config.transmission {
+            .map(|_| match config.transmission {
                 TransmissionMode::Adaptive => {
                     Transmitter::Adaptive(AdaptiveTransmitter::new(TransmitConfig {
-                        budget: budget_of(i),
+                        budget: config.budget,
                         v0: config.v0,
                         gamma: config.gamma,
                     }))
                 }
                 TransmissionMode::Uniform => {
-                    Transmitter::Uniform(UniformTransmitter::new(budget_of(i)))
+                    Transmitter::Uniform(UniformTransmitter::new(config.budget))
                 }
                 TransmissionMode::Always => Transmitter::Always,
             })
@@ -768,49 +735,6 @@ mod tests {
         run(&mut p, 12, n);
         assert_eq!(p.centroid_history(0).len(), 12);
         assert_eq!(p.centroid_history(1).len(), 12);
-    }
-
-    #[test]
-    fn per_node_budgets_are_validated_and_applied() {
-        // Wrong length rejected.
-        assert!(matches!(
-            Pipeline::new(PipelineConfig {
-                per_node_budgets: Some(vec![0.5; 3]),
-                ..quick_config(4, 2)
-            }),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-        // Out-of-range entry rejected.
-        assert!(matches!(
-            Pipeline::new(PipelineConfig {
-                per_node_budgets: Some(vec![0.5, 0.5, 0.5, 1.5]),
-                ..quick_config(4, 2)
-            }),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-        // Heterogeneous budgets: node 0 gets a tiny budget, node 3 a big
-        // one; under uniform mode the realized schedule is exact.
-        let n = 4;
-        let mut p = Pipeline::new(PipelineConfig {
-            transmission: TransmissionMode::Uniform,
-            per_node_budgets: Some(vec![0.1, 0.1, 0.5, 0.5]),
-            warmup: 10_000,
-            ..quick_config(n, 2)
-        })
-        .unwrap();
-        let mut sent = vec![0usize; n];
-        for t in 0..200 {
-            let x: Vec<f64> = (0..n).map(|i| two_group_series(t, i, n)).collect();
-            let report = p.step(&x).unwrap();
-            for (i, &b) in report.transmitted.iter().enumerate() {
-                if b {
-                    sent[i] += 1;
-                }
-            }
-        }
-        // First step transmits everything; afterwards the schedules differ
-        // by a factor of ~5.
-        assert!(sent[0] < sent[2] / 3, "sent {sent:?}");
     }
 
     #[test]

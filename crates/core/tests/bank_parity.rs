@@ -56,26 +56,28 @@ proptest! {
         assert_parity_scalar(TransmitConfig { budget, v0, gamma }, &trace)?;
     }
 
-    /// Width-2 parity: the bank's mean-squared-error reduction over rows
-    /// must match the per-node transmitter's multi-dimensional `decide`.
+    /// Width-2 and width-3 parity (`MultiPipeline` runs a width-`d` bank):
+    /// the bank's mean-squared-error reduction over rows must match the
+    /// per-node transmitter's multi-dimensional `decide`.
     #[test]
-    fn bank_matches_fleet_width_two(
+    fn bank_matches_fleet_width_two_and_three(
         budget in 0.05f64..1.0,
         v0 in 0.0f64..5.0,
+        width in 2usize..4,
         trace in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1.0, 10),
+            proptest::collection::vec(0.0f64..1.0, 15),
             1..40,
         ),
     ) {
         let config = TransmitConfig { budget, v0, gamma: 0.65 };
         let n = 5;
-        let width = 2;
         let mut fleet: Vec<AdaptiveTransmitter> =
             (0..n).map(|_| AdaptiveTransmitter::new(config)).collect();
         let mut fleet_stored = vec![vec![0.0f64; width]; n];
         let mut bank = TransmitterBank::with_width(config, n, width);
         let mut decisions = Vec::new();
         for xs in &trace {
+            let xs = &xs[..n * width];
             bank.decide_batch(xs, &mut decisions);
             for (i, tr) in fleet.iter_mut().enumerate() {
                 let row = &xs[i * width..(i + 1) * width];

@@ -328,7 +328,7 @@ impl Controller {
     /// Ingress validation: `Ok` with the payload value for an acceptable
     /// report, `Err` with the rejection reason otherwise. Shared verbatim
     /// by the per-report ([`Controller::tick`]) and frame
-    /// ([`Controller::tick_frame`]) ingest paths, so the two quarantine
+    /// ([`Controller::tick_frames`]) ingest paths, so the two quarantine
     /// behaviours cannot drift apart.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
@@ -492,13 +492,12 @@ impl Controller {
     }
 
     /// Applies one frame's entries into the store (after frame-level
-    /// dedup), updating the per-tick counters. Shared by
-    /// [`Controller::tick_frame`] and [`Controller::tick_frames`].
+    /// dedup), updating the per-tick counters.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts; the overflow-checked debug-assert CI job
     // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick_frame ->
+    // simnet::controller::Controller::tick_frames ->
     // simnet::controller::Controller::ingest_frame
     fn ingest_frame(
         &mut self,
@@ -532,44 +531,29 @@ impl Controller {
         }
     }
 
-    /// [`Controller::tick`] over a flat [`ReportFrame`]: applies each
-    /// admitted entry straight into the flat stored vector, with no
-    /// per-report allocation and no sorting pass.
+    /// One tick over a batch of [`ReportFrame`]s: each frame passes
+    /// sequence dedup and per-entry validation in slice order, then the
+    /// clustering + model-update stage runs once. The drivers hand it
+    /// either one frame per sending shard (passthrough) or whatever the
+    /// delivery plane delivered this tick — zero frames (all in flight or
+    /// lost) or several (delayed originals, retransmissions, duplicates).
     ///
-    /// Every frame entry runs the exact ingress validation of the
-    /// per-report path (same quarantine semantics, including intra-frame
-    /// duplicates). On the healthy direct path the drivers' shard sweep
-    /// pushes entries in ascending node order — which equals the
-    /// `(node, t)` sort order [`Controller::tick`] establishes since a
+    /// Entries are applied straight into the flat stored vector, with no
+    /// per-report allocation and no sorting pass, under the exact ingress
+    /// validation of [`Controller::tick`] (same quarantine semantics,
+    /// including intra-frame duplicates). The drivers' shards push entries
+    /// in ascending node order and come in shard order — which equals the
+    /// `(node, t)` sort order [`Controller::tick`] establishes, since a
     /// frame carries a single tick — so both paths apply reports in the
-    /// same order and stay bit-identical. Under a degraded link no
-    /// ordering is assumed: corrupted node ids and redelivered frames are
-    /// handled by validation and sequence dedup instead.
+    /// same order and stay bit-identical. Under a degraded link no ordering
+    /// is assumed: corrupted node ids and redelivered frames are handled by
+    /// validation and sequence dedup instead.
     ///
     /// Frames carrying a delivery-layer sequence number
     /// ([`ReportFrame::seq`]) are deduplicated per source before any entry
     /// is applied: a redelivered sequence number drops the whole frame
     /// (counted in [`Controller::duplicate_frames`]), giving exactly-once
     /// admission on top of at-least-once delivery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering errors.
-    pub fn tick_frame(&mut self, frame: &ReportFrame) -> Result<TickReport, SimError> {
-        let mut applied = 0usize;
-        let mut quarantined = 0usize;
-        let mut duplicates = 0usize;
-        self.ingest_frame(frame, &mut applied, &mut quarantined, &mut duplicates);
-        self.finish_tick(applied, quarantined, duplicates)
-    }
-
-    /// One tick over a batch of delivered frames — the delivery-plane
-    /// ingest entry point. Under a degraded link a single tick can
-    /// deliver zero frames (all in flight or lost) or several (delayed
-    /// originals, retransmissions, duplicates), so the controller accepts
-    /// a slice: each frame passes sequence dedup and per-entry validation
-    /// in delivery order, then the clustering + model-update stage runs
-    /// once.
     ///
     /// # Errors
     ///
@@ -908,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn tick_frame_matches_tick_bitwise() {
+    fn tick_frames_matches_tick_bitwise() {
         // The frame ingest path must reproduce the per-report path exactly,
         // including quarantine of bad values and intra-frame duplicates.
         let mut per_report = Controller::new(quick_config(4, 2)).unwrap();
@@ -936,7 +920,7 @@ mod tests {
                 frame.push_scalar(n, v);
             }
             let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frame(&frame).unwrap();
+            let b = framed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             assert_eq!(a, b, "tick reports diverged at t = {t}");
             assert_eq!(per_report.stored(), framed.stored());
         }

@@ -15,13 +15,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
+use utilcast_core::transmit::AdaptiveTransmitter;
 use utilcast_datasets::{Resource, Trace};
 
-use crate::controller::{Controller, ControllerConfig, ControllerSnapshot};
 use crate::link::{LinkModel, LinkPlan};
 use crate::sim::{SimConfig, SimReport};
+use crate::slot::Slot;
 use crate::transport::Report;
 use crate::SimError;
 
@@ -172,17 +171,23 @@ fn corrupt(r: &mut Report, variant: usize, num_nodes: usize) {
 }
 
 /// Runs the simulation under a fault plan. Crashed nodes neither measure
-/// nor transmit (their transmitter clock keeps running — the budget is per
-/// wall-clock step); lost and partitioned reports consume the sender's
-/// budget but never reach the controller, exactly as a UDP-style telemetry
-/// channel behaves; corrupted reports arrive (and cost bandwidth) but are
-/// quarantined by the controller's ingress validation; a controller crash
-/// discards all live state and restores the latest checkpoint.
+/// nor transmit, and they skip their decision, so their transmitter clock
+/// stops while they are down and resumes where it stopped on restart; lost
+/// and partitioned reports consume the sender's budget but never reach the
+/// controller, exactly as a UDP-style telemetry channel behaves; corrupted
+/// reports arrive (and cost bandwidth) but are quarantined by the
+/// controller's ingress validation; a controller crash discards all live
+/// state and restores the latest checkpoint. Collection stays per node —
+/// a crashed node's stopped clock is what a lockstep bank cannot express —
+/// and everything after it runs on the slot engine the other drivers share,
+/// query probes included.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] for invalid probabilities or empty
-/// partition windows, and propagates controller errors.
+/// Returns [`SimError::InvalidConfig`] for invalid probabilities, empty
+/// partition windows, or a non-passthrough [`SimConfig::delivery`] (this
+/// driver's channel is [`FaultPlan::link`]), and propagates controller
+/// errors.
 pub fn run_with_faults(
     config: &SimConfig,
     trace: &Trace,
@@ -190,34 +195,17 @@ pub fn run_with_faults(
     plan: &FaultPlan,
 ) -> Result<FaultReport, SimError> {
     plan.validate()?;
-    if !(config.budget > 0.0 && config.budget <= 1.0) {
+    if !config.delivery.is_passthrough() {
         return Err(SimError::InvalidConfig {
-            reason: format!("budget must be within (0, 1], got {}", config.budget),
+            reason: "run_with_faults degrades its channel through FaultPlan::link; \
+                     SimConfig::delivery must be passthrough"
+                .into(),
         });
     }
     let n = trace.num_nodes();
-    let steps = trace.num_steps();
-    let mut controller = Controller::new(ControllerConfig {
-        num_nodes: n,
-        k: config.k,
-        m: config.m,
-        m_prime: config.m_prime,
-        warmup: config.warmup,
-        retrain_every: config.retrain_every,
-        model: config.model.clone(),
-        seed: config.seed,
-        compute: config.compute,
-        ..Default::default()
-    })?;
-    let mut transmitters: Vec<AdaptiveTransmitter> = (0..n)
-        .map(|_| {
-            AdaptiveTransmitter::new(TransmitConfig {
-                budget: config.budget,
-                v0: config.v0,
-                gamma: config.gamma,
-            })
-        })
-        .collect();
+    let checkpoints = plan.checkpoint_every > 0 || plan.controller_crash_prob > 0.0;
+    let mut slot = Slot::new(config, n, 1, checkpoints.then_some(plan.checkpoint_every))?;
+    let mut transmitters = vec![AdaptiveTransmitter::new(config.transmit_config()); n];
     let mut rng = StdRng::seed_from_u64(plan.seed);
     // Degraded channel between the nodes and the controller. Reports that
     // survive the legacy loss/partition/corruption stages travel through
@@ -226,34 +214,20 @@ pub fn run_with_faults(
     let mut link: Option<LinkModel<Report>> =
         (!plan.link.is_perfect()).then(|| LinkModel::new(plan.link, 0));
     let mut up = vec![true; n];
-    let mut staleness = TimeAveragedRmse::new();
-    let mut intermediate = TimeAveragedRmse::new();
-    let mut sent: u64 = 0;
-    let mut delivered_bytes: u64 = 0;
-    let mut delivered: u64 = 0;
     let mut down_node_steps: u64 = 0;
     let mut lost_reports: u64 = 0;
     let mut partitioned_reports: u64 = 0;
     let mut corrupted_reports: u64 = 0;
     let mut controller_crashes: u64 = 0;
-    let mut checkpoints: u64 = 0;
 
-    let checkpoints_wanted = plan.checkpoint_every > 0 || plan.controller_crash_prob > 0.0;
-    let mut last_checkpoint: Option<ControllerSnapshot> = if checkpoints_wanted {
-        checkpoints += 1;
-        Some(controller.snapshot())
-    } else {
-        None
-    };
-
-    for t in 0..steps {
+    for t in 0..trace.num_steps() {
         // Controller crash? (Draw gated on the probability so plans without
         // controller faults keep the exact RNG stream of earlier versions.)
-        if plan.controller_crash_prob > 0.0 && rng.gen::<f64>() < plan.controller_crash_prob {
-            if let Some(cp) = &last_checkpoint {
-                controller = Controller::restore(cp.clone())?;
-                controller_crashes += 1;
-            }
+        if plan.controller_crash_prob > 0.0
+            && rng.gen::<f64>() < plan.controller_crash_prob
+            && slot.crash()?
+        {
+            controller_crashes += 1;
         }
         // Evolve node fault state.
         for flag in up.iter_mut() {
@@ -269,7 +243,8 @@ pub fn run_with_faults(
 
         let x = trace.snapshot(resource, t)?;
         let mut reports = Vec::new();
-        let stored = controller.stored().to_vec();
+        let mut sent: u64 = 0;
+        let stored = slot.stored();
         for i in 0..n {
             if !up[i] {
                 continue;
@@ -299,51 +274,23 @@ pub fn run_with_faults(
                     }
                     match &mut link {
                         Some(link) => link.send(r, t, n),
-                        None => {
-                            delivered_bytes += r.wire_bytes();
-                            delivered += 1;
-                            reports.push(r);
-                        }
+                        None => reports.push(r),
                     }
                 }
             }
         }
-        // Drain the channel: bandwidth is metered at delivery, so lost
-        // payloads cost nothing and duplicated payloads cost twice.
         if let Some(link) = &mut link {
-            for r in link.collect(t) {
-                delivered_bytes += r.wire_bytes();
-                delivered += 1;
-                reports.push(r);
-            }
+            reports.extend(link.collect(t));
         }
-        let tick = controller.tick(reports)?;
-        staleness.add(rmse_step_scalar(controller.stored(), &x));
-        intermediate.add(tick.intermediate_rmse);
-        if plan.checkpoint_every > 0 && (t + 1) % plan.checkpoint_every == 0 {
-            last_checkpoint = Some(controller.snapshot());
-            checkpoints += 1;
-        }
+        slot.step_reports(&x, reports, sent)?;
+    }
+    let checkpoints = slot.checkpoints();
+    let mut sim = slot.finish();
+    if let Some(link) = &link {
+        sim.link = *link.summary();
     }
     Ok(FaultReport {
-        sim: SimReport {
-            steps,
-            messages: delivered,
-            bytes: delivered_bytes,
-            realized_frequency: sent as f64 / (steps as f64 * n as f64),
-            staleness_rmse: staleness.value(),
-            intermediate_rmse: intermediate.value(),
-            quarantined: controller.quarantined(),
-            model_fallbacks: controller.model_fallbacks(),
-            fallback_fit_failures: controller.fallback_fit_failures(),
-            duplicates: controller.duplicates(),
-            mean_age: controller.age().mean(),
-            peak_age: controller.age().peak(),
-            masked_node_steps: controller.masked_node_steps(),
-            link: link.as_ref().map(|l| *l.summary()).unwrap_or_default(),
-            forecast_table_rebuilds: controller.forecast_table_rebuilds(),
-            forecast_reads_served: controller.forecast_reads_served(),
-        },
+        sim,
         down_node_steps,
         lost_reports,
         partitioned_reports,
@@ -387,6 +334,48 @@ mod tests {
         assert_eq!(clean.partitioned_reports, 0);
         assert_eq!(clean.corrupted_reports, 0);
         assert_eq!(clean.controller_crashes, 0);
+    }
+
+    #[test]
+    fn no_fault_plan_serves_query_probes_like_the_reference_driver() {
+        let trace = presets::alibaba_like()
+            .nodes(15)
+            .steps(150)
+            .seed(3)
+            .generate();
+        let probed = SimConfig {
+            query_probe: 3,
+            ..quick_config()
+        };
+        let clean = run_with_faults(&probed, &trace, Resource::Cpu, &FaultPlan::none()).unwrap();
+        let reference = Simulation::new(probed)
+            .unwrap()
+            .run(&trace, Resource::Cpu)
+            .unwrap();
+        assert_eq!(reference.forecast_reads_served, 3 * 150);
+        assert_eq!(clean.sim, reference);
+    }
+
+    #[test]
+    fn delivery_options_are_rejected_for_the_fault_link() {
+        use crate::link::DeliveryOptions;
+        let trace = presets::alibaba_like().nodes(4).steps(10).generate();
+        let config = SimConfig {
+            delivery: DeliveryOptions {
+                link: LinkPlan {
+                    loss_prob: 0.2,
+                    ..LinkPlan::perfect()
+                },
+                ..DeliveryOptions::none()
+            },
+            ..quick_config()
+        };
+        match run_with_faults(&config, &trace, Resource::Cpu, &FaultPlan::none()) {
+            Err(SimError::InvalidConfig { reason }) => {
+                assert!(reason.contains("FaultPlan::link"), "reason: {reason}");
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -7,21 +7,28 @@
 //! controller** receives the messages, maintains the stale store, and runs
 //! dynamic clustering plus per-cluster forecasting. A [`transport`] layer
 //! counts every message and byte so experiments can report communication
-//! cost, and two drivers execute the same simulation:
+//! cost.
 //!
-//! * [`sim::Simulation`] — deterministic single-threaded reference driver;
-//! * [`threaded::run_threaded`] — nodes sharded over worker threads with
-//!   crossbeam channels to the controller; produces *identical* results to
-//!   the reference driver for the same inputs (verified by tests), because
-//!   the controller applies messages in node order within each tick.
+//! Three drivers run that time-slotted loop. Each collects its own way and
+//! hands the tick's reports to one crate-private slot engine, which
+//! delivers them, meters them, ticks the controller, scores the tick,
+//! serves the query probes, checkpoints, and assembles the [`sim::SimReport`]:
+//!
+//! * [`sim::Simulation`] — the whole fleet as one shard, in-thread;
+//! * [`threaded::run_threaded`] — nodes sharded over stateless worker
+//!   threads; produces *identical* results to [`sim::Simulation`] for the
+//!   same inputs (verified by tests), because the controller applies
+//!   messages in node order within each tick;
+//! * [`faults::run_with_faults`] — per-node collection under a
+//!   [`faults::FaultPlan`] of node crashes, message loss, partitions,
+//!   corruption and controller crashes, to quantify how gracefully accuracy
+//!   degrades.
 //!
 //! The crate also carries a resilience layer: the controller validates and
 //! quarantines malformed reports at ingress, can snapshot/restore its full
-//! state for checkpoint recovery ([`controller::ControllerSnapshot`]), the
-//! threaded driver supervises its workers and respawns them after panics
-//! ([`threaded::run_threaded_supervised`]), and [`faults`] injects node
-//! crashes, message loss, partitions, corruption, and controller crashes
-//! to quantify how gracefully accuracy degrades. The [`link`] module
+//! state for checkpoint recovery ([`controller::ControllerSnapshot`]), and
+//! the threaded driver supervises its workers and respawns them after
+//! panics ([`threaded::run_threaded_supervised`]). The [`link`] module
 //! models degraded channels — loss, latency/jitter, duplication,
 //! reordering, bounded capacity — and layers sequence-numbered,
 //! ack/retransmit frame delivery on top (at-least-once delivery,
@@ -52,6 +59,7 @@ mod error;
 pub mod faults;
 pub mod link;
 pub mod sim;
+mod slot;
 pub mod threaded;
 pub mod transport;
 

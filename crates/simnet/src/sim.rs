@@ -2,14 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 use utilcast_core::compute::ComputeOptions;
-use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
 use utilcast_datasets::{Resource, Trace};
 
-use crate::controller::{Controller, ControllerConfig};
-use crate::link::{DeliveryOptions, DeliveryPlane, LinkSummary};
-use crate::transport::{Meter, ReportFrame};
+use crate::controller::ControllerConfig;
+use crate::link::{DeliveryOptions, LinkSummary};
+use crate::slot::{collect_shard, Slot};
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// Full simulation configuration (node side + controller side).
@@ -45,10 +45,11 @@ pub struct SimConfig {
     pub delivery: DeliveryOptions,
     /// Forecast-table point queries served between ticks — the drivers'
     /// stand-in for a live query endpoint (see
-    /// [`Controller::serve_query_probes`]). `0` (default, and absent from
-    /// old configs) serves nothing and preserves the seed path
-    /// bit-identically; the probe pattern is deterministic, so any fixed
-    /// count replays identically across drivers and checkpoint restores.
+    /// [`crate::controller::Controller::serve_query_probes`]). `0`
+    /// (default, and absent from old configs) serves nothing and preserves
+    /// the seed path bit-identically; the probe pattern is deterministic, so
+    /// any fixed count replays identically across drivers and checkpoint
+    /// restores.
     #[serde(default)]
     pub query_probe: usize,
 }
@@ -122,12 +123,53 @@ pub struct SimReport {
     pub forecast_reads_served: u64,
 }
 
+impl SimConfig {
+    /// Checks the node-side parameters and the delivery options; the
+    /// controller checks its own (`k` against `N`) when it is built.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        if !(self.budget > 0.0 && self.budget <= 1.0) {
+            return Err(SimError::InvalidConfig {
+                reason: format!("budget must be within (0, 1], got {}", self.budget),
+            });
+        }
+        if self.k == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "k must be positive".into(),
+            });
+        }
+        self.delivery.validate()
+    }
+
+    /// The controller half of the configuration, for `num_nodes` nodes.
+    pub(crate) fn controller_config(&self, num_nodes: usize) -> ControllerConfig {
+        ControllerConfig {
+            num_nodes,
+            k: self.k,
+            m: self.m,
+            m_prime: self.m_prime,
+            warmup: self.warmup,
+            retrain_every: self.retrain_every,
+            model: self.model.clone(),
+            seed: self.seed,
+            compute: self.compute,
+            ..Default::default()
+        }
+    }
+
+    /// The node half of the configuration.
+    pub(crate) fn transmit_config(&self) -> TransmitConfig {
+        TransmitConfig {
+            budget: self.budget,
+            v0: self.v0,
+            gamma: self.gamma,
+        }
+    }
+}
+
 /// The deterministic single-threaded driver.
 #[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    /// Built once in [`Simulation::run`] when the trace fixes `N`.
-    controller: Option<Controller>,
 }
 
 impl Simulation {
@@ -137,124 +179,40 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for a budget outside `(0, 1]` or
-    /// `k == 0`.
+    /// Returns [`SimError::InvalidConfig`] for a budget outside `(0, 1]`,
+    /// `k == 0` or invalid delivery options.
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        if !(config.budget > 0.0 && config.budget <= 1.0) {
-            return Err(SimError::InvalidConfig {
-                reason: format!("budget must be within (0, 1], got {}", config.budget),
-            });
-        }
-        if config.k == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "k must be positive".into(),
-            });
-        }
-        config.delivery.validate()?;
-        Ok(Simulation {
-            config,
-            controller: None,
-        })
+        config.validate()?;
+        Ok(Simulation { config })
     }
 
-    /// Runs the simulation over one resource of the trace.
+    /// Runs the simulation over one resource of the trace: the whole fleet
+    /// is one shard, collected in-thread.
     ///
     /// # Errors
     ///
     /// Propagates trace access and controller errors; returns
     /// [`SimError::InvalidConfig`] if `k > N`.
-    pub fn run(mut self, trace: &Trace, resource: Resource) -> Result<SimReport, SimError> {
+    pub fn run(self, trace: &Trace, resource: Resource) -> Result<SimReport, SimError> {
         let n = trace.num_nodes();
-        let steps = trace.num_steps();
-        let controller = self.controller.insert(Controller::new(ControllerConfig {
-            num_nodes: n,
-            k: self.config.k,
-            m: self.config.m,
-            m_prime: self.config.m_prime,
-            warmup: self.config.warmup,
-            retrain_every: self.config.retrain_every,
-            model: self.config.model.clone(),
-            seed: self.config.seed,
-            compute: self.config.compute,
-            ..Default::default()
-        })?);
-        let tx_config = TransmitConfig {
-            budget: self.config.budget,
-            v0: self.config.v0,
-            gamma: self.config.gamma,
-        };
-
-        let meter = Meter::new();
-        let mut staleness = TimeAveragedRmse::new();
-        let mut intermediate = TimeAveragedRmse::new();
-        let mut sent: u64 = 0;
-        // The delivery layer only engages when configured to degrade
-        // something; otherwise frames go straight to the controller, so
-        // healthy runs pay nothing for it.
-        let delivery_active = !self.config.delivery.is_passthrough();
-        let mut bank = TransmitterBank::new(tx_config, n);
+        let mut slot = Slot::new(&self.config, n, 1, None)?;
+        let mut bank = TransmitterBank::new(self.config.transmit_config(), n);
         let mut decisions = Vec::with_capacity(n);
         let mut frame = ReportFrame::with_capacity(1, n);
-        let mut plane = delivery_active.then(|| DeliveryPlane::new(1, &self.config.delivery));
-        let mut inbox: Vec<ReportFrame> = Vec::new();
-        for t in 0..steps {
+        for t in 0..trace.num_steps() {
             let x = trace.snapshot(resource, t)?;
-            // At t == 0 everyone reports (bootstrap) so the controller has a
-            // value for every node; the bank still consumes its clock
-            // against z = x.
-            let zs: &[f64] = if t == 0 { &x } else { controller.stored() };
-            bank.decide_batch_against(&x, zs, &mut decisions);
-            frame.reset(t);
-            for (i, &v) in x.iter().enumerate() {
-                if t == 0 || decisions[i] {
-                    frame.push_scalar(i, v);
-                }
-            }
-            sent += frame.len() as u64;
-            let tick = match &mut plane {
-                None => {
-                    meter.record_frame(&frame);
-                    controller.tick_frame(&frame)?
-                }
-                Some(plane) => {
-                    plane.submit(0, t, Some(&frame), n);
-                    plane.collect_into(t, &mut inbox);
-                    // Bandwidth is counted at delivery; every delivered
-                    // frame (retransmissions and duplicates included) costs
-                    // wire bytes.
-                    for f in &inbox {
-                        meter.record_frame(f);
-                    }
-                    let tick = controller.tick_frames(&inbox)?;
-                    plane.ack_delivered(&inbox, t);
-                    tick
-                }
-            };
-            staleness.add(rmse_step_scalar(controller.stored(), &x));
-            intermediate.add(tick.intermediate_rmse);
-            // Query plane: serve the configured probe batch between ticks
-            // (no-op at the default of 0).
-            controller.serve_query_probes(self.config.query_probe)?;
+            collect_shard(
+                &mut bank,
+                t,
+                0,
+                &x,
+                slot.stored(),
+                &mut decisions,
+                &mut frame,
+            );
+            slot.step_frames(&x, std::slice::from_ref(&frame))?;
         }
-        let link_summary: LinkSummary = plane.map(|p| p.summary()).unwrap_or_default();
-        Ok(SimReport {
-            steps,
-            messages: meter.messages(),
-            bytes: meter.bytes(),
-            realized_frequency: sent as f64 / (steps as f64 * n as f64),
-            staleness_rmse: staleness.value(),
-            intermediate_rmse: intermediate.value(),
-            quarantined: controller.quarantined(),
-            model_fallbacks: controller.model_fallbacks(),
-            fallback_fit_failures: controller.fallback_fit_failures(),
-            duplicates: controller.duplicates(),
-            mean_age: controller.age().mean(),
-            peak_age: controller.age().peak(),
-            masked_node_steps: controller.masked_node_steps(),
-            link: link_summary,
-            forecast_table_rebuilds: controller.forecast_table_rebuilds(),
-            forecast_reads_served: controller.forecast_reads_served(),
-        })
+        Ok(slot.finish())
     }
 }
 

@@ -2,65 +2,40 @@
 //! channels to the controller, and a supervisor that survives worker
 //! crashes.
 //!
-//! Nodes are partitioned into `shards` contiguous ranges; each worker
-//! thread owns its shard's [`TransmitterBank`] and, for every tick,
-//! receives the controller's current stored values for its nodes, runs the
-//! transmission decisions, and sends the resulting [`ReportFrame`] back
-//! over a channel. The controller waits for all shards each tick (the
-//! system is time-slotted), applies the frames in shard — hence node —
-//! order, and advances the clustering + forecasting stage.
+//! Nodes are partitioned into `shards` contiguous ranges. The supervisor
+//! owns every shard's [`TransmitterBank`]; each tick it ships every worker
+//! its shard's bank together with the measurements and the controller's
+//! current stored values, the workers run [`collect_shard`] in parallel
+//! and hand bank and [`ReportFrame`] back, and the per-shard frames go to
+//! the same [`Slot`] as the single-threaded driver's one frame. The
+//! controller admits them in shard — hence node — order.
 //!
 //! Because decisions only depend on per-node transmitter state and the
 //! shared stored values, the run is **deterministic and identical to the
 //! single-threaded driver**, regardless of thread scheduling.
 //!
-//! The driver is *supervised*: when a worker thread panics, the supervisor
-//! reaps it, respawns the shard, rebuilds the transmitters' state by
-//! replaying the shard's input history (decisions are deterministic, so
-//! the rebuilt state is bit-identical), and re-runs the interrupted tick.
-//! Only when the respawn budget is exhausted does the run fail, with the
-//! worker's panic payload in [`SimError::WorkerFailed`]. The supervisor
-//! can also checkpoint the controller periodically and restore it from the
-//! latest checkpoint on an (injected) controller crash — see
+//! The driver is *supervised*: the workers are stateless, and the
+//! supervisor keeps each shard's pre-tick bank until the worker returns.
+//! When a worker panics, the supervisor reaps it, respawns the shard and
+//! re-sends the interrupted tick with that copy, so the rerun is
+//! bit-identical. Only when the respawn budget is exhausted does the run
+//! fail, with the worker's panic payload in [`SimError::WorkerFailed`]. The
+//! supervisor can also checkpoint the controller periodically and restore
+//! it from the latest checkpoint on an (injected) controller crash — see
 //! [`SupervisorOptions`].
 
 use crossbeam::channel::{self, Receiver, Sender};
 use std::any::Any;
+use std::ops::Range;
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::transmit::{TransmitConfig, TransmitterBank};
+use utilcast_core::transmit::TransmitterBank;
 use utilcast_datasets::{Resource, Trace};
 
-use crate::controller::{Controller, ControllerConfig, ControllerSnapshot};
-use crate::link::{DeliveryPlane, LinkSummary};
 use crate::sim::{SimConfig, SimReport};
-use crate::transport::{Meter, ReportFrame};
+use crate::slot::{collect_shard, Slot};
+use crate::transport::ReportFrame;
 use crate::SimError;
-
-/// Per-tick instruction to a worker.
-#[derive(Debug, Clone)]
-enum WorkerMsg {
-    /// Run tick `t`'s transmission decisions and report back. The
-    /// supervisor ships the shard's recycled output buffer along with the
-    /// inputs (`None` right after a respawn, when the old buffer died with
-    /// the previous worker).
-    Tick {
-        t: usize,
-        xs: Vec<f64>,
-        zs: Vec<f64>,
-        frame: Option<ReportFrame>,
-    },
-    /// Re-run tick `t`'s decisions to rebuild transmitter state after a
-    /// respawn — no reports are emitted and nothing is metered (the
-    /// original worker already accounted for this tick).
-    Replay {
-        t: usize,
-        xs: Vec<f64>,
-        zs: Vec<f64>,
-    },
-    /// Shut the worker down.
-    Shutdown,
-}
 
 /// Supervision parameters for [`run_threaded_supervised`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,60 +67,70 @@ impl Default for SupervisorOptions {
     }
 }
 
-/// One worker's communication endpoints.
-struct ShardLink {
-    in_tx: Sender<WorkerMsg>,
-    out_rx: Receiver<ReportFrame>,
+/// One shard's work for one tick, handed back filled in: the shard's
+/// `nodes` of the tick's measurements `x` and stored values `z`.
+struct Job {
+    t: usize,
+    nodes: Range<usize>,
+    x: Arc<[f64]>,
+    z: Arc<[f64]>,
+    bank: TransmitterBank,
+    frame: ReportFrame,
+}
+
+/// One worker thread's endpoints.
+struct Worker {
+    jobs: Sender<Job>,
+    done: Receiver<Job>,
     handle: Option<JoinHandle<()>>,
 }
 
-/// One batched decision pass over a shard's bank; results in `out`.
-fn decide_bank(bank: &mut TransmitterBank, t: usize, xs: &[f64], zs: &[f64], out: &mut Vec<bool>) {
-    // Bootstrap tick: everyone reports regardless of the decision, and the
-    // bank consumes its clock against the measurement itself to stay
-    // aligned with the reference driver.
-    let zref: &[f64] = if t == 0 { xs } else { zs };
-    bank.decide_batch_against(xs, zref, out);
-}
-
-/// The worker thread body for nodes `lo..hi`.
-fn worker_loop(
-    lo: usize,
-    hi: usize,
-    tx_config: TransmitConfig,
-    meter: Meter,
-    in_rx: Receiver<WorkerMsg>,
-    out_tx: Sender<ReportFrame>,
-    panic_at: Option<usize>,
-) {
-    let mut bank = TransmitterBank::new(tx_config, hi - lo);
-    let mut decisions = Vec::with_capacity(hi - lo);
-    while let Ok(msg) = in_rx.recv() {
-        match msg {
-            WorkerMsg::Shutdown => break,
-            WorkerMsg::Replay { t, xs, zs } => decide_bank(&mut bank, t, &xs, &zs, &mut decisions),
-            WorkerMsg::Tick { t, xs, zs, frame } => {
-                if panic_at == Some(t) {
+impl Worker {
+    /// Spawns a worker that panics on the tick `panic_at`, if given.
+    fn spawn(panic_at: Option<usize>) -> Worker {
+        let (jobs, job_rx) = channel::unbounded::<Job>();
+        let (done_tx, done) = channel::unbounded::<Job>();
+        let handle = thread::spawn(move || {
+            let mut decisions = Vec::new();
+            while let Ok(mut job) = job_rx.recv() {
+                if panic_at == Some(job.t) {
                     // lint:allow(panic): injected fault for the chaos suite;
                     // the supervisor must observe a real worker panic
-                    panic!("injected fault: worker for nodes {lo}..{hi} at tick {t}");
+                    panic!(
+                        "injected fault: worker for nodes {:?} at tick {}",
+                        job.nodes, job.t
+                    );
                 }
-                decide_bank(&mut bank, t, &xs, &zs, &mut decisions);
-                let mut frame = frame.unwrap_or_else(|| ReportFrame::new(1));
-                frame.reset(t);
-                for (off, &x) in xs.iter().enumerate() {
-                    if t == 0 || decisions[off] {
-                        frame.push_scalar(lo + off, x);
-                    }
-                }
-                // One metering call for the whole shard, after all
-                // decisions succeeded, so a panic mid-tick never leaves
-                // partial accounting behind.
-                meter.record_frame(&frame);
-                if out_tx.send(frame).is_err() {
+                // lint:allow(panic-path): `nodes` is a sub-range of 0..N, and `x`
+                // and `z` are the tick's N measurements and stored values
+                let (xs, zs) = (&job.x[job.nodes.clone()], &job.z[job.nodes.clone()]);
+                collect_shard(
+                    &mut job.bank,
+                    job.t,
+                    job.nodes.start,
+                    xs,
+                    zs,
+                    &mut decisions,
+                    &mut job.frame,
+                );
+                if done_tx.send(job).is_err() {
                     break;
                 }
             }
+        });
+        Worker {
+            jobs,
+            done,
+            handle: Some(handle),
+        }
+    }
+
+    /// Joins a dead worker and renders its panic payload.
+    fn reap(&mut self) -> String {
+        match self.handle.take().map(JoinHandle::join) {
+            Some(Err(payload)) => panic_reason(payload),
+            Some(Ok(())) => "worker exited unexpectedly".to_string(),
+            None => "worker already reaped".to_string(),
         }
     }
 }
@@ -187,8 +172,8 @@ pub fn run_threaded(
 }
 
 /// The supervised threaded driver: like [`run_threaded`], plus worker
-/// respawn with transmitter-state replay, periodic controller
-/// checkpointing, and fault injection (see [`SupervisorOptions`]).
+/// respawn from the pre-tick bank, periodic controller checkpointing, and
+/// fault injection (see [`SupervisorOptions`]).
 ///
 /// # Errors
 ///
@@ -207,245 +192,90 @@ pub fn run_threaded_supervised(
             reason: "shards must be positive".into(),
         });
     }
-    if !(config.budget > 0.0 && config.budget <= 1.0) {
-        return Err(SimError::InvalidConfig {
-            reason: format!("budget must be within (0, 1], got {}", config.budget),
-        });
-    }
-    config.delivery.validate()?;
     let n = trace.num_nodes();
-    let steps = trace.num_steps();
     let shards = shards.min(n);
-    let mut controller = Controller::new(ControllerConfig {
-        num_nodes: n,
-        k: config.k,
-        m: config.m,
-        m_prime: config.m_prime,
-        warmup: config.warmup,
-        retrain_every: config.retrain_every,
-        model: config.model.clone(),
-        seed: config.seed,
-        compute: config.compute,
-        ..Default::default()
-    })?;
-    let meter = Meter::new();
-    // When the delivery layer is active, bandwidth is accounted at
-    // delivery by the supervisor (lost traffic costs nothing, duplicates
-    // cost twice); the workers then meter into a detached scratch meter
-    // whose totals are discarded. On the passthrough fast path the
-    // workers meter the real counters directly, exactly as before.
-    let delivery_active = !config.delivery.is_passthrough();
-    let worker_meter = if delivery_active {
-        Meter::new()
-    } else {
-        meter.clone()
-    };
-    let tx_config = TransmitConfig {
-        budget: config.budget,
-        v0: config.v0,
-        gamma: config.gamma,
-    };
+    let checkpoints = options.checkpoint_every > 0 || options.controller_crash_at.is_some();
+    let mut slot = Slot::new(
+        config,
+        n,
+        shards,
+        checkpoints.then_some(options.checkpoint_every),
+    )?;
 
     // Shard boundaries: contiguous, near-equal ranges.
-    let bounds: Vec<(usize, usize)> = (0..shards)
-        .map(|s| (s * n / shards, (s + 1) * n / shards))
+    let bounds: Vec<Range<usize>> = (0..shards)
+        .map(|s| s * n / shards..(s + 1) * n / shards)
         .collect();
-
-    let spawn = |(lo, hi): (usize, usize), panic_at: Option<usize>| -> ShardLink {
-        let (in_tx, in_rx) = channel::unbounded::<WorkerMsg>();
-        let (out_tx, out_rx) = channel::unbounded::<ReportFrame>();
-        let meter = worker_meter.clone();
-        let handle =
-            thread::spawn(move || worker_loop(lo, hi, tx_config, meter, in_rx, out_tx, panic_at));
-        ShardLink {
-            in_tx,
-            out_rx,
-            handle: Some(handle),
-        }
-    };
-    let mut links: Vec<ShardLink> = bounds
+    let mut banks: Vec<TransmitterBank> = bounds
         .iter()
-        .enumerate()
-        .map(|(s, &b)| {
-            let panic_at = options
-                .worker_panic_at
-                .and_then(|(ps, pt)| if ps == s { Some(pt) } else { None });
-            spawn(b, panic_at)
+        .map(|nodes| TransmitterBank::new(config.transmit_config(), nodes.len()))
+        .collect();
+    let mut frames: Vec<ReportFrame> = (0..shards).map(|_| ReportFrame::new(1)).collect();
+    let mut workers: Vec<Worker> = (0..shards)
+        .map(|s| {
+            Worker::spawn(
+                options
+                    .worker_panic_at
+                    .and_then(|(ps, pt)| (ps == s).then_some(pt)),
+            )
         })
         .collect();
-
-    // Per-shard input history, for rebuilding transmitter state on respawn.
-    let mut input_log: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![Vec::new(); shards];
     let mut respawns_left = options.max_respawns;
-    let checkpoints_wanted = options.checkpoint_every > 0 || options.controller_crash_at.is_some();
-    let mut last_checkpoint: Option<ControllerSnapshot> =
-        checkpoints_wanted.then(|| controller.snapshot());
 
-    // Recycled buffers: one per shard (shipped to the worker each tick and
-    // returned with its batch) plus one merge target. Worker death loses
-    // the in-flight shard buffer; the respawned worker simply allocates a
-    // fresh one.
-    let mut shard_bufs: Vec<Option<ReportFrame>> =
-        (0..shards).map(|_| Some(ReportFrame::new(1))).collect();
-    let mut merged = ReportFrame::with_capacity(1, n);
-
-    // Each shard keeps its own seeded link RNG stream, so results are
-    // independent of shard interleaving and match the reference driver.
-    let mut plane = delivery_active.then(|| DeliveryPlane::new(shards, &config.delivery));
-    let mut inbox: Vec<ReportFrame> = Vec::new();
-    // Hierarchical controller without a delivery plane: the workers already
-    // produce one frame per supervisor shard, so hand the per-shard frames
-    // straight to the controller's multi-frame entry point instead of
-    // copying them into one merged frame first. The admitted set is
-    // identical (admission is per node/tick and the frames arrive in
-    // ascending node order); this only skips the merge copy that the
-    // hierarchical tick would immediately re-partition.
-    let route_shard_frames = !delivery_active && config.compute.shards > 1;
-    let mut shard_frames: Vec<ReportFrame> = Vec::with_capacity(shards);
-
-    let mut staleness = TimeAveragedRmse::new();
-    let mut intermediate = TimeAveragedRmse::new();
-    let mut sent: u64 = 0;
-    for t in 0..steps {
+    for t in 0..trace.num_steps() {
         if options.controller_crash_at == Some(t) {
-            if let Some(cp) = &last_checkpoint {
-                // The controller's live state is gone; resume from the
-                // latest checkpoint. Stored values regress to the
-                // checkpoint, so accuracy dips until fresh reports land.
-                controller = Controller::restore(cp.clone())?;
-            }
+            slot.crash()?;
         }
-        let x = trace.snapshot(resource, t)?;
-        let stored = controller.stored().to_vec();
-        for (s, &(lo, hi)) in bounds.iter().enumerate() {
-            input_log[s].push((x[lo..hi].to_vec(), stored[lo..hi].to_vec()));
+        let x: Arc<[f64]> = trace.snapshot(resource, t)?.into();
+        let z: Arc<[f64]> = slot.stored().into();
+        // Every job carries a copy of its shard's bank: `banks[s]` stays
+        // the pre-tick state until the worker hands the new one back.
+        let job = |s: usize, bank: &TransmitterBank, frame: ReportFrame| Job {
+            t,
+            nodes: bounds[s].clone(),
+            x: Arc::clone(&x),
+            z: Arc::clone(&z),
+            bank: bank.clone(),
+            frame,
+        };
+        for s in 0..shards {
+            // A dead worker surfaces at the receive below.
+            let frame = std::mem::replace(&mut frames[s], ReportFrame::new(1));
+            let _ = workers[s].jobs.send(job(s, &banks[s], frame));
         }
-        merged.reset(t);
-        for (s, &b) in bounds.iter().enumerate() {
-            // Same values the loop above logged for this shard, rebuilt
-            // from the sources instead of read back out of the log.
-            let (lo, hi) = b;
-            let (xs, zs) = (x[lo..hi].to_vec(), stored[lo..hi].to_vec());
-            loop {
-                let delivered = links[s]
-                    .in_tx
-                    .send(WorkerMsg::Tick {
-                        t,
-                        xs: xs.clone(),
-                        zs: zs.clone(),
-                        frame: shard_bufs[s].take(),
-                    })
-                    .is_ok();
-                if delivered {
-                    if let Ok(frame) = links[s].out_rx.recv() {
-                        sent += frame.len() as u64;
-                        if let Some(plane) = &mut plane {
-                            plane.submit(s, t, Some(&frame), n);
-                        } else if route_shard_frames {
-                            // Shard `s`'s frame is `shard_frames[s]` (every
-                            // shard yields exactly one frame per tick
-                            // here); the buffer returns to `shard_bufs`
-                            // after the controller tick.
-                            shard_frames.push(frame);
-                            break;
-                        } else {
-                            // Shards merge in ascending shard order, so the
-                            // merged frame is in ascending node order — the
-                            // order the controller admits in.
-                            merged.extend_from(&frame);
-                        }
-                        shard_bufs[s] = Some(frame);
-                        break;
-                    }
+        for s in 0..shards {
+            let done = loop {
+                if let Ok(done) = workers[s].done.recv() {
+                    break done;
                 }
-                // The worker died. Reap it for the panic payload, then
-                // respawn the shard, rebuild its transmitters by replaying
-                // the input history, and re-run the interrupted tick.
-                let reason = match links[s].handle.take() {
-                    Some(handle) => match handle.join() {
-                        Err(payload) => panic_reason(payload),
-                        Ok(()) => "worker exited unexpectedly".to_string(),
-                    },
-                    None => "worker already reaped".to_string(),
-                };
+                let reason = workers[s].reap();
                 if respawns_left == 0 {
                     return Err(SimError::WorkerFailed { shard: s, reason });
                 }
                 respawns_left -= 1;
-                links[s] = spawn(b, None);
-                let past = input_log[s].len() - 1;
-                for (rt, (rxs, rzs)) in input_log[s][..past].iter().enumerate() {
-                    let _ = links[s].in_tx.send(WorkerMsg::Replay {
-                        t: rt,
-                        xs: rxs.clone(),
-                        zs: rzs.clone(),
-                    });
-                }
-            }
+                workers[s] = Worker::spawn(None);
+                // The in-flight frame buffer died with the worker.
+                let _ = workers[s].jobs.send(job(s, &banks[s], ReportFrame::new(1)));
+            };
+            banks[s] = done.bank;
+            frames[s] = done.frame;
         }
-        let tick = match &mut plane {
-            None if route_shard_frames => {
-                let tick = controller.tick_frames(&shard_frames)?;
-                for (s, frame) in shard_frames.drain(..).enumerate() {
-                    shard_bufs[s] = Some(frame);
-                }
-                tick
-            }
-            None => controller.tick_frame(&merged)?,
-            Some(plane) => {
-                plane.collect_into(t, &mut inbox);
-                for f in &inbox {
-                    meter.record_frame(f);
-                }
-                let tick = controller.tick_frames(&inbox)?;
-                plane.ack_delivered(&inbox, t);
-                tick
-            }
-        };
-        staleness.add(rmse_step_scalar(controller.stored(), &x));
-        intermediate.add(tick.intermediate_rmse);
-        // Query plane: serve the configured probe batch between ticks
-        // (no-op at the default of 0). Runs before the checkpoint is cut so
-        // a restored controller carries the same generation and read
-        // counters the original had.
-        controller.serve_query_probes(config.query_probe)?;
-        if options.checkpoint_every > 0 && (t + 1) % options.checkpoint_every == 0 {
-            last_checkpoint = Some(controller.snapshot());
-        }
+        slot.step_frames(&x, &frames)?;
     }
-    // Shut the workers down.
-    for link in &links {
-        let _ = link.in_tx.send(WorkerMsg::Shutdown);
-    }
-    for link in &mut links {
-        if let Some(handle) = link.handle.take() {
+    // Closing the job channels shuts the workers down.
+    for Worker { jobs, handle, .. } in workers {
+        drop(jobs);
+        if let Some(handle) = handle {
             let _ = handle.join();
         }
     }
-    let link_summary: LinkSummary = plane.map(|p| p.summary()).unwrap_or_default();
-    Ok(SimReport {
-        steps,
-        messages: meter.messages(),
-        bytes: meter.bytes(),
-        realized_frequency: sent as f64 / (steps as f64 * n as f64),
-        staleness_rmse: staleness.value(),
-        intermediate_rmse: intermediate.value(),
-        quarantined: controller.quarantined(),
-        model_fallbacks: controller.model_fallbacks(),
-        fallback_fit_failures: controller.fallback_fit_failures(),
-        duplicates: controller.duplicates(),
-        mean_age: controller.age().mean(),
-        peak_age: controller.age().peak(),
-        masked_node_steps: controller.masked_node_steps(),
-        link: link_summary,
-        forecast_table_rebuilds: controller.forecast_table_rebuilds(),
-        forecast_reads_served: controller.forecast_reads_served(),
-    })
+    Ok(slot.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkSummary;
     use crate::sim::Simulation;
     use utilcast_datasets::presets;
 
@@ -524,8 +354,8 @@ mod tests {
             .unwrap()
             .run(&trace, Resource::Cpu)
             .unwrap();
-        // The dying worker takes its recycled frame buffer with it; the
-        // respawned bank must be rebuilt by replay and stay bit-identical.
+        // The dying worker takes the shard's bank and frame buffer with it;
+        // the respawned worker reruns the tick from the pre-tick bank.
         let supervised = run_threaded_supervised(
             &quick_config(),
             &trace,

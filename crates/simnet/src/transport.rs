@@ -2,25 +2,21 @@
 //!
 //! The point of the paper's adaptive transmission is to cut communication
 //! cost, so the simulation meters it: every measurement report is modelled
-//! as a fixed header plus one `f64` per resource dimension, and a shared
-//! [`Meter`] (plain atomics, written by every node shard) accumulates
-//! totals.
+//! as a fixed header plus one `f64` per resource dimension, and a
+//! [`Meter`] accumulates the totals delivered to the controller.
 //!
 //! Two wire representations exist:
 //!
 //! * [`ReportFrame`] — one recycled flat buffer per shard per tick (node
-//!   ids + contiguous values + count), the representation both drivers
-//!   send. Frames are metered with **one** accounting call
-//!   ([`Meter::record_batch`]) and expose a compat iterator
+//!   ids + contiguous values + count), the representation the frame
+//!   drivers send. Frames are metered with **one** accounting call
+//!   ([`Meter::record_frame`]) and expose a compat iterator
 //!   ([`ReportFrame::iter`]) so the controller's quarantine and validation
 //!   logic is byte-for-byte shared with the per-report path;
 //! * [`Report`] — one heap-allocated record per transmission, the seed
 //!   representation: what [`crate::controller::Controller::tick`] ingests,
 //!   what the fault-injection driver sends, and what the test-only
 //!   per-report reference loop holds the frame drivers to.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -155,19 +151,6 @@ impl ReportFrame {
         );
         self.nodes.push(node);
         self.values.extend_from_slice(values);
-    }
-
-    /// Appends every entry of `other` (a shard frame being merged into a
-    /// combined tick frame).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths or ticks differ.
-    pub fn extend_from(&mut self, other: &ReportFrame) {
-        assert_eq!(self.width, other.width, "frame width mismatch on merge");
-        assert_eq!(self.t, other.t, "frame tick mismatch on merge");
-        self.nodes.extend_from_slice(&other.nodes);
-        self.values.extend_from_slice(&other.values);
     }
 
     /// The tick this frame belongs to.
@@ -389,20 +372,12 @@ impl QueryResponse {
     }
 }
 
-/// Shared bandwidth meter. Internally a pair of relaxed atomic counters:
-/// totals are only read after all writers have quiesced (end of run), so
-/// no ordering stronger than `Relaxed` is needed, and the frame path's
-/// one-call-per-frame batching keeps even the atomic traffic off the
-/// per-report fast path.
+/// Bandwidth meter: messages and modelled wire bytes delivered to the
+/// controller.
 #[derive(Debug, Clone, Default)]
 pub struct Meter {
-    inner: Arc<MeterState>,
-}
-
-#[derive(Debug, Default)]
-struct MeterState {
-    messages: AtomicU64,
-    bytes: AtomicU64,
+    messages: u64,
+    bytes: u64,
 }
 
 impl Meter {
@@ -412,31 +387,25 @@ impl Meter {
     }
 
     /// Records one report.
-    pub fn record(&self, report: &Report) {
-        self.record_batch(1, report.wire_bytes());
-    }
-
-    /// Records a batch of `messages` reports totalling `bytes` modelled
-    /// wire bytes — the frame path's single accounting call per shard per
-    /// tick.
-    pub fn record_batch(&self, messages: u64, bytes: u64) {
-        self.inner.messages.fetch_add(messages, Ordering::Relaxed);
-        self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
+    pub fn record(&mut self, report: &Report) {
+        self.messages += 1;
+        self.bytes += report.wire_bytes();
     }
 
     /// Records a whole frame in one call.
-    pub fn record_frame(&self, frame: &ReportFrame) {
-        self.record_batch(frame.len() as u64, frame.wire_bytes());
+    pub fn record_frame(&mut self, frame: &ReportFrame) {
+        self.messages += frame.len() as u64;
+        self.bytes += frame.wire_bytes();
     }
 
     /// Total messages recorded.
     pub fn messages(&self) -> u64 {
-        self.inner.messages.load(Ordering::Relaxed)
+        self.messages
     }
 
     /// Total bytes recorded.
     pub fn bytes(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 }
 
@@ -519,7 +488,7 @@ mod tests {
 
     #[test]
     fn meter_accumulates() {
-        let m = Meter::new();
+        let mut m = Meter::new();
         m.record(&Report {
             node: 0,
             t: 0,
@@ -535,52 +504,17 @@ mod tests {
     }
 
     #[test]
-    fn meter_clones_share_state() {
-        let m = Meter::new();
-        let m2 = m.clone();
-        m2.record(&Report {
-            node: 0,
-            t: 0,
-            values: vec![1.0],
-        });
-        assert_eq!(m.messages(), 1);
-    }
-
-    #[test]
-    fn meter_is_thread_safe() {
-        let m = Meter::new();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for t in 0..100 {
-                        m.record(&Report {
-                            node: i,
-                            t,
-                            values: vec![0.0],
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.messages(), 400);
-    }
-
-    #[test]
     fn frame_metering_matches_per_report_metering() {
         let mut frame = ReportFrame::new(2);
         frame.reset(5);
         frame.push(3, &[0.1, 0.2]);
         frame.push(7, &[0.3, 0.4]);
         frame.push(9, &[0.5, 0.6]);
-        let per_report = Meter::new();
+        let mut per_report = Meter::new();
         for r in frame.to_reports() {
             per_report.record(&r);
         }
-        let batched = Meter::new();
+        let mut batched = Meter::new();
         batched.record_frame(&frame);
         assert_eq!(batched.messages(), per_report.messages());
         assert_eq!(batched.bytes(), per_report.bytes());
@@ -631,24 +565,6 @@ mod tests {
         assert_eq!(frame.t(), 1);
         assert_eq!(frame.nodes.capacity(), node_cap);
         assert_eq!(frame.values.capacity(), value_cap);
-    }
-
-    #[test]
-    fn frame_merge_keeps_shard_order() {
-        let mut merged = ReportFrame::new(1);
-        merged.reset(3);
-        let mut a = ReportFrame::new(1);
-        a.reset(3);
-        a.push_scalar(0, 0.1);
-        a.push_scalar(1, 0.2);
-        let mut b = ReportFrame::new(1);
-        b.reset(3);
-        b.push_scalar(2, 0.3);
-        merged.extend_from(&a);
-        merged.extend_from(&b);
-        assert_eq!(merged.nodes(), &[0, 1, 2]);
-        assert_eq!(merged.values(), &[0.1, 0.2, 0.3]);
-        assert_eq!(merged.wire_bytes(), 3 * (HEADER_BYTES + 8));
     }
 
     #[test]

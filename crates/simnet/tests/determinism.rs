@@ -242,7 +242,7 @@ fn reference_run(config: &SimConfig, trace: &Trace, shards: usize) -> SimReport 
             .map(|s| LinkModel::new(config.delivery.link, s))
             .collect()
     };
-    let meter = Meter::new();
+    let mut meter = Meter::new();
     let (mut staleness, mut intermediate) = (TimeAveragedRmse::new(), TimeAveragedRmse::new());
     let mut sent = 0u64;
     for t in 0..steps {
@@ -328,12 +328,11 @@ fn frame_drivers_bit_identical_to_the_per_report_reference_at_any_shard_count() 
     }
 }
 
-/// With a hierarchical controller, the threaded driver routes each
-/// supervisor shard's frame straight into `Controller::tick_frames`
-/// instead of merging first. The `SimReport` must be bit-identical to the
-/// single-threaded driver's merged-frame run at every supervisor shard
-/// count — supervisor sharding and clustering sharding are independent
-/// axes, and neither may leak into results.
+/// With a hierarchical controller, the threaded driver's per-shard frames
+/// must give a `SimReport` bit-identical to the single-threaded driver's
+/// one frame at every supervisor shard count — supervisor sharding and
+/// clustering sharding are independent axes, and neither may leak into
+/// results.
 #[test]
 fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
     let trace = trace();
@@ -542,7 +541,10 @@ fn checkpoint_written_under_the_mode_matrix_restores_and_replays_bitwise() {
         ticks
             .map(|t| {
                 fixture_frame(t, &mut frame);
-                (c.tick_frame(&frame).unwrap(), c.forecast(4).unwrap())
+                (
+                    c.tick_frames(std::slice::from_ref(&frame)).unwrap(),
+                    c.forecast(4).unwrap(),
+                )
             })
             .collect::<Vec<_>>()
     };
@@ -632,7 +634,7 @@ proptest! {
     /// unknown nodes, and intra-tick duplicates, all of which must be
     /// quarantined identically on both paths.
     #[test]
-    fn tick_frame_bit_identical_to_tick_for_any_batch(
+    fn tick_frames_bit_identical_to_tick_for_any_batch(
         ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
     ) {
         let mut per_report = concurrent_controller();
@@ -650,7 +652,7 @@ proptest! {
                 frame.push_scalar(node, v);
             }
             let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frame(&frame).unwrap();
+            let b = framed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             prop_assert_eq!(a, b, "tick {} diverged", t);
         }
         prop_assert_eq!(per_report.stored(), framed.stored());
@@ -681,8 +683,8 @@ proptest! {
         let mut resumed = concurrent_controller();
         for (t, batch) in ticks[..split].iter().enumerate() {
             fill(&mut frame, t, batch);
-            let a = uninterrupted.tick_frame(&frame).unwrap();
-            let b = resumed.tick_frame(&frame).unwrap();
+            let a = uninterrupted.tick_frames(std::slice::from_ref(&frame)).unwrap();
+            let b = resumed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             prop_assert_eq!(a, b);
         }
 
@@ -691,8 +693,8 @@ proptest! {
 
         for (t, batch) in ticks.iter().enumerate().skip(split) {
             fill(&mut frame, t, batch);
-            let a = uninterrupted.tick_frame(&frame).unwrap();
-            let b = resumed.tick_frame(&frame).unwrap();
+            let a = uninterrupted.tick_frames(std::slice::from_ref(&frame)).unwrap();
+            let b = resumed.tick_frames(std::slice::from_ref(&frame)).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(uninterrupted.stored(), resumed.stored());

@@ -82,7 +82,7 @@ proptest! {
     /// The meter equals the sum of the individual reports it recorded.
     #[test]
     fn meter_totals_match(sizes in proptest::collection::vec(0usize..8, 1..50)) {
-        let m = Meter::new();
+        let mut m = Meter::new();
         let mut bytes = 0u64;
         for (t, &d) in sizes.iter().enumerate() {
             let r = Report { node: 0, t, values: vec![0.1; d] };
@@ -125,8 +125,8 @@ proptest! {
     /// exactly the same set as handing the controller one merged frame:
     /// same stored values, same quarantine and duplicate counters, same
     /// tick reports, for any batch mix of valid, out-of-range, unknown-node
-    /// and duplicate entries. This is the contract the threaded driver's
-    /// hierarchical frame routing relies on.
+    /// and duplicate entries. This is the contract that lets the threaded
+    /// driver hand its per-shard frames to the controller unmerged.
     #[test]
     fn sharded_frames_admit_same_set_as_merged_frame(
         ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
@@ -149,7 +149,7 @@ proptest! {
                 merged.push_scalar(node, v);
                 split[i * shards / sorted.len().max(1)].push_scalar(node, v);
             }
-            let a = merged_ctl.tick_frame(&merged).unwrap();
+            let a = merged_ctl.tick_frames(std::slice::from_ref(&merged)).unwrap();
             let b = sharded_ctl.tick_frames(&split).unwrap();
             prop_assert_eq!(a, b, "tick {} diverged", t);
         }

@@ -51,9 +51,6 @@ UTILCAST_STEPS="$FC_RETRAINS" report forecast_report
 echo "==> query_report (writes BENCH_query.json, native codegen)"
 report query_report
 
-echo "==> faults_smoke (lossy completion + perfect-link bitwise identity)"
-cargo run --release -p utilcast-bench --bin faults_smoke
-
 echo "Benchmarks complete. Summary:"
 grep -E '"(tick|flat_tick|hier_tick)_micros"|"speedup_vs_flat"' BENCH_controller.json
 grep -E '"speedup"|"(mean|max|cluster_retrain)_micros"' BENCH_forecast.json

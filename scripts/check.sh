@@ -86,13 +86,4 @@ UTILCAST_BENCH_DIR="$SMOKE_DIR" UTILCAST_NODES=256 UTILCAST_STEPS=2 \
   cargo run --release -q -p utilcast-bench --bin query_report
 rm -rf "$SMOKE_DIR"
 
-# Faults smoke: the link-plane contract at small scale. Exits non-zero
-# unless (a) a lossy/delayed/duplicating link run completes with bounded
-# error, and (b) forcing every frame through the delivery plane with
-# perfect links reproduces the no-fault baseline SimReport bitwise, in
-# both drivers.
-echo "==> faults smoke (lossy completion + perfect-link bitwise identity)"
-UTILCAST_NODES=24 UTILCAST_STEPS=80 \
-  cargo run --release -q -p utilcast-bench --bin faults_smoke
-
 echo "All checks passed."

@@ -7,10 +7,17 @@
 //! what that command can see, recorded at the last commit that still had the
 //! kernel/mode matrix, under its defaults:
 //!
-//! * the whole [`SimReport`] of both drivers on a seeded fleet with ARIMA
-//!   models, staggered retrains and staleness masking on — one golden per
-//!   clustering shard count, which every thread count and both drivers must
-//!   reproduce (the bitwise-at-any-thread-count contract);
+//! * the whole [`SimReport`] of all three drivers on a seeded fleet with
+//!   ARIMA models, staggered retrains and staleness masking on — one golden
+//!   per clustering shard count, which every thread count and every driver
+//!   must reproduce (the bitwise-at-any-thread-count contract), the
+//!   supervised threaded driver through a worker panic and a controller
+//!   crash on a checkpoint boundary, `run_with_faults` under
+//!   `FaultPlan::none()` (these two inputs recorded at the commit before
+//!   the drivers shared one slot engine);
+//! * the same fleet behind a lossy, duplicating, reordering link with ARQ
+//!   and query probes, recorded at that commit too — one golden per
+//!   number of sending edges, since each edge has its own link stream;
 //! * a `d = 2` and a `d = 8` [`DynamicClusterer::step_flat`] sequence —
 //!   labels, centroid bits and inertia bits over 20 steps including cold
 //!   re-seeds and an empty-cluster re-seed — recorded under the row scan
@@ -27,9 +34,12 @@
 use utilcast::core::cluster::{DynamicClusterer, DynamicClustererConfig};
 use utilcast::core::compute::ComputeOptions;
 use utilcast::core::pipeline::ModelSpec;
+use utilcast::core::transmit::ArqConfig;
 use utilcast::datasets::{Resource, Trace};
+use utilcast::simnet::faults::{run_with_faults, FaultPlan};
+use utilcast::simnet::link::{DeliveryOptions, LinkPlan};
 use utilcast::simnet::sim::{SimConfig, SimReport, Simulation};
-use utilcast::simnet::threaded::run_threaded;
+use utilcast::simnet::threaded::{run_threaded, run_threaded_supervised, SupervisorOptions};
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 
 /// SplitMix64 step mapped to a uniform in `[-1, 1)`.
@@ -183,7 +193,110 @@ fn sim_reports_are_bitwise_pinned_at_any_thread_count_on_both_drivers() {
                 &render_report(&threaded),
                 golden,
             );
+            // A worker panic (the shard is respawned and its tick re-run)
+            // and a controller crash landing on a checkpoint boundary (the
+            // restored snapshot is the live state) change nothing.
+            let supervised = run_threaded_supervised(
+                &config,
+                &trace,
+                Resource::Cpu,
+                3,
+                &SupervisorOptions {
+                    worker_panic_at: Some((1, 30)),
+                    checkpoint_every: 16,
+                    controller_crash_at: Some(32),
+                    ..Default::default()
+                },
+            )
+            .expect("supervised run");
+            assert_lines(
+                &format!("run_threaded_supervised, shards {shards}, threads {threads}"),
+                &render_report(&supervised),
+                golden,
+            );
+            let fault_free = run_with_faults(&config, &trace, Resource::Cpu, &FaultPlan::none())
+                .expect("fault-free run");
+            assert_lines(
+                &format!("run_with_faults, shards {shards}, threads {threads}"),
+                &render_report(&fault_free.sim),
+                golden,
+            );
         }
+    }
+}
+
+/// The golden fleet behind a lossy, duplicating, reordering link with ARQ
+/// retransmission over a lossy ack link, serving four forecast reads a tick.
+fn degraded_config() -> SimConfig {
+    SimConfig {
+        delivery: DeliveryOptions {
+            link: LinkPlan {
+                loss_prob: 0.15,
+                dup_prob: 0.1,
+                reorder_prob: 0.1,
+                jitter_ticks: 1,
+                seed: 41,
+                ..LinkPlan::perfect()
+            },
+            ack_link: LinkPlan {
+                loss_prob: 0.1,
+                seed: 43,
+                ..LinkPlan::perfect()
+            },
+            arq: ArqConfig {
+                timeout: 3,
+                backoff_cap: 3,
+                max_retransmits: 6,
+            },
+        },
+        query_probe: 4,
+        ..sim_config(1, 1)
+    }
+}
+
+/// One sending edge: `Simulation::run` and `run_threaded` at one worker.
+const GOLDEN_DEGRADED_ONE_LINK: &str = "\
+steps=72 messages=1303 bytes=31272 quarantined=0 model_fallbacks=0 fallback_fit_failures=0 duplicates=14 peak_age=9 masked_node_steps=707 forecast_table_rebuilds=72 forecast_reads_served=288\n\
+realized_frequency=3fd4aaaaaaaaaaab staleness_rmse=3fb511cb56d6d9ac intermediate_rmse=3f9da44555d1029e mean_age=4001f55555555554\n\
+link=LinkSummary { sent: 92, delivered: 85, lost: 14, corrupted: 0, duplicated: 7, reordered: 12, overflowed: 0, retransmits: 20, abandoned: 0, acks_sent: 85, acks_delivered: 76, acks_lost: 7 }\n\
+";
+
+/// Three sending edges: each worker's frames cross their own link stream.
+const GOLDEN_DEGRADED_THREE_LINKS: &str = "\
+steps=72 messages=1310 bytes=31440 quarantined=0 model_fallbacks=0 fallback_fit_failures=0 duplicates=68 peak_age=10 masked_node_steps=681 forecast_table_rebuilds=72 forecast_reads_served=288\n\
+realized_frequency=3fd4af684bda12f7 staleness_rmse=3fb67219f9dd8310 intermediate_rmse=3fa04c7e03297be6 mean_age=4001fda12f684bdb\n\
+link=LinkSummary { sent: 277, delivered: 250, lost: 43, corrupted: 0, duplicated: 18, reordered: 30, overflowed: 0, retransmits: 61, abandoned: 0, acks_sent: 250, acks_delivered: 223, acks_lost: 24 }\n\
+";
+
+#[test]
+fn degraded_sim_reports_are_bitwise_pinned_per_link_stream() {
+    let trace = fleet_trace();
+    let config = degraded_config();
+    let reference = Simulation::new(config.clone())
+        .expect("valid config")
+        .run(&trace, Resource::Cpu)
+        .expect("reference run");
+    let link = reference.link;
+    assert!(
+        link.lost > 0 && link.duplicated > 0 && link.reordered > 0 && link.retransmits > 0,
+        "the degraded golden must lose, duplicate, reorder and retransmit: {link:?}"
+    );
+    assert_eq!(reference.forecast_reads_served, 4 * STEPS as u64);
+    assert_lines(
+        "Simulation::run, degraded",
+        &render_report(&reference),
+        GOLDEN_DEGRADED_ONE_LINK,
+    );
+    for (workers, golden) in [
+        (1, GOLDEN_DEGRADED_ONE_LINK),
+        (3, GOLDEN_DEGRADED_THREE_LINKS),
+    ] {
+        let threaded = run_threaded(&config, &trace, Resource::Cpu, workers).expect("threaded run");
+        assert_lines(
+            &format!("run_threaded, degraded, {workers} workers"),
+            &render_report(&threaded),
+            golden,
+        );
     }
 }
 
