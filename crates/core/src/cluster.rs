@@ -543,6 +543,7 @@ pub struct ClustererSnapshot {
     /// The clusterer configuration.
     pub config: DynamicClustererConfig,
     /// Recent final assignments, most recent first; bounded by `m`.
+    #[serde(with = "utilcast_linalg::packed::label_rows")]
     pub history: Vec<Vec<usize>>,
     /// The previous step's matched centroids (warm-start initializer), if
     /// any step has run.

@@ -82,6 +82,7 @@ impl Default for ForecastStageConfig {
 struct Snapshot {
     values: Matrix,
     centroids: Vec<Vec<f64>>,
+    #[serde(with = "utilcast_linalg::packed::labels")]
     assignments: Vec<usize>,
 }
 

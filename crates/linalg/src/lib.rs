@@ -5,7 +5,9 @@
 //! (covariance estimation for the Gaussian baselines, Cholesky factorization
 //! for conditional-Gaussian inference, Nelder–Mead for ARIMA coefficient
 //! fitting, empirical CDFs for the paper's Fig. 1 experiment) is implemented
-//! here from scratch, with no external linear-algebra dependencies.
+//! here from scratch, with no external linear-algebra dependencies. Every
+//! crate that owns checkpoint state depends on it, so it also carries the
+//! [`packed`] column codecs those checkpoints write their dense vectors with.
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@ mod error;
 pub mod kernels;
 mod matrix;
 pub mod optimize;
+pub mod packed;
 pub mod rng;
 pub mod simd;
 pub mod stats;

@@ -26,6 +26,7 @@ use crate::{Cholesky, LinalgError};
 pub struct Matrix {
     rows: usize,
     cols: usize,
+    #[serde(with = "crate::packed::f64s")]
     data: Vec<f64>,
 }
 

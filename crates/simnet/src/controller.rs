@@ -160,6 +160,7 @@ pub struct ControllerSnapshot {
     /// The controller configuration.
     pub config: ControllerConfig,
     /// The stored (possibly stale) per-node values.
+    #[serde(with = "utilcast_linalg::packed::f64s")]
     pub stored: Vec<f64>,
     /// Ticks processed.
     pub ticks: usize,
@@ -178,6 +179,7 @@ pub struct ControllerSnapshot {
     /// Stored-node steps masked by the staleness limit so far.
     pub masked_node_steps: u64,
     /// Newest accepted report timestamp per node.
+    #[serde(with = "utilcast_linalg::packed::opt_labels")]
     pub last_seen: Vec<Option<usize>>,
     /// The forecast-stage checkpoint.
     pub stage: StageSnapshot,
@@ -593,7 +595,9 @@ impl Controller {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the embedded configuration
-    /// is invalid or the snapshot's per-node vectors do not match it, and
+    /// is invalid, the snapshot's per-node vectors do not match it, or it
+    /// stores a value admission could not have (non-finite or outside
+    /// [`ControllerConfig::value_bounds`], other than the initial zero), and
     /// [`SimError::Core`] when the forecast stage rejects its part of the
     /// checkpoint (see [`ForecastStage::restore`]).
     pub fn restore(snapshot: ControllerSnapshot) -> Result<Self, SimError> {
@@ -605,6 +609,22 @@ impl Controller {
                     "snapshot has {} stored values / {} last-seen entries for {n} nodes",
                     snapshot.stored.len(),
                     snapshot.last_seen.len()
+                ),
+            });
+        }
+        // Admission stores only in-bounds values over the initial zeros; a
+        // decoded store holding anything else would reach the clustering
+        // as a value no report could have put there.
+        let (lo, hi) = controller.config.value_bounds;
+        if let Some((node, v)) = snapshot
+            .stored
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !(lo..=hi).contains(*v) && v.to_bits() != 0)
+        {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "snapshot stores {v} for node {node}, outside the value bounds [{lo}, {hi}]"
                 ),
             });
         }
@@ -993,19 +1013,43 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_store_admission_could_not_have_written() {
+        let mut c = Controller::new(quick_config(3, 2)).unwrap();
+        c.tick(vec![report(0, 0, 0.5), report(1, 0, 1.0)]).unwrap();
+        assert!(Controller::restore(c.snapshot()).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5, 1e308] {
+            let mut snapshot = c.snapshot();
+            snapshot.stored[2] = bad;
+            match Controller::restore(snapshot) {
+                Err(SimError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("for node 2"), "{reason}")
+                }
+                other => panic!("{bad}: expected a typed error, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
     fn restore_surfaces_a_hostile_stage_history_as_a_core_error() {
         // One digit of a real checkpoint patched — a label >= k in the
         // newest history snapshot. It used to restore `Ok` and panic in the
-        // first `forecast_table()`.
+        // first `forecast_table()`. The packed column is rewritten as the
+        // legacy JSON array with its first label patched, so this also
+        // holds the reader to both forms.
         let mut c = Controller::new(quick_config(3, 2)).unwrap();
         for t in 0..8 {
             let reports = (0..3).map(|i| report(i, t, 0.2 + 0.1 * i as f64)).collect();
             c.tick(reports).unwrap();
         }
         let json = serde_json::to_string(&c.snapshot()).unwrap();
-        let key = "\"assignments\":[";
-        let at = json.find(key).unwrap() + key.len();
-        let hostile = format!("{}9{}", &json[..at], &json[at + 1..]);
+        let key = "\"assignments\":\"";
+        let at = json.find(key).unwrap() + key.len() - 1;
+        let end = at + 1 + json[at + 1..].find('"').unwrap();
+        let packed: serde::Value = serde_json::from_str(&json[at..=end]).unwrap();
+        let labels = utilcast_linalg::packed::labels::from_value(&packed).unwrap();
+        let mut legacy = serde_json::to_string(&labels).unwrap();
+        legacy.replace_range(1..2, "9");
+        let hostile = format!("{}{legacy}{}", &json[..at], &json[end + 1..]);
         let snapshot: ControllerSnapshot = serde_json::from_str(&hostile).unwrap();
         match Controller::restore(snapshot) {
             Err(SimError::Core(utilcast_core::CoreError::InvalidConfig { reason })) => {

@@ -11,7 +11,7 @@
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::transmit::TransmitterBank;
 
-use crate::controller::{Controller, ControllerSnapshot, TickReport};
+use crate::controller::{Controller, TickReport};
 use crate::link::DeliveryPlane;
 use crate::sim::{SimConfig, SimReport};
 use crate::transport::{Meter, Report, ReportFrame};
@@ -60,8 +60,17 @@ pub(crate) struct Slot {
     /// `None` takes no checkpoints; `Some(every)` takes one before the run
     /// and, if `every > 0`, one after every `every`-th tick.
     checkpoint_every: Option<usize>,
-    last_checkpoint: Option<ControllerSnapshot>,
+    /// The latest checkpoint as serialized text, so every crash goes
+    /// through the checkpoint codec, not an in-memory copy.
+    last_checkpoint: Option<String>,
     checkpoints: u64,
+}
+
+/// `controller`'s checkpoint as serialized text.
+fn checkpoint(controller: &Controller) -> Result<String, SimError> {
+    serde_json::to_string(&controller.snapshot()).map_err(|e| SimError::InvalidConfig {
+        reason: format!("checkpoint does not serialize: {e}"),
+    })
 }
 
 impl Slot {
@@ -76,7 +85,9 @@ impl Slot {
     ) -> Result<Self, SimError> {
         config.validate()?;
         let controller = Controller::new(config.controller_config(num_nodes))?;
-        let last_checkpoint = checkpoint_every.map(|_| controller.snapshot());
+        let last_checkpoint = checkpoint_every
+            .map(|_| checkpoint(&controller))
+            .transpose()?;
         Ok(Slot {
             plane: (!config.delivery.is_passthrough())
                 .then(|| DeliveryPlane::new(sources, &config.delivery)),
@@ -105,13 +116,16 @@ impl Slot {
     }
 
     /// A controller crash: the live state is lost and the latest checkpoint
-    /// restored, so stored values regress until fresh reports land.
-    /// Returns whether there was a checkpoint to restore.
+    /// parsed and restored, so stored values regress until fresh reports
+    /// land. Returns whether there was a checkpoint to restore.
     pub(crate) fn crash(&mut self) -> Result<bool, SimError> {
-        let Some(checkpoint) = &self.last_checkpoint else {
+        let Some(text) = &self.last_checkpoint else {
             return Ok(false);
         };
-        self.controller = Controller::restore(checkpoint.clone())?;
+        let snapshot = serde_json::from_str(text).map_err(|e| SimError::InvalidConfig {
+            reason: format!("checkpoint does not parse: {e}"),
+        })?;
+        self.controller = Controller::restore(snapshot)?;
         Ok(true)
     }
 
@@ -168,7 +182,7 @@ impl Slot {
         self.steps += 1;
         if let Some(every) = self.checkpoint_every {
             if every > 0 && self.steps.is_multiple_of(every) {
-                self.last_checkpoint = Some(self.controller.snapshot());
+                self.last_checkpoint = Some(checkpoint(&self.controller)?);
                 self.checkpoints += 1;
             }
         }

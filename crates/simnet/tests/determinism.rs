@@ -5,13 +5,13 @@
 //! re-seeding, and bit-identical snapshot/restore replay while the
 //! concurrent paths are active. The frame drivers are also held, bit for
 //! bit, to the seed's per-report collection loop, which lives on here as a
-//! test-only reference, and a checkpoint written before the kernel/mode
-//! matrix was retired must still restore and replay.
+//! test-only reference. (The checkpoint codec's replay tests — a legacy
+//! checkpoint and an ARIMA cut across a refit — are root
+//! `tests/checkpoint_codec.rs`.)
 
 use proptest::prelude::*;
 use utilcast_core::compute::ComputeOptions;
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
-use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
 use utilcast_datasets::{presets, Resource, Trace};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
@@ -19,7 +19,6 @@ use utilcast_simnet::link::{LinkModel, LinkSummary};
 use utilcast_simnet::sim::{SimConfig, SimReport, Simulation};
 use utilcast_simnet::threaded::run_threaded;
 use utilcast_simnet::transport::{Meter, Report, ReportFrame};
-use utilcast_timeseries::lstm::LstmConfig;
 
 fn trace() -> Trace {
     presets::google_like()
@@ -401,171 +400,6 @@ fn corrupt_link_frame_drivers_bit_identical_to_the_per_report_reference() {
             "frame driver vs per-report reference diverged under corruption at {shards} shards"
         );
     }
-}
-
-/// A warm ARIMA refit continues from the outgoing model, so that model is
-/// replay state. A controller that crashes between its first fits (tick 24)
-/// and the scheduled retrain (tick 40) and restarts from a serialized
-/// checkpoint must go through the refit tick exactly as the one that never
-/// stopped: same `TickReport`s, same forecasts, same final state.
-#[test]
-fn crash_restore_across_an_arima_refit_tick_replays_identically() {
-    use utilcast_timeseries::arima::{ArimaFitOptions, ArimaOrder};
-    const NODES: usize = 12;
-    let controller = || {
-        Controller::new(ControllerConfig {
-            num_nodes: NODES,
-            k: 3,
-            warmup: 24,
-            retrain_every: 16,
-            model: ModelSpec::Arima {
-                order: ArimaOrder::new(2, 0, 1),
-                options: ArimaFitOptions::default(),
-            },
-            ..Default::default()
-        })
-        .unwrap()
-    };
-    // Three groups swinging on different periods; every fourth node skips
-    // every third tick, so the stored values carry some staleness.
-    let reports = |t: usize| -> Vec<Report> {
-        (0..NODES)
-            .filter(|i| i % 4 != 3 || !t.is_multiple_of(3))
-            .map(|node| {
-                let group = node % 3;
-                let period = 14 + 6 * group;
-                let phase = ((t + 5 * group) % period) as f64 / period as f64;
-                let swing = 0.06 * (1.0 - 4.0 * (phase - 0.5).abs());
-                let noise = ((t * 29 + node * 13) % 19) as f64 / 19.0 - 0.5;
-                Report {
-                    node,
-                    t,
-                    values: vec![0.2 + 0.3 * group as f64 + swing + 0.02 * noise],
-                }
-            })
-            .collect()
-    };
-    let drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
-        ticks
-            .map(|t| (c.tick(reports(t)).unwrap(), c.forecast(4).unwrap()))
-            .collect::<Vec<_>>()
-    };
-
-    let mut uninterrupted = controller();
-    let mut trace = drive(&mut uninterrupted, 0..30);
-    let checkpoint = serde_json::to_string(&uninterrupted.snapshot()).unwrap();
-    trace.extend(drive(&mut uninterrupted, 30..46));
-    let retrain_ticks: Vec<usize> = (0..46).filter(|&t| trace[t].0.retrained).collect();
-    assert_eq!(retrain_ticks, [23, 39], "first fits, then one refit");
-
-    let mut restarted = Controller::restore(serde_json::from_str(&checkpoint).unwrap()).unwrap();
-    assert_eq!(drive(&mut restarted, 30..46), trace[30..]);
-    assert_eq!(restarted.snapshot(), uninterrupted.snapshot());
-}
-
-const FIXTURE_NODES: usize = 24;
-/// Ticks the fixture's controller had processed when it was written.
-const FIXTURE_CUT: usize = 20;
-
-/// The controller `fixtures/checkpoint_pr18.json` was cut from, as it is
-/// spelled today: the writer's `ComputeOptions` and `LstmConfig` were the
-/// defaults of the retired kernel/mode fields.
-fn fixture_controller() -> Controller {
-    Controller::new(ControllerConfig {
-        num_nodes: FIXTURE_NODES,
-        k: 3,
-        m_prime: 3,
-        warmup: 28,
-        retrain_every: 12,
-        model: ModelSpec::Lstm(LstmConfig {
-            window: 4,
-            hidden: 3,
-            epochs: 1,
-            seed: 3,
-            ..Default::default()
-        }),
-        seed: 11,
-        compute: ComputeOptions {
-            shards: 4,
-            retrain_stagger: true,
-            staleness_age_limit: 3,
-            cold_reseed_every: 9,
-            ..Default::default()
-        },
-        ..Default::default()
-    })
-    .unwrap()
-}
-
-/// Tick `t` of the fixture run (exact arithmetic only): three groups
-/// swinging on different periods, every node silent on every third tick.
-fn fixture_frame(t: usize, frame: &mut ReportFrame) {
-    frame.reset(t);
-    for node in 0..FIXTURE_NODES {
-        if t > 0 && (t + node).is_multiple_of(3) {
-            continue;
-        }
-        let group = node % 3;
-        let period = 10 + 4 * group;
-        let phase = ((t + 3 * group) % period) as f64 / period as f64;
-        let swing = 0.05 * (1.0 - 4.0 * (phase - 0.5).abs());
-        let own = ((t * 31 + node * 17) % 23) as f64 / 23.0 - 0.5;
-        frame.push_scalar(node, 0.2 + 0.3 * group as f64 + swing + 0.02 * own);
-    }
-}
-
-/// A checkpoint written by the last commit that had the kernel/mode matrix
-/// (under its defaults, 20 ticks in, models not yet trained — the LSTM fits
-/// happen on this side, so the replay does not depend on the writer's libm)
-/// carries `kernel`, `flat_points`, `warm_start`, `shard_kernel`,
-/// `bank_kernel`, `shard_assign` and `LstmConfig.kernel`. It must restore
-/// into exactly the state an uninterrupted controller has at that tick and
-/// replay the next 30 ticks — first fits and a staggered retrain included —
-/// bit for bit.
-#[test]
-fn checkpoint_written_under_the_mode_matrix_restores_and_replays_bitwise() {
-    let json = include_str!("fixtures/checkpoint_pr18.json");
-    for retired in [
-        "\"kernel\":\"CachedNorms\"",
-        "\"kernel\":\"FusedFlat\"",
-        "\"flat_points\":true",
-        "\"warm_start\":true",
-        "\"shard_kernel\":\"Full\"",
-        "\"bank_kernel\":\"PerRow\"",
-        "\"shard_assign\":[]",
-    ] {
-        assert!(json.contains(retired), "fixture lost its {retired} key");
-    }
-    let mut frame = ReportFrame::new(1);
-    let mut drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
-        ticks
-            .map(|t| {
-                fixture_frame(t, &mut frame);
-                (
-                    c.tick_frames(std::slice::from_ref(&frame)).unwrap(),
-                    c.forecast(4).unwrap(),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut uninterrupted = fixture_controller();
-    drive(&mut uninterrupted, 0..FIXTURE_CUT);
-    let mut restored = Controller::restore(serde_json::from_str(json).unwrap()).unwrap();
-    assert_eq!(
-        restored.snapshot(),
-        uninterrupted.snapshot(),
-        "the unknown keys must be all the restore dropped"
-    );
-    let replay = drive(&mut restored, FIXTURE_CUT..FIXTURE_CUT + 30);
-    assert!(
-        replay.iter().filter(|(tick, _)| tick.retrained).count() > 1,
-        "the replay must cross the first fits and a staggered retrain"
-    );
-    assert_eq!(
-        replay,
-        drive(&mut uninterrupted, FIXTURE_CUT..FIXTURE_CUT + 30)
-    );
-    assert_eq!(restored.snapshot(), uninterrupted.snapshot());
 }
 
 const PROP_NODES: usize = 6;

@@ -48,6 +48,7 @@ pub struct RetrainState {
     /// The retraining policy.
     pub policy: RetrainPolicy,
     /// Observation history collected so far.
+    #[serde(with = "utilcast_linalg::packed::f64s")]
     pub history: Vec<f64>,
     /// Whether the model has been fitted at least once.
     pub trained: bool,

@@ -72,6 +72,7 @@ struct LstmLayer {
     /// `[wx | wh | b]`: input weights (`4*hidden x input`, row-major),
     /// recurrent weights (`4*hidden x hidden`, row-major), gate biases
     /// (`4*hidden`).
+    #[serde(with = "utilcast_linalg::packed::f64s")]
     params: Vec<f64>,
 }
 
@@ -418,6 +419,7 @@ impl Adam {
 struct LstmState {
     layers: Vec<LstmLayer>,
     /// Dense head weights (`hidden` long) and bias.
+    #[serde(with = "utilcast_linalg::packed::f64s")]
     head_w: Vec<f64>,
     head_b: f64,
     /// Min-max normalization learned from the training history.
@@ -425,6 +427,41 @@ struct LstmState {
     hi: f64,
     /// Final training MSE (normalized scale), for diagnostics.
     train_mse: f64,
+}
+
+impl LstmState {
+    /// The shape every state [`Lstm::fit`] builds has: at least one layer,
+    /// a scalar input to the first, each layer fed the hidden state of the
+    /// one below, `[wx | wh | b]` parameters to match, and one head weight
+    /// per top-layer unit. The fused kernels index by exactly these.
+    fn check_shape(&self) -> Result<(), String> {
+        let mut input = 1usize;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let h = layer.hidden;
+            let params = h
+                .checked_add(input)
+                .and_then(|w| w.checked_add(1))
+                .and_then(|w| w.checked_mul(h))
+                .and_then(|w| w.checked_mul(4));
+            if layer.input != input || h == 0 || params != Some(layer.params.len()) {
+                return Err(format!(
+                    "lstm layer {i}: {} parameters for input {} and hidden {h} \
+                     (expected input {input})",
+                    layer.params.len(),
+                    layer.input
+                ));
+            }
+            input = h;
+        }
+        if self.layers.is_empty() || self.head_w.len() != input {
+            return Err(format!(
+                "lstm head: {} weights over {} layers ending at hidden {input}",
+                self.head_w.len(),
+                self.layers.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Stacked-LSTM forecaster (2 LSTM layers + ReLU dense head by default).
@@ -445,7 +482,28 @@ struct LstmState {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lstm {
     config: LstmConfig,
+    #[serde(with = "checked_state")]
     state: Option<LstmState>,
+}
+
+/// A fitted state read back from a checkpoint is shape-checked before the
+/// kernels index by it: a checkpoint is outside input.
+mod checked_state {
+    use serde::{DeError, Deserialize, Serialize, Value};
+
+    use super::LstmState;
+
+    pub(super) fn to_value(state: &Option<LstmState>) -> Value {
+        state.to_value()
+    }
+
+    pub(super) fn from_value(v: &Value) -> Result<Option<LstmState>, DeError> {
+        let state = Option::<LstmState>::from_value(v)?;
+        if let Some(state) = &state {
+            state.check_shape().map_err(DeError::new)?;
+        }
+        Ok(state)
+    }
 }
 
 impl Lstm {
@@ -875,6 +933,38 @@ mod tests {
             m.forecast(&[1.0, 2.0], 1),
             Err(TimeSeriesError::TooShort { .. })
         ));
+    }
+
+    #[test]
+    fn a_checkpointed_state_with_the_wrong_shape_is_a_decode_error() {
+        use serde::Value;
+        let mut m = Lstm::new(tiny_config());
+        m.fit(&[0.5; 40]).unwrap();
+        let v = m.to_value();
+        assert_eq!(Lstm::from_value(&v), Ok(m));
+        // Rewrites one integer field of the first layer.
+        let patch = |field: &str, to: u64| {
+            let mut v = v.clone();
+            let Value::Map(top) = &mut v else { panic!() };
+            let Value::Map(state) = &mut top[1].1 else {
+                panic!()
+            };
+            let Value::Seq(layers) = &mut state[0].1 else {
+                panic!()
+            };
+            let Value::Map(layer) = &mut layers[0] else {
+                panic!()
+            };
+            let (_, slot) = layer.iter_mut().find(|(k, _)| k == field).unwrap();
+            *slot = Value::UInt(to);
+            Lstm::from_value(&v)
+        };
+        let hidden = tiny_config().hidden as u64;
+        for (field, to) in [("hidden", hidden + 1), ("hidden", 0), ("input", 2)] {
+            let err = patch(field, to).unwrap_err();
+            assert!(err.to_string().contains("lstm layer 0"), "{field}: {err}");
+        }
+        assert!(patch("hidden", hidden).is_ok());
     }
 
     #[test]

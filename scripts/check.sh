@@ -41,6 +41,13 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The vendored serde / serde_derive / serde_json stand-ins carry their own
+# tests (value-tree round trips, the printer's pinned output, the parser's
+# depth cap and surrogate checks); name them so they run even if the
+# workspace's member list stops reaching vendor/.
+echo "==> cargo test -q -p serde -p serde_derive -p serde_json"
+cargo test -q -p serde -p serde_derive -p serde_json
+
 # The end-to-end benchmark is a workspace of its own (benchmark/), so
 # nothing above builds or tests it. Its unit tests cover the estimator,
 # generator and spans; the smoke run drives all four workloads, traced and
