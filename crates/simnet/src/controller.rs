@@ -39,7 +39,8 @@ pub struct ControllerConfig {
     pub seed: u64,
     /// Accepted payload value range (inclusive); reports outside it are
     /// quarantined. Utilization traces are unit-scaled, so the default is
-    /// `(0.0, 1.0)`.
+    /// `(0.0, 1.0)`. Must be finite, ordered, and within
+    /// `sqrt(f64::MAX / (4·num_nodes))` in magnitude ([`Controller::new`]).
     pub value_bounds: (f64, f64),
     /// Threading and warm-start knobs for the per-tick clustering and
     /// retraining (see [`ComputeOptions`]).
@@ -229,8 +230,11 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero nodes or `k` outside
-    /// `[1, num_nodes]`.
+    /// Returns [`SimError::InvalidConfig`] for zero nodes, `k` outside
+    /// `[1, num_nodes]`, or [`ControllerConfig::value_bounds`] that are not
+    /// finite, inverted, or wider than `sqrt(f64::MAX / (4·num_nodes))` in
+    /// magnitude (past it, the clustering's sum of N squared distances
+    /// between admitted values can overflow).
     pub fn new(config: ControllerConfig) -> Result<Self, SimError> {
         if config.num_nodes == 0 {
             return Err(SimError::InvalidConfig {
@@ -242,6 +246,19 @@ impl Controller {
                 reason: format!(
                     "k must be within [1, num_nodes]; got k = {}, num_nodes = {}",
                     config.k, config.num_nodes
+                ),
+            });
+        }
+        // Admitted values feed k-means, which sums N squared distances
+        // between them: beyond this magnitude that sum can overflow.
+        let (lo, hi) = config.value_bounds;
+        let limit = (f64::MAX / (4.0 * config.num_nodes as f64)).sqrt();
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi && lo.abs().max(hi.abs()) <= limit) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "value_bounds must be finite with lo <= hi and |lo|, |hi| <= {limit:e} \
+                     for {} nodes; got [{lo}, {hi}]",
+                    config.num_nodes
                 ),
             });
         }
@@ -960,6 +977,85 @@ mod tests {
             .unwrap();
         assert_eq!((r.reports_applied, r.quarantined), (1, 1));
         assert_eq!(c.stored(), &[7.5, 0.0]);
+    }
+
+    fn bounds_error(value_bounds: (f64, f64)) -> String {
+        match Controller::new(ControllerConfig {
+            value_bounds,
+            ..quick_config(4, 2)
+        }) {
+            Err(SimError::InvalidConfig { reason }) => reason,
+            other => panic!(
+                "{value_bounds:?}: expected InvalidConfig, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+    }
+
+    #[test]
+    fn non_finite_value_bounds_are_rejected() {
+        // NaN bounds used to admit every finite value (`v < NaN` is false).
+        for bounds in [
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (f64::NEG_INFINITY, 1.0),
+            (0.0, f64::INFINITY),
+        ] {
+            assert!(bounds_error(bounds).contains("value_bounds"));
+        }
+        // A checkpoint carrying such a config is refused the same way.
+        let mut snapshot = Controller::new(quick_config(4, 2)).unwrap().snapshot();
+        snapshot.config.value_bounds = (f64::NAN, 1.0);
+        assert!(matches!(
+            Controller::restore(snapshot),
+            Err(SimError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn inverted_value_bounds_are_rejected() {
+        // They used to quarantine every report without saying why.
+        assert!(bounds_error((1.0, 0.0)).contains("[1, 0]"));
+        assert!(Controller::new(ControllerConfig {
+            value_bounds: (0.5, 0.5),
+            ..quick_config(4, 2)
+        })
+        .is_ok());
+    }
+
+    #[test]
+    fn value_bounds_wide_enough_to_overflow_clustering_are_rejected() {
+        // ±1.7e308 at N = 4 used to admit reports whose squared distances
+        // overflow k-means' sums: a panic on the first tick in a debug
+        // build, non-finite centroids in a release one.
+        assert!(bounds_error((-1.7e308, 1.7e308)).contains("for 4 nodes"));
+        let limit = (f64::MAX / 16.0).sqrt();
+        bounds_error((0.0, limit * 1.000_001));
+        bounds_error((-limit * 1.000_001, 0.0));
+        // At the limit itself, extreme reports cluster to finite centroids.
+        let mut c = Controller::new(ControllerConfig {
+            value_bounds: (-limit, limit),
+            ..quick_config(4, 2)
+        })
+        .unwrap();
+        for t in 0..3 {
+            let r = c
+                .tick(vec![
+                    report(0, t, -limit),
+                    report(1, t, limit),
+                    report(2, t, -limit),
+                    report(3, t, limit),
+                ])
+                .unwrap();
+            assert_eq!(r.reports_applied, 4);
+            assert!(r.intermediate_rmse.is_finite());
+        }
+        assert!(c
+            .forecast(2)
+            .unwrap()
+            .iter()
+            .flatten()
+            .all(|v| v.is_finite()));
     }
 
     #[test]

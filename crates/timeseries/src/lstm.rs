@@ -13,11 +13,15 @@
 //!
 //! Training and forecasting run one compute path: fused flat-buffer
 //! kernels from `utilcast_linalg::kernels` (blocked GEMV, rank-1 update,
-//! fused gate activation) over one recycled workspace per fit. The
-//! allocating nested-`Vec` scalar loops it replaced are kept as the
-//! `#[cfg(test)]` oracle in `lstm/oracle.rs`; the two are bit-identical by
-//! construction — every accumulator sees the same IEEE op sequence — and
-//! the differential suite beside the oracle enforces it.
+//! fused gate activation) over one recycled workspace per fit. The gate
+//! nonlinearities are the kernels' own branch-free `sigmoid`/`tanh`, not
+//! libm's: within `1e-15` of libm per call, and the same bits on every
+//! platform. The allocating nested-`Vec` scalar loops the fused path
+//! replaced are kept as the `#[cfg(test)]` oracle in `lstm/oracle.rs`; run
+//! with the same activations, the two are bit-identical by construction —
+//! every accumulator sees the same IEEE op sequence — and the differential
+//! suite beside the oracle enforces it. `lstm/libm_gate.rs` holds the owned
+//! activations to libm's at model level.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -836,6 +840,8 @@ impl Forecaster for Lstm {
 
 #[cfg(test)]
 mod differential;
+#[cfg(test)]
+mod libm_gate;
 #[cfg(test)]
 mod oracle;
 

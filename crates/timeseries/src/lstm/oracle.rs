@@ -1,16 +1,39 @@
 //! The allocating nested-`Vec` scalar LSTM loops `lstm` shipped before the
-//! fused flat-buffer path, kept verbatim as the oracle that `differential`
-//! compares the production path against bit for bit. Test support only:
-//! nothing here is reachable from a non-test build, and no option selects
-//! it.
+//! fused flat-buffer path, kept as the oracle that `differential` compares
+//! the production path against bit for bit. Test support only: nothing here
+//! is reachable from a non-test build, and no option selects it.
+//!
+//! The gate nonlinearities are a parameter. [`Activations::OWNED`] is the
+//! pair the production kernel calls (`utilcast_linalg::kernels::{sigmoid,
+//! tanh}`), so the differential suite compares loop structure, not
+//! activation functions. [`Activations::LIBM`] is libm's pair, the reference
+//! of the model-level quality gate in `libm_gate`.
 
 #![cfg(test)]
+
+use utilcast_linalg::kernels;
 
 use super::{Adam, Lstm, LstmLayer, LstmState};
 use crate::TimeSeriesError;
 
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
+/// The gate nonlinearities one oracle run uses.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Activations {
+    sigmoid: fn(f64) -> f64,
+    tanh: fn(f64) -> f64,
+}
+
+impl Activations {
+    /// The owned pair of the production kernel.
+    pub(super) const OWNED: Activations = Activations {
+        sigmoid: kernels::sigmoid,
+        tanh: kernels::tanh,
+    };
+    /// libm's `exp`/`tanh`, what the LSTM ran on before it owned them.
+    pub(super) const LIBM: Activations = Activations {
+        sigmoid: |x| 1.0 / (1.0 + (-x).exp()),
+        tanh: f64::tanh,
+    };
 }
 
 /// Cached activations of one layer over one sequence, for BPTT.
@@ -29,7 +52,8 @@ pub(super) struct LayerCache {
 impl LstmLayer {
     /// Runs the layer over a sequence, returning the hidden states and a
     /// cache for BPTT.
-    pub(super) fn forward(&self, sequence: &[Vec<f64>]) -> LayerCache {
+    pub(super) fn forward(&self, sequence: &[Vec<f64>], act: Activations) -> LayerCache {
+        let Activations { sigmoid, tanh } = act;
         let h = self.hidden;
         let mut cache = LayerCache::default();
         let mut h_prev = vec![0.0; h];
@@ -55,14 +79,14 @@ impl LstmLayer {
             for j in 0..h {
                 gi[j] = sigmoid(z[j]);
                 gf[j] = sigmoid(z[h + j]);
-                gg[j] = z[2 * h + j].tanh();
+                gg[j] = tanh(z[2 * h + j]);
                 go[j] = sigmoid(z[3 * h + j]);
             }
             let mut c = vec![0.0; h];
             let mut hidden_state = vec![0.0; h];
             for j in 0..h {
                 c[j] = gf[j] * c_prev[j] + gi[j] * gg[j];
-                hidden_state[j] = go[j] * c[j].tanh();
+                hidden_state[j] = go[j] * tanh(c[j]);
             }
             cache.xs.push(x.clone());
             cache.gates.push([gi, gf, gg, go]);
@@ -82,6 +106,7 @@ impl LstmLayer {
         &self,
         cache: &LayerCache,
         dh_per_step: &[Vec<f64>],
+        act: Activations,
     ) -> (Vec<f64>, Vec<Vec<f64>>) {
         let h = self.hidden;
         let steps = cache.xs.len();
@@ -103,7 +128,7 @@ impl LstmLayer {
             let mut dz = vec![0.0; 4 * h];
             let mut dc_prev = vec![0.0; h];
             for j in 0..h {
-                let tanh_c = c[j].tanh();
+                let tanh_c = (act.tanh)(c[j]);
                 let dc = dc_next[j] + dh[j] * go[j] * (1.0 - tanh_c * tanh_c);
                 let d_o = dh[j] * tanh_c;
                 let cp = if t == 0 { 0.0 } else { c_prev[j] };
@@ -165,11 +190,15 @@ impl Adam {
 impl Lstm {
     /// Full forward pass: window of normalized values -> scalar
     /// prediction. Returns `(prediction, caches, head_input)`.
-    fn forward_exact(state: &LstmState, window: &[f64]) -> (f64, Vec<LayerCache>, Vec<f64>) {
+    fn forward_exact(
+        state: &LstmState,
+        window: &[f64],
+        act: Activations,
+    ) -> (f64, Vec<LayerCache>, Vec<f64>) {
         let mut seq: Vec<Vec<f64>> = window.iter().map(|&v| vec![v]).collect();
         let mut caches = Vec::with_capacity(state.layers.len());
         for layer in &state.layers {
-            let cache = layer.forward(&seq);
+            let cache = layer.forward(&seq, act);
             seq = cache.hs.clone();
             caches.push(cache);
         }
@@ -192,10 +221,14 @@ impl Lstm {
     }
 
     /// [`crate::Forecaster::fit`] through the scalar training step.
-    pub(super) fn fit_exact(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+    pub(super) fn fit_exact(
+        &mut self,
+        history: &[f64],
+        act: Activations,
+    ) -> Result<(), TimeSeriesError> {
         let grad_clip = self.config.grad_clip;
         self.fit_with(history, |state, window, target, layer_opts, head_opt| {
-            exact_train_sample(state, window, target, layer_opts, head_opt, grad_clip)
+            exact_train_sample(state, window, target, layer_opts, head_opt, grad_clip, act)
         })
     }
 
@@ -204,9 +237,10 @@ impl Lstm {
         &self,
         history: &[f64],
         horizon: usize,
+        act: Activations,
     ) -> Result<Vec<f64>, TimeSeriesError> {
         self.forecast_with(history, horizon, |state, window| {
-            Lstm::forward_exact(state, window).0
+            Lstm::forward_exact(state, window, act).0
         })
     }
 }
@@ -220,9 +254,10 @@ fn exact_train_sample(
     layer_opts: &mut [Adam],
     head_opt: &mut Adam,
     grad_clip: f64,
+    act: Activations,
 ) -> f64 {
     let hidden = state.head_w.len();
-    let (y, caches, last_h) = Lstm::forward_exact(state, window);
+    let (y, caches, last_h) = Lstm::forward_exact(state, window, act);
     let err = y - target;
     // dLoss/dy for squared error (factor 2 folded into lr).
     let mut dy = err;
@@ -252,7 +287,7 @@ fn exact_train_sample(
     let mut dh_per_step = dh_top;
     let mut layer_grads: Vec<Vec<f64>> = Vec::with_capacity(state.layers.len());
     for (layer, cache) in state.layers.iter().zip(&caches).rev() {
-        let (grads, dxs) = layer.backward(cache, &dh_per_step);
+        let (grads, dxs) = layer.backward(cache, &dh_per_step, act);
         layer_grads.push(grads);
         dh_per_step = dxs;
     }

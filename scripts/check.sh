@@ -41,6 +41,13 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The LSTM suites once more, optimised: the differential suite's bitwise
+# contract under release codegen (where the gate loops vectorise), and the
+# default-configuration half of the owned-vs-libm quality gate, which is
+# skipped in unoptimised builds.
+echo "==> cargo test --release -q -p utilcast-timeseries --lib lstm::"
+cargo test --release -q -p utilcast-timeseries --lib lstm::
+
 # The vendored serde / serde_derive / serde_json stand-ins carry their own
 # tests (value-tree round trips, the printer's pinned output, the parser's
 # depth cap and surrogate checks); name them so they run even if the
