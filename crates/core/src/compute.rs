@@ -54,11 +54,13 @@ pub struct ComputeOptions {
     /// thread count; it changes *when* each model retrains, so reports
     /// differ from the unstaggered schedule by construction.
     pub retrain_stagger: bool,
-    /// Mask nodes whose staleness age (ticks since their freshest admitted
+    /// Mask nodes whose staleness age (ticks since their freshest stored
     /// measurement) exceeds this limit: before clustering/retraining their
     /// stored value is imputed with the mean of the fresh nodes, so stale
     /// state stops poisoning centroids and model fits when links degrade.
-    /// `0` disables masking (default) — every stored value is used as-is.
+    /// Applied by [`CentralNode`](crate::central::CentralNode), so in every
+    /// driver. `0` disables masking (default) — every stored value is used
+    /// as-is.
     pub staleness_age_limit: usize,
     /// Shard count for the hierarchical two-level clustering: nodes are
     /// partitioned into this many deterministic contiguous shards, each

@@ -16,9 +16,9 @@
 //!    centroid series; a node's forecast is its predicted cluster's centroid
 //!    forecast plus a clipped per-node offset (Sec. V-C, Eq. 12).
 //!
-//! [`metrics`] provides the paper's error definitions (Eqs. 3–5) and
-//! [`pipeline::Pipeline`] wires the stages into the complete online system
-//! of Fig. 2.
+//! [`metrics`] provides the paper's error definitions (Eqs. 3–5),
+//! [`central::CentralNode`] is the controller of Fig. 2, and
+//! [`pipeline::Pipeline`] runs it behind the nodes' transmitters.
 //!
 //! # Example
 //!
@@ -51,6 +51,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod allocate;
+pub mod central;
 pub mod cluster;
 pub mod compute;
 pub mod detect;

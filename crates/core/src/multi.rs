@@ -5,8 +5,8 @@
 //! and one decision ships the whole vector), while clustering and
 //! forecasting run per resource on scalars (Sec. VI-C1). [`MultiPipeline`]
 //! implements exactly that split: one width-`d` [`TransmitterBank`] deciding
-//! for every node on the whole vector, one [`crate::stage::ForecastStage`]
-//! per resource on the controller.
+//! for every node on the whole vector, one [`CentralNode`] per resource on
+//! the controller. [`crate::pipeline::Pipeline`] is this pipeline at `d = 1`.
 //!
 //! # Example
 //!
@@ -35,11 +35,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::central::CentralNode;
 use crate::cluster::SimilarityMeasure;
 use crate::compute::ComputeOptions;
-use crate::pipeline::ModelSpec;
+use crate::pipeline::{ModelSpec, TransmissionMode};
 use crate::stage::{ForecastStage, ForecastStageConfig, StageReport};
-use crate::transmit::{TransmitConfig, TransmitterBank};
+use crate::transmit::{TransmitConfig, TransmitterBank, UniformTransmitter};
 use crate::CoreError;
 
 /// Configuration of the multi-resource pipeline.
@@ -71,9 +72,9 @@ pub struct MultiPipelineConfig {
     pub model: ModelSpec,
     /// Base k-means seed (each resource stage gets `seed + resource`).
     pub seed: u64,
-    /// Threading and warm-start knobs shared by every resource stage (see
-    /// [`ComputeOptions`]); with [`ComputeOptions::shards`] `> 1` every
-    /// stage clusters through the hierarchical two-level pass.
+    /// Threading, warm-start and staleness knobs shared by every resource
+    /// engine (see [`ComputeOptions`]); with [`ComputeOptions::shards`]
+    /// `> 1` every stage clusters through the hierarchical two-level pass.
     pub compute: ComputeOptions,
 }
 
@@ -107,28 +108,32 @@ pub struct MultiStepReport {
     pub stages: Vec<StageReport>,
 }
 
-/// The multi-resource pipeline (see module docs).
-pub struct MultiPipeline {
-    config: MultiPipelineConfig,
-    /// The nodes' transmitters; the bank's row-major stored mirror
-    /// (`stored[node * d + resource]`) is the controller's copy.
-    bank: TransmitterBank,
-    /// Scratch buffers: the step's measurements flattened row-major, and
-    /// the per-resource gather (no allocation per step or resource).
-    xbuf: Vec<f64>,
-    zbuf: Vec<f64>,
-    stages: Vec<ForecastStage>,
-    t: usize,
-    total_transmissions: u64,
+/// Who decides which nodes send this step.
+#[derive(Debug)]
+enum Collector {
+    /// The Lyapunov rule: one bank, a width-`d` row per node.
+    Bank(TransmitterBank),
+    /// Uniform sampling (a `Pipeline` option): one clock for the fleet.
+    Uniform(UniformTransmitter),
 }
 
-impl std::fmt::Debug for MultiPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiPipeline")
-            .field("config", &self.config)
-            .field("steps", &self.t)
-            .finish_non_exhaustive()
-    }
+/// The multi-resource pipeline (see module docs): the collect → store →
+/// tick routine of both pipelines. The nodes decide against the
+/// controller's copies, each resource's engine stores what was sent, and
+/// every engine ticks (so the engines' `last_seen` columns are identical).
+#[derive(Debug)]
+pub struct MultiPipeline {
+    config: MultiPipelineConfig,
+    collector: Collector,
+    /// One engine per resource.
+    pub(crate) engines: Vec<CentralNode>,
+    /// The engines' stored values, row-major (`[node * d + resource]`):
+    /// what the nodes decide against.
+    pub(crate) stored: Vec<f64>,
+    total_transmissions: u64,
+    /// Scratch buffer: the step's measurements flattened row-major (no
+    /// allocation per step).
+    xbuf: Vec<f64>,
 }
 
 impl MultiPipeline {
@@ -139,20 +144,26 @@ impl MultiPipeline {
     /// Returns [`CoreError::InvalidConfig`] for zero nodes/resources, `k`
     /// outside `[1, num_nodes]`, or a budget outside `(0, 1]`.
     pub fn new(config: MultiPipelineConfig) -> Result<Self, CoreError> {
-        if config.num_resources == 0 {
+        MultiPipeline::with_mode(config, TransmissionMode::Adaptive)
+    }
+
+    /// [`MultiPipeline::new`] collecting under `mode`. The engines are
+    /// built first, so a bad node count is the stage's typed error, not a
+    /// bank panic.
+    pub(crate) fn with_mode(
+        config: MultiPipelineConfig,
+        mode: TransmissionMode,
+    ) -> Result<Self, CoreError> {
+        let (n, d) = (config.num_nodes, config.num_resources);
+        if d == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "num_resources must be positive".into(),
             });
         }
-        if !(config.budget > 0.0 && config.budget <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("budget must be within (0, 1], got {}", config.budget),
-            });
-        }
-        let stages = (0..config.num_resources)
+        let engines = (0..d as u64)
             .map(|r| {
-                ForecastStage::new(ForecastStageConfig {
-                    num_nodes: config.num_nodes,
+                CentralNode::new(ForecastStageConfig {
+                    num_nodes: n,
                     k: config.k,
                     m: config.m,
                     m_prime: config.m_prime,
@@ -160,27 +171,33 @@ impl MultiPipeline {
                     warmup: config.warmup,
                     retrain_every: config.retrain_every,
                     model: config.model.clone(),
-                    seed: config.seed.wrapping_add(r as u64),
+                    seed: config.seed.wrapping_add(r),
                     compute: config.compute,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let bank = TransmitterBank::with_width(
-            TransmitConfig {
-                budget: config.budget,
-                v0: config.v0,
-                gamma: config.gamma,
-            },
-            config.num_nodes,
-            config.num_resources,
-        );
+        if !(config.budget > 0.0 && config.budget <= 1.0) {
+            return Err(CoreError::InvalidConfig {
+                reason: format!("budget must be within (0, 1], got {}", config.budget),
+            });
+        }
+        let transmit = TransmitConfig {
+            budget: config.budget,
+            v0: config.v0,
+            gamma: config.gamma,
+        };
+        let collector = match mode {
+            TransmissionMode::Adaptive => {
+                Collector::Bank(TransmitterBank::with_width(transmit, n, d))
+            }
+            TransmissionMode::Uniform => Collector::Uniform(UniformTransmitter::new(config.budget)),
+        };
         Ok(MultiPipeline {
-            bank,
-            xbuf: Vec::with_capacity(config.num_nodes * config.num_resources),
-            zbuf: vec![0.0; config.num_nodes],
-            stages,
-            t: 0,
+            collector,
+            engines,
+            stored: vec![0.0; n * d],
             total_transmissions: 0,
+            xbuf: Vec::with_capacity(n * d),
             config,
         })
     }
@@ -192,15 +209,14 @@ impl MultiPipeline {
 
     /// Number of steps processed.
     pub fn steps(&self) -> usize {
-        self.t
+        self.engines.first().map_or(0, CentralNode::ticks)
     }
 
     /// Realized average transmission frequency.
     pub fn transmission_frequency(&self) -> f64 {
-        if self.t == 0 {
-            0.0
-        } else {
-            self.total_transmissions as f64 / (self.t as f64 * self.config.num_nodes as f64)
+        match self.steps() {
+            0 => 0.0,
+            t => self.total_transmissions as f64 / (t as f64 * self.config.num_nodes as f64),
         }
     }
 
@@ -215,9 +231,9 @@ impl MultiPipeline {
     // backstops the proof at runtime; exemplar chain:
     // core::multi::MultiPipeline::stored
     pub fn stored(&self, node: usize) -> &[f64] {
-        assert!(self.t > 0, "pipeline has not processed any step");
+        assert!(self.steps() > 0, "pipeline has not processed any step");
         let d = self.config.num_resources;
-        &self.bank.stored()[node * d..(node + 1) * d]
+        &self.stored[node * d..(node + 1) * d]
     }
 
     /// Processes one step: `x[node]` is the node's `d`-dimensional fresh
@@ -241,35 +257,49 @@ impl MultiPipeline {
                 reason: format!("measurement has {} resources, expected {d}", bad.len()),
             });
         }
-        self.xbuf.clear();
-        x.iter().for_each(|m| self.xbuf.extend_from_slice(m));
-        let mut transmitted = Vec::with_capacity(n);
-        if self.t == 0 {
-            // Bootstrap: everyone transmits; the bank still consumes its
-            // clock, against z = x.
-            self.bank
-                .decide_batch_against(&self.xbuf, &self.xbuf, &mut transmitted);
-            self.bank.store_all(&self.xbuf);
-            transmitted.fill(true);
-            self.total_transmissions += n as u64;
-        } else {
-            self.bank.decide_batch(&self.xbuf, &mut transmitted);
-            self.total_transmissions += transmitted.iter().filter(|&&sent| sent).count() as u64;
-        }
-        self.t += 1;
+        let mut xbuf = std::mem::take(&mut self.xbuf);
+        xbuf.clear();
+        x.iter().for_each(|m| xbuf.extend_from_slice(m));
+        let report = self.step_flat(&xbuf);
+        self.xbuf = xbuf;
+        report
+    }
 
-        let mut stages = Vec::with_capacity(d);
-        let mut z = std::mem::take(&mut self.zbuf);
-        // An early `?` return leaves the scratch buffer empty; restore its
-        // length before the gather rather than assuming it.
-        z.resize(n, 0.0);
-        for (r, stage) in self.stages.iter_mut().enumerate() {
-            for (zi, row) in z.iter_mut().zip(self.bank.stored().chunks_exact(d)) {
-                *zi = row[r];
+    /// One step over the fleet's fresh measurements `x`, row-major like
+    /// the stored values. On the first step every node transmits (the
+    /// controller has no prior values); the collector still consumes its
+    /// clock, against `z = x`.
+    pub(crate) fn step_flat(&mut self, x: &[f64]) -> Result<MultiStepReport, CoreError> {
+        let t = self.steps();
+        let bootstrap = t == 0;
+        let mut transmitted = Vec::with_capacity(self.config.num_nodes);
+        match &mut self.collector {
+            Collector::Uniform(clock) => transmitted.resize(self.config.num_nodes, clock.decide()),
+            Collector::Bank(bank) => {
+                let z = if bootstrap { x } else { &self.stored };
+                bank.decide_batch_against(x, z, &mut transmitted)
             }
-            stages.push(stage.step(&z)?);
         }
-        self.zbuf = z;
+        if bootstrap {
+            transmitted.fill(true);
+        }
+        let d = self.config.num_resources;
+        let rows = x.chunks_exact(d).zip(self.stored.chunks_exact_mut(d));
+        for (node, (&sent, (row, z))) in transmitted.iter().zip(rows).enumerate() {
+            if sent {
+                // Not `copy_from_slice`: a runtime-length row is a `memcpy` call.
+                for ((zv, &v), engine) in z.iter_mut().zip(row).zip(&mut self.engines) {
+                    *zv = v;
+                    engine.store(node, t, v);
+                }
+                self.total_transmissions += 1;
+            }
+        }
+        let stages = self
+            .engines
+            .iter_mut()
+            .map(|engine| engine.tick().map(|tick| tick.stage))
+            .collect::<Result<_, _>>()?;
         Ok(MultiStepReport {
             transmitted,
             stages,
@@ -283,7 +313,10 @@ impl MultiPipeline {
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
     pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<Vec<f64>>>, CoreError> {
-        self.stages.iter().map(|s| s.forecast(horizon)).collect()
+        self.engines
+            .iter()
+            .map(|engine| engine.stage().forecast(horizon))
+            .collect()
     }
 
     /// The per-resource controller stages (read access for diagnostics).
@@ -293,7 +326,7 @@ impl MultiPipeline {
     // backstops the proof at runtime; exemplar chain:
     // core::multi::MultiPipeline::stage
     pub fn stage(&self, resource: usize) -> &ForecastStage {
-        &self.stages[resource]
+        self.engines[resource].stage()
     }
 }
 

@@ -9,9 +9,10 @@
 //!
 //! Per step the pipeline:
 //!
-//! 1. runs each node's transmitter to decide which fresh measurements reach
+//! 1. runs the nodes' transmitters to decide which fresh measurements reach
 //!    the controller (the rest stay stale),
-//! 2. re-clusters the stored values and re-indexes clusters against history,
+//! 2. re-clusters the stored values (masking nodes aged past
+//!    [`ComputeOptions::staleness_age_limit`]) against history,
 //! 3. feeds each cluster's centroid into that cluster's forecasting model
 //!    (training after `warmup` observations, retraining periodically), and
 //! 4. on demand, forecasts each node's future utilization as its predicted
@@ -26,8 +27,7 @@ use utilcast_timeseries::Forecaster;
 
 use crate::cluster::SimilarityMeasure;
 use crate::compute::ComputeOptions;
-use crate::stage::{ForecastStage, ForecastStageConfig};
-use crate::transmit::{AdaptiveTransmitter, TransmitConfig, UniformTransmitter};
+use crate::multi::{MultiPipeline, MultiPipelineConfig, MultiStepReport};
 use crate::CoreError;
 
 /// Which forecasting model each cluster uses.
@@ -174,10 +174,9 @@ pub enum TransmissionMode {
     /// The paper's Lyapunov policy (Sec. V-A).
     #[default]
     Adaptive,
-    /// Fixed-interval sampling at the same average budget (Fig. 4 baseline).
+    /// Fixed-interval sampling at the same average budget (Fig. 4
+    /// baseline); at `budget: 1.0` every measurement is transmitted.
     Uniform,
-    /// Every measurement is transmitted (`B = 1`; no staleness).
-    Always,
 }
 
 /// Configuration of the full pipeline.
@@ -212,9 +211,9 @@ pub struct PipelineConfig {
     pub model: ModelSpec,
     /// RNG seed (k-means seeding).
     pub seed: u64,
-    /// Threading and warm-start knobs for the controller-side compute (see
-    /// [`ComputeOptions`]); with [`ComputeOptions::shards`] `> 1` the
-    /// per-step clustering runs the hierarchical two-level pass.
+    /// Threading, warm-start and staleness knobs for the controller-side
+    /// compute (see [`ComputeOptions`]); with [`ComputeOptions::shards`]
+    /// `> 1` the per-step clustering runs the hierarchical two-level pass.
     pub compute: ComputeOptions,
 }
 
@@ -239,35 +238,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Per-node transmitter variants.
-#[derive(Debug, Clone)]
-enum Transmitter {
-    Adaptive(AdaptiveTransmitter),
-    Uniform(UniformTransmitter),
-    Always,
-}
-
-impl Transmitter {
-    /// The shared penalty weight `V_t` for the upcoming decision, if this
-    /// variant uses one. All of a pipeline's transmitters share the same
-    /// clock and `(V_0, γ)`, so the value from any adaptive node applies to
-    /// the whole fleet.
-    fn next_vt(&self) -> Option<f64> {
-        match self {
-            Transmitter::Adaptive(tx) => Some(tx.next_vt()),
-            _ => None,
-        }
-    }
-
-    fn decide(&mut self, current: f64, stored: f64, vt: f64) -> bool {
-        match self {
-            Transmitter::Adaptive(tx) => tx.decide_with_vt(&[current], &[stored], vt),
-            Transmitter::Uniform(tx) => tx.decide(),
-            Transmitter::Always => true,
-        }
-    }
-}
-
 /// Report of one pipeline step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepReport {
@@ -283,26 +253,12 @@ pub struct StepReport {
     pub retrained: bool,
 }
 
-/// The full single-resource pipeline (see module docs).
+/// The full single-resource pipeline (see module docs): the multi-resource
+/// pipeline at `d = 1`.
+#[derive(Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
-    transmitters: Vec<Transmitter>,
-    stored: Vec<f64>,
-    started: bool,
-    stage: ForecastStage,
-    t: usize,
-    total_transmissions: u64,
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("config", &self.config)
-            .field("steps", &self.t)
-            .field("started", &self.started)
-            .field("total_transmissions", &self.total_transmissions)
-            .finish_non_exhaustive()
-    }
+    inner: MultiPipeline,
 }
 
 impl Pipeline {
@@ -313,60 +269,26 @@ impl Pipeline {
     /// Returns [`CoreError::InvalidConfig`] when `num_nodes == 0`,
     /// `k == 0`, `k > num_nodes`, or the budget is outside `(0, 1]`.
     pub fn new(config: PipelineConfig) -> Result<Self, CoreError> {
-        if config.num_nodes == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "num_nodes must be positive".into(),
-            });
-        }
-        if config.k == 0 || config.k > config.num_nodes {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "k must be within [1, num_nodes]; got k = {}, num_nodes = {}",
-                    config.k, config.num_nodes
-                ),
-            });
-        }
-        if !(config.budget > 0.0 && config.budget <= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("budget must be within (0, 1], got {}", config.budget),
-            });
-        }
-        let transmitters = (0..config.num_nodes)
-            .map(|_| match config.transmission {
-                TransmissionMode::Adaptive => {
-                    Transmitter::Adaptive(AdaptiveTransmitter::new(TransmitConfig {
-                        budget: config.budget,
-                        v0: config.v0,
-                        gamma: config.gamma,
-                    }))
-                }
-                TransmissionMode::Uniform => {
-                    Transmitter::Uniform(UniformTransmitter::new(config.budget))
-                }
-                TransmissionMode::Always => Transmitter::Always,
-            })
-            .collect();
-        let stage = ForecastStage::new(ForecastStageConfig {
-            num_nodes: config.num_nodes,
-            k: config.k,
-            m: config.m,
-            m_prime: config.m_prime,
-            similarity: config.similarity,
-            warmup: config.warmup,
-            retrain_every: config.retrain_every,
-            model: config.model.clone(),
-            seed: config.seed,
-            compute: config.compute,
-        })?;
-        Ok(Pipeline {
-            stored: vec![0.0; config.num_nodes],
-            started: false,
-            transmitters,
-            stage,
-            t: 0,
-            total_transmissions: 0,
-            config,
-        })
+        let inner = MultiPipeline::with_mode(
+            MultiPipelineConfig {
+                num_nodes: config.num_nodes,
+                num_resources: 1,
+                k: config.k,
+                budget: config.budget,
+                v0: config.v0,
+                gamma: config.gamma,
+                m: config.m,
+                m_prime: config.m_prime,
+                similarity: config.similarity,
+                warmup: config.warmup,
+                retrain_every: config.retrain_every,
+                model: config.model.clone(),
+                seed: config.seed,
+                compute: config.compute,
+            },
+            config.transmission,
+        )?;
+        Ok(Pipeline { config, inner })
     }
 
     /// The configuration.
@@ -376,7 +298,7 @@ impl Pipeline {
 
     /// Number of steps processed.
     pub fn steps(&self) -> usize {
-        self.t
+        self.inner.steps()
     }
 
     /// The controller's current stored values `z_t`.
@@ -385,17 +307,13 @@ impl Pipeline {
     ///
     /// Panics if called before the first [`Pipeline::step`].
     pub fn stored(&self) -> &[f64] {
-        assert!(self.started, "pipeline has not processed any step");
-        &self.stored
+        assert!(self.steps() > 0, "pipeline has not processed any step");
+        &self.inner.stored
     }
 
     /// Realized average transmission frequency across all nodes so far.
     pub fn transmission_frequency(&self) -> f64 {
-        if self.t == 0 {
-            0.0
-        } else {
-            self.total_transmissions as f64 / (self.t as f64 * self.config.num_nodes as f64)
-        }
+        self.inner.transmission_frequency()
     }
 
     /// Processes one time step of fresh measurements `x_t` (one scalar per
@@ -407,11 +325,6 @@ impl Pipeline {
     /// count, and propagates clustering/forecasting errors. Forecaster
     /// training failures are non-fatal for baselines that cannot fail, but
     /// any error from a model's `fit` is surfaced.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // core::pipeline::Pipeline::step
     pub fn step(&mut self, x: &[f64]) -> Result<StepReport, CoreError> {
         if x.len() != self.config.num_nodes {
             return Err(CoreError::NodeCountMismatch {
@@ -419,45 +332,18 @@ impl Pipeline {
                 got: x.len(),
             });
         }
-        // Stage 1: transmission decisions. On the very first step every
-        // node transmits (the controller has no prior values).
-        let mut transmitted = vec![false; x.len()];
-        // Lockstep clocks: the fleet's penalty weight V_t is computed once
-        // per step instead of once per node (see Transmitter::next_vt).
-        let vt = self.transmitters[0].next_vt().unwrap_or(0.0);
-        if !self.started {
-            self.stored.copy_from_slice(x);
-            transmitted.iter_mut().for_each(|b| *b = true);
-            self.total_transmissions += x.len() as u64;
-            self.started = true;
-            // The transmitters still consume the step so their clocks align.
-            for (tx, (&cur, &st)) in self
-                .transmitters
-                .iter_mut()
-                .zip(x.iter().zip(self.stored.iter()))
-            {
-                let _ = tx.decide(cur, st, vt);
-            }
-        } else {
-            for (i, tx) in self.transmitters.iter_mut().enumerate() {
-                if tx.decide(x[i], self.stored[i], vt) {
-                    self.stored[i] = x[i];
-                    transmitted[i] = true;
-                    self.total_transmissions += 1;
-                }
-            }
-        }
-        self.t += 1;
-
-        // Stages 2-3: dynamic clustering + per-cluster model updates, run
-        // by the shared controller stage.
-        let report = self.stage.step(&self.stored)?;
+        let MultiStepReport {
+            transmitted,
+            mut stages,
+        } = self.inner.step_flat(x)?;
+        // One resource, so one stage report.
+        let stage = stages.swap_remove(0);
         Ok(StepReport {
             transmitted,
-            assignments: report.assignments,
-            centroids: report.centroids,
-            intermediate_rmse: report.intermediate_rmse,
-            retrained: report.retrained,
+            assignments: stage.assignments,
+            centroids: stage.centroids,
+            intermediate_rmse: stage.intermediate_rmse,
+            retrained: stage.retrained,
         })
     }
 
@@ -472,7 +358,7 @@ impl Pipeline {
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
     pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>, CoreError> {
-        self.stage.forecast(horizon)
+        self.inner.stage(0).forecast(horizon)
     }
 
     /// The cached forecast read plane: the current-generation
@@ -485,17 +371,20 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
+    // lint:allow(panic-path): fn-scope audit: a pipeline holds exactly one
+    // engine (`num_resources: 1`, checked at construction); exemplar chain:
+    // core::pipeline::Pipeline::forecast_table
     pub fn forecast_table(
         &mut self,
     ) -> Result<std::sync::Arc<crate::table::ForecastTable>, CoreError> {
-        self.stage.forecast_table()
+        self.inner.engines[0].forecast_table()
     }
 
     /// A cloneable handle to the forecast-table publication cell for
     /// query-serving threads (see
     /// [`ForecastStage::table_handle`](crate::stage::ForecastStage::table_handle)).
     pub fn table_handle(&self) -> crate::table::TableCell {
-        self.stage.table_handle()
+        self.inner.stage(0).table_handle()
     }
 
     /// Convenience: the estimate of the *current* state (`h = 0`), which is
@@ -505,10 +394,10 @@ impl Pipeline {
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
     pub fn nowcast(&self) -> Result<Vec<f64>, CoreError> {
-        if !self.started {
+        if self.steps() == 0 {
             return Err(CoreError::NotStarted);
         }
-        Ok(self.stored.clone())
+        Ok(self.inner.stored.clone())
     }
 
     /// The centroid history observed by cluster `j`'s model so far.
@@ -517,7 +406,7 @@ impl Pipeline {
     ///
     /// Panics if `j >= k`.
     pub fn centroid_history(&self, j: usize) -> &[f64] {
-        self.stage.centroid_history(j)
+        self.inner.stage(0).centroid_history(j)
     }
 
     /// Forecasts each cluster's centroid for horizons `1..=horizon`
@@ -525,7 +414,7 @@ impl Pipeline {
     /// warmup phase. This is the raw model output before per-node offsets
     /// are applied (plotted in the paper's Fig. 8).
     pub fn forecast_centroids(&self, horizon: usize) -> Vec<Vec<f64>> {
-        self.stage.forecast_centroids(horizon)
+        self.inner.stage(0).forecast_centroids(horizon)
     }
 }
 
@@ -544,7 +433,8 @@ mod tests {
             k,
             warmup: 10,
             retrain_every: 20,
-            transmission: TransmissionMode::Always,
+            transmission: TransmissionMode::Uniform,
+            budget: 1.0,
             ..Default::default()
         }
     }

@@ -1,11 +1,10 @@
 //! The controller-side forecast stage: dynamic clustering + per-cluster
-//! models + membership/offset bookkeeping for **one** scalar resource.
+//! models + membership/offset bookkeeping for **one** scalar resource, and
+//! the forecast read plane built from them.
 //!
-//! This is the part of the pipeline that lives on the central node
-//! (everything in Fig. 2 right of the transmission arrows). It is factored
-//! out so the in-process [`crate::pipeline::Pipeline`], the multi-resource
-//! [`crate::multi::MultiPipeline`], and the distributed `utilcast-simnet`
-//! controller all run the *same* code.
+//! This is the model half of the central node of Fig. 2. Every driver
+//! reaches it through [`crate::central::CentralNode`], the one controller
+//! engine, which hands it the stored — possibly masked — values per tick.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -132,41 +132,13 @@ impl AdaptiveTransmitter {
     ///
     /// Panics if `current` and `stored` have different lengths or are empty.
     pub fn decide(&mut self, current: &[f64], stored: &[f64]) -> bool {
-        let vt = self.next_vt();
-        self.decide_with_vt(current, stored, vt)
-    }
-
-    /// The penalty weight `V_t` that the next [`AdaptiveTransmitter::decide`]
-    /// call will use.
-    ///
-    /// `V_t` depends only on the step counter and the `(V_0, γ)` control
-    /// parameters, not on the budget or queue, so a driver stepping a fleet
-    /// of transmitters with identical clocks (e.g. a simulated datacenter
-    /// tick) can compute it once and hand it to every node via
-    /// [`AdaptiveTransmitter::decide_with_vt`], avoiding one `powf` per node
-    /// per step.
-    pub fn next_vt(&self) -> f64 {
-        self.config.v0 * ((self.t + 2) as f64).powf(self.config.gamma)
-    }
-
-    /// [`AdaptiveTransmitter::decide`] with the penalty weight `V_t`
-    /// supplied by the caller.
-    ///
-    /// `vt` must equal [`AdaptiveTransmitter::next_vt`] for this node's
-    /// clock and control parameters; passing anything else changes the
-    /// policy. Exists so fleet drivers can share one `V_t` computation
-    /// across nodes stepped in lockstep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `current` and `stored` have different lengths or are empty.
-    pub fn decide_with_vt(&mut self, current: &[f64], stored: &[f64], vt: f64) -> bool {
         assert_eq!(
             current.len(),
             stored.len(),
             "measurement dimensionality mismatch"
         );
         assert!(!current.is_empty(), "measurements must be non-empty");
+        let vt = self.config.v0 * ((self.t + 2) as f64).powf(self.config.gamma);
         self.t += 1;
         let d = current.len() as f64;
         // F(β=0): mean squared staleness error; F(β=1) = 0.
@@ -248,15 +220,15 @@ impl AdaptiveTransmitter {
 ///
 /// Semantically a `Vec<AdaptiveTransmitter>` driven one tick at a time,
 /// but laid out as flat parallel arrays (virtual queues, send counters,
-/// one shared clock, and a contiguous last-stored mirror) so a fleet
-/// driver's decision pass is a single cache-friendly sweep: the penalty
-/// weight `V_t` is computed **once** per tick instead of one `powf` per
-/// node, and no per-node slices or allocations are touched.
+/// one shared clock) so a fleet driver's decision pass is a single
+/// cache-friendly sweep: the penalty weight `V_t` is computed **once** per
+/// tick instead of one `powf` per node, and no per-node slices or
+/// allocations are touched.
 ///
-/// The per-element arithmetic replicates
-/// [`AdaptiveTransmitter::decide_with_vt`] operation for operation, so a
-/// bank is bit-identical to a fleet of per-node transmitters over any
-/// trace (property-tested in `tests/bank_parity.rs`).
+/// The per-element arithmetic replicates [`AdaptiveTransmitter::decide`]
+/// operation for operation, so a bank is bit-identical to a fleet of
+/// per-node transmitters over any trace (property-tested in
+/// `tests/bank_parity.rs`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransmitterBank {
     config: TransmitConfig,
@@ -265,11 +237,6 @@ pub struct TransmitterBank {
     queues: Vec<f64>,
     /// Transmissions so far per node.
     sent: Vec<u64>,
-    /// Last-stored values, row-major (`len() * width()`), mirroring the
-    /// copies the controller holds. Only consulted by
-    /// [`TransmitterBank::decide_batch`]; drivers that track stored state
-    /// elsewhere use [`TransmitterBank::decide_batch_against`].
-    stored: Vec<f64>,
     /// Shared clock: every node in the bank has made `t` decisions.
     t: u64,
     /// Total transmissions across the bank.
@@ -278,7 +245,7 @@ pub struct TransmitterBank {
 
 impl TransmitterBank {
     /// Creates a bank of `n` scalar (`width == 1`) transmitters with
-    /// `Q(1) = 0` and a zeroed stored mirror.
+    /// `Q(1) = 0`.
     ///
     /// # Panics
     ///
@@ -301,28 +268,16 @@ impl TransmitterBank {
             width,
             queues: vec![0.0; n],
             sent: vec![0; n],
-            stored: vec![0.0; n * width],
             t: 0,
             total_sent: 0,
         }
     }
 
-    /// The penalty weight `V_t` the next decision tick will use — the
-    /// bank-level analogue of [`AdaptiveTransmitter::next_vt`], computed
-    /// once for the whole shard because every node shares the clock.
-    pub fn next_vt(&self) -> f64 {
-        self.config.v0 * ((self.t + 2) as f64).powf(self.config.gamma)
-    }
-
-    /// Runs one decision tick for every node against an external stored
-    /// view `zs` (row-major, `len() * width()` values — e.g. the
-    /// controller's flat stored vector), writing per-node decisions into
-    /// `out` (cleared first; recycled across ticks by the caller).
-    ///
-    /// The bank's internal stored mirror is **not** consulted or updated:
-    /// drivers whose source of truth for `z` lives elsewhere (the
-    /// controller, which may regress on crash-restore) use this entry
-    /// point so their decisions match the per-node seed path bit for bit.
+    /// Runs one decision tick for every node against the controller's
+    /// stored values `zs` (row-major, `len() * width()` values), writing
+    /// per-node decisions into `out` (cleared first; recycled across ticks
+    /// by the caller). The caller stores what was sent: the controller is
+    /// the source of truth for `z` (and may regress on crash-restore).
     ///
     /// # Panics
     ///
@@ -338,14 +293,19 @@ impl TransmitterBank {
         out.clear();
         out.reserve(n);
         // Same expression as the per-node path: V_t from the pre-increment
-        // clock, then one shared increment for the whole bank.
-        let vt = self.next_vt();
+        // clock, computed once because every node shares it, then one
+        // shared increment for the whole bank.
+        let vt = self.config.v0 * ((self.t + 2) as f64).powf(self.config.gamma);
         self.t += 1;
         let d = self.width as f64;
         let budget = self.config.budget;
         let rows = xs.chunks_exact(self.width).zip(zs.chunks_exact(self.width));
         for ((queue, sent), (x, z)) in self.queues.iter_mut().zip(self.sent.iter_mut()).zip(rows) {
-            let err: f64 = x.iter().zip(z).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / d;
+            // Width 1: a one-term sum `/ 1.0` is the term, bit for bit.
+            let err: f64 = match (x, z) {
+                ([a], [b]) => (a - b) * (a - b),
+                _ => x.iter().zip(z).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / d,
+            };
             let beta = *queue < vt * err;
             *queue += if beta { 1.0 } else { 0.0 } - budget;
             debug_assert!(
@@ -366,47 +326,6 @@ impl TransmitterBank {
             }
             out.push(beta);
         }
-    }
-
-    /// Runs one decision tick for every node against the bank's own
-    /// stored mirror, updating the mirror rows of transmitting nodes —
-    /// the self-contained mode for drivers that do not track stored state
-    /// separately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != len() * width()`.
-    pub fn decide_batch(&mut self, xs: &[f64], out: &mut Vec<bool>) {
-        // Take the mirror out so the decision pass can borrow it
-        // immutably alongside `&mut self`; per-node decisions only read
-        // their own row, so updating all rows after the pass is identical
-        // to the per-node update-after-decide protocol.
-        let mut stored = std::mem::take(&mut self.stored);
-        self.decide_batch_against(xs, &stored, out);
-        let rows = xs
-            .chunks_exact(self.width)
-            .zip(stored.chunks_exact_mut(self.width));
-        for (&send, (x, z)) in out.iter().zip(rows) {
-            if send {
-                z.copy_from_slice(x);
-            }
-        }
-        self.stored = stored;
-    }
-
-    /// Overwrites the stored mirror (row-major), e.g. to seed bootstrap
-    /// values before the first tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != len() * width()`.
-    pub fn store_all(&mut self, values: &[f64]) {
-        assert_eq!(
-            values.len(),
-            self.stored.len(),
-            "stored dimensionality mismatch"
-        );
-        self.stored.copy_from_slice(values);
     }
 
     /// The configuration shared by every node in the bank.
@@ -448,11 +367,6 @@ impl TransmitterBank {
     /// Total transmissions across the bank.
     pub fn total_sent(&self) -> u64 {
         self.total_sent
-    }
-
-    /// The stored mirror, row-major.
-    pub fn stored(&self) -> &[f64] {
-        &self.stored
     }
 
     /// Bank-wide empirical transmission frequency so far (`0` before any
@@ -799,29 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn decide_with_hoisted_vt_is_bit_identical() {
-        // A fleet driver computing next_vt() once per tick must reproduce
-        // the per-node decide() path exactly: decisions, queues, and
-        // counters all match bit for bit.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut a = AdaptiveTransmitter::new(TransmitConfig::with_budget(0.25));
-        let mut b = a.clone();
-        let (mut za, mut zb) = (vec![0.5], vec![0.5]);
-        for _ in 0..500 {
-            let x = vec![(0.5 + 0.1 * standard_normal(&mut rng)).clamp(0.0, 1.0)];
-            let da = a.decide(&x, &za);
-            let vt = b.next_vt();
-            let db = b.decide_with_vt(&x, &zb, vt);
-            assert_eq!(da, db);
-            if da {
-                za.clone_from(&x);
-                zb = x;
-            }
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bank_matches_per_node_fleet_bitwise() {
         // Smoke version of the tests/bank_parity.rs proptest suite: a bank
         // and a fleet of per-node transmitters driven over the same noisy
@@ -856,26 +747,6 @@ mod tests {
         }
         let fleet_sent: u64 = fleet.iter().map(|t| t.sent()).sum();
         assert_eq!(fleet_sent, bank.total_sent());
-    }
-
-    #[test]
-    fn bank_internal_mirror_tracks_transmissions() {
-        // decide_batch maintains the stored mirror exactly as a caller
-        // applying the update-after-decide protocol would.
-        let config = TransmitConfig::with_budget(0.5);
-        let mut bank = TransmitterBank::with_width(config, 3, 2);
-        bank.store_all(&[0.0; 6]);
-        let xs = [0.9, 0.8, 0.0, 0.0, 0.7, 0.6];
-        let mut out = Vec::new();
-        bank.decide_batch(&xs, &mut out);
-        for (i, &sent) in out.iter().enumerate() {
-            let row = &bank.stored()[2 * i..2 * i + 2];
-            if sent {
-                assert_eq!(row, &xs[2 * i..2 * i + 2]);
-            } else {
-                assert_eq!(row, &[0.0, 0.0]);
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based parity suite: the SoA [`TransmitterBank`] must be
 //! bit-identical to a fleet of per-node [`AdaptiveTransmitter`]s for any
 //! configuration and input trace — decisions, queue backlogs (compared via
-//! `to_bits`), send counters, and clocks all match exactly.
+//! `to_bits`), send counters, and clocks all match exactly. Each side keeps
+//! its own copy of the stored values, updated on send, as the controller
+//! does for the bank.
 
 use proptest::prelude::*;
 use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig, TransmitterBank};
@@ -14,10 +16,11 @@ fn assert_parity_scalar(config: TransmitConfig, trace: &[Vec<f64>]) -> Result<()
         (0..n).map(|_| AdaptiveTransmitter::new(config)).collect();
     let mut fleet_stored = vec![0.0f64; n];
     let mut bank = TransmitterBank::new(config, n);
-    bank.store_all(&fleet_stored);
+    let mut bank_stored = fleet_stored.clone();
     let mut decisions = Vec::new();
     for xs in trace {
-        bank.decide_batch(xs, &mut decisions);
+        bank.decide_batch_against(xs, &bank_stored, &mut decisions);
+        store_sent(&mut bank_stored, xs, &decisions, 1);
         for (i, tr) in fleet.iter_mut().enumerate() {
             let beta = tr.decide(&[xs[i]], &[fleet_stored[i]]);
             if beta {
@@ -33,11 +36,21 @@ fn assert_parity_scalar(config: TransmitConfig, trace: &[Vec<f64>]) -> Result<()
             prop_assert_eq!(tr.sent(), bank.sent_counts()[i]);
             prop_assert_eq!(tr.steps(), bank.steps());
         }
-        prop_assert_eq!(&fleet_stored[..], bank.stored());
+        prop_assert_eq!(&fleet_stored, &bank_stored);
     }
     let fleet_sent: u64 = fleet.iter().map(|tr| tr.sent()).sum();
     prop_assert_eq!(fleet_sent, bank.total_sent());
     Ok(())
+}
+
+/// Copies the rows of the nodes that sent into the row-major `stored`.
+fn store_sent(stored: &mut [f64], xs: &[f64], sent: &[bool], width: usize) {
+    let rows = stored.chunks_exact_mut(width).zip(xs.chunks_exact(width));
+    for (&send, (z, x)) in sent.iter().zip(rows) {
+        if send {
+            z.copy_from_slice(x);
+        }
+    }
 }
 
 proptest! {
@@ -75,10 +88,12 @@ proptest! {
             (0..n).map(|_| AdaptiveTransmitter::new(config)).collect();
         let mut fleet_stored = vec![vec![0.0f64; width]; n];
         let mut bank = TransmitterBank::with_width(config, n, width);
+        let mut bank_stored = vec![0.0f64; n * width];
         let mut decisions = Vec::new();
         for xs in &trace {
             let xs = &xs[..n * width];
-            bank.decide_batch(xs, &mut decisions);
+            bank.decide_batch_against(xs, &bank_stored, &mut decisions);
+            store_sent(&mut bank_stored, xs, &decisions, width);
             for (i, tr) in fleet.iter_mut().enumerate() {
                 let row = &xs[i * width..(i + 1) * width];
                 let beta = tr.decide(row, &fleet_stored[i]);
@@ -91,7 +106,7 @@ proptest! {
             }
         }
         let flat_stored: Vec<f64> = fleet_stored.iter().flatten().copied().collect();
-        prop_assert_eq!(&flat_stored[..], bank.stored());
+        prop_assert_eq!(flat_stored, bank_stored);
     }
 
     /// The signed-queue identity holds for the bank exactly as it does for
@@ -106,9 +121,11 @@ proptest! {
         ),
     ) {
         let mut bank = TransmitterBank::new(TransmitConfig { budget, v0, gamma: 0.65 }, 4);
+        let mut stored = vec![0.0f64; 4];
         let mut decisions = Vec::new();
         for xs in &trace {
-            bank.decide_batch(xs, &mut decisions);
+            bank.decide_batch_against(xs, &stored, &mut decisions);
+            store_sent(&mut stored, xs, &decisions, 1);
         }
         for (i, &q) in bank.queues().iter().enumerate() {
             let identity = budget * bank.steps() as f64 + q;

@@ -1,18 +1,20 @@
-//! The central controller: stale store + dynamic clustering + per-cluster
-//! forecasting, driven by incoming [`Report`]s.
+//! The central controller: wire admission — per-source frame dedup and
+//! report quarantine — around the core engine ([`CentralNode`]: stale
+//! store, staleness ages and mask, clustering and per-cluster forecasting),
+//! driven by incoming [`Report`]s and [`ReportFrame`]s.
 //!
-//! This is the "central node" half of the paper's system, factored out so
-//! both the single-threaded and multi-threaded drivers share it. It is
-//! deliberately deterministic: reports within a tick are applied in node
-//! order before the clustering step runs, so the outcome is independent of
-//! message arrival order — which is what lets the threaded driver produce
-//! bit-identical results to the reference driver.
+//! It is deliberately deterministic: reports within a tick are applied in
+//! node order before the clustering step runs, so the outcome is
+//! independent of message arrival order — which is what lets the threaded
+//! driver produce bit-identical results to the reference driver.
 
 use serde::{Deserialize, Serialize};
+use utilcast_core::central::CentralNode;
 use utilcast_core::compute::ComputeOptions;
 use utilcast_core::metrics::AgeOfInformation;
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
+use utilcast_core::CoreError;
 
 use crate::transport::{Report, ReportFrame};
 use crate::SimError;
@@ -61,6 +63,48 @@ impl Default for ControllerConfig {
             value_bounds: (0.0, 1.0),
             compute: ComputeOptions::default(),
         }
+    }
+}
+
+impl ControllerConfig {
+    /// The configuration of the engine's forecast stage, once the admission
+    /// bound [`Controller::new`] documents holds (the stage checks the rest).
+    fn stage_config(&self) -> Result<ForecastStageConfig, SimError> {
+        // Admitted values feed k-means, which sums N squared distances
+        // between them: beyond this magnitude that sum can overflow. (At
+        // zero nodes the bound is infinite; the stage refuses that fleet.)
+        let (lo, hi) = self.value_bounds;
+        let limit = (f64::MAX / (4.0 * self.num_nodes as f64)).sqrt();
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi && lo.abs().max(hi.abs()) <= limit) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "value_bounds must be finite with lo <= hi and |lo|, |hi| <= {limit:e} \
+                     for {} nodes; got [{lo}, {hi}]",
+                    self.num_nodes
+                ),
+            });
+        }
+        Ok(ForecastStageConfig {
+            num_nodes: self.num_nodes,
+            k: self.k,
+            m: self.m,
+            m_prime: self.m_prime,
+            warmup: self.warmup,
+            retrain_every: self.retrain_every,
+            model: self.model.clone(),
+            seed: self.seed,
+            compute: self.compute,
+            ..Default::default()
+        })
+    }
+}
+
+/// The engine's configuration and shape errors are the controller's
+/// [`SimError::InvalidConfig`].
+fn invalid_config(e: CoreError) -> SimError {
+    match e {
+        CoreError::InvalidConfig { reason } => SimError::InvalidConfig { reason },
+        other => SimError::Core(other),
     }
 }
 
@@ -117,6 +161,14 @@ pub struct TickReport {
     /// [`ForecastStage::forecast_reads_served`]); zero in runs that never
     /// query the read plane.
     pub forecast_reads_served: u64,
+}
+
+/// One tick's admission outcomes.
+#[derive(Default)]
+struct Tally {
+    applied: usize,
+    quarantined: usize,
+    duplicates: usize,
 }
 
 /// Per-source frame-sequence dedup state: the next sequence number not
@@ -186,13 +238,12 @@ pub struct ControllerSnapshot {
     pub stage: StageSnapshot,
 }
 
-/// The central node (scalar, single-resource form), built on the shared
-/// [`ForecastStage`].
+/// The central node (scalar, single-resource form): wire admission around
+/// one [`CentralNode`].
+#[derive(Debug)]
 pub struct Controller {
     config: ControllerConfig,
-    stored: Vec<f64>,
-    stage: ForecastStage,
-    ticks: usize,
+    central: CentralNode,
     /// Reports rejected at ingress so far (corrupt payloads).
     quarantined: u64,
     /// Duplicate / out-of-order reports dropped so far.
@@ -204,25 +255,6 @@ pub struct Controller {
     /// Per-source frame-sequence dedup state, grown lazily as sources
     /// appear.
     frame_seen: Vec<SourceDedup>,
-    /// Accumulated staleness-age statistics.
-    age: AgeOfInformation,
-    /// Stored-node steps masked by the staleness limit so far.
-    masked_node_steps: u64,
-    /// Recycled buffer for the masked copy of the store fed to the stage
-    /// when staleness masking is active.
-    stage_input: Vec<f64>,
-    /// Newest accepted report timestamp per node, for duplicate and
-    /// out-of-order rejection.
-    last_seen: Vec<Option<usize>>,
-}
-
-impl std::fmt::Debug for Controller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Controller")
-            .field("config", &self.config)
-            .field("ticks", &self.ticks)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Controller {
@@ -236,70 +268,26 @@ impl Controller {
     /// magnitude (past it, the clustering's sum of N squared distances
     /// between admitted values can overflow).
     pub fn new(config: ControllerConfig) -> Result<Self, SimError> {
-        if config.num_nodes == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "num_nodes must be positive".into(),
-            });
-        }
-        if config.k == 0 || config.k > config.num_nodes {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "k must be within [1, num_nodes]; got k = {}, num_nodes = {}",
-                    config.k, config.num_nodes
-                ),
-            });
-        }
-        // Admitted values feed k-means, which sums N squared distances
-        // between them: beyond this magnitude that sum can overflow.
-        let (lo, hi) = config.value_bounds;
-        let limit = (f64::MAX / (4.0 * config.num_nodes as f64)).sqrt();
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi && lo.abs().max(hi.abs()) <= limit) {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "value_bounds must be finite with lo <= hi and |lo|, |hi| <= {limit:e} \
-                     for {} nodes; got [{lo}, {hi}]",
-                    config.num_nodes
-                ),
-            });
-        }
-        let stage = ForecastStage::new(ForecastStageConfig {
-            num_nodes: config.num_nodes,
-            k: config.k,
-            m: config.m,
-            m_prime: config.m_prime,
-            warmup: config.warmup,
-            retrain_every: config.retrain_every,
-            model: config.model.clone(),
-            seed: config.seed,
-            compute: config.compute,
-            ..Default::default()
-        })
-        .map_err(SimError::Core)?;
+        let central = CentralNode::new(config.stage_config()?).map_err(invalid_config)?;
         Ok(Controller {
-            stored: vec![0.0; config.num_nodes],
-            stage,
-            ticks: 0,
+            config,
+            central,
             quarantined: 0,
             duplicates: 0,
             duplicate_frames: 0,
             frames_admitted: 0,
             frame_seen: Vec::new(),
-            age: AgeOfInformation::new(),
-            masked_node_steps: 0,
-            stage_input: Vec::new(),
-            last_seen: vec![None; config.num_nodes],
-            config,
         })
     }
 
     /// The stored (possibly stale) per-node values.
     pub fn stored(&self) -> &[f64] {
-        &self.stored
+        self.central.stored()
     }
 
     /// Number of ticks processed.
     pub fn ticks(&self) -> usize {
-        self.ticks
+        self.central.ticks()
     }
 
     /// Total reports rejected by ingress validation so far.
@@ -324,24 +312,24 @@ impl Controller {
 
     /// Accumulated staleness-age statistics over all ticks.
     pub fn age(&self) -> &AgeOfInformation {
-        &self.age
+        self.central.age()
     }
 
     /// Total stored-node steps masked by the staleness limit so far.
     pub fn masked_node_steps(&self) -> u64 {
-        self.masked_node_steps
+        self.central.masked_node_steps()
     }
 
     /// Total forecaster fallback activations so far (see
     /// [`ForecastStage::model_fallbacks`]).
     pub fn model_fallbacks(&self) -> u64 {
-        self.stage.model_fallbacks()
+        self.central.stage().model_fallbacks()
     }
 
     /// Total degrade-path sample-and-hold fit failures so far (see
     /// [`ForecastStage::fallback_fit_failures`]).
     pub fn fallback_fit_failures(&self) -> u64 {
-        self.stage.fallback_fit_failures()
+        self.central.stage().fallback_fit_failures()
     }
 
     /// Ingress validation: `Ok` with the payload value for an acceptable
@@ -356,7 +344,8 @@ impl Controller {
     // simnet::controller::Controller::tick ->
     // simnet::controller::Controller::admit_values
     fn admit_values(&self, node: usize, t: usize, values: &[f64]) -> Result<f64, AdmitError> {
-        if node >= self.stored.len() {
+        let last_seen = self.central.last_seen();
+        if node >= last_seen.len() {
             return Err(AdmitError::Corrupt); // unknown node id
         }
         if values.len() != 1 {
@@ -370,7 +359,7 @@ impl Controller {
         if v < lo || v > hi {
             return Err(AdmitError::Corrupt); // value out of range
         }
-        if let Some(latest) = self.last_seen[node] {
+        if let Some(latest) = last_seen[node] {
             if t <= latest {
                 return Err(AdmitError::Stale); // duplicate or out-of-order
             }
@@ -378,97 +367,36 @@ impl Controller {
         Ok(v)
     }
 
-    /// Per-node staleness age at tick `now`: ticks since the freshest
-    /// admitted measurement, with never-seen nodes aged `now + 1`.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick ->
-    // simnet::controller::Controller::finish_tick ->
-    // simnet::controller::Controller::node_age
-    fn node_age(&self, node: usize, now: usize) -> usize {
-        match self.last_seen[node] {
-            Some(latest) => now.saturating_sub(latest),
-            None => now + 1,
+    /// Stores the value if admission accepts it, tallying the outcome.
+    fn admit(&mut self, node: usize, t: usize, values: &[f64], tally: &mut Tally) {
+        match self.admit_values(node, t, values) {
+            Ok(v) => {
+                self.central.store(node, t, v);
+                tally.applied += 1;
+            }
+            Err(AdmitError::Corrupt) => tally.quarantined += 1,
+            Err(AdmitError::Stale) => tally.duplicates += 1,
         }
     }
 
-    /// Shared tail of both ingest paths: count the tick's rejects, track
-    /// staleness ages, advance the clock, and run the clustering +
-    /// model-update stage — over the raw store, or over a masked copy
-    /// when a staleness limit is configured and some node exceeds it.
-    fn finish_tick(
-        &mut self,
-        applied: usize,
-        quarantined: usize,
-        duplicates: usize,
-    ) -> Result<TickReport, SimError> {
-        self.quarantined += quarantined as u64;
-        self.duplicates += duplicates as u64;
-        let now = self.ticks;
-        self.ticks += 1;
-
-        // Staleness-age statistics (AoI): how old each node's stored
-        // value is at the moment the stage consumes it.
-        let n = self.stored.len();
-        let mut age_sum = 0usize;
-        let mut peak_age = 0usize;
-        for node in 0..n {
-            let age = self.node_age(node, now);
-            age_sum += age;
-            peak_age = peak_age.max(age);
-        }
-        let mean_age = age_sum as f64 / n as f64;
-        self.age.add_tick(mean_age, peak_age);
-
-        // Graceful degradation: when a staleness limit is set, nodes aged
-        // past it are masked — their stored value is replaced by the mean
-        // of the fresh nodes before clustering/retraining, so stale state
-        // cannot drag centroids or model fits. With the limit at 0
-        // (default) the stage consumes the raw store, byte-for-byte the
-        // seed behaviour.
-        let limit = self.config.compute.staleness_age_limit;
-        let mut masked = 0usize;
-        let report = if limit > 0 && peak_age > limit {
-            let mut fresh_sum = 0.0f64;
-            let mut fresh_count = 0usize;
-            for node in 0..n {
-                if self.node_age(node, now) <= limit {
-                    fresh_sum += self.stored[node];
-                    fresh_count += 1;
-                }
-            }
-            self.stage_input.clear();
-            self.stage_input.extend_from_slice(&self.stored);
-            // With every node stale there is nothing to impute from, so
-            // the store passes through unmasked.
-            if fresh_count > 0 {
-                let fresh_mean = fresh_sum / fresh_count as f64;
-                for node in 0..n {
-                    if self.node_age(node, now) > limit {
-                        self.stage_input[node] = fresh_mean;
-                        masked += 1;
-                    }
-                }
-            }
-            self.masked_node_steps += masked as u64;
-            self.stage.step(&self.stage_input).map_err(SimError::Core)?
-        } else {
-            self.stage.step(&self.stored).map_err(SimError::Core)?
-        };
+    /// Shared tail of both ingest paths: count the tick's rejects and close
+    /// the engine's tick.
+    fn finish_tick(&mut self, tally: Tally) -> Result<TickReport, SimError> {
+        self.quarantined += tally.quarantined as u64;
+        self.duplicates += tally.duplicates as u64;
+        let tick = self.central.tick()?;
         Ok(TickReport {
-            reports_applied: applied,
-            quarantined,
-            duplicates,
-            mean_age,
-            peak_age,
-            masked,
-            intermediate_rmse: report.intermediate_rmse,
-            retrained: report.retrained,
-            fallback_fit_failures: report.fallback_fit_failures,
-            forecast_table_rebuilds: report.forecast_table_rebuilds,
-            forecast_reads_served: report.forecast_reads_served,
+            reports_applied: tally.applied,
+            quarantined: tally.quarantined,
+            duplicates: tally.duplicates,
+            mean_age: tick.mean_age,
+            peak_age: tick.peak_age,
+            masked: tick.masked,
+            intermediate_rmse: tick.stage.intermediate_rmse,
+            retrained: tick.stage.retrained,
+            fallback_fit_failures: tick.stage.fallback_fit_failures,
+            forecast_table_rebuilds: tick.stage.forecast_table_rebuilds,
+            forecast_reads_served: tick.stage.forecast_reads_served,
         })
     }
 
@@ -486,28 +414,13 @@ impl Controller {
     /// # Errors
     ///
     /// Propagates clustering errors.
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick
     pub fn tick(&mut self, mut reports: Vec<Report>) -> Result<TickReport, SimError> {
         reports.sort_by_key(|r| (r.node, r.t));
-        let mut applied = 0usize;
-        let mut quarantined = 0usize;
-        let mut duplicates = 0usize;
+        let mut tally = Tally::default();
         for r in reports {
-            match self.admit_values(r.node, r.t, &r.values) {
-                Ok(v) => {
-                    self.stored[r.node] = v;
-                    self.last_seen[r.node] = Some(r.t);
-                    applied += 1;
-                }
-                Err(AdmitError::Corrupt) => quarantined += 1,
-                Err(AdmitError::Stale) => duplicates += 1,
-            }
+            self.admit(r.node, r.t, &r.values, &mut tally);
         }
-        self.finish_tick(applied, quarantined, duplicates)
+        self.finish_tick(tally)
     }
 
     /// Applies one frame's entries into the store (after frame-level
@@ -518,13 +431,7 @@ impl Controller {
     // backstops the proof at runtime; exemplar chain:
     // simnet::controller::Controller::tick_frames ->
     // simnet::controller::Controller::ingest_frame
-    fn ingest_frame(
-        &mut self,
-        frame: &ReportFrame,
-        applied: &mut usize,
-        quarantined: &mut usize,
-        duplicates: &mut usize,
-    ) {
+    fn ingest_frame(&mut self, frame: &ReportFrame, tally: &mut Tally) {
         if let Some(seq) = frame.seq() {
             let source = frame.source();
             if self.frame_seen.len() <= source {
@@ -538,15 +445,7 @@ impl Controller {
             self.frames_admitted += 1;
         }
         for e in frame.iter() {
-            match self.admit_values(e.node, e.t, e.values) {
-                Ok(v) => {
-                    self.stored[e.node] = v;
-                    self.last_seen[e.node] = Some(e.t);
-                    *applied += 1;
-                }
-                Err(AdmitError::Corrupt) => *quarantined += 1,
-                Err(AdmitError::Stale) => *duplicates += 1,
-            }
+            self.admit(e.node, e.t, e.values, tally);
         }
     }
 
@@ -578,31 +477,30 @@ impl Controller {
     ///
     /// Propagates clustering errors.
     pub fn tick_frames(&mut self, frames: &[ReportFrame]) -> Result<TickReport, SimError> {
-        let mut applied = 0usize;
-        let mut quarantined = 0usize;
-        let mut duplicates = 0usize;
+        let mut tally = Tally::default();
         for frame in frames {
-            self.ingest_frame(frame, &mut applied, &mut quarantined, &mut duplicates);
+            self.ingest_frame(frame, &mut tally);
         }
-        self.finish_tick(applied, quarantined, duplicates)
+        self.finish_tick(tally)
     }
 
     /// Captures the complete controller state for checkpointing. The
     /// snapshot is serde-serializable, so it can also be persisted.
     pub fn snapshot(&self) -> ControllerSnapshot {
+        let central = &self.central;
         ControllerSnapshot {
             config: self.config.clone(),
-            stored: self.stored.clone(),
-            ticks: self.ticks,
+            stored: central.stored().to_vec(),
+            ticks: central.ticks(),
             quarantined: self.quarantined,
             duplicates: self.duplicates,
             duplicate_frames: self.duplicate_frames,
             frames_admitted: self.frames_admitted,
             frame_seen: self.frame_seen.clone(),
-            age: self.age,
-            masked_node_steps: self.masked_node_steps,
-            last_seen: self.last_seen.clone(),
-            stage: self.stage.snapshot(),
+            age: *central.age(),
+            masked_node_steps: central.masked_node_steps(),
+            last_seen: central.last_seen().to_vec(),
+            stage: central.stage().snapshot(),
         }
     }
 
@@ -611,28 +509,19 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the embedded configuration
-    /// is invalid, the snapshot's per-node vectors do not match it, or it
+    /// Returns [`SimError::InvalidConfig`] when the embedded value bounds
+    /// are invalid, the embedded configuration disagrees with the forecast
+    /// stage's, the snapshot's per-node vectors do not match it, or it
     /// stores a value admission could not have (non-finite or outside
     /// [`ControllerConfig::value_bounds`], other than the initial zero), and
     /// [`SimError::Core`] when the forecast stage rejects its part of the
-    /// checkpoint (see [`ForecastStage::restore`]).
+    /// checkpoint, its configuration included (see [`ForecastStage::restore`]).
     pub fn restore(snapshot: ControllerSnapshot) -> Result<Self, SimError> {
-        let mut controller = Controller::new(snapshot.config)?;
-        let n = controller.config.num_nodes;
-        if snapshot.stored.len() != n || snapshot.last_seen.len() != n {
-            return Err(SimError::InvalidConfig {
-                reason: format!(
-                    "snapshot has {} stored values / {} last-seen entries for {n} nodes",
-                    snapshot.stored.len(),
-                    snapshot.last_seen.len()
-                ),
-            });
-        }
+        let expected = snapshot.config.stage_config()?;
         // Admission stores only in-bounds values over the initial zeros; a
         // decoded store holding anything else would reach the clustering
         // as a value no report could have put there.
-        let (lo, hi) = controller.config.value_bounds;
+        let (lo, hi) = snapshot.config.value_bounds;
         if let Some((node, v)) = snapshot
             .stored
             .iter()
@@ -645,18 +534,33 @@ impl Controller {
                 ),
             });
         }
-        controller.stage = ForecastStage::restore(snapshot.stage).map_err(SimError::Core)?;
-        controller.stored = snapshot.stored;
-        controller.ticks = snapshot.ticks;
-        controller.quarantined = snapshot.quarantined;
-        controller.duplicates = snapshot.duplicates;
-        controller.duplicate_frames = snapshot.duplicate_frames;
-        controller.frames_admitted = snapshot.frames_admitted;
-        controller.frame_seen = snapshot.frame_seen;
-        controller.age = snapshot.age;
-        controller.masked_node_steps = snapshot.masked_node_steps;
-        controller.last_seen = snapshot.last_seen;
-        Ok(controller)
+        let stage = ForecastStage::restore(snapshot.stage)?;
+        // The stage runs on its own copy of the configuration, the value
+        // bounds were checked for the controller's fleet size, and a new
+        // checkpoint serializes the controller's copy: they must agree.
+        if *stage.config() != expected {
+            return Err(SimError::InvalidConfig {
+                reason: "snapshot's stage and controller configurations disagree".into(),
+            });
+        }
+        let central = CentralNode::restore(
+            stage,
+            snapshot.stored,
+            snapshot.last_seen,
+            snapshot.ticks,
+            snapshot.age,
+            snapshot.masked_node_steps,
+        )
+        .map_err(invalid_config)?;
+        Ok(Controller {
+            config: snapshot.config,
+            central,
+            quarantined: snapshot.quarantined,
+            duplicates: snapshot.duplicates,
+            duplicate_frames: snapshot.duplicate_frames,
+            frames_admitted: snapshot.frames_admitted,
+            frame_seen: snapshot.frame_seen,
+        })
     }
 
     /// Forecasts all nodes for horizons `1..=horizon`
@@ -666,10 +570,10 @@ impl Controller {
     ///
     /// Returns [`SimError::NoTick`] before the first tick.
     pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>, SimError> {
-        if self.ticks == 0 {
+        if self.central.ticks() == 0 {
             return Err(SimError::NoTick);
         }
-        self.stage.forecast(horizon).map_err(SimError::Core)
+        Ok(self.central.stage().forecast(horizon)?)
     }
 
     /// The cached forecast read plane: the current-generation
@@ -684,17 +588,17 @@ impl Controller {
     pub fn forecast_table(
         &mut self,
     ) -> Result<std::sync::Arc<utilcast_core::table::ForecastTable>, SimError> {
-        if self.ticks == 0 {
+        if self.central.ticks() == 0 {
             return Err(SimError::NoTick);
         }
-        self.stage.forecast_table().map_err(SimError::Core)
+        Ok(self.central.forecast_table()?)
     }
 
     /// A cloneable handle to the forecast-table publication cell for
     /// query-serving threads (see
     /// [`ForecastStage::table_handle`]).
     pub fn table_handle(&self) -> utilcast_core::table::TableCell {
-        self.stage.table_handle()
+        self.central.stage().table_handle()
     }
 
     /// Serves `probes` deterministic point queries against the cached
@@ -715,7 +619,7 @@ impl Controller {
         let table = self.forecast_table()?;
         let n = table.num_nodes();
         let horizon = table.horizon();
-        let t = self.ticks;
+        let t = self.central.ticks();
         for p in 0..probes {
             let node = t.wrapping_mul(31).wrapping_add(p.wrapping_mul(17)) % n;
             let h = t.wrapping_add(p) % horizon;
@@ -723,20 +627,20 @@ impl Controller {
             // and count the read path deterministically.
             let _ = table.node_forecast(node, h);
         }
-        self.stage.record_reads(probes as u64);
+        self.central.stage().record_reads(probes as u64);
         Ok(())
     }
 
     /// Total forecast-table rebuilds so far (see
     /// [`ForecastStage::forecast_table_rebuilds`]).
     pub fn forecast_table_rebuilds(&self) -> u64 {
-        self.stage.forecast_table_rebuilds()
+        self.central.stage().forecast_table_rebuilds()
     }
 
     /// Total forecast-table reads served so far (see
     /// [`ForecastStage::forecast_reads_served`]).
     pub fn forecast_reads_served(&self) -> u64 {
-        self.stage.forecast_reads_served()
+        self.central.stage().forecast_reads_served()
     }
 }
 
@@ -764,8 +668,12 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(Controller::new(quick_config(0, 1)).is_err());
-        assert!(Controller::new(quick_config(2, 3)).is_err());
+        for (n, k) in [(0, 1), (2, 3), (3, 0)] {
+            assert!(matches!(
+                Controller::new(quick_config(n, k)),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
         assert!(Controller::new(quick_config(3, 3)).is_ok());
     }
 
@@ -1106,6 +1014,24 @@ mod tests {
             Controller::restore(snapshot),
             Err(SimError::InvalidConfig { .. })
         ));
+        // A configuration that disagrees with the stage is refused too: the
+        // value bounds are checked against its fleet size, and it is the
+        // copy a new checkpoint would serialize.
+        let disagreeing: [fn(&mut ControllerConfig); 3] = [
+            |config| config.num_nodes = 30,
+            |config| config.k = 1,
+            |config| config.compute.staleness_age_limit = 2,
+        ];
+        for disagree in disagreeing {
+            let mut snapshot = c.snapshot();
+            disagree(&mut snapshot.config);
+            match Controller::restore(snapshot) {
+                Err(SimError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("disagree"), "{reason}")
+                }
+                other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -476,6 +476,90 @@ mod tests {
         assert_eq!(QueryRequest::decode(&[]), None);
     }
 
+    /// SplitMix64.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Feeds `encoded` (one message, then trailing bytes) to `decode`
+    /// truncated at every byte and under seeded bit flips: below `width`
+    /// bytes it must answer `None`, from there on a value whose encoding is
+    /// the `width` bytes it consumed.
+    fn assert_total<T: std::fmt::Debug>(
+        encoded: &[u8],
+        width: usize,
+        seed: u64,
+        decode: fn(&[u8]) -> Option<T>,
+        encode: fn(&T, &mut Vec<u8>),
+    ) {
+        let check = |bytes: &[u8]| match decode(bytes) {
+            None => assert!(bytes.len() < width, "{bytes:?} did not decode"),
+            Some(value) => {
+                let cut = bytes.len();
+                assert!(cut >= width, "{value:?} decoded from {cut} bytes");
+                let mut out = Vec::new();
+                encode(&value, &mut out);
+                assert_eq!(out, bytes[..width], "{value:?} re-encodes differently");
+            }
+        };
+        for cut in 0..=encoded.len() {
+            check(&encoded[..cut]);
+        }
+        let mut state = seed;
+        for _ in 0..64 {
+            let mut bytes = encoded.to_vec();
+            for _ in 0..1 + next(&mut state) % 3 {
+                let at = (next(&mut state) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (next(&mut state) % 8);
+            }
+            check(&bytes);
+        }
+    }
+
+    #[test]
+    fn query_decoders_are_total_under_truncation_and_bit_flips() {
+        let width = |w: u64| w as usize;
+        for seed in 0..200u64 {
+            let mut state = seed;
+            let request = QueryRequest {
+                node: next(&mut state) as usize,
+                horizon: (next(&mut state) >> 32) as usize,
+            };
+            let response = QueryResponse {
+                node: next(&mut state) as usize,
+                horizon: (next(&mut state) >> 32) as usize,
+                generation: next(&mut state),
+                value: f64::from_bits(next(&mut state)),
+                interval: f64::from_bits(next(&mut state)),
+            };
+            let tail = next(&mut state).to_le_bytes();
+            let mut buf = Vec::new();
+            request.encode_into(&mut buf);
+            buf.extend_from_slice(&tail[..(seed % 9) as usize]);
+            assert_total(
+                &buf,
+                width(QueryRequest::WIRE_BYTES),
+                seed,
+                QueryRequest::decode,
+                QueryRequest::encode_into,
+            );
+            buf.clear();
+            response.encode_into(&mut buf);
+            buf.extend_from_slice(&tail[..(seed % 9) as usize]);
+            assert_total(
+                &buf,
+                width(QueryResponse::WIRE_BYTES),
+                seed,
+                QueryResponse::decode,
+                QueryResponse::encode_into,
+            );
+        }
+    }
+
     #[test]
     fn wire_size_counts_header_and_payload() {
         let r = Report {

@@ -26,12 +26,11 @@ cargo clippy --all-targets -- -D warnings -D clippy::perf
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-# The root package's tests do not reach the crates' own suites, and those
-# hold every plane's oracle: the k-means block scan against the row scan
-# and the nested exact descent (clustering), the fused LSTM path against
+# The workspace's members include the root package `utilcast`, so this
+# runs the tier-1 suite (`cargo test -q` at the root) as well as the
+# crates' own suites, which hold every plane's oracle: the k-means block
+# scan against the row scan and the nested exact descent (clustering),
+# the fused LSTM path against
 # the scalar loops and the ARIMA CSS evaluator against its allocating
 # twin (timeseries), the Nelder–Mead rewrite (linalg), the transmitter bank
 # against a per-node fleet and the Eq. 12 resolve kernel against its
