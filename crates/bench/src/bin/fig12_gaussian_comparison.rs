@@ -1,5 +1,5 @@
 //! Fig. 12 — Monitor-based comparison with the Gaussian methods of
-//! Silvestri et al. [3]: RMSE versus number of monitors `K` on 100 nodes,
+//! Silvestri et al. \[3\]: RMSE versus number of monitors `K` on 100 nodes,
 //! 500-step training phase and 500-step testing phase.
 //!
 //! Methods: proposed (k-means monitors + cluster-representative

@@ -29,6 +29,8 @@
 //! warm ticks before measuring (default 8). The `scripts/check.sh` smoke
 //! mode shrinks both and redirects the output directory so quick runs
 //! never clobber the committed numbers.
+//!
+//! [`TableCell`]: utilcast_core::table::TableCell
 
 use std::time::Instant;
 
@@ -41,7 +43,7 @@ use utilcast_core::stage::{ForecastStage, ForecastStageConfig};
 use utilcast_core::table::ForecastTable;
 use utilcast_datasets::{presets, Resource};
 use utilcast_simnet::controller::{Controller, ControllerConfig};
-use utilcast_simnet::transport::Report;
+use utilcast_simnet::transport::ReportFrame;
 
 /// Clusters in the headline workload, matching the paper-scale `K = 10`.
 const K: usize = 10;
@@ -172,16 +174,14 @@ fn parity_guard() {
         },
         ..Default::default()
     };
-    let to_reports = |t: usize| -> Vec<Report> {
+    let to_frame = |t: usize| -> ReportFrame {
         let x = trace.snapshot(Resource::Cpu, t).expect("trace snapshot");
-        x.iter()
-            .enumerate()
-            .map(|(node, &v)| Report {
-                node,
-                t,
-                values: vec![v],
-            })
-            .collect()
+        let mut frame = ReportFrame::with_capacity(1, x.len());
+        frame.reset(t);
+        for (node, &v) in x.iter().enumerate() {
+            frame.push_scalar(node, v);
+        }
+        frame
     };
     for (name, model) in [
         ("healthy", ModelSpec::SampleAndHold),
@@ -190,9 +190,12 @@ fn parity_guard() {
         let mut live = Controller::new(config(model)).expect("valid controller config");
         let mut restored: Option<Controller> = None;
         for t in 0..trace.num_steps() {
-            live.tick(to_reports(t)).expect("tick");
+            let frame = to_frame(t);
+            live.tick_frames(std::slice::from_ref(&frame))
+                .expect("tick");
             if let Some(ctrl) = restored.as_mut() {
-                ctrl.tick(to_reports(t)).expect("restored tick");
+                ctrl.tick_frames(std::slice::from_ref(&frame))
+                    .expect("restored tick");
             }
             if t == trace.num_steps() / 2 {
                 // Crash mid-run: recover a second controller from a
@@ -291,6 +294,8 @@ fn query_row(nodes: usize, ticks: usize, passes: usize) -> QueryRow {
 /// cloned [`TableCell`] handles, re-resolving the freshest table once per
 /// 1024-read batch (the serving loop a query endpoint would run: epoch
 /// check + slot read amortized over a batch, O(1) loads per query).
+///
+/// [`TableCell`]: utilcast_core::table::TableCell
 fn reader_row(stage: &mut ForecastStage, threads: usize, reads_per_thread: usize) -> f64 {
     let _ = stage.forecast_table().expect("table");
     let cell = stage.table_handle();

@@ -22,7 +22,7 @@
 //!   `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point) with the final
 //!   inertia derived from the same identity. Scalar points (`d = 1`, the
 //!   paper's per-resource mode) count sorted centroid midpoints
-//!   ([`ScalarIndex`]); vector points go through a point-blocked scan over
+//!   (`ScalarIndex`); vector points go through a point-blocked scan over
 //!   a transposed centroid buffer whose inner loops stream unit-stride
 //!   lanes (see `utilcast_linalg::simd`). The block scan accumulates every
 //!   point×centroid dot in ascending dimension order, so it is

@@ -142,7 +142,7 @@ impl CentroidPairs {
 /// Resolves every node's forecast membership `j*` and clipped offset `ŝ_i`
 /// (Eq. 12) over a most-recent-first history window of scalar steps: per
 /// node a majority vote over its labels and, per window step, `α` against
-/// the hoisted [`CentroidPairs`] row of `j*` and one accumulation of
+/// the hoisted `CentroidPairs` row of `j*` and one accumulation of
 /// `α·(z − c_j*)` — no allocation, no centroid arithmetic.
 ///
 /// Performs the floating-point operations of

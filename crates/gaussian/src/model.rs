@@ -11,7 +11,7 @@ use crate::GaussianError;
 /// Fitted from a `nodes x time` training matrix; inference computes the
 /// conditional expectation of unobserved nodes given the monitors'
 /// current values — the estimator used by all three baselines of
-/// Silvestri et al. [3].
+/// Silvestri et al. \[3\].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaussianModel {
     mean: Vec<f64>,

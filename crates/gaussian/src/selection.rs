@@ -2,7 +2,7 @@
 //!
 //! All selectors implement [`MonitorSelector`]: given the `nodes x time`
 //! training matrix, pick `k` monitor node indices. The three Gaussian
-//! selectors follow the descriptions of Silvestri et al. [3]; the
+//! selectors follow the descriptions of Silvestri et al. \[3\]; the
 //! "proposed" selector is the paper's Sec. VI-E adaptation of its own
 //! k-means clustering; `Random` is the minimum-distance baseline's monitor
 //! choice.

@@ -1,12 +1,17 @@
 //! The central controller: wire admission — per-source frame dedup and
 //! report quarantine — around the core engine ([`CentralNode`]: stale
 //! store, staleness ages and mask, clustering and per-cluster forecasting),
-//! driven by incoming [`Report`]s and [`ReportFrame`]s.
+//! driven by incoming [`ReportFrame`]s through its one entry point,
+//! [`Controller::tick_frames`].
 //!
-//! It is deliberately deterministic: reports within a tick are applied in
-//! node order before the clustering step runs, so the outcome is
-//! independent of message arrival order — which is what lets the threaded
-//! driver produce bit-identical results to the reference driver.
+//! It is deliberately deterministic. Whether an entry is admitted depends
+//! only on the entry and on its node's newest admitted timestamp, and an
+//! admitted value writes only its node's slot, all before the clustering
+//! step runs. So a tick's outcome depends on the order of each node's
+//! entries and on nothing else: any interleaving of different nodes'
+//! entries gives the same store, counters and [`TickReport`]. That is what
+//! lets the threaded driver's per-shard frames and the fault driver's
+//! reordered deliveries reproduce the reference driver bit for bit.
 
 use serde::{Deserialize, Serialize};
 use utilcast_core::central::CentralNode;
@@ -16,7 +21,7 @@ use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
 use utilcast_core::CoreError;
 
-use crate::transport::{Report, ReportFrame};
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// Controller configuration (the central-node subset of the paper's
@@ -332,16 +337,17 @@ impl Controller {
         self.central.stage().fallback_fit_failures()
     }
 
-    /// Ingress validation: `Ok` with the payload value for an acceptable
-    /// report, `Err` with the rejection reason otherwise. Shared verbatim
-    /// by the per-report ([`Controller::tick`]) and frame
-    /// ([`Controller::tick_frames`]) ingest paths, so the two quarantine
-    /// behaviours cannot drift apart.
+    /// Ingress validation of one frame entry: `Ok` with the payload value
+    /// for an acceptable report, `Err` with the rejection reason otherwise.
+    /// It reads only `node`'s newest admitted timestamp, which is what makes
+    /// a tick independent of how different nodes' entries interleave.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts; the overflow-checked debug-assert CI job
     // backstops the proof at runtime; exemplar chain:
-    // simnet::controller::Controller::tick ->
+    // simnet::controller::Controller::tick_frames ->
+    // simnet::controller::Controller::ingest_frame ->
+    // simnet::controller::Controller::admit ->
     // simnet::controller::Controller::admit_values
     fn admit_values(&self, node: usize, t: usize, values: &[f64]) -> Result<f64, AdmitError> {
         let last_seen = self.central.last_seen();
@@ -379,8 +385,7 @@ impl Controller {
         }
     }
 
-    /// Shared tail of both ingest paths: count the tick's rejects and close
-    /// the engine's tick.
+    /// Counts the tick's rejects and closes the engine's tick.
     fn finish_tick(&mut self, tally: Tally) -> Result<TickReport, SimError> {
         self.quarantined += tally.quarantined as u64;
         self.duplicates += tally.duplicates as u64;
@@ -398,29 +403,6 @@ impl Controller {
             forecast_table_rebuilds: tick.stage.forecast_table_rebuilds,
             forecast_reads_served: tick.stage.forecast_reads_served,
         })
-    }
-
-    /// Applies one tick's worth of reports (scalar payloads) and runs the
-    /// clustering + model-update stage.
-    ///
-    /// Reports are sorted by node id before application so the result does
-    /// not depend on arrival order. Each report passes ingress validation
-    /// first; reports with an unknown node id, a non-scalar payload, a
-    /// non-finite or out-of-range value, or a timestamp not newer than the
-    /// node's last accepted report are **quarantined**: counted in
-    /// [`TickReport::quarantined`] (and [`Controller::quarantined`]) and
-    /// otherwise ignored, so corrupted telemetry cannot poison the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates clustering errors.
-    pub fn tick(&mut self, mut reports: Vec<Report>) -> Result<TickReport, SimError> {
-        reports.sort_by_key(|r| (r.node, r.t));
-        let mut tally = Tally::default();
-        for r in reports {
-            self.admit(r.node, r.t, &r.values, &mut tally);
-        }
-        self.finish_tick(tally)
     }
 
     /// Applies one frame's entries into the store (after frame-level
@@ -456,16 +438,21 @@ impl Controller {
     /// delivery plane delivered this tick — zero frames (all in flight or
     /// lost) or several (delayed originals, retransmissions, duplicates).
     ///
-    /// Entries are applied straight into the flat stored vector, with no
-    /// per-report allocation and no sorting pass, under the exact ingress
-    /// validation of [`Controller::tick`] (same quarantine semantics,
-    /// including intra-frame duplicates). The drivers' shards push entries
-    /// in ascending node order and come in shard order — which equals the
-    /// `(node, t)` sort order [`Controller::tick`] establishes, since a
-    /// frame carries a single tick — so both paths apply reports in the
-    /// same order and stay bit-identical. Under a degraded link no ordering
-    /// is assumed: corrupted node ids and redelivered frames are handled by
-    /// validation and sequence dedup instead.
+    /// Each entry passes ingress validation and, if admitted, is written
+    /// straight into the flat stored vector, with no per-report allocation
+    /// and no sorting pass. Entries with an unknown node id, a payload that
+    /// is not one value, or a non-finite or out-of-range value are
+    /// **quarantined**: counted in [`TickReport::quarantined`] (and
+    /// [`Controller::quarantined`]) and otherwise ignored, so corrupted
+    /// telemetry cannot poison the store. A well-formed entry whose
+    /// timestamp is not newer than its node's last admitted one — a
+    /// duplicate or out-of-order delivery — is dropped and counted in
+    /// [`TickReport::duplicates`].
+    ///
+    /// The outcome depends only on each node's entries' relative order (see
+    /// the module docs): callers that keep every node's entries in `(t,
+    /// arrival)` order get the result of applying the batch sorted by
+    /// `(node, t)`, whatever the interleaving of nodes and frames.
     ///
     /// Frames carrying a delivery-layer sequence number
     /// ([`ReportFrame::seq`]) are deduplicated per source before any entry
@@ -648,12 +635,14 @@ impl Controller {
 mod tests {
     use super::*;
 
-    fn report(node: usize, t: usize, v: f64) -> Report {
-        Report {
-            node,
-            t,
-            values: vec![v],
+    /// A scalar frame for tick `t` carrying `entries` in order.
+    fn frame(t: usize, entries: &[(usize, f64)]) -> ReportFrame {
+        let mut frame = ReportFrame::new(1);
+        frame.reset(t);
+        for &(node, v) in entries {
+            frame.push_scalar(node, v);
         }
+        frame
     }
 
     fn quick_config(n: usize, k: usize) -> ControllerConfig {
@@ -680,30 +669,17 @@ mod tests {
     #[test]
     fn reports_update_store() {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
-        c.tick(vec![report(1, 0, 0.5), report(3, 0, 0.9)]).unwrap();
+        c.tick_frames(&[frame(0, &[(1, 0.5), (3, 0.9)])]).unwrap();
         assert_eq!(c.stored(), &[0.0, 0.5, 0.0, 0.9]);
         // Nodes without reports keep stale values.
-        c.tick(vec![report(0, 1, 0.2)]).unwrap();
+        c.tick_frames(&[frame(1, &[(0, 0.2)])]).unwrap();
         assert_eq!(c.stored(), &[0.2, 0.5, 0.0, 0.9]);
-    }
-
-    #[test]
-    fn tick_result_is_order_independent() {
-        let reports = vec![report(2, 0, 0.3), report(0, 0, 0.1), report(1, 0, 0.2)];
-        let mut a = Controller::new(quick_config(3, 2)).unwrap();
-        let mut b = Controller::new(quick_config(3, 2)).unwrap();
-        let ra = a.tick(reports.clone()).unwrap();
-        let mut reversed = reports;
-        reversed.reverse();
-        let rb = b.tick(reversed).unwrap();
-        assert_eq!(a.stored(), b.stored());
-        assert_eq!(ra, rb);
     }
 
     #[test]
     fn unknown_node_reports_are_quarantined() {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
-        let r = c.tick(vec![report(9, 0, 0.5)]).unwrap();
+        let r = c.tick_frames(&[frame(0, &[(9, 0.5)])]).unwrap();
         assert_eq!(r.reports_applied, 0);
         assert_eq!(r.quarantined, 1);
         assert_eq!(c.quarantined(), 1);
@@ -713,29 +689,24 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_quarantined() {
         let mut c = Controller::new(quick_config(3, 1)).unwrap();
-        let bad = vec![
-            report(0, 0, f64::NAN), // non-finite
-            report(1, 0, 7.5),      // out of the unit range
-            Report {
-                node: 2,
-                t: 0,
-                values: vec![],
-            }, // no payload
-            Report {
-                node: 2,
-                t: 0,
-                values: vec![0.1, 0.2],
-            }, // wrong dims
+        // Wrong dimensionality: a two-value payload sent to the scalar
+        // controller. (An empty payload cannot be built at all:
+        // `ReportFrame::new(0)` panics.)
+        let mut wide = ReportFrame::new(2);
+        wide.push(2, &[0.1, 0.2]);
+        let bad = [
+            frame(0, &[(0, f64::NAN), (1, 7.5)]), // non-finite, out of range
+            wide,
         ];
-        let r = c.tick(bad).unwrap();
+        let r = c.tick_frames(&bad).unwrap();
         assert_eq!(r.reports_applied, 0);
-        assert_eq!(r.quarantined, 4);
+        assert_eq!(r.quarantined, 3);
         assert_eq!(c.stored(), &[0.0, 0.0, 0.0]);
         // A clean report for the same nodes is still accepted afterwards.
-        let r = c.tick(vec![report(1, 1, 0.4)]).unwrap();
-        assert_eq!(r.reports_applied, 1);
+        let r = c.tick_frames(&[frame(1, &[(1, 0.4), (2, 0.1)])]).unwrap();
+        assert_eq!(r.reports_applied, 2);
         assert_eq!(r.quarantined, 0);
-        assert_eq!(c.quarantined(), 4);
+        assert_eq!(c.quarantined(), 3);
     }
 
     #[test]
@@ -743,13 +714,13 @@ mod tests {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
         // Two reports for node 0 with the same timestamp: one survives;
         // the redelivery counts as a duplicate, not corruption.
-        let r = c.tick(vec![report(0, 0, 0.3), report(0, 0, 0.3)]).unwrap();
+        let r = c.tick_frames(&[frame(0, &[(0, 0.3), (0, 0.3)])]).unwrap();
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (1, 0, 1));
         // A replayed older timestamp is rejected, a newer one accepted.
-        let r = c.tick(vec![report(0, 0, 0.9)]).unwrap();
+        let r = c.tick_frames(&[frame(0, &[(0, 0.9)])]).unwrap();
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (0, 0, 1));
         assert_eq!(c.stored()[0], 0.3);
-        let r = c.tick(vec![report(0, 5, 0.6)]).unwrap();
+        let r = c.tick_frames(&[frame(5, &[(0, 0.6)])]).unwrap();
         assert_eq!((r.reports_applied, r.quarantined, r.duplicates), (1, 0, 0));
         assert_eq!(c.stored()[0], 0.6);
         assert_eq!(c.duplicates(), 2);
@@ -760,13 +731,13 @@ mod tests {
     fn staleness_age_is_tracked_per_tick() {
         let mut c = Controller::new(quick_config(2, 1)).unwrap();
         // Tick 0: both nodes report -> ages 0.
-        let r = c.tick(vec![report(0, 0, 0.3), report(1, 0, 0.4)]).unwrap();
+        let r = c.tick_frames(&[frame(0, &[(0, 0.3), (1, 0.4)])]).unwrap();
         assert_eq!((r.mean_age, r.peak_age), (0.0, 0));
         // Tick 1: only node 0 reports -> node 1 is one tick old.
-        let r = c.tick(vec![report(0, 1, 0.5)]).unwrap();
+        let r = c.tick_frames(&[frame(1, &[(0, 0.5)])]).unwrap();
         assert_eq!((r.mean_age, r.peak_age), (0.5, 1));
         // Tick 2: silence -> ages 1 and 2.
-        let r = c.tick(vec![]).unwrap();
+        let r = c.tick_frames(&[]).unwrap();
         assert_eq!((r.mean_age, r.peak_age), (1.5, 2));
         assert_eq!(c.age().peak(), 2);
         assert!((c.age().mean() - (0.0 + 0.5 + 1.5) / 3.0).abs() < 1e-12);
@@ -778,15 +749,11 @@ mod tests {
         config.compute.staleness_age_limit = 2;
         let mut c = Controller::new(config).unwrap();
         // All three report at tick 0, then node 2 goes silent.
-        c.tick(vec![
-            report(0, 0, 0.2),
-            report(1, 0, 0.4),
-            report(2, 0, 0.9),
-        ])
-        .unwrap();
+        c.tick_frames(&[frame(0, &[(0, 0.2), (1, 0.4), (2, 0.9)])])
+            .unwrap();
         let mut masked_ticks = 0usize;
         for t in 1..=4 {
-            let r = c.tick(vec![report(0, t, 0.2), report(1, t, 0.4)]).unwrap();
+            let r = c.tick_frames(&[frame(t, &[(0, 0.2), (1, 0.4)])]).unwrap();
             if r.masked > 0 {
                 masked_ticks += 1;
                 assert_eq!(r.masked, 1, "only node 2 is stale");
@@ -837,52 +804,13 @@ mod tests {
     }
 
     #[test]
-    fn tick_frames_matches_tick_bitwise() {
-        // The frame ingest path must reproduce the per-report path exactly,
-        // including quarantine of bad values and intra-frame duplicates.
-        let mut per_report = Controller::new(quick_config(4, 2)).unwrap();
-        let mut framed = Controller::new(quick_config(4, 2)).unwrap();
-        for t in 0..25 {
-            let mut entries = vec![
-                (0, 0.1 + 0.01 * (t % 3) as f64),
-                (1, 0.5),
-                (3, 0.9 - 0.002 * t as f64),
-            ];
-            if t % 5 == 0 {
-                entries.push((1, 0.6)); // intra-tick duplicate -> quarantined
-                entries.push((9, 0.5)); // unknown node -> quarantined
-            }
-            if t % 7 == 0 {
-                entries.push((2, f64::NAN)); // non-finite -> quarantined
-                entries.push((2, 1.5)); // out of range -> quarantined
-            }
-            let reports: Vec<Report> = entries.iter().map(|&(n, v)| report(n, t, v)).collect();
-            let mut frame = ReportFrame::new(1);
-            frame.reset(t);
-            let mut sorted = entries.clone();
-            sorted.sort_by_key(|a| a.0);
-            for (n, v) in sorted {
-                frame.push_scalar(n, v);
-            }
-            let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frames(std::slice::from_ref(&frame)).unwrap();
-            assert_eq!(a, b, "tick reports diverged at t = {t}");
-            assert_eq!(per_report.stored(), framed.stored());
-        }
-        assert_eq!(per_report.quarantined(), framed.quarantined());
-        assert_eq!(per_report.snapshot(), framed.snapshot());
-    }
-
-    #[test]
     fn custom_value_bounds_are_honoured() {
         let mut c = Controller::new(ControllerConfig {
             value_bounds: (-10.0, 10.0),
             ..quick_config(2, 1)
         })
         .unwrap();
-        let r = c
-            .tick(vec![report(0, 0, 7.5), report(1, 0, -11.0)])
-            .unwrap();
+        let r = c.tick_frames(&[frame(0, &[(0, 7.5), (1, -11.0)])]).unwrap();
         assert_eq!((r.reports_applied, r.quarantined), (1, 1));
         assert_eq!(c.stored(), &[7.5, 0.0]);
     }
@@ -948,12 +876,10 @@ mod tests {
         .unwrap();
         for t in 0..3 {
             let r = c
-                .tick(vec![
-                    report(0, t, -limit),
-                    report(1, t, limit),
-                    report(2, t, -limit),
-                    report(3, t, limit),
-                ])
+                .tick_frames(&[frame(
+                    t,
+                    &[(0, -limit), (1, limit), (2, -limit), (3, limit)],
+                )])
                 .unwrap();
             assert_eq!(r.reports_applied, 4);
             assert!(r.intermediate_rmse.is_finite());
@@ -971,10 +897,10 @@ mod tests {
         let drive = |c: &mut Controller, from: usize, to: usize| {
             let mut out = Vec::new();
             for t in from..to {
-                let reports = (0..4)
-                    .map(|i| report(i, t, 0.1 * i as f64 + 0.01 * (t % 5) as f64))
-                    .collect();
-                out.push(c.tick(reports).unwrap());
+                let entries = (0..4)
+                    .map(|i| (i, 0.1 * i as f64 + 0.01 * (t % 5) as f64))
+                    .collect::<Vec<_>>();
+                out.push(c.tick_frames(&[frame(t, &entries)]).unwrap());
             }
             out
         };
@@ -995,8 +921,10 @@ mod tests {
     fn snapshot_survives_json_round_trip() {
         let mut c = Controller::new(quick_config(3, 2)).unwrap();
         for t in 0..8 {
-            let reports = (0..3).map(|i| report(i, t, 0.2 + 0.1 * i as f64)).collect();
-            c.tick(reports).unwrap();
+            let entries = (0..3)
+                .map(|i| (i, 0.2 + 0.1 * i as f64))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
         }
         let snapshot = c.snapshot();
         let json = serde_json::to_string(&snapshot).unwrap();
@@ -1037,7 +965,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_store_admission_could_not_have_written() {
         let mut c = Controller::new(quick_config(3, 2)).unwrap();
-        c.tick(vec![report(0, 0, 0.5), report(1, 0, 1.0)]).unwrap();
+        c.tick_frames(&[frame(0, &[(0, 0.5), (1, 1.0)])]).unwrap();
         assert!(Controller::restore(c.snapshot()).is_ok());
         for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5, 1e308] {
             let mut snapshot = c.snapshot();
@@ -1060,8 +988,10 @@ mod tests {
         // holds the reader to both forms.
         let mut c = Controller::new(quick_config(3, 2)).unwrap();
         for t in 0..8 {
-            let reports = (0..3).map(|i| report(i, t, 0.2 + 0.1 * i as f64)).collect();
-            c.tick(reports).unwrap();
+            let entries = (0..3)
+                .map(|i| (i, 0.2 + 0.1 * i as f64))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
         }
         let json = serde_json::to_string(&c.snapshot()).unwrap();
         let key = "\"assignments\":\"";
@@ -1091,7 +1021,7 @@ mod tests {
         assert!(matches!(c.forecast_table(), Err(SimError::NoTick)));
         assert!(matches!(c.serve_query_probes(3), Err(SimError::NoTick)));
         // After the first tick the typed error clears.
-        c.tick(vec![report(0, 0, 0.5)]).unwrap();
+        c.tick_frames(&[frame(0, &[(0, 0.5)])]).unwrap();
         assert!(c.forecast(1).is_ok());
         assert!(c.forecast_table().is_ok());
     }
@@ -1099,13 +1029,13 @@ mod tests {
     #[test]
     fn query_probes_count_reads_and_reuse_the_table() {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
-        c.tick(vec![report(0, 0, 0.5), report(1, 0, 0.2)]).unwrap();
+        c.tick_frames(&[frame(0, &[(0, 0.5), (1, 0.2)])]).unwrap();
         c.serve_query_probes(10).unwrap();
         c.serve_query_probes(10).unwrap();
         // Same tick: one rebuild serves both probe batches.
         assert_eq!(c.forecast_table_rebuilds(), 1);
         assert_eq!(c.forecast_reads_served(), 20);
-        let r = c.tick(vec![report(0, 1, 0.5)]).unwrap();
+        let r = c.tick_frames(&[frame(1, &[(0, 0.5)])]).unwrap();
         assert_eq!(r.forecast_table_rebuilds, 1);
         assert_eq!(r.forecast_reads_served, 20);
         c.serve_query_probes(5).unwrap();
@@ -1117,10 +1047,10 @@ mod tests {
     fn forecast_table_matches_forecast_bitwise() {
         let mut c = Controller::new(quick_config(6, 2)).unwrap();
         for t in 0..20 {
-            let reports = (0..6)
-                .map(|i| report(i, t, if i < 3 { 0.2 } else { 0.8 }))
-                .collect();
-            c.tick(reports).unwrap();
+            let entries = (0..6)
+                .map(|i| (i, if i < 3 { 0.2 } else { 0.8 }))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
             let table = c.forecast_table().unwrap();
             let reference = c.forecast(table.horizon()).unwrap();
             assert_eq!(
@@ -1168,10 +1098,10 @@ mod tests {
     fn forecast_tracks_groups() {
         let mut c = Controller::new(quick_config(6, 2)).unwrap();
         for t in 0..20 {
-            let reports = (0..6)
-                .map(|i| report(i, t, if i < 3 { 0.2 } else { 0.8 }))
-                .collect();
-            c.tick(reports).unwrap();
+            let entries = (0..6)
+                .map(|i| (i, if i < 3 { 0.2 } else { 0.8 }))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
         }
         let fc = c.forecast(2).unwrap();
         for (i, got) in fc[1].iter().enumerate().take(6) {
@@ -1188,8 +1118,8 @@ mod tests {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
         let mut trained_at = Vec::new();
         for t in 0..30 {
-            let reports = (0..4).map(|i| report(i, t, 0.1 * i as f64)).collect();
-            if c.tick(reports).unwrap().retrained {
+            let entries = (0..4).map(|i| (i, 0.1 * i as f64)).collect::<Vec<_>>();
+            if c.tick_frames(&[frame(t, &entries)]).unwrap().retrained {
                 trained_at.push(t + 1);
             }
         }

@@ -18,10 +18,10 @@ use serde::{Deserialize, Serialize};
 use utilcast_core::transmit::AdaptiveTransmitter;
 use utilcast_datasets::{Resource, Trace};
 
-use crate::link::{LinkModel, LinkPlan};
+use crate::link::{LinkModel, LinkPayload, LinkPlan};
 use crate::sim::{SimConfig, SimReport};
 use crate::slot::Slot;
-use crate::transport::Report;
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// A timed network partition: nodes in `nodes.start..nodes.end` cannot
@@ -58,10 +58,12 @@ pub struct FaultPlan {
     /// Per-step probability that the controller crashes, losing its live
     /// state, and resumes from the latest checkpoint.
     pub controller_crash_prob: f64,
-    /// Probability that a delivered report arrives corrupted (bad value,
-    /// wrong dimensionality, or bogus node id). Corrupted reports still
+    /// Probability that a report that escaped loss and partitions is
+    /// corrupted before it is sent, by the link's corruption model
+    /// ([`LinkPayload::corrupt_entry`]: NaN, `+1e6`, `-1.0`, or a node id
+    /// past the fleet — each width-preserving). Corrupted reports still
     /// consume bandwidth; the controller's ingress validation quarantines
-    /// them.
+    /// them under the drivers' unit value bounds.
     pub corrupt_prob: f64,
     /// Deterministic network partition windows.
     pub partitions: Vec<PartitionWindow>,
@@ -70,9 +72,10 @@ pub struct FaultPlan {
     pub checkpoint_every: usize,
     /// RNG seed for fault sampling.
     pub seed: u64,
-    /// Degraded-link model applied to reports that survive the legacy
-    /// loss/partition/corruption stages: latency, jitter, duplication,
-    /// reordering, bounded capacity, and its own loss and corruption (see
+    /// Degraded-link model applied to reports that survive the plan's
+    /// loss/partition/corruption stages, each report crossing it as a
+    /// one-entry [`ReportFrame`]: latency, jitter, duplication, reordering,
+    /// bounded capacity, and its own loss and corruption (see
     /// [`LinkPlan`]). A perfect plan bypasses the link entirely and keeps
     /// the run bit-identical to earlier versions.
     pub link: LinkPlan,
@@ -160,16 +163,6 @@ pub struct FaultReport {
     pub checkpoints: u64,
 }
 
-/// Corrupts a report in flight; `variant` selects the corruption mode.
-fn corrupt(r: &mut Report, variant: usize, num_nodes: usize) {
-    match variant {
-        0 => r.values = vec![f64::NAN],
-        1 => r.values = vec![r.values.first().copied().unwrap_or(0.0) + 1.0e6],
-        2 => r.values = Vec::new(),
-        _ => r.node += num_nodes,
-    }
-}
-
 /// Runs the simulation under a fault plan. Crashed nodes neither measure
 /// nor transmit, and they skip their decision, so their transmitter clock
 /// stops while they are down and resumes where it stopped on restart; lost
@@ -181,6 +174,14 @@ fn corrupt(r: &mut Report, variant: usize, num_nodes: usize) {
 /// a crashed node's stopped clock is what a lockstep bank cannot express —
 /// and everything after it runs on the slot engine the other drivers share,
 /// query probes included.
+///
+/// The reports travel as [`ReportFrame`]s, like every other driver's.
+/// Over a perfect [`FaultPlan::link`] a tick's surviving reports go to the
+/// controller as one frame, in node order. Over a degraded link each
+/// report is sent as a frame of its own, and the tick's deliveries are
+/// stably sorted by their measurement tick before admission: every node's
+/// reports then arrive in `(t, arrival)` order, which is all the
+/// controller's outcome depends on (see [`crate::controller`]).
 ///
 /// # Errors
 ///
@@ -208,11 +209,12 @@ pub fn run_with_faults(
     let mut transmitters = vec![AdaptiveTransmitter::new(config.transmit_config()); n];
     let mut rng = StdRng::seed_from_u64(plan.seed);
     // Degraded channel between the nodes and the controller. Reports that
-    // survive the legacy loss/partition/corruption stages travel through
-    // it one at a time; a perfect plan keeps the channel out of the path
-    // entirely (and consumes no randomness).
-    let mut link: Option<LinkModel<Report>> =
+    // survive the plan's loss/partition/corruption stages cross it one
+    // frame each; a perfect plan keeps the channel out of the path entirely
+    // (and consumes no randomness).
+    let mut link: Option<LinkModel<ReportFrame>> =
         (!plan.link.is_perfect()).then(|| LinkModel::new(plan.link, 0));
+    let mut frame = ReportFrame::with_capacity(1, n);
     let mut up = vec![true; n];
     let mut down_node_steps: u64 = 0;
     let mut lost_reports: u64 = 0;
@@ -242,7 +244,7 @@ pub fn run_with_faults(
         down_node_steps += up.iter().filter(|&&u| !u).count() as u64;
 
         let x = trace.snapshot(resource, t)?;
-        let mut reports = Vec::new();
+        frame.reset(t);
         let mut sent: u64 = 0;
         let stored = slot.stored();
         for i in 0..n {
@@ -262,27 +264,35 @@ pub fn run_with_faults(
                 } else if rng.gen::<f64>() < plan.loss_prob {
                     lost_reports += 1;
                 } else {
-                    let mut r = Report {
-                        node: i,
-                        t,
-                        values: vec![x[i]],
-                    };
+                    frame.push_scalar(i, x[i]);
                     if plan.corrupt_prob > 0.0 && rng.gen::<f64>() < plan.corrupt_prob {
                         let variant = rng.gen_range(0..4usize);
-                        corrupt(&mut r, variant, n);
+                        frame.corrupt_entry(frame.len() - 1, variant, n);
                         corrupted_reports += 1;
-                    }
-                    match &mut link {
-                        Some(link) => link.send(r, t, n),
-                        None => reports.push(r),
                     }
                 }
             }
         }
-        if let Some(link) = &mut link {
-            reports.extend(link.collect(t));
+        match &mut link {
+            None => slot.step(&x, std::slice::from_ref(&frame), sent)?,
+            Some(link) => {
+                // The link keeps its own RNG stream, so sending after the
+                // node loop draws exactly what sending inside it would.
+                for entry in frame.iter() {
+                    let mut single = ReportFrame::new(1);
+                    single.reset(t);
+                    single.push(entry.node, entry.values);
+                    link.send(single, t, n);
+                }
+                // A tick's deliveries mix measurement ticks. The link hands
+                // them over in send order; the stable sort by `t` states the
+                // per-node `(t, arrival)` order admission needs rather than
+                // leaving it to the link's internals.
+                let mut delivered = link.collect(t);
+                delivered.sort_by_key(ReportFrame::t);
+                slot.step(&x, &delivered, sent)?;
+            }
         }
-        slot.step_reports(&x, reports, sent)?;
     }
     let checkpoints = slot.checkpoints();
     let mut sim = slot.finish();

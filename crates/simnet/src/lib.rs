@@ -10,15 +10,17 @@
 //! cost.
 //!
 //! Three drivers run that time-slotted loop. Each collects its own way and
-//! hands the tick's reports to one crate-private slot engine, which
-//! delivers them, meters them, ticks the controller, scores the tick,
-//! serves the query probes, checkpoints, and assembles the [`sim::SimReport`]:
+//! hands the tick's reports, as [`transport::ReportFrame`]s, to one
+//! crate-private slot engine, which delivers them, meters them, ticks the
+//! controller through its one entry point
+//! ([`controller::Controller::tick_frames`]), scores the tick, serves the
+//! query probes, checkpoints, and assembles the [`sim::SimReport`]:
 //!
 //! * [`sim::Simulation`] — the whole fleet as one shard, in-thread;
 //! * [`threaded::run_threaded`] — nodes sharded over stateless worker
 //!   threads; produces *identical* results to [`sim::Simulation`] for the
-//!   same inputs (verified by tests), because the controller applies
-//!   messages in node order within each tick;
+//!   same inputs (verified by tests), because a tick's outcome depends only
+//!   on the order of each node's own messages, which sharding keeps;
 //! * [`faults::run_with_faults`] — per-node collection under a
 //!   [`faults::FaultPlan`] of node crashes, message loss, partitions,
 //!   corruption and controller crashes, to quantify how gracefully accuracy

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use utilcast_core::transmit::{ArqConfig, RetransmitQueue};
 
-use crate::transport::{Report, ReportFrame};
+use crate::transport::ReportFrame;
 use crate::SimError;
 
 /// Mixing constant for deriving per-shard RNG streams from one plan seed
@@ -172,10 +172,14 @@ impl LinkSummary {
 }
 
 /// A payload a [`LinkModel`] can carry: it exposes its entries so the
-/// link's corruption injector can flip individual reports. Implemented
-/// for [`ReportFrame`] (the drivers' payload), [`Report`] (the
-/// fault-injection driver's) and [`AckFrame`] — one corruption draw per
-/// entry regardless of representation.
+/// link's corruption injector can flip individual reports. Implemented for
+/// [`ReportFrame`] — every driver's payload, whether a shard's whole tick
+/// or, on the fault driver's channel, a single report — and for
+/// [`AckFrame`], which has no entries. [`corrupt_entry`] is the one
+/// corruption model: the fault driver's plan-stage corruption applies it
+/// too, to the report it is about to send.
+///
+/// [`corrupt_entry`]: LinkPayload::corrupt_entry
 pub trait LinkPayload: Clone {
     /// Number of corruptible entries the payload carries.
     fn entry_count(&self) -> usize;
@@ -203,33 +207,6 @@ impl LinkPayload for ReportFrame {
             1 => self.values_mut()[idx * width] += 1.0e6,
             2 => self.values_mut()[idx * width] = -1.0,
             _ => self.nodes_mut()[idx] += num_nodes,
-        }
-    }
-}
-
-impl LinkPayload for Report {
-    fn entry_count(&self) -> usize {
-        1
-    }
-
-    fn corrupt_entry(&mut self, _idx: usize, variant: usize, num_nodes: usize) {
-        match variant {
-            0 => {
-                if let Some(v) = self.values.first_mut() {
-                    *v = f64::NAN;
-                }
-            }
-            1 => {
-                if let Some(v) = self.values.first_mut() {
-                    *v += 1.0e6;
-                }
-            }
-            2 => {
-                if let Some(v) = self.values.first_mut() {
-                    *v = -1.0;
-                }
-            }
-            _ => self.node += num_nodes,
         }
     }
 }

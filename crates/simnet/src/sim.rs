@@ -210,7 +210,7 @@ impl Simulation {
                 &mut decisions,
                 &mut frame,
             );
-            slot.step_frames(&x, std::slice::from_ref(&frame))?;
+            slot.step(&x, std::slice::from_ref(&frame), frame.len() as u64)?;
         }
         Ok(slot.finish())
     }
@@ -442,5 +442,30 @@ mod tests {
         .unwrap()
         .run(&trace, Resource::Cpu);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn zero_step_trace_gives_the_same_nan_free_report_on_every_driver() {
+        use crate::faults::{run_with_faults, FaultPlan};
+        use crate::threaded::run_threaded;
+        let trace = Trace::zeros(vec![Resource::Cpu], 6, 0);
+        let config = quick_config();
+        let reference = Simulation::new(config.clone())
+            .unwrap()
+            .run(&trace, Resource::Cpu)
+            .unwrap();
+        let floats = [
+            reference.realized_frequency,
+            reference.staleness_rmse,
+            reference.intermediate_rmse,
+            reference.mean_age,
+        ];
+        assert!(floats.iter().all(|v| !v.is_nan()), "{reference:?}");
+        assert_eq!(reference.steps, 0);
+        assert_eq!(reference, reference.clone());
+        let threaded = run_threaded(&config, &trace, Resource::Cpu, 2).unwrap();
+        assert_eq!(threaded, reference);
+        let faulty = run_with_faults(&config, &trace, Resource::Cpu, &FaultPlan::none()).unwrap();
+        assert_eq!(faulty.sim, reference);
     }
 }

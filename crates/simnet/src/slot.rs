@@ -3,18 +3,18 @@
 //!
 //! A driver collects — [`collect_shard`] over a [`TransmitterBank`] for the
 //! frame drivers, per-node transmitters for the fault driver — and hands
-//! the result to [`Slot`], which delivers it (through the optional
-//! [`DeliveryPlane`]), meters it, ticks the [`Controller`], scores the
-//! tick, serves the query probes and cuts checkpoints. [`Slot::finish`]
-//! assembles the [`SimReport`].
+//! the tick's [`ReportFrame`]s to [`Slot::step`], which delivers them
+//! (through the optional [`DeliveryPlane`]), meters them, ticks the
+//! [`Controller`], scores the tick, serves the query probes and cuts
+//! checkpoints. [`Slot::finish`] assembles the [`SimReport`].
 
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::transmit::TransmitterBank;
 
-use crate::controller::{Controller, TickReport};
+use crate::controller::Controller;
 use crate::link::DeliveryPlane;
 use crate::sim::{SimConfig, SimReport};
-use crate::transport::{Meter, Report, ReportFrame};
+use crate::transport::{Meter, ReportFrame};
 use crate::SimError;
 
 /// One shard's collection for tick `t`: the bank decides for nodes
@@ -129,14 +129,17 @@ impl Slot {
         Ok(true)
     }
 
-    /// One tick over per-source frames (`frames[s]` from sending edge `s`).
-    pub(crate) fn step_frames(
+    /// One tick over per-source frames (`frames[s]` from sending edge `s`),
+    /// for which the nodes decided to send `sent` reports — more than the
+    /// frames carry when the driver's own channel lost some before framing.
+    pub(crate) fn step(
         &mut self,
         x: &[f64],
         frames: &[ReportFrame],
+        sent: u64,
     ) -> Result<(), SimError> {
         let now = self.steps;
-        self.sent += frames.iter().map(|f| f.len() as u64).sum::<u64>();
+        self.sent += sent;
         let tick = match &mut self.plane {
             None => {
                 frames.iter().for_each(|f| self.meter.record_frame(f));
@@ -154,30 +157,11 @@ impl Slot {
                 tick
             }
         };
-        self.finish_step(x, &tick)
-    }
-
-    /// One tick over delivered reports, of which the nodes sent `sent`
-    /// (the fault driver loses some on its own channel).
-    pub(crate) fn step_reports(
-        &mut self,
-        x: &[f64],
-        reports: Vec<Report>,
-        sent: u64,
-    ) -> Result<(), SimError> {
-        self.sent += sent;
-        reports.iter().for_each(|r| self.meter.record(r));
-        let tick = self.controller.tick(reports)?;
-        self.finish_step(x, &tick)
-    }
-
-    /// Scores the tick, serves the probe batch, and cuts a checkpoint when
-    /// one is due — after the probes, so a restored controller carries the
-    /// same table generation and read counters the original had.
-    fn finish_step(&mut self, x: &[f64], tick: &TickReport) -> Result<(), SimError> {
         self.staleness
             .add(rmse_step_scalar(self.controller.stored(), x));
         self.intermediate.add(tick.intermediate_rmse);
+        // Probes before the checkpoint cut, so a restored controller carries
+        // the same table generation and read counters the original had.
         self.controller.serve_query_probes(self.query_probe)?;
         self.steps += 1;
         if let Some(every) = self.checkpoint_every {
@@ -196,7 +180,12 @@ impl Slot {
             steps: self.steps,
             messages: self.meter.messages(),
             bytes: self.meter.bytes(),
-            realized_frequency: self.sent as f64 / (self.steps as f64 * c.stored().len() as f64),
+            // A run of zero steps sent nothing out of no opportunities.
+            realized_frequency: if self.steps == 0 {
+                0.0
+            } else {
+                self.sent as f64 / (self.steps as f64 * c.stored().len() as f64)
+            },
             staleness_rmse: self.staleness.value(),
             intermediate_rmse: self.intermediate.value(),
             quarantined: c.quarantined(),

@@ -5,10 +5,10 @@
 //! Nodes are partitioned into `shards` contiguous ranges. The supervisor
 //! owns every shard's [`TransmitterBank`]; each tick it ships every worker
 //! its shard's bank together with the measurements and the controller's
-//! current stored values, the workers run [`collect_shard`] in parallel
-//! and hand bank and [`ReportFrame`] back, and the per-shard frames go to
-//! the same [`Slot`] as the single-threaded driver's one frame. The
-//! controller admits them in shard — hence node — order.
+//! current stored values, the workers run the crate's one shard collector
+//! in parallel and hand bank and [`ReportFrame`] back, and the per-shard
+//! frames go to the same slot engine as the single-threaded driver's one
+//! frame. The controller admits them in shard — hence node — order.
 //!
 //! Because decisions only depend on per-node transmitter state and the
 //! shared stored values, the run is **deterministic and identical to the
@@ -260,7 +260,8 @@ pub fn run_threaded_supervised(
             banks[s] = done.bank;
             frames[s] = done.frame;
         }
-        slot.step_frames(&x, &frames)?;
+        let sent = frames.iter().map(|f| f.len() as u64).sum();
+        slot.step(&x, &frames, sent)?;
     }
     // Closing the job channels shuts the workers down.
     for Worker { jobs, handle, .. } in workers {

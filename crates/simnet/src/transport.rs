@@ -5,45 +5,21 @@
 //! as a fixed header plus one `f64` per resource dimension, and a
 //! [`Meter`] accumulates the totals delivered to the controller.
 //!
-//! Two wire representations exist:
-//!
-//! * [`ReportFrame`] — one recycled flat buffer per shard per tick (node
-//!   ids + contiguous values + count), the representation the frame
-//!   drivers send. Frames are metered with **one** accounting call
-//!   ([`Meter::record_frame`]) and expose a compat iterator
-//!   ([`ReportFrame::iter`]) so the controller's quarantine and validation
-//!   logic is byte-for-byte shared with the per-report path;
-//! * [`Report`] — one heap-allocated record per transmission, the seed
-//!   representation: what [`crate::controller::Controller::tick`] ingests,
-//!   what the fault-injection driver sends, and what the test-only
-//!   per-report reference loop holds the frame drivers to.
+//! Reports travel in one wire representation, the [`ReportFrame`]: node ids
+//! plus contiguous values for one tick, recycled across ticks. Every driver
+//! sends frames — one per shard per tick, or one per report where the fault
+//! driver's degraded channel carries reports singly — and the controller
+//! ingests nothing else. A frame is metered with one accounting call
+//! ([`Meter::record_frame`]), and the controller validates it entry by
+//! entry through the borrowed [`FrameEntry`] view ([`ReportFrame::iter`]).
 
 use serde::{Deserialize, Serialize};
 
 /// Modelled header bytes per report (node id + timestamp + framing).
 pub const HEADER_BYTES: u64 = 16;
 
-/// A measurement report from a local node to the controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    /// Sending node index.
-    pub node: usize,
-    /// Time step of the measurement.
-    pub t: usize,
-    /// Measurement payload (one value per resource dimension).
-    pub values: Vec<f64>,
-}
-
-impl Report {
-    /// Modelled wire size in bytes.
-    pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + 8 * self.values.len() as u64
-    }
-}
-
-/// A borrowed view of one entry of a [`ReportFrame`], shaped like a
-/// [`Report`] so ingress validation code can treat both representations
-/// uniformly.
+/// A borrowed view of one entry of a [`ReportFrame`]: one report, as
+/// ingress validation sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameEntry<'a> {
     /// Sending node index.
@@ -56,10 +32,9 @@ pub struct FrameEntry<'a> {
 
 /// One tick's worth of reports from a shard, stored as flat buffers: node
 /// ids in one vector, payload values contiguous in another (`width` values
-/// per entry). Replaces a `Vec<Report>` — and its one-allocation-per-report
-/// cost — on the batched ingest path. The buffers are recycled across
-/// ticks via [`ReportFrame::reset`], so the steady state allocates
-/// nothing.
+/// per entry), so a report costs no allocation of its own. The buffers are
+/// recycled across ticks via [`ReportFrame::reset`], so the steady state
+/// allocates nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportFrame {
     t: usize,
@@ -215,34 +190,20 @@ impl ReportFrame {
         &self.values
     }
 
-    /// Modelled wire size of the whole frame: exactly the sum of
-    /// [`Report::wire_bytes`] over equivalent per-record reports, so the
-    /// two ingest paths meter identical byte totals.
+    /// Modelled wire size of the whole frame: [`HEADER_BYTES`] plus eight
+    /// bytes per value for every entry.
     pub fn wire_bytes(&self) -> u64 {
         self.len() as u64 * (HEADER_BYTES + 8 * self.width as u64)
     }
 
     /// Iterates the frame as borrowed [`FrameEntry`] records in push
-    /// order — the compat view that lets the controller run the same
-    /// ingress validation it applies to [`Report`]s.
+    /// order — the view the controller's ingress validation reads.
     pub fn iter(&self) -> impl Iterator<Item = FrameEntry<'_>> {
         let (t, width) = (self.t, self.width);
         self.nodes
             .iter()
             .zip(self.values.chunks_exact(width))
             .map(move |(&node, values)| FrameEntry { node, t, values })
-    }
-
-    /// Copies the frame out as owned [`Report`]s (test/diagnostic helper;
-    /// the hot path never materializes these).
-    pub fn to_reports(&self) -> Vec<Report> {
-        self.iter()
-            .map(|e| Report {
-                node: e.node,
-                t: e.t,
-                values: e.values.to_vec(),
-            })
-            .collect()
     }
 }
 
@@ -264,7 +225,7 @@ impl QueryRequest {
     pub const WIRE_BYTES: u64 = 12;
 
     /// Modelled wire size in bytes (header + payload), matching the
-    /// [`Report`] accounting convention.
+    /// [`ReportFrame::wire_bytes`] accounting convention.
     pub fn wire_bytes(&self) -> u64 {
         HEADER_BYTES + Self::WIRE_BYTES
     }
@@ -384,12 +345,6 @@ impl Meter {
     /// Creates a zeroed meter.
     pub fn new() -> Self {
         Meter::default()
-    }
-
-    /// Records one report.
-    pub fn record(&mut self, report: &Report) {
-        self.messages += 1;
-        self.bytes += report.wire_bytes();
     }
 
     /// Records a whole frame in one call.
@@ -561,51 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_counts_header_and_payload() {
-        let r = Report {
-            node: 3,
-            t: 7,
-            values: vec![0.1, 0.2],
-        };
-        assert_eq!(r.wire_bytes(), HEADER_BYTES + 16);
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let mut m = Meter::new();
-        m.record(&Report {
-            node: 0,
-            t: 0,
-            values: vec![0.5],
-        });
-        m.record(&Report {
-            node: 1,
-            t: 0,
-            values: vec![0.5, 0.6, 0.7],
-        });
-        assert_eq!(m.messages(), 2);
-        assert_eq!(m.bytes(), 2 * HEADER_BYTES + 8 + 24);
-    }
-
-    #[test]
-    fn frame_metering_matches_per_report_metering() {
-        let mut frame = ReportFrame::new(2);
-        frame.reset(5);
-        frame.push(3, &[0.1, 0.2]);
-        frame.push(7, &[0.3, 0.4]);
-        frame.push(9, &[0.5, 0.6]);
-        let mut per_report = Meter::new();
-        for r in frame.to_reports() {
-            per_report.record(&r);
-        }
-        let mut batched = Meter::new();
-        batched.record_frame(&frame);
-        assert_eq!(batched.messages(), per_report.messages());
-        assert_eq!(batched.bytes(), per_report.bytes());
-    }
-
-    #[test]
-    fn frame_iter_matches_equivalent_reports() {
+    fn frame_iter_yields_entries_in_push_order() {
         let mut frame = ReportFrame::with_capacity(1, 4);
         frame.reset(11);
         frame.push_scalar(0, 0.25);
@@ -619,21 +530,7 @@ mod tests {
         assert_eq!(entries[0].values, &[0.25]);
         assert_eq!(entries[1].node, 4);
         assert_eq!(entries[1].values, &[0.75]);
-        assert_eq!(
-            frame.to_reports(),
-            vec![
-                Report {
-                    node: 0,
-                    t: 11,
-                    values: vec![0.25]
-                },
-                Report {
-                    node: 4,
-                    t: 11,
-                    values: vec![0.75]
-                },
-            ]
-        );
+        assert_eq!(entries.len(), 2);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! [`SimReport`]s at any thread count, with and without periodic cold
 //! re-seeding, and bit-identical snapshot/restore replay while the
 //! concurrent paths are active. The frame drivers are also held, bit for
-//! bit, to the seed's per-report collection loop, which lives on here as a
-//! test-only reference. (The checkpoint codec's replay tests — a legacy
-//! checkpoint and an ARIMA cut across a refit — are root
-//! `tests/checkpoint_codec.rs`.)
+//! bit, to the seed's per-node collection loop, which lives on here as a
+//! test-only reference, and the controller's one entry point is held to the
+//! per-node-order contract the drivers rely on. (The checkpoint codec's
+//! replay tests — a legacy checkpoint and an ARIMA cut across a refit — are
+//! root `tests/checkpoint_codec.rs`.)
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use utilcast_core::compute::ComputeOptions;
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::transmit::{AdaptiveTransmitter, TransmitConfig};
@@ -18,7 +20,7 @@ use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::link::{LinkModel, LinkSummary};
 use utilcast_simnet::sim::{SimConfig, SimReport, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{Meter, Report, ReportFrame};
+use utilcast_simnet::transport::{Meter, ReportFrame};
 
 fn trace() -> Trace {
     presets::google_like()
@@ -202,11 +204,12 @@ fn base_config() -> SimConfig {
 }
 
 /// The seed's collection loop, kept as the reference the frame drivers are
-/// held to: one [`AdaptiveTransmitter`] per node, one heap [`Report`] per
-/// transmission, [`Controller::tick`]. With a degraded link each of the
-/// `shards` sending edges puts its tick's reports on its own link as one
-/// frame — the only payload the link plane carries — and the controller
-/// unpacks what arrives into reports again.
+/// held to: one [`AdaptiveTransmitter`] per node, one `(node, t, value)`
+/// record per transmission, the tick's records sorted by `(node, t)`, each
+/// then admitted as a frame of its own. With a degraded link each of the
+/// `shards` sending edges puts its tick's records on its own link as one
+/// frame — the only payload the link plane carries — and what arrives is
+/// unpacked into records again.
 fn reference_run(config: &SimConfig, trace: &Trace, shards: usize) -> SimReport {
     assert!(
         !config.delivery.arq.is_enabled(),
@@ -253,33 +256,41 @@ fn reference_run(config: &SimConfig, trace: &Trace, shards: usize) -> SimReport 
         } else {
             controller.stored().to_vec()
         };
-        let mut reports: Vec<Report> = (0..n)
+        let mut records: Vec<(usize, usize, f64)> = (0..n)
             .filter(|&i| transmitters[i].decide(&[x[i]], &[zs[i]]) || t == 0)
-            .map(|i| Report {
-                node: i,
-                t,
-                values: vec![x[i]],
-            })
+            .map(|i| (i, t, x[i]))
             .collect();
-        sent += reports.len() as u64;
+        sent += records.len() as u64;
         if !links.is_empty() {
             let mut arrived = Vec::new();
             for (s, link) in links.iter_mut().enumerate() {
                 let mut frame = ReportFrame::new(1);
                 frame.reset(t);
-                for r in &reports[..] {
-                    if (s * n / shards..(s + 1) * n / shards).contains(&r.node) {
-                        frame.push_scalar(r.node, r.values[0]);
+                for &(node, _, v) in &records {
+                    if (s * n / shards..(s + 1) * n / shards).contains(&node) {
+                        frame.push_scalar(node, v);
                     }
                 }
                 link.send(frame, t, n);
-                arrived.extend(link.collect(t).iter().flat_map(ReportFrame::to_reports));
+                for delivered in link.collect(t) {
+                    arrived.extend(delivered.iter().map(|e| (e.node, e.t, e.values[0])));
+                }
             }
-            reports = arrived;
+            records = arrived;
         }
+        records.sort_by_key(|&(node, t, _)| (node, t));
+        let frames: Vec<ReportFrame> = records
+            .iter()
+            .map(|&(node, t, v)| {
+                let mut frame = ReportFrame::new(1);
+                frame.reset(t);
+                frame.push_scalar(node, v);
+                frame
+            })
+            .collect();
         // Bandwidth is counted at delivery.
-        reports.iter().for_each(|r| meter.record(r));
-        let tick = controller.tick(reports).unwrap();
+        frames.iter().for_each(|f| meter.record_frame(f));
+        let tick = controller.tick_frames(&frames).unwrap();
         staleness.add(rmse_step_scalar(controller.stored(), &x));
         intermediate.add(tick.intermediate_rmse);
     }
@@ -306,11 +317,11 @@ fn reference_run(config: &SimConfig, trace: &Trace, shards: usize) -> SimReport 
 }
 
 /// The frame-based collection plane is bit-identical to the seed
-/// per-report loop: same `SimReport` (exact `f64` equality) from the
+/// per-node loop: same `SimReport` (exact `f64` equality) from the
 /// single-threaded driver and from the threaded driver at shard counts
 /// 1, 2, and 8.
 #[test]
-fn frame_drivers_bit_identical_to_the_per_report_reference_at_any_shard_count() {
+fn frame_drivers_bit_identical_to_the_per_node_reference_at_any_shard_count() {
     let trace = trace();
     let seed_path = reference_run(&base_config(), &trace, 1);
     let frame_path = Simulation::new(base_config())
@@ -356,14 +367,14 @@ fn hierarchical_threaded_driver_bit_identical_at_any_supervisor_shard_count() {
     }
 }
 
-/// Under injected in-flight corruption, the frame drivers and the
-/// per-report reference stay bit-identical — same quarantine and duplicate
-/// counters, same link accounting — at shard counts 1, 2, and 8: admission
-/// of a corrupted entry is the same decision whether it arrives in a frame
-/// (`tick_frames`) or as a report (`tick`), and each shard's link stream
-/// derives from `(plan seed, shard)` alone.
+/// Under injected in-flight corruption, the frame drivers and the per-node
+/// reference stay bit-identical — same quarantine and duplicate counters,
+/// same link accounting — at shard counts 1, 2, and 8: admission of a
+/// corrupted entry is the same decision whether it arrives in a shard's
+/// frame or, after the reference's sort, in a frame of its own, and each
+/// shard's link stream derives from `(plan seed, shard)` alone.
 #[test]
-fn corrupt_link_frame_drivers_bit_identical_to_the_per_report_reference() {
+fn corrupt_link_frame_drivers_bit_identical_to_the_per_node_reference() {
     use utilcast_simnet::link::{DeliveryOptions, LinkPlan};
     let trace = trace();
     let corrupt_config = SimConfig {
@@ -377,18 +388,18 @@ fn corrupt_link_frame_drivers_bit_identical_to_the_per_report_reference() {
         },
         ..base_config()
     };
-    let report_path = reference_run(&corrupt_config, &trace, 1);
+    let seed_path = reference_run(&corrupt_config, &trace, 1);
     let frame_path = Simulation::new(corrupt_config.clone())
         .unwrap()
         .run(&trace, Resource::Cpu)
         .unwrap();
     assert!(
-        report_path.quarantined > 0,
+        seed_path.quarantined > 0,
         "0.25 corruption never fired in 200 ticks"
     );
-    assert_eq!(report_path.link.corrupted, report_path.quarantined);
+    assert_eq!(seed_path.link.corrupted, seed_path.quarantined);
     assert_eq!(
-        frame_path, report_path,
+        frame_path, seed_path,
         "single-threaded frame path diverged under corruption"
     );
     for shards in [1, 2, 8] {
@@ -397,7 +408,7 @@ fn corrupt_link_frame_drivers_bit_identical_to_the_per_report_reference() {
         assert_eq!(
             threaded,
             reference_run(&corrupt_config, &trace, shards),
-            "frame driver vs per-report reference diverged under corruption at {shards} shards"
+            "frame driver vs per-node reference diverged under corruption at {shards} shards"
         );
     }
 }
@@ -430,73 +441,6 @@ proptest! {
     /// the uninterrupted run *with concurrent retraining and threaded
     /// warm-start clustering enabled*, for any report sequence (valid,
     /// quarantinable, duplicate, out-of-order) and any split point.
-    #[test]
-    fn snapshot_restore_bit_identical_with_concurrent_retraining(
-        ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
-        split_pct in 0u32..100,
-    ) {
-        let split = (ticks.len() * split_pct as usize / 100).min(ticks.len() - 1);
-        let to_reports = |t: usize, batch: &[(usize, f64)]| -> Vec<Report> {
-            batch
-                .iter()
-                .map(|&(node, v)| Report { node, t, values: vec![v] })
-                .collect()
-        };
-
-        let mut uninterrupted = concurrent_controller();
-        let mut resumed = concurrent_controller();
-        for (t, batch) in ticks[..split].iter().enumerate() {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
-            prop_assert_eq!(a, b);
-        }
-
-        let json = serde_json::to_string(&resumed.snapshot()).unwrap();
-        let mut resumed = Controller::restore(serde_json::from_str(&json).unwrap()).unwrap();
-
-        for (t, batch) in ticks.iter().enumerate().skip(split) {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(uninterrupted.stored(), resumed.stored());
-        prop_assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
-    }
-
-    /// Frame ingest is bit-identical to per-report ingest at the controller
-    /// boundary for any report sequence — including out-of-range values,
-    /// unknown nodes, and intra-tick duplicates, all of which must be
-    /// quarantined identically on both paths.
-    #[test]
-    fn tick_frames_bit_identical_to_tick_for_any_batch(
-        ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
-    ) {
-        let mut per_report = concurrent_controller();
-        let mut framed = concurrent_controller();
-        let mut frame = ReportFrame::new(1);
-        for (t, batch) in ticks.iter().enumerate() {
-            let reports: Vec<Report> = batch
-                .iter()
-                .map(|&(node, v)| Report { node, t, values: vec![v] })
-                .collect();
-            frame.reset(t);
-            let mut sorted = batch.clone();
-            sorted.sort_by_key(|&(node, _)| node);
-            for (node, v) in sorted {
-                frame.push_scalar(node, v);
-            }
-            let a = per_report.tick(reports).unwrap();
-            let b = framed.tick_frames(std::slice::from_ref(&frame)).unwrap();
-            prop_assert_eq!(a, b, "tick {} diverged", t);
-        }
-        prop_assert_eq!(per_report.stored(), framed.stored());
-        prop_assert_eq!(per_report.quarantined(), framed.quarantined());
-        prop_assert_eq!(per_report.snapshot(), framed.snapshot());
-    }
-
-    /// Snapshot → restore → replay over the *frame* ingest path is
-    /// bit-identical to the uninterrupted frame-path run for any report
-    /// sequence and split point.
     #[test]
     fn snapshot_restore_bit_identical_on_frame_path(
         ticks in proptest::collection::vec(arb_tick_reports(), 2..16),
@@ -533,5 +477,96 @@ proptest! {
         }
         prop_assert_eq!(uninterrupted.stored(), resumed.stored());
         prop_assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
+    }
+}
+
+/// One arbitrary entry of a tick: a node id (past the fleet for unknown
+/// ids), how many ticks before the current one it was measured, a shuffle
+/// key, and a value class — NaN, above or below the unit bounds, or a
+/// valid value.
+fn arb_entry() -> impl Strategy<Value = ((usize, usize, u32), (u8, f64))> {
+    (
+        (0usize..PROP_NODES + 2, 0usize..3, 0u32..u32::MAX),
+        (0u8..8, 0.0f64..1.0),
+    )
+}
+
+type Entry = (usize, usize, f64);
+
+/// The tick's entries as `(node, t, value)`, in arrival order.
+fn entries(tick: usize, drawn: &[((usize, usize, u32), (u8, f64))]) -> Vec<Entry> {
+    drawn
+        .iter()
+        .map(|&((node, back, _), (class, v))| {
+            let value = match class {
+                0 => f64::NAN,
+                1 => 1.5,
+                2 => -0.5,
+                _ => v,
+            };
+            (node, tick.saturating_sub(back), value)
+        })
+        .collect()
+}
+
+/// `batch` reordered by the drawn shuffle keys, except that every node's
+/// entries keep their relative order: each position the shuffle gives a
+/// node takes that node's next entry.
+fn interleave(batch: &[Entry], drawn: &[((usize, usize, u32), (u8, f64))]) -> Vec<Entry> {
+    let mut order: Vec<usize> = (0..batch.len()).collect();
+    order.sort_by_key(|&i| drawn[i].0 .2);
+    let mut queues = vec![VecDeque::new(); PROP_NODES + 2];
+    for &entry in batch {
+        queues[entry.0].push_back(entry);
+    }
+    order
+        .iter()
+        .map(|&i| queues[batch[i].0].pop_front().unwrap())
+        .collect()
+}
+
+/// `batch` as frames, one per run of entries with the same `t`.
+fn pack(batch: &[Entry]) -> Vec<ReportFrame> {
+    let mut frames: Vec<ReportFrame> = Vec::new();
+    for &(node, t, v) in batch {
+        if frames.last().is_none_or(|f| f.t() != t) {
+            let mut frame = ReportFrame::new(1);
+            frame.reset(t);
+            frames.push(frame);
+        }
+        frames.last_mut().unwrap().push_scalar(node, v);
+    }
+    frames
+}
+
+proptest! {
+    /// A tick's outcome depends only on each node's entries' relative
+    /// order: any interleaving of different nodes' entries — across
+    /// frames of different `t` in one tick, with unknown nodes, NaN and
+    /// out-of-range values, and same-`(node, t)` duplicates — gives a
+    /// bitwise-equal `TickReport`, store and checkpoint. This is what lets
+    /// the fault driver hand its link's deliveries over sorted by `t`
+    /// rather than by `(node, t)`.
+    #[test]
+    fn tick_frames_depends_only_on_each_nodes_entry_order(
+        ticks in proptest::collection::vec(
+            proptest::collection::vec(arb_entry(), 0..12),
+            2..12,
+        ),
+    ) {
+        let mut arrival = concurrent_controller();
+        let mut shuffled = concurrent_controller();
+        for (tick, drawn) in ticks.iter().enumerate() {
+            let batch = entries(tick, drawn);
+            let a = arrival.tick_frames(&pack(&batch)).unwrap();
+            let b = shuffled.tick_frames(&pack(&interleave(&batch, drawn))).unwrap();
+            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "tick {} diverged", tick);
+            let bits = |c: &Controller| c.stored().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&arrival), bits(&shuffled));
+        }
+        prop_assert_eq!(
+            serde_json::to_string(&arrival.snapshot()).unwrap(),
+            serde_json::to_string(&shuffled.snapshot()).unwrap()
+        );
     }
 }

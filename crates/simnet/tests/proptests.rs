@@ -9,7 +9,7 @@ use utilcast_datasets::Resource;
 use utilcast_simnet::controller::{Controller, ControllerConfig};
 use utilcast_simnet::sim::{SimConfig, Simulation};
 use utilcast_simnet::threaded::run_threaded;
-use utilcast_simnet::transport::{Meter, Report, ReportFrame, HEADER_BYTES};
+use utilcast_simnet::transport::{Meter, ReportFrame, HEADER_BYTES};
 
 const PROP_NODES: usize = 5;
 
@@ -18,6 +18,16 @@ const PROP_NODES: usize = 5;
 /// valid, quarantinable, duplicate, and out-of-order reports.
 fn arb_tick_reports() -> impl Strategy<Value = Vec<(usize, f64)>> {
     proptest::collection::vec((0usize..PROP_NODES + 2, -0.5f64..1.5), 0..8)
+}
+
+/// A scalar frame for tick `t` carrying `batch` in order.
+fn frame(t: usize, batch: &[(usize, f64)]) -> ReportFrame {
+    let mut frame = ReportFrame::new(1);
+    frame.reset(t);
+    for &(node, v) in batch {
+        frame.push_scalar(node, v);
+    }
+    frame
 }
 
 fn prop_controller() -> Controller {
@@ -41,18 +51,12 @@ proptest! {
         split_pct in 0u32..100,
     ) {
         let split = (ticks.len() * split_pct as usize / 100).min(ticks.len() - 1);
-        let to_reports = |t: usize, batch: &[(usize, f64)]| -> Vec<Report> {
-            batch
-                .iter()
-                .map(|&(node, v)| Report { node, t, values: vec![v] })
-                .collect()
-        };
 
         let mut uninterrupted = prop_controller();
         let mut resumed = prop_controller();
         for (t, batch) in ticks[..split].iter().enumerate() {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
+            let a = uninterrupted.tick_frames(&[frame(t, batch)]).unwrap();
+            let b = resumed.tick_frames(&[frame(t, batch)]).unwrap();
             prop_assert_eq!(a, b);
         }
 
@@ -63,8 +67,8 @@ proptest! {
         let mut resumed = Controller::restore(serde_json::from_str(&json).unwrap()).unwrap();
 
         for (t, batch) in ticks.iter().enumerate().skip(split) {
-            let a = uninterrupted.tick(to_reports(t, batch)).unwrap();
-            let b = resumed.tick(to_reports(t, batch)).unwrap();
+            let a = uninterrupted.tick_frames(&[frame(t, batch)]).unwrap();
+            let b = resumed.tick_frames(&[frame(t, batch)]).unwrap();
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(uninterrupted.stored(), resumed.stored());
@@ -72,24 +76,35 @@ proptest! {
         prop_assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
     }
 
-    /// Wire size is affine in the payload length.
+    /// A frame's wire size is affine in its entry count and payload width.
     #[test]
-    fn wire_bytes_affine(node in 0usize..1000, t in 0usize..10_000, d in 0usize..16) {
-        let r = Report { node, t, values: vec![0.5; d] };
-        prop_assert_eq!(r.wire_bytes(), HEADER_BYTES + 8 * d as u64);
+    fn wire_bytes_affine(t in 0usize..10_000, d in 1usize..16, entries in 0usize..8) {
+        let mut frame = ReportFrame::new(d);
+        frame.reset(t);
+        for node in 0..entries {
+            frame.push(node, &vec![0.5; d]);
+        }
+        prop_assert_eq!(frame.wire_bytes(), entries as u64 * (HEADER_BYTES + 8 * d as u64));
     }
 
-    /// The meter equals the sum of the individual reports it recorded.
+    /// The meter equals the sum of the frames it recorded.
     #[test]
-    fn meter_totals_match(sizes in proptest::collection::vec(0usize..8, 1..50)) {
+    fn meter_totals_match(
+        frames in proptest::collection::vec((1usize..8, 0usize..6), 1..50),
+    ) {
         let mut m = Meter::new();
-        let mut bytes = 0u64;
-        for (t, &d) in sizes.iter().enumerate() {
-            let r = Report { node: 0, t, values: vec![0.1; d] };
-            bytes += r.wire_bytes();
-            m.record(&r);
+        let (mut messages, mut bytes) = (0u64, 0u64);
+        for (t, &(d, entries)) in frames.iter().enumerate() {
+            let mut frame = ReportFrame::new(d);
+            frame.reset(t);
+            for node in 0..entries {
+                frame.push(node, &vec![0.1; d]);
+            }
+            messages += entries as u64;
+            bytes += frame.wire_bytes();
+            m.record_frame(&frame);
         }
-        prop_assert_eq!(m.messages(), sizes.len() as u64);
+        prop_assert_eq!(m.messages(), messages);
         prop_assert_eq!(m.bytes(), bytes);
     }
 
@@ -244,19 +259,19 @@ proptest! {
             },
             ..Default::default()
         };
-        let to_reports = |t: usize| -> Vec<Report> {
-            (0..8)
+        let to_frame = |t: usize| -> ReportFrame {
+            let batch: Vec<(usize, f64)> = (0..8)
                 .map(|node| {
                     let base = (node % 2) as f64 * 0.4 + 0.1;
-                    let v = base + ((t * 7 + node * 13 + seed as usize) % 17) as f64 / 100.0;
-                    Report { node, t, values: vec![v] }
+                    (node, base + ((t * 7 + node * 13 + seed as usize) % 17) as f64 / 100.0)
                 })
-                .collect()
+                .collect();
+            frame(t, &batch)
         };
 
         let mut live = Controller::new(config.clone()).unwrap();
         for t in 0..split {
-            live.tick(to_reports(t)).unwrap();
+            live.tick_frames(&[to_frame(t)]).unwrap();
         }
         // Crash: recover a second controller from a checkpoint that
         // survived a JSON round trip, as an on-disk one would.
@@ -266,8 +281,8 @@ proptest! {
         // 26 ticks cross the warmup fit (tick 5) and two retrains (15, 25);
         // the unfittable model turns those into fallback activations.
         for t in split..26 {
-            live.tick(to_reports(t)).unwrap();
-            restored.tick(to_reports(t)).unwrap();
+            live.tick_frames(&[to_frame(t)]).unwrap();
+            restored.tick_frames(&[to_frame(t)]).unwrap();
             let a = live.forecast_table().unwrap();
             let b = restored.forecast_table().unwrap();
             prop_assert_eq!(a.generation(), b.generation(), "generation diverged at t = {}", t);

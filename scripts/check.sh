@@ -23,6 +23,15 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings -D clippy::perf"
 cargo clippy --all-targets -- -D warnings -D clippy::perf
 
+# Rustdoc with warnings as errors, so a dangling or private intra-doc link
+# fails the gate. The utilcast packages are named one by one: the vendored
+# stand-ins (`proptest` has an ambiguous `vec` link) are not held to it.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps (utilcast packages)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
+  -p utilcast -p utilcast-linalg -p utilcast-clustering -p utilcast-timeseries \
+  -p utilcast-datasets -p utilcast-core -p utilcast-gaussian -p utilcast-simnet \
+  -p utilcast-bench -p utilcast-lint
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -34,9 +43,10 @@ cargo build --release
 # the scalar loops and the ARIMA CSS evaluator against its allocating
 # twin (timeseries), the Nelder–Mead rewrite (linalg), the transmitter bank
 # against a per-node fleet and the Eq. 12 resolve kernel against its
-# allocating twin (core), the frame drivers against the per-report
-# reference loop, crash/restore replay, the chaos suite and SimReport
-# equality at any thread and shard count (simnet).
+# allocating twin (core), the frame drivers against the per-node
+# reference loop and the controller's per-node-order property,
+# crash/restore replay, the chaos suite and SimReport equality at any
+# thread and shard count (simnet).
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use utilcast::core::compute::ComputeOptions;
 use utilcast::core::pipeline::ModelSpec;
 use utilcast::simnet::controller::{Controller, ControllerConfig, ControllerSnapshot};
-use utilcast::simnet::transport::{Report, ReportFrame};
+use utilcast::simnet::transport::ReportFrame;
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 use utilcast::timeseries::lstm::LstmConfig;
 
@@ -168,22 +168,18 @@ fn arima_controller() -> Controller {
 
 /// Three groups swinging on different periods; every fourth node skips
 /// every third tick, so the stored values carry some staleness.
-fn arima_reports(t: usize) -> Vec<Report> {
-    (0..ARIMA_NODES)
-        .filter(|i| i % 4 != 3 || !t.is_multiple_of(3))
-        .map(|node| {
-            let group = node % 3;
-            let period = 14 + 6 * group;
-            let phase = ((t + 5 * group) % period) as f64 / period as f64;
-            let swing = 0.06 * (1.0 - 4.0 * (phase - 0.5).abs());
-            let noise = ((t * 29 + node * 13) % 19) as f64 / 19.0 - 0.5;
-            Report {
-                node,
-                t,
-                values: vec![0.2 + 0.3 * group as f64 + swing + 0.02 * noise],
-            }
-        })
-        .collect()
+fn arima_reports(t: usize) -> ReportFrame {
+    let mut frame = ReportFrame::new(1);
+    frame.reset(t);
+    for node in (0..ARIMA_NODES).filter(|i| i % 4 != 3 || !t.is_multiple_of(3)) {
+        let group = node % 3;
+        let period = 14 + 6 * group;
+        let phase = ((t + 5 * group) % period) as f64 / period as f64;
+        let swing = 0.06 * (1.0 - 4.0 * (phase - 0.5).abs());
+        let noise = ((t * 29 + node * 13) % 19) as f64 / 19.0 - 0.5;
+        frame.push_scalar(node, 0.2 + 0.3 * group as f64 + swing + 0.02 * noise);
+    }
+    frame
 }
 
 /// A warm ARIMA refit continues from the outgoing model, so that model is
@@ -196,7 +192,12 @@ fn arima_reports(t: usize) -> Vec<Report> {
 fn arima_checkpoint_round_trips_mid_run_and_reserializes_identically() {
     let drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
         ticks
-            .map(|t| (c.tick(arima_reports(t)).unwrap(), c.forecast(4).unwrap()))
+            .map(|t| {
+                (
+                    c.tick_frames(&[arima_reports(t)]).unwrap(),
+                    c.forecast(4).unwrap(),
+                )
+            })
             .collect::<Vec<_>>()
     };
     let mut uninterrupted = arima_controller();
