@@ -215,6 +215,9 @@ pub fn run_with_faults(
     let mut link: Option<LinkModel<ReportFrame>> =
         (!plan.link.is_perfect()).then(|| LinkModel::new(plan.link, 0));
     let mut frame = ReportFrame::with_capacity(1, n);
+    // The one-entry frames the degraded link delivered last tick, refilled
+    // as this tick's sends.
+    let mut spare: Vec<ReportFrame> = Vec::new();
     let mut up = vec![true; n];
     let mut down_node_steps: u64 = 0;
     let mut lost_reports: u64 = 0;
@@ -279,7 +282,7 @@ pub fn run_with_faults(
                 // The link keeps its own RNG stream, so sending after the
                 // node loop draws exactly what sending inside it would.
                 for entry in frame.iter() {
-                    let mut single = ReportFrame::new(1);
+                    let mut single = spare.pop().unwrap_or_else(|| ReportFrame::new(1));
                     single.reset(t);
                     single.push(entry.node, entry.values);
                     link.send(single, t, n);
@@ -291,6 +294,7 @@ pub fn run_with_faults(
                 let mut delivered = link.collect(t);
                 delivered.sort_by_key(ReportFrame::t);
                 slot.step(&x, &delivered, sent)?;
+                spare.append(&mut delivered);
             }
         }
     }

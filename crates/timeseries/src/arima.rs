@@ -16,6 +16,7 @@ use utilcast_linalg::optimize::{nelder_mead, NelderMeadOptions};
 use utilcast_linalg::stats::mean;
 
 use crate::diff::{difference, integrate, loss};
+use crate::error::require_finite;
 use crate::{Forecaster, TimeSeriesError};
 
 /// The orders of a seasonal ARIMA model.
@@ -395,17 +396,6 @@ impl Arima {
             aicc,
         });
         Ok(())
-    }
-}
-
-/// Rejects a series holding a NaN or an infinity. Every CSS evaluation reads
-/// every point, so such a series makes the objective `NaN` everywhere: the
-/// optimizer would burn its whole budget (per grid order) and report a
-/// [`TimeSeriesError::FitDiverged`] that names no cause.
-fn require_finite(series: &[f64]) -> Result<(), TimeSeriesError> {
-    match series.iter().position(|v| !v.is_finite()) {
-        Some(index) => Err(TimeSeriesError::NonFinite { index }),
-        None => Ok(()),
     }
 }
 

@@ -51,6 +51,20 @@ impl fmt::Display for TimeSeriesError {
 
 impl Error for TimeSeriesError {}
 
+/// Rejects a series holding a NaN or an infinity before a fit spends any
+/// work on it. Every ARIMA CSS evaluation reads every point, so such a
+/// series makes the objective `NaN` everywhere: the optimizer would burn its
+/// whole budget (per grid order) and report a
+/// [`TimeSeriesError::FitDiverged`] that names no cause. The LSTM normalizes
+/// over the whole history, but a refit trains on its tail only, so a NaN
+/// outside that tail would otherwise pass unnoticed.
+pub(crate) fn require_finite(series: &[f64]) -> Result<(), TimeSeriesError> {
+    match series.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(TimeSeriesError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,8 +20,8 @@ pub trait Forecaster: Send {
     ///
     /// Returns [`TimeSeriesError::TooShort`] when the history cannot support
     /// the model order, or [`TimeSeriesError::FitDiverged`] if optimization
-    /// fails to find finite parameters. The ARIMA models also reject a
-    /// history holding a NaN or an infinity with
+    /// fails to find finite parameters. The ARIMA models and the LSTM also
+    /// reject a history holding a NaN or an infinity with
     /// [`TimeSeriesError::NonFinite`].
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError>;
 
@@ -29,7 +29,9 @@ pub trait Forecaster: Send {
     /// fitted on (the retraining protocol of Sec. V-C: the same centroid
     /// series, a few intervals longer). A model may continue from its
     /// current parameters instead of starting over — [`crate::arima::Arima`]
-    /// warm-starts its optimizer from the outgoing coefficients — so the
+    /// warm-starts its optimizer from the outgoing coefficients, and
+    /// [`crate::lstm::Lstm`] trains on from its outgoing weights over the
+    /// windows new since its last (re)fit plus a short replay tail — so the
     /// result may depend on the outgoing fit as well as on `history`. The
     /// default is [`Forecaster::fit`], which is also what an unfitted model
     /// does.

@@ -87,7 +87,11 @@ impl<F: Forecaster> RetrainingForecaster<F> {
     /// policy says so. Returns `true` if a (re)training happened this step.
     /// The first training is a [`Forecaster::fit`]; every later one is a
     /// [`Forecaster::refit`], since the harness owns the history and knows
-    /// it only grew (or, under `max_train_window`, slid forward).
+    /// it only grew (or, under `max_train_window`, slid forward). For
+    /// [`crate::arima::Arima`] and [`crate::lstm::Lstm`] that later training
+    /// continues from the outgoing model; a slid window holds no points the
+    /// LSTM counts as new, so its refit there trains on the replay tail
+    /// alone.
     ///
     /// A model that reports [`TimeSeriesError::TooShort`] is not yet
     /// trainable on the collected history (e.g. a seasonal model whose

@@ -22,6 +22,13 @@
 //! every accumulator sees the same IEEE op sequence — and the differential
 //! suite beside the oracle enforces it. `lstm/libm_gate.rs` holds the owned
 //! activations to libm's at model level.
+//!
+//! [`Forecaster::refit`] continues from the outgoing weights: `epochs`
+//! passes over the windows new since the last (re)fit plus the
+//! [`REPLAY_WINDOWS`] before them, with fresh Adam moments, where a cold
+//! [`Forecaster::fit`] draws fresh weights and passes over every window of
+//! the history. `tests/lstm_warm.rs` gates a chain of refits against cold
+//! fits at the same lengths.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +36,13 @@ use serde::{Deserialize, Serialize};
 use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc};
 use utilcast_linalg::rng::normal;
 
+use crate::error::require_finite;
 use crate::{Forecaster, TimeSeriesError};
+
+/// Windows older than the last (re)fit that a refit replays beside the new
+/// ones, so a refit on a barely grown history still takes a few dozen
+/// gradient steps and the weights do not chase only the newest points.
+pub const REPLAY_WINDOWS: usize = 16;
 
 /// Hyperparameters for [`Lstm`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -429,8 +442,14 @@ struct LstmState {
     /// Min-max normalization learned from the training history.
     lo: f64,
     hi: f64,
-    /// Final training MSE (normalized scale), for diagnostics.
+    /// Final training MSE (normalized scale), for diagnostics: the last
+    /// epoch's, over the windows that epoch trained on.
     train_mse: f64,
+    /// History length at the last (re)fit: a refit's new windows are those
+    /// whose targets lie at or past it. A checkpoint written before this
+    /// field reads as 0, every window new.
+    #[serde(default)]
+    trained_len: usize,
 }
 
 impl LstmState {
@@ -685,10 +704,20 @@ fn fused_train_sample(
 }
 
 impl Lstm {
-    /// The fit driver over any per-sample training step `(state, window,
-    /// target, layer optimizers, head optimizer) -> squared error` — the
-    /// seam through which the `#[cfg(test)]` oracle runs its scalar step on
-    /// the same normalization, initialization and shuffle sequence.
+    /// The one training driver of [`Forecaster::fit`] and
+    /// [`Forecaster::refit`], over any per-sample training step `(state,
+    /// window, target, layer optimizers, head optimizer) -> squared error` —
+    /// the seam through which the `#[cfg(test)]` oracle runs its scalar step
+    /// on the same normalization, initialization and shuffle sequence.
+    ///
+    /// `start` is the state training continues from. `None` is a cold fit:
+    /// weights drawn from `seed`, every window of the history trained on,
+    /// shuffled by the same stream. `Some` is a warm refit: the outgoing
+    /// weights, trained on the windows whose targets lie at or past its
+    /// `trained_len` plus the [`REPLAY_WINDOWS`] before them, shuffled by a
+    /// stream derived from `seed` and the history length. Either way the
+    /// Adam moments start at zero and the normalization is recomputed over
+    /// `history`, and `self` is only written on success.
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
     // affine in the hidden/input dims fixed at construction, with buffer
     // lengths debug_asserted at kernel entry; exemplar chain:
@@ -697,6 +726,7 @@ impl Lstm {
     fn fit_with(
         &mut self,
         history: &[f64],
+        start: Option<LstmState>,
         mut train_sample: impl FnMut(&mut LstmState, &[f64], f64, &mut [Adam], &mut Adam) -> f64,
     ) -> Result<(), TimeSeriesError> {
         self.validate()?;
@@ -708,41 +738,59 @@ impl Lstm {
                 got: history.len(),
             });
         }
+        require_finite(history)?;
         // Min-max normalization to [0, 1].
         let lo = history.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let span = if hi > lo { hi - lo } else { 1.0 };
         let norm: Vec<f64> = history.iter().map(|v| (v - lo) / span).collect();
 
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let mut layers = Vec::with_capacity(c.layers);
-        let mut input = 1;
-        for _ in 0..c.layers {
-            layers.push(LstmLayer::new(input, c.hidden, &mut rng));
-            input = c.hidden;
-        }
-        let head_w: Vec<f64> = (0..c.hidden)
-            .map(|_| normal(&mut rng, 0.0, (1.0 / c.hidden as f64).sqrt()))
-            .collect();
-        let mut state = LstmState {
-            layers,
-            head_w,
-            head_b: 0.0,
-            lo,
-            hi,
-            train_mse: f64::INFINITY,
+        let (mut rng, mut state, first) = match start {
+            Some(outgoing) => {
+                let salt = (history.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let first = outgoing
+                    .trained_len
+                    .min(norm.len())
+                    .saturating_sub(REPLAY_WINDOWS)
+                    .max(c.window);
+                (StdRng::seed_from_u64(c.seed ^ salt), outgoing, first)
+            }
+            None => {
+                let mut rng = StdRng::seed_from_u64(c.seed);
+                let mut layers = Vec::with_capacity(c.layers);
+                let mut input = 1;
+                for _ in 0..c.layers {
+                    layers.push(LstmLayer::new(input, c.hidden, &mut rng));
+                    input = c.hidden;
+                }
+                let head_w: Vec<f64> = (0..c.hidden)
+                    .map(|_| normal(&mut rng, 0.0, (1.0 / c.hidden as f64).sqrt()))
+                    .collect();
+                let state = LstmState {
+                    layers,
+                    head_w,
+                    head_b: 0.0,
+                    lo,
+                    hi,
+                    train_mse: f64::INFINITY,
+                    trained_len: 0,
+                };
+                (rng, state, c.window)
+            }
         };
+        state.lo = lo;
+        state.hi = hi;
 
-        // Training windows.
-        let mut samples: Vec<(usize, f64)> = (c.window..norm.len())
+        // Training windows: one per target index from `first` on.
+        let mut samples: Vec<(usize, f64)> = (first..norm.len())
             .map(|t| (t - c.window, norm[t]))
             .collect();
-        let layer_param_counts: Vec<usize> = state.layers.iter().map(|l| l.num_params()).collect();
-        let mut layer_opts: Vec<Adam> = layer_param_counts
+        let mut layer_opts: Vec<Adam> = state
+            .layers
             .iter()
-            .map(|&n| Adam::new(n, c.learning_rate))
+            .map(|l| Adam::new(l.num_params(), c.learning_rate))
             .collect();
-        let mut head_opt = Adam::new(c.hidden + 1, c.learning_rate);
+        let mut head_opt = Adam::new(state.head_w.len() + 1, c.learning_rate);
 
         let mut last_epoch_mse = f64::INFINITY;
         for _epoch in 0..c.epochs {
@@ -765,8 +813,27 @@ impl Lstm {
             return Err(TimeSeriesError::FitDiverged);
         }
         state.train_mse = last_epoch_mse;
+        state.trained_len = norm.len();
         self.state = Some(state);
         Ok(())
+    }
+
+    /// [`Lstm::fit_with`] through the fused training step.
+    fn fit_fused(
+        &mut self,
+        history: &[f64],
+        start: Option<LstmState>,
+    ) -> Result<(), TimeSeriesError> {
+        let grad_clip = self.config.grad_clip;
+        let mut ws = None;
+        self.fit_with(
+            history,
+            start,
+            |state, window, target, layer_opts, head_opt| {
+                let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
+                fused_train_sample(state, ws, window, target, layer_opts, head_opt, grad_clip)
+            },
+        )
     }
 
     /// The closed-loop forecast driver over any one-step predictor `(state,
@@ -817,12 +884,20 @@ impl Lstm {
 
 impl Forecaster for Lstm {
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
-        let grad_clip = self.config.grad_clip;
-        let mut ws = None;
-        self.fit_with(history, |state, window, target, layer_opts, head_opt| {
-            let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
-            fused_train_sample(state, ws, window, target, layer_opts, head_opt, grad_clip)
-        })
+        self.fit_fused(history, None)
+    }
+
+    /// Continues from the outgoing weights, with fresh Adam moments, on the
+    /// windows new since the last (re)fit plus [`REPLAY_WINDOWS`] older
+    /// ones; an unfitted model is [`Forecaster::fit`] bit for bit. The result
+    /// depends on the outgoing fit, so two models refitted on one history
+    /// agree only if they were fitted alike before; a caller whose series
+    /// broke calls `fit`. A history that slid rather than grew (a capped
+    /// training window) holds no new windows, and the refit trains on the
+    /// replay tail alone.
+    fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        let outgoing = self.state.clone();
+        self.fit_fused(history, outgoing)
     }
 
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
@@ -971,6 +1046,58 @@ mod tests {
             assert!(err.to_string().contains("lstm layer 0"), "{field}: {err}");
         }
         assert!(patch("hidden", hidden).is_ok());
+    }
+
+    /// Windows one training call visits, counted through the driver's seam.
+    fn windows_trained(m: &mut Lstm, history: &[f64], warm: bool) -> usize {
+        let start = if warm { m.state.clone() } else { None };
+        let mut visits = 0;
+        m.fit_with(history, start, |_, _, _, _, _| {
+            visits += 1;
+            0.0
+        })
+        .unwrap();
+        visits / m.config.epochs
+    }
+
+    #[test]
+    fn refit_trains_the_new_windows_and_the_replay_tail() {
+        let series: Vec<f64> = (0..400).map(|t| (t as f64 * 0.3).sin()).collect();
+        let w = tiny_config().window;
+        let mut m = Lstm::new(tiny_config());
+        assert_eq!(windows_trained(&mut m, &series[..100], false), 100 - w);
+        // 16 new targets (100..116) and the 16 before them.
+        assert_eq!(windows_trained(&mut m, &series[..116], true), 32);
+        assert_eq!(windows_trained(&mut m, &series[..400], true), 284 + 16);
+        // Nothing new, or a history that shrank: the replay tail alone.
+        assert_eq!(windows_trained(&mut m, &series[..400], true), 16);
+        assert_eq!(windows_trained(&mut m, &series[..50], true), 16);
+        // Little history behind the replay tail: every window there is.
+        assert_eq!(windows_trained(&mut m, &series[..20], true), 20 - w);
+        // A checkpoint written before `trained_len` existed: all new.
+        m.state.as_mut().unwrap().trained_len = 0;
+        assert_eq!(windows_trained(&mut m, &series[..120], true), 120 - w);
+        // A cold fit ignores what the model holds.
+        assert_eq!(windows_trained(&mut m, &series[..120], false), 120 - w);
+    }
+
+    #[test]
+    fn refit_is_fit_on_an_unfitted_model_and_warm_on_a_fitted_one() {
+        let series: Vec<f64> = (0..140)
+            .map(|t| 0.5 + 0.3 * (t as f64 * 0.3).sin())
+            .collect();
+        let mut cold = Lstm::new(tiny_config());
+        let mut refitted = Lstm::new(tiny_config());
+        cold.fit(&series[..120]).unwrap();
+        refitted.refit(&series[..120]).unwrap();
+        assert_eq!(refitted, cold);
+        assert_eq!(refitted.state.as_ref().unwrap().trained_len, 120);
+        let outgoing = refitted.clone();
+        refitted.refit(&series).unwrap();
+        cold.fit(&series).unwrap();
+        assert_ne!(refitted, cold);
+        assert_ne!(refitted, outgoing);
+        assert_eq!(refitted.state.as_ref().unwrap().trained_len, 140);
     }
 
     #[test]

@@ -130,6 +130,45 @@ fn fused_path_bit_identical_at_production_widths() {
     }
 }
 
+/// A fit → refit → refit chain through both paths over the one training
+/// seam: the warm start, the window rule and the derived shuffle stream are
+/// shared, so every link of the chain — weights, training MSE and a 16-step
+/// closed-loop forecast — agrees bit for bit. The first refit grows the
+/// history by 16 points (the benchmark's cadence), the second by 44, more
+/// than the replay tail.
+#[test]
+fn refit_chain_bit_identical() {
+    let data = series(160, 11);
+    for hidden in [3, 8] {
+        let config = LstmConfig {
+            window: 8,
+            hidden,
+            epochs: 2,
+            learning_rate: 0.02,
+            seed: 5,
+            ..Default::default()
+        };
+        let (mut exact, mut fused) = fit_pair(&config, &data[..100]);
+        for len in [116, 160] {
+            exact
+                .refit_exact(&data[..len], OWNED)
+                .expect("oracle refit");
+            fused.refit(&data[..len]).expect("fused refit");
+            let tag = format!("hidden {hidden}, refit at {len}");
+            assert_eq!(exact.state, fused.state, "{tag}");
+            assert_eq!(
+                exact.train_mse().expect("trained").to_bits(),
+                fused.train_mse().expect("trained").to_bits(),
+                "{tag}"
+            );
+            let ef = exact.forecast_exact(&data[..len], 16, OWNED).unwrap();
+            let ff = fused.forecast(&data[..len], 16).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ef), bits(&ff), "{tag}");
+        }
+    }
+}
+
 /// Forecast feedback clamps engage on out-of-range data; the clamp path
 /// must also be bit-identical.
 #[test]

@@ -226,10 +226,33 @@ impl Lstm {
         history: &[f64],
         act: Activations,
     ) -> Result<(), TimeSeriesError> {
+        self.train_exact(history, None, act)
+    }
+
+    /// [`crate::Forecaster::refit`] through the scalar training step.
+    pub(super) fn refit_exact(
+        &mut self,
+        history: &[f64],
+        act: Activations,
+    ) -> Result<(), TimeSeriesError> {
+        let outgoing = self.state.clone();
+        self.train_exact(history, outgoing, act)
+    }
+
+    fn train_exact(
+        &mut self,
+        history: &[f64],
+        start: Option<LstmState>,
+        act: Activations,
+    ) -> Result<(), TimeSeriesError> {
         let grad_clip = self.config.grad_clip;
-        self.fit_with(history, |state, window, target, layer_opts, head_opt| {
-            exact_train_sample(state, window, target, layer_opts, head_opt, grad_clip, act)
-        })
+        self.fit_with(
+            history,
+            start,
+            |state, window, target, layer_opts, head_opt| {
+                exact_train_sample(state, window, target, layer_opts, head_opt, grad_clip, act)
+            },
+        )
     }
 
     /// [`crate::Forecaster::forecast`] through the scalar forward pass.

@@ -118,9 +118,13 @@ fn models_are_refittable_on_grown_history() {
 #[test]
 fn refit_is_fit_unless_a_model_says_otherwise() {
     // `Forecaster::refit` defaults to `fit`. On an unfitted model that
-    // holds for every implementation; on a fitted one for every
-    // implementation but the fixed-order ARIMA, which continues from its
-    // outgoing coefficients and must still land next to the cold fit.
+    // holds, bit for bit, for every implementation. On a fitted one it holds
+    // for every implementation but two that continue from the outgoing fit
+    // and must still land next to the cold one: the fixed-order ARIMA (from
+    // its coefficients) and the LSTM (from its weights, on the new windows
+    // plus a replay tail). The LSTM's band is looser: its cold fit here is
+    // 5 epochs from random weights, its refit 5 more from the outgoing
+    // ones, and the two differ by what those epochs learned.
     let hist = series(600);
     let bits = |fc: Vec<f64>| fc.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     for (mut fitted, mut refitted) in all_models().into_iter().zip(all_models()) {
@@ -138,9 +142,14 @@ fn refit_is_fit_unless_a_model_says_otherwise() {
             fitted.forecast(&hist, 8).unwrap(),
             refitted.forecast(&hist, 8).unwrap(),
         );
-        if name == "arima" {
+        let band = match name {
+            "arima" => Some(0.02),
+            "lstm" => Some(0.05),
+            _ => None,
+        };
+        if let Some(band) = band {
             for (h, (c, w)) in cold.iter().zip(&warm).enumerate() {
-                assert!((c - w).abs() < 0.02, "{name} h={h}: cold {c} vs warm {w}");
+                assert!((c - w).abs() < band, "{name} h={h}: cold {c} vs warm {w}");
             }
         } else {
             assert_eq!(bits(cold), bits(warm), "{name}: refit of a fitted model");

@@ -57,6 +57,11 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p utilcast-timeseries --lib lstm::"
 cargo test --release -q -p utilcast-timeseries --lib lstm::
 
+# The warm-refit quality gate: chains of LSTM refits against cold fits at
+# the same lengths. Its distribution half is skipped in unoptimised builds.
+echo "==> cargo test --release -q -p utilcast-timeseries --test lstm_warm"
+cargo test --release -q -p utilcast-timeseries --test lstm_warm
+
 # The vendored serde / serde_derive / serde_json stand-ins carry their own
 # tests (value-tree round trips, the printer's pinned output, the parser's
 # depth cap and surrogate checks); name them so they run even if the
