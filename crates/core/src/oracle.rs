@@ -1,9 +1,13 @@
 //! The allocating Eq. 12 code `offset` and `table` shipped before the
 //! resolve kernel — two vote vectors per node, a collected `Δ` and one
-//! collected `c_j − c_l` per competitor per window step — kept verbatim as
-//! the oracle the `differential` tests below compare the production code
+//! collected `c_j − c_l` per competitor per window step — and the interval
+//! widths as read off a full `K × K` Gaussian fit, kept verbatim as the
+//! oracle the `differential` tests below compare the production code
 //! against bit for bit. Test support only: nothing here is reachable from a
 //! non-test build, and no option selects it.
+
+use utilcast_gaussian::model::GaussianModel;
+use utilcast_linalg::Matrix;
 
 use crate::table::NodeResolution;
 
@@ -113,14 +117,35 @@ pub(crate) fn resolve_nodes(
     }
 }
 
-/// Differential tests: the resolve kernel and the fused `clip_alpha`
-/// against the oracle above, memberships by `==` and every float by
-/// `f64::to_bits` (NaN for NaN).
+/// `table::interval_half_widths` as shipped: the ridged `K × K` Gaussian
+/// fit of the centroid rows, read at its diagonal.
+pub(crate) fn full_fit_interval_half_widths(centroid_rows: &Matrix, horizon: usize) -> Vec<f64> {
+    let k = centroid_rows.nrows();
+    let mut out = vec![0.0; k * horizon];
+    let Ok(model) = GaussianModel::fit(centroid_rows) else {
+        return out;
+    };
+    for j in 0..k {
+        let sigma = model.cov()[(j, j)].max(0.0).sqrt();
+        for (h, slot) in out[j * horizon..(j + 1) * horizon].iter_mut().enumerate() {
+            *slot = sigma * ((h + 1) as f64).sqrt();
+        }
+    }
+    out
+}
+
+/// Differential tests: the resolve kernel (stateless, and reusing its term
+/// cache across a stream of refreshes), the fused `clip_alpha` and the
+/// interval widths against the oracle above, memberships by `==` and every
+/// float by `f64::to_bits` (NaN for NaN).
 mod differential {
     use proptest::prelude::*;
+    use utilcast_linalg::Matrix;
 
     use super::{NodeResolution, OffsetSnapshotFlat};
-    use crate::table::{resolve_nodes, WindowStep};
+    use crate::table::{
+        interval_half_widths, resolve_nodes, resolve_nodes_reusing, TermCache, WindowStep,
+    };
 
     /// SplitMix64 step.
     fn next(state: &mut u64) -> u64 {
@@ -161,14 +186,17 @@ mod differential {
     }
 
     /// One stored value for a node labelled `label`: at its centroid (a
-    /// +0.0 deviation), −0.0 (a −0.0 deviation from a centroid at 0), near
-    /// its centroid (inside the cell, α = 1), anywhere in `[0, 1)` (usually
+    /// +0.0 deviation), −0.0 (a −0.0 deviation from a centroid at 0), a
+    /// subnormal (against a centroid at 0 a deviation whose product with any
+    /// `c_j − c_l` underflows, to −0.0 on the opposite side), near its
+    /// centroid (inside the cell, α = 1), anywhere in `[0, 1)` (usually
     /// another cell, α < 1), outside `[0, 1]`, or — rarely — not finite (a
     /// checkpoint may carry anything).
     fn value(label: usize, c: &[f64], state: &mut u64) -> f64 {
         match below(state, 64) {
             0..=7 => c[label],
-            8..=15 => -0.0,
+            8..=12 => -0.0,
+            13..=15 => [5e-324, -5e-324, 2e-310, -2e-310][below(state, 4)],
             16..=39 => c[label] + (unit(state) - 0.5) * 0.02,
             40..=54 => unit(state),
             55..=62 => unit(state) * 3.0 - 1.0,
@@ -208,6 +236,53 @@ mod differential {
         w
     }
 
+    /// Steps `e, e − 1, …` of a stream (`stream` is oldest-first), at most
+    /// `width` of them: the most-recent-first window a stage holds after
+    /// step `e`.
+    fn window_at(stream: &Window, e: usize, width: usize) -> Window {
+        let steps = (e + 1).min(width);
+        Window {
+            assignments: (0..steps)
+                .map(|s| stream.assignments[e - s].clone())
+                .collect(),
+            values: (0..steps).map(|s| stream.values[e - s].clone()).collect(),
+            centroids: (0..steps)
+                .map(|s| stream.centroids[e - s].clone())
+                .collect(),
+        }
+    }
+
+    /// Clears, at random, the centroid of every label that is no node's
+    /// `j*` in any window of `width` steps holding that step — the vote
+    /// reads labels only, so it is known before the centroids are cut.
+    fn empty_unresolved_centroids(
+        stream: &mut Window,
+        n: usize,
+        k: usize,
+        width: usize,
+        state: &mut u64,
+    ) {
+        let total = stream.values.len();
+        let mut resolved = vec![vec![false; k]; total];
+        for e in 0..total {
+            let w = window_at(stream, e, width);
+            let assign: Vec<&[usize]> = w.assignments.iter().map(Vec::as_slice).collect();
+            for i in 0..n {
+                let j = super::forecast_membership(&assign, i, k);
+                for s in 0..assign.len() {
+                    resolved[e - s][j] = true;
+                }
+            }
+        }
+        for (step, resolved) in stream.centroids.iter_mut().zip(&resolved) {
+            for (c, &resolved) in step.iter_mut().zip(resolved) {
+                if !resolved && below(state, 2) == 0 {
+                    c.clear();
+                }
+            }
+        }
+    }
+
     fn oracle_resolve(w: &Window, n: usize, k: usize) -> NodeResolution {
         let assign: Vec<&[usize]> = w.assignments.iter().map(Vec::as_slice).collect();
         let snaps: Vec<OffsetSnapshotFlat<'_>> = w
@@ -223,15 +298,19 @@ mod differential {
         super::resolve_nodes(&assign, &snaps, n, k)
     }
 
-    fn kernel_resolve(w: &Window, n: usize, k: usize) -> NodeResolution {
-        let steps: Vec<WindowStep<'_>> = (0..w.values.len())
+    /// The kernel's view of `w`.
+    fn steps(w: &Window) -> Vec<WindowStep<'_>> {
+        (0..w.values.len())
             .map(|s| WindowStep {
                 assignments: &w.assignments[s],
                 values: &w.values[s],
                 centroids: &w.centroids[s],
             })
-            .collect();
-        resolve_nodes(&steps, n, k)
+            .collect()
+    }
+
+    fn kernel_resolve(w: &Window, n: usize, k: usize) -> NodeResolution {
+        resolve_nodes(&steps(w), n, k)
     }
 
     /// The bits of every value, NaN for NaN: the sign and payload of a NaN
@@ -284,6 +363,91 @@ mod differential {
             }
         }
 
+        /// One term cache carried across a stream of refreshes gives the
+        /// oracle's bits at every refresh: cadences 1, 2, `M′ + 1`, `M′ + 2`
+        /// and random gaps (up to `M′ + 3`, so some refreshes find no step
+        /// cached), `j*` flipping between refreshes (`sticky` 0 redraws
+        /// every label every step), the value mix of the stateless test
+        /// (non-finite values, signed-zero and underflowing deviations,
+        /// coincident centroids on both sides of `1e-24`) and, when `empty`
+        /// is 1, no centroid at random steps for labels that are no
+        /// node's `j*` in any window holding the step.
+        #[test]
+        fn cached_kernel_matches_oracle_bitwise_at_every_refresh(
+            n in 1usize..=48,
+            k in 1usize..=10,
+            width in 1usize..=7,
+            sticky in 0usize..=3,
+            cadence in 0usize..5,
+            empty in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let total = 4 * width + 6;
+            let mut stream = window(n, k, total, sticky, &mut state);
+            if empty == 1 {
+                empty_unresolved_centroids(&mut stream, n, k, width, &mut state);
+            }
+            let mut cache = TermCache::default();
+            let mut e = 0;
+            let mut refreshes = 0;
+            while e < total {
+                let w = window_at(&stream, e, width);
+                let want = oracle_resolve(&w, n, k);
+                let got = resolve_nodes_reusing(&steps(&w), e, n, k, &mut cache);
+                prop_assert_eq!(&got.memberships, &want.memberships, "refresh at step {}", e);
+                prop_assert_eq!(
+                    bits(&got.offsets),
+                    bits(&want.offsets),
+                    "refresh at step {}",
+                    e
+                );
+                refreshes += 1;
+                e += match cadence {
+                    0 => 1,
+                    1 => 2,
+                    2 => width,
+                    3 => width + 1,
+                    _ => 1 + below(&mut state, width + 3),
+                };
+            }
+            prop_assert!(refreshes >= 3);
+        }
+
+        /// The interval widths computed from the `K` diagonal variances
+        /// and their trace ridge are the bits the full `K × K` Gaussian fit
+        /// gives: windows of 0 to 70 samples, constant rows (the ridge is
+        /// the whole variance), values far from `[0, 1]` and, rarely, not
+        /// finite.
+        #[test]
+        fn diagonal_intervals_match_full_fit_bitwise(
+            k in 1usize..=12,
+            w in 0usize..=70,
+            horizon in 1usize..=16,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let mut rows = Vec::with_capacity(k * w);
+            for _ in 0..k {
+                let level = unit(&mut state);
+                let kind = below(&mut state, 8);
+                for _ in 0..w {
+                    rows.push(match kind {
+                        0 => level,
+                        1 => (unit(&mut state) - 0.5) * 1e6,
+                        2 if below(&mut state, 16) == 0 => {
+                            [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][below(&mut state, 3)]
+                        }
+                        _ => level + (unit(&mut state) - 0.5) * 0.1,
+                    });
+                }
+            }
+            let matrix = Matrix::from_vec(k, w, rows.clone());
+            let want = super::full_fit_interval_half_widths(&matrix, horizon);
+            let got = interval_half_widths((0..k).map(|j| &rows[j * w..(j + 1) * w]), horizon);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
         /// The fused `clip_alpha` returns the oracle's bits at dim 1, 2 and
         /// 3, with coincident, empty and ragged (shorter or longer than
         /// `dim`) competitors and points on, near and far from `c_j`.
@@ -326,6 +490,27 @@ mod differential {
             let got = crate::offset::clip_alpha(&z, j, &cs);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "z {:?} j {} centroids {:?}", z, j, cs);
         }
+    }
+
+    /// The sign split's edge: a subnormal deviation against a competitor
+    /// on the other side gives `proj = Δ·(c_j − c_l)` = −0.0, which is not
+    /// negative and bounds nothing — the offset is the full deviation, as
+    /// in the oracle.
+    #[test]
+    fn underflowed_projection_is_minus_zero_and_bounds_nothing() {
+        let delta = 5e-324_f64;
+        assert_eq!((delta * -0.5).to_bits(), (-0.0_f64).to_bits());
+        let centroids = vec![vec![0.0], vec![0.5], vec![-0.5]];
+        let w = Window {
+            assignments: vec![vec![0, 1]],
+            values: vec![vec![delta, -delta]],
+            centroids: vec![centroids],
+        };
+        let got = kernel_resolve(&w, 2, 3);
+        let want = oracle_resolve(&w, 2, 3);
+        assert_eq!(got.memberships, want.memberships);
+        assert_eq!(bits(&got.offsets), bits(&want.offsets));
+        assert_eq!(got.offsets[0].to_bits(), delta.to_bits());
     }
 
     /// What the order-preservation argument rests on: `Iterator::sum` over

@@ -22,8 +22,8 @@ use crate::cluster::{
 use crate::compute::ComputeOptions;
 use crate::pipeline::{ClusterModel, ModelSpec};
 use crate::table::{
-    assemble_forecast, interval_half_widths, resolve_nodes, ForecastTable, NodeResolution,
-    TableCell, WindowStep, INTERVAL_WINDOW,
+    assemble_forecast, interval_half_widths, resolve_nodes_reusing, ForecastTable, NodeResolution,
+    TableCell, TermCache, WindowStep, INTERVAL_WINDOW,
 };
 use crate::CoreError;
 
@@ -89,8 +89,9 @@ impl Snapshot {
     /// Checks a deserialized snapshot against the shape every snapshot
     /// recorded by [`ForecastStage::step`] has — `n` scalar values, `k`
     /// one-value centroids, `n` labels below `k` — which is what
-    /// [`resolve_nodes`] indexes by. `index` is the snapshot's position in
-    /// the checkpoint's history, for the error message.
+    /// [`crate::table::resolve_nodes`] indexes by. `index` is the
+    /// snapshot's position in the checkpoint's history, for the error
+    /// message.
     fn validate(&self, index: usize, n: usize, k: usize) -> Result<(), CoreError> {
         let invalid = |what: String| {
             Err(CoreError::InvalidConfig {
@@ -300,6 +301,18 @@ pub struct ForecastStage {
     /// reads-served counter so detached readers and the stage share one
     /// total.
     cell: TableCell,
+    /// Snapshots `history` has received in this instance, the restored
+    /// ones included: `history[s]` is number `recorded − s`, the stamp its
+    /// cached Eq. 12 terms are keyed by. On a stage built by `new` it is
+    /// the stage tick `t` at which the snapshot was recorded, until a step
+    /// fails after advancing `t` (a clustering error records no snapshot)
+    /// — which is why the stamp counts recordings rather than reading `t`.
+    /// Not checkpointed.
+    recorded: usize,
+    /// The clipped Eq. 12 terms of the last [`ForecastStage::forecast_table`]
+    /// rebuild, reused by the next one for the window steps and nodes that
+    /// did not change (see [`TermCache`]). Derived state, not checkpointed.
+    terms: TermCache,
 }
 
 impl std::fmt::Debug for ForecastStage {
@@ -368,6 +381,8 @@ impl ForecastStage {
             generation: 0,
             table_rebuilds: 0,
             cell: TableCell::new(),
+            recorded: 0,
+            terms: TermCache::default(),
             config,
             clusterer,
             forecasters,
@@ -442,6 +457,7 @@ impl ForecastStage {
             .map(|fs| RetrainingForecaster::from_state(fs.model, fs.state))
             .collect();
         stage.history = snapshot.history.into();
+        stage.recorded = stage.history.len();
         stage.t = snapshot.t;
         stage.degraded = snapshot.degraded;
         stage.model_fallbacks = snapshot.model_fallbacks;
@@ -644,6 +660,7 @@ impl ForecastStage {
             centroids: centroids.clone(),
             assignments: assignments.clone(),
         });
+        self.recorded += 1;
         while self.history.len() > self.config.m_prime + 1 {
             self.history.pop_back();
         }
@@ -668,7 +685,7 @@ impl ForecastStage {
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
     pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>, CoreError> {
-        let resolution = self.resolve_window()?;
+        let resolution = self.resolve_window(&mut TermCache::default())?;
         let cluster_fc: Vec<Vec<f64>> = self
             .forecasters
             .iter()
@@ -679,12 +696,14 @@ impl ForecastStage {
 
     /// Resolves every node's membership and offset over the current
     /// look-back window — the shared per-node preamble of the recompute
-    /// path and the table builder.
+    /// path and the table builder — reusing what `terms` holds of it. Only
+    /// this stage's own `terms` or an empty cache may be passed: the stamps
+    /// are this instance's.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
-    fn resolve_window(&self) -> Result<NodeResolution, CoreError> {
+    fn resolve_window(&self, terms: &mut TermCache) -> Result<NodeResolution, CoreError> {
         if self.history.is_empty() {
             return Err(CoreError::NotStarted);
         }
@@ -697,7 +716,13 @@ impl ForecastStage {
                 centroids: &s.centroids,
             })
             .collect();
-        Ok(resolve_nodes(&window, self.config.num_nodes, self.config.k))
+        Ok(resolve_nodes_reusing(
+            &window,
+            self.recorded,
+            self.config.num_nodes,
+            self.config.k,
+            terms,
+        ))
     }
 
     /// The read plane's input-version counter: bumped by every step and by
@@ -715,12 +740,19 @@ impl ForecastStage {
     /// Gaussian interval half-widths fitted on the recent centroid
     /// history.
     ///
-    /// Does not publish or count the build; use
-    /// [`ForecastStage::forecast_table`] for the cached, published plane.
+    /// Stateless: every Eq. 12 term is computed, none is reused. Does not
+    /// publish or count the build; use [`ForecastStage::forecast_table`]
+    /// for the cached, published plane.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NotStarted`] before the first step.
+    pub fn build_forecast_table(&self) -> Result<ForecastTable, CoreError> {
+        self.build_table(&mut TermCache::default())
+    }
+
+    /// [`ForecastStage::build_forecast_table`], resolving the window through
+    /// `terms` (this stage's own or an empty cache).
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
     // debug_assert contracts (the history tail slice starts at
@@ -728,8 +760,8 @@ impl ForecastStage {
     // forecasters, capped at INTERVAL_WINDOW); the overflow-checked
     // debug-assert CI job backstops the proof at runtime; exemplar chain:
     // core::stage::ForecastStage::build_forecast_table
-    pub fn build_forecast_table(&self) -> Result<ForecastTable, CoreError> {
-        let resolution = self.resolve_window()?;
+    fn build_table(&self, terms: &mut TermCache) -> Result<ForecastTable, CoreError> {
+        let resolution = self.resolve_window(terms)?;
         let horizon = self.config.compute.query_horizon();
         let k = self.config.k;
         let mut cluster_fc = Vec::with_capacity(k * horizon);
@@ -737,7 +769,7 @@ impl ForecastStage {
             cluster_fc.extend_from_slice(&f.forecast_or_hold(horizon));
         }
         // Interval model: K rows of the last `w` centroid observations.
-        // Bounded by the shortest history so the matrix stays rectangular.
+        // Bounded by the shortest history so the rows are equally long.
         let w = self
             .forecasters
             .iter()
@@ -745,16 +777,11 @@ impl ForecastStage {
             .min()
             .unwrap_or(0)
             .min(INTERVAL_WINDOW);
-        let intervals = if w >= 2 {
-            let mut rows = Vec::with_capacity(k * w);
-            for f in &self.forecasters {
-                let history = f.history();
-                rows.extend_from_slice(&history[history.len() - w..]);
-            }
-            interval_half_widths(&Matrix::from_vec(k, w, rows), horizon)
-        } else {
-            vec![0.0; k * horizon]
-        };
+        let rows = self.forecasters.iter().map(|f| {
+            let history = f.history();
+            &history[history.len() - w..]
+        });
+        let intervals = interval_half_widths(rows, horizon);
         Ok(ForecastTable::from_parts(
             self.generation,
             horizon,
@@ -769,7 +796,9 @@ impl ForecastStage {
     /// published table when it is fresh, otherwise rebuilds (counted in
     /// [`ForecastStage::forecast_table_rebuilds`]) and publishes through
     /// the epoch cell so detached [`TableCell`] handles observe the new
-    /// table immediately.
+    /// table immediately. A rebuild reuses the Eq. 12 terms of the last
+    /// one for every window step and node that did not change; the table
+    /// is bitwise the one [`ForecastStage::build_forecast_table`] builds.
     ///
     /// # Errors
     ///
@@ -780,7 +809,12 @@ impl ForecastStage {
                 return Ok(table);
             }
         }
-        let table = Arc::new(self.build_forecast_table()?);
+        // Taken out for the build, so a build that panics leaves the stage
+        // an empty cache rather than a half-updated one.
+        let mut terms = std::mem::take(&mut self.terms);
+        let built = self.build_table(&mut terms);
+        self.terms = terms;
+        let table = Arc::new(built?);
         self.table_rebuilds += 1;
         self.cell.publish(Arc::clone(&table));
         Ok(table)

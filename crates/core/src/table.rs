@@ -18,10 +18,11 @@
 //! recompute path because it performs the same final addition on the same
 //! operands in the same order.
 //!
-//! Gaussian forecast intervals ride along: a [`utilcast_gaussian`] model
-//! fitted on the recent centroid history yields a per-cluster standard
-//! deviation, widened by `sqrt(h + 1)` per horizon step (the random-walk
-//! envelope). Intervals are advisory — they never participate in the
+//! Gaussian forecast intervals ride along: the diagonal of a Gaussian model
+//! fitted on the recent centroid history (the ridged sample covariance of
+//! `utilcast_gaussian`'s model, of which only the diagonal is computed)
+//! yields a per-cluster standard deviation, widened by `sqrt(h + 1)` per
+//! horizon step (the random-walk envelope). Intervals are advisory — they never participate in the
 //! bitwise point-forecast contract.
 //!
 //! # Publication protocol
@@ -45,13 +46,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
-use utilcast_gaussian::model::GaussianModel;
-use utilcast_linalg::Matrix;
+use utilcast_linalg::stats::sample_variance;
 
 use crate::offset::{majority_label, COINCIDENT_DIST_SQ};
 
 /// Number of trailing centroid observations the Gaussian interval model is
-/// fitted on. Bounded so table builds stay `O(K² · window)` regardless of
+/// fitted on. Bounded so table builds stay `O(K · window)` regardless of
 /// run length.
 pub const INTERVAL_WINDOW: usize = 64;
 
@@ -85,11 +85,12 @@ pub struct WindowStep<'a> {
 
 /// What the `α` clipping reads of a window's centroids, computed once per
 /// build instead of once per node: for every step `s` and label `j`, the
-/// scalar `c_j` and `j`'s competitors in ascending label order as
-/// `(c_j − c_l, (c_j − c_l)²)`. Left out are exactly the labels
-/// [`crate::offset::clip_alpha`] skips — `l = j`, labels without a centroid,
-/// centroids coincident with `c_j` — so a node's `α` is one straight loop
-/// over its row.
+/// scalar `c_j` and `j`'s competitors as `(c_j − c_l, (c_j − c_l)²)`, split
+/// by the sign of `c_j − c_l` and ascending in `l` within each half. Left
+/// out are the labels [`crate::offset::clip_alpha`] skips — `l = j`, labels
+/// without a centroid, centroids coincident with `c_j` — and those whose
+/// `c_j − c_l` is NaN, whose `proj` is NaN for every node and so never
+/// bounds `α`.
 struct CentroidPairs {
     /// `c_j` of step `s` at `s * k + j` (a placeholder where that step has
     /// no centroid for `j`).
@@ -97,8 +98,10 @@ struct CentroidPairs {
     /// Whether label `j` has a centroid at every step; only such a label
     /// can be resolved as a node's `j*`.
     resolvable: Vec<bool>,
-    /// Row `s * k + j` is `pairs[row_start[s * k + j]..row_start[s * k + j + 1]]`.
-    row_start: Vec<usize>,
+    /// Half `h` of row `r = s * k + j` is
+    /// `pairs[bounds[2 * r + h]..bounds[2 * r + h + 1]]`: `h = 0` holds the
+    /// competitors with `c_j − c_l > 0`, `h = 1` those with `c_j − c_l < 0`.
+    bounds: Vec<usize>,
     pairs: Vec<(f64, f64)>,
 }
 
@@ -108,42 +111,91 @@ impl CentroidPairs {
         let rows = window.len() * k;
         let mut centroids = Vec::with_capacity(rows);
         let mut resolvable = vec![true; k];
-        let mut row_start = Vec::with_capacity(rows + 1);
+        let mut bounds = Vec::with_capacity(2 * rows + 1);
         let mut pairs = Vec::with_capacity(rows * k.saturating_sub(1));
+        bounds.push(0);
         for step in window {
-            for ((j, cj), every_step) in step.centroids.iter().enumerate().zip(&mut resolvable) {
-                row_start.push(pairs.len());
-                centroids.push(cj.first().copied().unwrap_or(f64::NAN));
-                let Some(cj) = cj.first() else {
-                    *every_step = false;
-                    continue;
-                };
-                for (l, cl) in step.centroids.iter().enumerate() {
-                    let Some(cl) = cl.first() else { continue };
-                    let diff = cj - cl;
-                    let dist_sq = diff * diff;
-                    if l == j || dist_sq < COINCIDENT_DIST_SQ {
-                        continue;
+            for (j, (cj, every_step)) in step.centroids.iter().zip(&mut resolvable).enumerate() {
+                let cj = cj.first().copied();
+                *every_step &= cj.is_some();
+                centroids.push(cj.unwrap_or(f64::NAN));
+                for positive in [true, false] {
+                    for (l, cl) in step.centroids.iter().enumerate() {
+                        let (Some(cj), Some(cl)) = (cj, cl.first()) else {
+                            continue;
+                        };
+                        let diff = cj - cl;
+                        let dist_sq = diff * diff;
+                        let side = if positive { diff > 0.0 } else { diff < 0.0 };
+                        if l != j && dist_sq >= COINCIDENT_DIST_SQ && side {
+                            pairs.push((diff, dist_sq));
+                        }
                     }
-                    pairs.push((diff, dist_sq));
+                    bounds.push(pairs.len());
                 }
             }
         }
-        row_start.push(pairs.len());
         CentroidPairs {
             centroids,
             resolvable,
-            row_start,
+            bounds,
             pairs,
         }
     }
+
+    /// The Eq. 12 term `clamp(α, 0, 1)·(z − c_j)` of a node storing `value`
+    /// at row `row`. Only a competitor on the other side of `c_j` from `z`
+    /// can make `proj = Δ·(c_j − c_l)` negative, so `α` walks that half of
+    /// the row; every other competitor's `proj` is `≥ 0` or NaN and the
+    /// full row's `proj < 0.0` test would skip it. The test stays although
+    /// on the walked half `proj` is `≤ 0` or NaN: it keeps the oracle's
+    /// operations, and skips an underflowed `proj = −0.0` as the oracle
+    /// does (its bound would be `+∞`, which `min` ignores).
+    #[inline]
+    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
+    // dimensions validated at the public boundary and restated by debug_assert
+    // contracts (`row < window.len() * k`, and `bounds` holds two halves per
+    // row plus one); the overflow-checked debug-assert CI job backstops the
+    // proof at runtime; exemplar chain: core::table::resolve_nodes_reusing
+    fn clipped_term(&self, row: usize, value: f64) -> f64 {
+        let delta = value - self.centroids[row];
+        let half = if delta < 0.0 { 2 * row } else { 2 * row + 1 };
+        let mut alpha: f64 = 1.0;
+        for &(diff, dist_sq) in &self.pairs[self.bounds[half]..self.bounds[half + 1]] {
+            let proj = delta * diff;
+            if proj < 0.0 {
+                alpha = alpha.min(dist_sq / (-2.0 * proj));
+            }
+        }
+        alpha.clamp(0.0, 1.0) * delta
+    }
+}
+
+/// The clipped Eq. 12 terms of earlier resolves, kept so a refresh
+/// computes only the terms it has not seen: a window step's column is keyed
+/// by the step's stamp (see [`resolve_nodes_reusing`]) and a node's terms
+/// by the `j*` they were clipped against. Derived state of `N·(M′+1)` terms
+/// and `N` labels, never serialized: an empty cache is always valid, it
+/// only makes the next resolve compute every term. A resolve that panics
+/// part-way leaves its cache inconsistent, to be dropped.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TermCache {
+    /// Stamp of the window step whose terms column `c` holds; `None` for a
+    /// column holding no step's terms.
+    stamps: Vec<Option<usize>>,
+    /// Node `i`'s term in column `c` is `terms[i * stamps.len() + c]`.
+    terms: Vec<f64>,
+    /// The `j*` node `i`'s terms were clipped against.
+    j_star: Vec<usize>,
 }
 
 /// Resolves every node's forecast membership `j*` and clipped offset `ŝ_i`
-/// (Eq. 12) over a most-recent-first history window of scalar steps: per
-/// node a majority vote over its labels and, per window step, `α` against
-/// the hoisted `CentroidPairs` row of `j*` and one accumulation of
-/// `α·(z − c_j*)` — no allocation, no centroid arithmetic.
+/// (Eq. 12) over a most-recent-first history window of scalar steps. Per
+/// node: the label every window step agrees on, else a majority vote over
+/// its labels; then per window step the term `clamp(α, 0, 1)·(z − c_j*)`,
+/// `α` clipped against the hoisted `CentroidPairs` row of `j*`; then the
+/// terms summed most-recent-first from `0.0` and divided by the window
+/// length. No allocation per node, no centroid arithmetic per node.
 ///
 /// Performs the floating-point operations of
 /// [`crate::offset::forecast_membership`] + [`crate::offset::node_offset`]
@@ -151,16 +203,48 @@ impl CentroidPairs {
 /// its single term), so results are bitwise theirs; the allocating code it
 /// replaced is kept as the `#[cfg(test)]` oracle this is tested against.
 ///
+/// This is the table kernel with no reusable terms: a refresh through
+/// [`crate::stage::ForecastStage::forecast_table`] runs the same kernel on
+/// the terms its last refresh computed, and gets the same bits.
+///
 /// # Panics
 ///
 /// Panics if the window is empty, a step holds fewer than `n` assignments
 /// or values, a label is `>= k`, a step does not hold `k` centroids of at
 /// most one value, or a node's `j*` has no centroid at some step.
+pub fn resolve_nodes(window: &[WindowStep<'_>], n: usize, k: usize) -> NodeResolution {
+    resolve_nodes_reusing(window, window.len(), n, k, &mut TermCache::default())
+}
+
+/// [`resolve_nodes`] over a window whose step `s` carries the stamp
+/// `newest − s`, reusing what `cache` holds: a step's term for a
+/// node is taken from the cache when the cache holds that step's stamp and
+/// the node's `j*` is the one its terms were clipped against, and is
+/// clipped and stored otherwise. A cached term is the value the same
+/// operations gave when it was computed, and the fold reads the terms in
+/// the same most-recent-first order, so the result is bitwise
+/// [`resolve_nodes`]'s whatever the cache holds.
+///
+/// A stamp must name one window step's contents for as long as `cache`
+/// lives: the caller hands one cache only windows whose steps were stamped
+/// by one counter.
+///
+/// # Panics
+///
+/// As [`resolve_nodes`], and if `newest < window.len() − 1`.
 // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
 // dimensions validated at the public boundary and restated by debug_assert
-// contracts; the overflow-checked debug-assert CI job backstops the proof
-// at runtime; exemplar chain: core::table::resolve_nodes
-pub fn resolve_nodes(window: &[WindowStep<'_>], n: usize, k: usize) -> NodeResolution {
+// contracts (a column index is a remainder mod `stamps.len() >=
+// window.len()`, the terms buffer holds `n` rows of that many columns); the overflow-checked
+// debug-assert CI job backstops the proof at runtime; exemplar chain:
+// core::table::resolve_nodes_reusing
+pub(crate) fn resolve_nodes_reusing(
+    window: &[WindowStep<'_>],
+    newest: usize,
+    n: usize,
+    k: usize,
+    cache: &mut TermCache,
+) -> NodeResolution {
     assert!(!window.is_empty(), "resolve window must be non-empty");
     for step in window {
         assert!(
@@ -174,31 +258,67 @@ pub fn resolve_nodes(window: &[WindowStep<'_>], n: usize, k: usize) -> NodeResol
             "window step must hold {k} scalar centroids"
         );
     }
+    let w = window.len();
+    assert!(
+        newest >= w - 1,
+        "newest stamp {newest} leaves no stamp for the window's {} older steps",
+        w - 1
+    );
     let table = CentroidPairs::new(window, k);
+    if cache.j_star.len() != n || cache.stamps.len() < w {
+        *cache = TermCache {
+            stamps: vec![None; w],
+            terms: vec![0.0; n * w],
+            j_star: vec![usize::MAX; n],
+        };
+    }
+    // Window step `s` keeps its terms in column `(newest − s) % columns`
+    // (the window's stamps are consecutive, so its steps use distinct
+    // columns), and whether the column holds them already.
+    let columns = cache.stamps.len();
+    let plan: Vec<(usize, bool)> = (0..w)
+        .map(|s| {
+            let stamp = newest - s;
+            let c = stamp % columns;
+            (c, cache.stamps[c] == Some(stamp))
+        })
+        .collect();
     let mut counts = vec![0usize; k];
     let mut memberships = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
-    for i in 0..n {
-        let j_star = majority_label(window.iter().map(|step| step.assignments[i]), &mut counts);
+    for (i, (terms, clipped_against)) in cache
+        .terms
+        .chunks_exact_mut(columns)
+        .zip(&mut cache.j_star)
+        .enumerate()
+    {
+        let newest_label = window[0].assignments[i];
+        let j_star = if newest_label < k
+            && window[1..]
+                .iter()
+                .all(|step| step.assignments[i] == newest_label)
+        {
+            newest_label
+        } else {
+            majority_label(window.iter().map(|step| step.assignments[i]), &mut counts)
+        };
         assert!(
             table.resolvable[j_star],
             "cluster {j_star} has no centroid at some window step"
         );
+        let reclip = std::mem::replace(clipped_against, j_star) != j_star;
         let mut acc = 0.0;
-        for (s, step) in window.iter().enumerate() {
-            let row = s * k + j_star;
-            let delta = step.values[i] - table.centroids[row];
-            let mut alpha: f64 = 1.0;
-            for &(diff, dist_sq) in &table.pairs[table.row_start[row]..table.row_start[row + 1]] {
-                let proj = delta * diff;
-                if proj < 0.0 {
-                    alpha = alpha.min(dist_sq / (-2.0 * proj));
-                }
+        for (s, (step, &(c, cached))) in window.iter().zip(&plan).enumerate() {
+            if reclip || !cached {
+                terms[c] = table.clipped_term(s * k + j_star, step.values[i]);
             }
-            acc += alpha.clamp(0.0, 1.0) * delta;
+            acc += terms[c];
         }
         memberships.push(j_star);
-        offsets.push(acc / window.len() as f64);
+        offsets.push(acc / w as f64);
+    }
+    for (s, &(c, _)) in plan.iter().enumerate() {
+        cache.stamps[c] = Some(newest - s);
     }
     NodeResolution {
         memberships,
@@ -421,25 +541,38 @@ impl ForecastTable {
     }
 }
 
-/// Fits the Gaussian interval model on a `K × window` matrix of recent
-/// centroid observations (rows = clusters, most recent last) and returns
-/// the `k * horizon` flat half-width buffer: per-cluster standard
-/// deviation widened by `sqrt(h + 1)`. All zeros when the window is too
-/// short to fit (fewer than two samples).
-// lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-// dimensions validated at the public boundary and restated by debug_assert
-// contracts (`(j, j)` ranges over the fitted model's own row count and the
-// slice bounds over the buffer sized `k * horizon` two lines above); the
-// overflow-checked debug-assert CI job backstops the proof at runtime;
-// exemplar chain: core::table::interval_half_widths
-pub(crate) fn interval_half_widths(centroid_rows: &Matrix, horizon: usize) -> Vec<f64> {
-    let k = centroid_rows.nrows();
+/// The `k * horizon` flat interval half-width buffer for `k` rows of recent
+/// centroid observations (one row per cluster, most recent last, every row
+/// the same length): per-cluster standard deviation widened by
+/// `sqrt(h + 1)`. All zeros when the rows are too short to fit (fewer than
+/// two samples).
+///
+/// The deviation is the diagonal of the Gaussian model's ridged sample
+/// covariance, and only the diagonal is computed: each row's sample
+/// variance plus the ridge `1e-6 × max(|trace / k|, 1e-3)`. These are the
+/// operations `utilcast_gaussian::model::GaussianModel::fit` performs for
+/// the diagonal entries, in its order, so the widths are bitwise those of
+/// the `K × K` fit.
+pub(crate) fn interval_half_widths<'a>(
+    rows: impl Iterator<Item = &'a [f64]>,
+    horizon: usize,
+) -> Vec<f64> {
+    let mut short = false;
+    let variances: Vec<f64> = rows
+        .map(|row| {
+            short |= row.len() < 2;
+            sample_variance(row)
+        })
+        .collect();
+    let k = variances.len();
     let mut out = vec![0.0; k * horizon];
-    let Ok(model) = GaussianModel::fit(centroid_rows) else {
+    if short {
         return out;
-    };
-    for j in 0..k {
-        let sigma = model.cov()[(j, j)].max(0.0).sqrt();
+    }
+    let trace: f64 = variances.iter().sum();
+    let ridge = (trace / k as f64).abs().max(1e-3) * 1e-6;
+    for (j, variance) in variances.iter().enumerate() {
+        let sigma = (variance + ridge).max(0.0).sqrt();
         for (h, slot) in out[j * horizon..(j + 1) * horizon].iter_mut().enumerate() {
             *slot = sigma * ((h + 1) as f64).sqrt();
         }
@@ -653,11 +786,11 @@ mod tests {
     #[test]
     fn intervals_zero_on_short_window_and_grow_with_horizon() {
         // One sample: unfit, all zeros.
-        let short = Matrix::from_vec(2, 1, vec![0.5, 0.6]);
-        assert_eq!(interval_half_widths(&short, 3), vec![0.0; 6]);
+        let short: [&[f64]; 2] = [&[0.5], &[0.6]];
+        assert_eq!(interval_half_widths(short.into_iter(), 3), vec![0.0; 6]);
         // A real window: positive widths, widening with the horizon.
-        let window = Matrix::from_vec(1, 4, vec![0.40, 0.50, 0.45, 0.55]);
-        let widths = interval_half_widths(&window, 3);
+        let window: [&[f64]; 1] = [&[0.40, 0.50, 0.45, 0.55]];
+        let widths = interval_half_widths(window.into_iter(), 3);
         assert!(widths[0] > 0.0);
         assert!(widths[1] > widths[0] && widths[2] > widths[1]);
         assert_eq!(widths[1], widths[0] * 2.0_f64.sqrt());

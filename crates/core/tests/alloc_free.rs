@@ -1,6 +1,8 @@
 //! The forecast-table build allocates per build, never per node: the Eq. 12
 //! resolve kernel hoists everything it needs of the window's centroids into
-//! four tables, reuses one vote scratch, and writes two output vectors.
+//! four tables, reuses one vote scratch, keeps its clipped terms in one
+//! term cache (three buffers, plus a step-to-column plan), and writes two
+//! output vectors.
 //!
 //! Shown from outside, with a counting allocator: a fleet 64 times larger
 //! makes exactly as many allocations. This file is its own test binary
@@ -125,8 +127,9 @@ fn resolve_allocates_per_build_and_clip_alpha_never() {
     };
     let small = resolve(64);
     assert_eq!(resolve(4096), small, "the per-node part allocates nothing");
-    // The vote scratch, the four centroid-pair tables, the two outputs.
-    assert_eq!(small, 7);
+    // The vote scratch, the four centroid-pair tables, the two outputs, the
+    // fresh term cache's three buffers and its step-to-column plan.
+    assert_eq!(small, 11);
 
     let centroids = vec![
         vec![0.1, 0.2, 0.3],

@@ -57,6 +57,13 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p utilcast-timeseries --lib lstm::"
 cargo test --release -q -p utilcast-timeseries --lib lstm::
 
+# The Eq. 12 resolve contract under optimised codegen: the differential
+# suite holds the table kernel (stateless and reusing its term cache across
+# refreshes) and the diagonal interval widths to the oracle's bits, and a
+# release build may vectorise or reorder what a debug build does not.
+echo "==> cargo test --release -q -p utilcast-core --lib oracle::"
+cargo test --release -q -p utilcast-core --lib oracle::
+
 # The warm-refit quality gate: chains of LSTM refits against cold fits at
 # the same lengths. Its distribution half is skipped in unoptimised builds.
 echo "==> cargo test --release -q -p utilcast-timeseries --test lstm_warm"
