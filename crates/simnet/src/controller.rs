@@ -1015,6 +1015,42 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpointed_lstm_with_an_invalid_config_is_a_decode_error() {
+        // A cluster's LSTM travels as-is in the checkpoint. One whose config
+        // says `window: 0` used to decode, restore and then panic in the
+        // first forecast; now the snapshot itself does not decode.
+        let mut c = Controller::new(ControllerConfig {
+            model: ModelSpec::Lstm(utilcast_timeseries::lstm::LstmConfig {
+                window: 4,
+                hidden: 4,
+                epochs: 1,
+                seed: 3,
+                ..Default::default()
+            }),
+            ..quick_config(3, 2)
+        })
+        .unwrap();
+        for t in 0..12 {
+            let entries = (0..3)
+                .map(|i| (i, 0.2 + 0.1 * i as f64 + 0.01 * (t % 4) as f64))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
+        }
+        let json = serde_json::to_string(&c.snapshot()).unwrap();
+        let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
+        assert!(Controller::restore(back).is_ok());
+        // Only a cluster model nests its config under "config"; the
+        // controller's own model spec carries the bare `LstmConfig`.
+        let fitted = "\"config\":{\"window\":4";
+        assert!(json.contains(fitted) && json.contains("\"state\":{\"layers\""));
+        let hostile = json.replace(fitted, "\"config\":{\"window\":0");
+        match serde_json::from_str::<ControllerSnapshot>(&hostile) {
+            Err(err) => assert!(err.to_string().contains("lstm config"), "{err}"),
+            Ok(_) => panic!("a fitted LSTM with window 0 decoded"),
+        }
+    }
+
+    #[test]
     fn forecast_requires_a_tick() {
         let mut c = Controller::new(quick_config(4, 2)).unwrap();
         assert!(matches!(c.forecast(1), Err(SimError::NoTick)));

@@ -11,9 +11,9 @@
 //! such models are needed for the whole datacenter, so each one trains in
 //! seconds on a laptop core (Table II).
 //!
-//! Training and forecasting run one compute path: fused flat-buffer
-//! kernels from `utilcast_linalg::kernels` (blocked GEMV, rank-1 update,
-//! fused gate activation) over one recycled workspace per fit. The gate
+//! Training runs one compute path: fused flat-buffer kernels from
+//! `utilcast_linalg::kernels` (blocked GEMV, rank-1 update, fused gate
+//! activation) over one recycled workspace per fit. The gate
 //! nonlinearities are the kernels' own branch-free `sigmoid`/`tanh`, not
 //! libm's: within `1e-15` of libm per call, and the same bits on every
 //! platform. The allocating nested-`Vec` scalar loops the fused path
@@ -22,6 +22,13 @@
 //! every accumulator sees the same IEEE op sequence — and the differential
 //! suite beside the oracle enforces it. `lstm/libm_gate.rs` holds the owned
 //! activations to libm's at model level.
+//!
+//! Forecasting needs no BPTT state, so at hidden widths up to 16 it runs an
+//! inference-only forward instead (`InferKernel`): fixed-width `[f64; H]`
+//! arrays that keep only each layer's running `(h, c)`, with the same op
+//! sequence per accumulator as the training forward, hence the same bits.
+//! Wider states forecast through the training forward, which the
+//! differential suite also holds the inference kernel to.
 //!
 //! [`Forecaster::refit`] continues from the outgoing weights: `epochs`
 //! passes over the windows new since the last (re)fit plus the
@@ -33,7 +40,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc};
+use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc, sigmoid, tanh};
 use utilcast_linalg::rng::normal;
 
 use crate::error::require_finite;
@@ -163,11 +170,10 @@ impl LstmLayer {
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
     // affine in the hidden/input dims fixed at construction, with buffer
     // lengths debug_asserted at kernel entry; exemplar chain:
-    // timeseries::arima::Arima::forecast_with_interval ->
-    // timeseries::lstm::Lstm::forecast ->
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::fused_train_sample ->
     // timeseries::lstm::Lstm::forward_fused ->
-    // timeseries::lstm::forward_layer_fused ->
-    // timeseries::lstm::LstmLayer::b
+    // timeseries::lstm::forward_layer_fused -> timeseries::lstm::LstmLayer::b
     fn b(&self) -> &[f64] {
         &self.params[self.b_offset()..]
     }
@@ -196,8 +202,8 @@ struct LayerWs {
     grads: Vec<f64>,
 }
 
-/// One recycled workspace per fit/forecast: all per-step state, hoisted
-/// into flat buffers.
+/// One recycled workspace per fit, and per forecast of a state wider than
+/// the inference kernel's 16: all per-step state, hoisted into flat buffers.
 #[derive(Debug, Clone)]
 struct Workspace {
     layers: Vec<LayerWs>,
@@ -255,9 +261,9 @@ impl Workspace {
 // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
 // affine in the hidden/input dims fixed at construction, with buffer
 // lengths debug_asserted at kernel entry; exemplar chain:
-// timeseries::arima::Arima::forecast_with_interval ->
-// timeseries::lstm::Lstm::forecast -> timeseries::lstm::Lstm::forward_fused
-// -> timeseries::lstm::forward_layer_fused
+// clustering::baselines::StaticClustering::fit ->
+// timeseries::lstm::Lstm::fit -> timeseries::lstm::fused_train_sample ->
+// timeseries::lstm::Lstm::forward_fused -> timeseries::lstm::forward_layer_fused
 fn forward_layer_fused(
     layer: &LstmLayer,
     xs: &[f64],
@@ -453,11 +459,12 @@ struct LstmState {
 }
 
 impl LstmState {
-    /// The shape every state [`Lstm::fit`] builds has: at least one layer,
-    /// a scalar input to the first, each layer fed the hidden state of the
-    /// one below, `[wx | wh | b]` parameters to match, and one head weight
-    /// per top-layer unit. The fused kernels index by exactly these.
-    fn check_shape(&self) -> Result<(), String> {
+    /// The shape every state [`Lstm::fit`] builds under `config`: `layers`
+    /// layers of `hidden` units, a scalar input to the first, each layer fed
+    /// the hidden state of the one below, `[wx | wh | b]` parameters to
+    /// match, and one head weight per top-layer unit. The kernels index by
+    /// exactly these, and the forecast dispatches on the head's width.
+    fn check_shape(&self, config: &LstmConfig) -> Result<(), String> {
         let mut input = 1usize;
         for (i, layer) in self.layers.iter().enumerate() {
             let h = layer.hidden;
@@ -466,21 +473,24 @@ impl LstmState {
                 .and_then(|w| w.checked_add(1))
                 .and_then(|w| w.checked_mul(h))
                 .and_then(|w| w.checked_mul(4));
-            if layer.input != input || h == 0 || params != Some(layer.params.len()) {
+            if layer.input != input || h != config.hidden || params != Some(layer.params.len()) {
                 return Err(format!(
                     "lstm layer {i}: {} parameters for input {} and hidden {h} \
-                     (expected input {input})",
+                     (expected input {input} and hidden {})",
                     layer.params.len(),
-                    layer.input
+                    layer.input,
+                    config.hidden
                 ));
             }
             input = h;
         }
-        if self.layers.is_empty() || self.head_w.len() != input {
+        if self.layers.len() != config.layers || self.head_w.len() != input {
             return Err(format!(
-                "lstm head: {} weights over {} layers ending at hidden {input}",
+                "lstm head: {} weights over {} layers ending at hidden {input} \
+                 (config: {} layers)",
                 self.head_w.len(),
-                self.layers.len()
+                self.layers.len(),
+                config.layers
             ));
         }
         Ok(())
@@ -502,30 +512,35 @@ impl LstmState {
 /// assert_eq!(fc.len(), 5);
 /// # Ok::<(), utilcast_timeseries::TimeSeriesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Lstm {
     config: LstmConfig,
-    #[serde(with = "checked_state")]
     state: Option<LstmState>,
 }
 
-/// A fitted state read back from a checkpoint is shape-checked before the
-/// kernels index by it: a checkpoint is outside input.
-mod checked_state {
-    use serde::{DeError, Deserialize, Serialize, Value};
-
-    use super::LstmState;
-
-    pub(super) fn to_value(state: &Option<LstmState>) -> Value {
-        state.to_value()
-    }
-
-    pub(super) fn from_value(v: &Value) -> Result<Option<LstmState>, DeError> {
-        let state = Option::<LstmState>::from_value(v)?;
-        if let Some(state) = &state {
-            state.check_shape().map_err(DeError::new)?;
+/// A fitted model read back from a checkpoint is checked before the kernels
+/// index by it, since a checkpoint is outside input: its config must pass
+/// [`Lstm::fit`]'s validation (the forecast slides a `window`-long slice)
+/// and its state must have the shape `fit` builds under that config. An
+/// unfitted model decodes as written, as [`Lstm::new`] takes any config
+/// and `fit` validates it.
+impl Deserialize for Lstm {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("struct Lstm", v))?;
+        let lstm = Lstm {
+            config: LstmConfig::from_value(serde::get_field(entries, "config"))?,
+            state: Option::<LstmState>::from_value(serde::get_field(entries, "state"))?,
+        };
+        if let Some(state) = &lstm.state {
+            lstm.validate()
+                .map_err(|e| serde::DeError::new(format!("lstm config: {e}")))?;
+            state
+                .check_shape(&lstm.config)
+                .map_err(serde::DeError::new)?;
         }
-        Ok(state)
+        Ok(lstm)
     }
 }
 
@@ -569,8 +584,8 @@ impl Lstm {
     // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
     // affine in the hidden/input dims fixed at construction, with buffer
     // lengths debug_asserted at kernel entry; exemplar chain:
-    // timeseries::arima::Arima::forecast_with_interval ->
-    // timeseries::lstm::Lstm::forecast ->
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::fused_train_sample ->
     // timeseries::lstm::Lstm::forward_fused
     fn forward_fused(state: &LstmState, ws: &mut Workspace, window: &[f64]) -> f64 {
         let steps = window.len();
@@ -598,6 +613,148 @@ impl Lstm {
             _ => state.head_b,
         };
         pre
+    }
+}
+
+/// Gate pre-activations or weights of one column, regrouped into the four
+/// gate blocks `(i, f, g, o)` of `H` rows each.
+type Gates<const H: usize> = [[f64; H]; 4];
+
+/// One layer's weights for the inference forward: `wx` and `wh` transposed
+/// into per-gate-block columns, so one column's terms reach a gate block's
+/// `H` rows together while every row still gains its terms in ascending
+/// column order — `gemv_acc`'s per-row order.
+struct InferLayer<const H: usize> {
+    /// `wx` columns, one per layer input.
+    wx: Vec<Gates<H>>,
+    /// `wh` columns, one per hidden unit.
+    wh: [Gates<H>; H],
+    b: Gates<H>,
+}
+
+impl<const H: usize> InferLayer<H> {
+    /// Transposes `layer`, whose hidden width the caller has checked is `H`.
+    fn new(layer: &LstmLayer) -> Self {
+        debug_assert_eq!(layer.hidden, H);
+        let mut b = [[0.0; H]; 4];
+        for (v, &bias) in b.iter_mut().flatten().zip(layer.b()) {
+            *v = bias;
+        }
+        InferLayer {
+            wx: (0..layer.input)
+                .map(|c| Self::column(layer.wx(), layer.input, c))
+                .collect(),
+            wh: std::array::from_fn(|c| Self::column(layer.wh(), H, c)),
+            b,
+        }
+    }
+
+    /// Column `c` of a row-major `4H x cols` weight block.
+    fn column(w: &[f64], cols: usize, c: usize) -> Gates<H> {
+        let mut col = [[0.0; H]; 4];
+        for (r, v) in col.iter_mut().flatten().enumerate() {
+            *v = w[r * cols + c];
+        }
+        col
+    }
+
+    /// Advances the running `(h, c)` by one step on input `x`; `recur` is
+    /// false at a window's first step, where the state is the zero reset and
+    /// the `wh` terms are skipped as in [`forward_layer_fused`].
+    ///
+    /// Bitwise equal to one step of the training forward: each row starts at
+    /// `b` and adds its `wx` then its `wh` terms in ascending column order;
+    /// one activation pass computes `sigmoid(m·z)` with `m = 2` on the
+    /// candidate block and `1` elsewhere (`1·z` is exact), then `g = 2s − 1`
+    /// on that block — `kernels::tanh` spelled out — and `c`, `tanh(c)` and
+    /// `h` follow `lstm_gate_fuse` term for term.
+    ///
+    /// The sums run one gate block at a time, so a block's `H` accumulators
+    /// stay in registers across all its columns. Kept out of line: inlined
+    /// into the forecast driver's sixteen monomorphisations it ran at about
+    /// twice the cost.
+    #[inline(never)]
+    fn step(&self, x: &[f64], recur: bool, [h, c]: &mut [[f64; H]; 2]) {
+        let mut z = self.b;
+        for (g, zg) in z.iter_mut().enumerate() {
+            let mut acc = *zg;
+            for (col, &xv) in self.wx.iter().zip(x) {
+                for (a, &w) in acc.iter_mut().zip(&col[g]) {
+                    *a += w * xv;
+                }
+            }
+            if recur {
+                for (col, &hv) in self.wh.iter().zip(h.iter()) {
+                    for (a, &w) in acc.iter_mut().zip(&col[g]) {
+                        *a += w * hv;
+                    }
+                }
+            }
+            *zg = acc;
+        }
+        for (block, m) in z.iter_mut().zip([1.0, 1.0, 2.0, 1.0]) {
+            for v in block.iter_mut() {
+                *v = sigmoid(m * *v);
+            }
+        }
+        let [gi, gf, gg, go] = &mut z;
+        for v in gg.iter_mut() {
+            *v = 2.0 * *v - 1.0;
+        }
+        for (((cv, &i), &f), &g) in c.iter_mut().zip(&*gi).zip(&*gf).zip(&*gg) {
+            *cv = f * *cv + i * g;
+        }
+        for ((hv, &o), &cv) in h.iter_mut().zip(&*go).zip(&*c) {
+            *hv = o * tanh(cv);
+        }
+    }
+}
+
+/// The inference-only forward at hidden width `H`, built once per forecast:
+/// the transposed layers and each layer's running `(h, c)`, nothing else.
+/// [`Lstm::forecast`] monomorphises it for `H` in `1..=16`; a wider state
+/// forecasts through [`Lstm::forward_fused`].
+struct InferKernel<const H: usize> {
+    layers: Vec<InferLayer<H>>,
+    /// Running `[h, c]` per layer.
+    state: Vec<[[f64; H]; 2]>,
+}
+
+impl<const H: usize> InferKernel<H> {
+    fn new(state: &LstmState) -> Self {
+        InferKernel {
+            layers: state.layers.iter().map(InferLayer::new).collect(),
+            state: vec![[[0.0; H]; 2]; state.layers.len()],
+        }
+    }
+
+    /// The head's pre-activation on one normalized window, bitwise equal to
+    /// [`Lstm::forward_fused`]'s. Steps run time-major: each layer's step
+    /// `t` reads the step-`t` hidden state of the layer below, the value the
+    /// training forward's layer-major order reads too.
+    fn predict(&mut self, params: &LstmState, window: &[f64]) -> f64 {
+        // The t = 0 state reset: every window starts from zero (h, c).
+        self.state.fill([[0.0; H]; 2]);
+        for (t, &x) in window.iter().enumerate() {
+            let mut input: &[f64] = std::slice::from_ref(&x);
+            for (layer, hc) in self.layers.iter().zip(self.state.iter_mut()) {
+                layer.step(input, t > 0, hc);
+                let [h, _] = &*hc;
+                input = h;
+            }
+        }
+        match self.state.last() {
+            Some([top_h, _]) if !window.is_empty() => {
+                params
+                    .head_w
+                    .iter()
+                    .zip(top_h)
+                    .map(|(w, hv)| w * hv)
+                    .sum::<f64>()
+                    + params.head_b
+            }
+            _ => params.head_b,
+        }
     }
 }
 
@@ -836,12 +993,15 @@ impl Lstm {
         )
     }
 
-    /// The closed-loop forecast driver over any one-step predictor `(state,
-    /// normalized window) -> normalized prediction` (the oracle's seam, like
-    /// [`Lstm::fit_with`]).
-    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
-    // affine in the hidden/input dims fixed at construction, with buffer
-    // lengths debug_asserted at kernel entry; exemplar chain:
+    /// The closed-loop forecast driver over a one-step predictor `(state,
+    /// normalized window) -> normalized prediction`: the inference forward
+    /// or, for wide states, the training forward. The window slides over one
+    /// buffer of `window + horizon` normalized values — the clamped history
+    /// tail, then each clamped prediction fed back — where the oracle's
+    /// driver shifts a `window`-long `Vec` per step.
+    // lint:allow(panic-path): fn-scope audit: `buf` holds `w + k` values
+    // when step `k` reads `buf[k..k + w]`, and `history.len() >= w` is
+    // checked above the tail slice; exemplar chain:
     // timeseries::arima::Arima::forecast_with_interval ->
     // timeseries::lstm::Lstm::forecast ->
     // timeseries::lstm::Lstm::forecast_with
@@ -864,21 +1024,35 @@ impl Lstm {
         } else {
             1.0
         };
-        let mut window: Vec<f64> = history[history.len() - w..]
-            .iter()
-            .map(|v| ((v - state.lo) / span).clamp(-0.5, 1.5))
-            .collect();
+        let mut buf = Vec::with_capacity(w + horizon);
+        buf.extend(
+            history[history.len() - w..]
+                .iter()
+                .map(|v| ((v - state.lo) / span).clamp(-0.5, 1.5)),
+        );
         let mut out = Vec::with_capacity(horizon);
-        for _ in 0..horizon {
-            let y = predict(state, &window);
+        for k in 0..horizon {
+            let y = predict(state, &buf[k..k + w]);
             out.push(state.lo + y * span);
-            window.remove(0);
             // Clamp the recursive feedback to the (slightly padded)
             // normalized training range so multi-step recursion cannot
             // drift off the manifold the network was trained on.
-            window.push(y.clamp(0.0, 1.25));
+            buf.push(y.clamp(0.0, 1.25));
         }
         Ok(out)
+    }
+
+    /// [`Lstm::forecast_with`] through the inference forward at width `H`.
+    fn forecast_at<const H: usize>(
+        &self,
+        history: &[f64],
+        horizon: usize,
+    ) -> Result<Vec<f64>, TimeSeriesError> {
+        let mut kernel = None;
+        self.forecast_with(history, horizon, |state, window| {
+            let kernel = kernel.get_or_insert_with(|| InferKernel::<H>::new(state));
+            kernel.predict(state, window).max(0.0)
+        })
     }
 }
 
@@ -900,12 +1074,35 @@ impl Forecaster for Lstm {
         self.fit_fused(history, outgoing)
     }
 
+    /// Dispatches on the fitted state's own width (`head_w.len()`, which
+    /// every layer shares): the inference-only forward up to hidden 16, the
+    /// training forward beyond.
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
-        let mut ws = None;
-        self.forecast_with(history, horizon, |state, window| {
-            let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
-            Lstm::forward_fused(state, ws, window).max(0.0)
-        })
+        match self.state.as_ref().map_or(0, |s| s.head_w.len()) {
+            1 => self.forecast_at::<1>(history, horizon),
+            2 => self.forecast_at::<2>(history, horizon),
+            3 => self.forecast_at::<3>(history, horizon),
+            4 => self.forecast_at::<4>(history, horizon),
+            5 => self.forecast_at::<5>(history, horizon),
+            6 => self.forecast_at::<6>(history, horizon),
+            7 => self.forecast_at::<7>(history, horizon),
+            8 => self.forecast_at::<8>(history, horizon),
+            9 => self.forecast_at::<9>(history, horizon),
+            10 => self.forecast_at::<10>(history, horizon),
+            11 => self.forecast_at::<11>(history, horizon),
+            12 => self.forecast_at::<12>(history, horizon),
+            13 => self.forecast_at::<13>(history, horizon),
+            14 => self.forecast_at::<14>(history, horizon),
+            15 => self.forecast_at::<15>(history, horizon),
+            16 => self.forecast_at::<16>(history, horizon),
+            _ => {
+                let mut ws = None;
+                self.forecast_with(history, horizon, |state, window| {
+                    let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
+                    Lstm::forward_fused(state, ws, window).max(0.0)
+                })
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -1046,6 +1243,59 @@ mod tests {
             assert!(err.to_string().contains("lstm layer 0"), "{field}: {err}");
         }
         assert!(patch("hidden", hidden).is_ok());
+    }
+
+    /// Rewrites one integer field of a model's serialized config.
+    fn with_config_field(m: &Lstm, field: &str, to: u64) -> serde::Value {
+        use serde::Value;
+        let mut v = m.to_value();
+        let Value::Map(top) = &mut v else { panic!() };
+        let Value::Map(config) = &mut top[0].1 else {
+            panic!()
+        };
+        let (_, slot) = config.iter_mut().find(|(k, _)| k == field).unwrap();
+        *slot = Value::UInt(to);
+        v
+    }
+
+    #[test]
+    fn a_checkpointed_config_that_fails_validation_is_a_decode_error() {
+        let mut m = Lstm::new(tiny_config());
+        m.fit(&[0.5; 40]).unwrap();
+        // `window: 0` used to decode and then panic in the first forecast.
+        for (field, to) in [("window", 0), ("epochs", 0)] {
+            let err = Lstm::from_value(&with_config_field(&m, field, to)).unwrap_err();
+            assert!(err.to_string().contains("lstm config"), "{field}: {err}");
+        }
+        // An unfitted model keeps any config, as `Lstm::new` does; `fit`
+        // is what validates it.
+        let unfitted = Lstm::new(tiny_config());
+        let back = Lstm::from_value(&with_config_field(&unfitted, "window", 0)).unwrap();
+        assert_eq!(back.config().window, 0);
+        assert_eq!(
+            back.forecast(&[0.5; 40], 2),
+            Err(TimeSeriesError::NotFitted)
+        );
+    }
+
+    #[test]
+    fn a_checkpointed_config_that_disagrees_with_the_state_is_a_decode_error() {
+        let mut m = Lstm::new(tiny_config());
+        m.fit(&[0.5; 40]).unwrap();
+        let c = tiny_config();
+        for (field, to, names) in [
+            ("hidden", c.hidden + 1, "lstm layer 0"),
+            ("hidden", c.hidden - 1, "lstm layer 0"),
+            ("layers", c.layers + 1, "lstm head"),
+            ("layers", c.layers - 1, "lstm head"),
+        ] {
+            let err = Lstm::from_value(&with_config_field(&m, field, to as u64)).unwrap_err();
+            assert!(err.to_string().contains(names), "{field} {to}: {err}");
+        }
+        // A window other than the one fitted is a valid config: the state
+        // does not record it.
+        let longer = Lstm::from_value(&with_config_field(&m, "window", 9)).unwrap();
+        assert_eq!(longer.forecast(&[0.5; 40], 3).unwrap().len(), 3);
     }
 
     /// Windows one training call visits, counted through the driver's seam.

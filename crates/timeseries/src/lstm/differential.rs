@@ -1,5 +1,7 @@
-//! Differential tests: the fused flat-buffer training and forecasting path
-//! against the scalar [`super::oracle`] it replaced — same training
+//! Differential tests: the fused flat-buffer training path and the
+//! forecast path (the inference-only forward up to hidden 16, the training
+//! forward beyond, both behind the buffer-sliding closed-loop driver)
+//! against the scalar [`super::oracle`] they replaced — same training
 //! trajectory (per-epoch MSE), same fitted state, same forecasts. Equality
 //! is exact floating-point equality, never a tolerance: the oracle runs
 //! with [`Activations::OWNED`], the same `utilcast_linalg::kernels`
@@ -79,6 +81,53 @@ proptest! {
         for (h, (e, f)) in ef.iter().zip(ff.iter()).enumerate() {
             prop_assert_eq!(e.to_bits(), f.to_bits(), "forecast h={} diverged", h);
         }
+    }
+
+    /// The forecast on both sides of its width dispatch against the
+    /// oracle's closed loop, bit for bit. The fitted head bias is shifted
+    /// down (every prediction the ReLU's 0, the lower feedback clamp), not
+    /// at all, or up (predictions past the upper feedback clamp), and the
+    /// history's tail is overwritten with values beyond either input clamp,
+    /// NaN and ±inf at random positions.
+    #[test]
+    fn forecast_bit_identical_to_the_oracle_on_both_sides_of_the_dispatch(
+        hidden in 1usize..=20,
+        layers in 1usize..=3,
+        window in 1usize..=14,
+        horizon in 0usize..=24,
+        head_shift in 0usize..3,
+        tail in proptest::collection::vec(0usize..24, 14),
+        seed in 0u64..1000,
+    ) {
+        let config = LstmConfig {
+            window,
+            hidden,
+            layers,
+            epochs: 1,
+            learning_rate: 0.02,
+            grad_clip: 1.0,
+            seed,
+        };
+        let mut data = series(window + 6, seed);
+        let mut model = Lstm::new(config);
+        model.fit(&data).expect("fit");
+        model.state.as_mut().expect("fitted").head_b += [-8.0, 0.0, 8.0][head_shift];
+        let n = data.len();
+        for (v, &kind) in data[n - window..].iter_mut().zip(&tail) {
+            match kind {
+                0 => *v = -3.0,
+                1 => *v = 5.0,
+                2 => *v = f64::NAN,
+                3 => *v = f64::INFINITY,
+                4 => *v = f64::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        let exact = model.forecast_exact(&data, horizon, OWNED).expect("oracle forecast");
+        let fast = model.forecast(&data, horizon).expect("forecast");
+        prop_assert_eq!(exact.len(), horizon);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&exact), bits(&fast), "hidden {}", hidden);
     }
 
     /// Both paths accept the same minimum history and reject the same short

@@ -255,16 +255,41 @@ impl Lstm {
         )
     }
 
-    /// [`crate::Forecaster::forecast`] through the scalar forward pass.
+    /// [`crate::Forecaster::forecast`] through the scalar forward pass and
+    /// the closed-loop driver the production path replaced: the window is a
+    /// `Vec` that drops its oldest value and takes the clamped prediction
+    /// each step.
     pub(super) fn forecast_exact(
         &self,
         history: &[f64],
         horizon: usize,
         act: Activations,
     ) -> Result<Vec<f64>, TimeSeriesError> {
-        self.forecast_with(history, horizon, |state, window| {
-            Lstm::forward_exact(state, window, act).0
-        })
+        let state = self.state.as_ref().ok_or(TimeSeriesError::NotFitted)?;
+        let w = self.config.window;
+        if history.len() < w {
+            return Err(TimeSeriesError::TooShort {
+                needed: w,
+                got: history.len(),
+            });
+        }
+        let span = if state.hi > state.lo {
+            state.hi - state.lo
+        } else {
+            1.0
+        };
+        let mut window: Vec<f64> = history[history.len() - w..]
+            .iter()
+            .map(|v| ((v - state.lo) / span).clamp(-0.5, 1.5))
+            .collect();
+        let mut out = Vec::with_capacity(horizon);
+        for _ in 0..horizon {
+            let y = Lstm::forward_exact(state, &window, act).0;
+            out.push(state.lo + y * span);
+            window.remove(0);
+            window.push(y.clamp(0.0, 1.25));
+        }
+        Ok(out)
     }
 }
 

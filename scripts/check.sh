@@ -57,6 +57,13 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p utilcast-timeseries --lib lstm::"
 cargo test --release -q -p utilcast-timeseries --lib lstm::
 
+# The root LSTM goldens once more, optimised: the tier-1 suite runs them
+# only in debug, and the forecast's fixed-width inference kernel vectorises
+# under -O, so its pinned forecast and refit-replay bits are held under
+# release codegen too.
+echo "==> cargo test --release -q --test lstm_golden --test lstm_refit"
+cargo test --release -q --test lstm_golden --test lstm_refit
+
 # The Eq. 12 resolve contract under optimised codegen: the differential
 # suite holds the table kernel (stateless and reusing its term cache across
 # refreshes) and the diagonal interval widths to the oracle's bits, and a
