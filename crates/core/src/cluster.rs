@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use utilcast_clustering::hungarian::max_weight_matching_padded;
 use utilcast_clustering::kmeans::{
     fit_weighted_flat, fit_weighted_from_flat, KMeans, KMeansConfig, KMeansResult,
@@ -32,6 +32,7 @@ use utilcast_clustering::kmeans::{
 use utilcast_clustering::parallel::{chunk_len, resolve_threads};
 use utilcast_clustering::similarity::{intersection_similarity, jaccard_similarity};
 use utilcast_clustering::ClusteringError;
+use utilcast_linalg::container::{Reader, Writer};
 
 use crate::compute::ComputeOptions;
 
@@ -77,6 +78,49 @@ pub struct DynamicClustererConfig {
     /// Threading, re-seed cadence and sharding of the per-step k-means
     /// (see [`ComputeOptions`]).
     pub compute: ComputeOptions,
+}
+
+impl SimilarityMeasure {
+    pub(crate) fn encode_into(self, out: &mut Writer) {
+        out.tag(match self {
+            SimilarityMeasure::Intersection => 0,
+            SimilarityMeasure::Jaccard => 1,
+        });
+    }
+
+    pub(crate) fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        match input.tag()? {
+            0 => Ok(SimilarityMeasure::Intersection),
+            1 => Ok(SimilarityMeasure::Jaccard),
+            tag => Err(DeError::new(format!(
+                "similarity measure: unknown tag {tag}"
+            ))),
+        }
+    }
+}
+
+impl DynamicClustererConfig {
+    fn encode_into(&self, out: &mut Writer) {
+        out.usize(self.k);
+        out.usize(self.m);
+        self.similarity.encode_into(out);
+        out.usize(self.n_init);
+        out.usize(self.max_iters);
+        out.u64(self.seed);
+        self.compute.encode_into(out);
+    }
+
+    fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(DynamicClustererConfig {
+            k: input.usize()?,
+            m: input.usize()?,
+            similarity: SimilarityMeasure::decode(input)?,
+            n_init: input.usize()?,
+            max_iters: input.usize()?,
+            seed: input.u64()?,
+            compute: ComputeOptions::decode(input)?,
+        })
+    }
 }
 
 impl Default for DynamicClustererConfig {
@@ -556,6 +600,30 @@ pub struct ClustererSnapshot {
     pub shard_warm: Vec<Vec<Vec<f64>>>,
     /// Time step counter.
     pub t: usize,
+}
+
+impl ClustererSnapshot {
+    pub(crate) fn encode_into(&self, out: &mut Writer) {
+        self.config.encode_into(out);
+        out.seq(&self.history, |out, row| out.labels(row));
+        out.option(self.warm_centroids.as_ref(), |out, centroids| {
+            out.seq(centroids, |out, c| out.f64s(c));
+        });
+        out.seq(&self.shard_warm, |out, shard| {
+            out.seq(shard, |out, c| out.f64s(c));
+        });
+        out.usize(self.t);
+    }
+
+    pub(crate) fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ClustererSnapshot {
+            config: DynamicClustererConfig::decode(input)?,
+            history: input.seq(Reader::labels)?,
+            warm_centroids: input.option(|input| input.seq(Reader::f64s))?,
+            shard_warm: input.seq(|input| input.seq(Reader::f64s))?,
+            t: input.usize()?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@
 //! * `retrain_stagger`, `staleness_age_limit`, `max_query_horizon` — the
 //!   retrain schedule, the staleness mask and the read-plane depth.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 
 /// Knobs for the controller's per-step compute (see module docs).
 ///
@@ -101,6 +102,28 @@ impl Default for ComputeOptions {
 }
 
 impl ComputeOptions {
+    /// Writes the options into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.usize(self.threads);
+        out.usize(self.cold_reseed_every);
+        out.bool(self.retrain_stagger);
+        out.usize(self.staleness_age_limit);
+        out.usize(self.shards);
+        out.usize(self.max_query_horizon);
+    }
+
+    /// Reads options written by [`ComputeOptions::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ComputeOptions {
+            threads: input.usize()?,
+            cold_reseed_every: input.usize()?,
+            retrain_stagger: input.bool()?,
+            staleness_age_limit: input.usize()?,
+            shards: input.usize()?,
+            max_query_horizon: input.usize()?,
+        })
+    }
+
     /// The effective forecast-table depth: `max_query_horizon`, with `0`
     /// (unset / pre-table checkpoint) normalized to
     /// [`DEFAULT_QUERY_HORIZON`] — the same convention as `shards == 0`

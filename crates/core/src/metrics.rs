@@ -1,6 +1,7 @@
 //! The paper's error metrics (Eqs. 3–5) and the intermediate RMSE.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 
 /// Instantaneous RMSE across nodes (Eq. 3):
 /// `RMSE(t, h) = sqrt( (1/N) Σ_i ‖x̂_i − x_i‖² )`.
@@ -147,6 +148,22 @@ pub struct AgeOfInformation {
 }
 
 impl AgeOfInformation {
+    /// Writes the accumulator into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.f64(self.sum_of_means);
+        out.usize(self.peak);
+        out.usize(self.ticks);
+    }
+
+    /// Reads an accumulator written by [`AgeOfInformation::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(AgeOfInformation {
+            sum_of_means: input.f64()?,
+            peak: input.usize()?,
+            ticks: input.usize()?,
+        })
+    }
+
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()

@@ -18,7 +18,8 @@
 //! 4. on demand, forecasts each node's future utilization as its predicted
 //!    cluster's centroid forecast plus a clipped per-node offset.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 use utilcast_timeseries::arima::{Arima, ArimaFitOptions, ArimaGrid, ArimaOrder, AutoArima};
 use utilcast_timeseries::baselines::{LongTermMean, SampleAndHold};
 use utilcast_timeseries::ets::{EtsConfig, HoltWinters};
@@ -61,6 +62,52 @@ pub enum ModelSpec {
 }
 
 impl ModelSpec {
+    /// Writes the spec into a checkpoint container: a variant tag, then the
+    /// variant's configuration.
+    pub fn encode_into(&self, out: &mut Writer) {
+        match self {
+            ModelSpec::SampleAndHold => out.tag(0),
+            ModelSpec::LongTermMean => out.tag(1),
+            ModelSpec::Arima { order, options } => {
+                out.tag(2);
+                order.encode_into(out);
+                options.encode_into(out);
+            }
+            ModelSpec::AutoArima { grid, options } => {
+                out.tag(3);
+                grid.encode_into(out);
+                options.encode_into(out);
+            }
+            ModelSpec::Lstm(config) => {
+                out.tag(4);
+                config.encode_into(out);
+            }
+            ModelSpec::HoltWinters(config) => {
+                out.tag(5);
+                config.encode_into(out);
+            }
+        }
+    }
+
+    /// Reads a spec written by [`ModelSpec::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(match input.tag()? {
+            0 => ModelSpec::SampleAndHold,
+            1 => ModelSpec::LongTermMean,
+            2 => ModelSpec::Arima {
+                order: ArimaOrder::decode(input)?,
+                options: ArimaFitOptions::decode(input)?,
+            },
+            3 => ModelSpec::AutoArima {
+                grid: ArimaGrid::decode(input)?,
+                options: ArimaFitOptions::decode(input)?,
+            },
+            4 => ModelSpec::Lstm(LstmConfig::decode(input)?),
+            5 => ModelSpec::HoltWinters(EtsConfig::decode(input)?),
+            tag => return Err(DeError::new(format!("model spec: unknown tag {tag}"))),
+        })
+    }
+
     /// Instantiates an unfitted forecaster as a trait object.
     pub fn build(&self) -> Box<dyn Forecaster> {
         match self.build_model() {
@@ -115,6 +162,52 @@ pub enum ClusterModel {
     Lstm(Lstm),
     /// Holt–Winters exponential smoothing.
     HoltWinters(HoltWinters),
+}
+
+impl ClusterModel {
+    /// Writes the model into a checkpoint container: the tag of the
+    /// [`ModelSpec`] variant that builds it, then the fitted model.
+    pub fn encode_into(&self, out: &mut Writer) {
+        match self {
+            ClusterModel::SampleAndHold(m) => {
+                out.tag(0);
+                m.encode_into(out);
+            }
+            ClusterModel::LongTermMean(m) => {
+                out.tag(1);
+                m.encode_into(out);
+            }
+            ClusterModel::Arima(m) => {
+                out.tag(2);
+                m.encode_into(out);
+            }
+            ClusterModel::AutoArima(m) => {
+                out.tag(3);
+                m.encode_into(out);
+            }
+            ClusterModel::Lstm(m) => {
+                out.tag(4);
+                m.encode_into(out);
+            }
+            ClusterModel::HoltWinters(m) => {
+                out.tag(5);
+                m.encode_into(out);
+            }
+        }
+    }
+
+    /// Reads a model written by [`ClusterModel::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(match input.tag()? {
+            0 => ClusterModel::SampleAndHold(SampleAndHold::decode(input)?),
+            1 => ClusterModel::LongTermMean(LongTermMean::decode(input)?),
+            2 => ClusterModel::Arima(Arima::decode(input)?),
+            3 => ClusterModel::AutoArima(AutoArima::decode(input)?),
+            4 => ClusterModel::Lstm(Lstm::decode(input)?),
+            5 => ClusterModel::HoltWinters(HoltWinters::decode(input)?),
+            tag => return Err(DeError::new(format!("cluster model: unknown tag {tag}"))),
+        })
+    }
 }
 
 impl Forecaster for ClusterModel {

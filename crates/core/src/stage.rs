@@ -9,8 +9,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use utilcast_clustering::parallel::{chunk_len, resolve_threads};
+use utilcast_linalg::container::{Reader, Writer};
 use utilcast_linalg::Matrix;
 use utilcast_timeseries::baselines::SampleAndHold;
 use utilcast_timeseries::harness::{RetrainPolicy, RetrainState, RetrainingForecaster};
@@ -55,6 +56,35 @@ pub struct ForecastStageConfig {
     pub compute: ComputeOptions,
 }
 
+impl ForecastStageConfig {
+    fn encode_into(&self, out: &mut Writer) {
+        for v in [self.num_nodes, self.k, self.m, self.m_prime] {
+            out.usize(v);
+        }
+        self.similarity.encode_into(out);
+        out.usize(self.warmup);
+        out.usize(self.retrain_every);
+        self.model.encode_into(out);
+        out.u64(self.seed);
+        self.compute.encode_into(out);
+    }
+
+    fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ForecastStageConfig {
+            num_nodes: input.usize()?,
+            k: input.usize()?,
+            m: input.usize()?,
+            m_prime: input.usize()?,
+            similarity: SimilarityMeasure::decode(input)?,
+            warmup: input.usize()?,
+            retrain_every: input.usize()?,
+            model: ModelSpec::decode(input)?,
+            seed: input.u64()?,
+            compute: ComputeOptions::decode(input)?,
+        })
+    }
+}
+
 impl Default for ForecastStageConfig {
     fn default() -> Self {
         ForecastStageConfig {
@@ -86,6 +116,20 @@ struct Snapshot {
 }
 
 impl Snapshot {
+    fn encode_into(&self, out: &mut Writer) {
+        self.values.encode_into(out);
+        out.seq(&self.centroids, |out, c| out.f64s(c));
+        out.labels(&self.assignments);
+    }
+
+    fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(Snapshot {
+            values: Matrix::decode(input)?,
+            centroids: input.seq(Reader::f64s)?,
+            assignments: input.labels()?,
+        })
+    }
+
     /// Checks a deserialized snapshot against the shape every snapshot
     /// recorded by [`ForecastStage::step`] has — `n` scalar values, `k`
     /// one-value centroids, `n` labels below `k` — which is what
@@ -170,6 +214,54 @@ pub struct StageSnapshot {
     table_rebuilds: u64,
     #[serde(default)]
     reads_served: u64,
+}
+
+impl StageSnapshot {
+    /// Writes the stage checkpoint into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.config.encode_into(out);
+        self.clusterer.encode_into(out);
+        out.seq(&self.forecasters, |out, f| {
+            f.model.encode_into(out);
+            f.state.encode_into(out);
+        });
+        out.seq(&self.history, |out, s| s.encode_into(out));
+        out.usize(self.t);
+        out.seq(&self.degraded, |out, &d| out.bool(d));
+        for v in [
+            self.model_fallbacks,
+            self.fallback_fit_failures,
+            self.generation,
+            self.table_rebuilds,
+            self.reads_served,
+        ] {
+            out.u64(v);
+        }
+    }
+
+    /// Reads a stage checkpoint written by [`StageSnapshot::encode_into`].
+    /// Its shapes are checked by [`ForecastStage::restore`], as a decoded
+    /// JSON one's are.
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(StageSnapshot {
+            config: ForecastStageConfig::decode(input)?,
+            clusterer: ClustererSnapshot::decode(input)?,
+            forecasters: input.seq(|input| {
+                Ok(ForecasterSnapshot {
+                    model: ClusterModel::decode(input)?,
+                    state: RetrainState::decode(input)?,
+                })
+            })?,
+            history: input.seq(Snapshot::decode)?,
+            t: input.usize()?,
+            degraded: input.seq(Reader::bool)?,
+            model_fallbacks: input.u64()?,
+            fallback_fit_failures: input.u64()?,
+            generation: input.u64()?,
+            table_rebuilds: input.u64()?,
+            reads_served: input.u64()?,
+        })
+    }
 }
 
 /// Report of one stage step.
@@ -1343,6 +1435,71 @@ mod tests {
             a.step(&[0.2, 0.2, 0.7, 0.7]).unwrap(),
             b.step(&[0.2, 0.2, 0.7, 0.7]).unwrap()
         );
+    }
+
+    /// Every model spec's fitted stage, the AutoARIMA warm table, a
+    /// degraded cluster and the Jaccard similarity included, goes through
+    /// the checkpoint container and back unchanged, and the decoded stage
+    /// steps as the original does.
+    #[test]
+    fn snapshot_survives_the_checkpoint_container_for_every_model() {
+        use utilcast_timeseries::arima::{ArimaFitOptions, ArimaGrid, ArimaOrder};
+        use utilcast_timeseries::ets::EtsConfig;
+        use utilcast_timeseries::lstm::LstmConfig;
+        let models = [
+            ModelSpec::SampleAndHold,
+            ModelSpec::LongTermMean,
+            ModelSpec::Arima {
+                order: ArimaOrder::seasonal(1, 0, 1, 1, 0, 0, 4),
+                options: ArimaFitOptions::default(),
+            },
+            ModelSpec::AutoArima {
+                grid: ArimaGrid::quick(),
+                options: ArimaFitOptions::baseline(),
+            },
+            ModelSpec::Lstm(LstmConfig {
+                window: 3,
+                hidden: 2,
+                epochs: 1,
+                ..Default::default()
+            }),
+            ModelSpec::HoltWinters(EtsConfig {
+                period: 4,
+                ..Default::default()
+            }),
+        ];
+        for model in models {
+            let mut stage = ForecastStage::new(ForecastStageConfig {
+                model: model.clone(),
+                similarity: SimilarityMeasure::Jaccard,
+                warmup: 12,
+                compute: ComputeOptions {
+                    shards: 2,
+                    ..Default::default()
+                },
+                ..quick(6, 2)
+            })
+            .unwrap();
+            for t in 0..24 {
+                let wave = (t % 4) as f64 * 0.05;
+                stage
+                    .step(&[0.2, 0.22 + wave, 0.21, 0.7, 0.72 - wave, 0.71])
+                    .unwrap();
+            }
+            stage.degrade(1);
+            let snapshot = stage.snapshot();
+            let mut out = Writer::new();
+            snapshot.encode_into(&mut out);
+            let mut input = Reader::open(&out.seal()).unwrap();
+            let back = StageSnapshot::decode(&mut input).unwrap();
+            input.finish().unwrap();
+            assert_eq!(back, snapshot, "{model:?}");
+            let mut a = ForecastStage::restore(snapshot).unwrap();
+            let mut b = ForecastStage::restore(back).unwrap();
+            let z = [0.2, 0.2, 0.2, 0.7, 0.7, 0.7];
+            assert_eq!(a.step(&z).unwrap(), b.step(&z).unwrap(), "{model:?}");
+            assert_eq!(a.forecast(3).unwrap(), b.forecast(3).unwrap(), "{model:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,668 @@
+//! The checkpoint container: one versioned, checksummed block of
+//! little-endian words, carried as one base64 string.
+//!
+//! A checkpoint is a few dense columns — stored values, last-seen ticks,
+//! look-back values and labels, centroid histories, model weights — inside
+//! a few hundred structural values. Written as a JSON tree, every key,
+//! integer and decimal float costs a parse and a tree node; here the whole
+//! state is one byte block instead:
+//!
+//! ```text
+//! magic "UCCK" | version u32 | payload length u64 | checksum u64 | payload
+//! ```
+//!
+//! all little-endian. The payload is whatever each snapshot type writes
+//! through a [`Writer`] and reads back through a [`Reader`] (each crate
+//! encodes its own types, in the `encode_into` / `decode` idiom of the wire
+//! codecs): integers and `f64` bits as 8-byte words, flags and enum tags as
+//! single bytes, and every column behind its length — `f64` columns as raw
+//! IEEE-754 bits, label columns at the narrowest of 1, 2, 4 or 8 bytes
+//! that holds their maximum. Every field is always present; [`VERSION`]
+//! names the layout, and a reader takes only its own.
+//!
+//! The checksum is FNV-1a over the payload's little-endian 8-byte words
+//! (the last one zero-filled), in four interleaved lanes folded by one more
+//! FNV-1a pass. Each step `h = (h ^ w) · P` with odd `P` is a bijection of
+//! `h` for fixed `w` and of `w` for fixed `h`, so a change confined to one
+//! word always changes its lane and so the sum; wider changes are caught
+//! with probability 1 − 2⁻⁶⁴ at best. It guards against corruption, not
+//! against an adversary: it is not a MAC.
+//!
+//! [`Reader::open`] checks the base64, the magic, the version, the length
+//! and the checksum before any field is read, and every read after that is
+//! bounds-checked against the payload, so a decoder built on it is total:
+//! hostile text is a [`DeError`] naming the fault, never a panic, and every
+//! allocation is sized by the input's own length.
+
+use serde::DeError;
+
+use crate::packed::{decode_bytes, encode_bytes};
+
+/// The container's first four bytes.
+const MAGIC: [u8; 4] = *b"UCCK";
+
+/// The payload layout this build writes and reads. Any change to what any
+/// crate writes into a container bumps it; a checkpoint of another version
+/// is refused by [`Reader::open`].
+pub const VERSION: u32 = 1;
+
+/// Magic, version, payload length and checksum.
+const HEADER: usize = 24;
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// One FNV-1a step over a word.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a over the little-endian 8-byte words of `payload` (the last one
+/// zero-filled), in four interleaved lanes — word `i` feeds lane `i mod 4`,
+/// so the multiplications overlap instead of waiting on each other — folded
+/// into one sum by a last FNV-1a pass over the lanes.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fnv(*lane, u64::from_le_bytes(word(w)));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = fnv(*lane, u64::from_le_bytes(word(w)));
+    }
+    lanes.into_iter().fold(FNV_OFFSET, fnv)
+}
+
+/// The first `W` bytes of `bytes` as an array (zero-filled past its end).
+fn word<const W: usize>(bytes: &[u8]) -> [u8; W] {
+    let mut out = [0u8; W];
+    out.iter_mut().zip(bytes).for_each(|(o, b)| *o = *b);
+    out
+}
+
+/// The narrowest label width (1, 2, 4 or 8 bytes) whose range reaches
+/// `max`.
+fn width_for(max: u64) -> u8 {
+    if max <= u64::from(u8::MAX) {
+        1
+    } else if max <= u64::from(u16::MAX) {
+        2
+    } else if max <= u64::from(u32::MAX) {
+        4
+    } else {
+        8
+    }
+}
+
+/// Marks an optional label column too wide for an all-ones `None` word:
+/// each entry is a presence byte and an 8-byte word instead.
+const WIDE_OPTIONAL: u8 = 0;
+
+/// Builds a container's payload; [`Writer::seal`] frames it.
+#[derive(Debug)]
+pub struct Writer {
+    bytes: Vec<u8>,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        Writer::new()
+    }
+}
+
+impl Writer {
+    /// An empty payload behind room for the header.
+    pub fn new() -> Self {
+        let mut bytes = Vec::with_capacity(1 << 16);
+        bytes.resize(HEADER, 0);
+        Writer { bytes }
+    }
+
+    /// Appends a `u64` as one little-endian word.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a `usize` as one `u64` word.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    /// Appends an `f64`'s IEEE-754 bits.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Appends a flag as one byte.
+    pub fn bool(&mut self, v: bool) {
+        self.bytes.push(u8::from(v));
+    }
+
+    /// Appends an enum variant's tag as one byte.
+    pub fn tag(&mut self, tag: u8) {
+        self.bytes.push(tag);
+    }
+
+    /// Appends `column` behind its length, each value's bits as one word.
+    pub fn f64s(&mut self, column: &[f64]) {
+        self.usize(column.len());
+        self.put_words::<8>(column.iter().map(|v| v.to_bits()));
+    }
+
+    /// Appends `column` behind its length, one word per value.
+    pub fn u64s(&mut self, column: &[u64]) {
+        self.usize(column.len());
+        self.put_words::<8>(column.iter().copied());
+    }
+
+    /// Appends the low `W` bytes of each of `words`, little-endian.
+    fn put_words<const W: usize>(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        let start = self.bytes.len();
+        self.bytes
+            .resize(start.saturating_add(words.len().saturating_mul(W)), 0);
+        let slots = self.bytes.get_mut(start..).unwrap_or_default();
+        for (slot, w) in slots.chunks_exact_mut(W).zip(words) {
+            slot.copy_from_slice(&word::<W>(&w.to_le_bytes()));
+        }
+    }
+
+    /// Appends `words` behind their count and their width, at `width`
+    /// bytes each.
+    fn words(&mut self, words: impl ExactSizeIterator<Item = u64>, width: u8) {
+        self.usize(words.len());
+        self.tag(width);
+        match width {
+            1 => self.put_words::<1>(words),
+            2 => self.put_words::<2>(words),
+            4 => self.put_words::<4>(words),
+            _ => self.put_words::<8>(words),
+        }
+    }
+
+    /// Appends a label column at the narrowest width that holds its
+    /// maximum.
+    pub fn labels(&mut self, column: &[usize]) {
+        let max = column.iter().copied().max().unwrap_or(0) as u64;
+        self.words(column.iter().map(|&v| v as u64), width_for(max));
+    }
+
+    /// Appends an optional label column, `None` as the all-ones word of the
+    /// narrowest width whose all-ones word is above every value (a column
+    /// holding `Some(usize::MAX)` writes a presence byte per entry instead).
+    pub fn opt_labels(&mut self, column: &[Option<usize>]) {
+        let max = column.iter().flatten().map(|&v| v as u64).max();
+        let Some(width) = max.map_or(Some(1), |max| max.checked_add(1).map(width_for)) else {
+            self.usize(column.len());
+            self.tag(WIDE_OPTIONAL);
+            for v in column {
+                self.bool(v.is_some());
+                self.usize(v.unwrap_or(0));
+            }
+            return;
+        };
+        let none = u64::MAX >> (64 - 8 * u32::from(width));
+        self.words(column.iter().map(|v| v.map_or(none, |v| v as u64)), width);
+    }
+
+    /// Appends `items` behind their count, each as `each` writes it.
+    pub fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Writer, &T)) {
+        self.usize(items.len());
+        for item in items {
+            each(self, item);
+        }
+    }
+
+    /// Appends a presence flag and, when present, `item` as `each` writes
+    /// it.
+    pub fn option<T>(&mut self, item: Option<&T>, each: impl FnOnce(&mut Writer, &T)) {
+        self.bool(item.is_some());
+        if let Some(item) = item {
+            each(self, item);
+        }
+    }
+
+    /// Frames the payload — magic, [`VERSION`], length, checksum — and
+    /// returns the container as base64 text.
+    pub fn seal(mut self) -> String {
+        let payload = self.bytes.get(HEADER..).unwrap_or_default();
+        let header = [
+            MAGIC.as_slice(),
+            &VERSION.to_le_bytes(),
+            &(payload.len() as u64).to_le_bytes(),
+            &checksum(payload).to_le_bytes(),
+        ]
+        .concat();
+        self.bytes.iter_mut().zip(header).for_each(|(b, h)| *b = h);
+        let mut text = Vec::with_capacity(self.bytes.len().div_ceil(3).saturating_mul(4));
+        encode_bytes(&mut text, &self.bytes);
+        // The symbols are ASCII, so this never takes the fallback.
+        String::from_utf8(text).unwrap_or_default()
+    }
+}
+
+/// Reads a container's payload back, field by field, in the order it was
+/// written; every read is a [`DeError`] past the payload's end.
+#[derive(Debug)]
+pub struct Reader {
+    bytes: Vec<u8>,
+    pos: usize,
+}
+
+/// A container fault, named.
+fn fault(what: impl std::fmt::Display) -> DeError {
+    DeError::new(format!("checkpoint container: {what}"))
+}
+
+impl Reader {
+    /// Decodes the base64 `text` and checks the frame: the magic, that the
+    /// version is [`VERSION`], that the header's length is the payload's,
+    /// and the checksum — all before the first field is read.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] naming the first of these that fails.
+    pub fn open(text: &str) -> Result<Reader, DeError> {
+        let bytes = decode_bytes(text).map_err(fault)?;
+        let header: [u8; HEADER] = bytes
+            .get(..HEADER)
+            .and_then(|h| h.try_into().ok())
+            .ok_or_else(|| fault(format!("{} bytes is shorter than the header", bytes.len())))?;
+        let field = |at: usize| u64::from_le_bytes(word(header.get(at..).unwrap_or_default()));
+        if header.get(..4) != Some(MAGIC.as_slice()) {
+            return Err(fault("bad magic"));
+        }
+        let version = u32::from_le_bytes(word(header.get(4..).unwrap_or_default()));
+        if version != VERSION {
+            return Err(fault(format!(
+                "version {version}, this reader takes version {VERSION}"
+            )));
+        }
+        let payload = bytes.get(HEADER..).unwrap_or_default();
+        let length = field(8);
+        if length != payload.len() as u64 {
+            return Err(fault(format!(
+                "the header gives {length} payload bytes, the container holds {}",
+                payload.len()
+            )));
+        }
+        if field(16) != checksum(payload) {
+            return Err(fault("checksum mismatch"));
+        }
+        Ok(Reader { bytes, pos: HEADER })
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], DeError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len());
+        let Some(end) = end else {
+            return Err(fault(format!(
+                "payload ends {} bytes in, {n} more were expected",
+                self.pos.saturating_sub(HEADER)
+            )));
+        };
+        let taken = self.bytes.get(self.pos..end).unwrap_or_default();
+        self.pos = end;
+        Ok(taken)
+    }
+
+    /// The payload bytes not read yet.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    /// Reads a `u64` word.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end (as every read below).
+    pub fn u64(&mut self) -> Result<u64, DeError> {
+        self.take(8).map(|w| u64::from_le_bytes(word(w)))
+    }
+
+    /// Reads a `usize` from one `u64` word.
+    ///
+    /// # Errors
+    ///
+    /// Also a [`DeError`] when the word does not fit a `usize`.
+    pub fn usize(&mut self) -> Result<usize, DeError> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| fault(format!("{v} does not fit a usize")))
+    }
+
+    /// Reads an `f64` from its bits.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end.
+    pub fn f64(&mut self) -> Result<f64, DeError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Reads a flag byte.
+    ///
+    /// # Errors
+    ///
+    /// Also a [`DeError`] for a byte other than 0 or 1.
+    pub fn bool(&mut self) -> Result<bool, DeError> {
+        match self.tag()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(fault(format!("{other} is not a flag"))),
+        }
+    }
+
+    /// Reads an enum tag byte.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end.
+    pub fn tag(&mut self) -> Result<u8, DeError> {
+        self.take(1).map(|b| b.first().copied().unwrap_or(0))
+    }
+
+    /// The next `n` words of `W` bytes each.
+    fn take_words<const W: usize>(&mut self, n: usize) -> Result<&[u8], DeError> {
+        self.take(self.check_len(n, W)?.saturating_mul(W))
+    }
+
+    /// Reads a column written by [`Writer::f64s`].
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, DeError> {
+        let n = self.usize()?;
+        Ok(self
+            .take_words::<8>(n)?
+            .chunks_exact(8)
+            .map(|w| f64::from_le_bytes(word(w)))
+            .collect())
+    }
+
+    /// Reads a column written by [`Writer::u64s`].
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end.
+    pub fn u64s(&mut self) -> Result<Vec<u64>, DeError> {
+        let n = self.usize()?;
+        Ok(self
+            .take_words::<8>(n)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(word(w)))
+            .collect())
+    }
+
+    /// Reads `n` words of `width` bytes, handing each (as `u64`) and the
+    /// width's all-ones word to `each`.
+    fn words<T>(
+        &mut self,
+        n: usize,
+        width: u8,
+        each: impl Fn(u64, u64) -> Result<T, DeError>,
+    ) -> Result<Vec<T>, DeError> {
+        match width {
+            1 => self.words_of::<1, T>(n, each),
+            2 => self.words_of::<2, T>(n, each),
+            4 => self.words_of::<4, T>(n, each),
+            8 => self.words_of::<8, T>(n, each),
+            _ => Err(fault(format!("{width} is not a label width"))),
+        }
+    }
+
+    /// [`Reader::words`] at width `W`, stopping at the first error of
+    /// `each`.
+    fn words_of<const W: usize, T>(
+        &mut self,
+        n: usize,
+        each: impl Fn(u64, u64) -> Result<T, DeError>,
+    ) -> Result<Vec<T>, DeError> {
+        let none = u64::MAX >> (8 * (8 - W));
+        let words = self.take_words::<W>(n)?.chunks_exact(W);
+        let mut out = Vec::with_capacity(words.len());
+        for w in words {
+            out.push(each(u64::from_le_bytes(word(w)), none)?);
+        }
+        Ok(out)
+    }
+
+    /// Reads a column written by [`Writer::labels`].
+    ///
+    /// # Errors
+    ///
+    /// Also a [`DeError`] for a width other than 1, 2, 4 or 8 bytes.
+    pub fn labels(&mut self) -> Result<Vec<usize>, DeError> {
+        let n = self.usize()?;
+        let width = self.tag()?;
+        self.words(n, width, |w, _| label(w))
+    }
+
+    /// Reads a column written by [`Writer::opt_labels`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::labels`].
+    pub fn opt_labels(&mut self) -> Result<Vec<Option<usize>>, DeError> {
+        let n = self.usize()?;
+        let width = self.tag()?;
+        if width == WIDE_OPTIONAL {
+            let n = self.check_len(n, 9)?;
+            return (0..n)
+                .map(|_| {
+                    let present = self.bool()?;
+                    let v = self.usize()?;
+                    Ok(present.then_some(v))
+                })
+                .collect();
+        }
+        self.words(n, width, |w, none| {
+            if w == none {
+                Ok(None)
+            } else {
+                label(w).map(Some)
+            }
+        })
+    }
+
+    /// `n` if the rest of the payload can hold `n` entries of `each` bytes
+    /// (so no allocation outgrows the input).
+    fn check_len(&self, n: usize, each: usize) -> Result<usize, DeError> {
+        if n.checked_mul(each)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
+            return Err(fault(format!(
+                "a length of {n} overruns the {} payload bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads a sequence written by [`Writer::seq`], each item by `each`.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] past the payload's end, or the first error of `each`.
+    pub fn seq<T>(
+        &mut self,
+        mut each: impl FnMut(&mut Reader) -> Result<T, DeError>,
+    ) -> Result<Vec<T>, DeError> {
+        // Every item any writer appends takes at least one byte.
+        let n = self.usize()?;
+        let n = self.check_len(n, 1)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(each(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Reads an option written by [`Writer::option`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::bool`], or the error of `each`.
+    pub fn option<T>(
+        &mut self,
+        each: impl FnOnce(&mut Reader) -> Result<T, DeError>,
+    ) -> Result<Option<T>, DeError> {
+        if self.bool()? {
+            each(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] when payload bytes are left unread.
+    pub fn finish(self) -> Result<(), DeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(fault(format!("{left} payload bytes after the last field"))),
+        }
+    }
+}
+
+/// A decoded word as a label.
+fn label(word: u64) -> Result<usize, DeError> {
+    usize::try_from(word).map_err(|_| fault(format!("label {word} does not fit a usize")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> Writer {
+        let mut w = Writer::new();
+        w.u64(7);
+        w.f64(-0.0);
+        w.bool(true);
+        w.tag(3);
+        w.f64s(&[1.5, f64::from_bits(0x7FF8_DEAD_BEEF_0001)]);
+        w.u64s(&[u64::MAX, 0]);
+        w.labels(&[0, 300, 2]);
+        w.opt_labels(&[Some(4), None]);
+        w.opt_labels(&[Some(usize::MAX), None]);
+        w.seq(&[vec![0.25], vec![]], |w, row| w.f64s(row));
+        w.option(Some(&9usize), |w, v| w.usize(*v));
+        w.option(None::<&usize>, |w, v| w.usize(*v));
+        w
+    }
+
+    #[test]
+    fn every_field_round_trips_bitwise() {
+        let mut r = Reader::open(&sample().seal()).unwrap();
+        assert_eq!(r.u64().unwrap(), 7);
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(r.bool().unwrap());
+        assert_eq!(r.tag().unwrap(), 3);
+        let column = r.f64s().unwrap();
+        assert_eq!(column[0], 1.5);
+        assert_eq!(column[1].to_bits(), 0x7FF8_DEAD_BEEF_0001);
+        assert_eq!(r.u64s().unwrap(), [u64::MAX, 0]);
+        assert_eq!(r.labels().unwrap(), [0, 300, 2]);
+        assert_eq!(r.opt_labels().unwrap(), [Some(4), None]);
+        assert_eq!(r.opt_labels().unwrap(), [Some(usize::MAX), None]);
+        assert_eq!(r.seq(Reader::f64s).unwrap(), [vec![0.25], vec![]]);
+        assert_eq!(r.option(Reader::usize).unwrap(), Some(9));
+        assert_eq!(r.option(Reader::usize).unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn labels_take_the_narrowest_width() {
+        for (max, width) in [(255usize, 1usize), (256, 2), (70_000, 4), (1 << 40, 8)] {
+            let mut w = Writer::new();
+            w.labels(&[max, 0]);
+            assert_eq!(w.bytes.len(), HEADER + 9 + 2 * width, "{max}");
+            let mut r = Reader::open(&w.seal()).unwrap();
+            assert_eq!(r.labels().unwrap(), [max, 0]);
+        }
+    }
+
+    fn open_err(text: &str) -> String {
+        Reader::open(text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_bad_frame_is_named_before_any_field_is_read() {
+        let text = sample().seal();
+        let mut bytes = decode_bytes(&text).unwrap();
+        let reencode = |bytes: &[u8]| {
+            let mut out = Vec::new();
+            encode_bytes(&mut out, bytes);
+            String::from_utf8(out).unwrap()
+        };
+        assert!(open_err("AAAA").contains("shorter than the header"));
+        assert!(open_err("not base64!").contains("base64"));
+        let mut magic = bytes.clone();
+        magic[0] ^= 1;
+        assert!(open_err(&reencode(&magic)).contains("bad magic"));
+        let mut version = bytes.clone();
+        version[4] = 2;
+        assert!(open_err(&reencode(&version)).contains("version 2"));
+        let mut short = bytes.clone();
+        short.pop();
+        assert!(open_err(&reencode(&short)).contains("payload bytes"));
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x80;
+        assert!(open_err(&reencode(&bytes)).contains("checksum"));
+    }
+
+    #[test]
+    fn any_change_to_one_word_changes_the_checksum() {
+        let payload: Vec<u8> = (0..64u8).collect();
+        let sum = checksum(&payload);
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), sum, "byte {at} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn reads_past_the_payload_and_leftovers_are_errors() {
+        let mut w = Writer::new();
+        w.u64(1u64 << 40); // read back as a length, it overruns
+        w.tag(5); // not a flag, not a width
+        let text = w.seal();
+        let mut r = Reader::open(&text).unwrap();
+        assert!(r.f64s().unwrap_err().to_string().contains("overruns"));
+        let mut r = Reader::open(&text).unwrap();
+        assert!(r.seq(Reader::u64).is_err());
+        let mut r = Reader::open(&text).unwrap();
+        r.u64().unwrap();
+        assert!(r.bool().unwrap_err().to_string().contains("not a flag"));
+        let mut r = Reader::open(&text).unwrap();
+        r.u64().unwrap();
+        assert!(r
+            .finish()
+            .unwrap_err()
+            .to_string()
+            .contains("1 payload bytes"));
+        let mut r = Reader::open(&text).unwrap();
+        r.u64().unwrap();
+        r.tag().unwrap();
+        assert!(r.u64().unwrap_err().to_string().contains("payload ends"));
+        let mut w = Writer::new();
+        w.usize(2);
+        w.tag(3);
+        w.u64s(&[0, 0]);
+        let mut r = Reader::open(&w.seal()).unwrap();
+        assert!(r
+            .labels()
+            .unwrap_err()
+            .to_string()
+            .contains("not a label width"));
+    }
+}

@@ -7,7 +7,8 @@
 //! fitting, empirical CDFs for the paper's Fig. 1 experiment) is implemented
 //! here from scratch, with no external linear-algebra dependencies. Every
 //! crate that owns checkpoint state depends on it, so it also carries the
-//! [`packed`] column codecs those checkpoints write their dense vectors with.
+//! checkpoint [`container`] each of them writes its state into, and the
+//! [`packed`] column codecs of the JSON checkpoints written before it.
 //!
 //! # Example
 //!
@@ -27,6 +28,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod cholesky;
+pub mod container;
 mod error;
 pub mod kernels;
 mod matrix;

@@ -30,6 +30,33 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
+/// The checkpoint container's form: rows, columns, the row-major values.
+impl Matrix {
+    /// Writes the matrix into a checkpoint container.
+    pub fn encode_into(&self, out: &mut crate::container::Writer) {
+        out.usize(self.rows);
+        out.usize(self.cols);
+        out.f64s(&self.data);
+    }
+
+    /// Reads a matrix written by [`Matrix::encode_into`].
+    ///
+    /// # Errors
+    ///
+    /// [`serde::DeError`] when the payload ends early or the values do not
+    /// fill `rows x cols`.
+    pub fn decode(input: &mut crate::container::Reader) -> Result<Self, serde::DeError> {
+        let (rows, cols, data) = (input.usize()?, input.usize()?, input.f64s()?);
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::new(format!(
+                "matrix: {} values do not fill {rows} x {cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     ///

@@ -1,4 +1,5 @@
-//! Packed numeric columns for checkpoints.
+//! Packed numeric columns for JSON checkpoints, and the base64 codec the
+//! checkpoint [`container`](crate::container) travels in.
 //!
 //! Nearly all of a controller checkpoint is a few dense columns — the
 //! stored per-node values, their last-seen ticks, the look-back values and
@@ -32,62 +33,91 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-/// Marks a byte outside [`ALPHABET`] in [`SYMBOL_VALUES`].
-const NOT_A_SYMBOL: u8 = 0xFF;
+/// Marks a byte outside [`ALPHABET`] in [`DECODE`]: above every bit a
+/// 24-bit group uses, so one OR over any run of quads tells whether a byte
+/// in it was not a symbol.
+const INVALID: u32 = 1 << 24;
 
-/// The six-bit value of every base64 symbol, indexed by byte.
-const SYMBOL_VALUES: [u8; 256] = {
-    let mut table = [NOT_A_SYMBOL; 256];
+/// The decoder's tables, one per place in a quad: entry `s` of table `i`
+/// is symbol `s`'s six bits shifted to where the `i`-th symbol of a quad
+/// sits in its 24-bit group, or [`INVALID`].
+const DECODE: [[u32; 256]; 4] = {
+    let mut tables = [[INVALID; 256]; 4];
     let mut six = 0;
     while six < 64 {
-        table[ALPHABET[six] as usize] = six as u8;
+        let s = ALPHABET[six] as usize;
+        let mut place = 0;
+        while place < 4 {
+            tables[place][s] = (six as u32) << (18 - 6 * place);
+            place += 1;
+        }
         six += 1;
     }
-    table
+    tables
 };
 
-/// The base64 symbol of the low six bits of `bits`.
-fn symbol(bits: u8) -> u8 {
-    ALPHABET
-        .get(usize::from(bits & 63))
-        .copied()
-        .unwrap_or(b'A')
-}
+/// The encoder's table: the two base64 symbols of every 12-bit value.
+const SYMBOL_PAIRS: [[u8; 2]; 4096] = {
+    let mut pairs = [[0u8; 2]; 4096];
+    let mut twelve = 0;
+    while twelve < 4096 {
+        pairs[twelve] = [ALPHABET[twelve >> 6], ALPHABET[twelve & 63]];
+        twelve += 1;
+    }
+    pairs
+};
 
-/// The six-bit value of base64 symbol `s`, or [`NOT_A_SYMBOL`].
-fn symbol_value(s: u8) -> u8 {
-    SYMBOL_VALUES
-        .get(usize::from(s))
+/// The two symbols of the low twelve bits of `bits`.
+fn symbol_pair(bits: u32) -> [u8; 2] {
+    SYMBOL_PAIRS
+        .get((bits & 0xFFF) as usize)
         .copied()
-        .unwrap_or(NOT_A_SYMBOL)
+        .unwrap_or([b'A'; 2])
 }
 
 /// The four symbols of one whole 3-byte group.
 fn encode_group(a: u8, b: u8, c: u8) -> [u8; 4] {
-    [
-        symbol(a >> 2),
-        symbol(a << 4 | b >> 4),
-        symbol(b << 2 | c >> 6),
-        symbol(c),
-    ]
+    let group = u32::from_be_bytes([0, a, b, c]);
+    let ([s0, s1], [s2, s3]) = (symbol_pair(group >> 12), symbol_pair(group));
+    [s0, s1, s2, s3]
 }
 
 /// Appends the base64 text of `bytes`, padding a final partial group.
-fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    let mut groups = bytes.chunks_exact(3);
-    for group in &mut groups {
-        if let [a, b, c] = *group {
-            out.extend_from_slice(&encode_group(a, b, c));
+/// Whole runs go six bytes — four 12-bit table lookups, eight symbols — at
+/// a time.
+pub(crate) fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    let start = out.len();
+    let mut sixes = bytes.chunks_exact(6);
+    let mut groups = sixes.remainder().chunks_exact(3);
+    let symbols = (sixes.len() * 2 + groups.len()) * 4;
+    out.resize(start + symbols, 0);
+    let mut octets = out.get_mut(start..).unwrap_or_default().chunks_exact_mut(8);
+    for (six, octet) in (&mut sixes).zip(&mut octets) {
+        if let [a, b, c, d, e, f] = *six {
+            let (high, low) = (
+                u32::from_be_bytes([0, a, b, c]),
+                u32::from_be_bytes([0, d, e, f]),
+            );
+            let ([s0, s1], [s2, s3]) = (symbol_pair(high >> 12), symbol_pair(high));
+            let ([s4, s5], [s6, s7]) = (symbol_pair(low >> 12), symbol_pair(low));
+            octet.copy_from_slice(&[s0, s1, s2, s3, s4, s5, s6, s7]);
         }
     }
+    // At most one whole 3-byte group is left, and room for its four symbols.
+    if let Some(&[a, b, c]) = groups.next() {
+        octets
+            .into_remainder()
+            .copy_from_slice(&encode_group(a, b, c));
+    }
     match *groups.remainder() {
-        [a] => out.extend_from_slice(&[symbol(a >> 2), symbol(a << 4), b'=', b'=']),
-        [a, b] => out.extend_from_slice(&[
-            symbol(a >> 2),
-            symbol(a << 4 | b >> 4),
-            symbol(b << 2),
-            b'=',
-        ]),
+        [a] => {
+            let [s0, s1] = symbol_pair(u32::from(a) << 4);
+            out.extend_from_slice(&[s0, s1, b'=', b'=']);
+        }
+        [a, b] => {
+            let [s0, s1, s2, _] = encode_group(a, b, 0);
+            out.extend_from_slice(&[s0, s1, s2, b'=']);
+        }
         _ => {}
     }
 }
@@ -129,10 +159,15 @@ fn encode_column<T, const W: usize>(
     String::from_utf8(out).unwrap_or_default()
 }
 
+/// Symbol `s`'s entry in the decoding table of one place in a quad.
+fn decoded(table: &[u32; 256], s: u8) -> u32 {
+    table.get(usize::from(s)).copied().unwrap_or(INVALID)
+}
+
 /// Decodes padded base64 `text`, rejecting any other alphabet, a length
 /// that is not a multiple of four, padding anywhere but at the end, and
 /// non-zero bits in a padded group.
-fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
+pub(crate) fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
     let symbols = text.as_bytes();
     if !symbols.len().is_multiple_of(4) {
         return Err(DeError::new(format!(
@@ -140,50 +175,61 @@ fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
             symbols.len()
         )));
     }
+    let [first, second, third, fourth] = &DECODE;
     let not_a_symbol = || {
         let bad = symbols
             .iter()
-            .find(|&&s| s != b'=' && symbol_value(s) == NOT_A_SYMBOL)
+            .find(|&&s| s != b'=' && decoded(first, s) == INVALID)
             .map_or(b'=', |&s| s);
         DeError::new(format!(
             "packed column: `{}` is not a base64 symbol here",
             char::from(bad).escape_default()
         ))
     };
-    let mut out = Vec::with_capacity(symbols.len() / 4 * 3);
-    let mut quads = symbols.chunks_exact(4);
-    let last = quads.next_back();
-    // Every symbol value is below 64, so one OR over the whole body tells
+    let group = |quad: [u8; 4]| {
+        let [a, b, c, d] = quad;
+        decoded(first, a) | decoded(second, b) | decoded(third, c) | decoded(fourth, d)
+    };
+    // The last quad may be padded; the body goes eight symbols to six
+    // bytes at a time.
+    let (body, last) = symbols.split_at(symbols.len().saturating_sub(4));
+    let mut octets = body.chunks_exact(8);
+    let mut out = vec![0u8; body.len() / 4 * 3];
+    let mut sixes = out.chunks_exact_mut(6);
+    // The body's groups OR into one word, so a single test afterwards tells
     // whether any byte was outside the alphabet.
-    let mut seen = 0u8;
-    for quad in quads {
-        if let [a, b, c, d] = *quad {
-            let (a, b, c, d) = (
-                symbol_value(a),
-                symbol_value(b),
-                symbol_value(c),
-                symbol_value(d),
-            );
-            seen |= a | b | c | d;
-            out.extend_from_slice(&[a << 2 | b >> 4, b << 4 | c >> 2, c << 6 | d]);
+    let mut seen = 0u32;
+    for (octet, six) in (&mut octets).zip(&mut sixes) {
+        if let [a, b, c, d, e, f, g, h] = *octet {
+            let (high, low) = (group([a, b, c, d]), group([e, f, g, h]));
+            seen |= high | low;
+            let ([_, s0, s1, s2], [_, s3, s4, s5]) = (high.to_be_bytes(), low.to_be_bytes());
+            six.copy_from_slice(&[s0, s1, s2, s3, s4, s5]);
         }
     }
-    let (last, keep) = match last {
-        Some(&[a, b, b'=', b'=']) => ([a, b, b'A', b'A'], 1),
-        Some(&[a, b, c, b'=']) => ([a, b, c, b'A'], 2),
-        Some(&[a, b, c, d]) => ([a, b, c, d], 3),
+    if let Some(&[a, b, c, d]) = octets.remainder().get(..4) {
+        let g = group([a, b, c, d]);
+        seen |= g;
+        let [_, x, y, z] = g.to_be_bytes();
+        sixes.into_remainder().copy_from_slice(&[x, y, z]);
+    }
+    let (last, keep) = match *last {
+        [a, b, b'=', b'='] => ([a, b, b'A', b'A'], 1),
+        [a, b, c, b'='] => ([a, b, c, b'A'], 2),
+        [a, b, c, d] => ([a, b, c, d], 3),
         _ => ([b'A'; 4], 0),
     };
-    let [a, b, c, d] = last.map(symbol_value);
-    if seen | a | b | c | d >= 64 {
+    let g = group(last);
+    if (seen | g) & INVALID != 0 {
         return Err(not_a_symbol());
     }
-    let group = [a << 2 | b >> 4, b << 4 | c >> 2, c << 6 | d];
+    let [_, x, y, z] = g.to_be_bytes();
+    let tail = [x, y, z];
     // The bits under the padding must be zero, so a column has one text.
-    if group.iter().skip(keep).any(|&byte| byte != 0) {
+    if tail.iter().skip(keep).any(|&byte| byte != 0) {
         return Err(DeError::new("packed column: bad base64 padding"));
     }
-    out.extend(group.into_iter().take(keep));
+    out.extend(tail.into_iter().take(keep));
     Ok(out)
 }
 

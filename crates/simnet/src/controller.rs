@@ -13,13 +13,14 @@
 //! lets the threaded driver's per-shard frames and the fault driver's
 //! reordered deliveries reproduce the reference driver bit for bit.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use utilcast_core::central::CentralNode;
 use utilcast_core::compute::ComputeOptions;
 use utilcast_core::metrics::AgeOfInformation;
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
 use utilcast_core::CoreError;
+use utilcast_linalg::container::{Reader, Writer};
 
 use crate::transport::ReportFrame;
 use crate::SimError;
@@ -72,6 +73,39 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
+    fn encode_into(&self, out: &mut Writer) {
+        for v in [
+            self.num_nodes,
+            self.k,
+            self.m,
+            self.m_prime,
+            self.warmup,
+            self.retrain_every,
+        ] {
+            out.usize(v);
+        }
+        self.model.encode_into(out);
+        out.u64(self.seed);
+        out.f64(self.value_bounds.0);
+        out.f64(self.value_bounds.1);
+        self.compute.encode_into(out);
+    }
+
+    fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ControllerConfig {
+            num_nodes: input.usize()?,
+            k: input.usize()?,
+            m: input.usize()?,
+            m_prime: input.usize()?,
+            warmup: input.usize()?,
+            retrain_every: input.usize()?,
+            model: ModelSpec::decode(input)?,
+            seed: input.u64()?,
+            value_bounds: (input.f64()?, input.f64()?),
+            compute: ComputeOptions::decode(input)?,
+        })
+    }
+
     /// The configuration of the engine's forecast stage, once the admission
     /// bound [`Controller::new`] documents holds (the stage checks the rest).
     fn stage_config(&self) -> Result<ForecastStageConfig, SimError> {
@@ -179,7 +213,10 @@ struct Tally {
 /// Per-source frame-sequence dedup state: the next sequence number not
 /// yet admitted plus the sorted set of admitted numbers ahead of it
 /// (frames can arrive out of order, so admission is not contiguous).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// `u64::MAX` is never admitted, so `next` can always step past every
+/// number the set holds.
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 struct SourceDedup {
     /// Lowest sequence number not yet admitted from this source.
     next: u64,
@@ -188,10 +225,46 @@ struct SourceDedup {
 }
 
 impl SourceDedup {
+    /// Checks a decoded dedup state against what [`SourceDedup::admit`]
+    /// maintains — `seen_ahead` strictly increasing, above `next` and below
+    /// `u64::MAX`, and a `next` that can still advance — since `admit`
+    /// binary-searches the set and steps `next` through it.
+    fn validate(&self, source: usize) -> Result<(), SimError> {
+        let (next, seen) = (self.next, &self.seen_ahead);
+        let out_of_order = seen.windows(2).find_map(|pair| match *pair {
+            [a, b] if a >= b => Some((a, b)),
+            _ => None,
+        });
+        let fault = if next == u64::MAX {
+            Some(format!("next = {next} cannot advance"))
+        } else if let Some((a, b)) = out_of_order {
+            Some(if a == b {
+                format!("seen_ahead holds {a} twice")
+            } else {
+                format!("seen_ahead is not sorted ({a} before {b})")
+            })
+        } else if let Some(first) = seen.first().filter(|&&first| first <= next) {
+            Some(format!("seen_ahead holds {first}, not above next = {next}"))
+        } else if seen.last() == Some(&u64::MAX) {
+            Some(format!(
+                "seen_ahead holds {}, which is never admitted",
+                u64::MAX
+            ))
+        } else {
+            None
+        };
+        match fault {
+            Some(fault) => Err(SimError::InvalidConfig {
+                reason: format!("snapshot frame_seen[{source}]: {fault}"),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Admits a sequence number exactly once: `true` the first time it is
-    /// seen, `false` for every redelivery.
+    /// seen, `false` for every redelivery (and for `u64::MAX`).
     fn admit(&mut self, seq: u64) -> bool {
-        if seq < self.next {
+        if seq < self.next || seq == u64::MAX {
             return false;
         }
         match self.seen_ahead.binary_search(&seq) {
@@ -213,12 +286,19 @@ impl SourceDedup {
 /// fitted models, retrain counters), and the ingress-validation
 /// bookkeeping. Produced by [`Controller::snapshot`], consumed by
 /// [`Controller::restore`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It serializes as one checkpoint container
+/// ([`utilcast_linalg::container`]: magic, version, length, checksum and a
+/// binary payload) in a single base64 JSON string. It deserializes from
+/// that string — a bad magic, version, length, base64 or checksum is a
+/// [`DeError`] naming the fault, raised before any state is built — or
+/// from the JSON map every checkpoint was before the container, packed
+/// columns or plain arrays.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerSnapshot {
     /// The controller configuration.
     pub config: ControllerConfig,
     /// The stored (possibly stale) per-node values.
-    #[serde(with = "utilcast_linalg::packed::f64s")]
     pub stored: Vec<f64>,
     /// Ticks processed.
     pub ticks: usize,
@@ -237,10 +317,120 @@ pub struct ControllerSnapshot {
     /// Stored-node steps masked by the staleness limit so far.
     pub masked_node_steps: u64,
     /// Newest accepted report timestamp per node.
-    #[serde(with = "utilcast_linalg::packed::opt_labels")]
     pub last_seen: Vec<Option<usize>>,
     /// The forecast-stage checkpoint.
     pub stage: StageSnapshot,
+}
+
+impl ControllerSnapshot {
+    /// The checkpoint container's text.
+    fn encode(&self) -> String {
+        let mut out = Writer::new();
+        self.config.encode_into(&mut out);
+        out.f64s(&self.stored);
+        out.usize(self.ticks);
+        for v in [
+            self.quarantined,
+            self.duplicates,
+            self.duplicate_frames,
+            self.frames_admitted,
+        ] {
+            out.u64(v);
+        }
+        out.seq(&self.frame_seen, |out, dedup| {
+            out.u64(dedup.next);
+            out.u64s(&dedup.seen_ahead);
+        });
+        self.age.encode_into(&mut out);
+        out.u64(self.masked_node_steps);
+        out.opt_labels(&self.last_seen);
+        self.stage.encode_into(&mut out);
+        out.seal()
+    }
+
+    /// Reads a checkpoint container written by [`ControllerSnapshot::encode`].
+    fn decode(text: &str) -> Result<Self, DeError> {
+        let mut input = Reader::open(text)?;
+        let snapshot = ControllerSnapshot {
+            config: ControllerConfig::decode(&mut input)?,
+            stored: input.f64s()?,
+            ticks: input.usize()?,
+            quarantined: input.u64()?,
+            duplicates: input.u64()?,
+            duplicate_frames: input.u64()?,
+            frames_admitted: input.u64()?,
+            frame_seen: input.seq(|input| {
+                Ok(SourceDedup {
+                    next: input.u64()?,
+                    seen_ahead: input.u64s()?,
+                })
+            })?,
+            age: AgeOfInformation::decode(&mut input)?,
+            masked_node_steps: input.u64()?,
+            last_seen: input.opt_labels()?,
+            stage: StageSnapshot::decode(&mut input)?,
+        };
+        input.finish()?;
+        Ok(snapshot)
+    }
+}
+
+impl Serialize for ControllerSnapshot {
+    fn to_value(&self) -> Value {
+        Value::String(self.encode())
+    }
+}
+
+impl Deserialize for ControllerSnapshot {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::String(text) => ControllerSnapshot::decode(text),
+            Value::Map(_) => LegacySnapshot::from_value(v).map(ControllerSnapshot::from),
+            other => Err(DeError::expected("checkpoint container or JSON map", other)),
+        }
+    }
+}
+
+/// The JSON-map checkpoint of the derived codec, read so that checkpoints
+/// written before the container restore: packed columns, or the plain
+/// arrays of earlier checkpoints. (Tests also write it, to hand-edit
+/// one field of a checkpoint.)
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
+struct LegacySnapshot {
+    config: ControllerConfig,
+    #[serde(with = "utilcast_linalg::packed::f64s")]
+    stored: Vec<f64>,
+    ticks: usize,
+    quarantined: u64,
+    duplicates: u64,
+    duplicate_frames: u64,
+    frames_admitted: u64,
+    frame_seen: Vec<SourceDedup>,
+    age: AgeOfInformation,
+    masked_node_steps: u64,
+    #[serde(with = "utilcast_linalg::packed::opt_labels")]
+    last_seen: Vec<Option<usize>>,
+    stage: StageSnapshot,
+}
+
+impl From<LegacySnapshot> for ControllerSnapshot {
+    fn from(s: LegacySnapshot) -> Self {
+        ControllerSnapshot {
+            config: s.config,
+            stored: s.stored,
+            ticks: s.ticks,
+            quarantined: s.quarantined,
+            duplicates: s.duplicates,
+            duplicate_frames: s.duplicate_frames,
+            frames_admitted: s.frames_admitted,
+            frame_seen: s.frame_seen,
+            age: s.age,
+            masked_node_steps: s.masked_node_steps,
+            last_seen: s.last_seen,
+            stage: s.stage,
+        }
+    }
 }
 
 /// The central node (scalar, single-resource form): wire admission around
@@ -498,13 +688,19 @@ impl Controller {
     ///
     /// Returns [`SimError::InvalidConfig`] when the embedded value bounds
     /// are invalid, the embedded configuration disagrees with the forecast
-    /// stage's, the snapshot's per-node vectors do not match it, or it
+    /// stage's, the snapshot's per-node vectors do not match it, it
     /// stores a value admission could not have (non-finite or outside
-    /// [`ControllerConfig::value_bounds`], other than the initial zero), and
+    /// [`ControllerConfig::value_bounds`], other than the initial zero), or
+    /// a source's frame dedup state is one admission could not have built
+    /// (an unsorted, repeated or not-ahead `seen_ahead` entry, or a
+    /// sequence number at `u64::MAX`), and
     /// [`SimError::Core`] when the forecast stage rejects its part of the
     /// checkpoint, its configuration included (see [`ForecastStage::restore`]).
     pub fn restore(snapshot: ControllerSnapshot) -> Result<Self, SimError> {
         let expected = snapshot.config.stage_config()?;
+        for (source, dedup) in snapshot.frame_seen.iter().enumerate() {
+            dedup.validate(source)?;
+        }
         // Admission stores only in-bounds values over the initial zeros; a
         // decoded store holding anything else would reach the clustering
         // as a value no report could have put there.
@@ -643,6 +839,27 @@ mod tests {
             frame.push_scalar(node, v);
         }
         frame
+    }
+
+    /// `snapshot` as the legacy JSON-map checkpoint, which a test can
+    /// hand-edit one field of.
+    fn legacy_json(snapshot: &ControllerSnapshot) -> String {
+        let s = snapshot.clone();
+        serde_json::to_string(&LegacySnapshot {
+            config: s.config,
+            stored: s.stored,
+            ticks: s.ticks,
+            quarantined: s.quarantined,
+            duplicates: s.duplicates,
+            duplicate_frames: s.duplicate_frames,
+            frames_admitted: s.frames_admitted,
+            frame_seen: s.frame_seen,
+            age: s.age,
+            masked_node_steps: s.masked_node_steps,
+            last_seen: s.last_seen,
+            stage: s.stage,
+        })
+        .unwrap()
     }
 
     fn quick_config(n: usize, k: usize) -> ControllerConfig {
@@ -928,9 +1145,90 @@ mod tests {
         }
         let snapshot = c.snapshot();
         let json = serde_json::to_string(&snapshot).unwrap();
+        assert!(json.starts_with('"'), "the container is one JSON string");
         let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snapshot, back);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let legacy: ControllerSnapshot = serde_json::from_str(&legacy_json(&snapshot)).unwrap();
+        assert_eq!(legacy, snapshot);
         assert!(Controller::restore(back).is_ok());
+    }
+
+    /// A fresh controller's checkpoint whose source 1 carries `next` and
+    /// `seen_ahead`, restored from both checkpoint forms.
+    fn restore_with_dedup(next: u64, seen_ahead: Vec<u64>) -> [Result<Controller, SimError>; 2] {
+        let mut snapshot = Controller::new(quick_config(2, 1)).unwrap().snapshot();
+        snapshot.frame_seen = vec![SourceDedup::default(), SourceDedup { next, seen_ahead }];
+        let container = serde_json::to_string(&snapshot).unwrap();
+        [container, legacy_json(&snapshot)]
+            .map(|text| Controller::restore(serde_json::from_str(&text).unwrap()))
+    }
+
+    fn assert_dedup_refused(next: u64, seen_ahead: Vec<u64>, fault: &str) {
+        let forms = ["container", "legacy"];
+        for (form, result) in forms.iter().zip(restore_with_dedup(next, seen_ahead)) {
+            match result {
+                Err(SimError::InvalidConfig { reason }) => assert!(
+                    reason.contains("frame_seen[1]") && reason.contains(fault),
+                    "{form}: {reason}"
+                ),
+                other => panic!(
+                    "{form}: expected InvalidConfig, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+    }
+
+    /// Feeds source 1's frame `seq` (tick `t`) and says whether it was
+    /// admitted.
+    fn admits(c: &mut Controller, t: usize, seq: u64) -> bool {
+        let mut f = frame(t, &[(0, 0.5)]);
+        f.set_source(1);
+        f.set_seq(seq);
+        let before = c.frames_admitted();
+        c.tick_frames(&[f]).unwrap();
+        c.frames_admitted() > before
+    }
+
+    #[test]
+    fn restore_refuses_an_unsorted_dedup_set() {
+        // Restored as-is, [5, 3] let seq 4 compact `next` to 5 past the 3
+        // and then admitted seq 5 a second time.
+        assert_dedup_refused(1, vec![5, 3], "not sorted (5 before 3)");
+        for restored in restore_with_dedup(1, vec![3, 5]) {
+            let mut c = restored.unwrap();
+            assert!(admits(&mut c, 0, 4));
+            assert!(!admits(&mut c, 1, 5), "5 was admitted before the cut");
+            assert!(admits(&mut c, 2, 1));
+            assert!(!admits(&mut c, 3, 4));
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_repeated_dedup_entry() {
+        assert_dedup_refused(1, vec![3, 3, 7], "holds 3 twice");
+    }
+
+    #[test]
+    fn restore_refuses_a_dedup_entry_not_ahead_of_next() {
+        assert_dedup_refused(4, vec![4, 6], "holds 4, not above next = 4");
+        assert_dedup_refused(4, vec![2], "holds 2, not above next = 4");
+    }
+
+    #[test]
+    fn restore_refuses_a_dedup_state_that_cannot_advance() {
+        // `next += 1` overflowed on the next admission: a panic in debug
+        // builds, a wrap to 0 (re-admitting everything) in release.
+        assert_dedup_refused(u64::MAX, Vec::new(), "cannot advance");
+        assert_dedup_refused(3, vec![u64::MAX], "never admitted");
+        // Admission never records u64::MAX, so a live controller never
+        // builds either state.
+        let mut c = Controller::new(quick_config(2, 1)).unwrap();
+        assert!(!admits(&mut c, 0, u64::MAX));
+        assert!(admits(&mut c, 1, u64::MAX - 1));
+        assert_eq!(c.duplicate_frames(), 1);
+        assert!(Controller::restore(c.snapshot()).is_ok());
     }
 
     #[test]
@@ -993,7 +1291,7 @@ mod tests {
                 .collect::<Vec<_>>();
             c.tick_frames(&[frame(t, &entries)]).unwrap();
         }
-        let json = serde_json::to_string(&c.snapshot()).unwrap();
+        let json = legacy_json(&c.snapshot());
         let key = "\"assignments\":\"";
         let at = json.find(key).unwrap() + key.len() - 1;
         let end = at + 1 + json[at + 1..].find('"').unwrap();
@@ -1036,7 +1334,7 @@ mod tests {
                 .collect::<Vec<_>>();
             c.tick_frames(&[frame(t, &entries)]).unwrap();
         }
-        let json = serde_json::to_string(&c.snapshot()).unwrap();
+        let json = legacy_json(&c.snapshot());
         let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
         assert!(Controller::restore(back).is_ok());
         // Only a cluster model nests its config under "config"; the

@@ -13,7 +13,7 @@
 //! ([`Meter::record_frame`]), and the controller validates it entry by
 //! entry through the borrowed [`FrameEntry`] view ([`ReportFrame::iter`]).
 
-use serde::{Deserialize, Serialize};
+use serde::{get_field, DeError, Deserialize, Serialize, Value};
 
 /// Modelled header bytes per report (node id + timestamp + framing).
 pub const HEADER_BYTES: u64 = 16;
@@ -35,7 +35,7 @@ pub struct FrameEntry<'a> {
 /// per entry), so a report costs no allocation of its own. The buffers are
 /// recycled across ticks via [`ReportFrame::reset`], so the steady state
 /// allocates nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReportFrame {
     t: usize,
     width: usize,
@@ -49,6 +49,36 @@ pub struct ReportFrame {
     /// Index of the sending shard (the delivery plane's retransmission
     /// and ack state is per source).
     source: usize,
+}
+
+/// A decoded frame is outside input, so it is checked against what
+/// [`ReportFrame::push`] keeps — a positive width and `width` values per
+/// node id — before [`ReportFrame::iter`] chunks its payload by the width.
+impl Deserialize for ReportFrame {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| DeError::expected("struct ReportFrame", v))?;
+        let frame = ReportFrame {
+            t: usize::from_value(get_field(entries, "t"))?,
+            width: usize::from_value(get_field(entries, "width"))?,
+            nodes: Vec::from_value(get_field(entries, "nodes"))?,
+            values: Vec::from_value(get_field(entries, "values"))?,
+            seq: Option::from_value(get_field(entries, "seq"))?,
+            source: usize::from_value(get_field(entries, "source"))?,
+        };
+        if frame.width == 0
+            || frame.nodes.len().checked_mul(frame.width) != Some(frame.values.len())
+        {
+            return Err(DeError::new(format!(
+                "report frame: {} values for {} nodes at width {}",
+                frame.values.len(),
+                frame.nodes.len(),
+                frame.width
+            )));
+        }
+        Ok(frame)
+    }
 }
 
 impl ReportFrame {

@@ -11,7 +11,8 @@
 //! expanded into a single combined AR/MA recursion, so forecasting is one
 //! linear recurrence regardless of the seasonal structure.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 use utilcast_linalg::optimize::{nelder_mead, NelderMeadOptions};
 use utilcast_linalg::stats::mean;
 
@@ -42,6 +43,26 @@ pub struct ArimaOrder {
 }
 
 impl ArimaOrder {
+    /// Writes the order into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        for v in [self.p, self.d, self.q, self.sp, self.sd, self.sq, self.s] {
+            out.usize(v);
+        }
+    }
+
+    /// Reads an order written by [`ArimaOrder::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ArimaOrder {
+            p: input.usize()?,
+            d: input.usize()?,
+            q: input.usize()?,
+            sp: input.usize()?,
+            sd: input.usize()?,
+            sq: input.usize()?,
+            s: input.usize()?,
+        })
+    }
+
     /// Creates a non-seasonal ARIMA(p,d,q) order.
     pub fn new(p: usize, d: usize, q: usize) -> Self {
         ArimaOrder {
@@ -134,6 +155,30 @@ pub struct FittedArima {
 }
 
 impl FittedArima {
+    /// Writes the coefficients into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        for column in [&self.phi, &self.theta, &self.sphi, &self.stheta] {
+            out.f64s(column);
+        }
+        for v in [self.mu, self.sigma2, self.css, self.aicc] {
+            out.f64(v);
+        }
+    }
+
+    /// Reads coefficients written by [`FittedArima::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(FittedArima {
+            phi: input.f64s()?,
+            theta: input.f64s()?,
+            sphi: input.f64s()?,
+            stheta: input.f64s()?,
+            mu: input.f64()?,
+            sigma2: input.f64()?,
+            css: input.f64()?,
+            aicc: input.f64()?,
+        })
+    }
+
     /// The coefficients as the optimizer's flat vector `(φ, θ, Φ, Θ, μ)` —
     /// the warm hint a later fit of the same order starts from.
     fn params(&self) -> Vec<f64> {
@@ -183,6 +228,24 @@ impl Default for ArimaFitOptions {
 }
 
 impl ArimaFitOptions {
+    /// Writes the options into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.usize(self.max_evals);
+        out.f64(self.coef_bound);
+        out.usize(self.warm_max_evals);
+        out.f64(self.prune_margin);
+    }
+
+    /// Reads options written by [`ArimaFitOptions::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ArimaFitOptions {
+            max_evals: input.usize()?,
+            coef_bound: input.f64()?,
+            warm_max_evals: input.usize()?,
+            prune_margin: input.f64()?,
+        })
+    }
+
     /// The seed-exact configuration: full evaluation budget for warm fits
     /// and no grid pruning. `auto_arima` under these options reproduces the
     /// original exhaustive search bit for bit.
@@ -222,6 +285,22 @@ pub struct Arima {
 }
 
 impl Arima {
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.order.encode_into(out);
+        self.options.encode_into(out);
+        out.option(self.fitted.as_ref(), |out, f| f.encode_into(out));
+    }
+
+    /// Reads a model written by [`Arima::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(Arima {
+            order: ArimaOrder::decode(input)?,
+            options: ArimaFitOptions::decode(input)?,
+            fitted: input.option(FittedArima::decode)?,
+        })
+    }
+
     /// Creates an unfitted model of the given order with default fit
     /// options.
     pub fn new(order: ArimaOrder) -> Self {
@@ -934,6 +1013,27 @@ pub struct ArimaGrid {
 }
 
 impl ArimaGrid {
+    /// Writes the grid into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        for column in [&self.p, &self.d, &self.q, &self.sp, &self.sd, &self.sq] {
+            out.labels(column);
+        }
+        out.usize(self.s);
+    }
+
+    /// Reads a grid written by [`ArimaGrid::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(ArimaGrid {
+            p: input.labels()?,
+            d: input.labels()?,
+            q: input.labels()?,
+            sp: input.labels()?,
+            sd: input.labels()?,
+            sq: input.labels()?,
+            s: input.usize()?,
+        })
+    }
+
     /// The paper's full grid (Sec. VI-A3): `p ∈ [0,5]`, `d ∈ [0,2]`,
     /// `q ∈ [0,5]`, `P ∈ [0,2]`, `D ∈ [0,1]`, `Q ∈ [0,2]` with seasonal
     /// period `s`. 1944 candidate orders — expensive; prefer
@@ -1006,6 +1106,25 @@ pub struct ArimaWarmStart {
 }
 
 impl ArimaWarmStart {
+    /// Writes the table into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.seq(&self.entries, |out, e| {
+            e.order.encode_into(out);
+            out.f64s(&e.x);
+        });
+    }
+
+    /// Reads a table written by [`ArimaWarmStart::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        let entries = input.seq(|input| {
+            Ok(WarmEntry {
+                order: ArimaOrder::decode(input)?,
+                x: input.f64s()?,
+            })
+        })?;
+        Ok(ArimaWarmStart { entries })
+    }
+
     /// The retained solution for `order`, if any.
     // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
     // dimensions validated at the public boundary and restated by
@@ -1229,6 +1348,24 @@ pub struct AutoArima {
 }
 
 impl AutoArima {
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.grid.encode_into(out);
+        self.options.encode_into(out);
+        out.option(self.inner.as_ref(), |out, m| m.encode_into(out));
+        self.warm.encode_into(out);
+    }
+
+    /// Reads a model written by [`AutoArima::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(AutoArima {
+            grid: ArimaGrid::decode(input)?,
+            options: ArimaFitOptions::decode(input)?,
+            inner: input.option(Arima::decode)?,
+            warm: ArimaWarmStart::decode(input)?,
+        })
+    }
+
     /// Creates an auto-selecting ARIMA forecaster.
     pub fn new(grid: ArimaGrid, options: ArimaFitOptions) -> Self {
         AutoArima {

@@ -9,7 +9,8 @@
 //!   the standard deviation of the data, which the paper plots as the error
 //!   upper bound of any mechanism using only long-term statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 
 use crate::{Forecaster, TimeSeriesError};
 
@@ -31,6 +32,18 @@ pub struct SampleAndHold {
 }
 
 impl SampleAndHold {
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.bool(self.fitted);
+    }
+
+    /// Reads a model written by [`SampleAndHold::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(SampleAndHold {
+            fitted: input.bool()?,
+        })
+    }
+
     /// Creates a sample-and-hold forecaster.
     pub fn new() -> Self {
         SampleAndHold { fitted: false }
@@ -68,6 +81,18 @@ pub struct LongTermMean {
 }
 
 impl LongTermMean {
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.option(self.mean.as_ref(), |out, &mean| out.f64(mean));
+    }
+
+    /// Reads a model written by [`LongTermMean::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(LongTermMean {
+            mean: input.option(Reader::f64)?,
+        })
+    }
+
     /// Creates a long-term-mean forecaster.
     pub fn new() -> Self {
         LongTermMean { mean: None }

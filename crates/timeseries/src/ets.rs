@@ -8,7 +8,8 @@
 //! seasonal component. Used by the bench ablations and available as a
 //! [`crate::Forecaster`] for the pipeline.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 
 use crate::{Forecaster, TimeSeriesError};
 
@@ -41,6 +42,26 @@ impl Default for EtsConfig {
 }
 
 impl EtsConfig {
+    /// Writes the configuration into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.f64(self.alpha);
+        out.f64(self.beta);
+        out.f64(self.gamma);
+        out.usize(self.period);
+        out.f64(self.damping);
+    }
+
+    /// Reads a configuration written by [`EtsConfig::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(EtsConfig {
+            alpha: input.f64()?,
+            beta: input.f64()?,
+            gamma: input.f64()?,
+            period: input.usize()?,
+            damping: input.f64()?,
+        })
+    }
+
     /// A daily-seasonal configuration for 5-minute sampling (period 288).
     pub fn daily() -> Self {
         EtsConfig {
@@ -109,6 +130,34 @@ pub struct HoltWinters {
 }
 
 impl HoltWinters {
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.config.encode_into(out);
+        out.option(self.state.as_ref(), |out, s| {
+            out.f64(s.level);
+            out.f64(s.trend);
+            out.f64s(&s.seasonal);
+            out.usize(s.phase);
+            out.f64(s.mse);
+        });
+    }
+
+    /// Reads a model written by [`HoltWinters::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(HoltWinters {
+            config: EtsConfig::decode(input)?,
+            state: input.option(|input| {
+                Ok(EtsState {
+                    level: input.f64()?,
+                    trend: input.f64()?,
+                    seasonal: input.f64s()?,
+                    phase: input.usize()?,
+                    mse: input.f64()?,
+                })
+            })?,
+        })
+    }
+
     /// Creates an unfitted model.
     pub fn new(config: EtsConfig) -> Self {
         HoltWinters {

@@ -6,7 +6,8 @@
 //! every new measurement. [`RetrainingForecaster`] packages that protocol
 //! around any [`Forecaster`].
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 
 use crate::{Forecaster, TimeSeriesError};
 
@@ -24,6 +25,22 @@ pub struct RetrainPolicy {
 }
 
 impl RetrainPolicy {
+    /// Writes the policy into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        out.usize(self.warmup);
+        out.usize(self.retrain_every);
+        out.option(self.max_train_window.as_ref(), |out, &w| out.usize(w));
+    }
+
+    /// Reads a policy written by [`RetrainPolicy::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(RetrainPolicy {
+            warmup: input.usize()?,
+            retrain_every: input.usize()?,
+            max_train_window: input.option(Reader::usize)?,
+        })
+    }
+
     /// The paper's protocol: warmup 1000 steps, retrain every 288.
     pub fn paper() -> Self {
         RetrainPolicy {
@@ -56,6 +73,28 @@ pub struct RetrainState {
     pub since_train: usize,
     /// Number of completed (re)trainings.
     pub retrain_count: usize,
+}
+
+impl RetrainState {
+    /// Writes the state into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.policy.encode_into(out);
+        out.f64s(&self.history);
+        out.bool(self.trained);
+        out.usize(self.since_train);
+        out.usize(self.retrain_count);
+    }
+
+    /// Reads a state written by [`RetrainState::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(RetrainState {
+            policy: RetrainPolicy::decode(input)?,
+            history: input.f64s()?,
+            trained: input.bool()?,
+            since_train: input.usize()?,
+            retrain_count: input.usize()?,
+        })
+    }
 }
 
 /// Wraps a [`Forecaster`] with the warmup/retrain lifecycle and an owned

@@ -39,7 +39,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
+use utilcast_linalg::container::{Reader, Writer};
 use utilcast_linalg::kernels::{gemv_acc, gemv_t_acc, lstm_gate_fuse, rank1_acc, sigmoid, tanh};
 use utilcast_linalg::rng::normal;
 
@@ -68,6 +69,31 @@ pub struct LstmConfig {
     pub grad_clip: f64,
     /// RNG seed for weight initialization and sample shuffling.
     pub seed: u64,
+}
+
+impl LstmConfig {
+    /// Writes the hyperparameters into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        for v in [self.window, self.hidden, self.layers, self.epochs] {
+            out.usize(v);
+        }
+        out.f64(self.learning_rate);
+        out.f64(self.grad_clip);
+        out.u64(self.seed);
+    }
+
+    /// Reads hyperparameters written by [`LstmConfig::encode_into`].
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(LstmConfig {
+            window: input.usize()?,
+            hidden: input.usize()?,
+            layers: input.usize()?,
+            epochs: input.usize()?,
+            learning_rate: input.f64()?,
+            grad_clip: input.f64()?,
+            seed: input.u64()?,
+        })
+    }
 }
 
 impl Default for LstmConfig {
@@ -459,6 +485,37 @@ struct LstmState {
 }
 
 impl LstmState {
+    fn encode_into(&self, out: &mut Writer) {
+        out.seq(&self.layers, |out, layer| {
+            out.usize(layer.input);
+            out.usize(layer.hidden);
+            out.f64s(&layer.params);
+        });
+        out.f64s(&self.head_w);
+        for v in [self.head_b, self.lo, self.hi, self.train_mse] {
+            out.f64(v);
+        }
+        out.usize(self.trained_len);
+    }
+
+    fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Ok(LstmState {
+            layers: input.seq(|input| {
+                Ok(LstmLayer {
+                    input: input.usize()?,
+                    hidden: input.usize()?,
+                    params: input.f64s()?,
+                })
+            })?,
+            head_w: input.f64s()?,
+            head_b: input.f64()?,
+            lo: input.f64()?,
+            hi: input.f64()?,
+            train_mse: input.f64()?,
+            trained_len: input.usize()?,
+        })
+    }
+
     /// The shape every state [`Lstm::fit`] builds under `config`: `layers`
     /// layers of `hidden` units, a scalar input to the first, each layer fed
     /// the hidden state of the one below, `[wx | wh | b]` parameters to
@@ -518,33 +575,51 @@ pub struct Lstm {
     state: Option<LstmState>,
 }
 
-/// A fitted model read back from a checkpoint is checked before the kernels
-/// index by it, since a checkpoint is outside input: its config must pass
-/// [`Lstm::fit`]'s validation (the forecast slides a `window`-long slice)
-/// and its state must have the shape `fit` builds under that config. An
-/// unfitted model decodes as written, as [`Lstm::new`] takes any config
-/// and `fit` validates it.
 impl Deserialize for Lstm {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
         let entries = v
             .as_map()
-            .ok_or_else(|| serde::DeError::expected("struct Lstm", v))?;
-        let lstm = Lstm {
+            .ok_or_else(|| DeError::expected("struct Lstm", v))?;
+        Lstm {
             config: LstmConfig::from_value(serde::get_field(entries, "config"))?,
             state: Option::<LstmState>::from_value(serde::get_field(entries, "state"))?,
-        };
-        if let Some(state) = &lstm.state {
-            lstm.validate()
-                .map_err(|e| serde::DeError::new(format!("lstm config: {e}")))?;
-            state
-                .check_shape(&lstm.config)
-                .map_err(serde::DeError::new)?;
         }
-        Ok(lstm)
+        .checked()
     }
 }
 
 impl Lstm {
+    /// A fitted model read back from a checkpoint is checked before the
+    /// kernels index by it, since a checkpoint is outside input: its config
+    /// must pass [`Lstm::fit`]'s validation (the forecast slides a
+    /// `window`-long slice) and its state must have the shape `fit` builds
+    /// under that config. An unfitted model decodes as written, as
+    /// [`Lstm::new`] takes any config and `fit` validates it.
+    fn checked(self) -> Result<Self, DeError> {
+        if let Some(state) = &self.state {
+            self.validate()
+                .map_err(|e| DeError::new(format!("lstm config: {e}")))?;
+            state.check_shape(&self.config).map_err(DeError::new)?;
+        }
+        Ok(self)
+    }
+
+    /// Writes the model into a checkpoint container.
+    pub fn encode_into(&self, out: &mut Writer) {
+        self.config.encode_into(out);
+        out.option(self.state.as_ref(), |out, s| s.encode_into(out));
+    }
+
+    /// Reads a model written by [`Lstm::encode_into`], holding a fitted
+    /// state to its config as the JSON reader does.
+    pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
+        Lstm {
+            config: LstmConfig::decode(input)?,
+            state: input.option(LstmState::decode)?,
+        }
+        .checked()
+    }
+
     /// Creates an unfitted model with the given hyperparameters.
     pub fn new(config: LstmConfig) -> Self {
         Lstm {
@@ -1276,6 +1351,23 @@ mod tests {
             back.forecast(&[0.5; 40], 2),
             Err(TimeSeriesError::NotFitted)
         );
+        // The checkpoint container's reader holds a model to the same checks.
+        let through_container = |m: &Lstm| {
+            let mut out = Writer::new();
+            m.encode_into(&mut out);
+            Lstm::decode(&mut Reader::open(&out.seal()).unwrap())
+        };
+        assert_eq!(through_container(&m).unwrap(), m);
+        let mut bad = m.clone();
+        bad.config.window = 0;
+        let err = through_container(&bad).unwrap_err().to_string();
+        assert!(err.contains("lstm config"), "{err}");
+        bad.config = LstmConfig {
+            hidden: tiny_config().hidden + 1,
+            ..tiny_config()
+        };
+        let err = through_container(&bad).unwrap_err().to_string();
+        assert!(err.contains("lstm layer 0"), "{err}");
     }
 
     #[test]

@@ -64,6 +64,14 @@ cargo test --release -q -p utilcast-timeseries --lib lstm::
 echo "==> cargo test --release -q --test lstm_golden --test lstm_refit"
 cargo test --release -q --test lstm_golden --test lstm_refit
 
+# The checkpoint codec suite once more, optimised: the table-driven base64
+# codec and the container's word loops and checksum lanes vectorise under
+# -O, so the bitwise round trips, the legacy fixtures and the hostile-input
+# properties (truncations, bit flips and symbol swaps of both checkpoint
+# forms and of a report frame) are held under release codegen too.
+echo "==> cargo test --release -q --test checkpoint_codec"
+cargo test --release -q --test checkpoint_codec
+
 # The Eq. 12 resolve contract under optimised codegen: the differential
 # suite holds the table kernel (stateless and reusing its term cache across
 # refreshes) and the diagonal interval widths to the oracle's bits, and a

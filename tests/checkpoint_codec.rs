@@ -1,18 +1,30 @@
 //! Tier-1 view of the checkpoint codec: `ControllerSnapshot` through the
-//! vendored `serde_json` with its dense columns packed
-//! (`utilcast_linalg::packed`).
+//! vendored `serde_json` as one checkpoint container
+//! (`utilcast_linalg::container`: magic, version, length, checksum and a
+//! binary payload in one base64 string), and through the reader of the
+//! JSON-map form every checkpoint took before it.
 //!
 //! * A checkpoint written as plain JSON arrays before the columns were
 //!   packed — and before the kernel/mode matrix was retired
 //!   (`crates/simnet/tests/fixtures/checkpoint_pr18.json`) — restores into
 //!   the state of an uninterrupted controller and replays 30 ticks bit for
-//!   bit; it decodes to the same snapshot as its own packed re-encoding.
+//!   bit; it decodes to the same snapshot as its packed-column re-encoding
+//!   (`tests/fixtures/checkpoint_packed_columns.json`, written by the packed
+//!   JSON codec) and as its container.
 //! * A seeded ARIMA controller cut mid-run, between its first fits and a
 //!   warm refit, replays like the run that never stopped, and its
 //!   checkpoint re-serializes to identical bytes.
-//! * The reader is total over hostile input: a small checkpoint truncated
-//!   at every byte, and under seeded byte flips, ends in a typed error or
-//!   in a controller that ticks and serves its table — never a panic.
+//! * The legacy reader is total over hostile input: two small packed-JSON
+//!   checkpoints (`tests/fixtures/checkpoint_hostile_{arima,lstm}.json`)
+//!   truncated at every byte, and under seeded bit flips and base64-symbol
+//!   swaps, end in a typed error or in a controller that ticks and serves
+//!   its table — never a panic.
+//! * The container refuses every such input outright: truncations, bit
+//!   flips and symbol swaps of the same controllers' containers are all
+//!   decode errors, so none restores.
+//! * The wire frame's JSON decoder is total too: a `ReportFrame` truncated
+//!   at every byte or under seeded bit flips is a decode error or a frame
+//!   the controller admits or quarantines entry by entry.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -24,6 +36,8 @@ use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 use utilcast::timeseries::lstm::LstmConfig;
 
 const FIXTURE: &str = include_str!("../crates/simnet/tests/fixtures/checkpoint_pr18.json");
+/// The fixture re-encoded by the packed-column JSON codec.
+const FIXTURE_PACKED: &str = include_str!("fixtures/checkpoint_packed_columns.json");
 const FIXTURE_NODES: usize = 24;
 /// Ticks the fixture's controller had processed when it was written.
 const FIXTURE_CUT: usize = 20;
@@ -130,12 +144,14 @@ fn legacy_checkpoint_restores_and_replays_bitwise() {
     assert_eq!(restored.snapshot(), uninterrupted.snapshot());
 }
 
-/// The legacy and the packed form of one controller's checkpoint decode to
-/// equal snapshots, and the packed form is the smaller.
+/// The plain-array and the packed-column form of one controller's
+/// checkpoint decode to equal snapshots, the packed form being the smaller,
+/// and so does the container it is written as now, which re-serializes to
+/// identical bytes.
 #[test]
 fn legacy_and_packed_forms_decode_to_equal_snapshots() {
     let legacy: ControllerSnapshot = serde_json::from_str(FIXTURE).unwrap();
-    let packed = serde_json::to_string(&legacy).unwrap();
+    let packed = FIXTURE_PACKED;
     for column in [
         "\"stored\":\"",
         "\"last_seen\":\"u8:",
@@ -143,10 +159,14 @@ fn legacy_and_packed_forms_decode_to_equal_snapshots() {
     ] {
         assert!(packed.contains(column), "{column} is not packed");
     }
-    let back: ControllerSnapshot = serde_json::from_str(&packed).unwrap();
+    let back: ControllerSnapshot = serde_json::from_str(packed).unwrap();
     assert_eq!(back, legacy);
-    assert_eq!(serde_json::to_string(&back).unwrap(), packed);
     assert!(packed.len() < FIXTURE.len());
+    let container = serde_json::to_string(&back).unwrap();
+    assert!(!container.contains('{'), "the container is one JSON string");
+    let again: ControllerSnapshot = serde_json::from_str(&container).unwrap();
+    assert_eq!(again, legacy);
+    assert_eq!(serde_json::to_string(&again).unwrap(), container);
 }
 
 const ARIMA_NODES: usize = 12;
@@ -240,9 +260,41 @@ fn fuzz_frame(t: usize) -> ReportFrame {
     frame
 }
 
-/// A small controller's packed checkpoint, cut after its first fits: an
-/// ARIMA one, and an LSTM one whose weights are packed columns too.
-fn fuzz_checkpoint(model: ModelSpec) -> Vec<u8> {
+/// The hostile-input models: an ARIMA one, and an LSTM one whose weights
+/// are columns too.
+fn fuzz_models() -> [(&'static str, ModelSpec); 2] {
+    [
+        (
+            "arima",
+            ModelSpec::Arima {
+                order: ArimaOrder::new(1, 0, 1),
+                options: ArimaFitOptions::default(),
+            },
+        ),
+        (
+            "lstm",
+            ModelSpec::Lstm(LstmConfig {
+                window: 4,
+                hidden: 3,
+                epochs: 1,
+                seed: 3,
+                ..Default::default()
+            }),
+        ),
+    ]
+}
+
+/// The packed-JSON checkpoint of each [`fuzz_models`] controller, as the
+/// codec before the container wrote it.
+fn legacy_fuzz_checkpoint(name: &str) -> &'static [u8] {
+    match name {
+        "arima" => include_bytes!("fixtures/checkpoint_hostile_arima.json"),
+        _ => include_bytes!("fixtures/checkpoint_hostile_lstm.json"),
+    }
+}
+
+/// A small controller cut after its first fits.
+fn fuzz_controller(model: ModelSpec) -> Controller {
     let mut c = Controller::new(ControllerConfig {
         num_nodes: FUZZ_NODES,
         k: 3,
@@ -256,7 +308,7 @@ fn fuzz_checkpoint(model: ModelSpec) -> Vec<u8> {
     for t in 0..FUZZ_CUT {
         c.tick_frames(&[fuzz_frame(t)]).unwrap();
     }
-    serde_json::to_vec(&c.snapshot()).unwrap()
+    c
 }
 
 /// Parse → restore → one tick → the forecast table. `Ok` or a typed error
@@ -281,34 +333,16 @@ fn next(state: &mut u64) -> u64 {
 }
 
 /// Truncation at every byte, seeded bit flips (1–3 per input) and seeded
-/// base64-symbol swaps over each small checkpoint. A failure lists the
-/// inputs that panicked by model, cut and seed.
+/// base64-symbol swaps over each small packed-JSON checkpoint, through the
+/// legacy reader. A failure lists the inputs that panicked by model, cut
+/// and seed.
 #[test]
 fn hostile_checkpoints_end_in_a_typed_error_or_ok_never_a_panic() {
     const SYMBOLS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
-    let models = [
-        (
-            "arima",
-            ModelSpec::Arima {
-                order: ArimaOrder::new(1, 0, 1),
-                options: ArimaFitOptions::default(),
-            },
-        ),
-        (
-            "lstm",
-            ModelSpec::Lstm(LstmConfig {
-                window: 4,
-                hidden: 3,
-                epochs: 1,
-                seed: 3,
-                ..Default::default()
-            }),
-        ),
-    ];
     let next_frame = fuzz_frame(FUZZ_CUT);
     let mut panics = Vec::new();
-    for (name, model) in models {
-        let original = fuzz_checkpoint(model);
+    for (name, _) in fuzz_models() {
+        let original = legacy_fuzz_checkpoint(name).to_vec();
         assert!(original.len() < 16_000, "{name}: {} bytes", original.len());
         assert_eq!(feed(&original, &next_frame), Ok(()), "{name}");
         let mut outcomes = [0usize; 2];
@@ -349,4 +383,150 @@ fn hostile_checkpoints_end_in_a_typed_error_or_ok_never_a_panic() {
         assert!(ok >= 200, "{name}: only {ok} hostile checkpoints restored");
     }
     assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
+}
+
+/// The container twin of the hostile-checkpoint suite, over the same two
+/// controllers (whose containers decode to the snapshots their legacy
+/// fixtures do): truncation at every byte, every single-bit flip of the
+/// header's symbols and of the padded tail, seeded bit flips (1–3 per
+/// input) anywhere, and seeded swaps of one base64 symbol for another. The base64
+/// carriage admits one text per byte string, and the checksum catches any
+/// change inside one 8-byte word of the payload, so every input must fail
+/// to decode — none may reach `Controller::restore`, none may panic.
+#[test]
+fn hostile_containers_are_refused_before_restore() {
+    const SYMBOLS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let decodes = |bytes: &[u8]| serde_json::from_slice::<ControllerSnapshot>(bytes).is_ok();
+    let mut failures = Vec::new();
+    for (name, model) in fuzz_models() {
+        let live = fuzz_controller(model).snapshot();
+        let legacy: ControllerSnapshot =
+            serde_json::from_slice(legacy_fuzz_checkpoint(name)).unwrap();
+        assert_eq!(legacy, live, "{name}: the fixture is this controller's");
+        let original = serde_json::to_vec(&live).unwrap();
+        assert!(decodes(&original), "{name}");
+        let mut inputs = 0usize;
+        let mut run = |what: String, bytes: &[u8]| {
+            inputs += 1;
+            match catch_unwind(AssertUnwindSafe(|| decodes(bytes))) {
+                Ok(false) => {}
+                Ok(true) => failures.push(format!("{name}: {what} decoded")),
+                Err(_) => failures.push(format!("{name}: {what} panicked")),
+            }
+        };
+        for cut in 0..original.len() {
+            run(format!("truncated at byte {cut}"), &original[..cut]);
+        }
+        // Every bit of the header's symbols and of the (padded) tail.
+        let ends = (0..48).chain(original.len() - 16..original.len());
+        for (at, bit) in ends.flat_map(|at| (0..8).map(move |bit| (at, bit))) {
+            let mut bytes = original.clone();
+            bytes[at] ^= 1 << bit;
+            run(format!("flip of bit {bit} at byte {at}"), &bytes);
+        }
+        for seed in 0..1_000u64 {
+            let mut state = seed;
+            let mut bytes = original.clone();
+            for _ in 0..1 + next(&mut state) % 3 {
+                let at = (next(&mut state) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (next(&mut state) % 8);
+            }
+            if bytes != original {
+                run(format!("flip seed {seed}"), &bytes);
+            }
+        }
+        // Inside the quotes, every byte is a base64 symbol or padding.
+        let symbols = 1..original.len() - 1;
+        for seed in 0..1_000u64 {
+            let mut state = seed ^ 0x5EED;
+            let mut bytes = original.clone();
+            let at = symbols.start + (next(&mut state) % symbols.len() as u64) as usize;
+            let offset = 1 + next(&mut state) % (SYMBOLS.len() as u64 - 1);
+            if let Some(i) = SYMBOLS.iter().position(|&s| s == bytes[at]) {
+                bytes[at] = SYMBOLS[(i + offset as usize) % SYMBOLS.len()];
+                run(format!("swap seed {seed}"), &bytes);
+            }
+        }
+        assert!(inputs > original.len() + 1_900, "{name}: {inputs} inputs");
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failures: {failures:?}",
+        failures.len()
+    );
+}
+
+/// Truncation at every byte, every single-bit flip and seeded bit flips
+/// (1–3 per input) over a sequence-numbered `ReportFrame`'s JSON form. Each input is a decode
+/// error, or a frame a fresh controller takes without panicking: admitted
+/// with every entry applied, quarantined or dropped as stale, or dropped
+/// whole as a redelivery.
+#[test]
+fn hostile_report_frames_end_in_a_decode_error_or_a_counted_tick() {
+    const NODES: usize = 6;
+    let mut frame = ReportFrame::new(1);
+    frame.reset(7);
+    for node in 0..NODES {
+        frame.push_scalar(node, 0.125 * node as f64);
+    }
+    frame.set_source(2);
+    frame.set_seq(41);
+    let original = serde_json::to_vec(&frame).unwrap();
+    let tick = |bytes: &[u8]| -> Result<(), String> {
+        let Ok(frame) = serde_json::from_slice::<ReportFrame>(bytes) else {
+            return Ok(());
+        };
+        let mut c = Controller::new(ControllerConfig {
+            num_nodes: NODES,
+            k: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        let r = c
+            .tick_frames(std::slice::from_ref(&frame))
+            .map_err(|e| e.to_string())?;
+        let counted = r.reports_applied + r.quarantined + r.duplicates;
+        let whole = c.frames_admitted() + c.duplicate_frames();
+        match (c.frames_admitted(), frame.seq().is_some()) {
+            (1, true) | (0, false) if counted == frame.len() => Ok(()),
+            (0, true) if counted == 0 && whole == 1 => Ok(()),
+            _ => Err(format!(
+                "{r:?} for {} entries, seq {:?}",
+                frame.len(),
+                frame.seq()
+            )),
+        }
+    };
+    assert_eq!(tick(&original), Ok(()));
+    let mut failures = Vec::new();
+    let mut run = |what: String, bytes: &[u8]| match catch_unwind(AssertUnwindSafe(|| tick(bytes)))
+    {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => failures.push(format!("{what}: {e}")),
+        Err(_) => failures.push(format!("{what} panicked")),
+    };
+    for cut in 0..original.len() {
+        run(format!("truncated at byte {cut}"), &original[..cut]);
+    }
+    for at in 0..original.len() {
+        for bit in 0..8 {
+            let mut bytes = original.clone();
+            bytes[at] ^= 1 << bit;
+            run(format!("flip of bit {bit} at byte {at}"), &bytes);
+        }
+    }
+    for seed in 0..4_000u64 {
+        let mut state = seed ^ 0xF7A3;
+        let mut bytes = original.clone();
+        for _ in 0..1 + next(&mut state) % 3 {
+            let at = (next(&mut state) % bytes.len() as u64) as usize;
+            bytes[at] ^= 1 << (next(&mut state) % 8);
+        }
+        run(format!("flip seed {seed}"), &bytes);
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failures: {failures:?}",
+        failures.len()
+    );
 }

@@ -15,7 +15,10 @@
 //!   forecasts, interval half-widths), the stored values and
 //!   `transmission_frequency`, folded into FNV-1a hashes per run.
 //! * The FNV-1a hash of a `simnet::Controller` checkpoint cut mid-run with
-//!   staleness masking on: the serialized text, byte for byte.
+//!   staleness masking on: the serialized text, byte for byte — the
+//!   packed-JSON text it was written as before the checkpoint container
+//!   (kept as a fixture that must decode to the live snapshot), and the
+//!   container it is written as now.
 //!
 //! `staleness_age_limit_reaches_both_pipelines` shows the limit the
 //! pipelines accept in `ComputeOptions` is honoured by them too: off, a run
@@ -32,7 +35,7 @@ use utilcast::core::multi::{MultiPipeline, MultiPipelineConfig, MultiStepReport}
 use utilcast::core::pipeline::{ModelSpec, Pipeline, PipelineConfig, StepReport, TransmissionMode};
 use utilcast::core::stage::StageReport;
 use utilcast::core::table::ForecastTable;
-use utilcast::simnet::controller::{Controller, ControllerConfig};
+use utilcast::simnet::controller::{Controller, ControllerConfig, ControllerSnapshot};
 use utilcast::simnet::transport::ReportFrame;
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 
@@ -322,10 +325,16 @@ fn summary<'a>(steps: impl Iterator<Item = (&'a [bool], bool)>) -> String {
     format!("sent={sent} retrained={retrained:?}")
 }
 
+/// The packed-JSON checkpoint [`checkpoint_lines`]' controller was written
+/// as before the checkpoint container; its line still pins those bytes.
+const PACKED_CHECKPOINT: &str = include_str!("fixtures/checkpoint_pipeline_golden.json");
+
 /// A controller cut mid-run, between its first fits and the staggered
 /// refits, with nodes silent for four ticks at a time — past the staleness
-/// limit of 2, so the checkpoint carries masked steps and ages.
-fn checkpoint_line() -> String {
+/// limit of 2, so the checkpoint carries masked steps and ages. The first
+/// line pins its packed-JSON checkpoint (a fixture, which must decode to
+/// the live controller's snapshot), the second its container.
+fn checkpoint_lines() -> [String; 2] {
     let trace = fleet(1);
     let mut controller = Controller::new(ControllerConfig {
         num_nodes: NODES,
@@ -356,16 +365,25 @@ fn checkpoint_line() -> String {
         controller.serve_query_probes(3).expect("probes");
     }
     assert!(controller.masked_node_steps() > 0, "masking must be on");
-    let text = serde_json::to_string(&controller.snapshot()).expect("checkpoint");
-    let mut h = Fnv::new();
-    h.bytes(text.as_bytes());
-    format!(
-        "bytes={} masked_node_steps={} peak_age={} fnv={:016x}",
-        text.len(),
-        controller.masked_node_steps(),
-        controller.age().peak(),
-        h.0
-    )
+    let packed: ControllerSnapshot =
+        serde_json::from_str(PACKED_CHECKPOINT).expect("the fixture decodes");
+    assert_eq!(
+        packed,
+        controller.snapshot(),
+        "fixture and live state differ"
+    );
+    let container = serde_json::to_string(&controller.snapshot()).expect("checkpoint");
+    [PACKED_CHECKPOINT, &container].map(|text| {
+        let mut h = Fnv::new();
+        h.bytes(text.as_bytes());
+        format!(
+            "bytes={} masked_node_steps={} peak_age={} fnv={:016x}",
+            text.len(),
+            controller.masked_node_steps(),
+            controller.age().peak(),
+            h.0
+        )
+    })
 }
 
 fn render() -> String {
@@ -400,7 +418,9 @@ fn render() -> String {
         let line = run_multi(multi_config(d, limit(0)), &fleet(d)).1;
         out.push_str(&format!("multi d={d}: {line}\n"));
     }
-    out.push_str(&format!("checkpoint: {}\n", checkpoint_line()));
+    let [packed, container] = checkpoint_lines();
+    out.push_str(&format!("checkpoint: {packed}\n"));
+    out.push_str(&format!("checkpoint container: {container}\n"));
     out
 }
 
@@ -414,6 +434,7 @@ multi d=1: sent=316 retrained=[19, 31, 43] frequency=3fd18e38e38e38e4 steps=2257
 multi d=2: sent=316 retrained=[19, 31, 43] frequency=3fd18e38e38e38e4 steps=349c02aac3e1dae6 stored=56c80f008685fabc forecast=82ff134ebc5b7a5c table=03527e774831d199 counters=d3f7ec18a0f85725\n\
 multi d=3: sent=317 retrained=[19, 31, 43] frequency=3fd19c71c71c71c7 steps=b1cfe91d67a36352 stored=b410336fa95c9420 forecast=c0c36646d56b0f78 table=087bb567211f502c counters=b0f1ebd9faa17125\n\
 checkpoint: bytes=6940 masked_node_steps=104 peak_age=4 fnv=4c5c149f9444b654\n\
+checkpoint container: bytes=5614 masked_node_steps=104 peak_age=4 fnv=a0982152afbbc5c3\n\
 ";
 
 fn golden_line(name: &str) -> &'static str {
