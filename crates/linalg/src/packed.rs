@@ -194,7 +194,9 @@ pub(crate) fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
     // bytes at a time.
     let (body, last) = symbols.split_at(symbols.len().saturating_sub(4));
     let mut octets = body.chunks_exact(8);
-    let mut out = vec![0u8; body.len() / 4 * 3];
+    // Room for the last quad's bytes too, so they never regrow the buffer.
+    let mut out = Vec::with_capacity(body.len() / 4 * 3 + 3);
+    out.resize(body.len() / 4 * 3, 0);
     let mut sixes = out.chunks_exact_mut(6);
     // The body's groups OR into one word, so a single test afterwards tells
     // whether any byte was outside the alphabet.
@@ -504,6 +506,18 @@ mod tests {
             bits(&f64s::from_value(&f64s::to_value(&[nan])).unwrap()),
             [nan.to_bits()]
         );
+    }
+
+    #[test]
+    fn a_padded_tail_never_regrows_the_decoded_buffer() {
+        for n in [3usize, 4, 5, 3000, 3001, 3002] {
+            let bytes: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let mut text = Vec::new();
+            encode_bytes(&mut text, &bytes);
+            let decoded = decode_bytes(std::str::from_utf8(&text).unwrap()).unwrap();
+            assert_eq!(decoded, bytes);
+            assert!(decoded.capacity() <= n + 3, "{n}: {}", decoded.capacity());
+        }
     }
 
     #[test]
