@@ -2,8 +2,6 @@
 //! scan of [`super::oracle`], compared by `f64::to_bits` (NaN for NaN) on
 //! points and centroids that include NaN and ±∞.
 
-#![cfg(test)]
-
 use proptest::prelude::*;
 
 use super::oracle;

@@ -4,8 +4,6 @@
 //! compare the production path against. Test support only: nothing here is
 //! reachable from a non-test build, and no option selects it.
 
-#![cfg(test)]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -77,6 +77,8 @@ pub struct FileUnit {
 /// Aggregate counters printed by the CLI alongside the diagnostics.
 #[derive(Debug, Default, Clone)]
 pub struct AnalysisStats {
+    /// Files analyzed (test-only files excluded).
+    pub files: usize,
     /// Items attempted / parsed (the coverage gate).
     pub items_total: usize,
     /// Items parsed successfully.
@@ -174,14 +176,39 @@ impl FnNode {
 /// Analyzes in-memory sources: token tier, parse coverage, graph passes,
 /// and the shared suppression protocol. `lint_repo` feeds it the library
 /// crates; fixture tests feed it synthetic files.
+///
+/// A file that a `#[cfg(test)] mod x;` declaration brings in is test
+/// code and is skipped, together with its submodule directory; labels
+/// are `/`-separated paths, as `lint_repo` renders them.
 pub fn analyze_sources(sources: Vec<(String, String)>, config: &AnalysisConfig) -> AnalysisReport {
     let mut report = AnalysisReport::default();
     let mut units: Vec<FileUnit> = Vec::new();
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-    for (label, src) in sources {
-        let lexed = lexer::lex(&src);
-        let parsed = parser::parse_file(&lexed);
+    let files: Vec<(String, Lexed, ParsedFile)> = sources
+        .into_iter()
+        .map(|(label, src)| {
+            let lexed = lexer::lex(&src);
+            let parsed = parser::parse_file(&lexed);
+            (label, lexed, parsed)
+        })
+        .collect();
+    let mut test_mods: Vec<String> = Vec::new();
+    for (label, lexed, parsed) in &files {
+        test_file_mods(
+            &parsed.items,
+            &lexed.tokens,
+            &module_dir(label),
+            &mut test_mods,
+        );
+    }
+    for (label, lexed, parsed) in files {
+        if test_mods
+            .iter()
+            .any(|m| label == format!("{m}.rs") || label.starts_with(&format!("{m}/")))
+        {
+            continue;
+        }
         let (allows, marker_diags) = rules::collect_allows(&label, &lexed);
         diagnostics.extend(marker_diags);
         let crate_name = crate_of_label(&label);
@@ -195,8 +222,9 @@ pub fn analyze_sources(sources: Vec<(String, String)>, config: &AnalysisConfig) 
             hot,
         });
     }
+    report.stats.files = units.len();
 
-    // Tier 1: token rules (the PR 3 fallback tier always runs).
+    // Tier 1: the token rules (`float-eq`, `determinism`).
     for unit in &units {
         let (diags, _suppressed) = rules::token_tier(&unit.label, &unit.lexed, &unit.allows);
         diagnostics.extend(diags);
@@ -256,6 +284,43 @@ pub fn analyze_sources(sources: Vec<(String, String)>, config: &AnalysisConfig) 
     diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     report.diagnostics = diagnostics;
     report
+}
+
+/// Collects `<dir><name>` for every file module declared under
+/// `#[cfg(test)]` (stacked attributes included) in `items`, a file whose
+/// child modules live in `dir` (empty or `/`-terminated). Inline modules
+/// are followed into `<dir><name>/`.
+fn test_file_mods(items: &[Item], tokens: &[Token], dir: &str, out: &mut Vec<String>) {
+    for item in items {
+        let ItemKind::Mod(m) = &item.kind else {
+            continue;
+        };
+        let path = format!("{dir}{}", m.name);
+        let file_decl = item
+            .span
+            .1
+            .checked_sub(1)
+            .and_then(|i| tokens.get(i))
+            .is_some_and(|t| t.is_punct(";"));
+        if item.cfg_test && file_decl {
+            out.push(path);
+        } else {
+            test_file_mods(&m.items, tokens, &format!("{path}/"), out);
+        }
+    }
+}
+
+/// The directory holding a file's child module files, `/`-terminated
+/// unless empty: the file's own directory for `lib.rs`/`main.rs`/`mod.rs`,
+/// else `<dir>/<stem>/`.
+fn module_dir(label: &str) -> String {
+    let stem = label.strip_suffix(".rs").unwrap_or(label);
+    let (dir, name) = stem.split_at(stem.rfind('/').map_or(0, |i| i + 1));
+    if matches!(name, "lib" | "main" | "mod") {
+        dir.to_string()
+    } else {
+        format!("{stem}/")
+    }
 }
 
 /// `crates/<name>/src/...` -> `<name>`; anything else -> `local`.
@@ -738,9 +803,9 @@ fn resolve_edges(nodes: &[FnNode]) -> Vec<Vec<usize>> {
 
 /// Pass 1 — panic-reachability. Every unaudited local panic site that is
 /// reachable from a public API yields one diagnostic carrying an
-/// exemplar call chain. Audits bind at the site line (`panic-path`,
-/// `panic`, or `nan-cmp` markers) or at the containing fn's signature
-/// line (`panic-path` only, covering the whole fn).
+/// exemplar call chain. Audits bind at the site line or at the
+/// containing fn's signature line (covering the whole fn); both take a
+/// `panic-path` marker.
 fn panic_pass(
     units: &[FileUnit],
     nodes: &mut [FnNode],
@@ -784,7 +849,7 @@ fn panic_pass(
                 unit,
                 site.line,
                 fn_line,
-                &[Rule::PanicPath, Rule::Panic, Rule::NanCmp],
+                &[Rule::PanicPath],
                 &[Rule::PanicPath],
             );
             if audited {

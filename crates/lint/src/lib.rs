@@ -4,27 +4,29 @@
 //! The paper's pipeline is an always-on controller loop; PR 1 made it
 //! resilient and PR 2 made it bit-identically deterministic across
 //! thread counts. This crate *statically enforces* the invariants those
-//! properties rest on, over every library crate: panic-freedom,
-//! NaN-safety, determinism, and hygiene (see [`rules`] for the
-//! catalogue and DESIGN.md §9 for the policy).
+//! properties rest on that the compiler and clippy do not, over every
+//! library crate: panic-reachability, NaN-safe float equality,
+//! determinism, and hygiene (see [`rules`] for the catalogue and
+//! DESIGN.md §9 for the policy). Panic- and stub-freedom at the site
+//! (`unwrap`, `panic!`, `todo!`, `dbg!`, ...) are clippy lints that the
+//! hygiene rule requires in every library crate root.
 //!
 //! There is no registry access in the build environment, so the whole
 //! stack is hand-rolled and dependency-free: a token-level lexer
 //! ([`lexer`]), an item-level recursive-descent parser ([`parser`]),
 //! and a cross-crate call-graph layer ([`analysis`]) running three
 //! dataflow passes (panic-reachability, determinism taint, arithmetic
-//! audit) on top. The PR 3 token rules keep running as a fallback tier
-//! for anything the parser cannot vouch for — and parse coverage of the
-//! library crates is itself a gated metric.
+//! audit) on top. The `float-eq` and `determinism` token rules run
+//! beside them — and parse coverage of the library crates is itself a
+//! gated metric.
 //!
 //! Run it with `cargo run -p utilcast-lint` from anywhere in the repo;
-//! `scripts/check.sh` runs it ahead of clippy (in `--baseline` diff
-//! mode by default). `--sarif`/`--json` emit machine-readable reports.
+//! `scripts/check.sh` runs it ahead of clippy. `--sarif FILE` also
+//! writes a SARIF report.
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod baseline;
 pub mod lexer;
 pub mod output;
 pub mod parser;
@@ -35,7 +37,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use analysis::{analyze_sources, AnalysisConfig, AnalysisReport, AnalysisStats};
-pub use rules::{check_crate_root, lint_file, Diagnostic, FileOutcome, Rule};
+pub use rules::{check_crate_root, lint_file, Diagnostic, FileOutcome, Rule, CLIPPY_SET};
 
 /// The crates whose `src/` trees must satisfy every rule family.
 ///
@@ -56,8 +58,6 @@ pub const LIBRARY_CRATES: &[&str] = &[
 pub struct Report {
     /// All surviving violations, sorted by file then line.
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of `.rs` files scanned.
-    pub files: usize,
     /// Violations silenced by valid `lint:allow` markers.
     pub suppressed: usize,
     /// Call-graph and coverage counters from the AST tier.
@@ -81,10 +81,11 @@ pub fn lint_source(file: &str, src: &str) -> FileOutcome {
 /// Scans the whole repository rooted at `root`.
 ///
 /// The full stack runs over `crates/<lib>/src/**/*.rs` for every crate
-/// in [`LIBRARY_CRATES`]: token rules, parse-coverage gating, and the
-/// three call-graph passes (see [`analysis`]). Hygiene additionally
-/// checks each crate root for `#![forbid(unsafe_code)]` and that every
-/// directory under `vendor/` is documented in `vendor/README.md`.
+/// in [`LIBRARY_CRATES`], less the files only `#[cfg(test)]` declarations
+/// bring in: token rules, parse-coverage gating, and the three call-graph
+/// passes (see [`analysis`]). Hygiene additionally checks each crate root
+/// for `#![forbid(unsafe_code)]` and the [`CLIPPY_SET`] lints, and that
+/// every directory under `vendor/` is documented in `vendor/README.md`.
 ///
 /// # Errors
 ///
@@ -103,14 +104,11 @@ pub fn lint_repo(root: &Path) -> io::Result<Report> {
             let src = fs::read_to_string(&path)?;
             let label = relative_label(root, &path);
             if path.file_name().is_some_and(|n| n == "lib.rs") {
-                if let Some(diag) = rules::check_crate_root(&label, &lexer::lex(&src)) {
-                    root_checks.push(diag);
-                }
+                root_checks.extend(rules::check_crate_root(&label, &lexer::lex(&src)));
             }
             sources.push((label, src));
         }
     }
-    report.files = sources.len();
     let analyzed = analysis::analyze_sources(sources, &AnalysisConfig::default());
     report.diagnostics = analyzed.diagnostics;
     report.suppressed = analyzed.suppressed;

@@ -8,13 +8,7 @@
 //! * `--rules` — print the rule catalogue and exit.
 //! * `--explain <rule>` — print the long-form description of one rule.
 //! * `--root DIR` — analyze the workspace rooted at DIR.
-//! * `--baseline [FILE]` — diff mode: hide findings recorded in the
-//!   baseline (default `lint-baseline.txt` at the repo root) and fail
-//!   only on new ones.
-//! * `--update-baseline [FILE]` — rewrite the baseline from the current
-//!   findings and exit clean.
-//! * `--sarif FILE` / `--json FILE` — also write a machine-readable
-//!   report (`-` for stdout).
+//! * `--sarif FILE` — also write a SARIF report (`-` for stdout).
 //! * `FILES..` — lint just those files with the token tier (iteration
 //!   helper; the graph passes need the whole workspace).
 
@@ -23,33 +17,21 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use utilcast_lint::{
-    baseline, find_repo_root, lint_repo, lint_source, output, rules::count_by_rule, Diagnostic,
-    Rule,
-};
-
-/// Baseline file name at the workspace root.
-const DEFAULT_BASELINE: &str = "lint-baseline.txt";
+use utilcast_lint::{find_repo_root, lint_repo, lint_source, output, rules::count_by_rule, Rule};
 
 struct Options {
     root: Option<PathBuf>,
     files: Vec<PathBuf>,
-    baseline: Option<Option<PathBuf>>,
-    update_baseline: Option<Option<PathBuf>>,
     sarif: Option<PathBuf>,
-    json: Option<PathBuf>,
 }
 
 fn main() -> ExitCode {
     let mut opts = Options {
         root: None,
         files: Vec::new(),
-        baseline: None,
-        update_baseline: None,
         sarif: None,
-        json: None,
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rules" => {
@@ -75,12 +57,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--baseline" => {
-                opts.baseline = Some(next_optional_path(&mut args));
-            }
-            "--update-baseline" => {
-                opts.update_baseline = Some(next_optional_path(&mut args));
-            }
             "--sarif" => match args.next() {
                 Some(p) => opts.sarif = Some(PathBuf::from(p)),
                 None => {
@@ -88,18 +64,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--json" => match args.next() {
-                Some(p) => opts.json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("utilcast-lint: --json requires a file path (or `-`)");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "usage: utilcast-lint [--root DIR] [--rules] [--explain RULE]\n\
-                     \u{20}                    [--baseline [FILE]] [--update-baseline [FILE]]\n\
-                     \u{20}                    [--sarif FILE] [--json FILE] [FILES..]"
+                     \u{20}                    [--sarif FILE] [FILES..]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -173,72 +141,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &opts.json {
-        if let Err(e) = write_report(path, &output::to_json(&report.diagnostics)) {
-            eprintln!("utilcast-lint: cannot write JSON report: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
 
-    if let Some(file) = &opts.update_baseline {
-        let path = file.clone().unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-        if let Err(e) = baseline::write(&path, &report.diagnostics) {
-            eprintln!("utilcast-lint: cannot write baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "utilcast-lint: baseline updated ({} finding(s) recorded in {})",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let visible: Vec<&Diagnostic> = if let Some(file) = &opts.baseline {
-        let path = file.clone().unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-        let accepted = match baseline::read(&path) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("utilcast-lint: cannot read baseline: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (fresh, baselined, fixed) = baseline::diff(&report.diagnostics, &accepted);
-        if baselined > 0 || fixed > 0 {
-            eprintln!(
-                "baseline: {baselined} accepted finding(s) hidden, {fixed} entry(ies) \
-                 no longer match (run --update-baseline to prune)"
-            );
-        }
-        fresh
-    } else {
-        report.diagnostics.iter().collect()
-    };
-
-    for diag in &visible {
+    let diagnostics = &report.diagnostics;
+    for diag in diagnostics {
         println!("{diag}");
     }
-    if !visible.is_empty() {
-        let owned: Vec<Diagnostic> = visible.iter().map(|d| (*d).clone()).collect();
-        let counts = count_by_rule(&owned);
+    if !diagnostics.is_empty() {
+        let counts = count_by_rule(diagnostics);
         let breakdown: Vec<String> = counts
             .iter()
             .map(|(rule, n)| format!("{n} {rule}"))
             .collect();
         eprintln!("breakdown: {}", breakdown.join(", "));
     }
-    summarize(visible.len(), report.files, report.suppressed)
-}
-
-/// Consumes the next argument as a path iff it does not look like a
-/// flag (so `--baseline --sarif x` treats the baseline path as absent).
-fn next_optional_path(
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-) -> Option<PathBuf> {
-    match args.peek() {
-        Some(next) if !next.starts_with('-') => args.next().map(PathBuf::from),
-        _ => None,
-    }
+    summarize(diagnostics.len(), report.stats.files, report.suppressed)
 }
 
 /// Writes a rendered report to `path`, with `-` meaning stdout.

@@ -1,6 +1,6 @@
-//! Machine-readable report writers: plain JSON and SARIF 2.1.0.
+//! Machine-readable report writer: SARIF 2.1.0.
 //!
-//! Both are hand-rolled (the linter is dependency-free by design); the
+//! It is hand-rolled (the linter is dependency-free by design); the
 //! only subtlety is JSON string escaping, which [`escape_json`] handles
 //! for the control characters a diagnostic message can legally contain.
 
@@ -22,26 +22,6 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// Renders diagnostics as a plain JSON array of finding objects.
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            escape_json(&d.file),
-            d.line,
-            d.rule,
-            escape_json(&d.message)
-        ));
-        if i + 1 < diags.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -105,14 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn json_contains_all_fields() {
-        let j = to_json(&[diag("needs \"quotes\"")]);
-        assert!(j.contains("\"rule\": \"panic-path\""));
-        assert!(j.contains("\\\"quotes\\\""));
-        assert!(j.contains("\"line\": 3"));
-    }
-
-    #[test]
     fn sarif_has_schema_rules_and_results() {
         let s = to_sarif(&[diag("chain a -> b")]);
         assert!(s.contains("\"version\": \"2.1.0\""));
@@ -127,7 +99,6 @@ mod tests {
 
     #[test]
     fn empty_reports_are_valid() {
-        assert_eq!(to_json(&[]), "[\n]\n");
         let s = to_sarif(&[]);
         assert!(s.contains("\"results\": [\n      ]"));
     }

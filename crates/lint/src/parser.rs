@@ -1012,11 +1012,13 @@ fn simple_type_name(text: &str) -> String {
         .to_string()
 }
 
-/// Whether an attribute's tokens mark the item as test-only. Mirrors the
-/// token tier's logic: `#[test]`, `#[bench]`, `#[cfg(test)]` and
-/// variants; `cfg(not(test))` and `#[cfg_attr(..)]` are *kept* (a
-/// `cfg_attr`-gated item exists in non-test builds too).
-fn attr_is_test(attr: &[Token]) -> bool {
+/// Whether an attribute's tokens mark the item as test-only (the parser
+/// and the token tier's test-region stripping share it): `#[test]`,
+/// `#[bench]`, `#[cfg(test)]` and variants, the attribute path resolved
+/// to its last segment (`tokio::test` -> `test`); `cfg(not(test))` and
+/// `#[cfg_attr(..)]` are *kept* (a `cfg_attr`-gated item exists in
+/// non-test builds too).
+pub(crate) fn attr_is_test(attr: &[Token]) -> bool {
     let Some(first) = attr.first() else {
         return false;
     };
@@ -1044,8 +1046,9 @@ fn attr_is_test(attr: &[Token]) -> bool {
     }
 }
 
-/// Index of the closing delimiter matching the opener at `open`.
-fn matching(tokens: &[Token], open: usize, op: &str, cl: &str) -> usize {
+/// Index of the closing delimiter matching the opener at `open`
+/// (`tokens.len()` when it is unbalanced).
+pub(crate) fn matching(tokens: &[Token], open: usize, op: &str, cl: &str) -> usize {
     let mut depth = 0usize;
     for (idx, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct(op) {

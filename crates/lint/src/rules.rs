@@ -1,21 +1,12 @@
 //! The rule engine: repo-invariant checks over the token stream.
 //!
-//! Five rule families guard the invariants the controller pipeline
+//! Three rule families guard the invariants the controller pipeline
 //! depends on (see `DESIGN.md` §9):
 //!
-//! * **panic-freedom** (`panic`) — no `unwrap`/`expect` calls and no
-//!   `panic!`/`unreachable!` macros in non-test library code. A poisoned
-//!   edge case must surface as a typed error, not tear down the
-//!   always-on controller loop.
-//! * **stub-freedom** (`stub`) — no `todo!`/`unimplemented!` placeholder
-//!   macros and no `dbg!` debug prints in library crates. Placeholders
-//!   are panics that ship masquerading as work-in-progress, and `dbg!`
-//!   leaks stderr noise from the hot path.
-//! * **NaN-safety** (`nan-cmp`, `float-eq`) — no
-//!   `partial_cmp(..).unwrap()/expect()` comparators (one NaN in an
-//!   argmin/sort panics or corrupts ordering; use `f64::total_cmp`) and
-//!   no `==`/`!=` against float literals or `f64::NAN`-style constants
-//!   (use `total_cmp` or an epsilon helper).
+//! * **NaN-safety** (`float-eq`) — no `==`/`!=` against float literals
+//!   or `f64::NAN`-style constants (use `total_cmp` or an epsilon
+//!   helper). Clippy's `float_cmp` exempts comparisons with zero, which
+//!   is what every exact compare in the library crates is.
 //! * **determinism** (`determinism`) — no `HashMap`/`HashSet` (including
 //!   uses through `as`/`type` aliases and `use std::collections::*`
 //!   wildcard imports), `Instant::now`/`SystemTime::now`, `thread_rng`,
@@ -23,14 +14,19 @@
 //!   reads would break the bit-identical thread-count determinism
 //!   established in PR 2 and relied on by the sharded merge paths.
 //! * **hygiene** (`hygiene`) — crate roots keep `#![forbid(unsafe_code)]`
-//!   and every vendored dependency is documented (checked at repo level
-//!   in [`crate::lint_repo`]).
+//!   and the clippy warn set [`CLIPPY_SET`], and every vendored
+//!   dependency is documented (checked at repo level in
+//!   [`crate::lint_repo`]).
+//!
+//! Panic- and stub-freedom (`unwrap`/`expect`, `partial_cmp(..).unwrap()`,
+//! `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`dbg!`) are clippy's:
+//! the [`CLIPPY_SET`] lints check the same sites with type information.
 //!
 //! Violations are suppressed only by an inline marker on (or directly
 //! above) the offending line:
 //!
 //! ```text
-//! // lint:allow(panic): injected fault; the supervisor must observe a real panic
+//! // lint:allow(float-eq): exact-zero config sentinel
 //! ```
 //!
 //! A marker with an unknown rule, a missing justification, or no
@@ -42,21 +38,17 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::lexer::{Lexed, Token, TokenKind};
+use crate::parser::{attr_is_test, matching};
 
 /// A rule family identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Panic-freedom: no `unwrap`/`expect`/panicking macros.
-    Panic,
-    /// Stub-freedom: no `todo!`/`unimplemented!`/`dbg!` in library code.
-    Stub,
-    /// NaN-safety: no `partial_cmp(..).unwrap()/expect()`.
-    NanCmp,
     /// NaN-safety: no raw `==`/`!=` against float literals/constants.
     FloatEq,
     /// Determinism: no hash collections, wall-clock, or entropy sources.
     Determinism,
-    /// Hygiene: `#![forbid(unsafe_code)]`, vendored deps documented.
+    /// Hygiene: `#![forbid(unsafe_code)]` and the clippy warn set in
+    /// crate roots, vendored deps documented.
     Hygiene,
     /// Meta: malformed or unused `lint:allow` markers.
     Suppression,
@@ -75,9 +67,6 @@ pub enum Rule {
 impl Rule {
     /// All rules, in reporting order.
     pub const ALL: &'static [Rule] = &[
-        Rule::Panic,
-        Rule::Stub,
-        Rule::NanCmp,
         Rule::FloatEq,
         Rule::Determinism,
         Rule::Hygiene,
@@ -91,9 +80,6 @@ impl Rule {
     /// The identifier used in diagnostics and `lint:allow(...)` markers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Panic => "panic",
-            Rule::Stub => "stub",
-            Rule::NanCmp => "nan-cmp",
             Rule::FloatEq => "float-eq",
             Rule::Determinism => "determinism",
             Rule::Hygiene => "hygiene",
@@ -108,15 +94,15 @@ impl Rule {
     /// One-line description for `--rules` output and the docs.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::Panic => "no unwrap/expect or panic!/unreachable! in library code",
-            Rule::Stub => "no todo!/unimplemented! placeholders or dbg! prints in library code",
-            Rule::NanCmp => "no partial_cmp(..).unwrap()/expect(); use f64::total_cmp",
             Rule::FloatEq => "no ==/!= against float literals or NAN/INFINITY constants",
             Rule::Determinism => {
                 "no HashMap/HashSet (incl. aliases and std::collections::* imports), \
                  Instant::now/SystemTime::now, thread_rng, or from_entropy"
             }
-            Rule::Hygiene => "crate roots forbid unsafe_code; vendored deps stay documented",
+            Rule::Hygiene => {
+                "crate roots forbid unsafe_code and warn on the clippy panic set; \
+                 vendored deps stay documented"
+            }
             Rule::Suppression => "lint:allow markers must be well-formed and actually used",
             Rule::PanicPath => {
                 "no unaudited panic site (unwrap/expect, panic-family macro, \
@@ -137,23 +123,6 @@ impl Rule {
     /// Long-form explanation for `--explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::Panic => {
-                "Token tier. The controller loop is always-on: a poisoned edge case \
-                 must surface as a typed error, never tear the process down. `unwrap()`, \
-                 `expect()`, `panic!`, and `unreachable!` are flagged in non-test library \
-                 code. Fix: return a typed error, restructure infallibly, or add \
-                 `// lint:allow(panic): <why>` on the line."
-            }
-            Rule::Stub => {
-                "Token tier. `todo!`/`unimplemented!` are panics dressed as progress and \
-                 `dbg!` leaks stderr noise from the hot path. Implement the path or \
-                 return a typed error."
-            }
-            Rule::NanCmp => {
-                "Token tier. `partial_cmp(..).unwrap()` panics the first time a NaN \
-                 enters an argmin or sort. Use `f64::total_cmp` or map NaN to an \
-                 explicit sort key."
-            }
             Rule::FloatEq => {
                 "Token tier. `==`/`!=` against float literals or NAN/INFINITY constants \
                  is almost always a precision bug (and `x == f64::NAN` is always false). \
@@ -168,8 +137,11 @@ impl Rule {
                  are flagged in library code."
             }
             Rule::Hygiene => {
-                "Repo tier. Crate roots must carry `#![forbid(unsafe_code)]` and every \
-                 directory under vendor/ must be documented in vendor/README.md."
+                "Repo tier. Crate roots must carry `#![forbid(unsafe_code)]` and warn \
+                 (or deny) on every clippy lint of the panic set (unwrap_used, \
+                 expect_used, panic, unreachable, todo, unimplemented, dbg_macro), \
+                 which is how panic- and stub-freedom are enforced; every directory \
+                 under vendor/ must be documented in vendor/README.md."
             }
             Rule::Suppression => {
                 "Meta. A `// lint:allow(rule): justification` marker must name a \
@@ -277,8 +249,7 @@ pub struct Allow {
     pub used: Cell<bool>,
 }
 
-/// Runs the token-level rules (`panic`, `nan-cmp`, `float-eq`,
-/// `determinism`) over one lexed library-crate file and applies the
+/// Runs the token-level rules (`float-eq`, `determinism`) over one lexed library-crate file and applies the
 /// suppression protocol, including the unused-marker report. This is
 /// the standalone entry point; [`crate::analysis::analyze_sources`]
 /// composes [`token_tier`] with the graph passes instead so markers can
@@ -315,7 +286,6 @@ pub fn token_tier(file: &str, lexed: &Lexed, allows: &[Allow]) -> (Vec<Diagnosti
     let kept = strip_test_regions(&lexed.tokens);
 
     let mut raw = Vec::new();
-    scan_panic_and_nan(file, &lexed.tokens, &kept, &mut raw);
     scan_float_eq(file, &lexed.tokens, &kept, &mut raw);
     scan_determinism(file, &lexed.tokens, &kept, &mut raw);
 
@@ -338,24 +308,73 @@ pub fn token_tier(file: &str, lexed: &Lexed, allows: &[Allow]) -> (Vec<Diagnosti
     (out, suppressed)
 }
 
-/// Checks the crate-root hygiene rule: the file must carry
-/// `#![forbid(unsafe_code)]` somewhere in its (non-comment) tokens.
-pub fn check_crate_root(file: &str, lexed: &Lexed) -> Option<Diagnostic> {
+/// The clippy lints every library crate root must warn (or deny) on:
+/// panic-freedom (`unwrap`/`expect`, which covers
+/// `partial_cmp(..).unwrap()`, and the panicking macros) and
+/// stub-freedom (`todo!`/`unimplemented!` placeholders, `dbg!` prints).
+pub const CLIPPY_SET: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "dbg_macro",
+];
+
+/// Checks the crate-root hygiene rule: the file's inner attributes must
+/// carry `#![forbid(unsafe_code)]` and name every [`CLIPPY_SET`] lint in
+/// `#![warn(..)]`/`deny`/`forbid` (an attribute on one item does not
+/// cover the crate). Returns one diagnostic per missing requirement.
+pub fn check_crate_root(file: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let toks = &lexed.tokens;
+    let mut forbids_unsafe = false;
+    let mut clippy: Vec<&str> = Vec::new();
     for i in 0..toks.len() {
-        if toks[i].is_ident("forbid") && toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
-            let close = matching_paren(toks, i + 1);
-            if toks[i + 2..close].iter().any(|t| t.is_ident("unsafe_code")) {
-                return None;
+        let level = ["warn", "deny", "forbid"]
+            .iter()
+            .any(|l| toks[i].is_ident(l));
+        let inner = i >= 3
+            && toks[i - 3].is_punct("#")
+            && toks[i - 2].is_punct("!")
+            && toks[i - 1].is_punct("[");
+        if !level || !inner || !toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
+            continue;
+        }
+        let args = &toks[i + 2..matching(toks, i + 1, "(", ")")];
+        forbids_unsafe |=
+            toks[i].is_ident("forbid") && args.iter().any(|t| t.is_ident("unsafe_code"));
+        for w in args.windows(3) {
+            if w[0].is_ident("clippy") && w[1].is_punct("::") {
+                clippy.push(&w[2].text);
             }
         }
     }
-    Some(Diagnostic {
-        file: file.to_string(),
-        line: 1,
-        rule: Rule::Hygiene,
-        message: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-    })
+    let missing: Vec<&str> = CLIPPY_SET
+        .iter()
+        .copied()
+        .filter(|l| !clippy.contains(l))
+        .collect();
+    let mut problems = Vec::new();
+    if !forbids_unsafe {
+        problems.push("crate root is missing #![forbid(unsafe_code)]".to_string());
+    }
+    if !missing.is_empty() {
+        problems.push(format!(
+            "crate root does not warn on clippy::{}; panic- and stub-freedom \
+             are enforced by these lints",
+            missing.join(", clippy::")
+        ));
+    }
+    problems
+        .into_iter()
+        .map(|message| Diagnostic {
+            file: file.to_string(),
+            line: 1,
+            rule: Rule::Hygiene,
+            message,
+        })
+        .collect()
 }
 
 /// How a marker failed to parse.
@@ -509,7 +528,7 @@ fn strip_test_regions(tokens: &[Token]) -> Vec<usize> {
             && tokens.get(i + 1).is_some_and(|t| t.is_punct("!"))
             && tokens.get(i + 2).is_some_and(|t| t.is_punct("["))
         {
-            let close = matching_bracket(tokens, i + 2);
+            let close = matching(tokens, i + 2, "[", "]");
             if attr_is_test(&tokens[i + 3..close]) {
                 return kept; // whole file is test-only from here on
             }
@@ -521,7 +540,7 @@ fn strip_test_regions(tokens: &[Token]) -> Vec<usize> {
         }
         // Outer attribute `#[...]`.
         if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
-            let close = matching_bracket(tokens, i + 1);
+            let close = matching(tokens, i + 1, "[", "]");
             if attr_is_test(&tokens[i + 2..close]) {
                 i = skip_attributed_item(tokens, close + 1);
                 continue;
@@ -548,7 +567,7 @@ fn skip_attributed_item(tokens: &[Token], start: usize) -> usize {
         && tokens[j].is_punct("#")
         && tokens.get(j + 1).is_some_and(|t| t.is_punct("["))
     {
-        j = matching_bracket(tokens, j + 1) + 1;
+        j = matching(tokens, j + 1, "[", "]") + 1;
     }
     let mut depth = 0usize;
     while j < tokens.len() {
@@ -566,179 +585,6 @@ fn skip_attributed_item(tokens: &[Token], start: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Whether an attribute's tokens mark the following item as test-only.
-fn attr_is_test(attr: &[Token]) -> bool {
-    let Some(first) = attr.first() else {
-        return false;
-    };
-    if first.kind != TokenKind::Ident {
-        return false;
-    }
-    // Resolve the attribute path's last segment (`tokio::test` -> `test`).
-    let mut name = first.text.as_str();
-    let mut i = 1;
-    while attr.get(i).is_some_and(|t| t.is_punct("::"))
-        && attr.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident)
-    {
-        name = attr[i + 1].text.as_str();
-        i += 2;
-    }
-    match name {
-        "test" | "bench" => true,
-        "cfg" => {
-            // `cfg(not(test))` marks *non*-test code: stay conservative and
-            // keep linting anything that mentions `not`.
-            if attr.iter().any(|t| t.is_ident("not")) {
-                return false;
-            }
-            attr.iter()
-                .any(|t| t.is_ident("test") || t.is_ident("bench") || t.is_ident("doctest"))
-        }
-        _ => false,
-    }
-}
-
-/// Index of the `]` matching the `[` at `open` (depth-aware).
-fn matching_bracket(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (idx, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct("]") {
-            depth -= 1;
-            if depth == 0 {
-                return idx;
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-/// Index of the `)` matching the `(` at `open` (depth-aware).
-fn matching_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (idx, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return idx;
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-/// Panic-freedom and NaN-comparator rules share one pass so that a
-/// `partial_cmp(..).expect(..)` chain reports a single `nan-cmp`
-/// diagnostic instead of doubling up with a `panic` one.
-fn scan_panic_and_nan(file: &str, tokens: &[Token], kept: &[usize], out: &mut Vec<Diagnostic>) {
-    let mut consumed = vec![false; tokens.len()];
-    // Pass 1: `.partial_cmp( ... ).unwrap()` / `.expect(`.
-    for (pos, &idx) in kept.iter().enumerate() {
-        let t = &tokens[idx];
-        if !t.is_ident("partial_cmp") {
-            continue;
-        }
-        let prev_is_dot = pos > 0 && tokens[kept[pos - 1]].is_punct(".");
-        if !prev_is_dot {
-            continue;
-        }
-        let Some(&open) = kept.get(pos + 1) else {
-            continue;
-        };
-        if !tokens[open].is_punct("(") {
-            continue;
-        }
-        let close = matching_paren(tokens, open);
-        // Find `close` in kept-index space and look at the two following
-        // kept tokens.
-        let close_pos = match kept[pos + 1..].iter().position(|&k| k == close) {
-            Some(off) => pos + 1 + off,
-            None => continue,
-        };
-        let dot = kept.get(close_pos + 1).map(|&k| &tokens[k]);
-        let method = kept.get(close_pos + 2).map(|&k| &tokens[k]);
-        if let (Some(d), Some(m)) = (dot, method) {
-            if d.is_punct(".") && (m.is_ident("unwrap") || m.is_ident("expect")) {
-                out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: m.line,
-                    rule: Rule::NanCmp,
-                    message: "partial_cmp(..).unwrap()/expect() panics on NaN; \
-                              use f64::total_cmp or map NaN to a sort key"
-                        .to_string(),
-                });
-                consumed[kept[close_pos + 2]] = true;
-            }
-        }
-    }
-    // Pass 2: plain panic sites.
-    for (pos, &idx) in kept.iter().enumerate() {
-        if consumed[idx] {
-            continue;
-        }
-        let t = &tokens[idx];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev = pos.checked_sub(1).map(|p| &tokens[kept[p]]);
-        let next = kept.get(pos + 1).map(|&k| &tokens[k]);
-        match t.text.as_str() {
-            "unwrap" | "expect" => {
-                let is_call = prev.is_some_and(|p| p.is_punct(".") || p.is_punct("::"))
-                    && next.is_some_and(|n| n.is_punct("("));
-                if is_call {
-                    out.push(Diagnostic {
-                        file: file.to_string(),
-                        line: t.line,
-                        rule: Rule::Panic,
-                        message: format!(
-                            "`{}()` can panic; return a typed error or restructure infallibly",
-                            t.text
-                        ),
-                    });
-                }
-            }
-            "panic" | "unreachable" if next.is_some_and(|n| n.is_punct("!")) => {
-                out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: t.line,
-                    rule: Rule::Panic,
-                    message: format!(
-                        "`{}!` in library code; return a typed error instead",
-                        t.text
-                    ),
-                });
-            }
-            "todo" | "unimplemented" if next.is_some_and(|n| n.is_punct("!")) => {
-                out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: t.line,
-                    rule: Rule::Stub,
-                    message: format!(
-                        "`{}!` placeholder in library code; implement the path \
-                         or return a typed error",
-                        t.text
-                    ),
-                });
-            }
-            "dbg" if next.is_some_and(|n| n.is_punct("!")) => {
-                out.push(Diagnostic {
-                    file: file.to_string(),
-                    line: t.line,
-                    rule: Rule::Stub,
-                    message: "`dbg!` debug print in library code; remove it or use a \
-                              structured diagnostic"
-                        .to_string(),
-                });
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Raw float equality: `==`/`!=` with a float literal or a
@@ -947,72 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_and_expect_calls_fire() {
-        assert_eq!(rules_fired("fn f() { x.unwrap(); }"), vec![Rule::Panic]);
-        assert_eq!(
-            rules_fired("fn f() { x.expect(\"boom\"); }"),
-            vec![Rule::Panic]
-        );
-        assert_eq!(
-            rules_fired("fn f() { Option::unwrap(x); }"),
-            vec![Rule::Panic]
-        );
-    }
-
-    #[test]
-    fn unwrap_or_family_is_fine() {
-        assert!(
-            lint("fn f() { x.unwrap_or(0).unwrap_or_else(|| 1).unwrap_or_default(); }").is_empty()
-        );
-        assert!(lint("fn f() { fn unwrap() {} unwrap(); }").is_empty());
-    }
-
-    #[test]
-    fn panicking_macros_fire() {
-        for m in ["panic!(\"x\")", "unreachable!()"] {
-            let src = format!("fn f() {{ {m}; }}");
-            assert_eq!(rules_fired(&src), vec![Rule::Panic], "{m}");
-        }
-        // `assert!` is a documented-contract check, not a panic-freedom
-        // violation.
-        assert!(lint("fn f() { assert!(x > 0); assert_eq!(a, b); }").is_empty());
-    }
-
-    #[test]
-    fn stub_macros_fire_as_their_own_rule() {
-        for m in ["todo!()", "unimplemented!(\"later\")", "dbg!(x)"] {
-            let src = format!("fn f() {{ {m}; }}");
-            assert_eq!(rules_fired(&src), vec![Rule::Stub], "{m}");
-        }
-        // Identifiers that merely share the name are fine without the bang,
-        // and test code may use all three.
-        assert!(lint("fn f() { let todo = 1; let dbg = todo; work(dbg); }").is_empty());
-        assert!(lint("#[cfg(test)]\nmod t { fn f() { dbg!(todo!()); } }").is_empty());
-    }
-
-    #[test]
-    fn stub_suppression_is_rule_specific() {
-        let src = "// lint:allow(stub): scaffolding kept for the next milestone\n\
-                   fn f() { todo!(); }";
-        assert!(lint(src).is_empty());
-        // A panic marker does not cover a stub violation.
-        let src = "// lint:allow(panic): wrong rule\nfn f() { todo!(); }";
-        let fired = rules_fired(src);
-        assert!(fired.contains(&Rule::Stub));
-        assert!(fired.contains(&Rule::Suppression));
-    }
-
-    #[test]
-    fn partial_cmp_chain_is_nan_cmp_not_panic() {
-        let fired = rules_fired("fn f() { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }");
-        assert_eq!(fired, vec![Rule::NanCmp]);
-        let fired = rules_fired("fn f() { let o = a.partial_cmp(&b).expect(\"finite\"); }");
-        assert_eq!(fired, vec![Rule::NanCmp]);
-        // Handling the Option is the sanctioned pattern.
-        assert!(lint("fn f() { if let Some(o) = a.partial_cmp(&b) { use_it(o); } }").is_empty());
-    }
-
-    #[test]
     fn float_eq_fires_on_literals_and_constants() {
         assert_eq!(
             rules_fired("fn f() { if x == 0.0 {} }"),
@@ -1106,57 +886,52 @@ mod tests {
 
     #[test]
     fn comments_strings_and_docs_do_not_fire() {
-        assert!(lint("// x.unwrap() and panic! and HashMap\nfn f() {}").is_empty());
-        assert!(lint("/// Panics: calls .expect(\"x\") internally.\nfn f() {}").is_empty());
-        assert!(lint("fn f() { let s = \"call unwrap() or panic!()\"; }").is_empty());
+        assert!(lint("// x == 0.0 and Instant::now() and HashMap\nfn f() {}").is_empty());
+        assert!(lint("/// Compares `x == 1.0` internally.\nfn f() {}").is_empty());
+        assert!(lint("fn f() { let s = \"x == 0.0 or HashMap\"; }").is_empty());
     }
 
     #[test]
     fn cfg_test_modules_are_skipped() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); panic!(); }\n}";
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn t() { x == 0.0; HashMap::new(); }\n}";
         assert!(lint(src).is_empty());
         // ... but code *after* the module is still linted.
-        let src2 = format!("{src}\nfn tail() {{ y.unwrap(); }}");
-        assert_eq!(rules_fired(&src2), vec![Rule::Panic]);
+        let src2 = format!("{src}\nfn tail() {{ y == 1.0; }}");
+        assert_eq!(rules_fired(&src2), vec![Rule::FloatEq]);
     }
 
     #[test]
     fn test_fns_and_stacked_attrs_are_skipped() {
-        let src = "#[test]\nfn t() { x.unwrap(); }";
+        let src = "#[test]\nfn t() { x == 0.0; }";
         assert!(lint(src).is_empty());
-        let src = "#[cfg(test)]\n#[allow(dead_code)]\nfn helper() { x.unwrap(); }";
+        let src = "#[cfg(test)]\n#[allow(dead_code)]\nfn helper() { x == 0.0; }";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_still_linted() {
-        let src = "#[cfg(not(test))]\nfn real() { x.unwrap(); }";
-        assert_eq!(rules_fired(src), vec![Rule::Panic]);
+        let src = "#[cfg(not(test))]\nfn real() { x == 0.0; }";
+        assert_eq!(rules_fired(src), vec![Rule::FloatEq]);
     }
 
     #[test]
     fn inner_cfg_test_skips_whole_file() {
-        let src = "#![cfg(test)]\nfn t() { x.unwrap(); panic!(); }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn should_panic_attribute_does_not_fire() {
-        let src = "#[cfg(test)]\nmod t { #[test] #[should_panic(expected = \"boom\")] fn f() {} }";
+        let src = "#![cfg(test)]\nfn t() { x == 0.0; let m = HashMap::new(); }";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn suppression_same_line_and_line_above() {
-        let src = "fn f() { x.unwrap(); } // lint:allow(panic): startup-only path\n";
+        let src = "fn f() { x == 0.0; } // lint:allow(float-eq): exact-zero sentinel\n";
         assert!(lint(src).is_empty());
-        let src = "// lint:allow(panic): startup-only path\nfn f() { x.unwrap(); }";
+        let src = "// lint:allow(float-eq): exact-zero sentinel\nfn f() { x == 0.0; }";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn suppression_reports_used_count() {
-        let src = "// lint:allow(panic): justified\nfn f() { x.unwrap(); }";
+        let src = "// lint:allow(float-eq): justified\nfn f() { x == 0.0; }";
         let outcome = lint_file("test.rs", &lex(src));
         assert!(outcome.diagnostics.is_empty());
         assert_eq!(outcome.suppressed, 1);
@@ -1164,20 +939,21 @@ mod tests {
 
     #[test]
     fn suppression_is_rule_specific() {
-        let src = "// lint:allow(float-eq): wrong rule\nfn f() { x.unwrap(); }";
+        let src = "// lint:allow(determinism): wrong rule\nfn f() { x == 0.0; }";
         let fired = rules_fired(src);
-        // The panic fires AND the suppression is reported unused.
-        assert!(fired.contains(&Rule::Panic));
+        // The float-eq fires AND the suppression is reported unused.
+        assert!(fired.contains(&Rule::FloatEq));
         assert!(fired.contains(&Rule::Suppression));
     }
 
     #[test]
     fn malformed_suppressions_are_reported() {
         for bad in [
-            "// lint:allow(panic)\nfn f() {}",            // no justification
-            "// lint:allow(panic):   \nfn f() {}",        // empty justification
+            "// lint:allow(float-eq)\nfn f() {}",         // no justification
+            "// lint:allow(float-eq):   \nfn f() {}",     // empty justification
             "// lint:allow(made-up): because\nfn f() {}", // unknown rule
-            "// lint:allow panic: because\nfn f() {}",    // missing parens
+            "// lint:allow float-eq: because\nfn f() {}", // missing parens
+            "// lint:allow(panic): retired rule\nfn f() {}", // clippy's now
         ] {
             let fired = rules_fired(bad);
             assert!(fired.contains(&Rule::Suppression), "{bad}");
@@ -1186,26 +962,37 @@ mod tests {
 
     #[test]
     fn multi_rule_suppression() {
-        let src = "fn f() { if x == 0.0 { y.unwrap(); } } \
-                   // lint:allow(float-eq, panic): both justified here";
+        let src = "fn f() { if x == 0.0 { let t = Instant::now(); } } \
+                   // lint:allow(float-eq, determinism): both justified here";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn crate_root_hygiene() {
-        assert!(
-            check_crate_root("lib.rs", &lex("#![forbid(unsafe_code)]\npub fn f() {}")).is_none()
-        );
-        let diag = check_crate_root("lib.rs", &lex("pub fn f() {}"));
-        assert_eq!(diag.map(|d| d.rule), Some(Rule::Hygiene));
-        // A commented-out attribute does not count.
-        let diag = check_crate_root("lib.rs", &lex("// #![forbid(unsafe_code)]\npub fn f() {}"));
-        assert!(diag.is_some());
+        let clippy = format!("#![warn(clippy::{})]", CLIPPY_SET.join(", clippy::"));
+        let ok = format!("#![forbid(unsafe_code)]\n{clippy}\npub fn f() {{}}");
+        assert!(check_crate_root("lib.rs", &lex(&ok)).is_empty());
+        // Denying the set is at least as strict as warning on it.
+        let denied = ok.replace("warn", "deny");
+        assert!(check_crate_root("lib.rs", &lex(&denied)).is_empty());
+        let diags = check_crate_root("lib.rs", &lex("pub fn f() {}"));
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags.iter().all(|d| d.rule == Rule::Hygiene));
+        // A commented-out attribute does not count, nor does one on an item.
+        let commented = format!("// #![forbid(unsafe_code)]\n{clippy}\npub fn f() {{}}");
+        assert_eq!(check_crate_root("lib.rs", &lex(&commented)).len(), 1);
+        let on_item = ok.replace("#![warn", "#[warn");
+        assert_eq!(check_crate_root("lib.rs", &lex(&on_item)).len(), 1);
+        // One lint short of the set names the missing lint.
+        let short = ok.replace(", clippy::dbg_macro", "");
+        let diags = check_crate_root("lib.rs", &lex(&short));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("clippy::dbg_macro"));
     }
 
     #[test]
     fn diagnostics_point_at_the_right_line() {
-        let src = "fn a() {}\nfn b() {\n    x.unwrap();\n}";
+        let src = "fn a() {}\nfn b() {\n    x == 0.0;\n}";
         let diags = lint(src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 3);

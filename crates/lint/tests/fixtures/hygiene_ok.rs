@@ -1,5 +1,14 @@
-//! Fixture: a crate root that carries the required attribute — clean.
+//! Fixture: a crate root that carries the required attributes — clean.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
 
 pub fn noop() {}

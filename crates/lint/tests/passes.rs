@@ -1,7 +1,7 @@
 //! End-to-end tests for the call-graph passes (panic-reachability,
 //! determinism taint, arithmetic audit) driven through
 //! [`analyze_sources`] on small fixture workspaces, plus the stale-marker
-//! detector.
+//! detector and the skipping of test-only module files.
 
 use std::path::Path;
 
@@ -167,4 +167,62 @@ fn coverage_stats_track_every_item() {
     let report = analyze("panic_path_violation.rs", false);
     assert_eq!(report.stats.items_parsed, report.stats.items_total);
     assert!((report.stats.coverage_pct() - 100.0).abs() < f64::EPSILON);
+}
+
+/// A one-crate workspace whose root declares `mod helper;` under the
+/// given attributes, and whose `helper.rs` (and `helper/inner.rs`) hold
+/// a raw float compare.
+fn helper_crate(attrs: &str) -> AnalysisReport {
+    let sources = vec![
+        (
+            "crates/demo/src/lib.rs".to_string(),
+            format!("{attrs}\nmod helper;\n\npub fn noop() {{}}\n"),
+        ),
+        (
+            "crates/demo/src/helper.rs".to_string(),
+            "mod inner;\n\npub fn is_one(x: f64) -> bool {\n    x == 1.0\n}\n".to_string(),
+        ),
+        (
+            "crates/demo/src/helper/inner.rs".to_string(),
+            "pub fn is_two(x: f64) -> bool {\n    x == 2.0\n}\n".to_string(),
+        ),
+    ];
+    analyze_sources(sources, &AnalysisConfig::default())
+}
+
+#[test]
+fn cfg_test_module_files_are_not_library_code() {
+    // `#[cfg(test)]` alone and among stacked attributes: the declared file
+    // and its submodule directory are test code and lint clean.
+    for attrs in [
+        "#[cfg(test)]",
+        "#[allow(dead_code)]\n#[cfg(test)]\n#[allow(clippy::all)]",
+    ] {
+        let report = helper_crate(attrs);
+        assert!(
+            report.diagnostics.is_empty(),
+            "{attrs}: expected clean, got {:?}",
+            report.diagnostics
+        );
+        assert_eq!(
+            report.stats.files, 1,
+            "{attrs}: only lib.rs is library code"
+        );
+    }
+
+    // The same files declared without the attribute are library code.
+    let report = helper_crate("#[allow(dead_code)]");
+    let lines: Vec<_> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.rule))
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            ("crates/demo/src/helper.rs", 4, Rule::FloatEq),
+            ("crates/demo/src/helper/inner.rs", 2, Rule::FloatEq),
+        ]
+    );
+    assert_eq!(report.stats.files, 3);
 }

@@ -1,4 +1,4 @@
-//! Multi-threaded driver: node shards on worker threads, crossbeam
+//! Multi-threaded driver: node shards on worker threads, `std::sync::mpsc`
 //! channels to the controller, and a supervisor that survives worker
 //! crashes.
 //!
@@ -24,9 +24,9 @@
 //! it from the latest checkpoint on an (injected) controller crash — see
 //! [`SupervisorOptions`].
 
-use crossbeam::channel::{self, Receiver, Sender};
 use std::any::Any;
 use std::ops::Range;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use utilcast_core::transmit::TransmitterBank;
@@ -88,18 +88,13 @@ struct Worker {
 impl Worker {
     /// Spawns a worker that panics on the tick `panic_at`, if given.
     fn spawn(panic_at: Option<usize>) -> Worker {
-        let (jobs, job_rx) = channel::unbounded::<Job>();
-        let (done_tx, done) = channel::unbounded::<Job>();
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (done_tx, done) = mpsc::channel::<Job>();
         let handle = thread::spawn(move || {
             let mut decisions = Vec::new();
             while let Ok(mut job) = job_rx.recv() {
                 if panic_at == Some(job.t) {
-                    // lint:allow(panic): injected fault for the chaos suite;
-                    // the supervisor must observe a real worker panic
-                    panic!(
-                        "injected fault: worker for nodes {:?} at tick {}",
-                        job.nodes, job.t
-                    );
+                    injected_fault(&job);
                 }
                 // lint:allow(panic-path): `nodes` is a sub-range of 0..N, and `x`
                 // and `z` are the tick's N measurements and stored values
@@ -133,6 +128,21 @@ impl Worker {
             None => "worker already reaped".to_string(),
         }
     }
+}
+
+/// The fault [`SupervisorOptions::worker_panic_at`] injects: the worker
+/// dies with a real panic, which the supervisor must observe and recover.
+#[expect(
+    clippy::panic,
+    reason = "injected fault for the chaos suite; the supervisor must observe a real worker panic"
+)]
+fn injected_fault(job: &Job) {
+    // lint:allow(panic-path): injected fault; no public API reaches it
+    // unless a test or chaos run asks for `worker_panic_at`
+    panic!(
+        "injected fault: worker for nodes {:?} at tick {}",
+        job.nodes, job.t
+    );
 }
 
 /// Renders a worker's panic payload for [`SimError::WorkerFailed`].

@@ -480,11 +480,14 @@ proptest! {
     }
 }
 
+/// One entry as [`arb_entry`] draws it.
+type Drawn = ((usize, usize, u32), (u8, f64));
+
 /// One arbitrary entry of a tick: a node id (past the fleet for unknown
 /// ids), how many ticks before the current one it was measured, a shuffle
 /// key, and a value class — NaN, above or below the unit bounds, or a
 /// valid value.
-fn arb_entry() -> impl Strategy<Value = ((usize, usize, u32), (u8, f64))> {
+fn arb_entry() -> impl Strategy<Value = Drawn> {
     (
         (0usize..PROP_NODES + 2, 0usize..3, 0u32..u32::MAX),
         (0u8..8, 0.0f64..1.0),
@@ -494,7 +497,7 @@ fn arb_entry() -> impl Strategy<Value = ((usize, usize, u32), (u8, f64))> {
 type Entry = (usize, usize, f64);
 
 /// The tick's entries as `(node, t, value)`, in arrival order.
-fn entries(tick: usize, drawn: &[((usize, usize, u32), (u8, f64))]) -> Vec<Entry> {
+fn entries(tick: usize, drawn: &[Drawn]) -> Vec<Entry> {
     drawn
         .iter()
         .map(|&((node, back, _), (class, v))| {
@@ -512,7 +515,7 @@ fn entries(tick: usize, drawn: &[((usize, usize, u32), (u8, f64))]) -> Vec<Entry
 /// `batch` reordered by the drawn shuffle keys, except that every node's
 /// entries keep their relative order: each position the shuffle gives a
 /// node takes that node's next entry.
-fn interleave(batch: &[Entry], drawn: &[((usize, usize, u32), (u8, f64))]) -> Vec<Entry> {
+fn interleave(batch: &[Entry], drawn: &[Drawn]) -> Vec<Entry> {
     let mut order: Vec<usize> = (0..batch.len()).collect();
     order.sort_by_key(|&i| drawn[i].0 .2);
     let mut queues = vec![VecDeque::new(); PROP_NODES + 2];

@@ -44,8 +44,8 @@ pub(super) fn expand(coef: &[f64], scoef: &[f64], s: usize) -> Vec<f64> {
     }
     let mut prod = vec![0.0; deg + 1];
     for (i, &ai) in a.iter().enumerate() {
-        // lint:allow(float-eq): exact zero skip in the sparse polynomial
-        // product; small coefficients must still contribute
+        // Exact zero skip in the sparse polynomial product; small
+        // coefficients must still contribute.
         if ai == 0.0 {
             continue;
         }

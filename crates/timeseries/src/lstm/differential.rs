@@ -10,8 +10,6 @@
 //! activation functions themselves are held to libm by the kernel's
 //! envelope test and, at model level, by `libm_gate`.
 
-#![cfg(test)]
-
 use proptest::prelude::*;
 
 use super::oracle::Activations;

@@ -36,8 +36,6 @@
 //! in release builds only (`cargo test --release -p utilcast-timeseries
 //! --lib lstm::`, part of `scripts/check.sh`).
 
-#![cfg(test)]
-
 use super::oracle::Activations;
 use super::*;
 

@@ -9,8 +9,6 @@
 //! activation functions. [`Activations::LIBM`] is libm's pair, the reference
 //! of the model-level quality gate in `libm_gate`.
 
-#![cfg(test)]
-
 use utilcast_linalg::kernels;
 
 use super::{Adam, Lstm, LstmLayer, LstmState};
