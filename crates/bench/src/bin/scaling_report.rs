@@ -24,9 +24,12 @@
 //!
 //! Everything is written to `BENCH_controller.json` (in
 //! `UTILCAST_BENCH_DIR`, default the working directory) so the speedups
-//! are tracked in-repo. `UTILCAST_NODES` scales the hierarchical tiers
+//! are tracked in-repo; the per-`N` rows also go to
+//! `scaling_report.json` (in `UTILCAST_BENCH_DIR` when it is set, else
+//! `results/`). `UTILCAST_NODES` scales the hierarchical tiers
 //! down for smoke runs; `UTILCAST_STEPS` scales the timing reps.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -515,7 +518,11 @@ fn main() {
         &["nodes", "step (us)", "forecast h=50 (us)", "headroom @5min"],
         &rows,
     );
-    report::write_json("scaling_report", &json);
+    // A run that redirects `BENCH_controller.json` (a smoke run) sends this
+    // copy along, so the committed `results/scaling_report.json` stays.
+    let results = std::env::var("UTILCAST_BENCH_DIR")
+        .map_or_else(|_| PathBuf::from("results"), PathBuf::from);
+    report::write_json_in(&results, "scaling_report", &json);
 
     controller_tick_bench(&scale, reps);
 }

@@ -1,7 +1,7 @@
 //! Output helpers: aligned stdout tables plus JSON files under `results/`.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use serde::Serialize;
 use utilcast_clustering::parallel::resolve_threads;
@@ -67,9 +67,13 @@ pub fn f(v: f64) -> String {
 /// `results/<experiment>.json` (directory created on demand). Failures are
 /// reported but not fatal — stdout remains the primary artifact.
 pub fn write_json<T: Serialize>(experiment: &str, value: &T) {
-    let dir = PathBuf::from("results");
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: could not create results/: {e}");
+    write_json_in(Path::new("results"), experiment, value);
+}
+
+/// [`write_json`] into `dir` instead of `results/`.
+pub fn write_json_in<T: Serialize>(dir: &Path, experiment: &str, value: &T) {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("warning: could not create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(format!("{experiment}.json"));

@@ -522,6 +522,29 @@ fn split_params(o: ArimaOrder, x: &[f64]) -> (&[f64], &[f64], &[f64], &[f64], f6
 // the region Nelder–Mead searches), so it is pinned at its boundary by
 // `stability_screen_boundary_is_pinned`.
 //
+// The stability certificate. A recursion of lag span ≤ 2 — every order of
+// the quick grid — is first offered to `certified_stable`, an O(1) bound
+// that proves the loop above passes without running it; whatever the
+// bound does not settle runs the loop. With ρ₁ ≥ ρ₂ upper bounds on the
+// root moduli of z² − c₁z − c₂, the exact response h_t = Σₖ r₁ᵏ r₂ᵗ⁻ᵏ
+// (h₀ = 1) obeys |h_t| ≤ ρ₁ᵗ · min(t + 1, F) with F = min(1/(1 − ρ₂/ρ₁),
+// ρ₁/√|Δ|) — the geometric sum, and |r₁ᵗ⁺¹ − r₂ᵗ⁺¹| / |r₁ − r₂| with
+// |r₁ − r₂| = 2√|Δ|, Δ = c₁²/4 + c₂. So over the `SCREEN_STEPS` steps
+// H = max |h_t| ≤ B with
+//   B = min(max(1, 1/(e·ρ₁(1 − ρ₁))), F)                    when ρ₁ < 1
+//       (sup over t of ρᵗ(t + 1) is 1/(eρ·(−ln ρ)) ≤ 1/(eρ(1 − ρ)), or 1),
+//   B = ρ₁^SCREEN_STEPS · min(SCREEN_STEPS + 1, F)           otherwise.
+// Round-off: each loop step is fl(fl(c₁ĥ) + fl(c₂ĥ)), so the computed
+// response is ĥ = h + h ∗ η with |η_t| ≤ γ₂(|c₁||ĥ_{t−1}| + |c₂||ĥ_{t−2}|)
+// (plus 2⁻¹⁰⁷⁴ per product for underflow). Every factor of B is ≥ 1, so a
+// certified lane has ρ₁^SCREEN_STEPS ≤ 50, i.e. ρ₁ < 1.01, hence
+// |c₁| + |c₂| ≤ 2ρ₁ + ρ₁² < 3.1, and induction over the steps gives
+// |ĥ_t| ≤ H·(1 + 2·10⁻¹¹). The bound's own arithmetic is made one-sided
+// (an absolute slack on the discriminant, relative factors on the rest),
+// so B·(1 + `CERTIFICATE_MARGIN`) ≤ `SCREEN_LIMIT` proves every step of
+// the floating-point loop finite and within the limit: the decision is
+// the loop's, only cheaper. The certificate uses `+ − × ÷ √` only, no libm.
+//
 // Inside the scored window a residual that is non-finite or larger than
 // `RESIDUAL_LIMIT` in magnitude abandons the candidate: the series fitted
 // here are utilizations in [0, 1], and a residual of that size has left any
@@ -536,6 +559,9 @@ const RESIDUAL_LIMIT: f64 = 1e8;
 /// Widest lag span the register-window screen handles; wider (seasonal)
 /// spans take the buffered screen.
 const SCREEN_WINDOW: usize = 8;
+/// Relative headroom a certified bound keeps below [`SCREEN_LIMIT`]: it
+/// covers the loop's round-off (≤ 2·10⁻¹¹) and the bound's own.
+const CERTIFICATE_MARGIN: f64 = 1e-6;
 
 /// Scratch for evaluating the CSS objective of one order on one series:
 /// the expanded polynomials, the innovations and the wide-span screen
@@ -626,10 +652,26 @@ impl CssWorkspace {
     }
 
     /// Whether the loaded candidate passes both stability screens (see the
-    /// contract above). The two impulse responses are independent, so they
-    /// advance together in one loop: two dependency chains in flight
-    /// instead of one after the other.
+    /// contract above): by certificate when both recursions have one, by
+    /// the impulse-response loop otherwise. A debug build runs the loop on
+    /// certified candidates too and asserts that it agrees.
     fn screens_pass(&mut self) -> bool {
+        if certified_stable(&self.ar) && certified_stable(&self.neg_ma) {
+            debug_assert!(
+                self.screens_loop(),
+                "certified candidate fails the loop: ar {:?}, -ma {:?}",
+                self.ar,
+                self.neg_ma
+            );
+            return true;
+        }
+        self.screens_loop()
+    }
+
+    /// Both stability screens by the impulse-response loop alone. The two
+    /// responses are independent, so they advance together in one loop:
+    /// two dependency chains in flight instead of one after the other.
+    fn screens_loop(&mut self) -> bool {
         let (ar, neg_ma) = (self.ar.as_slice(), self.neg_ma.as_slice());
         match ar.len().max(neg_ma.len()) {
             0 => true,
@@ -737,6 +779,85 @@ fn lag_product(
             *slot += ai * bj;
         }
     }
+}
+
+/// Whether the stability certificate (see the contract above) proves that
+/// the impulse-response loop passes the recursion `x_t = Σ cᵢ x_{t−1−i}`.
+/// `false` means "not settled", not "unstable": spans beyond 2, a
+/// coefficient too large for any certified root (`|c₁| ≤ 2ρ₁`,
+/// `|c₂| ≤ ρ₁²`, so beyond 2.5 or 1.5 the root exceeds 1.2), a non-finite
+/// or a nonzero sub-`1e-100` coefficient (where underflow would cost the
+/// bound its relative error terms) all go to the loop.
+fn certified_stable(coefs: &[f64]) -> bool {
+    // Relative factors that turn a value computed with a handful of
+    // roundings (each ≤ 2⁻⁵³) into an upper or a lower bound.
+    const UP: f64 = 1.0 + 1e-12;
+    const DOWN: f64 = 1.0 - 1e-12;
+    /// A lower bound on e (the constant is e to within half an ulp).
+    const E_LOW: f64 = std::f64::consts::E * DOWN;
+    let (c1, c2) = match *coefs {
+        [] => return true,
+        [c1] => (c1, 0.0),
+        [c1, c2] => (c1, c2),
+        _ => return false,
+    };
+    let tiny = |c: f64| c.abs() > 0.0 && c.abs() < 1e-100;
+    if !(c1.abs() <= 2.5 && c2.abs() <= 1.5) || tiny(c1) || tiny(c2) {
+        return false;
+    }
+    if c1.abs() + c2.abs() <= 0.0 {
+        return true; // x_t = 0 after the impulse
+    }
+    // ρ₁ = max(a + √max(0, a² + c₂), √max(0, −c₂)) with a = |c₁|/2 is the
+    // larger root modulus in both the real and the complex case, and grows
+    // with the quarter discriminant a² + c₂. That is computed with an error
+    // below 3·2⁻⁵³(a² + |c₂|); `slack` is three times as much, so the
+    // discriminant moved by it brackets the exact one, roundings included.
+    let a = 0.5 * c1.abs();
+    let disc = a * a + c2;
+    let slack = 1e-15 * (a * a + c2.abs());
+    let rho_max = |disc: f64| (a + disc.max(0.0).sqrt()).max((-c2).max(0.0).sqrt());
+    let rho1 = rho_max(disc + slack) * UP;
+    let rho1_low = rho_max(disc - slack) * DOWN;
+    // ρ₂ = |c₂|/ρ₁ ≤ |c₂|/ρ₁_low; the ratio q = ρ₂/ρ₁ is capped at 1
+    // because the true ρ₂ ≤ ρ₁.
+    let q = c2.abs() / (rho1_low * rho1) * UP;
+    let geometric = if q < 1.0 {
+        1.0 / (1.0 - q) * UP
+    } else {
+        f64::INFINITY
+    };
+    // h_t = (r₁ᵗ⁺¹ − r₂ᵗ⁺¹)/(r₁ − r₂) with |r₁ − r₂| = 2√|Δ|, Δ the quarter
+    // discriminant: |h_t| ≤ ρ₁ᵗ · ρ₁/√|Δ|, the bound that settles complex
+    // pairs at a wide angle. `disc_low` is a lower bound on |Δ|.
+    let disc_low = disc.abs() - 2.0 * slack;
+    let separated = if disc_low > 0.0 {
+        rho1 / disc_low.sqrt() * UP
+    } else {
+        f64::INFINITY
+    };
+    let factor = geometric.min(separated);
+    let bound = if rho1 < 1.0 {
+        let peak = (1.0 / (E_LOW * rho1 * (1.0 - rho1))).max(1.0);
+        peak.min(factor)
+    } else {
+        power_of_screen_steps(rho1) * factor.min((SCREEN_STEPS + 1) as f64)
+    };
+    bound * UP * (1.0 + CERTIFICATE_MARGIN) <= SCREEN_LIMIT
+}
+
+/// `x^SCREEN_STEPS` by repeated squaring (relative error below
+/// `SCREEN_STEPS · 2⁻⁵²`; no libm).
+fn power_of_screen_steps(x: f64) -> f64 {
+    let (mut result, mut square, mut n) = (1.0, x, SCREEN_STEPS);
+    while n > 0 {
+        if n % 2 == 1 {
+            result *= square;
+        }
+        square *= square;
+        n /= 2;
+    }
+    result
 }
 
 /// One value per stability screen: the AR recursion and the MA recursion
@@ -1393,7 +1514,24 @@ impl AutoArima {
 }
 
 impl Forecaster for AutoArima {
+    /// Always cold: the grid search starts from an empty warm-start table,
+    /// so the result depends on `history` alone; the table it fills
+    /// replaces this model's. A failed fit leaves the model as it was.
     fn fit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
+        let mut warm = ArimaWarmStart::default();
+        self.inner = Some(auto_arima_warm(
+            history,
+            &self.grid,
+            &self.options,
+            &mut warm,
+        )?);
+        self.warm = warm;
+        Ok(())
+    }
+
+    /// Warm: each grid order continues from the solution it reached on
+    /// this model's last (re)fit, and the table keeps the new ones.
+    fn refit(&mut self, history: &[f64]) -> Result<(), TimeSeriesError> {
         self.inner = Some(auto_arima_warm(
             history,
             &self.grid,
@@ -1761,6 +1899,41 @@ mod tests {
         let fc = model.forecast(&series, 3).unwrap();
         assert_eq!(fc.len(), 3);
         assert_eq!(model.name(), "auto-arima");
+    }
+
+    #[test]
+    fn auto_arima_fit_is_cold_and_refit_warm() {
+        let bits = |m: &AutoArima| {
+            let f = m.selected().and_then(Arima::fitted).expect("fitted");
+            let mut x = f.params();
+            x.extend([f.css, f.aicc]);
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let unrelated = ar1_series(200, -0.5, 7);
+        let series = ar1_series(248, 0.8, 41);
+        let mut fresh = AutoArima::quick();
+        fresh.fit(&series[..200]).unwrap();
+
+        // `fit` after a fit on an unrelated series is the fresh model's
+        // fit, bit for bit, warm-start table included.
+        let mut reused = AutoArima::quick();
+        reused.fit(&unrelated).unwrap();
+        let mut continued = reused.clone();
+        reused.fit(&series[..200]).unwrap();
+        assert_eq!(bits(&reused), bits(&fresh));
+        assert_eq!(reused, fresh);
+        // What `fit` used to do — continue from the unrelated table — is
+        // another model.
+        continued.refit(&series[..200]).unwrap();
+        assert_ne!(bits(&continued), bits(&fresh));
+
+        // `refit` continues from the table of the last fit.
+        let mut table = fresh.warm().clone();
+        let want =
+            auto_arima_warm(&series, &ArimaGrid::quick(), &fresh.options, &mut table).unwrap();
+        fresh.refit(&series).unwrap();
+        assert_eq!(fresh.selected(), Some(&want));
+        assert_eq!(fresh.warm(), &table);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Differential tests: the workspace evaluator, the stability screens and
 //! the forecast recursion against the allocating [`super::oracle`] they
-//! replaced, compared by `f64::to_bits` (NaN for NaN).
+//! replaced, compared by `f64::to_bits` (NaN for NaN); and the stability
+//! certificate against the impulse-response loop it stands in for.
 
 use proptest::prelude::*;
 
@@ -20,8 +21,18 @@ fn uniform(state: &mut u64) -> f64 {
 /// A centroid-like series: level, period-12 triangle wave, AR(1) wander
 /// and observation noise.
 fn centroid_like(seed: u64, n: usize) -> Vec<f64> {
+    centroid_at(0.1 + 0.08 * (seed % 10) as f64, seed, n)
+}
+
+/// The centroid-like series of the root `tests/arima_fit_golden.rs`: its
+/// level steps by 0.25 a seed.
+fn golden_series(seed: u64, n: usize) -> Vec<f64> {
+    centroid_at(0.2 + 0.25 * seed as f64, seed, n)
+}
+
+/// [`centroid_like`] around a given level.
+fn centroid_at(level: f64, seed: u64, n: usize) -> Vec<f64> {
     let mut state = seed;
-    let level = 0.1 + 0.08 * (seed % 10) as f64;
     let mut wander = 0.0;
     (0..n)
         .map(|t| {
@@ -303,4 +314,218 @@ fn stability_screen_boundary_is_pinned() {
             }
         }
     }
+}
+
+#[test]
+fn certificate_decides_as_the_loop_on_every_golden_fit_candidate() {
+    // The golden file's three orders and the quick grid's, each fitted
+    // cold on the golden series (120 points) and refitted warm on 168,
+    // through the production objective. Every in-domain candidate
+    // Nelder–Mead visits is screened twice more on its own workspace: by
+    // `screens_pass` (certificate, then loop) and by the loop alone, which
+    // must also be the allocating oracle's decision on each chain.
+    let options = ArimaFitOptions::default();
+    let bound = options.coef_bound;
+    let mut orders = vec![
+        ArimaOrder::new(2, 0, 1),
+        ArimaOrder::new(1, 1, 1),
+        ArimaOrder::seasonal(1, 0, 0, 1, 0, 0, 12),
+    ];
+    orders.extend(ArimaGrid::quick().orders());
+    let (mut visited, mut passing, mut certified) = (0usize, 0usize, 0usize);
+    for seed in 1..=3u64 {
+        let series = golden_series(seed, 168);
+        for &order in &orders {
+            let mut model = Arima::with_options(order, options.clone());
+            for (len, warm) in [(120, false), (168, true)] {
+                let (w, _) =
+                    difference(&series[..len], order.d, order.sd, order.s).expect("difference");
+                let hint = model.fitted().filter(|_| warm).map(FittedArima::params);
+                let mut reference = model.clone();
+                let (mut ws, mut probe) = (
+                    CssWorkspace::new(order, w.len()),
+                    CssWorkspace::new(order, 0),
+                );
+                model
+                    .fit_with_objective(
+                        w.len(),
+                        mean(&w),
+                        hint.as_deref(),
+                        f64::INFINITY,
+                        |x, cap| {
+                            if in_domain(x, bound) {
+                                let (phi, theta, sphi, stheta, _) = split_params(order, x);
+                                probe.load(phi, theta, sphi, stheta);
+                                let by_certificate =
+                                    certified_stable(&probe.ar) && certified_stable(&probe.neg_ma);
+                                let by_loop = probe.screens_loop();
+                                assert_eq!(probe.screens_pass(), by_loop, "{order:?} at {x:?}");
+                                assert!(!by_certificate || by_loop, "{order:?} at {x:?}");
+                                assert_eq!(
+                                    by_loop,
+                                    oracle::recursion_is_stable(&probe.ar, SCREEN_STEPS)
+                                        && oracle::recursion_is_stable(&probe.neg_ma, SCREEN_STEPS),
+                                    "{order:?} at {x:?}"
+                                );
+                                visited += 1;
+                                passing += usize::from(by_loop);
+                                certified += usize::from(by_certificate);
+                            }
+                            ws.objective(&w, x, bound, cap)
+                        },
+                    )
+                    .expect("fit");
+                // The wrapped objective drove the production trajectory.
+                let refit = if warm {
+                    reference.refit(&series[..len])
+                } else {
+                    reference.fit(&series[..len])
+                };
+                refit.expect("production fit");
+                assert_eq!(model.fitted(), reference.fitted(), "{order:?} seed {seed}");
+                if (seed, order, warm) == (1, orders[0], false) {
+                    // The golden table's first row: these are its series.
+                    let mu = model.fitted().expect("fitted").mu;
+                    assert_eq!(mu.to_bits(), 0x3fdc_c03b_4c95_07b1);
+                }
+            }
+        }
+    }
+    assert!(visited > 10_000, "only {visited} candidates");
+    assert!(certified > 0);
+    println!(
+        "{visited} in-domain candidates, {passing} pass the loop, {certified} certified \
+         ({:.1} % of the passing)",
+        100.0 * certified as f64 / passing as f64
+    );
+}
+
+/// Runs `lanes` through the certificate and the loop; returns (lanes,
+/// certified, violations): a violation is a lane certified that the loop
+/// rejects.
+fn sweep(lanes: impl Iterator<Item = [f64; 2]>) -> (usize, usize, usize) {
+    let (mut total, mut certified, mut violations) = (0, 0, 0);
+    for lane in lanes {
+        let coefs: &[f64] = if lane[1].abs() > 0.0 {
+            &lane
+        } else {
+            &lane[..1]
+        };
+        total += 1;
+        if certified_stable(coefs) {
+            certified += 1;
+            if !screen_windows::<2>(coefs, &[]) {
+                violations += 1;
+                eprintln!("violation: {coefs:?}");
+            }
+        }
+    }
+    (total, certified, violations)
+}
+
+/// The sweep's lane families at `scale` (1 = the full release sweep):
+/// uniform lag-2 and lag-1 boxes around the stable region, then the
+/// boundary families — near-double real roots, complex pairs at a small
+/// angle, one root just above 1 (within the loop's slack), and the ulp
+/// neighbourhood of the single-lag threshold.
+fn sweep_families(scale: usize, seed: u64) -> Vec<(&'static str, Vec<[f64; 2]>)> {
+    let mut state = seed;
+    let mut u = |lo: f64, hi: f64| lo + (hi - lo) * 0.5 * (uniform(&mut state) + 1.0);
+    let box2 = (0..scale).map(|_| [u(-2.1, 2.1), u(-1.1, 1.1)]).collect();
+    let box1 = (0..scale / 4).map(|_| [u(-1.1, 1.1), 0.0]).collect();
+    let double = (0..scale / 8)
+        .map(|_| {
+            let r = u(0.97, 1.008) * if u(-1.0, 1.0) < 0.0 { -1.0 } else { 1.0 };
+            let spread = u(0.0, 1e-3) * u(0.0, 1.0).powi(4);
+            [2.0 * r + spread, -(r * r)]
+        })
+        .collect();
+    let complex = (0..scale / 8)
+        .map(|_| {
+            let (rho, angle) = (u(0.97, 1.008), u(0.0, 0.05));
+            [2.0 * rho * angle.cos(), -(rho * rho)]
+        })
+        .collect();
+    let above_one = (0..scale / 8)
+        .map(|_| {
+            let (r1, r2) = (u(1.0, 1.0079), u(-1.0, 1.0));
+            let r1 = if u(-1.0, 1.0) < 0.0 { -r1 } else { r1 };
+            [r1 + r2, -(r1 * r2)]
+        })
+        .collect();
+    let threshold = f64::from_bits(SPAN_1_THRESHOLD_BITS);
+    let mut edge = Vec::new();
+    for ulps in -64..=64 {
+        for c in [nudge(threshold, ulps), -nudge(threshold, ulps)] {
+            edge.push([c, 0.0]);
+            for tail in [1e-300, 1e-120, 1e-90, 1e-6, -1e-6] {
+                edge.push([c, tail]);
+            }
+        }
+    }
+    vec![
+        ("uniform lag-2", box2),
+        ("uniform lag-1", box1),
+        ("near-double roots", double),
+        ("small-angle complex pairs", complex),
+        ("one root in (1, 1.0079]", above_one),
+        ("single-lag threshold ± 64 ulps", edge),
+    ]
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: cargo test --release")]
+fn certificate_never_passes_what_the_loop_rejects() {
+    let mut lanes = 0;
+    for (family, family_lanes) in sweep_families(1_000_000, 0x5EED_CE27) {
+        let (total, certified, violations) = sweep(family_lanes.into_iter());
+        println!(
+            "{family}: {total} lanes, certified {certified} ({:.1} %), violations {violations}",
+            100.0 * certified as f64 / total as f64
+        );
+        assert_eq!(violations, 0, "{family}");
+        lanes += total;
+    }
+    assert!(lanes >= 1_000_000);
+}
+
+#[test]
+fn certificate_sweep_smoke_and_its_reach() {
+    for (family, family_lanes) in sweep_families(4_000, 11) {
+        let (_, _, violations) = sweep(family_lanes.into_iter());
+        assert_eq!(violations, 0, "{family}");
+    }
+    // Certified: empty and zero recursions, a stable single lag well inside
+    // the boundary, a damped oscillation.
+    for coefs in [
+        &[][..],
+        &[0.0],
+        &[0.0, 0.0],
+        &[0.9],
+        &[-1.007],
+        &[1.2, -0.5],
+    ] {
+        assert!(certified_stable(coefs), "{coefs:?}");
+    }
+    // Not settled: spans beyond 2, non-finite, too large or sub-1e-100
+    // coefficients, and the ulp-neighbourhood of the threshold, which the
+    // loop alone decides.
+    let threshold = f64::from_bits(SPAN_1_THRESHOLD_BITS);
+    for coefs in [
+        &[0.1, 0.0, 0.0][..],
+        &[f64::NAN],
+        &[0.5, f64::INFINITY],
+        &[2.6, -0.5],
+        &[0.5, 1e-200],
+        &[threshold],
+        &[nudge(threshold, -64)],
+        &[1.1],
+    ] {
+        assert!(!certified_stable(coefs), "{coefs:?}");
+    }
+    // A seasonal workspace never reaches the certificate's spans.
+    let mut ws = CssWorkspace::new(ArimaOrder::seasonal(1, 0, 0, 1, 0, 0, 4), 0);
+    ws.load(&[0.2], &[], &[0.3], &[]);
+    assert!(ws.ar.len() > 2 && !certified_stable(&ws.ar));
+    assert_eq!(ws.screens_pass(), ws.screens_loop());
 }

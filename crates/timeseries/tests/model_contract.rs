@@ -119,9 +119,10 @@ fn models_are_refittable_on_grown_history() {
 fn refit_is_fit_unless_a_model_says_otherwise() {
     // `Forecaster::refit` defaults to `fit`. On an unfitted model that
     // holds, bit for bit, for every implementation. On a fitted one it holds
-    // for every implementation but two that continue from the outgoing fit
+    // for every implementation but three that continue from the outgoing fit
     // and must still land next to the cold one: the fixed-order ARIMA (from
-    // its coefficients) and the LSTM (from its weights, on the new windows
+    // its coefficients), the auto-ARIMA (each grid order from its
+    // warm-start table) and the LSTM (from its weights, on the new windows
     // plus a replay tail). The LSTM's band is looser: its cold fit here is
     // 5 epochs from random weights, its refit 5 more from the outgoing
     // ones, and the two differ by what those epochs learned.
@@ -143,7 +144,7 @@ fn refit_is_fit_unless_a_model_says_otherwise() {
             refitted.forecast(&hist, 8).unwrap(),
         );
         let band = match name {
-            "arima" => Some(0.02),
+            "arima" | "auto-arima" => Some(0.02),
             "lstm" => Some(0.05),
             _ => None,
         };

@@ -55,6 +55,13 @@ cargo test --workspace -q
 echo "==> cargo test --release -q -p utilcast-timeseries --lib lstm::"
 cargo test --release -q -p utilcast-timeseries --lib lstm::
 
+# The ARIMA differential suite once more, optimised: its release-only
+# sweep holds the stability certificate to the impulse-response loop on
+# 1.6 million seeded and boundary lanes (the debug suite runs a smoke of
+# it, and the debug_assert backstop on every evaluation it makes).
+echo "==> cargo test --release -q -p utilcast-timeseries --lib arima::differential"
+cargo test --release -q -p utilcast-timeseries --lib arima::differential
+
 # The root LSTM goldens once more, optimised: the tier-1 suite runs them
 # only in debug, and the forecast's fixed-width inference kernel vectorises
 # under -O, so its pinned forecast and refit-replay bits are held under
@@ -101,6 +108,17 @@ echo "==> benchmark tests (cd benchmark && cargo test --offline -q)"
 echo "==> benchmark smoke (benchmark/run.sh --smoke)"
 benchmark/run.sh --smoke
 
+# The report-bin smoke legs below redirect their output, so they must
+# leave every committed result as it is. What git sees under results/ and
+# of the BENCH_*.json files (status, and a digest of the diff, so a
+# rewrite of an already-modified file counts too) is recorded here and
+# compared after the last leg.
+results_state() {
+  git status --porcelain -- results 'BENCH_*.json'
+  git diff --no-ext-diff -- results 'BENCH_*.json' | cksum
+}
+RESULTS_BEFORE="$(results_state)"
+
 # Smoke-run the forecast hot-path benchmark at tiny scale: proves the
 # bench binary stays runnable without spending real timing reps. The
 # output directory is redirected so the committed BENCH_forecast.json
@@ -133,5 +151,12 @@ SMOKE_DIR="$(mktemp -d)"
 UTILCAST_BENCH_DIR="$SMOKE_DIR" UTILCAST_NODES=256 UTILCAST_STEPS=2 \
   cargo run --release -q -p utilcast-bench --bin query_report
 rm -rf "$SMOKE_DIR"
+
+echo "==> committed results untouched by the smoke legs"
+if [ "$(results_state)" != "$RESULTS_BEFORE" ]; then
+  echo "error: a smoke leg rewrote a committed result:" >&2
+  git status --porcelain -- results 'BENCH_*.json' >&2
+  exit 1
+fi
 
 echo "All checks passed."
