@@ -911,6 +911,12 @@ pub fn nearest_centroid(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
 
 /// Uniform random seeding over the flat point buffer: `k` distinct indices
 /// by partial Fisher-Yates, returned as a flat `k * dim` centroid buffer.
+// lint:allow(panic-path): fn-scope audit: fit/fit_flat reach the seeding
+// only with k < n (k >= n takes the degenerate path) and flat.len() ==
+// n * dim (validate_flat), so idx[..k] and every drawn row i < n slice in
+// bounds; chain clustering::kmeans::KMeans::fit ->
+// clustering::kmeans::KMeans::fit_restarts ->
+// clustering::kmeans::KMeans::fit_once -> clustering::kmeans::random_seed
 fn random_seed(flat: &[f64], n: usize, dim: usize, k: usize, rng: &mut StdRng) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..n).collect();
     for i in 0..k {
@@ -927,6 +933,12 @@ fn random_seed(flat: &[f64], n: usize, dim: usize, k: usize, rng: &mut StdRng) -
 /// K-means++ seeding over the flat point buffer, returned as a flat
 /// `k * dim` centroid buffer. Draws the same RNG sequence as the nested
 /// reference implementation.
+// lint:allow(panic-path): fn-scope audit: flat.len() == n * dim
+// (validate_flat) and every row index drawn is < n (gen_range(0..n), or a
+// position in the n-long dists), so each pt(i) slice is in bounds; chain
+// clustering::kmeans::KMeans::fit -> clustering::kmeans::KMeans::fit_restarts
+// -> clustering::kmeans::KMeans::fit_once ->
+// clustering::kmeans::plus_plus_seed
 fn plus_plus_seed(flat: &[f64], n: usize, dim: usize, k: usize, rng: &mut StdRng) -> Vec<f64> {
     let pt = |i: usize| &flat[i * dim..(i + 1) * dim];
     let mut centroids = Vec::with_capacity(k * dim);

@@ -582,7 +582,7 @@ impl DynamicClusterer {
 /// Serializable state of a [`DynamicClusterer`] (see
 /// [`DynamicClusterer::snapshot`]). `history` is ordered most recent first,
 /// matching the clusterer's internal deque.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ClustererSnapshot {
     /// The clusterer configuration.
     pub config: DynamicClustererConfig,
@@ -1003,12 +1003,10 @@ mod tests {
     fn old_snapshots_without_shard_warm_restore() {
         // Snapshot JSON written before the hierarchical tier existed has
         // no `shard_warm` field; it must deserialize to the empty default.
-        let mut dc = DynamicClusterer::new(DynamicClustererConfig {
-            k: 2,
-            ..Default::default()
-        });
-        dc.step(&two_groups(0.2, 0.8)).unwrap();
-        let mut json = serde_json::to_value(&dc.snapshot()).unwrap();
+        // The fixture is the JSON-map snapshot the derived codec wrote for
+        // a k = 2 clusterer after one step of `two_groups(0.2, 0.8)`.
+        let mut json: serde::Value =
+            serde_json::from_str(include_str!("../tests/fixtures/legacy_clusterer.json")).unwrap();
         match &mut json {
             serde::Value::Map(entries) => entries.retain(|(k, _)| k != "shard_warm"),
             other => panic!("snapshot serialized to non-map {other:?}"),

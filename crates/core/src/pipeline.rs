@@ -120,7 +120,7 @@ impl ModelSpec {
         }
     }
 
-    /// Instantiates an unfitted forecaster as a concrete, serializable
+    /// Instantiates an unfitted forecaster as a concrete, checkpointable
     /// [`ClusterModel`] (what [`crate::stage::ForecastStage`] holds so its
     /// state can be checkpointed).
     pub fn build_model(&self) -> ClusterModel {
@@ -141,13 +141,14 @@ impl ModelSpec {
 
 /// A concrete per-cluster forecasting model: the closed sum of every model
 /// [`ModelSpec`] can build. Unlike `Box<dyn Forecaster>`, the whole fitted
-/// state is serializable, which is what makes controller checkpoints
-/// possible.
+/// state can be written into a checkpoint container
+/// ([`ClusterModel::encode_into`]), which is what makes controller
+/// checkpoints possible.
 // One instance exists per cluster (K ~ 10), so the size spread between
 // variants (AutoArima carries its warm-start table) costs nothing in
 // practice, while boxing would cost an indirection on every forecast call.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 #[non_exhaustive]
 pub enum ClusterModel {
     /// Repeat the latest centroid value.

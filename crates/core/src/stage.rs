@@ -107,7 +107,7 @@ impl Default for ForecastStageConfig {
 /// `Vec<Vec<f64>>`: the buffer is recycled between the snapshot falling
 /// out of the look-back window and the next step's clustering input, so
 /// the steady state allocates nothing per step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 struct Snapshot {
     values: Matrix,
     centroids: Vec<Vec<f64>>,
@@ -185,7 +185,7 @@ impl Snapshot {
 }
 
 /// One forecaster's checkpoint: the fitted model plus its harness state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 struct ForecasterSnapshot {
     model: ClusterModel,
     state: RetrainState,
@@ -195,7 +195,7 @@ struct ForecasterSnapshot {
 /// cluster/membership history, per-cluster centroid histories and fitted
 /// models, retrain counters, and degraded-mode bookkeeping. Produced by
 /// [`ForecastStage::snapshot`], consumed by [`ForecastStage::restore`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct StageSnapshot {
     config: ForecastStageConfig,
     clusterer: ClustererSnapshot,
@@ -968,6 +968,17 @@ impl ForecastStage {
 mod tests {
     use super::*;
 
+    /// `snapshot` written into a checkpoint container and read back.
+    fn through_container(snapshot: &StageSnapshot) -> StageSnapshot {
+        let mut out = Writer::new();
+        snapshot.encode_into(&mut out);
+        let bytes = out.seal();
+        let mut input = Reader::open(&bytes).unwrap();
+        let back = StageSnapshot::decode(&mut input).unwrap();
+        input.finish().unwrap();
+        back
+    }
+
     fn quick(n: usize, k: usize) -> ForecastStageConfig {
         ForecastStageConfig {
             num_nodes: n,
@@ -1186,7 +1197,7 @@ mod tests {
         };
         let mut stage = arima_stage(1);
         let mut trace = drive(&mut stage, 1..=30);
-        let checkpoint = serde_json::to_string(&stage.snapshot()).unwrap();
+        let checkpoint = through_container(&stage.snapshot());
         trace.extend(drive(&mut stage, 31..=44));
         assert!(trace[23].0.retrained && trace[39].0.retrained);
         assert_eq!(stage.model_fallbacks(), 0);
@@ -1202,7 +1213,7 @@ mod tests {
             assert_ne!(model.fitted(), cold.fitted());
         }
 
-        let snapshot: StageSnapshot = serde_json::from_str(&checkpoint).unwrap();
+        let snapshot = checkpoint;
         let mut restored = ForecastStage::restore(snapshot).unwrap();
         assert_eq!(drive(&mut restored, 31..=44), trace[30..]);
         assert_eq!(restored.snapshot(), stage.snapshot());
@@ -1420,14 +1431,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_survives_json_round_trip() {
+    fn snapshot_survives_a_container_round_trip() {
         let mut stage = ForecastStage::new(quick(4, 2)).unwrap();
         for _ in 0..8 {
             stage.step(&[0.2, 0.21, 0.7, 0.72]).unwrap();
         }
         let snapshot = stage.snapshot();
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let back: StageSnapshot = serde_json::from_str(&json).unwrap();
+        let back = through_container(&snapshot);
         assert_eq!(snapshot, back);
         let mut a = ForecastStage::restore(snapshot).unwrap();
         let mut b = ForecastStage::restore(back).unwrap();
@@ -1488,11 +1498,7 @@ mod tests {
             }
             stage.degrade(1);
             let snapshot = stage.snapshot();
-            let mut out = Writer::new();
-            snapshot.encode_into(&mut out);
-            let mut input = Reader::open(&out.seal()).unwrap();
-            let back = StageSnapshot::decode(&mut input).unwrap();
-            input.finish().unwrap();
+            let back = through_container(&snapshot);
             assert_eq!(back, snapshot, "{model:?}");
             let mut a = ForecastStage::restore(snapshot).unwrap();
             let mut b = ForecastStage::restore(back).unwrap();
@@ -1587,9 +1593,7 @@ mod tests {
         }
         stage.forecast_table().unwrap();
         stage.record_reads(11);
-        let snapshot = stage.snapshot();
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let back: StageSnapshot = serde_json::from_str(&json).unwrap();
+        let back = through_container(&stage.snapshot());
         let mut restored = ForecastStage::restore(back).unwrap();
         assert_eq!(restored.generation(), stage.generation());
         assert_eq!(restored.forecast_table_rebuilds(), 1);
@@ -1605,17 +1609,18 @@ mod tests {
     #[test]
     fn pre_table_snapshots_restore_with_zeroed_read_plane() {
         // Simulate a checkpoint written before the read plane existed by
-        // stripping the new fields from the JSON.
-        let mut stage = ForecastStage::new(quick(4, 2)).unwrap();
-        for _ in 0..4 {
-            stage.step(&[0.2, 0.21, 0.7, 0.72]).unwrap();
-        }
-        let json = serde_json::to_string(&stage.snapshot()).unwrap();
-        // The three read-plane fields are serialized last; truncating at
-        // the first of them yields exactly the pre-table JSON shape.
-        let cut = json.find(",\"generation\"").unwrap();
-        let old_json = format!("{}}}", &json[..cut]);
-        let old: StageSnapshot = serde_json::from_str(&old_json).unwrap();
+        // stripping the new fields from a recorded JSON-map checkpoint (a
+        // `quick(4, 2)` stage after four steps, written by the derived
+        // codec before the container replaced it).
+        let mut json: serde::Value =
+            serde_json::from_str(include_str!("../tests/fixtures/legacy_stage.json")).unwrap();
+        assert_eq!(StageSnapshot::from_value(&json).unwrap().generation, 4);
+        let serde::Value::Map(fields) = &mut json else {
+            panic!("a stage checkpoint is a map")
+        };
+        let read_plane = ["generation", "table_rebuilds", "reads_served"];
+        fields.retain(|(k, _)| !read_plane.contains(&k.as_str()));
+        let old = StageSnapshot::from_value(&json).unwrap();
         let restored = ForecastStage::restore(old).unwrap();
         assert_eq!(restored.generation(), 0);
         assert_eq!(restored.forecast_table_rebuilds(), 0);

@@ -45,7 +45,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use serde::{Deserialize, Serialize};
 use utilcast_linalg::stats::sample_variance;
 
 use crate::offset::{majority_label, COINCIDENT_DIST_SQ};
@@ -361,11 +360,12 @@ pub fn assemble_forecast(
 ///
 /// Built by [`crate::stage::ForecastStage::build_forecast_table`] from the
 /// same window state the recompute path reads, stamped with the stage
-/// [`generation`](ForecastTable::generation) it was built at, and
-/// serializable so checkpoints can carry it. All buffers are flat: the
+/// [`generation`](ForecastTable::generation) it was built at. It is
+/// derived state: checkpoints never carry it, and a restored stage
+/// rebuilds it bit for bit. All buffers are flat: the
 /// `K × H` centroid trajectories and interval half-widths are row-major
 /// per cluster, memberships and offsets are one entry per node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForecastTable {
     generation: u64,
     horizon: usize,
@@ -744,15 +744,6 @@ mod tests {
     #[should_panic(expected = "horizon index")]
     fn out_of_range_horizon_panics() {
         tiny_table(1, 0.5).node_forecast(0, 2);
-    }
-
-    #[test]
-    fn table_survives_serde_round_trip() {
-        let table = tiny_table(7, 0.25);
-        let json = serde_json::to_string(&table).unwrap();
-        let back: ForecastTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(table, back);
-        assert_eq!(back.generation(), 7);
     }
 
     #[test]

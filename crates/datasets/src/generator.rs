@@ -125,6 +125,11 @@ impl ClusterTraceConfig {
     ///
     /// Panics if any of `num_nodes`, `num_steps`, `num_groups`, or
     /// `resources` is zero/empty, or `diurnal_period == 0`.
+    // lint:allow(panic-path): fn-scope audit: base/ar/phase are d x g and
+    // offsets n x d, r < d and i < n are loop variables, and every group
+    // label k = membership[i] is < g (set to i % g, or drawn from 0..g-1 and
+    // stepped past the current label), so each [r][k] / [i][r] is in
+    // bounds; chain datasets::generator::ClusterTraceConfig::generate
     pub fn generate(&self) -> Trace {
         assert!(self.num_nodes > 0, "num_nodes must be positive");
         assert!(self.num_steps > 0, "num_steps must be positive");

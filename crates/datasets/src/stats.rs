@@ -54,16 +54,16 @@ pub fn summarize(trace: &Trace, resource: Resource) -> Result<TraceSummary, Trac
     let node_volatility: Vec<f64> = series.iter().map(|s| std_dev(s)).collect();
     let abs_steps: Vec<f64> = series
         .iter()
-        .flat_map(|s| s.windows(2).map(|w| (w[1] - w[0]).abs()))
+        .flat_map(|s| s.iter().zip(s.iter().skip(1)).map(|(a, b)| (b - a).abs()))
         .collect();
 
     // Pairwise correlations over (a subsample of) nodes.
     let stride = n.div_ceil(CORR_NODE_CAP).max(1);
-    let sampled: Vec<usize> = (0..n).step_by(stride).collect();
+    let sampled: Vec<&Vec<f64>> = series.iter().step_by(stride).collect();
     let mut corrs = Vec::new();
-    for (a, &i) in sampled.iter().enumerate() {
-        for &j in &sampled[a + 1..] {
-            corrs.push(pearson(&series[i], &series[j]));
+    for (a, first) in sampled.iter().enumerate() {
+        for second in sampled.iter().skip(a + 1) {
+            corrs.push(pearson(first, second));
         }
     }
     let weak = if corrs.is_empty() {

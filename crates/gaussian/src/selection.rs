@@ -177,6 +177,11 @@ impl ProposedKMeans {
     /// # Errors
     ///
     /// Returns [`GaussianError::TooManyMonitors`] or clustering failures.
+    // lint:allow(panic-path): fn-scope audit: KMeans::fit returns k
+    // centroids and one label < k per point (the degenerate k >= n path
+    // labels point i as i < n <= k), and monitors/best_dist are k long, so
+    // every [c] is in bounds; chain
+    // gaussian::selection::ProposedKMeans::select_with_assignment
     pub fn select_with_assignment(
         &self,
         train: &Matrix,
@@ -192,8 +197,7 @@ impl ProposedKMeans {
         .fit(&points)?;
         let mut monitors = vec![usize::MAX; k];
         let mut best_dist = vec![f64::INFINITY; k];
-        for (i, p) in points.iter().enumerate() {
-            let c = result.assignments[i];
+        for (i, (p, &c)) in points.iter().zip(&result.assignments).enumerate() {
             let d = sq_dist(p, &result.centroids[c]);
             if d < best_dist[c] {
                 best_dist[c] = d;

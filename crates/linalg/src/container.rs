@@ -1,5 +1,5 @@
 //! The checkpoint container: one versioned, checksummed block of
-//! little-endian words, carried as one base64 string.
+//! little-endian words.
 //!
 //! A checkpoint is a few dense columns — stored values, last-seen ticks,
 //! look-back values and labels, centroid histories, model weights — inside
@@ -28,15 +28,19 @@
 //! with probability 1 − 2⁻⁶⁴ at best. It guards against corruption, not
 //! against an adversary: it is not a MAC.
 //!
-//! [`Reader::open`] checks the base64, the magic, the version, the length
-//! and the checksum before any field is read, and every read after that is
+//! [`Writer::seal`] returns the framed bytes, and [`Reader::open`] reads
+//! them in place. It checks the magic, the version, the length and the
+//! checksum before any field is read, and every read after that is
 //! bounds-checked against the payload, so a decoder built on it is total:
-//! hostile text is a [`DeError`] naming the fault, never a panic, and every
-//! allocation is sized by the input's own length.
+//! hostile bytes are a [`DeError`] naming the fault, never a panic, and
+//! every allocation is sized by the input's own length.
+//!
+//! Where a checkpoint must travel as text — a JSON string — [`to_base64`]
+//! and [`from_base64`] carry the bytes across that one boundary.
 
 use serde::DeError;
 
-use crate::packed::{decode_bytes, encode_bytes};
+use crate::packed::{decode_bytes, encode_bytes, word};
 
 /// The container's first four bytes.
 const MAGIC: [u8; 4] = *b"UCCK";
@@ -73,13 +77,6 @@ fn checksum(payload: &[u8]) -> u64 {
         *lane = fnv(*lane, u64::from_le_bytes(word(w)));
     }
     lanes.into_iter().fold(FNV_OFFSET, fnv)
-}
-
-/// The first `W` bytes of `bytes` as an array (zero-filled past its end).
-fn word<const W: usize>(bytes: &[u8]) -> [u8; W] {
-    let mut out = [0u8; W];
-    out.iter_mut().zip(bytes).for_each(|(o, b)| *o = *b);
-    out
 }
 
 /// The narrowest label width (1, 2, 4 or 8 bytes) whose range reaches
@@ -224,8 +221,8 @@ impl Writer {
     }
 
     /// Frames the payload — magic, [`VERSION`], length, checksum — and
-    /// returns the container as base64 text.
-    pub fn seal(mut self) -> String {
+    /// returns the container's bytes.
+    pub fn seal(mut self) -> Vec<u8> {
         let payload = self.bytes.get(HEADER..).unwrap_or_default();
         let header = [
             MAGIC.as_slice(),
@@ -235,18 +232,34 @@ impl Writer {
         ]
         .concat();
         self.bytes.iter_mut().zip(header).for_each(|(b, h)| *b = h);
-        let mut text = Vec::with_capacity(self.bytes.len().div_ceil(3).saturating_mul(4));
-        encode_bytes(&mut text, &self.bytes);
-        // The symbols are ASCII, so this never takes the fallback.
-        String::from_utf8(text).unwrap_or_default()
+        self.bytes
     }
+}
+
+/// The base64 text of a container's `bytes` (standard alphabet,
+/// `=`-padded), written into one buffer of exactly its length.
+pub fn to_base64(bytes: &[u8]) -> String {
+    let mut text = Vec::with_capacity(bytes.len().div_ceil(3).saturating_mul(4));
+    encode_bytes(&mut text, bytes);
+    // The symbols are ASCII, so this never takes the fallback.
+    String::from_utf8(text).unwrap_or_default()
+}
+
+/// The bytes of base64 `text` written by [`to_base64`].
+///
+/// # Errors
+///
+/// [`DeError`] for a length that is not a multiple of four, a symbol
+/// outside the alphabet, or bad padding.
+pub fn from_base64(text: &str) -> Result<Vec<u8>, DeError> {
+    decode_bytes(text).map_err(fault)
 }
 
 /// Reads a container's payload back, field by field, in the order it was
 /// written; every read is a [`DeError`] past the payload's end.
 #[derive(Debug)]
-pub struct Reader {
-    bytes: Vec<u8>,
+pub struct Reader<'a> {
+    bytes: &'a [u8],
     pos: usize,
 }
 
@@ -255,16 +268,16 @@ fn fault(what: impl std::fmt::Display) -> DeError {
     DeError::new(format!("checkpoint container: {what}"))
 }
 
-impl Reader {
-    /// Decodes the base64 `text` and checks the frame: the magic, that the
+impl<'a> Reader<'a> {
+    /// Checks the frame of the container `bytes`: the magic, that the
     /// version is [`VERSION`], that the header's length is the payload's,
-    /// and the checksum — all before the first field is read.
+    /// and the checksum — all before the first field is read. The fields
+    /// are then read from `bytes` in place.
     ///
     /// # Errors
     ///
     /// [`DeError`] naming the first of these that fails.
-    pub fn open(text: &str) -> Result<Reader, DeError> {
-        let bytes = decode_bytes(text).map_err(fault)?;
+    pub fn open(bytes: &'a [u8]) -> Result<Reader<'a>, DeError> {
         let header: [u8; HEADER] = bytes
             .get(..HEADER)
             .and_then(|h| h.try_into().ok())
@@ -294,7 +307,7 @@ impl Reader {
     }
 
     /// The next `n` bytes.
-    fn take(&mut self, n: usize) -> Result<&[u8], DeError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DeError> {
         let end = self
             .pos
             .checked_add(n)
@@ -366,7 +379,7 @@ impl Reader {
     }
 
     /// The next `n` words of `W` bytes each.
-    fn take_words<const W: usize>(&mut self, n: usize) -> Result<&[u8], DeError> {
+    fn take_words<const W: usize>(&mut self, n: usize) -> Result<&'a [u8], DeError> {
         self.take(self.check_len(n, W)?.saturating_mul(W))
     }
 
@@ -490,12 +503,20 @@ impl Reader {
     /// [`DeError`] past the payload's end, or the first error of `each`.
     pub fn seq<T>(
         &mut self,
-        mut each: impl FnMut(&mut Reader) -> Result<T, DeError>,
+        mut each: impl FnMut(&mut Reader<'a>) -> Result<T, DeError>,
     ) -> Result<Vec<T>, DeError> {
         // Every item any writer appends takes at least one byte.
         let n = self.usize()?;
         let n = self.check_len(n, 1)?;
-        let mut items = Vec::with_capacity(n);
+        // An item may be far wider in memory than its bytes, so the count
+        // alone would let a short payload reserve `size_of::<T>()` times
+        // its length: reserve no more bytes than the payload has left, and
+        // let the vector grow as items decode.
+        let fit = self
+            .remaining()
+            .checked_div(std::mem::size_of::<T>())
+            .unwrap_or(n);
+        let mut items = Vec::with_capacity(n.min(fit));
         for _ in 0..n {
             items.push(each(self)?);
         }
@@ -509,7 +530,7 @@ impl Reader {
     /// As [`Reader::bool`], or the error of `each`.
     pub fn option<T>(
         &mut self,
-        each: impl FnOnce(&mut Reader) -> Result<T, DeError>,
+        each: impl FnOnce(&mut Reader<'a>) -> Result<T, DeError>,
     ) -> Result<Option<T>, DeError> {
         if self.bool()? {
             each(self).map(Some)
@@ -559,7 +580,8 @@ mod tests {
 
     #[test]
     fn every_field_round_trips_bitwise() {
-        let mut r = Reader::open(&sample().seal()).unwrap();
+        let bytes = sample().seal();
+        let mut r = Reader::open(&bytes).unwrap();
         assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.bool().unwrap());
@@ -583,38 +605,47 @@ mod tests {
             let mut w = Writer::new();
             w.labels(&[max, 0]);
             assert_eq!(w.bytes.len(), HEADER + 9 + 2 * width, "{max}");
-            let mut r = Reader::open(&w.seal()).unwrap();
+            let bytes = w.seal();
+            let mut r = Reader::open(&bytes).unwrap();
             assert_eq!(r.labels().unwrap(), [max, 0]);
         }
     }
 
-    fn open_err(text: &str) -> String {
-        Reader::open(text).unwrap_err().to_string()
+    fn open_err(bytes: &[u8]) -> String {
+        Reader::open(bytes).unwrap_err().to_string()
     }
 
     #[test]
     fn a_bad_frame_is_named_before_any_field_is_read() {
-        let text = sample().seal();
-        let mut bytes = decode_bytes(&text).unwrap();
-        let reencode = |bytes: &[u8]| {
-            let mut out = Vec::new();
-            encode_bytes(&mut out, bytes);
-            String::from_utf8(out).unwrap()
-        };
-        assert!(open_err("AAAA").contains("shorter than the header"));
-        assert!(open_err("not base64!").contains("base64"));
+        let mut bytes = sample().seal();
+        assert!(open_err(&[0; 3]).contains("shorter than the header"));
         let mut magic = bytes.clone();
         magic[0] ^= 1;
-        assert!(open_err(&reencode(&magic)).contains("bad magic"));
+        assert!(open_err(&magic).contains("bad magic"));
         let mut version = bytes.clone();
         version[4] = 2;
-        assert!(open_err(&reencode(&version)).contains("version 2"));
+        assert!(open_err(&version).contains("version 2"));
         let mut short = bytes.clone();
         short.pop();
-        assert!(open_err(&reencode(&short)).contains("payload bytes"));
+        assert!(open_err(&short).contains("payload bytes"));
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80;
-        assert!(open_err(&reencode(&bytes)).contains("checksum"));
+        assert!(open_err(&bytes).contains("checksum"));
+    }
+
+    #[test]
+    fn the_text_carriage_round_trips_and_names_bad_base64() {
+        let bytes = sample().seal();
+        let text = to_base64(&bytes);
+        assert_eq!(text.len(), text.capacity());
+        assert_eq!(text.len(), bytes.len().div_ceil(3) * 4);
+        assert_eq!(from_base64(&text).unwrap(), bytes);
+        let err = from_base64("not base64!").unwrap_err().to_string();
+        assert!(
+            err.contains("checkpoint container") && err.contains("base64"),
+            "{err}"
+        );
+        assert!(!err.contains("packed column"), "{err}");
     }
 
     #[test]
@@ -658,7 +689,8 @@ mod tests {
         w.usize(2);
         w.tag(3);
         w.u64s(&[0, 0]);
-        let mut r = Reader::open(&w.seal()).unwrap();
+        let bytes = w.seal();
+        let mut r = Reader::open(&bytes).unwrap();
         assert!(r
             .labels()
             .unwrap_err()

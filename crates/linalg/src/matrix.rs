@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::{Cholesky, LinalgError};
 
@@ -22,7 +22,7 @@ use crate::{Cholesky, LinalgError};
 /// let c = a.mat_mul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

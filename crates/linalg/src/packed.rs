@@ -1,35 +1,31 @@
-//! Packed numeric columns for JSON checkpoints, and the base64 codec the
-//! checkpoint [`container`](crate::container) travels in.
+//! The packed numeric columns of JSON-map checkpoints, read back, and the
+//! base64 codec the checkpoint [`container`](crate::container) travels in.
 //!
-//! Nearly all of a controller checkpoint is a few dense columns — the
-//! stored per-node values, their last-seen ticks, the look-back values and
-//! labels, the centroid histories, the model weights. Written as JSON
-//! numbers, each element costs a decimal formatting call on the way out and
-//! a parse on the way in. The `to_value` / `from_value` pairs here write
-//! such a column as **one JSON string** instead, and are meant for the
-//! vendored derive's field attribute, e.g.
+//! Before the container, a controller checkpoint was a JSON map whose
+//! dense columns — the stored per-node values, their last-seen ticks, the
+//! look-back values and labels, the centroid histories, the model weights —
+//! were each written as **one JSON string** instead of an array of JSON
+//! numbers. The `from_value` functions here read such a column back, and
+//! are meant for the vendored derive's field attribute, e.g.
 //! `#[serde(with = "utilcast_linalg::packed::f64s")]`:
 //!
 //! * [`f64s`] — the values' little-endian IEEE-754 bits in base64 (standard
 //!   alphabet, `=`-padded): bit-exact for every value, NaN payloads, `-0.0`
 //!   and subnormals included;
-//! * [`labels`] — `usize` values at the narrowest of 1, 2, 4 or 8
-//!   little-endian bytes that holds the column's maximum, the width in a
-//!   tag: `"u8:…"`, `"u16:…"`, `"u32:…"`, `"u64:…"`;
+//! * [`labels`] — `usize` values at one of 1, 2, 4 or 8 little-endian
+//!   bytes, the width in a tag: `"u8:…"`, `"u16:…"`, `"u32:…"`, `"u64:…"`;
 //! * [`opt_labels`] — `Option<usize>` the same way, `None` as the all-ones
-//!   word of the width (the narrowest width whose all-ones word is above
-//!   every value); a column holding `Some(usize::MAX)` is written as the
-//!   plain array;
+//!   word of the width;
 //! * [`label_rows`] — a sequence of [`labels`] columns.
 //!
-//! Every decoder also accepts the column as the plain JSON array a derived
-//! impl writes, so one reader restores checkpoints written before and
-//! after packing, with no version field. The decoders are total: a bad
-//! alphabet, bad padding, a length that is not a whole number of words or a
-//! bad width tag is a [`DeError`], and every allocation is sized from the
-//! input's own length.
+//! Every decoder also accepts the column as the plain JSON array of the
+//! checkpoints written before packing, so one reader restores both. Nothing
+//! writes these forms any more: a checkpoint is written only as a
+//! container. The decoders are total: a bad alphabet, bad padding, a length
+//! that is not a whole number of words or a bad width tag is a
+//! [`DeError`], and every allocation is sized from the input's own length.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Value};
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -122,43 +118,6 @@ pub(crate) fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     }
 }
 
-/// The base64 text of `column` behind `prefix`, each element written as
-/// the `W`-byte word `word` gives it (`W` at most 8). Three words are `W`
-/// whole 3-byte groups, so the column is encoded straight from its
-/// elements, three at a time, with no byte buffer in between.
-fn encode_column<T, const W: usize>(
-    prefix: &str,
-    column: &[T],
-    word: impl Fn(&T) -> [u8; W],
-) -> String {
-    let bytes = column.len().saturating_mul(W);
-    let mut out = Vec::with_capacity(prefix.len() + bytes.div_ceil(3).saturating_mul(4));
-    out.extend_from_slice(prefix.as_bytes());
-    let mut threes = column.chunks_exact(3);
-    let mut symbols = [0u8; 32];
-    for three in &mut threes {
-        let mut buf = [0u8; 24];
-        for (value, slot) in three.iter().zip(buf.chunks_exact_mut(W)) {
-            slot.copy_from_slice(&word(value));
-        }
-        for (group, quad) in buf.chunks_exact(3).zip(symbols.chunks_exact_mut(4)).take(W) {
-            if let [a, b, c] = *group {
-                quad.copy_from_slice(&encode_group(a, b, c));
-            }
-        }
-        out.extend_from_slice(symbols.get(..4 * W).unwrap_or_default());
-    }
-    let mut buf = [0u8; 16];
-    let mut len = 0;
-    for (value, slot) in threes.remainder().iter().zip(buf.chunks_exact_mut(W)) {
-        slot.copy_from_slice(&word(value));
-        len += W;
-    }
-    encode_bytes(&mut out, buf.get(..len).unwrap_or_default());
-    // Prefix and symbols are ASCII, so this never takes the fallback.
-    String::from_utf8(out).unwrap_or_default()
-}
-
 /// Symbol `s`'s entry in the decoding table of one place in a quad.
 fn decoded(table: &[u32; 256], s: u8) -> u32 {
     table.get(usize::from(s)).copied().unwrap_or(INVALID)
@@ -166,12 +125,13 @@ fn decoded(table: &[u32; 256], s: u8) -> u32 {
 
 /// Decodes padded base64 `text`, rejecting any other alphabet, a length
 /// that is not a multiple of four, padding anywhere but at the end, and
-/// non-zero bits in a padded group.
+/// non-zero bits in a padded group. The error names the fault only; the
+/// caller says what the text was.
 pub(crate) fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
     let symbols = text.as_bytes();
     if !symbols.len().is_multiple_of(4) {
         return Err(DeError::new(format!(
-            "packed column: {} base64 symbols is not a multiple of 4",
+            "{} base64 symbols is not a multiple of 4",
             symbols.len()
         )));
     }
@@ -182,7 +142,7 @@ pub(crate) fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
             .find(|&&s| s != b'=' && decoded(first, s) == INVALID)
             .map_or(b'=', |&s| s);
         DeError::new(format!(
-            "packed column: `{}` is not a base64 symbol here",
+            "`{}` is not a base64 symbol here",
             char::from(bad).escape_default()
         ))
     };
@@ -229,17 +189,25 @@ pub(crate) fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
     let tail = [x, y, z];
     // The bits under the padding must be zero, so a column has one text.
     if tail.iter().skip(keep).any(|&byte| byte != 0) {
-        return Err(DeError::new("packed column: bad base64 padding"));
+        return Err(DeError::new("bad base64 padding"));
     }
     out.extend(tail.into_iter().take(keep));
     Ok(out)
 }
 
 /// The first `W` bytes of `bytes` as an array (zero-filled past its end).
-fn word<const W: usize>(bytes: &[u8]) -> [u8; W] {
+pub(crate) fn word<const W: usize>(bytes: &[u8]) -> [u8; W] {
+    if let Some(Ok(whole)) = bytes.get(..W).map(<[u8; W]>::try_from) {
+        return whole;
+    }
     let mut out = [0u8; W];
     out.iter_mut().zip(bytes).for_each(|(o, b)| *o = *b);
     out
+}
+
+/// A base64 fault inside a packed column, named as one.
+fn column_fault(fault: DeError) -> DeError {
+    DeError::new(format!("packed column: {fault}"))
 }
 
 /// Checks that `bytes` is a whole number of `width`-byte words.
@@ -257,12 +225,7 @@ fn whole_words(bytes: &[u8], width: usize, what: &str) -> Result<(), DeError> {
 pub mod f64s {
     use super::*;
 
-    /// Writes `column` as one base64 string of its values' bits.
-    pub fn to_value(column: &[f64]) -> Value {
-        Value::String(encode_column("", column, |v| v.to_le_bytes()))
-    }
-
-    /// Reads a column written by [`to_value`], or a plain JSON array.
+    /// Reads a packed column, or a plain JSON array.
     ///
     /// # Errors
     ///
@@ -274,7 +237,7 @@ pub mod f64s {
             Value::Seq(_) => return Vec::<f64>::from_value(v),
             other => return Err(DeError::expected("packed f64 column", other)),
         };
-        let bytes = decode_bytes(text)?;
+        let bytes = decode_bytes(text).map_err(column_fault)?;
         whole_words(&bytes, 8, "f64 column")?;
         Ok(bytes
             .chunks_exact(8)
@@ -283,43 +246,9 @@ pub mod f64s {
     }
 }
 
-/// The tag of a label column `width` bytes wide.
-fn width_tag(width: usize) -> &'static str {
-    match width {
-        1 => "u8:",
-        2 => "u16:",
-        4 => "u32:",
-        _ => "u64:",
-    }
-}
-
-/// The narrowest label width whose range reaches `max`.
-fn width_for(max: u64) -> usize {
-    if max <= u64::from(u8::MAX) {
-        1
-    } else if max <= u64::from(u16::MAX) {
-        2
-    } else if max <= u64::from(u32::MAX) {
-        4
-    } else {
-        8
-    }
-}
-
 /// The all-ones word of a label width: `None` in an optional column.
 fn all_ones(width: usize) -> u64 {
     u64::MAX >> (64 - 8 * width)
-}
-
-/// Writes `words` (as `u64`) at `width` bytes each behind its tag.
-fn encode_labels(words: &[u64], width: usize) -> String {
-    let tag = width_tag(width);
-    match width {
-        1 => encode_column(tag, words, |w| word::<1>(&w.to_le_bytes())),
-        2 => encode_column(tag, words, |w| word::<2>(&w.to_le_bytes())),
-        4 => encode_column(tag, words, |w| word::<4>(&w.to_le_bytes())),
-        _ => encode_column(tag, words, |w| w.to_le_bytes()),
-    }
 }
 
 /// Decodes a tagged label column, handing each word (as `u64`) and the
@@ -341,7 +270,7 @@ fn decode_labels<T>(
             )));
         }
     };
-    let bytes = decode_bytes(payload)?;
+    let bytes = decode_bytes(payload).map_err(column_fault)?;
     whole_words(&bytes, width, "label column")?;
     let none = all_ones(width);
     match width {
@@ -370,18 +299,11 @@ fn label(word: u64) -> Result<usize, DeError> {
         .map_err(|_| DeError::new(format!("packed label column: {word} does not fit a usize")))
 }
 
-/// `usize` label columns at the narrowest width that holds them.
+/// `usize` label columns at the width their tag names.
 pub mod labels {
     use super::*;
 
-    /// Writes `column` as one tagged base64 string.
-    pub fn to_value(column: &[usize]) -> Value {
-        let words: Vec<u64> = column.iter().map(|&v| v as u64).collect();
-        let max = words.iter().copied().max().unwrap_or(0);
-        Value::String(encode_labels(&words, width_for(max)))
-    }
-
-    /// Reads a column written by [`to_value`], or a plain JSON array.
+    /// Reads a tagged packed column, or a plain JSON array.
     ///
     /// # Errors
     ///
@@ -400,23 +322,8 @@ pub mod labels {
 pub mod opt_labels {
     use super::*;
 
-    /// Writes `column` as one tagged base64 string (or, when it holds
-    /// `Some(usize::MAX)`, which no width can tell from `None`, as the
-    /// plain array).
-    pub fn to_value(column: &[Option<usize>]) -> Value {
-        let max = column.iter().flatten().map(|&v| v as u64).max();
-        let Some(width) = max.map_or(Some(1), |max| max.checked_add(1).map(width_for)) else {
-            return column.to_value();
-        };
-        let none = all_ones(width);
-        let words: Vec<u64> = column
-            .iter()
-            .map(|v| v.map_or(none, |v| v as u64))
-            .collect();
-        Value::String(encode_labels(&words, width))
-    }
-
-    /// Reads a column written by [`to_value`], or a plain JSON array.
+    /// Reads a tagged packed column, `None` as the width's all-ones word,
+    /// or a plain JSON array.
     ///
     /// # Errors
     ///
@@ -440,13 +347,8 @@ pub mod opt_labels {
 pub mod label_rows {
     use super::*;
 
-    /// Writes each row as a [`labels`] column.
-    pub fn to_value(rows: &[Vec<usize>]) -> Value {
-        Value::Seq(rows.iter().map(|row| labels::to_value(row)).collect())
-    }
-
-    /// Reads rows written by [`to_value`]; each row may also be a plain
-    /// JSON array.
+    /// Reads a sequence of rows, each a [`labels`] column or a plain JSON
+    /// array.
     ///
     /// # Errors
     ///
@@ -465,19 +367,37 @@ pub mod label_rows {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use serde::{Deserialize, Serialize};
+    use serde::Serialize;
 
     fn bits(column: &[f64]) -> Vec<u64> {
         column.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn text(v: &Value) -> &str {
-        v.as_str()
-            .unwrap_or_else(|| panic!("not a packed string: {v:?}"))
+    /// `prefix` and the base64 text of `bytes`: a packed column as a
+    /// checkpoint written before the container held it.
+    fn packed(prefix: &str, bytes: &[u8]) -> Value {
+        let mut text = prefix.as_bytes().to_vec();
+        encode_bytes(&mut text, bytes);
+        Value::String(String::from_utf8(text).unwrap())
+    }
+
+    /// An `f64` column packed as its little-endian bits.
+    fn packed_f64s(column: &[f64]) -> Value {
+        let bytes: Vec<u8> = column.iter().flat_map(|v| v.to_le_bytes()).collect();
+        packed("", &bytes)
+    }
+
+    /// A label column packed at `width` bytes behind its tag.
+    fn packed_words(words: &[u64], width: usize) -> Value {
+        let bytes: Vec<u8> = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes().into_iter().take(width))
+            .collect();
+        packed(&format!("u{}:", 8 * width), &bytes)
     }
 
     #[test]
-    fn f64_columns_round_trip_every_bit_pattern() {
+    fn f64_columns_keep_every_bit_pattern() {
         let column = [
             0.0,
             -0.0,
@@ -493,19 +413,13 @@ mod tests {
         ];
         for len in 0..=column.len() {
             let part = &column[..len];
-            let packed = f64s::to_value(part);
-            assert_eq!(text(&packed).len(), (8 * len).div_ceil(3) * 4);
-            let back = f64s::from_value(&packed).unwrap();
+            let back = f64s::from_value(&packed_f64s(part)).unwrap();
             assert_eq!(bits(&back), bits(part), "length {len}");
         }
         // The decimal form keeps neither the payload nor the sign of a NaN.
         let nan = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
         let legacy = f64s::from_value(&vec![nan].to_value()).unwrap();
         assert!(legacy[0].is_nan());
-        assert_eq!(
-            bits(&f64s::from_value(&f64s::to_value(&[nan])).unwrap()),
-            [nan.to_bits()]
-        );
     }
 
     #[test]
@@ -514,6 +428,7 @@ mod tests {
             let bytes: Vec<u8> = (0..n).map(|i| i as u8).collect();
             let mut text = Vec::new();
             encode_bytes(&mut text, &bytes);
+            assert_eq!(text.len(), n.div_ceil(3) * 4);
             let decoded = decode_bytes(std::str::from_utf8(&text).unwrap()).unwrap();
             assert_eq!(decoded, bytes);
             assert!(decoded.capacity() <= n + 3, "{n}: {}", decoded.capacity());
@@ -522,52 +437,42 @@ mod tests {
 
     #[test]
     fn known_encodings() {
-        assert_eq!(text(&f64s::to_value(&[])), "");
-        assert_eq!(text(&f64s::to_value(&[1.0])), "AAAAAAAA8D8=");
-        assert_eq!(text(&labels::to_value(&[])), "u8:");
-        assert_eq!(text(&labels::to_value(&[0, 1, 2])), "u8:AAEC");
-        assert_eq!(text(&labels::to_value(&[256])), "u16:AAE=");
-        assert_eq!(text(&opt_labels::to_value(&[Some(1), None])), "u8:Af8=");
+        let text = |t: &str| Value::String(t.into());
+        assert_eq!(f64s::from_value(&text("")).unwrap(), []);
+        assert_eq!(f64s::from_value(&text("AAAAAAAA8D8=")).unwrap(), [1.0]);
+        assert_eq!(labels::from_value(&text("u8:")).unwrap(), []);
+        assert_eq!(labels::from_value(&text("u8:AAEC")).unwrap(), [0, 1, 2]);
+        assert_eq!(labels::from_value(&text("u16:AAE=")).unwrap(), [256]);
+        assert_eq!(
+            opt_labels::from_value(&text("u8:Af8=")).unwrap(),
+            [Some(1), None]
+        );
     }
 
     #[test]
-    fn label_width_is_the_narrowest_that_holds_the_maximum() {
-        for (max, tag) in [
-            (0usize, "u8:"),
-            (255, "u8:"),
-            (256, "u16:"),
-            (65_535, "u16:"),
-            (65_536, "u32:"),
-            (u32::MAX as usize, "u32:"),
-            (u32::MAX as usize + 1, "u64:"),
-            (usize::MAX, "u64:"),
+    fn every_label_width_reads_back() {
+        for (max, width) in [
+            (0usize, 1usize),
+            (255, 1),
+            (65_535, 2),
+            (u32::MAX as usize, 4),
+            (usize::MAX, 8),
         ] {
-            let column = vec![0, max, 7];
-            let packed = labels::to_value(&column);
-            assert!(text(&packed).starts_with(tag), "{max}: {packed:?}");
-            assert_eq!(labels::from_value(&packed).unwrap(), column);
+            let words = [0, max as u64, 7];
+            let column = labels::from_value(&packed_words(&words, width)).unwrap();
+            assert_eq!(column, [0, max, 7], "width {width}");
         }
-        // The optional form reserves the all-ones word for `None`.
-        for (max, tag) in [
-            (254usize, "u8:"),
-            (255, "u16:"),
-            (65_535, "u32:"),
-            (u32::MAX as usize, "u64:"),
-            (usize::MAX - 1, "u64:"),
-        ] {
-            let column = vec![None, Some(max), Some(0), None];
-            let packed = opt_labels::to_value(&column);
-            assert!(text(&packed).starts_with(tag), "{max}: {packed:?}");
-            assert_eq!(opt_labels::from_value(&packed).unwrap(), column);
+        // The optional form reads the width's all-ones word as `None`.
+        for width in [1usize, 2, 4, 8] {
+            let none = all_ones(width);
+            let words = [none, none - 1, 0, none];
+            let column = opt_labels::from_value(&packed_words(&words, width)).unwrap();
+            assert_eq!(
+                column,
+                [None, Some((none - 1) as usize), Some(0), None],
+                "width {width}"
+            );
         }
-        let unpackable = vec![Some(usize::MAX), None];
-        let plain = opt_labels::to_value(&unpackable);
-        assert_eq!(plain, unpackable.to_value());
-        assert_eq!(opt_labels::from_value(&plain).unwrap(), unpackable);
-        assert_eq!(
-            opt_labels::from_value(&opt_labels::to_value(&[])).unwrap(),
-            []
-        );
     }
 
     #[test]
@@ -576,16 +481,12 @@ mod tests {
         assert_eq!(f64s::from_value(&values.to_value()).unwrap(), values);
         let labels = vec![3usize, 0, 70_000];
         assert_eq!(labels::from_value(&labels.to_value()).unwrap(), labels);
-        let seen = vec![Some(4usize), None];
+        let seen = vec![Some(4usize), None, Some(usize::MAX)];
         assert_eq!(opt_labels::from_value(&seen.to_value()).unwrap(), seen);
         let rows = vec![vec![1usize, 0], vec![0, 1]];
         assert_eq!(label_rows::from_value(&rows.to_value()).unwrap(), rows);
-        let mixed = Value::Seq(vec![labels::to_value(&[1, 0]), vec![0usize, 1].to_value()]);
+        let mixed = Value::Seq(vec![packed_words(&[1, 0], 1), vec![0usize, 1].to_value()]);
         assert_eq!(label_rows::from_value(&mixed).unwrap(), rows);
-        assert_eq!(
-            label_rows::from_value(&label_rows::to_value(&rows)).unwrap(),
-            rows
-        );
     }
 
     #[test]
@@ -604,6 +505,8 @@ mod tests {
             let err = f64s::from_value(&Value::String(bad.into()));
             assert!(err.is_err(), "{bad:?} decoded to {err:?}");
         }
+        let err = f64s::from_value(&Value::String("AAAAAAAA8D*=".into())).unwrap_err();
+        assert!(err.to_string().starts_with("packed column: `*`"), "{err}");
         let bad_labels = [
             "AAEC",     // no tag
             "u7:AAEC",  // unknown width
@@ -631,7 +534,7 @@ mod tests {
         assert!(labels::from_value(&Value::Seq(vec![Value::Float(0.5)])).is_err());
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq, Deserialize)]
     struct Packed {
         #[serde(with = "crate::packed::f64s")]
         values: Vec<f64>,
@@ -640,7 +543,7 @@ mod tests {
         plain: Vec<usize>,
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq, Deserialize)]
     enum Shape {
         Rows {
             #[serde(with = "crate::packed::label_rows")]
@@ -650,46 +553,46 @@ mod tests {
 
     #[test]
     fn derive_routes_with_fields_through_the_module() {
+        let entry = |key: &str, v: Value| (key.to_string(), v);
+        let values = entry("values", packed_f64s(&[0.5, -2.0]));
+        let plain = entry("plain", vec![1usize, 2].to_value());
+        let v = Value::Map(vec![
+            values.clone(),
+            entry("seen", packed_words(&[3, 0xFF], 1)),
+            plain.clone(),
+        ]);
         let packed = Packed {
             values: vec![0.5, -2.0],
             seen: vec![Some(3), None],
             plain: vec![1, 2],
         };
-        let v = packed.to_value();
-        let Value::Map(entries) = &v else {
-            panic!("{v:?}")
-        };
-        assert_eq!(entries[0].1, f64s::to_value(&packed.values));
-        assert_eq!(entries[1].1, opt_labels::to_value(&packed.seen));
-        assert_eq!(entries[2].1, packed.plain.to_value());
         assert_eq!(Packed::from_value(&v).unwrap(), packed);
         // `default` still applies to a `with` field that is absent.
-        let absent = Value::Map(vec![entries[0].clone(), entries[2].clone()]);
-        let back = Packed::from_value(&absent).unwrap();
+        let back = Packed::from_value(&Value::Map(vec![values, plain])).unwrap();
         assert!(back.seen.is_empty());
 
-        let shape = Shape::Rows {
-            rows: vec![vec![0, 1], vec![1, 0]],
-        };
-        assert_eq!(Shape::from_value(&shape.to_value()).unwrap(), shape);
+        let rows = Value::Seq(vec![packed_words(&[0, 1], 1), packed_words(&[1, 0], 2)]);
+        let shape = Value::Map(vec![entry("Rows", Value::Map(vec![entry("rows", rows)]))]);
+        assert_eq!(
+            Shape::from_value(&shape).unwrap(),
+            Shape::Rows {
+                rows: vec![vec![0, 1], vec![1, 0]]
+            }
+        );
     }
 
     proptest! {
         #[test]
-        fn random_columns_round_trip(
+        fn random_columns_read_back(
             raw in proptest::collection::vec(0u64..u64::MAX, 0..40),
             shift in 0u32..64,
         ) {
             let floats: Vec<f64> = raw.iter().map(|&b| f64::from_bits(b)).collect();
-            let back = f64s::from_value(&f64s::to_value(&floats)).unwrap();
+            let back = f64s::from_value(&packed_f64s(&floats)).unwrap();
             prop_assert_eq!(bits(&back), raw.clone());
-            let labels: Vec<usize> = raw.iter().map(|&b| (b >> shift) as usize).collect();
-            prop_assert_eq!(labels::from_value(&labels::to_value(&labels)).unwrap(), labels.clone());
-            let opt: Vec<Option<usize>> = labels
-                .iter()
-                .map(|&l| (l % 3 != 0).then_some(l))
-                .collect();
-            prop_assert_eq!(opt_labels::from_value(&opt_labels::to_value(&opt)).unwrap(), opt);
+            let words: Vec<u64> = raw.iter().map(|&b| b >> shift).collect();
+            let labels: Vec<usize> = words.iter().map(|&w| w as usize).collect();
+            prop_assert_eq!(labels::from_value(&packed_words(&words, 8)).unwrap(), labels);
         }
 
         #[test]

@@ -245,6 +245,16 @@ pub fn analyze_sources(sources: Vec<(String, String)>, config: &AnalysisConfig) 
                 ),
             });
         }
+        for line in &unit.parsed.coverage.unscanned_lets {
+            diagnostics.push(Diagnostic {
+                file: unit.label.clone(),
+                line: *line,
+                rule: Rule::Parse,
+                message: "the body scan could not find where this `let` ends; \
+                          it is skipped, and the AST passes cannot vouch for it"
+                    .to_string(),
+            });
+        }
     }
 
     // Tier 2: build the graph and run the dataflow passes.

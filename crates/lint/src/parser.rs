@@ -36,6 +36,10 @@ pub struct Coverage {
     pub parsed: usize,
     /// Line + leading-token snippet for every unparsed item.
     pub failures: Vec<(u32, String)>,
+    /// Line of every `let` whose type or initializer never reached its
+    /// `=` or `;` before the end of the fn body: the body scan skips such
+    /// a `let` instead of letting it swallow the rest of the body.
+    pub(crate) unscanned_lets: Vec<u32>,
 }
 
 impl Coverage {
@@ -296,14 +300,18 @@ pub fn parse_file(lexed: &Lexed) -> ParsedFile {
     let mut p = Parser {
         t: &lexed.tokens,
         i: 0,
+        unscanned_lets: Vec::new(),
     };
-    let (items, coverage) = p.parse_items(lexed.tokens.len());
+    let (items, mut coverage) = p.parse_items(lexed.tokens.len());
+    coverage.unscanned_lets = p.unscanned_lets;
     ParsedFile { items, coverage }
 }
 
 struct Parser<'a> {
     t: &'a [Token],
     i: usize,
+    /// [`Coverage::unscanned_lets`], gathered fn body by fn body.
+    unscanned_lets: Vec<u32>,
 }
 
 impl<'a> Parser<'a> {
@@ -910,7 +918,8 @@ impl<'a> Parser<'a> {
         let body = if self.is_punct(0, "{") {
             let body_close = matching(self.t, self.i, "{", "}");
             let span = (self.i + 1, body_close.min(self.t.len()));
-            let events = scan_body(self.t, span.0, span.1, &params);
+            let (events, unscanned) = scan_body(self.t, span.0, span.1, &params);
+            self.unscanned_lets.extend(unscanned);
             self.i = body_close + 1;
             Some(Body { events, span })
         } else {
@@ -1073,9 +1082,17 @@ struct ActiveLoop {
     end: usize,
 }
 
-/// Extracts the pass-relevant events from a fn body token range.
-fn scan_body(tokens: &[Token], start: usize, end: usize, params: &[Param]) -> Vec<Event> {
+/// Extracts the pass-relevant events from a fn body token range, and the
+/// lines of the `let`s [`scan_let`] could not bound (each skipped, so the
+/// walk goes on through the rest of the body).
+fn scan_body(
+    tokens: &[Token],
+    start: usize,
+    end: usize,
+    params: &[Param],
+) -> (Vec<Event>, Vec<u32>) {
     let mut events = Vec::new();
+    let mut unscanned = Vec::new();
     let mut loops: Vec<ActiveLoop> = Vec::new();
     let mut assert_regions: Vec<usize> = Vec::new(); // end indices
     let mut types: std::collections::BTreeMap<String, NumClass> = std::collections::BTreeMap::new();
@@ -1094,8 +1111,11 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, params: &[Param]) -> Ve
             let next = tokens.get(i + 1);
             match t.text.as_str() {
                 "let" => {
-                    if let Some((name, class, adv, offset_arith)) = scan_let(tokens, i, end, &types)
-                    {
+                    let scanned = scan_let(tokens, i, end, &types);
+                    if scanned.is_err() {
+                        unscanned.push(t.line);
+                    }
+                    if let Ok(Some((name, class, adv, offset_arith))) = scanned {
                         if offset_arith {
                             events.push(Event {
                                 line: t.line,
@@ -1272,7 +1292,7 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, params: &[Param]) -> Ve
 
         i += 1;
     }
-    events
+    (events, unscanned)
 }
 
 fn is_keywordish(text: &str) -> bool {
@@ -1283,20 +1303,29 @@ fn is_keywordish(text: &str) -> bool {
 }
 
 /// `let [mut] NAME [: TY] = ...;` — returns (name, class, tokens
-/// consumed up to and including `=` or `;`, init-has-offset-arith).
+/// consumed up to and including `=` or `;`, init-has-offset-arith), or
+/// `None` for a pattern binding.
+///
+/// # Errors
+///
+/// `Err(())` when the type or the initializer runs to `end` without
+/// reaching its `=` or `;` at depth 0: the bracket count has lost its
+/// place, and consuming that far would hide the rest of the body.
 fn scan_let(
     tokens: &[Token],
     i: usize,
     end: usize,
     types: &std::collections::BTreeMap<String, NumClass>,
-) -> Option<(String, NumClass, usize, bool)> {
+) -> Result<Option<(String, NumClass, usize, bool)>, ()> {
     let mut j = i + 1;
     if tokens.get(j).is_some_and(|t| t.is_ident("mut")) {
         j += 1;
     }
-    let name_tok = tokens.get(j)?;
+    let Some(name_tok) = tokens.get(j) else {
+        return Ok(None);
+    };
     if name_tok.kind != TokenKind::Ident {
-        return None; // pattern binding; leave to the generic walk
+        return Ok(None); // pattern binding; leave to the generic walk
     }
     let name = name_tok.text.clone();
     j += 1;
@@ -1310,10 +1339,16 @@ fn scan_let(
             match t.text.as_str() {
                 "<" | "(" | "[" => depth += 1,
                 ">" | ")" | "]" => depth -= 1,
+                // `Option<Vec<usize>>` closes two angles with one token.
+                "<<" => depth += 2,
+                ">>" => depth -= 2,
                 "=" | ";" if depth <= 0 => break,
                 _ => {}
             }
             k += 1;
+        }
+        if k >= end {
+            return Err(());
         }
         let ty: Vec<&str> = tokens[ty_start..k]
             .iter()
@@ -1337,6 +1372,9 @@ fn scan_let(
                 _ => {}
             }
             k += 1;
+        }
+        if k >= end {
+            return Err(());
         }
         let init = &tokens[init_start..k];
         if class == NumClass::Unknown {
@@ -1372,9 +1410,9 @@ fn scan_let(
         {
             offset_arith = true;
         }
-        return Some((name, class, j + 1 - i, offset_arith));
+        return Ok(Some((name, class, j + 1 - i, offset_arith)));
     }
-    Some((name, class, j - i, false))
+    Ok(Some((name, class, j - i, false)))
 }
 
 /// Detects `for IDENT in <range-expr> {`, returning the loop binding

@@ -182,7 +182,9 @@ impl Rule {
             Rule::Parse => {
                 "Meta. The AST passes can only vouch for code the item parser \
                  classified. Parse coverage of the library crates is printed on every \
-                 run and gated at 100%: an unclassifiable item is itself a diagnostic."
+                 run and gated at 100%: an unclassifiable item is itself a diagnostic. \
+                 So is a `let` whose end the body scan cannot find: it is skipped, \
+                 where it used to swallow the rest of its fn body unreported."
             }
         }
     }

@@ -226,3 +226,56 @@ fn cfg_test_module_files_are_not_library_code() {
     );
     assert_eq!(report.stats.files, 3);
 }
+
+/// A `let` whose type ends in `>>` — one token closing two angles — used
+/// to leave the type scan two levels deep, so it consumed the rest of the
+/// fn body: every later call and index site vanished while parse coverage
+/// still read 100 %. The site after it must be seen.
+#[test]
+fn a_let_whose_type_ends_in_two_angles_keeps_the_rest_of_the_body() {
+    for ty in ["Option<Vec<usize>>", "Vec<Vec<f64>>"] {
+        let src = format!(
+            "pub fn pick(v: &[f64], k: usize) -> f64 {{\n    let o: {ty} = Default::default();\n    \
+             drop(o);\n    v[k]\n}}\n"
+        );
+        let report = analyze_sources(vec![("lib.rs".into(), src)], &AnalysisConfig::default());
+        let lines: Vec<(Rule, u32)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.rule, d.line))
+            .collect();
+        assert_eq!(
+            lines,
+            [(Rule::PanicPath, 4)],
+            "{ty}: {:?}",
+            report.diagnostics
+        );
+    }
+}
+
+/// A `let` whose end the body scan cannot find is a `parse` finding, and
+/// the scan goes on past it instead of swallowing the body.
+#[test]
+fn a_let_scan_that_runs_off_the_body_is_a_parse_finding() {
+    let src =
+        "pub fn pick(v: &[f64], k: usize) -> f64 {\n    let o: Wrap<usize = 3;\n    v[k]\n}\n";
+    let report = analyze_sources(
+        vec![("lib.rs".into(), src.to_string())],
+        &AnalysisConfig::default(),
+    );
+    let lines: Vec<(Rule, u32)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.rule, d.line))
+        .collect();
+    assert!(
+        lines.contains(&(Rule::Parse, 2)),
+        "{:?}",
+        report.diagnostics
+    );
+    assert!(
+        lines.contains(&(Rule::PanicPath, 3)),
+        "{:?}",
+        report.diagnostics
+    );
+}

@@ -20,7 +20,7 @@ use utilcast_core::metrics::AgeOfInformation;
 use utilcast_core::pipeline::ModelSpec;
 use utilcast_core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
 use utilcast_core::CoreError;
-use utilcast_linalg::container::{Reader, Writer};
+use utilcast_linalg::container::{self, Reader, Writer};
 
 use crate::transport::ReportFrame;
 use crate::SimError;
@@ -216,7 +216,6 @@ struct Tally {
 /// `u64::MAX` is never admitted, so `next` can always step past every
 /// number the set holds.
 #[derive(Debug, Clone, Default, PartialEq, Deserialize)]
-#[cfg_attr(test, derive(Serialize))]
 struct SourceDedup {
     /// Lowest sequence number not yet admitted from this source.
     next: u64,
@@ -281,17 +280,18 @@ impl SourceDedup {
     }
 }
 
-/// Serializable checkpoint of the full controller state: the stale store,
-/// the forecast stage (cluster/membership history, centroid histories and
-/// fitted models, retrain counters), and the ingress-validation
-/// bookkeeping. Produced by [`Controller::snapshot`], consumed by
+/// Checkpoint of the full controller state: the stale store, the forecast
+/// stage (cluster/membership history, centroid histories and fitted
+/// models, retrain counters), and the ingress-validation bookkeeping.
+/// Produced by [`Controller::snapshot`], consumed by
 /// [`Controller::restore`].
 ///
-/// It serializes as one checkpoint container
+/// Its one codec is the checkpoint container
 /// ([`utilcast_linalg::container`]: magic, version, length, checksum and a
-/// binary payload) in a single base64 JSON string. It deserializes from
-/// that string — a bad magic, version, length, base64 or checksum is a
-/// [`DeError`] naming the fault, raised before any state is built — or
+/// binary payload): [`ControllerSnapshot::to_bytes`] writes it and
+/// [`ControllerSnapshot::from_bytes`] reads it, refusing a bad magic,
+/// version, length or checksum before any state is built. Its serde form
+/// carries those bytes as one base64 JSON string; it also deserializes
 /// from the JSON map every checkpoint was before the container, packed
 /// columns or plain arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,8 +323,8 @@ pub struct ControllerSnapshot {
 }
 
 impl ControllerSnapshot {
-    /// The checkpoint container's text.
-    fn encode(&self) -> String {
+    /// The checkpoint container's bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Writer::new();
         self.config.encode_into(&mut out);
         out.f64s(&self.stored);
@@ -348,9 +348,16 @@ impl ControllerSnapshot {
         out.seal()
     }
 
-    /// Reads a checkpoint container written by [`ControllerSnapshot::encode`].
-    fn decode(text: &str) -> Result<Self, DeError> {
-        let mut input = Reader::open(text)?;
+    /// Reads a checkpoint container written by
+    /// [`ControllerSnapshot::to_bytes`], in place.
+    ///
+    /// # Errors
+    ///
+    /// [`DeError`] naming the fault: a bad frame (magic, version, length,
+    /// checksum), a payload that ends early or runs on, or a field no
+    /// controller writes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DeError> {
+        let mut input = Reader::open(bytes)?;
         let snapshot = ControllerSnapshot {
             config: ControllerConfig::decode(&mut input)?,
             stored: input.f64s()?,
@@ -377,14 +384,14 @@ impl ControllerSnapshot {
 
 impl Serialize for ControllerSnapshot {
     fn to_value(&self) -> Value {
-        Value::String(self.encode())
+        Value::String(container::to_base64(&self.to_bytes()))
     }
 }
 
 impl Deserialize for ControllerSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::String(text) => ControllerSnapshot::decode(text),
+            Value::String(text) => ControllerSnapshot::from_bytes(&container::from_base64(text)?),
             Value::Map(_) => LegacySnapshot::from_value(v).map(ControllerSnapshot::from),
             other => Err(DeError::expected("checkpoint container or JSON map", other)),
         }
@@ -393,10 +400,8 @@ impl Deserialize for ControllerSnapshot {
 
 /// The JSON-map checkpoint of the derived codec, read so that checkpoints
 /// written before the container restore: packed columns, or the plain
-/// arrays of earlier checkpoints. (Tests also write it, to hand-edit
-/// one field of a checkpoint.)
+/// arrays of earlier checkpoints. Nothing writes it any more.
 #[derive(Deserialize)]
-#[cfg_attr(test, derive(Serialize))]
 struct LegacySnapshot {
     config: ControllerConfig,
     #[serde(with = "utilcast_linalg::packed::f64s")]
@@ -661,8 +666,8 @@ impl Controller {
         self.finish_tick(tally)
     }
 
-    /// Captures the complete controller state for checkpointing. The
-    /// snapshot is serde-serializable, so it can also be persisted.
+    /// Captures the complete controller state for checkpointing; persist it
+    /// with [`ControllerSnapshot::to_bytes`] (or as serde text).
     pub fn snapshot(&self) -> ControllerSnapshot {
         let central = &self.central;
         ControllerSnapshot {
@@ -841,25 +846,33 @@ mod tests {
         frame
     }
 
-    /// `snapshot` as the legacy JSON-map checkpoint, which a test can
-    /// hand-edit one field of.
-    fn legacy_json(snapshot: &ControllerSnapshot) -> String {
-        let s = snapshot.clone();
-        serde_json::to_string(&LegacySnapshot {
-            config: s.config,
-            stored: s.stored,
-            ticks: s.ticks,
-            quarantined: s.quarantined,
-            duplicates: s.duplicates,
-            duplicate_frames: s.duplicate_frames,
-            frames_admitted: s.frames_admitted,
-            frame_seen: s.frame_seen,
-            age: s.age,
-            masked_node_steps: s.masked_node_steps,
-            last_seen: s.last_seen,
-            stage: s.stage,
-        })
-        .unwrap()
+    /// Legacy JSON-map checkpoints (packed columns), recorded from the
+    /// derived writer before the container replaced it: `quick_config(3, 2)`
+    /// after [`ticked`]'s eight ticks, a fresh `quick_config(2, 1)`
+    /// controller, and the LSTM controller of
+    /// `a_checkpointed_lstm_with_an_invalid_config_is_a_decode_error`.
+    const LEGACY_QUICK: &str = include_str!("../tests/fixtures/legacy_controller_quick.json");
+    const LEGACY_FRESH: &str = include_str!("../tests/fixtures/legacy_controller_fresh.json");
+    const LEGACY_LSTM: &str = include_str!("../tests/fixtures/legacy_controller_lstm.json");
+
+    /// The value under `key` of a JSON map.
+    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Map(entries) = v else {
+            panic!("expected a map holding {key}")
+        };
+        &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    /// `quick_config(3, 2)` after eight ticks of three steady nodes.
+    fn ticked() -> Controller {
+        let mut c = Controller::new(quick_config(3, 2)).unwrap();
+        for t in 0..8 {
+            let entries = (0..3)
+                .map(|i| (i, 0.2 + 0.1 * i as f64))
+                .collect::<Vec<_>>();
+            c.tick_frames(&[frame(t, &entries)]).unwrap();
+        }
+        c
     }
 
     fn quick_config(n: usize, k: usize) -> ControllerConfig {
@@ -1136,32 +1149,45 @@ mod tests {
 
     #[test]
     fn snapshot_survives_json_round_trip() {
-        let mut c = Controller::new(quick_config(3, 2)).unwrap();
-        for t in 0..8 {
-            let entries = (0..3)
-                .map(|i| (i, 0.2 + 0.1 * i as f64))
-                .collect::<Vec<_>>();
-            c.tick_frames(&[frame(t, &entries)]).unwrap();
-        }
-        let snapshot = c.snapshot();
+        let snapshot = ticked().snapshot();
+        let bytes = snapshot.to_bytes();
+        let back = ControllerSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(snapshot, back);
+        assert_eq!(back.to_bytes(), bytes);
         let json = serde_json::to_string(&snapshot).unwrap();
         assert!(json.starts_with('"'), "the container is one JSON string");
-        let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snapshot, back);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        let legacy: ControllerSnapshot = serde_json::from_str(&legacy_json(&snapshot)).unwrap();
+        assert_eq!(json, format!("\"{}\"", container::to_base64(&bytes)));
+        let text: ControllerSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(text, snapshot);
+        let legacy: ControllerSnapshot = serde_json::from_str(LEGACY_QUICK).unwrap();
         assert_eq!(legacy, snapshot);
         assert!(Controller::restore(back).is_ok());
     }
 
     /// A fresh controller's checkpoint whose source 1 carries `next` and
-    /// `seen_ahead`, restored from both checkpoint forms.
+    /// `seen_ahead`, restored from both checkpoint forms: the container,
+    /// and the recorded legacy map with its `frame_seen` rewritten.
     fn restore_with_dedup(next: u64, seen_ahead: Vec<u64>) -> [Result<Controller, SimError>; 2] {
         let mut snapshot = Controller::new(quick_config(2, 1)).unwrap().snapshot();
+        let mut legacy: Value = serde_json::from_str(LEGACY_FRESH).unwrap();
+        assert_eq!(
+            ControllerSnapshot::from_value(&legacy),
+            Ok(snapshot.clone())
+        );
+        let dedup = |next: u64, seen_ahead: &[u64]| {
+            Value::Map(vec![
+                ("next".into(), next.to_value()),
+                ("seen_ahead".into(), seen_ahead.to_vec().to_value()),
+            ])
+        };
+        *entry(&mut legacy, "frame_seen") =
+            Value::Seq(vec![dedup(0, &[]), dedup(next, &seen_ahead)]);
         snapshot.frame_seen = vec![SourceDedup::default(), SourceDedup { next, seen_ahead }];
-        let container = serde_json::to_string(&snapshot).unwrap();
-        [container, legacy_json(&snapshot)]
-            .map(|text| Controller::restore(serde_json::from_str(&text).unwrap()))
+        [
+            ControllerSnapshot::from_bytes(&snapshot.to_bytes()),
+            ControllerSnapshot::from_value(&legacy),
+        ]
+        .map(|decoded| Controller::restore(decoded.unwrap()))
     }
 
     fn assert_dedup_refused(next: u64, seen_ahead: Vec<u64>, fault: &str) {
@@ -1279,28 +1305,20 @@ mod tests {
 
     #[test]
     fn restore_surfaces_a_hostile_stage_history_as_a_core_error() {
-        // One digit of a real checkpoint patched — a label >= k in the
+        // One label of a real checkpoint patched — a label >= k in the
         // newest history snapshot. It used to restore `Ok` and panic in the
         // first `forecast_table()`. The packed column is rewritten as the
         // legacy JSON array with its first label patched, so this also
         // holds the reader to both forms.
-        let mut c = Controller::new(quick_config(3, 2)).unwrap();
-        for t in 0..8 {
-            let entries = (0..3)
-                .map(|i| (i, 0.2 + 0.1 * i as f64))
-                .collect::<Vec<_>>();
-            c.tick_frames(&[frame(t, &entries)]).unwrap();
-        }
-        let json = legacy_json(&c.snapshot());
-        let key = "\"assignments\":\"";
-        let at = json.find(key).unwrap() + key.len() - 1;
-        let end = at + 1 + json[at + 1..].find('"').unwrap();
-        let packed: serde::Value = serde_json::from_str(&json[at..=end]).unwrap();
-        let labels = utilcast_linalg::packed::labels::from_value(&packed).unwrap();
-        let mut legacy = serde_json::to_string(&labels).unwrap();
-        legacy.replace_range(1..2, "9");
-        let hostile = format!("{}{legacy}{}", &json[..at], &json[end + 1..]);
-        let snapshot: ControllerSnapshot = serde_json::from_str(&hostile).unwrap();
+        let mut legacy: Value = serde_json::from_str(LEGACY_QUICK).unwrap();
+        let Value::Seq(history) = entry(entry(&mut legacy, "stage"), "history") else {
+            panic!("the stage history is a sequence")
+        };
+        let assignments = entry(&mut history[0], "assignments");
+        let mut labels = utilcast_linalg::packed::labels::from_value(assignments).unwrap();
+        labels[0] = 9;
+        *assignments = labels.to_value();
+        let snapshot = ControllerSnapshot::from_value(&legacy).unwrap();
         match Controller::restore(snapshot) {
             Err(SimError::Core(utilcast_core::CoreError::InvalidConfig { reason })) => {
                 assert!(
@@ -1317,25 +1335,10 @@ mod tests {
         // A cluster's LSTM travels as-is in the checkpoint. One whose config
         // says `window: 0` used to decode, restore and then panic in the
         // first forecast; now the snapshot itself does not decode.
-        let mut c = Controller::new(ControllerConfig {
-            model: ModelSpec::Lstm(utilcast_timeseries::lstm::LstmConfig {
-                window: 4,
-                hidden: 4,
-                epochs: 1,
-                seed: 3,
-                ..Default::default()
-            }),
-            ..quick_config(3, 2)
-        })
-        .unwrap();
-        for t in 0..12 {
-            let entries = (0..3)
-                .map(|i| (i, 0.2 + 0.1 * i as f64 + 0.01 * (t % 4) as f64))
-                .collect::<Vec<_>>();
-            c.tick_frames(&[frame(t, &entries)]).unwrap();
-        }
-        let json = legacy_json(&c.snapshot());
-        let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
+        // The fixture is such a controller (window 4, hidden 4, one epoch,
+        // seed 3, `quick_config(3, 2)`) after twelve ticks, fitted.
+        let json = LEGACY_LSTM;
+        let back: ControllerSnapshot = serde_json::from_str(json).unwrap();
         assert!(Controller::restore(back).is_ok());
         // Only a cluster model nests its config under "config"; the
         // controller's own model spec carries the bare `LstmConfig`.

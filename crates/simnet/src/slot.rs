@@ -11,7 +11,7 @@
 use utilcast_core::metrics::{rmse_step_scalar, TimeAveragedRmse};
 use utilcast_core::transmit::TransmitterBank;
 
-use crate::controller::Controller;
+use crate::controller::{Controller, ControllerSnapshot};
 use crate::link::DeliveryPlane;
 use crate::sim::{SimConfig, SimReport};
 use crate::transport::{Meter, ReportFrame};
@@ -60,17 +60,10 @@ pub(crate) struct Slot {
     /// `None` takes no checkpoints; `Some(every)` takes one before the run
     /// and, if `every > 0`, one after every `every`-th tick.
     checkpoint_every: Option<usize>,
-    /// The latest checkpoint as serialized text, so every crash goes
+    /// The latest checkpoint as container bytes, so every crash goes
     /// through the checkpoint codec, not an in-memory copy.
-    last_checkpoint: Option<String>,
+    last_checkpoint: Option<Vec<u8>>,
     checkpoints: u64,
-}
-
-/// `controller`'s checkpoint as serialized text.
-fn checkpoint(controller: &Controller) -> Result<String, SimError> {
-    serde_json::to_string(&controller.snapshot()).map_err(|e| SimError::InvalidConfig {
-        reason: format!("checkpoint does not serialize: {e}"),
-    })
 }
 
 impl Slot {
@@ -85,9 +78,7 @@ impl Slot {
     ) -> Result<Self, SimError> {
         config.validate()?;
         let controller = Controller::new(config.controller_config(num_nodes))?;
-        let last_checkpoint = checkpoint_every
-            .map(|_| checkpoint(&controller))
-            .transpose()?;
+        let last_checkpoint = checkpoint_every.map(|_| controller.snapshot().to_bytes());
         Ok(Slot {
             plane: (!config.delivery.is_passthrough())
                 .then(|| DeliveryPlane::new(sources, &config.delivery)),
@@ -116,15 +107,16 @@ impl Slot {
     }
 
     /// A controller crash: the live state is lost and the latest checkpoint
-    /// parsed and restored, so stored values regress until fresh reports
+    /// decoded and restored, so stored values regress until fresh reports
     /// land. Returns whether there was a checkpoint to restore.
     pub(crate) fn crash(&mut self) -> Result<bool, SimError> {
-        let Some(text) = &self.last_checkpoint else {
+        let Some(bytes) = &self.last_checkpoint else {
             return Ok(false);
         };
-        let snapshot = serde_json::from_str(text).map_err(|e| SimError::InvalidConfig {
-            reason: format!("checkpoint does not parse: {e}"),
-        })?;
+        let snapshot =
+            ControllerSnapshot::from_bytes(bytes).map_err(|e| SimError::InvalidConfig {
+                reason: format!("checkpoint does not decode: {e}"),
+            })?;
         self.controller = Controller::restore(snapshot)?;
         Ok(true)
     }
@@ -166,7 +158,7 @@ impl Slot {
         self.steps += 1;
         if let Some(every) = self.checkpoint_every {
             if every > 0 && self.steps.is_multiple_of(every) {
-                self.last_checkpoint = Some(checkpoint(&self.controller)?);
+                self.last_checkpoint = Some(self.controller.snapshot().to_bytes());
                 self.checkpoints += 1;
             }
         }

@@ -240,9 +240,9 @@ pub fn run_threaded_supervised(
         let z: Arc<[f64]> = slot.stored().into();
         // Every job carries a copy of its shard's bank: `banks[s]` stays
         // the pre-tick state until the worker hands the new one back.
-        let job = |s: usize, bank: &TransmitterBank, frame: ReportFrame| Job {
+        let job = |nodes: &Range<usize>, bank: &TransmitterBank, frame: ReportFrame| Job {
             t,
-            nodes: bounds[s].clone(),
+            nodes: nodes.clone(),
             x: Arc::clone(&x),
             z: Arc::clone(&z),
             bank: bank.clone(),
@@ -251,7 +251,7 @@ pub fn run_threaded_supervised(
         for s in 0..shards {
             // A dead worker surfaces at the receive below.
             let frame = std::mem::replace(&mut frames[s], ReportFrame::new(1));
-            let _ = workers[s].jobs.send(job(s, &banks[s], frame));
+            let _ = workers[s].jobs.send(job(&bounds[s], &banks[s], frame));
         }
         for s in 0..shards {
             let done = loop {
@@ -265,7 +265,9 @@ pub fn run_threaded_supervised(
                 respawns_left -= 1;
                 workers[s] = Worker::spawn(None);
                 // The in-flight frame buffer died with the worker.
-                let _ = workers[s].jobs.send(job(s, &banks[s], ReportFrame::new(1)));
+                let _ = workers[s]
+                    .jobs
+                    .send(job(&bounds[s], &banks[s], ReportFrame::new(1)));
             };
             banks[s] = done.bank;
             frames[s] = done.frame;

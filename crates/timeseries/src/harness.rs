@@ -58,9 +58,9 @@ impl Default for RetrainPolicy {
 }
 
 /// The model-independent state of a [`RetrainingForecaster`], detachable
-/// for checkpointing: pair it with a serializable model snapshot to persist
-/// a forecaster, and rebuild with [`RetrainingForecaster::from_state`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// for checkpointing: pair it with the model's checkpoint (its
+/// `encode_into`) to persist a forecaster, and rebuild with [`RetrainingForecaster::from_state`].
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct RetrainState {
     /// The retraining policy.
     pub policy: RetrainPolicy,

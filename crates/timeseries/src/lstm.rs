@@ -115,7 +115,7 @@ impl Default for LstmConfig {
 /// parameters live in one flat buffer laid out `[wx | wh | b]` — the same
 /// layout the gradient vector uses, so the optimizer update is a single
 /// aligned pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 struct LstmLayer {
     input: usize,
     hidden: usize,
@@ -423,7 +423,7 @@ fn backward_layer_fused(
 }
 
 /// Adam optimizer state for one flat parameter vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -464,7 +464,7 @@ impl Adam {
 }
 
 /// Fitted network state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 struct LstmState {
     layers: Vec<LstmLayer>,
     /// Dense head weights (`hidden` long) and bias.
@@ -569,7 +569,7 @@ impl LstmState {
 /// assert_eq!(fc.len(), 5);
 /// # Ok::<(), utilcast_timeseries::TimeSeriesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
     config: LstmConfig,
     state: Option<LstmState>,
@@ -1288,31 +1288,33 @@ mod tests {
         ));
     }
 
+    /// `m` written into a checkpoint container and read back.
+    fn through_container(m: &Lstm) -> Result<Lstm, DeError> {
+        let mut out = Writer::new();
+        m.encode_into(&mut out);
+        let bytes = out.seal();
+        let mut input = Reader::open(&bytes)?;
+        let back = Lstm::decode(&mut input)?;
+        input.finish()?;
+        Ok(back)
+    }
+
     #[test]
     fn a_checkpointed_state_with_the_wrong_shape_is_a_decode_error() {
-        use serde::Value;
         let mut m = Lstm::new(tiny_config());
         m.fit(&[0.5; 40]).unwrap();
-        let v = m.to_value();
-        assert_eq!(Lstm::from_value(&v), Ok(m));
+        assert_eq!(through_container(&m), Ok(m.clone()));
         // Rewrites one integer field of the first layer.
-        let patch = |field: &str, to: u64| {
-            let mut v = v.clone();
-            let Value::Map(top) = &mut v else { panic!() };
-            let Value::Map(state) = &mut top[1].1 else {
-                panic!()
-            };
-            let Value::Seq(layers) = &mut state[0].1 else {
-                panic!()
-            };
-            let Value::Map(layer) = &mut layers[0] else {
-                panic!()
-            };
-            let (_, slot) = layer.iter_mut().find(|(k, _)| k == field).unwrap();
-            *slot = Value::UInt(to);
-            Lstm::from_value(&v)
+        let patch = |field: &str, to: usize| {
+            let mut bad = m.clone();
+            let layer = &mut bad.state.as_mut().unwrap().layers[0];
+            match field {
+                "hidden" => layer.hidden = to,
+                _ => layer.input = to,
+            }
+            through_container(&bad)
         };
-        let hidden = tiny_config().hidden as u64;
+        let hidden = tiny_config().hidden;
         for (field, to) in [("hidden", hidden + 1), ("hidden", 0), ("input", 2)] {
             let err = patch(field, to).unwrap_err();
             assert!(err.to_string().contains("lstm layer 0"), "{field}: {err}");
@@ -1320,17 +1322,11 @@ mod tests {
         assert!(patch("hidden", hidden).is_ok());
     }
 
-    /// Rewrites one integer field of a model's serialized config.
-    fn with_config_field(m: &Lstm, field: &str, to: u64) -> serde::Value {
-        use serde::Value;
-        let mut v = m.to_value();
-        let Value::Map(top) = &mut v else { panic!() };
-        let Value::Map(config) = &mut top[0].1 else {
-            panic!()
-        };
-        let (_, slot) = config.iter_mut().find(|(k, _)| k == field).unwrap();
-        *slot = Value::UInt(to);
-        v
+    /// `m` with its config rewritten by `change`.
+    fn with_config(m: &Lstm, change: impl FnOnce(&mut LstmConfig)) -> Lstm {
+        let mut m = m.clone();
+        change(&mut m.config);
+        m
     }
 
     #[test]
@@ -1338,36 +1334,20 @@ mod tests {
         let mut m = Lstm::new(tiny_config());
         m.fit(&[0.5; 40]).unwrap();
         // `window: 0` used to decode and then panic in the first forecast.
-        for (field, to) in [("window", 0), ("epochs", 0)] {
-            let err = Lstm::from_value(&with_config_field(&m, field, to)).unwrap_err();
-            assert!(err.to_string().contains("lstm config"), "{field}: {err}");
+        let invalid: [fn(&mut LstmConfig); 2] = [|c| c.window = 0, |c| c.epochs = 0];
+        for change in invalid {
+            let err = through_container(&with_config(&m, change)).unwrap_err();
+            assert!(err.to_string().contains("lstm config"), "{err}");
         }
         // An unfitted model keeps any config, as `Lstm::new` does; `fit`
         // is what validates it.
         let unfitted = Lstm::new(tiny_config());
-        let back = Lstm::from_value(&with_config_field(&unfitted, "window", 0)).unwrap();
+        let back = through_container(&with_config(&unfitted, |c| c.window = 0)).unwrap();
         assert_eq!(back.config().window, 0);
         assert_eq!(
             back.forecast(&[0.5; 40], 2),
             Err(TimeSeriesError::NotFitted)
         );
-        // The checkpoint container's reader holds a model to the same checks.
-        let through_container = |m: &Lstm| {
-            let mut out = Writer::new();
-            m.encode_into(&mut out);
-            Lstm::decode(&mut Reader::open(&out.seal()).unwrap())
-        };
-        assert_eq!(through_container(&m).unwrap(), m);
-        let mut bad = m.clone();
-        bad.config.window = 0;
-        let err = through_container(&bad).unwrap_err().to_string();
-        assert!(err.contains("lstm config"), "{err}");
-        bad.config = LstmConfig {
-            hidden: tiny_config().hidden + 1,
-            ..tiny_config()
-        };
-        let err = through_container(&bad).unwrap_err().to_string();
-        assert!(err.contains("lstm layer 0"), "{err}");
     }
 
     #[test]
@@ -1375,18 +1355,23 @@ mod tests {
         let mut m = Lstm::new(tiny_config());
         m.fit(&[0.5; 40]).unwrap();
         let c = tiny_config();
-        for (field, to, names) in [
-            ("hidden", c.hidden + 1, "lstm layer 0"),
-            ("hidden", c.hidden - 1, "lstm layer 0"),
-            ("layers", c.layers + 1, "lstm head"),
-            ("layers", c.layers - 1, "lstm head"),
-        ] {
-            let err = Lstm::from_value(&with_config_field(&m, field, to as u64)).unwrap_err();
-            assert!(err.to_string().contains(names), "{field} {to}: {err}");
+        type Change = fn(&mut LstmConfig);
+        let disagreeing: [(Change, &str); 4] = [
+            (|c| c.hidden += 1, "lstm layer 0"),
+            (|c| c.hidden -= 1, "lstm layer 0"),
+            (|c| c.layers += 1, "lstm head"),
+            (|c| c.layers -= 1, "lstm head"),
+        ];
+        for (change, names) in disagreeing {
+            let bad = with_config(&m, change);
+            let err = through_container(&bad).unwrap_err();
+            assert!(err.to_string().contains(names), "{:?}: {err}", bad.config);
         }
         // A window other than the one fitted is a valid config: the state
         // does not record it.
-        let longer = Lstm::from_value(&with_config_field(&m, "window", 9)).unwrap();
+        let longer = through_container(&with_config(&m, |c| c.window = 9)).unwrap();
+        assert_eq!(longer.config().window, 9);
+        assert_ne!(c.window, 9);
         assert_eq!(longer.forecast(&[0.5; 40], 3).unwrap().len(), 3);
     }
 

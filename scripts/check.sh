@@ -72,10 +72,17 @@ cargo test --release -q --test lstm_golden --test lstm_refit
 # The checkpoint codec suite once more, optimised: the table-driven base64
 # codec and the container's word loops and checksum lanes vectorise under
 # -O, so the bitwise round trips, the legacy fixtures and the hostile-input
-# properties (truncations, bit flips and symbol swaps of both checkpoint
-# forms and of a report frame) are held under release codegen too.
+# properties (truncations and bit flips of the container's bytes, and
+# truncations, bit flips and symbol swaps of its base64 text, of the legacy
+# JSON form and of a report frame) are held under release codegen too.
 echo "==> cargo test --release -q --test checkpoint_codec"
 cargo test --release -q --test checkpoint_codec
+
+# The container's and the packed columns' own suites, optimised, for the
+# same reason: the byte-form round trips, the frame checks, the base64
+# carriage and the claimed-length allocation bound under release codegen.
+echo "==> cargo test --release -q -p utilcast-linalg"
+cargo test --release -q -p utilcast-linalg
 
 # The Eq. 12 resolve contract under optimised codegen: the differential
 # suite holds the table kernel (stateless and reusing its term cache across

@@ -1,8 +1,8 @@
-//! Tier-1 view of the checkpoint codec: `ControllerSnapshot` through the
-//! vendored `serde_json` as one checkpoint container
-//! (`utilcast_linalg::container`: magic, version, length, checksum and a
-//! binary payload in one base64 string), and through the reader of the
-//! JSON-map form every checkpoint took before it.
+//! Tier-1 view of the checkpoint codec: `ControllerSnapshot` as one
+//! checkpoint container (`utilcast_linalg::container`: magic, version,
+//! length, checksum and a binary payload) — its bytes, and those bytes as
+//! one base64 string through the vendored `serde_json` — and through the
+//! reader of the JSON-map form every checkpoint took before it.
 //!
 //! * A checkpoint written as plain JSON arrays before the columns were
 //!   packed — and before the kernel/mode matrix was retired
@@ -21,7 +21,8 @@
 //!   its table — never a panic.
 //! * The container refuses every such input outright: truncations, bit
 //!   flips and symbol swaps of the same controllers' containers are all
-//!   decode errors, so none restores.
+//!   decode errors, so none restores — in the byte form (every truncation,
+//!   every single-bit flip) and in the text form.
 //! * The wire frame's JSON decoder is total too: a `ReportFrame` truncated
 //!   at every byte or under seeded bit flips is a decode error or a frame
 //!   the controller admits or quarantines entry by entry.
@@ -448,6 +449,48 @@ fn hostile_containers_are_refused_before_restore() {
             }
         }
         assert!(inputs > original.len() + 1_900, "{name}: {inputs} inputs");
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failures: {failures:?}",
+        failures.len()
+    );
+}
+
+/// The byte form of the same two controllers' containers: truncated at
+/// every byte and with every single bit flipped, each is refused by
+/// `ControllerSnapshot::from_bytes` — the frame checks catch the header,
+/// the checksum every change inside one 8-byte word of the payload — so
+/// none reaches `Controller::restore`, and none panics.
+#[test]
+fn hostile_container_bytes_are_refused_before_restore() {
+    let decodes = |bytes: &[u8]| ControllerSnapshot::from_bytes(bytes).is_ok();
+    let mut failures = Vec::new();
+    for (name, model) in fuzz_models() {
+        let live = fuzz_controller(model).snapshot();
+        let original = live.to_bytes();
+        assert_eq!(
+            ControllerSnapshot::from_bytes(&original),
+            Ok(live),
+            "{name}"
+        );
+        let mut run =
+            |what: String, bytes: &[u8]| match catch_unwind(AssertUnwindSafe(|| decodes(bytes))) {
+                Ok(false) => {}
+                Ok(true) => failures.push(format!("{name}: {what} decoded")),
+                Err(_) => failures.push(format!("{name}: {what} panicked")),
+            };
+        for cut in 0..original.len() {
+            run(format!("truncated at byte {cut}"), &original[..cut]);
+        }
+        let mut bytes = original.clone();
+        for at in 0..original.len() {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                run(format!("flip of bit {bit} at byte {at}"), &bytes);
+                bytes[at] ^= 1 << bit;
+            }
+        }
     }
     assert!(
         failures.is_empty(),

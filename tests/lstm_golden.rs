@@ -26,8 +26,7 @@
 //! initial weights. On an intended change of LSTM numerics, re-record from
 //! the table the failing assertion prints.
 
-use serde::{Serialize, Value};
-use utilcast::linalg::packed;
+use utilcast::linalg::container::{Reader, Writer};
 use utilcast::timeseries::lstm::{Lstm, LstmConfig};
 use utilcast::timeseries::Forecaster;
 
@@ -65,24 +64,25 @@ fn hex(values: &[f64]) -> String {
     format!("[{}]", words.join(" "))
 }
 
-/// The value under `key` in a serialized map.
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    let Value::Map(entries) = v else {
-        panic!("expected a map holding {key}")
-    };
-    &entries.iter().find(|(k, _)| k == key).expect(key).1
-}
-
-/// The fitted head `(weights, bias)`, read through the model's
-/// serialization (the state is private).
+/// The fitted head `(weights, bias)`, read through the model's checkpoint
+/// container (the state is private): the config, the fitted flag, the
+/// layers — input width, hidden width and parameters each — then the head.
 fn head(model: &Lstm) -> (Vec<f64>, f64) {
-    let value = model.to_value();
-    let state = field(&value, "state");
-    let w = packed::f64s::from_value(field(state, "head_w")).expect("packed head weights");
-    let Value::Float(b) = field(state, "head_b") else {
-        panic!("head bias is not a float")
-    };
-    (w, *b)
+    let mut out = Writer::new();
+    model.encode_into(&mut out);
+    let bytes = out.seal();
+    let mut input = Reader::open(&bytes).expect("container frame");
+    LstmConfig::decode(&mut input).expect("config");
+    assert!(input.bool().expect("fitted flag"), "the model is fitted");
+    input
+        .seq(|layer| {
+            layer.usize()?;
+            layer.usize()?;
+            layer.f64s()
+        })
+        .expect("layers");
+    let w = input.f64s().expect("head weights");
+    (w, input.f64().expect("head bias"))
 }
 
 /// One table row per width: fitted on 120 points of series 1, forecast 16

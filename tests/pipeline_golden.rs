@@ -18,7 +18,8 @@
 //!   staleness masking on: the serialized text, byte for byte — the
 //!   packed-JSON text it was written as before the checkpoint container
 //!   (kept as a fixture that must decode to the live snapshot), and the
-//!   container it is written as now.
+//!   container it is written as now — whose bytes, the base64 decoding of
+//!   that text, are pinned by length and hash as well.
 //!
 //! `staleness_age_limit_reaches_both_pipelines` shows the limit the
 //! pipelines accept in `ComputeOptions` is honoured by them too: off, a run
@@ -35,6 +36,7 @@ use utilcast::core::multi::{MultiPipeline, MultiPipelineConfig, MultiStepReport}
 use utilcast::core::pipeline::{ModelSpec, Pipeline, PipelineConfig, StepReport, TransmissionMode};
 use utilcast::core::stage::StageReport;
 use utilcast::core::table::ForecastTable;
+use utilcast::linalg::container;
 use utilcast::simnet::controller::{Controller, ControllerConfig, ControllerSnapshot};
 use utilcast::simnet::transport::ReportFrame;
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
@@ -331,10 +333,8 @@ const PACKED_CHECKPOINT: &str = include_str!("fixtures/checkpoint_pipeline_golde
 
 /// A controller cut mid-run, between its first fits and the staggered
 /// refits, with nodes silent for four ticks at a time — past the staleness
-/// limit of 2, so the checkpoint carries masked steps and ages. The first
-/// line pins its packed-JSON checkpoint (a fixture, which must decode to
-/// the live controller's snapshot), the second its container.
-fn checkpoint_lines() -> [String; 2] {
+/// limit of 2, so the checkpoint carries masked steps and ages.
+fn checkpoint_controller() -> Controller {
     let trace = fleet(1);
     let mut controller = Controller::new(ControllerConfig {
         num_nodes: NODES,
@@ -364,6 +364,14 @@ fn checkpoint_lines() -> [String; 2] {
             .expect("tick");
         controller.serve_query_probes(3).expect("probes");
     }
+    controller
+}
+
+/// [`checkpoint_controller`]'s checkpoint: the first line pins its
+/// packed-JSON form (a fixture, which must decode to the live controller's
+/// snapshot), the second the container's JSON text.
+fn checkpoint_lines() -> [String; 2] {
+    let controller = checkpoint_controller();
     assert!(controller.masked_node_steps() > 0, "masking must be on");
     let packed: ControllerSnapshot =
         serde_json::from_str(PACKED_CHECKPOINT).expect("the fixture decodes");
@@ -437,6 +445,11 @@ checkpoint: bytes=6940 masked_node_steps=104 peak_age=4 fnv=4c5c149f9444b654\n\
 checkpoint container: bytes=5614 masked_node_steps=104 peak_age=4 fnv=a0982152afbbc5c3\n\
 ";
 
+/// The length and FNV-1a hash of [`checkpoint_controller`]'s container
+/// bytes, the base64 decoding of the text the `checkpoint container` line
+/// pins (recorded from that text before the container API moved to bytes).
+const CONTAINER_BYTES: &str = "bytes=4207 fnv=3bb54b6c53977946";
+
 fn golden_line(name: &str) -> &'static str {
     GOLDEN
         .lines()
@@ -463,6 +476,34 @@ fn pipelines_and_checkpoint_are_bitwise_pinned() {
     );
     // At B = 1 every node transmits on every step.
     assert!(golden_line("pipeline uniform B=1").starts_with(&format!("sent={} ", NODES * STEPS)));
+}
+
+/// The bytes `ControllerSnapshot::to_bytes` writes for the golden
+/// checkpoint — what the simulation drivers keep for a crash — are the
+/// base64 decoding of the pinned container text and the re-encoding of the
+/// packed-JSON fixture, and decode back to the live snapshot.
+#[test]
+fn checkpoint_bytes_are_the_pinned_container_text_decoded() {
+    let controller = checkpoint_controller();
+    let snapshot = controller.snapshot();
+    let bytes = snapshot.to_bytes();
+    let text = serde_json::to_string(&snapshot).expect("checkpoint");
+    let symbols = text
+        .strip_prefix('"')
+        .and_then(|t| t.strip_suffix('"'))
+        .expect("the container is one JSON string");
+    assert_eq!(container::from_base64(symbols).expect("base64"), bytes);
+    let packed: ControllerSnapshot =
+        serde_json::from_str(PACKED_CHECKPOINT).expect("the fixture decodes");
+    assert_eq!(packed.to_bytes(), bytes, "the fixture re-encodes to them");
+    let back = ControllerSnapshot::from_bytes(&bytes).expect("the bytes decode");
+    assert_eq!(back, snapshot);
+    let mut h = Fnv::new();
+    h.bytes(&bytes);
+    assert_eq!(
+        format!("bytes={} fnv={:016x}", bytes.len(), h.0),
+        CONTAINER_BYTES
+    );
 }
 
 /// The first step at which the staleness limit masks a node: some node's

@@ -11,8 +11,9 @@
 //!
 //! - a refresh after every tick;
 //! - a refresh every third tick (the pinned ticks are all `1 mod 3`);
-//! - a refresh after every tick, with the stage checkpointed to JSON and
-//!   restored two ticks before each pinned tick, mid-window.
+//! - a refresh after every tick, with the stage checkpointed through the
+//!   checkpoint container and restored two ticks before each pinned tick,
+//!   mid-window.
 //!
 //! At each pinned tick every way's table must render to the golden line
 //! and equal that stage's stateless build.
@@ -24,6 +25,7 @@
 use utilcast::core::pipeline::ModelSpec;
 use utilcast::core::stage::{ForecastStage, ForecastStageConfig, StageSnapshot};
 use utilcast::core::table::ForecastTable;
+use utilcast::linalg::container::{Reader, Writer};
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 
 const NODES: usize = 40;
@@ -126,8 +128,12 @@ fn render(cadence: Cadence) -> String {
         let z = fleet_step(t, &mut noise);
         stage.step(&z).expect("step");
         if cadence == Cadence::RestoredMidWindow && TICKS.contains(&(t + 2)) {
-            let json = serde_json::to_string(&stage.snapshot()).expect("serialize");
-            let snapshot: StageSnapshot = serde_json::from_str(&json).expect("deserialize");
+            let mut out = Writer::new();
+            stage.snapshot().encode_into(&mut out);
+            let bytes = out.seal();
+            let mut input = Reader::open(&bytes).expect("container frame");
+            let snapshot = StageSnapshot::decode(&mut input).expect("decode");
+            input.finish().expect("nothing after the stage");
             stage = ForecastStage::restore(snapshot).expect("restore");
         }
         let due = match cadence {
