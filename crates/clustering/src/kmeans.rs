@@ -16,19 +16,24 @@
 //!   thread count**, including the sequential `threads = 1` path.
 //! * **Warm starts** — [`KMeans::fit_from`] runs a single Lloyd descent from
 //!   caller-supplied centroids (e.g. the previous time step's result), which
-//!   converges in a handful of iterations on slowly drifting data.
+//!   converges in a handful of iterations on slowly drifting data;
+//!   [`KMeans::refit_scalar`] does so for scalar points in place, reusing
+//!   the previous result's buffers and taking its labels as guesses.
 //! * **One assignment scan per shape** — points and centroids live in flat
-//!   contiguous buffers allocated once per fit, and centroids are ranked by
-//!   `‖c‖² − 2·x·c` (the `‖x‖²` term is constant per point) with the final
-//!   inertia derived from the same identity. Scalar points (`d = 1`, the
-//!   paper's per-resource mode) count sorted centroid midpoints
-//!   (`ScalarIndex`); vector points go through a point-blocked scan over
-//!   a transposed centroid buffer whose inner loops stream unit-stride
-//!   lanes (see `utilcast_linalg::simd`). The block scan accumulates every
+//!   contiguous buffers, and centroids are ranked by `‖c‖² − 2·x·c` (the
+//!   `‖x‖²` term is constant per point) with the final inertia derived
+//!   from the same identity. Scalar points (`d = 1`, the paper's
+//!   per-resource mode) keep a label that still lies between its two
+//!   sorted centroid midpoints and count the midpoints for the rest
+//!   (`ScalarIndex`), with no `n`-long buffer but the labels; vector
+//!   points go through a point-blocked scan over a transposed centroid
+//!   buffer whose inner loops stream unit-stride lanes (see
+//!   `utilcast_linalg::simd`). The block scan accumulates every
 //!   point×centroid dot in ascending dimension order, so it is
-//!   bit-identical to the plain row scan it replaced; that row scan and the
-//!   original nested exact-distance descent survive as the `#[cfg(test)]`
-//!   oracle the differential suite compares against.
+//!   bit-identical to the plain row scan it replaced; that row scan, the
+//!   scalar descent the lean one replaced and the original nested
+//!   exact-distance descent survive as the `#[cfg(test)]` oracle the
+//!   differential suite compares against.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,6 +112,9 @@ pub struct KMeansResult {
 #[derive(Debug, Clone)]
 pub struct KMeans {
     config: KMeansConfig,
+    /// The scalar descent's `k`-long buffers, kept across
+    /// [`KMeans::refit_scalar`] calls.
+    scalar: ScalarScratch,
 }
 
 /// Derives the seed of restart `restart` from the base seed with a
@@ -135,8 +143,9 @@ fn unflatten(flat: &[f64], dim: usize) -> Vec<Vec<f64>> {
     flat.chunks_exact(dim).map(|c| c.to_vec()).collect()
 }
 
-/// Reusable per-fit buffers: one allocation per fit, reused by every Lloyd
-/// iteration.
+/// Reusable per-fit buffers of the vector descent: one allocation per fit,
+/// reused by every Lloyd iteration. (Scalar points run
+/// [`KMeans::lloyd_scalar`] over a [`ScalarScratch`] instead.)
 struct Scratch {
     assignments: Vec<usize>,
     /// The previous iteration's assignments, for the partition-fixed-point
@@ -151,12 +160,8 @@ struct Scratch {
     sums: Vec<f64>,
     counts: Vec<usize>,
     centroid_norms: Vec<f64>,
-    /// Transposed `dim x k` centroid buffer of the block scan (unused when
-    /// `dim == 1`, where the row-major buffer already has that layout).
+    /// Transposed `dim x k` centroid buffer of the block scan.
     cent_t: Vec<f64>,
-    /// Search structure of the scalar assignment fast path (unused unless
-    /// `dim == 1`).
-    scalar_index: ScalarIndex,
 }
 
 impl Scratch {
@@ -170,10 +175,15 @@ impl Scratch {
             counts: vec![0usize; k],
             centroid_norms: vec![0.0; k],
             cent_t: Vec::new(),
-            scalar_index: ScalarIndex::default(),
         }
     }
 }
+
+/// Points per block of the scalar midpoint count: a block's running counts
+/// stay in registers while it is compared against every threshold, so the
+/// eight independent counts vectorise instead of forming one dependent
+/// chain per point.
+const SCALAR_BLOCK: usize = 8;
 
 /// Search structure of the scalar assignment fast path: the distinct
 /// centroid values in ascending order (each carrying the lowest original
@@ -181,7 +191,7 @@ impl Scratch {
 /// values. The nearest centroid of a point `x` is then found by *counting*
 /// the midpoints below `x` — a short branchless loop instead of the
 /// `O(k)` score scan with its data-dependent best-so-far branch.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct ScalarIndex {
     /// Scratch for sorting `(value, original index)` pairs.
     pairs: Vec<(f64, usize)>,
@@ -189,10 +199,25 @@ struct ScalarIndex {
     idx: Vec<usize>,
     /// `midpoint(vals[j], vals[j + 1])` for consecutive distinct values.
     thresholds: Vec<f64>,
+    /// Per original index `l`, the midpoints that bound the points the
+    /// count gives `l` (`lo[l] < x <= hi[l]`; `∓∞` at the ends),
+    /// and `+∞` twice for an index the count never gives (a later
+    /// duplicate) and at the extra slot `k` that out-of-range labels
+    /// read, so that no point passes for those.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
 }
 
 impl ScalarIndex {
     /// Rebuilds the index for the given centroid values.
+    // lint:allow(panic-path): fn-scope audit: every idx entry is an
+    // original index below centroids.len(), and lo/hi are resized to
+    // centroids.len() + 1 before they are written; p - 1 is read only
+    // for p > 0 and thresholds[p] only for p < thresholds.len(); exemplar
+    // chain: clustering::kmeans::KMeans::fit_from_flat ->
+    // clustering::kmeans::KMeans::lloyd_scalar ->
+    // clustering::kmeans::ScalarScratch::scan ->
+    // clustering::kmeans::ScalarIndex::build
     fn build(&mut self, centroids: &[f64]) {
         self.pairs.clear();
         self.pairs.extend(centroids.iter().copied().zip(0..));
@@ -215,6 +240,23 @@ impl ScalarIndex {
             self.idx.push(i);
             prev = v;
         }
+        self.lo.clear();
+        self.lo.resize(centroids.len() + 1, f64::INFINITY);
+        self.hi.clear();
+        self.hi.resize(centroids.len() + 1, f64::INFINITY);
+        let top = self.thresholds.len();
+        for (p, &l) in self.idx.iter().enumerate() {
+            self.lo[l] = if p == 0 {
+                f64::NEG_INFINITY
+            } else {
+                self.thresholds[p - 1]
+            };
+            self.hi[l] = if p == top {
+                f64::INFINITY
+            } else {
+                self.thresholds[p]
+            };
+        }
     }
 
     /// Original index of the centroid nearest to `x`. A point exactly on a
@@ -222,13 +264,12 @@ impl ScalarIndex {
     /// count it), which is a fixed deterministic choice independent of
     /// thread count.
     #[inline]
-    // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
-    // flat buffers are validated to n * dim by
-    // validate_flat/validate_weighted before any kernel runs, so every
-    // centroid and point window stays in bounds; exemplar chain:
-    // clustering::kmeans::KMeans::fit_from_flat ->
-    // clustering::kmeans::KMeans::lloyd_flat ->
-    // clustering::kmeans::assign_step_scalar ->
+    // lint:allow(panic-path): fn-scope audit: the count is at most
+    // thresholds.len() = idx.len() - 1, so idx[c] is in bounds; exemplar
+    // chain: clustering::kmeans::KMeans::fit_from_flat ->
+    // clustering::kmeans::KMeans::lloyd_scalar ->
+    // clustering::kmeans::ScalarScratch::scan ->
+    // clustering::kmeans::ScalarIndex::label_run ->
     // clustering::kmeans::ScalarIndex::nearest
     fn nearest(&self, x: f64) -> usize {
         let mut c = 0usize;
@@ -237,60 +278,146 @@ impl ScalarIndex {
         }
         self.idx[c]
     }
+
+    /// Whether [`ScalarIndex::nearest`] gives `x` the label `l`, decided by
+    /// two comparisons. The count of `x > t` over ascending thresholds is
+    /// `p` exactly when `x > t[p − 1]` and `x <= t[p]` (a NaN `x` counts
+    /// nothing and fails the first test, and no threshold is NaN: they are
+    /// midpoints of finite values), the bounds `lo` and `hi` hold for the
+    /// label the count maps `p` to; the `∓∞` ends and the `+∞` sentinels
+    /// can only make this answer "no", and a "no" is settled by the count.
+    #[inline]
+    // lint:allow(panic-path): fn-scope audit: l is clamped to
+    // lo.len() - 1 = hi.len() - 1 = k, the sentinel slot; exemplar chain:
+    // clustering::kmeans::KMeans::fit_from_flat ->
+    // clustering::kmeans::KMeans::lloyd_scalar ->
+    // clustering::kmeans::ScalarScratch::scan ->
+    // clustering::kmeans::ScalarIndex::label_run ->
+    // clustering::kmeans::ScalarIndex::keeps
+    fn keeps(&self, x: f64, l: usize) -> bool {
+        let l = l.min(self.lo.len() - 1);
+        (x > self.lo[l]) & (x <= self.hi[l])
+    }
+
+    /// Labels every point of `pts` in place by [`ScalarIndex::nearest`]
+    /// and returns whether any label changed. The labels on entry are a
+    /// guess — the previous iteration's, or a caller's — checked by
+    /// [`ScalarIndex::keeps`]: a block of [`SCALAR_BLOCK`] points whose
+    /// guesses all hold is done; any other block is counted with its eight
+    /// counts in registers. Either way each label is the one-point count's.
+    // lint:allow(panic-path): fn-scope audit: every count is at most
+    // thresholds.len() = idx.len() - 1, so idx[c] is in bounds, and the
+    // block windows are chunks_exact of equal-length slices; exemplar chain:
+    // clustering::kmeans::KMeans::fit_from_flat ->
+    // clustering::kmeans::KMeans::lloyd_scalar ->
+    // clustering::kmeans::ScalarScratch::scan ->
+    // clustering::kmeans::ScalarIndex::label_run
+    fn label_run(&self, pts: &[f64], labels: &mut [usize]) -> bool {
+        let mut changed = false;
+        let mut blocks = pts.chunks_exact(SCALAR_BLOCK);
+        let mut label_blocks = labels.chunks_exact_mut(SCALAR_BLOCK);
+        for (xb, lb) in (&mut blocks).zip(&mut label_blocks) {
+            let kept = xb
+                .iter()
+                .zip(lb.iter())
+                .fold(true, |all, (&x, &l)| all & self.keeps(x, l));
+            if kept {
+                continue;
+            }
+            let mut counts = [0usize; SCALAR_BLOCK];
+            for &t in &self.thresholds {
+                for (c, &x) in counts.iter_mut().zip(xb) {
+                    *c += usize::from(x > t);
+                }
+            }
+            for (l, &c) in lb.iter_mut().zip(&counts) {
+                let best = self.idx[c];
+                changed |= *l != best;
+                *l = best;
+            }
+        }
+        for (&x, l) in blocks.remainder().iter().zip(label_blocks.into_remainder()) {
+            if !self.keeps(x, *l) {
+                let best = self.nearest(x);
+                changed |= *l != best;
+                *l = best;
+            }
+        }
+        changed
+    }
 }
 
-/// The assignment step for one-dimensional points (the paper's
-/// per-resource scalar mode): ranks each point against the sorted distinct
-/// centroid values via [`ScalarIndex`]. The winning score is the same
-/// `‖c‖² − 2·x·c` expression [`assign_step_block`] produces, so inertia and
-/// empty-cluster reseeding are unaffected by which path ran. Falls back to
-/// the block scan when a centroid is non-finite (the sorted order would be
-/// meaningless; a `1 x k` centroid buffer is its own transpose). Pure per
-/// point, so the fan-out is identical at any worker count.
-// lint:allow(panic-path): fn-scope audit: assignment labels are < k and
-// flat buffers are validated to n * dim by validate_flat/validate_weighted
-// before any kernel runs, so every centroid and point window stays in
-// bounds; exemplar chain: clustering::kmeans::KMeans::fit_from_flat ->
-// clustering::kmeans::KMeans::lloyd_flat ->
-// clustering::kmeans::assign_step_scalar
-fn assign_step_scalar(
-    flat: &[f64],
-    centroids: &[f64],
-    norms: &[f64],
-    index: &mut ScalarIndex,
-    assignments: &mut [usize],
-    scores: &mut [f64],
-    workers: usize,
-) {
-    if !centroids.iter().all(|v| v.is_finite()) {
-        assign_step_block(flat, 1, centroids, norms, assignments, scores, workers);
-        return;
-    }
-    index.build(centroids);
-    let index = &*index;
-    let assign_run = |pts: &[f64], asg: &mut [usize], scs: &mut [f64]| {
-        for ((&x, a), s) in pts.iter().zip(asg.iter_mut()).zip(scs.iter_mut()) {
-            let best = index.nearest(x);
-            *a = best;
-            *s = norms[best] - 2.0 * (x * centroids[best]);
+/// Buffers of the scalar (`d = 1`) descent: the `k`-long centroid, norm,
+/// sum and count rows and the midpoint index, plus two `n`-long rows that
+/// only the non-finite-centroid fallback fills. The `n` labels are the
+/// caller's. [`KMeans::refit_scalar`] reuses the instance's own across
+/// calls; the allocating entry points start from an empty one.
+#[derive(Debug, Clone, Default)]
+struct ScalarScratch {
+    /// The descent's centroids: the initializer on entry, the result on
+    /// exit.
+    centroids: Vec<f64>,
+    /// `‖c‖²` per centroid, refreshed before every score computation.
+    norms: Vec<f64>,
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+    index: ScalarIndex,
+    /// Fallback block scan only: its winning scores...
+    scores: Vec<f64>,
+    /// ...and the labels before it, for the fixed-point check.
+    before: Vec<usize>,
+    /// Whether the last scan was the fallback, whose `scores` the inertia
+    /// then reads (the midpoint count keeps none).
+    scored: bool,
+}
+
+impl ScalarScratch {
+    /// One assignment scan over scalar points, labels written in place;
+    /// returns whether any label changed. Checks and counts sorted
+    /// midpoints ([`ScalarIndex::label_run`]) unless a centroid is
+    /// non-finite, where the sorted order would be meaningless and the
+    /// block scan runs instead (a `1 x k` centroid buffer is its own
+    /// transpose). Pure per point, so the fan-out is identical at any
+    /// worker count.
+    fn scan(&mut self, x: &[f64], labels: &mut [usize], workers: usize) -> bool {
+        if !self.centroids.iter().all(|v| v.is_finite()) {
+            self.norms.resize(self.centroids.len(), 0.0);
+            refresh_norms(&self.centroids, 1, &mut self.norms);
+            self.before.clear();
+            self.before.extend_from_slice(labels);
+            self.scores.resize(x.len(), 0.0);
+            assign_step_block(
+                x,
+                1,
+                &self.centroids,
+                &self.norms,
+                labels,
+                &mut self.scores,
+                workers,
+            );
+            self.scored = true;
+            return *labels != *self.before;
         }
-    };
-    let n = assignments.len();
-    if workers <= 1 || n < MIN_PARALLEL_POINTS {
-        assign_run(flat, assignments, scores);
-        return;
-    }
-    let chunk = chunk_len(n, workers);
-    std::thread::scope(|scope| {
-        for ((pts, asg), scs) in flat
-            .chunks(chunk)
-            .zip(assignments.chunks_mut(chunk))
-            .zip(scores.chunks_mut(chunk))
-        {
-            let assign_run = &assign_run;
-            scope.spawn(move || assign_run(pts, asg, scs));
+        self.scored = false;
+        self.index.build(&self.centroids);
+        let index = &self.index;
+        let n = labels.len();
+        if workers <= 1 || n < MIN_PARALLEL_POINTS {
+            return index.label_run(x, labels);
         }
-    });
+        let chunk = chunk_len(n, workers);
+        let mut changed = vec![false; n.div_ceil(chunk)];
+        std::thread::scope(|scope| {
+            for ((pts, lbl), flag) in x
+                .chunks(chunk)
+                .zip(labels.chunks_mut(chunk))
+                .zip(changed.iter_mut())
+            {
+                scope.spawn(move || *flag = index.label_run(pts, lbl));
+            }
+        });
+        changed.contains(&true)
+    }
 }
 
 /// The assignment step for vector points, fanned out over scoped threads
@@ -380,7 +507,10 @@ fn refresh_norms(centroids: &[f64], dim: usize, norms: &mut [f64]) {
 impl KMeans {
     /// Creates a clusterer with the given configuration.
     pub fn new(config: KMeansConfig) -> Self {
-        KMeans { config }
+        KMeans {
+            config,
+            scalar: ScalarScratch::default(),
+        }
     }
 
     /// Returns the configuration.
@@ -435,6 +565,29 @@ impl KMeans {
         }
         // lint:allow(panic-path): dim == 0 is rejected by the guard above; chain KMeans::fit_flat -> validate_flat
         Ok(flat.len() / dim)
+    }
+
+    /// Checks that a warm-start initializer holds exactly `k` centroids of
+    /// dimensionality `dim`.
+    fn validate_init(&self, init: &[Vec<f64>], dim: usize) -> Result<(), ClusteringError> {
+        if init.len() != self.config.k {
+            return Err(ClusteringError::InvalidInit {
+                reason: format!(
+                    "{} centroids supplied for k = {}",
+                    init.len(),
+                    self.config.k
+                ),
+            });
+        }
+        if let Some(bad) = init.iter().find(|c| c.len() != dim) {
+            return Err(ClusteringError::InvalidInit {
+                reason: format!(
+                    "centroid has dimension {} but points have dimension {dim}",
+                    bad.len()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// [`KMeans::degenerate`] over a flat buffer; identical output.
@@ -545,23 +698,60 @@ impl KMeans {
         if cfg.k >= n {
             return Ok(self.degenerate_flat(flat, n, dim));
         }
-        if init.len() != cfg.k {
-            return Err(ClusteringError::InvalidInit {
-                reason: format!("{} centroids supplied for k = {}", init.len(), cfg.k),
-            });
-        }
-        if let Some(bad) = init.iter().find(|c| c.len() != dim) {
-            return Err(ClusteringError::InvalidInit {
-                reason: format!(
-                    "centroid has dimension {} but points have dimension {dim}",
-                    bad.len()
-                ),
-            });
-        }
+        self.validate_init(init, dim)?;
         let init_flat = flatten(init, cfg.k, dim);
         let result = self.lloyd_flat(flat, n, dim, init_flat, resolve_threads(cfg.threads));
         debug_assert_partition(&result, n, cfg.k);
         Ok(result)
+    }
+
+    /// [`KMeans::fit_from_flat`] for scalar points (`dim == 1`), written
+    /// into `out` and bit-identical to it: the labels overwrite
+    /// `out.assignments` in place and the centroids reuse `out.centroids`'
+    /// rows, and this instance keeps its `k`-long scratch for the next
+    /// call, so a refit of an unchanged population allocates nothing.
+    ///
+    /// When `out.assignments` already holds one label per point — say the
+    /// previous refit's, relabelled together with `init` — the first
+    /// assignment scan takes them as guesses: each is checked against the
+    /// two midpoints around its centroid and counted only if it fails, so
+    /// on slowly drifting data most points cost two comparisons. A guess
+    /// only saves work; any labels give the same result.
+    ///
+    /// # Errors
+    ///
+    /// As [`KMeans::fit_from_flat`] with `dim = 1`; `out` is untouched on
+    /// an error.
+    pub fn refit_scalar(
+        &mut self,
+        x: &[f64],
+        init: &[Vec<f64>],
+        out: &mut KMeansResult,
+    ) -> Result<(), ClusteringError> {
+        let k = self.config.k;
+        let n = self.validate_flat(x, 1)?;
+        if k >= n {
+            *out = self.degenerate_flat(x, n, 1);
+            return Ok(());
+        }
+        self.validate_init(init, 1)?;
+        out.assignments.resize(n, 0);
+        let mut scratch = std::mem::take(&mut self.scalar);
+        scratch.centroids.clear();
+        scratch.centroids.extend(init.iter().flatten());
+        let workers = resolve_threads(self.config.threads);
+        let (inertia, iterations) =
+            self.lloyd_scalar(x, &mut out.assignments, &mut scratch, workers);
+        out.centroids.resize_with(k, Vec::new);
+        for (row, &c) in out.centroids.iter_mut().zip(&scratch.centroids) {
+            row.clear();
+            row.push(c);
+        }
+        out.inertia = inertia;
+        out.iterations = iterations;
+        self.scalar = scratch;
+        debug_assert_partition(out, n, k);
+        Ok(())
     }
 
     /// The shared restart driver behind [`KMeans::fit`] and
@@ -635,19 +825,7 @@ impl KMeans {
         if cfg.k >= points.len() {
             return Ok(self.degenerate(points));
         }
-        if init.len() != cfg.k {
-            return Err(ClusteringError::InvalidInit {
-                reason: format!("{} centroids supplied for k = {}", init.len(), cfg.k),
-            });
-        }
-        if let Some(bad) = init.iter().find(|c| c.len() != dim) {
-            return Err(ClusteringError::InvalidInit {
-                reason: format!(
-                    "centroid has dimension {} but points have dimension {dim}",
-                    bad.len()
-                ),
-            });
-        }
+        self.validate_init(init, dim)?;
         let n = points.len();
         if dim == 0 {
             return Ok(self.zero_dimensional(n));
@@ -682,7 +860,7 @@ impl KMeans {
     /// reductions (centroid sums, movement, inertia) run sequentially in
     /// point/cluster order on the calling thread; only the pure per-point
     /// assignment scan fans out, so the result is bit-identical at any
-    /// `workers` count.
+    /// `workers` count. Scalar points go to [`KMeans::lloyd_scalar`].
     // lint:allow(panic-path): fn-scope audit: assignment labels are < k and
     // flat buffers are validated to n * dim by
     // validate_flat/validate_weighted before any kernel runs, so every
@@ -697,6 +875,21 @@ impl KMeans {
         mut centroids: Vec<f64>,
         workers: usize,
     ) -> KMeansResult {
+        if dim == 1 {
+            let mut scratch = ScalarScratch {
+                centroids,
+                ..ScalarScratch::default()
+            };
+            let mut assignments = vec![0usize; n];
+            let (inertia, iterations) =
+                self.lloyd_scalar(flat, &mut assignments, &mut scratch, workers);
+            return KMeansResult {
+                assignments,
+                centroids: unflatten(&scratch.centroids, 1),
+                inertia,
+                iterations,
+            };
+        }
         let cfg = &self.config;
         let k = cfg.k;
         let mut scratch = Scratch::new(n, k, dim);
@@ -704,32 +897,19 @@ impl KMeans {
             *pn = utilcast_linalg::kernels::sq_norm(p);
         }
         // One assignment dispatch for both the iteration loop and the final
-        // pass: the midpoint count for scalar points, the transposed block
-        // scan for vectors.
+        // pass: the transposed block scan.
         let run_assign = |centroids: &[f64], scratch: &mut Scratch| {
             refresh_norms(centroids, dim, &mut scratch.centroid_norms);
-            if dim == 1 {
-                assign_step_scalar(
-                    flat,
-                    centroids,
-                    &scratch.centroid_norms,
-                    &mut scratch.scalar_index,
-                    &mut scratch.assignments,
-                    &mut scratch.scores,
-                    workers,
-                );
-            } else {
-                simd::transpose_centroids(centroids, k, dim, &mut scratch.cent_t);
-                assign_step_block(
-                    flat,
-                    dim,
-                    &scratch.cent_t,
-                    &scratch.centroid_norms,
-                    &mut scratch.assignments,
-                    &mut scratch.scores,
-                    workers,
-                );
-            }
+            simd::transpose_centroids(centroids, k, dim, &mut scratch.cent_t);
+            assign_step_block(
+                flat,
+                dim,
+                &scratch.cent_t,
+                &scratch.centroid_norms,
+                &mut scratch.assignments,
+                &mut scratch.scores,
+                workers,
+            );
         };
         let mut iterations = 0;
         let mut converged = false;
@@ -751,22 +931,13 @@ impl KMeans {
             scratch
                 .prev_assignments
                 .copy_from_slice(&scratch.assignments);
-            // Update step (sequential, fixed accumulation order). The
-            // scalar arm performs the same additions in the same order as
-            // the generic one, without the per-point slice bookkeeping.
+            // Update step (sequential, fixed accumulation order).
             scratch.sums.fill(0.0);
             scratch.counts.fill(0);
-            if dim == 1 {
-                for (&x, &a) in flat.iter().zip(&scratch.assignments) {
-                    scratch.counts[a] += 1;
-                    scratch.sums[a] += x;
-                }
-            } else {
-                for (p, &a) in flat.chunks_exact(dim).zip(&scratch.assignments) {
-                    scratch.counts[a] += 1;
-                    for (s, v) in scratch.sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
-                        *s += v;
-                    }
+            for (p, &a) in flat.chunks_exact(dim).zip(&scratch.assignments) {
+                scratch.counts[a] += 1;
+                for (s, v) in scratch.sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
+                    *s += v;
                 }
             }
             let mut movement: f64 = 0.0;
@@ -830,6 +1001,104 @@ impl KMeans {
             inertia,
             iterations,
         }
+    }
+
+    /// The Lloyd descent for scalar points (`d = 1`, the paper's
+    /// per-resource mode) over `s.centroids` (the initializer on entry, the
+    /// result on exit) and the caller's `labels`, returning the inertia and
+    /// the iteration count. It computes what the vector descent computes —
+    /// the same fixed-point stop, update sums, re-seeds, movement and
+    /// inertia, in the same order — with no `n`-long buffer of its own:
+    ///
+    /// * a scan starts from the labels already in `labels` and counts only
+    ///   the points whose label no longer holds ([`ScalarIndex::label_run`]),
+    ///   and reports whether one changed, so the fixed-point check needs no
+    ///   copy of the previous partition;
+    /// * it keeps no per-point score: the inertia recomputes the winner's
+    ///   `‖c‖² − 2·x·c` from the final label and centroids, the very
+    ///   expression the scan would have stored, and folds `‖x‖²` in as it
+    ///   goes (the fallback block scan keeps its scores, which the inertia
+    ///   then reads).
+    // lint:allow(panic-path): fn-scope audit: labels are < k (written by
+    // the scan from the k-long index), x and labels are n long, and every
+    // centroid, norm, sum and count row is k long; exemplar chain:
+    // clustering::kmeans::KMeans::fit_from_flat ->
+    // clustering::kmeans::KMeans::lloyd_flat ->
+    // clustering::kmeans::KMeans::lloyd_scalar
+    fn lloyd_scalar(
+        &self,
+        x: &[f64],
+        labels: &mut [usize],
+        s: &mut ScalarScratch,
+        workers: usize,
+    ) -> (f64, usize) {
+        let cfg = &self.config;
+        let k = cfg.k;
+        s.sums.resize(k, 0.0);
+        s.counts.resize(k, 0);
+        let one = std::slice::from_ref;
+        let mut iterations = 0;
+        let mut converged = false;
+        for iter in 0..cfg.max_iters {
+            iterations = iter + 1;
+            let changed = s.scan(x, labels, workers);
+            // Partition fixed point (see `lloyd_flat`): nothing changed,
+            // so the update would recompute the same means.
+            if iter > 0 && !changed {
+                converged = true;
+                break;
+            }
+            s.sums.fill(0.0);
+            s.counts.fill(0);
+            for (&xi, &a) in x.iter().zip(labels.iter()) {
+                s.counts[a] += 1;
+                s.sums[a] += xi;
+            }
+            let mut movement: f64 = 0.0;
+            for c in 0..k {
+                if s.counts[c] == 0 {
+                    // Empty cluster: re-seed at the point farthest from its
+                    // (partly updated) assigned centroid, as `lloyd_flat`.
+                    let cent = &s.centroids;
+                    let Some(far) = (0..x.len()).max_by(|&i, &j| {
+                        let da = sq_dist(one(&x[i]), one(&cent[labels[i]]));
+                        let db = sq_dist(one(&x[j]), one(&cent[labels[j]]));
+                        da.total_cmp(&db)
+                    }) else {
+                        continue; // n == 0 cannot reach here (validated)
+                    };
+                    movement += sq_dist(one(&s.centroids[c]), one(&x[far]));
+                    s.centroids[c] = x[far];
+                    continue;
+                }
+                let new = s.sums[c] / s.counts[c] as f64;
+                let mut delta = 0.0;
+                delta += (s.centroids[c] - new) * (s.centroids[c] - new);
+                s.centroids[c] = new;
+                movement += delta;
+            }
+            if movement <= cfg.tol {
+                break;
+            }
+        }
+        if !converged {
+            s.scan(x, labels, workers);
+        }
+        let mut inertia = 0.0;
+        if s.scored {
+            for (&xi, &sc) in x.iter().zip(&s.scores) {
+                inertia += (utilcast_linalg::kernels::sq_norm(one(&xi)) + sc).max(0.0);
+            }
+        } else {
+            s.norms.resize(k, 0.0);
+            refresh_norms(&s.centroids, 1, &mut s.norms);
+            let (cent, norms) = (&s.centroids, &s.norms);
+            for (&xi, &a) in x.iter().zip(labels.iter()) {
+                let score = norms[a] - 2.0 * (xi * cent[a]);
+                inertia += (utilcast_linalg::kernels::sq_norm(one(&xi)) + score).max(0.0);
+            }
+        }
+        (inertia, iterations)
     }
 }
 
@@ -1485,18 +1754,23 @@ mod tests {
         let mut index = ScalarIndex::default();
         let mut assignments = vec![0usize; 3];
         let mut scores = vec![0.0; 3];
-        assign_step_scalar(
+        oracle::assign_step_scalar(
             &[0.1, 0.9, 0.5],
             &centroids,
             &norms,
             &mut index,
             &mut assignments,
             &mut scores,
-            1,
         );
         // 0.1 -> duplicate 0.2s, index 1; 0.9 -> duplicate 0.8s, index 0;
         // 0.5 -> unique 0.5, index 4.
         assert_eq!(assignments, vec![1, 0, 4]);
+        // The blocked count resolves them the same way, in a full block
+        // and in the tail.
+        let pts: Vec<f64> = [0.1, 0.9, 0.5].repeat(3);
+        let mut blocked = vec![usize::MAX; pts.len()];
+        assert!(index.label_run(&pts, &mut blocked));
+        assert_eq!(blocked, [1, 0, 4].repeat(3));
     }
 
     #[test]

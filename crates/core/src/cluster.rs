@@ -33,6 +33,7 @@ use utilcast_clustering::parallel::{chunk_len, resolve_threads};
 use utilcast_clustering::similarity::{intersection_similarity, jaccard_similarity};
 use utilcast_clustering::ClusteringError;
 use utilcast_linalg::container::{Reader, Writer};
+use utilcast_linalg::Matrix;
 
 use crate::compute::ComputeOptions;
 
@@ -179,17 +180,162 @@ pub struct DynamicClusterer {
     shard_warm: Vec<Vec<Vec<f64>>>,
     /// Time step counter.
     t: usize,
+    /// The warm scalar refit's k-means, whose `k`-long scratch persists
+    /// across steps. Derived, like every field below: never checkpointed.
+    km: KMeans,
+    /// This step's k-means result, re-indexed in place by
+    /// [`DynamicClusterer::reindex`]: after a step its labels are
+    /// `history[0]` and its centroids `warm_centroids`, so the next warm
+    /// scalar refit starts from them as its label guesses (empty after a
+    /// restore, whose first step therefore counts every point).
+    fit: KMeansResult,
+    /// Whether every `history` row holds labels below `k`: true for rows
+    /// this clusterer wrote, false after a restore until a validating
+    /// similarity pass has read them.
+    trusted: bool,
+    /// Eq. 10 scratch: the interleaved co-occurrence count lanes and the
+    /// similarity matrix they sum into.
+    counts: Vec<usize>,
+    similarity: Matrix,
+}
+
+/// Interleaved count tables of the Eq. 10 co-occurrence pass: consecutive
+/// nodes add into different tables, so two nodes of the same (new,
+/// previous) cluster pair do not wait on each other's store. Only while
+/// the tables stay small; past that one table is used.
+const COUNT_LANES: usize = 4;
+const MAX_LANED_CELLS: usize = 1024;
+
+/// The stored warm centroids when this step may start from them: not on a
+/// cold re-seed, and only while they still match the data's `k` and
+/// dimension.
+fn usable_warm(
+    warm: &Option<Vec<Vec<f64>>>,
+    k: usize,
+    dim: usize,
+    cold: bool,
+) -> Option<&Vec<Vec<f64>>> {
+    warm.as_ref()
+        .filter(|init| !cold && init.len() == k && init.iter().all(|c| c.len() == dim))
+}
+
+/// An empty k-means result, the buffer the first step fills.
+fn empty_fit() -> KMeansResult {
+    KMeansResult {
+        assignments: Vec::new(),
+        centroids: Vec::new(),
+        inertia: 0.0,
+        iterations: 0,
+    }
+}
+
+/// Whether the identity is the unique maximum-weight matching of the
+/// square `w`: every row's diagonal entry strictly exceeds every other
+/// entry of its row. Then the identity's total is the sum of the row
+/// maxima, which bounds every matching's total, and any other permutation
+/// takes an off-diagonal entry in some row, strictly below that row's
+/// maximum, so its total is strictly smaller. The Hungarian solver,
+/// exact on the integer counts of Eq. 10, must return that optimum.
+// lint:allow(panic-path): fn-scope audit: the matrix is checked non-empty
+// and square first, so row r of its row-major data is n long and row[r] is
+// inside it; exemplar chain: core::cluster::DynamicClusterer::step ->
+// core::cluster::DynamicClusterer::reindex ->
+// core::cluster::DynamicClusterer::similarity ->
+// core::cluster::identity_certified
+fn identity_certified(w: &Matrix) -> bool {
+    let n = w.nrows();
+    n > 0
+        && w.ncols() == n
+        && w.as_slice().chunks_exact(n).enumerate().all(|(r, row)| {
+            let diagonal = row[r];
+            row.iter().enumerate().all(|(c, &v)| c == r || diagonal > v)
+        })
+}
+
+/// Eq. 10 over labels known to be below `ks` and rows known to be `n`
+/// long (see [`utilcast_clustering::similarity::intersection_similarity`],
+/// whose matrix this is): node `i` adds one to cell `(new[i], window[0][i])`
+/// when it sat in that cluster through the whole window. The counts go
+/// into [`COUNT_LANES`] interleaved integer tables and are summed once into
+/// `w`, reusing `w`'s storage.
+// lint:allow(panic-path): fn-scope audit: every label is below ks (the
+// caller's trusted/validated precondition) and every row is new.len()
+// long, so each cell index r * ks + c is below cells and each lane offset
+// below lanes * cells; exemplar chain: core::cluster::DynamicClusterer::step
+// -> core::cluster::DynamicClusterer::reindex ->
+// core::cluster::DynamicClusterer::similarity ->
+// core::cluster::intersection_counts
+fn intersection_counts<'a>(
+    new: &[usize],
+    mut window: impl Iterator<Item = &'a Vec<usize>> + Clone,
+    ks: usize,
+    lanes_buf: &mut Vec<usize>,
+    w: &mut Matrix,
+) {
+    let cells = ks * ks;
+    let lanes = if cells <= MAX_LANED_CELLS {
+        COUNT_LANES
+    } else {
+        1
+    };
+    lanes_buf.clear();
+    lanes_buf.resize(lanes * cells, 0);
+    if let Some(first) = window.next() {
+        if lanes == COUNT_LANES && window.clone().next().is_none() {
+            // M = 1: every node counts, four tables side by side.
+            let (l0, tail) = lanes_buf.split_at_mut(cells);
+            let (l1, tail) = tail.split_at_mut(cells);
+            let (l2, l3) = tail.split_at_mut(cells);
+            let mut rows = new.chunks_exact(COUNT_LANES);
+            let mut cols = first.chunks_exact(COUNT_LANES);
+            for (r, c) in (&mut rows).zip(&mut cols) {
+                l0[r[0] * ks + c[0]] += 1;
+                l1[r[1] * ks + c[1]] += 1;
+                l2[r[2] * ks + c[2]] += 1;
+                l3[r[3] * ks + c[3]] += 1;
+            }
+            for (&r, &c) in rows.remainder().iter().zip(cols.remainder()) {
+                l0[r * ks + c] += 1;
+            }
+        } else {
+            for (i, (&row, &col)) in new.iter().zip(first).enumerate() {
+                let stayed = window.clone().all(|h| h[i] == col);
+                lanes_buf[(i % lanes) * cells + row * ks + col] += usize::from(stayed);
+            }
+        }
+    }
+    let mut data = std::mem::replace(w, Matrix::zeros(0, 0)).into_vec();
+    data.clear();
+    data.extend((0..cells).map(|cell| {
+        let total: usize = (0..lanes).map(|lane| lanes_buf[lane * cells + cell]).sum();
+        total as f64
+    }));
+    *w = Matrix::from_vec(ks, ks, data);
 }
 
 impl DynamicClusterer {
     /// Creates a clusterer with empty history.
     pub fn new(config: DynamicClustererConfig) -> Self {
         DynamicClusterer {
+            // The step's k-means configuration; its per-step seed is
+            // only read by a cold fit, which builds its own instance.
+            km: KMeans::new(KMeansConfig {
+                k: config.k,
+                max_iters: config.max_iters,
+                n_init: config.n_init,
+                seed: config.seed,
+                threads: config.compute.threads,
+                ..Default::default()
+            }),
             config,
             history: VecDeque::new(),
             warm_centroids: None,
             shard_warm: Vec::new(),
             t: 0,
+            fit: empty_fit(),
+            trusted: true,
+            counts: Vec::new(),
+            similarity: Matrix::zeros(0, 0),
         }
     }
 
@@ -250,16 +396,52 @@ impl DynamicClusterer {
     /// Propagates [`ClusteringError`] from k-means (empty buffer,
     /// `dim == 0` or a length not a multiple of `dim`, `k == 0`).
     pub fn step_flat(&mut self, flat: &[f64], dim: usize) -> Result<ClusterStep, ClusteringError> {
+        self.advance_flat(flat, dim)?;
+        Ok(self.current())
+    }
+
+    /// [`DynamicClusterer::step_flat`] without the owned result: the step
+    /// is left in [`DynamicClusterer::labels`] and
+    /// [`DynamicClusterer::centroids`]. A warm single-level scalar step
+    /// refits the previous step's result in place
+    /// ([`KMeans::refit_scalar`], its labels the first scan's guesses), so
+    /// in steady state it allocates nothing.
+    pub(crate) fn advance_flat(&mut self, flat: &[f64], dim: usize) -> Result<(), ClusteringError> {
         if self.config.compute.shards > 1 {
-            let result = self.hierarchical_fit(flat, dim)?;
-            return self.finish(result);
+            self.fit = self.hierarchical_fit(flat, dim)?;
+            return self.reindex();
         }
-        let (km, warm_init) = self.prepare(dim);
-        let result = match warm_init {
-            Some(init) => km.fit_from_flat(flat, dim, init)?,
-            None => km.fit_flat(flat, dim)?,
-        };
-        self.finish(result)
+        let warm = usable_warm(&self.warm_centroids, self.config.k, dim, self.cold_due());
+        match warm {
+            Some(init) if dim == 1 => self.km.refit_scalar(flat, init, &mut self.fit)?,
+            _ => {
+                let (km, warm_init) = self.prepare(dim);
+                self.fit = match warm_init {
+                    Some(init) => km.fit_from_flat(flat, dim, init)?,
+                    None => km.fit_flat(flat, dim)?,
+                };
+            }
+        }
+        self.reindex()
+    }
+
+    /// The last step's re-indexed labels (empty before the first step).
+    pub(crate) fn labels(&self) -> &[usize] {
+        &self.fit.assignments
+    }
+
+    /// The last step's re-indexed centroids (empty before the first step).
+    pub(crate) fn centroids(&self) -> &[Vec<f64>] {
+        &self.fit.centroids
+    }
+
+    /// The last step as an owned [`ClusterStep`].
+    fn current(&self) -> ClusterStep {
+        ClusterStep {
+            assignments: self.fit.assignments.clone(),
+            centroids: self.fit.centroids.clone(),
+            inertia: self.fit.inertia,
+        }
     }
 
     /// The two-level clustering pass (see module docs): per-shard fits
@@ -458,26 +640,30 @@ impl DynamicClusterer {
             threads: compute.threads,
             ..Default::default()
         });
-        let warm_init = if self.cold_due() {
-            None
-        } else {
-            self.warm_centroids
-                .as_ref()
-                .filter(|init| init.len() == k && init.iter().all(|c| c.len() == dim))
-        };
+        let warm_init = usable_warm(&self.warm_centroids, k, dim, self.cold_due());
         (km, warm_init)
     }
 
     /// Re-indexes one k-means result against the assignment history and
     /// advances the clusterer state — the shared back half of
     /// [`DynamicClusterer::step`] and [`DynamicClusterer::step_flat`].
-    // lint:allow(panic-path): fn-scope audit: index arithmetic is affine in
-    // dimensions validated at the public boundary and restated by
-    // debug_assert contracts; the overflow-checked debug-assert CI job
-    // backstops the proof at runtime; exemplar chain:
-    // core::cluster::DynamicClusterer::step ->
-    // core::cluster::DynamicClusterer::finish
     fn finish(&mut self, result: KMeansResult) -> Result<ClusterStep, ClusteringError> {
+        self.fit = result;
+        self.reindex()?;
+        Ok(self.current())
+    }
+
+    /// Re-indexes `fit` in place against the assignment history (Eq. 10,
+    /// Eq. 11) and advances the clusterer state. The matching is skipped
+    /// when [`identity_certified`] shows it must return the identity; the
+    /// history row falling out of the window and the warm centroids are
+    /// overwritten in place.
+    // lint:allow(panic-path): fn-scope audit: fit labels are below the
+    // label space the matching spans (k-means labels are < k, and the
+    // matching of a square label_space matrix maps into it); exemplar
+    // chain: core::cluster::DynamicClusterer::step ->
+    // core::cluster::DynamicClusterer::reindex
+    fn reindex(&mut self) -> Result<(), ClusteringError> {
         let k = self.config.k;
         self.t += 1;
 
@@ -485,63 +671,87 @@ impl DynamicClusterer {
         // centroids only in the k >= n degenerate case (it pads); the label
         // space is always `max(k, n)`-bounded but we keep exactly k slots
         // when k <= n, else n points map identically.
-        let label_space = result.centroids.len().max(k);
+        let label_space = self.fit.centroids.len().max(k);
 
-        let (assignments, centroids) = if self.history.is_empty() {
-            (result.assignments, result.centroids)
-        } else {
-            // Build similarity and find the re-indexing permutation.
-            let hist_refs: Vec<&[usize]> = self.history.iter().map(|v| v.as_slice()).collect();
-            let w = match self.config.similarity {
-                SimilarityMeasure::Intersection => intersection_similarity(
-                    &result.assignments,
-                    &hist_refs,
-                    self.config.m,
-                    label_space,
-                )?,
-                SimilarityMeasure::Jaccard => {
-                    jaccard_similarity(&result.assignments, hist_refs[0], label_space)?
-                }
-            };
-            let matching = max_weight_matching_padded(&w);
+        if !self.history.is_empty() && !self.similarity(label_space)? {
+            let matching = max_weight_matching_padded(&self.similarity);
             // matching.assignment[kmeans_label] = final label.
-            let assignments: Vec<usize> = result
-                .assignments
-                .iter()
-                .map(|&a| matching.assignment[a])
-                .collect();
-            let mut centroids = vec![Vec::new(); result.centroids.len()];
-            for (km_label, centroid) in result.centroids.into_iter().enumerate() {
+            for a in &mut self.fit.assignments {
+                *a = matching.assignment[*a];
+            }
+            let by_km_label = std::mem::take(&mut self.fit.centroids);
+            let mut centroids = vec![Vec::new(); by_km_label.len()];
+            for (km_label, centroid) in by_km_label.into_iter().enumerate() {
                 let final_label = matching.assignment[km_label];
                 if final_label < centroids.len() {
                     centroids[final_label] = centroid;
                 }
             }
-            (assignments, centroids)
-        };
+            self.fit.centroids = centroids;
+        }
 
         // Runtime invariant (paper Sec. V-B): the re-indexed centroids feed
         // the per-cluster forecasters, so a non-finite coordinate here
         // would poison every later forecast for that persistent label. The
         // simnet determinism suite drives this across thread counts.
         debug_assert!(
-            centroids
+            self.fit
+                .centroids
                 .iter()
                 .flat_map(|c| c.iter())
                 .all(|v| v.is_finite()),
             "matched centroids must stay finite after re-indexing"
         );
-        self.history.push_front(assignments.clone());
         let window = self.config.m.max(1);
-        while self.history.len() > window {
-            self.history.pop_back();
+        let mut row = if self.history.len() >= window {
+            self.history.pop_back().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        row.clone_from(&self.fit.assignments);
+        self.history.push_front(row);
+        self.history.truncate(window);
+        match &mut self.warm_centroids {
+            Some(warm) => warm.clone_from(&self.fit.centroids),
+            None => self.warm_centroids = Some(self.fit.centroids.clone()),
         }
-        self.warm_centroids = Some(centroids.clone());
-        Ok(ClusterStep {
-            assignments,
-            centroids,
-            inertia: result.inertia,
-        })
+        Ok(())
+    }
+
+    /// Fills `similarity` with this step's `label_space`-square similarity
+    /// matrix against the history and returns whether the identity is
+    /// certified to be its matching (intersection counts only: the Jaccard
+    /// ratios go to the solver as they are). Rows this clusterer wrote go
+    /// through [`intersection_counts`]; restored rows are read once through
+    /// the validating [`intersection_similarity`], which reports a
+    /// malformed row as an error.
+    fn similarity(&mut self, label_space: usize) -> Result<bool, ClusteringError> {
+        let new = &self.fit.assignments;
+        let m = self.config.m;
+        let hist_refs = || self.history.iter().map(Vec::as_slice).collect::<Vec<_>>();
+        match self.config.similarity {
+            SimilarityMeasure::Intersection => {
+                let window = self.history.iter().take(m);
+                if self.trusted && window.clone().all(|h| h.len() == new.len()) {
+                    intersection_counts(
+                        new,
+                        window,
+                        label_space,
+                        &mut self.counts,
+                        &mut self.similarity,
+                    );
+                } else {
+                    self.similarity = intersection_similarity(new, &hist_refs(), m, label_space)?;
+                    self.trusted = true;
+                }
+                Ok(identity_certified(&self.similarity))
+            }
+            SimilarityMeasure::Jaccard => {
+                let prev = self.history.front().map(Vec::as_slice).unwrap_or_default();
+                self.similarity = jaccard_similarity(new, prev, label_space)?;
+                Ok(false)
+            }
+        }
     }
 
     /// Clears the assignment history (e.g. when the node population
@@ -551,6 +761,7 @@ impl DynamicClusterer {
         self.warm_centroids = None;
         self.shard_warm.clear();
         self.t = 0;
+        self.trusted = true;
     }
 
     /// Captures the full clusterer state for checkpointing.
@@ -569,13 +780,13 @@ impl DynamicClusterer {
     /// (k-means seeding is a pure function of `seed` and `t`, and the
     /// warm-start centroids travel with the snapshot).
     pub fn restore(snapshot: ClustererSnapshot) -> Self {
-        DynamicClusterer {
-            config: snapshot.config,
-            history: snapshot.history.into(),
-            warm_centroids: snapshot.warm_centroids,
-            shard_warm: snapshot.shard_warm,
-            t: snapshot.t,
-        }
+        let mut restored = DynamicClusterer::new(snapshot.config);
+        restored.history = snapshot.history.into();
+        restored.warm_centroids = snapshot.warm_centroids;
+        restored.shard_warm = snapshot.shard_warm;
+        restored.t = snapshot.t;
+        restored.trusted = restored.history.is_empty();
+        restored
     }
 }
 
@@ -625,6 +836,11 @@ impl ClustererSnapshot {
         })
     }
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -434,7 +434,7 @@ impl Pipeline {
         let stage = stages.swap_remove(0);
         Ok(StepReport {
             transmitted,
-            assignments: stage.assignments,
+            assignments: stage.assignments.to_vec(),
             centroids: stage.centroids,
             intermediate_rmse: stage.intermediate_rmse,
             retrained: stage.retrained,

@@ -18,7 +18,7 @@ use utilcast_timeseries::harness::{RetrainPolicy, RetrainState, RetrainingForeca
 use utilcast_timeseries::Forecaster;
 
 use crate::cluster::{
-    ClusterStep, ClustererSnapshot, DynamicClusterer, DynamicClustererConfig, SimilarityMeasure,
+    ClustererSnapshot, DynamicClusterer, DynamicClustererConfig, SimilarityMeasure,
 };
 use crate::compute::ComputeOptions;
 use crate::pipeline::{ClusterModel, ModelSpec};
@@ -267,8 +267,10 @@ impl StageSnapshot {
 /// Report of one stage step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageReport {
-    /// Final cluster assignment of each node.
-    pub assignments: Vec<usize>,
+    /// Final cluster assignment of each node. Shared with the stage, which
+    /// writes the next step's labels into the same buffer once every report
+    /// holding it is dropped.
+    pub assignments: Arc<[usize]>,
     /// Scalar centroid of each cluster.
     pub centroids: Vec<f64>,
     /// Intermediate RMSE of the stage's input values vs their centroids.
@@ -405,6 +407,10 @@ pub struct ForecastStage {
     /// rebuild, reused by the next one for the window steps and nodes that
     /// did not change (see [`TermCache`]). Derived state, not checkpointed.
     terms: TermCache,
+    /// The labels buffer the last [`StageReport`] shares; the next step
+    /// overwrites it in place when that report is gone, so a caller that
+    /// drops its reports costs no per-step label allocation.
+    report_labels: Arc<[usize]>,
 }
 
 impl std::fmt::Debug for ForecastStage {
@@ -475,6 +481,7 @@ impl ForecastStage {
             cell: TableCell::new(),
             recorded: 0,
             terms: TermCache::default(),
+            report_labels: Arc::from(Vec::new()),
             config,
             clusterer,
             forecasters,
@@ -664,26 +671,27 @@ impl ForecastStage {
         // Every step slides the membership/offset window and feeds the
         // models, so any published forecast table becomes stale now.
         self.generation += 1;
-        // Copy this step's values into one flat buffer, recycling the
-        // storage of the history snapshot that is about to fall out of the
-        // look-back window so the steady state allocates nothing per step.
-        // The clusterer consumes the buffer directly through its flat
-        // strided-points entry point — no per-tick `Vec<Vec<f64>>`.
-        let mut values_buf: Vec<f64> = if self.history.len() > self.config.m_prime {
-            self.history
-                .pop_back()
-                .map(|s| s.values.into_vec())
-                .unwrap_or_default()
+        // Recycle the history snapshot that is about to fall out of the
+        // look-back window: its value, label and centroid buffers take this
+        // step's, so the steady state allocates nothing that grows with the
+        // node count. The clusterer consumes the value buffer directly
+        // through its flat strided-points entry point — no per-tick
+        // `Vec<Vec<f64>>` — and leaves its result in place for the copies
+        // below.
+        let recycled = if self.history.len() > self.config.m_prime {
+            self.history.pop_back()
         } else {
-            Vec::new()
+            None
+        };
+        let (mut values_buf, mut labels_buf, mut centroid_rows) = match recycled {
+            Some(s) => (s.values.into_vec(), s.assignments, s.centroids),
+            None => (Vec::new(), Vec::new(), Vec::new()),
         };
         values_buf.clear();
         values_buf.extend_from_slice(z);
-        let ClusterStep {
-            assignments,
-            centroids,
-            ..
-        } = self.clusterer.step_flat(&values_buf, 1)?;
+        self.clusterer.advance_flat(&values_buf, 1)?;
+        let assignments = self.clusterer.labels();
+        let centroids = self.clusterer.centroids();
         let values: Vec<f64> = (0..self.forecasters.len())
             .map(|j| {
                 centroids
@@ -700,7 +708,7 @@ impl ForecastStage {
         let intermediate_rmse = {
             let sum: f64 = z
                 .iter()
-                .zip(&assignments)
+                .zip(assignments)
                 .map(|(&v, &a)| {
                     let c = values.get(a).copied().unwrap_or(0.0);
                     (v - c) * (v - c)
@@ -708,7 +716,16 @@ impl ForecastStage {
                 .sum();
             (sum / z.len() as f64).sqrt()
         };
-
+        let report_centroids: Vec<f64> = centroids
+            .iter()
+            .map(|c| c.first().copied().unwrap_or(0.0))
+            .collect();
+        assignments.clone_into(&mut labels_buf);
+        centroids.clone_into(&mut centroid_rows);
+        match Arc::get_mut(&mut self.report_labels) {
+            Some(buf) if buf.len() == assignments.len() => buf.copy_from_slice(assignments),
+            _ => self.report_labels = Arc::from(assignments),
+        }
         // Feed each cluster's centroid to its forecaster. The K observe/
         // retrain calls touch disjoint forecasters, so they fan out over
         // scoped threads; the degrade/recover bookkeeping below runs
@@ -749,19 +766,16 @@ impl ForecastStage {
 
         self.history.push_front(Snapshot {
             values: Matrix::from_vec(z.len(), 1, values_buf),
-            centroids: centroids.clone(),
-            assignments: assignments.clone(),
+            centroids: centroid_rows,
+            assignments: labels_buf,
         });
         self.recorded += 1;
         while self.history.len() > self.config.m_prime + 1 {
             self.history.pop_back();
         }
         Ok(StageReport {
-            assignments,
-            centroids: centroids
-                .iter()
-                .map(|c| c.first().copied().unwrap_or(0.0))
-                .collect(),
+            assignments: Arc::clone(&self.report_labels),
+            centroids: report_centroids,
             intermediate_rmse,
             retrained,
             fallback_fit_failures: self.fallback_fit_failures - fit_failures_before,

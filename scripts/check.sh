@@ -91,6 +91,20 @@ cargo test --release -q -p utilcast-linalg
 echo "==> cargo test --release -q -p utilcast-core --lib oracle::"
 cargo test --release -q -p utilcast-core --lib oracle::
 
+# The scalar cluster step under optimised codegen: the clustering suite
+# holds the lean scalar descent (label checks, blocked midpoint count,
+# labels in place) to the descent it replaced, and core's cluster and stage
+# tests hold the in-place step (laned Eq. 10 counts, identity certificate,
+# recycled buffers) to the old one and the stage's outputs to theirs; the
+# blocked loops vectorise only under -O. The stage's allocation test runs
+# alongside: a warm scalar step allocates nothing that grows with N.
+echo "==> cargo test --release -q -p utilcast-clustering"
+cargo test --release -q -p utilcast-clustering
+echo "==> cargo test --release -q -p utilcast-core --lib -- cluster:: stage::"
+cargo test --release -q -p utilcast-core --lib -- cluster:: stage::
+echo "==> cargo test --release -q -p utilcast-core --test stage_step_alloc"
+cargo test --release -q -p utilcast-core --test stage_step_alloc
+
 # The warm-refit quality gate: chains of LSTM refits against cold fits at
 # the same lengths. Its distribution half is skipped in unoptimised builds.
 echo "==> cargo test --release -q -p utilcast-timeseries --test lstm_warm"
