@@ -43,9 +43,17 @@ use utilcast_linalg::simd;
 use crate::parallel::{chunk_len, resolve_threads};
 use crate::ClusteringError;
 
-/// Minimum number of points before the assignment step fans out to
-/// threads; below this the spawn overhead dominates the scan itself.
-const MIN_PARALLEL_POINTS: usize = 256;
+/// Fewest points one worker of an assignment scan is handed: a scan of `n`
+/// points fans out to at most `n / MIN_POINTS_PER_WORKER` workers and runs
+/// inline below two, since a thread's spawn and join cost more than
+/// scanning fewer points than this.
+const MIN_POINTS_PER_WORKER: usize = 16_384;
+
+/// The workers a scan of `n` points uses out of `workers` available.
+fn scan_workers(n: usize, workers: usize) -> usize {
+    // lint:allow(panic-path): the divisor is a non-zero constant
+    workers.min(n / MIN_POINTS_PER_WORKER).max(1)
+}
 
 /// Configuration for [`KMeans`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -402,7 +410,8 @@ impl ScalarScratch {
         self.index.build(&self.centroids);
         let index = &self.index;
         let n = labels.len();
-        if workers <= 1 || n < MIN_PARALLEL_POINTS {
+        let workers = scan_workers(n, workers);
+        if workers == 1 {
             return index.label_run(x, labels);
         }
         let chunk = chunk_len(n, workers);
@@ -421,8 +430,9 @@ impl ScalarScratch {
 }
 
 /// The assignment step for vector points, fanned out over scoped threads
-/// when `workers > 1` and the input is large enough. Points are processed
-/// `simd::POINT_BLOCK` at a time — each block is transposed once, then
+/// when the input gives two or more workers `MIN_POINTS_PER_WORKER` points
+/// each. Points are processed `simd::POINT_BLOCK` at a time — each block
+/// is transposed once, then
 /// `utilcast_linalg::simd::norm_scores_block_lanes` runs a register-blocked
 /// mini-GEMM against the `dim x k` transposed centroid buffer (broadcast
 /// centroid value, unit-stride accumulate over the eight points) and
@@ -480,7 +490,8 @@ fn assign_step_block(
         }
     };
     let n = assignments.len();
-    if workers <= 1 || n < MIN_PARALLEL_POINTS {
+    let workers = scan_workers(n, workers);
+    if workers == 1 {
         assign_run(flat, assignments, scores);
         return;
     }

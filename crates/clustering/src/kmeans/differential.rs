@@ -291,6 +291,10 @@ fn cold_scalar_fit_matches_the_oracle() {
     }
 }
 
+/// Points enough for three workers of a scan, and no multiple of the
+/// block size.
+const FANNED_OUT: usize = 3 * MIN_POINTS_PER_WORKER + 601;
+
 /// The thread fan-out cuts the buffer at chunk bounds that are no multiple
 /// of the block size, so blocks start elsewhere at every worker count; a
 /// point's result must not depend on which block it fell into.
@@ -298,7 +302,7 @@ fn cold_scalar_fit_matches_the_oracle() {
 fn fan_out_does_not_change_the_block_scan() {
     let mut state = 77u64;
     for dim in [2, 3, 8] {
-        let (n, k) = (601, 7);
+        let (n, k) = (FANNED_OUT, 7);
         let flat: Vec<f64> = (0..n * dim).map(|_| coordinate(&mut state, 1)).collect();
         let centroids: Vec<f64> = (0..k * dim).map(|_| coordinate(&mut state, 1)).collect();
         for workers in [1, 2, 3, 8] {
@@ -306,5 +310,40 @@ fn fan_out_does_not_change_the_block_scan() {
             assert_eq!(got.0, want.0, "dim {dim}, {workers} workers");
             assert!(same_scores(&got.1, &want.1), "dim {dim}, {workers} workers");
         }
+    }
+}
+
+/// The scalar scan fanned out over up to three workers labels every point
+/// as the per-point scan does, and reports a change exactly when a label
+/// moved, wherever the chunks are cut.
+#[test]
+fn fan_out_does_not_change_the_scalar_scan() {
+    let mut state = 78u64;
+    let (n, k) = (FANNED_OUT, 7);
+    let flat: Vec<f64> = (0..n).map(|_| coordinate(&mut state, 1)).collect();
+    let centroids: Vec<f64> = (0..k).map(|_| coordinate(&mut state, 0)).collect();
+    let mut norms = vec![0.0; k];
+    refresh_norms(&centroids, 1, &mut norms);
+    let (mut want, mut scores) = (vec![0usize; n], vec![0.0; n]);
+    oracle::assign_step_scalar(
+        &flat,
+        &centroids,
+        &norms,
+        &mut ScalarIndex::default(),
+        &mut want,
+        &mut scores,
+    );
+    for workers in [1, 2, 3, 8] {
+        let mut scratch = ScalarScratch {
+            centroids: centroids.clone(),
+            ..Default::default()
+        };
+        let mut labels = vec![usize::MAX; n];
+        assert!(scratch.scan(&flat, &mut labels, workers));
+        assert_eq!(labels, want, "{workers} workers");
+        assert!(!scratch.scan(&flat, &mut labels, workers));
+        labels[n - 1] = (want[n - 1] + 1) % k;
+        assert!(scratch.scan(&flat, &mut labels, workers));
+        assert_eq!(labels, want, "{workers} workers");
     }
 }

@@ -168,7 +168,8 @@ mod differential {
     /// `k` scalar centroids of one step: general position, some exactly 0
     /// (so a stored ±0.0 deviates by a signed zero), some exact copies of a
     /// neighbour and some a hair beside one, on both sides of the
-    /// `dist² < 1e-24` cut.
+    /// `dist² < 1e-24` cut, and — rarely — one not finite or so large that
+    /// its squared distance to the others overflows.
     fn centroids(k: usize, state: &mut u64) -> Vec<f64> {
         let mut c: Vec<f64> = Vec::with_capacity(k);
         for j in 0..k {
@@ -178,6 +179,9 @@ mod differential {
                     let hair = [0.0, 5e-13, 9.9e-13, 1e-12, 1.1e-12, 3e-12][below(state, 6)];
                     c[below(state, j)] + hair
                 }
+                3 if below(state, 12) == 0 => {
+                    [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e200, -1e160][below(state, 5)]
+                }
                 _ => unit(state),
             };
             c.push(v);
@@ -185,22 +189,67 @@ mod differential {
         c
     }
 
+    /// A value deviating from `c[label]` towards a random side by half the
+    /// distance to the nearest competitor on that side — the certified
+    /// radius, where `α` starts to clip — exactly, ±1 or ±4 ulps off. Exact
+    /// when `c[label]` is 0, the nearest representable deviation otherwise;
+    /// far out (or not finite) when that side has no competitor.
+    fn boundary_value(label: usize, c: &[f64], state: &mut u64) -> f64 {
+        let cj = c[label];
+        let positive = below(state, 2) == 0;
+        let mut nearest = f64::INFINITY;
+        for (l, &cl) in c.iter().enumerate() {
+            let diff = cj - cl;
+            let side = if positive { diff < 0.0 } else { diff > 0.0 };
+            if l != label && diff * diff >= 1e-24 && side {
+                nearest = nearest.min(diff.abs());
+            }
+        }
+        let sign = if positive { 1.0 } else { -1.0 };
+        if !nearest.is_finite() {
+            return cj + sign * [0.5, 3.0, 1e300, f64::INFINITY][below(state, 4)];
+        }
+        let mut target = 0.5 * nearest;
+        let ulps = [0, 1, 4][below(state, 3)];
+        let wider = below(state, 2) == 0;
+        for _ in 0..ulps {
+            target = if wider {
+                target.next_up()
+            } else {
+                target.next_down()
+            };
+        }
+        let target = sign * target;
+        let mut v = cj + target;
+        for _ in 0..4 {
+            let delta = v - cj;
+            if delta < target {
+                v = v.next_up();
+            } else if delta > target {
+                v = v.next_down();
+            }
+        }
+        v
+    }
+
     /// One stored value for a node labelled `label`: at its centroid (a
     /// +0.0 deviation), −0.0 (a −0.0 deviation from a centroid at 0), a
     /// subnormal (against a centroid at 0 a deviation whose product with any
     /// `c_j − c_l` underflows, to −0.0 on the opposite side), near its
-    /// centroid (inside the cell, α = 1), anywhere in `[0, 1)` (usually
-    /// another cell, α < 1), outside `[0, 1]`, or — rarely — not finite (a
-    /// checkpoint may carry anything).
+    /// centroid (inside the cell, α = 1), on the edge of the cell
+    /// ([`boundary_value`]), anywhere in `[0, 1)` (usually another cell,
+    /// α < 1), outside `[0, 1]`, or — rarely — not finite (a checkpoint may
+    /// carry anything).
     fn value(label: usize, c: &[f64], state: &mut u64) -> f64 {
-        match below(state, 64) {
+        match below(state, 80) {
             0..=7 => c[label],
             8..=12 => -0.0,
             13..=15 => [5e-324, -5e-324, 2e-310, -2e-310][below(state, 4)],
             16..=39 => c[label] + (unit(state) - 0.5) * 0.02,
             40..=54 => unit(state),
             55..=62 => unit(state) * 3.0 - 1.0,
-            _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][below(state, 3)],
+            63 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][below(state, 3)],
+            _ => boundary_value(label, c, state),
         }
     }
 
@@ -326,11 +375,12 @@ mod differential {
     proptest! {
         /// Every membership and every offset bit of the kernel equals the
         /// oracle's: `k = 1` (no competitor) to 12, windows of 1 (first
-        /// tick) to 8 steps, exact vote ties, α = 1 and α < 1, values
-        /// outside `[0, 1]` and non-finite, signed-zero deviations,
-        /// coincident centroids — and, in a second comparison on the same
-        /// window, empty centroid vectors wherever the label is no node's
-        /// `j*`.
+        /// tick) to 8 steps, exact vote ties, α = 1 and α < 1, deviations
+        /// at the in-cell certificate's radius and 1 and 4 ulps either
+        /// side, values outside `[0, 1]` and non-finite, signed-zero
+        /// deviations, coincident, non-finite and overflowing centroids —
+        /// and, in a second comparison on the same window, empty centroid
+        /// vectors wherever the label is no node's `j*`.
         #[test]
         fn resolve_kernel_matches_oracle_bitwise(
             n in 1usize..=64,
@@ -369,7 +419,8 @@ mod differential {
         /// cached), `j*` flipping between refreshes (`sticky` 0 redraws
         /// every label every step), the value mix of the stateless test
         /// (non-finite values, signed-zero and underflowing deviations,
-        /// coincident centroids on both sides of `1e-24`) and, when `empty`
+        /// deviations at and beside the certified radius, coincident
+        /// centroids on both sides of `1e-24`) and, when `empty`
         /// is 1, no centroid at random steps for labels that are no
         /// node's `j*` in any window holding the step.
         #[test]

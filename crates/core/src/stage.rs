@@ -325,40 +325,61 @@ fn observe_one(f: &mut RetrainingForecaster<ClusterModel>, value: f64) -> Observ
     }
 }
 
-/// Runs [`observe_one`] for every cluster, fanning out over scoped threads
-/// when `workers > 1`. Outcomes are returned in cluster order regardless of
-/// which thread produced them.
+/// Whether `f`'s next [`RetrainingForecaster::observe`] (re)trains, by the
+/// rule it applies: the first fit once the history reaches the warmup, a
+/// refit once `retrain_every` observations followed the last one. A fit
+/// may still decline (a model that reports the history too short), so
+/// this only schedules the fan-out below, never an outcome.
+fn trains_next(f: &RetrainingForecaster<ClusterModel>) -> bool {
+    let policy = f.policy();
+    if f.is_trained() {
+        f.since_train() + 1 >= policy.retrain_every
+    } else {
+        f.history().len() + 1 >= policy.warmup
+    }
+}
+
+/// Runs [`observe_one`] for every cluster. The clusters that train this
+/// step fan out over scoped threads when `workers > 1` and at least two of
+/// them train; every other observation is a push onto a history and runs
+/// inline. Outcomes are returned in cluster order regardless of which
+/// thread produced them.
 fn observe_all(
     forecasters: &mut [RetrainingForecaster<ClusterModel>],
     values: &[f64],
     workers: usize,
 ) -> Vec<ObserveOutcome> {
-    let k = forecasters.len();
-    if workers <= 1 || k <= 1 {
+    let fan_out = workers > 1 && forecasters.iter().filter(|f| trains_next(f)).count() > 1;
+    if !fan_out {
         return forecasters
             .iter_mut()
             .zip(values)
             .map(|(f, &v)| observe_one(f, v))
             .collect();
     }
-    let chunk = chunk_len(k, workers);
-    let mut outcomes: Vec<Option<ObserveOutcome>> = (0..k).map(|_| None).collect();
+    let mut outcomes: Vec<Option<ObserveOutcome>> = vec![None; forecasters.len()];
+    let mut fits = Vec::new();
+    for ((f, &v), out) in forecasters.iter_mut().zip(values).zip(&mut outcomes) {
+        if trains_next(f) {
+            fits.push((f, v, out));
+        } else {
+            *out = Some(observe_one(f, v));
+        }
+    }
+    let chunk = chunk_len(fits.len(), workers);
     std::thread::scope(|scope| {
-        for ((fs, vs), outs) in forecasters
-            .chunks_mut(chunk)
-            .zip(values.chunks(chunk))
-            .zip(outcomes.chunks_mut(chunk))
-        {
+        for fits in fits.chunks_mut(chunk) {
             scope.spawn(move || {
-                for ((f, &v), out) in fs.iter_mut().zip(vs).zip(outs.iter_mut()) {
-                    *out = Some(observe_one(f, v));
+                for (f, v, out) in fits {
+                    **out = Some(observe_one(f, *v));
                 }
             });
         }
     });
-    // Every chunk writes its slots before the scope joins; an unfilled
-    // slot is unreachable, and mapping it to `Failed` (which degrades
-    // that cluster to sample-and-hold) keeps this path panic-free.
+    // Every observation writes its slot, inline or before the scope joins;
+    // an unfilled slot is unreachable, and mapping it to `Failed` (which
+    // degrades that cluster to sample-and-hold) keeps this path
+    // panic-free.
     outcomes
         .into_iter()
         .map(|o| o.unwrap_or(ObserveOutcome::Failed))
@@ -991,6 +1012,76 @@ mod tests {
         let back = StageSnapshot::decode(&mut input).unwrap();
         input.finish().unwrap();
         back
+    }
+
+    /// On a healthy fleet — ten well-separated groups, every node near its
+    /// group's level — a full rebuild certifies nearly every Eq. 12 term,
+    /// and a node whose label at some window step is not its `j*` walks
+    /// that step's term.
+    #[test]
+    fn a_healthy_fleet_certifies_most_terms_and_walks_relabelled_ones() {
+        let (n, k) = (400, 10);
+        let mut stage = ForecastStage::new(ForecastStageConfig {
+            num_nodes: n,
+            k,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut state = 11u64;
+        let mut jitter = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let offsets: Vec<f64> = (0..n).map(|_| 0.05 * jitter()).collect();
+        // Node 0 moves from group 0 to group 5 at tick 26, four steps
+        // before the window closes: its `j*` is group 5's label, and its
+        // two older steps sit in group 0's cell.
+        for t in 0..30 {
+            let z: Vec<f64> = (0..n)
+                .map(|i| {
+                    let group = if i == 0 && t >= 26 { 5 } else { i % k };
+                    0.1 + 0.09 * group as f64 + offsets[i] + 0.02 * jitter()
+                })
+                .collect();
+            stage.step(&z).unwrap();
+        }
+        let mut terms = TermCache::default();
+        let resolution = stage.resolve_window(&mut terms).unwrap();
+        let w = stage.history.len();
+        assert_eq!(terms.work.certified + terms.work.walked, n * w);
+        assert!(
+            terms.work.certified * 10 >= n * w * 9,
+            "{:?} of {} terms",
+            terms.work,
+            n * w
+        );
+
+        let j_star = resolution.memberships[0];
+        let relabelled = stage
+            .history
+            .iter()
+            .filter(|s| s.assignments[0] != j_star)
+            .count();
+        assert_eq!(relabelled, 2);
+        let window: Vec<WindowStep<'_>> = stage
+            .history
+            .iter()
+            .map(|s| WindowStep {
+                assignments: &s.assignments[..1],
+                values: &s.values.as_slice()[..1],
+                centroids: &s.centroids,
+            })
+            .collect();
+        let mut node_terms = TermCache::default();
+        resolve_nodes_reusing(&window, w - 1, 1, k, &mut node_terms);
+        assert!(
+            node_terms.work.walked >= relabelled,
+            "{:?}",
+            node_terms.work
+        );
     }
 
     fn quick(n: usize, k: usize) -> ForecastStageConfig {

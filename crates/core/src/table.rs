@@ -85,40 +85,89 @@ pub struct WindowStep<'a> {
 /// What the `α` clipping reads of a window's centroids, computed once per
 /// build instead of once per node: for every step `s` and label `j`, the
 /// scalar `c_j` and `j`'s competitors as `(c_j − c_l, (c_j − c_l)²)`, split
-/// by the sign of `c_j − c_l` and ascending in `l` within each half. Left
-/// out are the labels [`crate::offset::clip_alpha`] skips — `l = j`, labels
-/// without a centroid, centroids coincident with `c_j` — and those whose
-/// `c_j − c_l` is NaN, whose `proj` is NaN for every node and so never
-/// bounds `α`.
+/// by the sign of `c_j − c_l` and ascending in `l` within each half, and
+/// each half's certified radius. Left out are the labels
+/// [`crate::offset::clip_alpha`] skips — `l = j`, labels without a
+/// centroid, centroids coincident with `c_j` — and those whose `c_j − c_l`
+/// is NaN, whose `proj` is NaN for every node and so never bounds `α`.
 struct CentroidPairs {
-    /// `c_j` of step `s` at `s * k + j` (a placeholder where that step has
-    /// no centroid for `j`).
-    centroids: Vec<f64>,
+    /// Row `r = s * k + j`: `c_j` of step `s` (a placeholder where that
+    /// step has no centroid for `j`) and the radii of its two halves.
+    rows: Vec<Row>,
     /// Whether label `j` has a centroid at every step; only such a label
     /// can be resolved as a node's `j*`.
     resolvable: Vec<bool>,
-    /// Half `h` of row `r = s * k + j` is
-    /// `pairs[bounds[2 * r + h]..bounds[2 * r + h + 1]]`: `h = 0` holds the
-    /// competitors with `c_j − c_l > 0`, `h = 1` those with `c_j − c_l < 0`.
+    /// Half `h` of row `r` is `pairs[bounds[2 * r + h]..bounds[2 * r + h +
+    /// 1]]`: `h = 0` holds the competitors with `c_j − c_l > 0`, `h = 1`
+    /// those with `c_j − c_l < 0`.
     bounds: Vec<usize>,
     pairs: Vec<(f64, f64)>,
+}
+
+/// One `(step, label)` row of [`CentroidPairs`].
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    centroid: f64,
+    /// The [`certified_radius`] of each half: a deviation `Δ` with
+    /// `−radius[0] < Δ < radius[1]` is inside the cell, so its clipped
+    /// term is `Δ` itself.
+    radius: [f64; 2],
+}
+
+/// The certified radius of one half-row: half the distance to its nearest
+/// competitor; `+∞` for a half without competitors, `0` for one holding a
+/// pair whose `(c_j − c_l)²` is not finite (which an infinite `c_j − c_l`
+/// makes so).
+///
+/// For a finite `|Δ| ≤ r` every competitor `l` of the half computes
+/// `α_l ≥ 1` or is skipped, so `α` stays `1.0` and the term `1.0·Δ` is `Δ`
+/// bit for bit. With `d = |c_j − c_l|` (`d² ≥ 1e-24`, so `d²/2` is normal
+/// and halving is exact), `|Δ|·d ≤ d²/2`, and rounding is monotone:
+/// `|proj| = fl(|Δ|·d) ≤ fl(d²/2) = fl(d²)/2`, so the quotient
+/// `fl(d²)/(2·|proj|)` is at least `1` before its own rounding and the
+/// representable `1.0` after it; `proj = ±0` is skipped. The bound is tight:
+/// one ulp past `d/2` clips most pairs. The kernel certifies
+/// `−r₀ < Δ < r₁`, which puts `|Δ|` under the radius of `Δ`'s own half
+/// (and keeps an infinite `Δ` out at `r = +∞`; DESIGN.md §8, *In-cell
+/// certificate*).
+fn certified_radius(half: &[(f64, f64)]) -> f64 {
+    let mut nearest = f64::INFINITY;
+    for &(diff, dist_sq) in half {
+        if !dist_sq.is_finite() {
+            return 0.0;
+        }
+        nearest = nearest.min(diff.abs());
+    }
+    0.5 * nearest
+}
+
+/// Eq. 12 terms a resolve computed, split by how: `certified` returned `Δ`
+/// on the in-cell certificate, `walked` ran the clipping loop. Terms taken
+/// from the [`TermCache`] are neither. Only tests read it until the
+/// benchmark has a channel for work counters.
+#[derive(Debug, Clone, Copy, Default)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct TermWork {
+    pub(crate) certified: usize,
+    pub(crate) walked: usize,
 }
 
 impl CentroidPairs {
     /// Every step of `window` must hold `k` centroids of at most one value.
     fn new(window: &[WindowStep<'_>], k: usize) -> Self {
-        let rows = window.len() * k;
-        let mut centroids = Vec::with_capacity(rows);
+        let row_count = window.len() * k;
+        let mut rows = Vec::with_capacity(row_count);
         let mut resolvable = vec![true; k];
-        let mut bounds = Vec::with_capacity(2 * rows + 1);
-        let mut pairs = Vec::with_capacity(rows * k.saturating_sub(1));
+        let mut bounds = Vec::with_capacity(2 * row_count + 1);
+        let mut pairs = Vec::with_capacity(row_count * k.saturating_sub(1));
         bounds.push(0);
         for step in window {
             for (j, (cj, every_step)) in step.centroids.iter().zip(&mut resolvable).enumerate() {
                 let cj = cj.first().copied();
                 *every_step &= cj.is_some();
-                centroids.push(cj.unwrap_or(f64::NAN));
-                for positive in [true, false] {
+                let mut radius = [0.0; 2];
+                for (h, positive) in [true, false].into_iter().enumerate() {
+                    let start = pairs.len();
                     for (l, cl) in step.centroids.iter().enumerate() {
                         let (Some(cj), Some(cl)) = (cj, cl.first()) else {
                             continue;
@@ -130,12 +179,17 @@ impl CentroidPairs {
                             pairs.push((diff, dist_sq));
                         }
                     }
+                    radius[h] = certified_radius(pairs.get(start..).unwrap_or_default());
                     bounds.push(pairs.len());
                 }
+                rows.push(Row {
+                    centroid: cj.unwrap_or(f64::NAN),
+                    radius,
+                });
             }
         }
         CentroidPairs {
-            centroids,
+            rows,
             resolvable,
             bounds,
             pairs,
@@ -143,7 +197,10 @@ impl CentroidPairs {
     }
 
     /// The Eq. 12 term `clamp(α, 0, 1)·(z − c_j)` of a node storing `value`
-    /// at row `row`. Only a competitor on the other side of `c_j` from `z`
+    /// at row `row`; a term that walks the clipping loop counts in
+    /// `walked`. A `Δ` within the row's certified radii is inside the cell
+    /// and its term is `Δ` (see [`certified_radius`]); a NaN or infinite
+    /// `Δ` never is. Only a competitor on the other side of `c_j` from `z`
     /// can make `proj = Δ·(c_j − c_l)` negative, so `α` walks that half of
     /// the row; every other competitor's `proj` is `≥ 0` or NaN and the
     /// full row's `proj < 0.0` test would skip it. The test stays although
@@ -156,8 +213,13 @@ impl CentroidPairs {
     // contracts (`row < window.len() * k`, and `bounds` holds two halves per
     // row plus one); the overflow-checked debug-assert CI job backstops the
     // proof at runtime; exemplar chain: core::table::resolve_nodes_reusing
-    fn clipped_term(&self, row: usize, value: f64) -> f64 {
-        let delta = value - self.centroids[row];
+    fn clipped_term(&self, row: usize, value: f64, walked: &mut usize) -> f64 {
+        let Row { centroid, radius } = self.rows[row];
+        let delta = value - centroid;
+        if -radius[0] < delta && delta < radius[1] {
+            return delta;
+        }
+        *walked += 1;
         let half = if delta < 0.0 { 2 * row } else { 2 * row + 1 };
         let mut alpha: f64 = 1.0;
         for &(diff, dist_sq) in &self.pairs[self.bounds[half]..self.bounds[half + 1]] {
@@ -186,15 +248,19 @@ pub(crate) struct TermCache {
     terms: Vec<f64>,
     /// The `j*` node `i`'s terms were clipped against.
     j_star: Vec<usize>,
+    /// How the last resolve computed the terms it did not reuse.
+    pub(crate) work: TermWork,
 }
 
 /// Resolves every node's forecast membership `j*` and clipped offset `ŝ_i`
 /// (Eq. 12) over a most-recent-first history window of scalar steps. Per
 /// node: the label every window step agrees on, else a majority vote over
 /// its labels; then per window step the term `clamp(α, 0, 1)·(z − c_j*)`,
-/// `α` clipped against the hoisted `CentroidPairs` row of `j*`; then the
-/// terms summed most-recent-first from `0.0` and divided by the window
-/// length. No allocation per node, no centroid arithmetic per node.
+/// `α` clipped against the hoisted `CentroidPairs` row of `j*` — or, for a
+/// `z` inside the row's certified radius, `z − c_j*` itself, the bits the
+/// clipping gives there; then the terms summed most-recent-first from
+/// `0.0` and divided by the window length. No allocation per node, no
+/// centroid arithmetic per node.
 ///
 /// Performs the floating-point operations of
 /// [`crate::offset::forecast_membership`] + [`crate::offset::node_offset`]
@@ -269,6 +335,7 @@ pub(crate) fn resolve_nodes_reusing(
             stamps: vec![None; w],
             terms: vec![0.0; n * w],
             j_star: vec![usize::MAX; n],
+            work: TermWork::default(),
         };
     }
     // Window step `s` keeps its terms in column `(newest − s) % columns`
@@ -282,6 +349,8 @@ pub(crate) fn resolve_nodes_reusing(
             (c, cache.stamps[c] == Some(stamp))
         })
         .collect();
+    let uncached = plan.iter().filter(|&&(_, cached)| !cached).count();
+    let (mut computed, mut walked) = (0, 0);
     let mut counts = vec![0usize; k];
     let mut memberships = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
@@ -306,10 +375,11 @@ pub(crate) fn resolve_nodes_reusing(
             "cluster {j_star} has no centroid at some window step"
         );
         let reclip = std::mem::replace(clipped_against, j_star) != j_star;
+        computed += if reclip { w } else { uncached };
         let mut acc = 0.0;
         for (s, (step, &(c, cached))) in window.iter().zip(&plan).enumerate() {
             if reclip || !cached {
-                terms[c] = table.clipped_term(s * k + j_star, step.values[i]);
+                terms[c] = table.clipped_term(s * k + j_star, step.values[i], &mut walked);
             }
             acc += terms[c];
         }
@@ -319,6 +389,10 @@ pub(crate) fn resolve_nodes_reusing(
     for (s, &(c, _)) in plan.iter().enumerate() {
         cache.stamps[c] = Some(newest - s);
     }
+    cache.work = TermWork {
+        certified: computed - walked,
+        walked,
+    };
     NodeResolution {
         memberships,
         offsets,
@@ -772,6 +846,72 @@ mod tests {
         }];
         assert_eq!(resolve_nodes(&window, 1, 2).memberships, vec![0]);
         resolve_nodes(&window, 2, 2);
+    }
+
+    /// Whether a node labelled `0` at a one-step window with these scalar
+    /// centroids walks the clipping loop for its stored `value`, checked
+    /// against the offset the kernel gives (a certified term is the
+    /// deviation itself, which the fold adds to `0.0`).
+    fn walks(centroids: &[f64], value: f64) -> bool {
+        let centroids: Vec<Vec<f64>> = centroids.iter().map(|&c| vec![c]).collect();
+        let window = [WindowStep {
+            assignments: &[0],
+            values: &[value],
+            centroids: &centroids,
+        }];
+        let mut cache = TermCache::default();
+        let got = resolve_nodes_reusing(&window, 0, 1, centroids.len(), &mut cache);
+        assert_eq!(cache.work.walked + cache.work.certified, 1);
+        if cache.work.certified == 1 {
+            let delta = value - centroids[0][0];
+            assert_eq!(got.offsets[0].to_bits(), (0.0 + delta).to_bits());
+        }
+        cache.work.walked == 1
+    }
+
+    #[test]
+    fn the_certificate_is_the_open_half_distance_to_the_nearest_competitor_per_side() {
+        // c_0 = 0, so a stored value is its own deviation. Nearest
+        // competitor below at 0.2 (radius 0.1), above at 0.5 (radius 0.25).
+        let c = [0.0, -0.2, 0.5, 0.9, -0.7];
+        for (value, walked) in [
+            (0.0, false),
+            (-0.0, false),
+            (5e-324, false),
+            (0.15, false),
+            (0.25_f64.next_down(), false),
+            (0.25, true),
+            (0.25_f64.next_up(), true),
+            (0.3, true),
+            ((-0.1_f64).next_up(), false),
+            (-0.1, true),
+            (-0.15, true),
+            (f64::NAN, true),
+            (f64::INFINITY, true),
+            (f64::NEG_INFINITY, true),
+        ] {
+            assert_eq!(walks(&c, value), walked, "value {value:e}");
+        }
+    }
+
+    #[test]
+    fn extreme_coincident_and_non_finite_competitors_set_the_radius() {
+        // No competitor above the largest centroid: every finite deviation
+        // upward is certified, an infinite one is not.
+        assert!(!walks(&[0.9, 0.0, 0.5], 1e300));
+        assert!(walks(&[0.9, 0.0, 0.5], f64::INFINITY));
+        assert!(walks(&[0.9, 0.0, 0.5], 0.6));
+        assert!(!walks(&[0.3], -1e300));
+        // A coincident centroid is no competitor; one just past the cut is.
+        assert!(!walks(&[0.0, 5e-13], 0.4));
+        assert!(walks(&[0.0, 2e-12], 0.4));
+        // A NaN difference bounds nothing; an infinite one, or a finite
+        // one whose square overflows, keeps its whole half walked.
+        assert!(!walks(&[0.0, f64::NAN], 0.4));
+        assert!(walks(&[0.0, f64::INFINITY, -0.5], 0.1));
+        assert!(!walks(&[0.0, f64::INFINITY, -0.5], -0.1));
+        assert!(walks(&[0.0, 1e200], 0.1));
+        assert!(walks(&[0.0, -1e160, 0.5], -1e-3));
     }
 
     #[test]

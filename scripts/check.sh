@@ -86,8 +86,12 @@ cargo test --release -q -p utilcast-linalg
 
 # The Eq. 12 resolve contract under optimised codegen: the differential
 # suite holds the table kernel (stateless and reusing its term cache across
-# refreshes) and the diagonal interval widths to the oracle's bits, and a
-# release build may vectorise or reorder what a debug build does not.
+# refreshes, and its in-cell certificate, which returns a deviation within
+# half the distance to the nearest competitor on its side unclipped) and
+# the diagonal interval widths to the oracle's bits, probing deviations at
+# that midpoint and 1 and 4 ulps either side of it, where the certificate
+# ends and `α` starts to clip; a release build may vectorise or reorder
+# what a debug build does not.
 echo "==> cargo test --release -q -p utilcast-core --lib oracle::"
 cargo test --release -q -p utilcast-core --lib oracle::
 
@@ -96,14 +100,17 @@ cargo test --release -q -p utilcast-core --lib oracle::
 # labels in place) to the descent it replaced, and core's cluster and stage
 # tests hold the in-place step (laned Eq. 10 counts, identity certificate,
 # recycled buffers) to the old one and the stage's outputs to theirs; the
-# blocked loops vectorise only under -O. The stage's allocation test runs
-# alongside: a warm scalar step allocates nothing that grows with N.
+# blocked loops vectorise only under -O. The allocation tests run
+# alongside: a warm scalar step, and a table build with its Eq. 12 resolve,
+# allocate nothing that grows with N.
 echo "==> cargo test --release -q -p utilcast-clustering"
 cargo test --release -q -p utilcast-clustering
 echo "==> cargo test --release -q -p utilcast-core --lib -- cluster:: stage::"
 cargo test --release -q -p utilcast-core --lib -- cluster:: stage::
 echo "==> cargo test --release -q -p utilcast-core --test stage_step_alloc"
 cargo test --release -q -p utilcast-core --test stage_step_alloc
+echo "==> cargo test --release -q -p utilcast-core --test alloc_free"
+cargo test --release -q -p utilcast-core --test alloc_free
 
 # The warm-refit quality gate: chains of LSTM refits against cold fits at
 # the same lengths. Its distribution half is skipped in unoptimised builds.
