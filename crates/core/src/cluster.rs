@@ -793,21 +793,18 @@ impl DynamicClusterer {
 /// Serializable state of a [`DynamicClusterer`] (see
 /// [`DynamicClusterer::snapshot`]). `history` is ordered most recent first,
 /// matching the clusterer's internal deque.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClustererSnapshot {
     /// The clusterer configuration.
     pub config: DynamicClustererConfig,
     /// Recent final assignments, most recent first; bounded by `m`.
-    #[serde(with = "utilcast_linalg::packed::label_rows")]
     pub history: Vec<Vec<usize>>,
     /// The previous step's matched centroids (warm-start initializer), if
     /// any step has run.
     pub warm_centroids: Option<Vec<Vec<f64>>>,
     /// Per-shard local centroids from the previous hierarchical step
-    /// (pre-merge); empty outside hierarchical mode. Defaults to empty so
-    /// snapshots written before the hierarchical tier existed restore
-    /// cleanly (a shard simply cold-starts its first post-restore fit).
-    #[serde(default)]
+    /// (pre-merge); empty outside hierarchical mode, and a shard without
+    /// an entry cold-starts its first post-restore fit.
     pub shard_warm: Vec<Vec<Vec<f64>>>,
     /// Time step counter.
     pub t: usize,
@@ -1213,24 +1210,6 @@ mod tests {
                 "diverged at step {i}"
             );
         }
-    }
-
-    #[test]
-    fn old_snapshots_without_shard_warm_restore() {
-        // Snapshot JSON written before the hierarchical tier existed has
-        // no `shard_warm` field; it must deserialize to the empty default.
-        // The fixture is the JSON-map snapshot the derived codec wrote for
-        // a k = 2 clusterer after one step of `two_groups(0.2, 0.8)`.
-        let mut json: serde::Value =
-            serde_json::from_str(include_str!("../tests/fixtures/legacy_clusterer.json")).unwrap();
-        match &mut json {
-            serde::Value::Map(entries) => entries.retain(|(k, _)| k != "shard_warm"),
-            other => panic!("snapshot serialized to non-map {other:?}"),
-        }
-        let snap: ClustererSnapshot = serde_json::from_value(json).unwrap();
-        assert!(snap.shard_warm.is_empty());
-        let restored = DynamicClusterer::restore(snap);
-        assert_eq!(restored.steps(), 1);
     }
 
     #[test]

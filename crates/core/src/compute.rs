@@ -32,10 +32,10 @@ use utilcast_linalg::container::{Reader, Writer};
 
 /// Knobs for the controller's per-step compute (see module docs).
 ///
-/// Checkpoints written while the kernel/mode matrix existed carry more keys
-/// (`kernel`, `warm_start`, `flat_points`, `shard_kernel`, `bank_kernel`);
-/// deserialization ignores them, so such a checkpoint restores onto the one
-/// path that is left.
+/// Configurations written while the kernel/mode matrix existed carry more
+/// keys (`kernel`, `warm_start`, `flat_points`, `shard_kernel`,
+/// `bank_kernel`); deserialization ignores them, so such a configuration
+/// runs the one path that is left.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComputeOptions {
     /// Worker threads for clustering and retraining: `0` = one per
@@ -78,8 +78,8 @@ pub struct ComputeOptions {
     /// answers point queries for horizon indices `0..max_query_horizon`
     /// in O(1). Affects only the table (build cost is linear in it);
     /// the recompute path and every report stay bit-identical at any
-    /// setting. `0` — including checkpoints written before the read plane
-    /// existed, which carry no field — means the default depth of 16 (see
+    /// setting. `0` — including configurations written before the read
+    /// plane existed, which carry no field — means the default depth of 16 (see
     /// [`ComputeOptions::query_horizon`], the only consumer).
     #[serde(default)]
     pub max_query_horizon: usize,
@@ -125,7 +125,7 @@ impl ComputeOptions {
     }
 
     /// The effective forecast-table depth: `max_query_horizon`, with `0`
-    /// (unset / pre-table checkpoint) normalized to
+    /// (unset / pre-table configuration) normalized to
     /// [`DEFAULT_QUERY_HORIZON`] — the same convention as `shards == 0`
     /// meaning single-level.
     pub fn query_horizon(&self) -> usize {

@@ -140,7 +140,7 @@ impl TimeAveragedRmse {
 /// AoI is the right lens for what a degraded link costs the forecaster —
 /// a lossy link does not just drop samples, it makes the controller act
 /// on *old* state, and the mean/peak age quantify exactly how old.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AgeOfInformation {
     sum_of_means: f64,
     peak: usize,

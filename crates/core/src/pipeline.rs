@@ -148,7 +148,7 @@ impl ModelSpec {
 // variants (AutoArima carries its warm-start table) costs nothing in
 // practice, while boxing would cost an indirection on every forecast call.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterModel {
     /// Repeat the latest centroid value.

@@ -107,11 +107,10 @@ impl Default for ForecastStageConfig {
 /// `Vec<Vec<f64>>`: the buffer is recycled between the snapshot falling
 /// out of the look-back window and the next step's clustering input, so
 /// the steady state allocates nothing per step.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Snapshot {
     values: Matrix,
     centroids: Vec<Vec<f64>>,
-    #[serde(with = "utilcast_linalg::packed::labels")]
     assignments: Vec<usize>,
 }
 
@@ -185,7 +184,7 @@ impl Snapshot {
 }
 
 /// One forecaster's checkpoint: the fitted model plus its harness state.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ForecasterSnapshot {
     model: ClusterModel,
     state: RetrainState,
@@ -195,7 +194,7 @@ struct ForecasterSnapshot {
 /// cluster/membership history, per-cluster centroid histories and fitted
 /// models, retrain counters, and degraded-mode bookkeeping. Produced by
 /// [`ForecastStage::snapshot`], consumed by [`ForecastStage::restore`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSnapshot {
     config: ForecastStageConfig,
     clusterer: ClustererSnapshot,
@@ -205,14 +204,10 @@ pub struct StageSnapshot {
     degraded: Vec<bool>,
     model_fallbacks: u64,
     fallback_fit_failures: u64,
-    /// Read-plane bookkeeping (absent from pre-table checkpoints, which
-    /// restore with everything zeroed — bit-identical because the table is
-    /// derived state).
-    #[serde(default)]
+    /// Read-plane bookkeeping (the table itself is derived state, rebuilt
+    /// after a restore).
     generation: u64,
-    #[serde(default)]
     table_rebuilds: u64,
-    #[serde(default)]
     reads_served: u64,
 }
 
@@ -240,8 +235,7 @@ impl StageSnapshot {
     }
 
     /// Reads a stage checkpoint written by [`StageSnapshot::encode_into`].
-    /// Its shapes are checked by [`ForecastStage::restore`], as a decoded
-    /// JSON one's are.
+    /// Its shapes are checked by [`ForecastStage::restore`].
     pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
         Ok(StageSnapshot {
             config: ForecastStageConfig::decode(input)?,
@@ -1712,27 +1706,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_table_snapshots_restore_with_zeroed_read_plane() {
-        // Simulate a checkpoint written before the read plane existed by
-        // stripping the new fields from a recorded JSON-map checkpoint (a
-        // `quick(4, 2)` stage after four steps, written by the derived
-        // codec before the container replaced it).
-        let mut json: serde::Value =
-            serde_json::from_str(include_str!("../tests/fixtures/legacy_stage.json")).unwrap();
-        assert_eq!(StageSnapshot::from_value(&json).unwrap().generation, 4);
-        let serde::Value::Map(fields) = &mut json else {
-            panic!("a stage checkpoint is a map")
-        };
-        let read_plane = ["generation", "table_rebuilds", "reads_served"];
-        fields.retain(|(k, _)| !read_plane.contains(&k.as_str()));
-        let old = StageSnapshot::from_value(&json).unwrap();
-        let restored = ForecastStage::restore(old).unwrap();
-        assert_eq!(restored.generation(), 0);
-        assert_eq!(restored.forecast_table_rebuilds(), 0);
-        assert_eq!(restored.forecast_reads_served(), 0);
-    }
-
-    #[test]
     fn restore_rejects_every_hostile_history_shape() {
         // Each of these restored `Ok` and then panicked (or worse, resolved
         // garbage) in the first `forecast()` / `forecast_table()`.
@@ -1745,7 +1718,7 @@ mod tests {
         assert_eq!(good.history.len(), good.config.m_prime + 1);
         assert!(ForecastStage::restore(good.clone()).is_ok());
         type Corrupt = fn(&mut StageSnapshot);
-        let cases: [(&str, Corrupt); 9] = [
+        let cases: [(&str, Corrupt); 8] = [
             (
                 "history[0].assignments[2] = 9 is out of range (k = 2)",
                 |s| s.history[0].assignments[2] = 9,
@@ -1760,15 +1733,6 @@ mod tests {
             (
                 "history[1].values is 2 x 2 over 4 numbers (expected 4 x 1)",
                 |s| s.history[1].values = Matrix::zeros(2, 2),
-            ),
-            (
-                // Only a decoder can produce a matrix whose shape disagrees
-                // with its buffer.
-                "history[5].values is 4 x 1 over 3 numbers (expected 4 x 1)",
-                |s| {
-                    s.history[5].values =
-                        serde_json::from_str(r#"{"rows":4,"cols":1,"data":[0.2,0.2,0.7]}"#).unwrap()
-                },
             ),
             ("history[2].centroids holds 3 centroids for k = 2", |s| {
                 s.history[2].centroids.push(vec![0.5])

@@ -40,8 +40,6 @@
 
 use serde::DeError;
 
-use crate::packed::{decode_bytes, encode_bytes, word};
-
 /// The container's first four bytes.
 const MAGIC: [u8; 4] = *b"UCCK";
 
@@ -55,6 +53,16 @@ const HEADER: usize = 24;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The first `W` bytes of `bytes` as an array (zero-filled past its end).
+fn word<const W: usize>(bytes: &[u8]) -> [u8; W] {
+    if let Some(Ok(whole)) = bytes.get(..W).map(<[u8; W]>::try_from) {
+        return whole;
+    }
+    let mut out = [0u8; W];
+    out.iter_mut().zip(bytes).for_each(|(o, b)| *o = *b);
+    out
+}
 
 /// One FNV-1a step over a word.
 fn fnv(h: u64, word: u64) -> u64 {
@@ -244,6 +252,176 @@ impl Writer {
         self.bytes.iter_mut().zip(header).for_each(|(b, h)| *b = h);
         self.bytes
     }
+}
+
+/// The standard base64 alphabet of [`to_base64`]'s text.
+const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside [`ALPHABET`] in [`DECODE`]: above every bit a
+/// 24-bit group uses, so one OR over any run of quads tells whether a byte
+/// in it was not a symbol.
+const INVALID: u32 = 1 << 24;
+
+/// The decoder's tables, one per place in a quad: entry `s` of table `i`
+/// is symbol `s`'s six bits shifted to where the `i`-th symbol of a quad
+/// sits in its 24-bit group, or [`INVALID`].
+const DECODE: [[u32; 256]; 4] = {
+    let mut tables = [[INVALID; 256]; 4];
+    let mut six = 0;
+    while six < 64 {
+        let s = ALPHABET[six] as usize;
+        let mut place = 0;
+        while place < 4 {
+            tables[place][s] = (six as u32) << (18 - 6 * place);
+            place += 1;
+        }
+        six += 1;
+    }
+    tables
+};
+
+/// The encoder's table: the two base64 symbols of every 12-bit value.
+const SYMBOL_PAIRS: [[u8; 2]; 4096] = {
+    let mut pairs = [[0u8; 2]; 4096];
+    let mut twelve = 0;
+    while twelve < 4096 {
+        pairs[twelve] = [ALPHABET[twelve >> 6], ALPHABET[twelve & 63]];
+        twelve += 1;
+    }
+    pairs
+};
+
+/// The two symbols of the low twelve bits of `bits`.
+fn symbol_pair(bits: u32) -> [u8; 2] {
+    SYMBOL_PAIRS
+        .get((bits & 0xFFF) as usize)
+        .copied()
+        .unwrap_or([b'A'; 2])
+}
+
+/// The four symbols of one whole 3-byte group.
+fn encode_group(a: u8, b: u8, c: u8) -> [u8; 4] {
+    let group = u32::from_be_bytes([0, a, b, c]);
+    let ([s0, s1], [s2, s3]) = (symbol_pair(group >> 12), symbol_pair(group));
+    [s0, s1, s2, s3]
+}
+
+/// Appends the base64 text of `bytes`, padding a final partial group.
+/// Whole runs go six bytes — four 12-bit table lookups, eight symbols — at
+/// a time.
+fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    let start = out.len();
+    let mut sixes = bytes.chunks_exact(6);
+    let mut groups = sixes.remainder().chunks_exact(3);
+    let symbols = (sixes.len() * 2 + groups.len()) * 4;
+    out.resize(start + symbols, 0);
+    let mut octets = out.get_mut(start..).unwrap_or_default().chunks_exact_mut(8);
+    for (six, octet) in (&mut sixes).zip(&mut octets) {
+        if let [a, b, c, d, e, f] = *six {
+            let (high, low) = (
+                u32::from_be_bytes([0, a, b, c]),
+                u32::from_be_bytes([0, d, e, f]),
+            );
+            let ([s0, s1], [s2, s3]) = (symbol_pair(high >> 12), symbol_pair(high));
+            let ([s4, s5], [s6, s7]) = (symbol_pair(low >> 12), symbol_pair(low));
+            octet.copy_from_slice(&[s0, s1, s2, s3, s4, s5, s6, s7]);
+        }
+    }
+    // At most one whole 3-byte group is left, and room for its four symbols.
+    if let Some(&[a, b, c]) = groups.next() {
+        octets
+            .into_remainder()
+            .copy_from_slice(&encode_group(a, b, c));
+    }
+    match *groups.remainder() {
+        [a] => {
+            let [s0, s1] = symbol_pair(u32::from(a) << 4);
+            out.extend_from_slice(&[s0, s1, b'=', b'=']);
+        }
+        [a, b] => {
+            let [s0, s1, s2, _] = encode_group(a, b, 0);
+            out.extend_from_slice(&[s0, s1, s2, b'=']);
+        }
+        _ => {}
+    }
+}
+
+/// Symbol `s`'s entry in the decoding table of one place in a quad.
+fn decoded(table: &[u32; 256], s: u8) -> u32 {
+    table.get(usize::from(s)).copied().unwrap_or(INVALID)
+}
+
+/// Decodes padded base64 `text`, rejecting any other alphabet, a length
+/// that is not a multiple of four, padding anywhere but at the end, and
+/// non-zero bits in a padded group. The error names the fault only; the
+/// caller says what the text was.
+fn decode_bytes(text: &str) -> Result<Vec<u8>, DeError> {
+    let symbols = text.as_bytes();
+    if !symbols.len().is_multiple_of(4) {
+        return Err(DeError::new(format!(
+            "{} base64 symbols is not a multiple of 4",
+            symbols.len()
+        )));
+    }
+    let [first, second, third, fourth] = &DECODE;
+    let not_a_symbol = || {
+        let bad = symbols
+            .iter()
+            .find(|&&s| s != b'=' && decoded(first, s) == INVALID)
+            .map_or(b'=', |&s| s);
+        DeError::new(format!(
+            "`{}` is not a base64 symbol here",
+            char::from(bad).escape_default()
+        ))
+    };
+    let group = |quad: [u8; 4]| {
+        let [a, b, c, d] = quad;
+        decoded(first, a) | decoded(second, b) | decoded(third, c) | decoded(fourth, d)
+    };
+    // The last quad may be padded; the body goes eight symbols to six
+    // bytes at a time.
+    let (body, last) = symbols.split_at(symbols.len().saturating_sub(4));
+    let mut octets = body.chunks_exact(8);
+    // Room for the last quad's bytes too, so they never regrow the buffer.
+    let mut out = Vec::with_capacity(body.len() / 4 * 3 + 3);
+    out.resize(body.len() / 4 * 3, 0);
+    let mut sixes = out.chunks_exact_mut(6);
+    // The body's groups OR into one word, so a single test afterwards tells
+    // whether any byte was outside the alphabet.
+    let mut seen = 0u32;
+    for (octet, six) in (&mut octets).zip(&mut sixes) {
+        if let [a, b, c, d, e, f, g, h] = *octet {
+            let (high, low) = (group([a, b, c, d]), group([e, f, g, h]));
+            seen |= high | low;
+            let ([_, s0, s1, s2], [_, s3, s4, s5]) = (high.to_be_bytes(), low.to_be_bytes());
+            six.copy_from_slice(&[s0, s1, s2, s3, s4, s5]);
+        }
+    }
+    if let Some(&[a, b, c, d]) = octets.remainder().get(..4) {
+        let g = group([a, b, c, d]);
+        seen |= g;
+        let [_, x, y, z] = g.to_be_bytes();
+        sixes.into_remainder().copy_from_slice(&[x, y, z]);
+    }
+    let (last, keep) = match *last {
+        [a, b, b'=', b'='] => ([a, b, b'A', b'A'], 1),
+        [a, b, c, b'='] => ([a, b, c, b'A'], 2),
+        [a, b, c, d] => ([a, b, c, d], 3),
+        _ => ([b'A'; 4], 0),
+    };
+    let g = group(last);
+    if (seen | g) & INVALID != 0 {
+        return Err(not_a_symbol());
+    }
+    let [_, x, y, z] = g.to_be_bytes();
+    let tail = [x, y, z];
+    // The bits under the padding must be zero, so a byte string has one
+    // text.
+    if tail.iter().skip(keep).any(|&byte| byte != 0) {
+        return Err(DeError::new("bad base64 padding"));
+    }
+    out.extend(tail.into_iter().take(keep));
+    Ok(out)
 }
 
 /// The base64 text of a container's `bytes` (standard alphabet,
@@ -570,6 +748,7 @@ fn label(word: u64) -> Result<usize, DeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Writer {
         let mut w = Writer::new();
@@ -655,7 +834,100 @@ mod tests {
             err.contains("checkpoint container") && err.contains("base64"),
             "{err}"
         );
-        assert!(!err.contains("packed column"), "{err}");
+    }
+
+    #[test]
+    fn base64_keeps_every_bit_pattern() {
+        let every_byte: Vec<u8> = (0..=255).collect();
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            -0.1,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,               // subnormal
+            f64::from_bits(0x7FF8_DEAD_BEEF_0001), // quiet NaN with a payload
+            f64::from_bits(0xFFF0_0000_0000_0001), // negative signalling NaN
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let float_bytes: Vec<u8> = floats.iter().flat_map(|v| v.to_le_bytes()).collect();
+        for bytes in [every_byte, float_bytes] {
+            for len in 0..=bytes.len() {
+                let part = &bytes[..len];
+                assert_eq!(from_base64(&to_base64(part)).unwrap(), part, "{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn base64_known_encodings_and_padding() {
+        assert_eq!(to_base64(&[]), "");
+        assert_eq!(from_base64("").unwrap(), []);
+        assert_eq!(to_base64(&1.0f64.to_le_bytes()), "AAAAAAAA8D8=");
+        assert_eq!(to_base64(&[0, 1, 2]), "AAEC");
+        assert_eq!(to_base64(&[0xFF]), "/w==");
+        assert_eq!(to_base64(&[0xFF, 0xFE]), "//4=");
+        assert_eq!(from_base64("/w==").unwrap(), [0xFF]);
+        assert_eq!(from_base64("//4=").unwrap(), [0xFF, 0xFE]);
+    }
+
+    #[test]
+    fn base64_output_is_sized_from_the_input() {
+        for n in [0usize, 1, 2, 3, 4, 5, 3000, 3001, 3002] {
+            let bytes: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let text = to_base64(&bytes);
+            assert_eq!(text.len(), n.div_ceil(3) * 4, "{n}");
+            assert_eq!(text.len(), text.capacity(), "{n}");
+            // A padded tail never regrows the decoded buffer.
+            let decoded = from_base64(&text).unwrap();
+            assert_eq!(decoded, bytes);
+            assert!(decoded.capacity() <= n + 3, "{n}: {}", decoded.capacity());
+        }
+    }
+
+    #[test]
+    fn malformed_base64_is_a_typed_error() {
+        let malformed = [
+            "AAAAAAAA8D8",    // length not a multiple of 4
+            "AAAAAAAA8D*=",   // symbol outside the alphabet
+            "AAAAAAAA8D8=\n", // trailing byte
+            "AA=AAAAA8D8=",   // padding before the end
+            "AAAAAAAA8D9=",   // non-zero bits under the padding
+            "A===",           // too much padding
+            "====",           // nothing but padding
+            "é=AA",           // non-ASCII
+        ];
+        for bad in malformed {
+            match from_base64(bad) {
+                Err(err) => assert!(err.to_string().starts_with("checkpoint container: ")),
+                Ok(bytes) => panic!("{bad:?} decoded to {bytes:?}"),
+            }
+        }
+        let err = from_base64("AAAAAAAA8D*=").unwrap_err().to_string();
+        assert!(err.contains("`*` is not a base64 symbol"), "{err}");
+        let err = from_base64("AAAAAAAA8D9=").unwrap_err().to_string();
+        assert!(err.contains("padding"), "{err}");
+    }
+
+    proptest! {
+        #[test]
+        fn random_bytes_round_trip_through_base64(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            prop_assert_eq!(from_base64(&to_base64(&bytes)).unwrap(), bytes);
+        }
+
+        #[test]
+        fn arbitrary_text_never_panics_the_base64_decoder(
+            raw in proptest::collection::vec(0u8..128, 0..24),
+        ) {
+            let text: String = raw.iter().map(|&b| char::from(b)).collect();
+            if let Ok(bytes) = from_base64(&text) {
+                prop_assert_eq!(to_base64(&bytes), text);
+            }
+        }
     }
 
     /// The checksum as it was computed before the block reads: word by

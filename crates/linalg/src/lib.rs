@@ -7,8 +7,7 @@
 //! fitting, empirical CDFs for the paper's Fig. 1 experiment) is implemented
 //! here from scratch, with no external linear-algebra dependencies. Every
 //! crate that owns checkpoint state depends on it, so it also carries the
-//! checkpoint [`container`] each of them writes its state into, and the
-//! [`packed`] column codecs of the JSON checkpoints written before it.
+//! checkpoint [`container`] each of them writes its state into.
 //!
 //! # Example
 //!
@@ -41,7 +40,6 @@ mod error;
 pub mod kernels;
 mod matrix;
 pub mod optimize;
-pub mod packed;
 pub mod rng;
 pub mod simd;
 pub mod stats;

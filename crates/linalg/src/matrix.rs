@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::Deserialize;
-
 use crate::{Cholesky, LinalgError};
 
 /// A dense, row-major matrix of `f64` values.
@@ -22,11 +20,10 @@ use crate::{Cholesky, LinalgError};
 /// let c = a.mat_mul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    #[serde(with = "crate::packed::f64s")]
     data: Vec<f64>,
 }
 
@@ -561,6 +558,46 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{Reader, Writer};
+
+    /// [`Matrix::decode`] over a container holding `rows`, `cols` and
+    /// `data` as [`Matrix::encode_into`] lays them out.
+    fn decode_parts(rows: usize, cols: usize, data: &[f64]) -> Result<Matrix, serde::DeError> {
+        let mut out = Writer::new();
+        out.usize(rows);
+        out.usize(cols);
+        out.f64s(data);
+        let bytes = out.seal();
+        Matrix::decode(&mut Reader::open(&bytes)?)
+    }
+
+    #[test]
+    fn decode_refuses_values_that_do_not_fill_the_shape() {
+        let m = Matrix::from_rows(&[&[0.2], &[0.2], &[0.7], &[-0.0]]);
+        let mut out = Writer::new();
+        m.encode_into(&mut out);
+        let bytes = out.seal();
+        assert_eq!(Matrix::decode(&mut Reader::open(&bytes).unwrap()), Ok(m));
+        for (rows, cols, data, fault) in [
+            (4, 1, &[0.2, 0.2, 0.7][..], "3 values do not fill 4 x 1"),
+            (
+                2,
+                2,
+                &[0.2, 0.2, 0.7, 0.7, 0.1],
+                "5 values do not fill 2 x 2",
+            ),
+            (0, 3, &[0.5], "1 values do not fill 0 x 3"),
+            (usize::MAX, 2, &[], "0 values do not fill"),
+        ] {
+            match decode_parts(rows, cols, data) {
+                Err(err) => assert!(err.to_string().contains(fault), "{fault}: {err}"),
+                Ok(m) => panic!(
+                    "{rows} x {cols} over {} values decoded to {m:?}",
+                    data.len()
+                ),
+            }
+        }
+    }
 
     #[test]
     fn zeros_and_identity() {

@@ -215,7 +215,7 @@ struct Tally {
 /// (frames can arrive out of order, so admission is not contiguous).
 /// `u64::MAX` is never admitted, so `next` can always step past every
 /// number the set holds.
-#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SourceDedup {
     /// Lowest sequence number not yet admitted from this source.
     next: u64,
@@ -291,9 +291,9 @@ impl SourceDedup {
 /// binary payload): [`ControllerSnapshot::to_bytes`] writes it and
 /// [`ControllerSnapshot::from_bytes`] reads it, refusing a bad magic,
 /// version, length or checksum before any state is built. Its serde form
-/// carries those bytes as one base64 JSON string; it also deserializes
-/// from the JSON map every checkpoint was before the container, packed
-/// columns or plain arrays.
+/// carries those bytes as one base64 JSON string. A JSON map — the form
+/// every checkpoint took before the container — is refused with a
+/// [`DeError`] that names it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerSnapshot {
     /// The controller configuration.
@@ -388,52 +388,17 @@ impl Serialize for ControllerSnapshot {
     }
 }
 
+/// Why a JSON-map checkpoint does not restore.
+const PRE_CONTAINER: &str = "checkpoint: a JSON map is the pre-container checkpoint form, \
+     which this build no longer reads; convert it to a checkpoint container once, with a \
+     build that still reads it (README.md, Quickstart)";
+
 impl Deserialize for ControllerSnapshot {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::String(text) => ControllerSnapshot::from_bytes(&container::from_base64(text)?),
-            Value::Map(_) => LegacySnapshot::from_value(v).map(ControllerSnapshot::from),
-            other => Err(DeError::expected("checkpoint container or JSON map", other)),
-        }
-    }
-}
-
-/// The JSON-map checkpoint of the derived codec, read so that checkpoints
-/// written before the container restore: packed columns, or the plain
-/// arrays of earlier checkpoints. Nothing writes it any more.
-#[derive(Deserialize)]
-struct LegacySnapshot {
-    config: ControllerConfig,
-    #[serde(with = "utilcast_linalg::packed::f64s")]
-    stored: Vec<f64>,
-    ticks: usize,
-    quarantined: u64,
-    duplicates: u64,
-    duplicate_frames: u64,
-    frames_admitted: u64,
-    frame_seen: Vec<SourceDedup>,
-    age: AgeOfInformation,
-    masked_node_steps: u64,
-    #[serde(with = "utilcast_linalg::packed::opt_labels")]
-    last_seen: Vec<Option<usize>>,
-    stage: StageSnapshot,
-}
-
-impl From<LegacySnapshot> for ControllerSnapshot {
-    fn from(s: LegacySnapshot) -> Self {
-        ControllerSnapshot {
-            config: s.config,
-            stored: s.stored,
-            ticks: s.ticks,
-            quarantined: s.quarantined,
-            duplicates: s.duplicates,
-            duplicate_frames: s.duplicate_frames,
-            frames_admitted: s.frames_admitted,
-            frame_seen: s.frame_seen,
-            age: s.age,
-            masked_node_steps: s.masked_node_steps,
-            last_seen: s.last_seen,
-            stage: s.stage,
+            Value::Map(_) => Err(DeError::new(PRE_CONTAINER)),
+            other => Err(DeError::expected("checkpoint container", other)),
         }
     }
 }
@@ -835,6 +800,8 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use utilcast_linalg::Matrix;
+    use utilcast_timeseries::lstm::LstmConfig;
 
     /// A scalar frame for tick `t` carrying `entries` in order.
     fn frame(t: usize, entries: &[(usize, f64)]) -> ReportFrame {
@@ -846,21 +813,47 @@ mod tests {
         frame
     }
 
-    /// Legacy JSON-map checkpoints (packed columns), recorded from the
-    /// derived writer before the container replaced it: `quick_config(3, 2)`
-    /// after [`ticked`]'s eight ticks, a fresh `quick_config(2, 1)`
-    /// controller, and the LSTM controller of
-    /// `a_checkpointed_lstm_with_an_invalid_config_is_a_decode_error`.
-    const LEGACY_QUICK: &str = include_str!("../tests/fixtures/legacy_controller_quick.json");
-    const LEGACY_FRESH: &str = include_str!("../tests/fixtures/legacy_controller_fresh.json");
-    const LEGACY_LSTM: &str = include_str!("../tests/fixtures/legacy_controller_lstm.json");
+    /// Checkpoints recorded as JSON maps (packed columns) by the derived
+    /// writer before the container replaced it, and each converted once to
+    /// its container: `quick_config(3, 2)` after [`ticked`]'s eight ticks,
+    /// a fresh `quick_config(2, 1)` controller, and the LSTM controller of
+    /// `a_checkpointed_lstm_with_an_invalid_config_is_a_decode_error`. The
+    /// maps are kept as inputs that must be refused.
+    const QUICK: &[u8] = include_bytes!("../tests/fixtures/legacy_controller_quick.bin");
+    const FRESH: &[u8] = include_bytes!("../tests/fixtures/legacy_controller_fresh.bin");
+    const LSTM: &[u8] = include_bytes!("../tests/fixtures/legacy_controller_lstm.bin");
+    const JSON_MAPS: [&str; 3] = [
+        include_str!("../tests/fixtures/legacy_controller_quick.json"),
+        include_str!("../tests/fixtures/legacy_controller_fresh.json"),
+        include_str!("../tests/fixtures/legacy_controller_lstm.json"),
+    ];
 
-    /// The value under `key` of a JSON map.
-    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-        let Value::Map(entries) = v else {
-            panic!("expected a map holding {key}")
-        };
-        &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+    /// The length of a container's header: the bytes before its payload.
+    fn header() -> usize {
+        Writer::new().seal().len()
+    }
+
+    /// The payload `write` puts into a container.
+    fn payload_of(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut out = Writer::new();
+        write(&mut out);
+        out.seal().split_off(header())
+    }
+
+    /// A container around `payload`, sealed as any writer seals one.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Writer::new();
+        payload.iter().for_each(|&byte| out.tag(byte));
+        out.seal()
+    }
+
+    /// Where `pattern` starts in `bytes`, every time.
+    fn occurrences(bytes: &[u8], pattern: &[u8]) -> Vec<usize> {
+        let starts = bytes.windows(pattern.len()).enumerate();
+        starts
+            .filter(|(_, w)| *w == pattern)
+            .map(|(at, _)| at)
+            .collect()
     }
 
     /// `quick_config(3, 2)` after eight ticks of three steady nodes.
@@ -1159,39 +1152,44 @@ mod tests {
         assert_eq!(json, format!("\"{}\"", container::to_base64(&bytes)));
         let text: ControllerSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(text, snapshot);
-        let legacy: ControllerSnapshot = serde_json::from_str(LEGACY_QUICK).unwrap();
-        assert_eq!(legacy, snapshot);
+        assert_eq!(QUICK, bytes, "the converted fixture is this controller's");
         assert!(Controller::restore(back).is_ok());
     }
 
-    /// A fresh controller's checkpoint whose source 1 carries `next` and
-    /// `seen_ahead`, restored from both checkpoint forms: the container,
-    /// and the recorded legacy map with its `frame_seen` rewritten.
+    #[test]
+    fn json_map_checkpoints_are_refused_by_name() {
+        for json in JSON_MAPS {
+            match serde_json::from_str::<ControllerSnapshot>(json) {
+                Err(err) => assert!(err.to_string().contains("pre-container"), "{err}"),
+                Ok(_) => panic!("a JSON-map checkpoint decoded"),
+            }
+        }
+        for wrong in ["null", "3", "[]", "true"] {
+            let err = serde_json::from_str::<ControllerSnapshot>(wrong).unwrap_err();
+            assert!(err.to_string().contains("checkpoint container"), "{err}");
+        }
+    }
+
+    /// The recorded checkpoint of a fresh controller, its source 1 given
+    /// `next` and `seen_ahead`, restored from both forms of its container:
+    /// the bytes, and their base64 text.
     fn restore_with_dedup(next: u64, seen_ahead: Vec<u64>) -> [Result<Controller, SimError>; 2] {
-        let mut snapshot = Controller::new(quick_config(2, 1)).unwrap().snapshot();
-        let mut legacy: Value = serde_json::from_str(LEGACY_FRESH).unwrap();
+        let mut snapshot = ControllerSnapshot::from_bytes(FRESH).unwrap();
         assert_eq!(
-            ControllerSnapshot::from_value(&legacy),
-            Ok(snapshot.clone())
+            snapshot,
+            Controller::new(quick_config(2, 1)).unwrap().snapshot()
         );
-        let dedup = |next: u64, seen_ahead: &[u64]| {
-            Value::Map(vec![
-                ("next".into(), next.to_value()),
-                ("seen_ahead".into(), seen_ahead.to_vec().to_value()),
-            ])
-        };
-        *entry(&mut legacy, "frame_seen") =
-            Value::Seq(vec![dedup(0, &[]), dedup(next, &seen_ahead)]);
         snapshot.frame_seen = vec![SourceDedup::default(), SourceDedup { next, seen_ahead }];
+        let text = serde_json::to_string(&snapshot).unwrap();
         [
             ControllerSnapshot::from_bytes(&snapshot.to_bytes()),
-            ControllerSnapshot::from_value(&legacy),
+            serde_json::from_str(&text).map_err(|e| DeError::new(e.to_string())),
         ]
         .map(|decoded| Controller::restore(decoded.unwrap()))
     }
 
     fn assert_dedup_refused(next: u64, seen_ahead: Vec<u64>, fault: &str) {
-        let forms = ["container", "legacy"];
+        let forms = ["bytes", "text"];
         for (form, result) in forms.iter().zip(restore_with_dedup(next, seen_ahead)) {
             match result {
                 Err(SimError::InvalidConfig { reason }) => assert!(
@@ -1307,19 +1305,27 @@ mod tests {
     fn restore_surfaces_a_hostile_stage_history_as_a_core_error() {
         // One label of a real checkpoint patched — a label >= k in the
         // newest history snapshot. It used to restore `Ok` and panic in the
-        // first `forecast_table()`. The packed column is rewritten as the
-        // legacy JSON array with its first label patched, so this also
-        // holds the reader to both forms.
-        let mut legacy: Value = serde_json::from_str(LEGACY_QUICK).unwrap();
-        let Value::Seq(history) = entry(entry(&mut legacy, "stage"), "history") else {
-            panic!("the stage history is a sequence")
-        };
-        let assignments = entry(&mut history[0], "assignments");
-        let mut labels = utilcast_linalg::packed::labels::from_value(assignments).unwrap();
-        labels[0] = 9;
-        *assignments = labels.to_value();
-        let snapshot = ControllerSnapshot::from_value(&legacy).unwrap();
-        match Controller::restore(snapshot) {
+        // first `forecast_table()`. Under the fixture's steady input every
+        // recorded step is the same bytes: the n x 1 store as a `Matrix`,
+        // the centroids, then the labels — a count, width 1, a byte a node.
+        let c = ticked();
+        assert_eq!(ControllerSnapshot::from_bytes(QUICK), Ok(c.snapshot()));
+        let mut payload = QUICK[header()..].to_vec();
+        let n = c.stored().len();
+        let store = Matrix::from_vec(n, 1, c.stored().to_vec());
+        let steps = occurrences(&payload, &payload_of(|out| store.encode_into(out)));
+        assert_eq!(steps.len(), 6, "m_prime + 1 recorded steps");
+        let stride = steps[1] - steps[0];
+        assert!(steps.windows(2).all(|w| w[1] - w[0] == stride));
+        let labels = steps[0] + stride - n;
+        let column = payload_of(|out| {
+            out.usize(n);
+            out.tag(1);
+        });
+        assert_eq!(payload[labels - column.len()..labels], column);
+        payload[labels] = 9;
+        let hostile = ControllerSnapshot::from_bytes(&sealed(&payload)).unwrap();
+        match Controller::restore(hostile) {
             Err(SimError::Core(utilcast_core::CoreError::InvalidConfig { reason })) => {
                 assert!(
                     reason.contains("history[0].assignments[0] = 9 is out of range (k = 2)"),
@@ -1337,15 +1343,29 @@ mod tests {
         // first forecast; now the snapshot itself does not decode.
         // The fixture is such a controller (window 4, hidden 4, one epoch,
         // seed 3, `quick_config(3, 2)`) after twelve ticks, fitted.
-        let json = LEGACY_LSTM;
-        let back: ControllerSnapshot = serde_json::from_str(json).unwrap();
+        let back = ControllerSnapshot::from_bytes(LSTM).unwrap();
+        let ModelSpec::Lstm(config) = back.config.model.clone() else {
+            panic!("the fixture is an LSTM controller")
+        };
         assert!(Controller::restore(back).is_ok());
-        // Only a cluster model nests its config under "config"; the
-        // controller's own model spec carries the bare `LstmConfig`.
-        let fitted = "\"config\":{\"window\":4";
-        assert!(json.contains(fitted) && json.contains("\"state\":{\"layers\""));
-        let hostile = json.replace(fitted, "\"config\":{\"window\":0");
-        match serde_json::from_str::<ControllerSnapshot>(&hostile) {
+        // Only a cluster model follows its config with a state: the LSTM
+        // tag, the config, a present state. The controller's own model spec
+        // carries the bare config.
+        let fitted = |window| {
+            payload_of(|out| {
+                out.tag(4);
+                LstmConfig { window, ..config }.encode_into(out);
+                out.bool(true);
+            })
+        };
+        let mut payload = LSTM[header()..].to_vec();
+        let models = occurrences(&payload, &fitted(4));
+        assert_eq!(models.len(), 2, "k = 2 fitted models");
+        let hostile = fitted(0);
+        for at in models {
+            payload[at..at + hostile.len()].copy_from_slice(&hostile);
+        }
+        match ControllerSnapshot::from_bytes(&sealed(&payload)) {
             Err(err) => assert!(err.to_string().contains("lstm config"), "{err}"),
             Ok(_) => panic!("a fitted LSTM with window 0 decoded"),
         }

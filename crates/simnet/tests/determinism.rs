@@ -7,7 +7,8 @@
 //! bit, to the seed's per-node collection loop, which lives on here as a
 //! test-only reference, and the controller's one entry point is held to the
 //! per-node-order contract the drivers rely on. (The checkpoint codec's
-//! replay tests — a legacy checkpoint and an ARIMA cut across a refit — are
+//! replay tests — a checkpoint recorded before the container, restored from
+//! the container it was converted to, and an ARIMA cut across a refit — are
 //! root `tests/checkpoint_codec.rs`.)
 
 use proptest::prelude::*;

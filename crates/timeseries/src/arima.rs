@@ -134,7 +134,7 @@ impl Default for ArimaOrder {
 
 /// Fitted SARIMA coefficients (after polynomial expansion the model is a
 /// plain ARMA recursion on the differenced, mean-centered series).
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FittedArima {
     /// Non-seasonal AR coefficients φ.
     pub phi: Vec<f64>,
@@ -277,7 +277,7 @@ impl ArimaFitOptions {
 /// assert_eq!(fc.len(), 3);
 /// # Ok::<(), utilcast_timeseries::TimeSeriesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arima {
     order: ArimaOrder,
     options: ArimaFitOptions,
@@ -1207,7 +1207,7 @@ impl ArimaGrid {
 }
 
 /// An optimizer solution retained for one grid order.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct WarmEntry {
     order: ArimaOrder,
     x: Vec<f64>,
@@ -1220,7 +1220,7 @@ struct WarmEntry {
 /// histories drift slowly between retrains, so the previous optimum is an
 /// excellent starting simplex and converges in a fraction of the cold
 /// budget; a diverging warm attempt falls back to the cold start.
-#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArimaWarmStart {
     /// Entries kept sorted by order for binary-search lookup.
     entries: Vec<WarmEntry>,
@@ -1460,7 +1460,7 @@ pub fn auto_arima_warm(
 /// A [`Forecaster`] that re-runs the AICc grid search on every (re)fit —
 /// the paper's protocol, where each retraining period reselects the best
 /// order for the latest centroid history.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoArima {
     grid: ArimaGrid,
     options: ArimaFitOptions,

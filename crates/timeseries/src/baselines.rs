@@ -26,7 +26,7 @@ use crate::{Forecaster, TimeSeriesError};
 /// assert_eq!(m.forecast(&[1.0, 2.0, 3.0], 3)?, vec![3.0, 3.0, 3.0]);
 /// # Ok::<(), utilcast_timeseries::TimeSeriesError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SampleAndHold {
     fitted: bool,
 }
@@ -75,7 +75,7 @@ impl Forecaster for SampleAndHold {
 }
 
 /// Forecasts the mean of the training history for every future step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LongTermMean {
     mean: Option<f64>,
 }

@@ -93,7 +93,7 @@ impl EtsConfig {
 }
 
 /// Fitted smoothing state.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct EtsState {
     level: f64,
     trend: f64,
@@ -123,7 +123,7 @@ struct EtsState {
 /// assert!((fc[3] - 0.6).abs() < 0.05);
 /// # Ok::<(), utilcast_timeseries::TimeSeriesError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoltWinters {
     config: EtsConfig,
     state: Option<EtsState>,

@@ -60,12 +60,11 @@ impl Default for RetrainPolicy {
 /// The model-independent state of a [`RetrainingForecaster`], detachable
 /// for checkpointing: pair it with the model's checkpoint (its
 /// `encode_into`) to persist a forecaster, and rebuild with [`RetrainingForecaster::from_state`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrainState {
     /// The retraining policy.
     pub policy: RetrainPolicy,
     /// Observation history collected so far.
-    #[serde(with = "utilcast_linalg::packed::f64s")]
     pub history: Vec<f64>,
     /// Whether the model has been fitted at least once.
     pub trained: bool,

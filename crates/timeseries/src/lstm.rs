@@ -115,14 +115,13 @@ impl Default for LstmConfig {
 /// parameters live in one flat buffer laid out `[wx | wh | b]` — the same
 /// layout the gradient vector uses, so the optimizer update is a single
 /// aligned pass.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct LstmLayer {
     input: usize,
     hidden: usize,
     /// `[wx | wh | b]`: input weights (`4*hidden x input`, row-major),
     /// recurrent weights (`4*hidden x hidden`, row-major), gate biases
     /// (`4*hidden`).
-    #[serde(with = "utilcast_linalg::packed::f64s")]
     params: Vec<f64>,
 }
 
@@ -464,11 +463,10 @@ impl Adam {
 }
 
 /// Fitted network state.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct LstmState {
     layers: Vec<LstmLayer>,
     /// Dense head weights (`hidden` long) and bias.
-    #[serde(with = "utilcast_linalg::packed::f64s")]
     head_w: Vec<f64>,
     head_b: f64,
     /// Min-max normalization learned from the training history.
@@ -478,9 +476,7 @@ struct LstmState {
     /// epoch's, over the windows that epoch trained on.
     train_mse: f64,
     /// History length at the last (re)fit: a refit's new windows are those
-    /// whose targets lie at or past it. A checkpoint written before this
-    /// field reads as 0, every window new.
-    #[serde(default)]
+    /// whose targets lie at or past it (at 0, every window is new).
     trained_len: usize,
 }
 
@@ -575,19 +571,6 @@ pub struct Lstm {
     state: Option<LstmState>,
 }
 
-impl Deserialize for Lstm {
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("struct Lstm", v))?;
-        Lstm {
-            config: LstmConfig::from_value(serde::get_field(entries, "config"))?,
-            state: Option::<LstmState>::from_value(serde::get_field(entries, "state"))?,
-        }
-        .checked()
-    }
-}
-
 impl Lstm {
     /// A fitted model read back from a checkpoint is checked before the
     /// kernels index by it, since a checkpoint is outside input: its config
@@ -610,8 +593,9 @@ impl Lstm {
         out.option(self.state.as_ref(), |out, s| s.encode_into(out));
     }
 
-    /// Reads a model written by [`Lstm::encode_into`], holding a fitted
-    /// state to its config as the JSON reader does.
+    /// Reads a model written by [`Lstm::encode_into`]. A fitted state is
+    /// held to its config: the config must pass [`Lstm::fit`]'s validation
+    /// and the state must have the shape `fit` builds under it.
     pub fn decode(input: &mut Reader) -> Result<Self, DeError> {
         Lstm {
             config: LstmConfig::decode(input)?,
@@ -1401,7 +1385,7 @@ mod tests {
         assert_eq!(windows_trained(&mut m, &series[..50], true), 16);
         // Little history behind the replay tail: every window there is.
         assert_eq!(windows_trained(&mut m, &series[..20], true), 20 - w);
-        // A checkpoint written before `trained_len` existed: all new.
+        // A state at `trained_len` 0: all new.
         m.state.as_mut().unwrap().trained_len = 0;
         assert_eq!(windows_trained(&mut m, &series[..120], true), 120 - w);
         // A cold fit ignores what the model holds.

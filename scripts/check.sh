@@ -71,16 +71,20 @@ cargo test --release -q --test lstm_golden --test lstm_refit
 
 # The checkpoint codec suite once more, optimised: the table-driven base64
 # codec and the container's word loops and checksum lanes vectorise under
-# -O, so the bitwise round trips, the legacy fixtures and the hostile-input
-# properties (truncations and bit flips of the container's bytes, and
-# truncations, bit flips and symbol swaps of its base64 text, of the legacy
-# JSON form and of a report frame) are held under release codegen too.
+# -O, so the bitwise round trips and replays from the converted fixtures'
+# containers, the refusal of the JSON-map fixtures by name, and the
+# hostile-input properties (truncations and bit flips of the container's
+# bytes; truncations, bit flips and symbol swaps of its base64 text and of
+# the JSON-map text; and a report frame's) are held under release codegen
+# too.
 echo "==> cargo test --release -q --test checkpoint_codec"
 cargo test --release -q --test checkpoint_codec
 
-# The container's and the packed columns' own suites, optimised, for the
-# same reason: the byte-form round trips, the frame checks, the base64
-# carriage and the claimed-length allocation bound under release codegen.
+# The container's own suite, optimised, for the same reason: the
+# byte-form round trips, the frame checks, the base64 carriage (every bit
+# pattern, padding, a bad alphabet, arbitrary text, output sized from the
+# input), `Matrix::decode`'s shape check and the claimed-length allocation
+# bound under release codegen.
 echo "==> cargo test --release -q -p utilcast-linalg"
 cargo test --release -q -p utilcast-linalg
 

@@ -1,25 +1,27 @@
 //! Tier-1 view of the checkpoint codec: `ControllerSnapshot` as one
 //! checkpoint container (`utilcast_linalg::container`: magic, version,
 //! length, checksum and a binary payload) — its bytes, and those bytes as
-//! one base64 string through the vendored `serde_json` — and through the
-//! reader of the JSON-map form every checkpoint took before it.
+//! one base64 string through the vendored `serde_json`. Every checkpoint
+//! written before the container was a JSON map; the committed ones are
+//! kept twice, as the map (an input that must be refused) and as the
+//! container it was converted to once (`.bin` beside each `.json`).
 //!
 //! * A checkpoint written as plain JSON arrays before the columns were
 //!   packed — and before the kernel/mode matrix was retired
-//!   (`crates/simnet/tests/fixtures/checkpoint_pr18.json`) — restores into
-//!   the state of an uninterrupted controller and replays 30 ticks bit for
-//!   bit; it decodes to the same snapshot as its packed-column re-encoding
-//!   (`tests/fixtures/checkpoint_packed_columns.json`, written by the packed
-//!   JSON codec) and as its container.
+//!   (`crates/simnet/tests/fixtures/checkpoint_pr18.json`) — restores from
+//!   its converted container into the state of an uninterrupted controller
+//!   and replays 30 ticks bit for bit; its packed-column re-encoding
+//!   (`tests/fixtures/checkpoint_packed_columns.json`) converted to the
+//!   same bytes.
 //! * A seeded ARIMA controller cut mid-run, between its first fits and a
 //!   warm refit, replays like the run that never stopped, and its
 //!   checkpoint re-serializes to identical bytes.
-//! * The legacy reader is total over hostile input: two small packed-JSON
-//!   checkpoints (`tests/fixtures/checkpoint_hostile_{arima,lstm}.json`)
-//!   truncated at every byte, and under seeded bit flips and base64-symbol
-//!   swaps, end in a typed error or in a controller that ticks and serves
-//!   its table — never a panic.
-//! * The container refuses every such input outright: truncations, bit
+//! * A JSON-map checkpoint is refused with a typed error that names the
+//!   pre-container form: two small packed-JSON checkpoints
+//!   (`tests/fixtures/checkpoint_hostile_{arima,lstm}.json`) truncated at
+//!   every byte, and under seeded bit flips and base64-symbol swaps, all
+//!   end in an error — never a panic, never a restore.
+//! * The container refuses every corruption outright: truncations, bit
 //!   flips and symbol swaps of the same controllers' containers are all
 //!   decode errors, so none restores — in the byte form (every truncation,
 //!   every single-bit flip) and in the text form.
@@ -29,6 +31,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use serde::{Deserialize, Value};
+
 use utilcast::core::compute::ComputeOptions;
 use utilcast::core::pipeline::ModelSpec;
 use utilcast::simnet::controller::{Controller, ControllerConfig, ControllerSnapshot};
@@ -36,9 +40,13 @@ use utilcast::simnet::transport::ReportFrame;
 use utilcast::timeseries::arima::{ArimaFitOptions, ArimaOrder};
 use utilcast::timeseries::lstm::LstmConfig;
 
-const FIXTURE: &str = include_str!("../crates/simnet/tests/fixtures/checkpoint_pr18.json");
-/// The fixture re-encoded by the packed-column JSON codec.
-const FIXTURE_PACKED: &str = include_str!("fixtures/checkpoint_packed_columns.json");
+/// The PR 18 checkpoint as it was written, a JSON map of plain arrays.
+const FIXTURE_JSON: &str = include_str!("../crates/simnet/tests/fixtures/checkpoint_pr18.json");
+/// Its container, converted once from the map.
+const FIXTURE: &[u8] = include_bytes!("../crates/simnet/tests/fixtures/checkpoint_pr18.bin");
+/// The map re-encoded by the packed-column JSON codec, and its container.
+const FIXTURE_PACKED_JSON: &str = include_str!("fixtures/checkpoint_packed_columns.json");
+const FIXTURE_PACKED: &[u8] = include_bytes!("fixtures/checkpoint_packed_columns.bin");
 const FIXTURE_NODES: usize = 24;
 /// Ticks the fixture's controller had processed when it was written.
 const FIXTURE_CUT: usize = 20;
@@ -93,9 +101,10 @@ fn fixture_frame(t: usize, frame: &mut ReportFrame) {
 /// The fixture (written under the kernel/mode matrix's defaults, 20 ticks
 /// in, models not yet trained — the LSTM fits happen on this side, so the
 /// replay does not depend on the writer's libm) carries the retired keys
-/// and every column as a plain array. It must restore into exactly the
-/// state an uninterrupted controller has at that tick and replay the next
-/// 30 ticks — first fits and a staggered retrain included — bit for bit.
+/// and every column as a plain array. Its converted container must restore
+/// into exactly the state an uninterrupted controller has at that tick and
+/// replay the next 30 ticks — first fits and a staggered retrain included —
+/// bit for bit.
 #[test]
 fn legacy_checkpoint_restores_and_replays_bitwise() {
     for retired in [
@@ -107,12 +116,16 @@ fn legacy_checkpoint_restores_and_replays_bitwise() {
         "\"bank_kernel\":\"PerRow\"",
         "\"shard_assign\":[]",
     ] {
-        assert!(FIXTURE.contains(retired), "fixture lost its {retired} key");
+        assert!(
+            FIXTURE_JSON.contains(retired),
+            "fixture lost its {retired} key"
+        );
     }
     assert!(
-        FIXTURE.contains("\"stored\":["),
+        FIXTURE_JSON.contains("\"stored\":["),
         "fixture is not legacy JSON"
     );
+    assert_pre_container(FIXTURE_JSON.as_bytes());
     let mut frame = ReportFrame::new(1);
     let mut drive = |c: &mut Controller, ticks: std::ops::Range<usize>| {
         ticks
@@ -127,11 +140,12 @@ fn legacy_checkpoint_restores_and_replays_bitwise() {
     };
     let mut uninterrupted = fixture_controller();
     drive(&mut uninterrupted, 0..FIXTURE_CUT);
-    let mut restored = Controller::restore(serde_json::from_str(FIXTURE).unwrap()).unwrap();
+    let mut restored =
+        Controller::restore(ControllerSnapshot::from_bytes(FIXTURE).unwrap()).unwrap();
     assert_eq!(
         restored.snapshot(),
         uninterrupted.snapshot(),
-        "the unknown keys must be all the restore dropped"
+        "the unknown keys must be all the conversion dropped"
     );
     let replay = drive(&mut restored, FIXTURE_CUT..FIXTURE_CUT + 30);
     assert!(
@@ -146,13 +160,12 @@ fn legacy_checkpoint_restores_and_replays_bitwise() {
 }
 
 /// The plain-array and the packed-column form of one controller's
-/// checkpoint decode to equal snapshots, the packed form being the smaller,
-/// and so does the container it is written as now, which re-serializes to
-/// identical bytes.
+/// checkpoint, the packed form being the smaller, are both refused by name
+/// and were converted to the same container, which re-serializes to
+/// identical bytes and text.
 #[test]
 fn legacy_and_packed_forms_decode_to_equal_snapshots() {
-    let legacy: ControllerSnapshot = serde_json::from_str(FIXTURE).unwrap();
-    let packed = FIXTURE_PACKED;
+    let packed = FIXTURE_PACKED_JSON;
     for column in [
         "\"stored\":\"",
         "\"last_seen\":\"u8:",
@@ -160,14 +173,25 @@ fn legacy_and_packed_forms_decode_to_equal_snapshots() {
     ] {
         assert!(packed.contains(column), "{column} is not packed");
     }
-    let back: ControllerSnapshot = serde_json::from_str(packed).unwrap();
-    assert_eq!(back, legacy);
-    assert!(packed.len() < FIXTURE.len());
+    assert!(packed.len() < FIXTURE_JSON.len());
+    assert_pre_container(packed.as_bytes());
+    assert_eq!(FIXTURE_PACKED, FIXTURE, "one checkpoint, one container");
+    let back = ControllerSnapshot::from_bytes(FIXTURE_PACKED).unwrap();
+    assert_eq!(back.to_bytes(), FIXTURE);
     let container = serde_json::to_string(&back).unwrap();
     assert!(!container.contains('{'), "the container is one JSON string");
     let again: ControllerSnapshot = serde_json::from_str(&container).unwrap();
-    assert_eq!(again, legacy);
+    assert_eq!(again, back);
     assert_eq!(serde_json::to_string(&again).unwrap(), container);
+}
+
+/// Asserts that `text` is refused with the error naming the
+/// pre-container form.
+fn assert_pre_container(text: &[u8]) {
+    match serde_json::from_slice::<ControllerSnapshot>(text) {
+        Err(err) => assert!(err.to_string().contains("pre-container"), "{err}"),
+        Ok(_) => panic!("a JSON-map checkpoint decoded"),
+    }
 }
 
 const ARIMA_NODES: usize = 12;
@@ -286,11 +310,18 @@ fn fuzz_models() -> [(&'static str, ModelSpec); 2] {
 }
 
 /// The packed-JSON checkpoint of each [`fuzz_models`] controller, as the
-/// codec before the container wrote it.
-fn legacy_fuzz_checkpoint(name: &str) -> &'static [u8] {
+/// codec before the container wrote it, and the container it was
+/// converted to.
+fn legacy_fuzz_checkpoint(name: &str) -> (&'static [u8], &'static [u8]) {
     match name {
-        "arima" => include_bytes!("fixtures/checkpoint_hostile_arima.json"),
-        _ => include_bytes!("fixtures/checkpoint_hostile_lstm.json"),
+        "arima" => (
+            include_bytes!("fixtures/checkpoint_hostile_arima.json"),
+            include_bytes!("fixtures/checkpoint_hostile_arima.bin"),
+        ),
+        _ => (
+            include_bytes!("fixtures/checkpoint_hostile_lstm.json"),
+            include_bytes!("fixtures/checkpoint_hostile_lstm.bin"),
+        ),
     }
 }
 
@@ -312,16 +343,23 @@ fn fuzz_controller(model: ModelSpec) -> Controller {
     c
 }
 
-/// Parse → restore → one tick → the forecast table. `Ok` or a typed error
-/// are both fine; the caller catches a panic.
-fn feed(bytes: &[u8], next: &ReportFrame) -> Result<(), String> {
-    let snapshot: ControllerSnapshot =
-        serde_json::from_slice(bytes).map_err(|e| format!("parse: {e}"))?;
-    let mut c = Controller::restore(snapshot).map_err(|e| format!("restore: {e}"))?;
-    c.tick_frames(std::slice::from_ref(next))
-        .map_err(|e| format!("tick: {e}"))?;
-    c.forecast_table().map_err(|e| format!("table: {e}"))?;
-    Ok(())
+/// How the text reader ends on `bytes`, taken the way `from_slice` takes
+/// them (a parse into a `serde::Value`, then `from_value`): `Ok(true)` for
+/// a JSON map refused with the error naming the pre-container form,
+/// `Ok(false)` for any other typed error, or what went wrong instead. The
+/// caller catches a panic.
+fn refusal(bytes: &[u8]) -> Result<bool, String> {
+    let Ok(value) = serde_json::from_slice::<Value>(bytes) else {
+        return Ok(false);
+    };
+    match ControllerSnapshot::from_value(&value) {
+        Ok(_) => Err("decoded".into()),
+        Err(err) if matches!(value, Value::Map(_)) => match err.to_string() {
+            named if named.contains("pre-container") => Ok(true),
+            other => Err(format!("a JSON map refused as {other:?}")),
+        },
+        Err(_) => Ok(false),
+    }
 }
 
 /// SplitMix64.
@@ -334,25 +372,25 @@ fn next(state: &mut u64) -> u64 {
 }
 
 /// Truncation at every byte, seeded bit flips (1–3 per input) and seeded
-/// base64-symbol swaps over each small packed-JSON checkpoint, through the
-/// legacy reader. A failure lists the inputs that panicked by model, cut
-/// and seed.
+/// base64-symbol swaps over each small packed-JSON checkpoint: every input
+/// is a typed error, and every one that is still a JSON map names the
+/// pre-container form. A failure lists the inputs that decoded, were
+/// refused otherwise, or panicked, by model, cut and seed.
 #[test]
 fn hostile_checkpoints_end_in_a_typed_error_or_ok_never_a_panic() {
     const SYMBOLS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
-    let next_frame = fuzz_frame(FUZZ_CUT);
-    let mut panics = Vec::new();
+    let mut failures = Vec::new();
     for (name, _) in fuzz_models() {
-        let original = legacy_fuzz_checkpoint(name).to_vec();
+        let original = legacy_fuzz_checkpoint(name).0.to_vec();
         assert!(original.len() < 16_000, "{name}: {} bytes", original.len());
-        assert_eq!(feed(&original, &next_frame), Ok(()), "{name}");
-        let mut outcomes = [0usize; 2];
-        let mut run = |what: String, bytes: &[u8]| match catch_unwind(AssertUnwindSafe(|| {
-            feed(bytes, &next_frame)
-        })) {
-            Ok(result) => outcomes[usize::from(result.is_ok())] += 1,
-            Err(_) => panics.push(format!("{name}: {what}")),
-        };
+        assert_pre_container(&original);
+        let mut maps = 0usize;
+        let mut run =
+            |what: String, bytes: &[u8]| match catch_unwind(AssertUnwindSafe(|| refusal(bytes))) {
+                Ok(Ok(map)) => maps += usize::from(map),
+                Ok(Err(e)) => failures.push(format!("{name}: {what}: {e}")),
+                Err(_) => failures.push(format!("{name}: {what} panicked")),
+            };
         for cut in 0..original.len() {
             run(format!("truncated at byte {cut}"), &original[..cut]);
         }
@@ -377,18 +415,20 @@ fn hostile_checkpoints_end_in_a_typed_error_or_ok_never_a_panic() {
             }
             run(format!("swap seed {seed}"), &bytes);
         }
-        let [errors, ok] = outcomes;
-        // Every truncation is a parse error; a good share of the swaps
-        // still restores, ticks and serves.
-        assert!(errors >= original.len(), "{name}: {errors} errors");
-        assert!(ok >= 200, "{name}: only {ok} hostile checkpoints restored");
+        // A good share of the flips and swaps leave a JSON map, which must
+        // be refused by name.
+        assert!(maps >= 200, "{name}: only {maps} inputs were JSON maps");
     }
-    assert!(panics.is_empty(), "{} panics: {panics:?}", panics.len());
+    assert!(
+        failures.is_empty(),
+        "{} failures: {failures:?}",
+        failures.len()
+    );
 }
 
 /// The container twin of the hostile-checkpoint suite, over the same two
-/// controllers (whose containers decode to the snapshots their legacy
-/// fixtures do): truncation at every byte, every single-bit flip of the
+/// controllers (whose live containers are the ones their JSON-map fixtures
+/// were converted to): truncation at every byte, every single-bit flip of the
 /// header's symbols and of the padded tail, seeded bit flips (1–3 per
 /// input) anywhere, and seeded swaps of one base64 symbol for another. The base64
 /// carriage admits one text per byte string, and the checksum catches any
@@ -401,9 +441,12 @@ fn hostile_containers_are_refused_before_restore() {
     let mut failures = Vec::new();
     for (name, model) in fuzz_models() {
         let live = fuzz_controller(model).snapshot();
-        let legacy: ControllerSnapshot =
-            serde_json::from_slice(legacy_fuzz_checkpoint(name)).unwrap();
-        assert_eq!(legacy, live, "{name}: the fixture is this controller's");
+        let converted = ControllerSnapshot::from_bytes(legacy_fuzz_checkpoint(name).1);
+        assert_eq!(
+            converted,
+            Ok(live.clone()),
+            "{name}: the fixture is this controller's"
+        );
         let original = serde_json::to_vec(&live).unwrap();
         assert!(decodes(&original), "{name}");
         let mut inputs = 0usize;
@@ -457,8 +500,9 @@ fn hostile_containers_are_refused_before_restore() {
     );
 }
 
-/// The byte form of the same two controllers' containers: truncated at
-/// every byte and with every single bit flipped, each is refused by
+/// The byte form of the same two controllers' containers (the converted
+/// fixtures, byte for byte): truncated at every byte and with every single
+/// bit flipped, each is refused by
 /// `ControllerSnapshot::from_bytes` — the frame checks catch the header,
 /// the checksum every change inside one 8-byte word of the payload — so
 /// none reaches `Controller::restore`, and none panics.
@@ -468,7 +512,8 @@ fn hostile_container_bytes_are_refused_before_restore() {
     let mut failures = Vec::new();
     for (name, model) in fuzz_models() {
         let live = fuzz_controller(model).snapshot();
-        let original = live.to_bytes();
+        let original = legacy_fuzz_checkpoint(name).1.to_vec();
+        assert_eq!(original, live.to_bytes(), "{name}");
         assert_eq!(
             ControllerSnapshot::from_bytes(&original),
             Ok(live),

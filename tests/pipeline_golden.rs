@@ -17,7 +17,8 @@
 //! * The FNV-1a hash of a `simnet::Controller` checkpoint cut mid-run with
 //!   staleness masking on: the serialized text, byte for byte — the
 //!   packed-JSON text it was written as before the checkpoint container
-//!   (kept as a fixture that must decode to the live snapshot), and the
+//!   (kept as a fixture, which the reader now refuses, beside the container
+//!   it was converted to, which must decode to the live snapshot), and the
 //!   container it is written as now — whose bytes, the base64 decoding of
 //!   that text, are pinned by length and hash as well.
 //!
@@ -330,6 +331,8 @@ fn summary<'a>(steps: impl Iterator<Item = (&'a [bool], bool)>) -> String {
 /// The packed-JSON checkpoint [`checkpoint_lines`]' controller was written
 /// as before the checkpoint container; its line still pins those bytes.
 const PACKED_CHECKPOINT: &str = include_str!("fixtures/checkpoint_pipeline_golden.json");
+/// [`PACKED_CHECKPOINT`] converted once to its container.
+const CONVERTED_CHECKPOINT: &[u8] = include_bytes!("fixtures/checkpoint_pipeline_golden.bin");
 
 /// A controller cut mid-run, between its first fits and the staggered
 /// refits, with nodes silent for four ticks at a time — past the staleness
@@ -368,15 +371,15 @@ fn checkpoint_controller() -> Controller {
 }
 
 /// [`checkpoint_controller`]'s checkpoint: the first line pins its
-/// packed-JSON form (a fixture, which must decode to the live controller's
-/// snapshot), the second the container's JSON text.
+/// packed-JSON form (a fixture, whose converted container must decode to
+/// the live controller's snapshot), the second the container's JSON text.
 fn checkpoint_lines() -> [String; 2] {
     let controller = checkpoint_controller();
     assert!(controller.masked_node_steps() > 0, "masking must be on");
-    let packed: ControllerSnapshot =
-        serde_json::from_str(PACKED_CHECKPOINT).expect("the fixture decodes");
+    let converted =
+        ControllerSnapshot::from_bytes(CONVERTED_CHECKPOINT).expect("the fixture decodes");
     assert_eq!(
-        packed,
+        converted,
         controller.snapshot(),
         "fixture and live state differ"
     );
@@ -480,8 +483,9 @@ fn pipelines_and_checkpoint_are_bitwise_pinned() {
 
 /// The bytes `ControllerSnapshot::to_bytes` writes for the golden
 /// checkpoint — what the simulation drivers keep for a crash — are the
-/// base64 decoding of the pinned container text and the re-encoding of the
-/// packed-JSON fixture, and decode back to the live snapshot.
+/// base64 decoding of the pinned container text and the packed-JSON
+/// fixture's conversion, and decode back to the live snapshot; the
+/// packed-JSON text itself is refused as the pre-container form.
 #[test]
 fn checkpoint_bytes_are_the_pinned_container_text_decoded() {
     let controller = checkpoint_controller();
@@ -493,9 +497,10 @@ fn checkpoint_bytes_are_the_pinned_container_text_decoded() {
         .and_then(|t| t.strip_suffix('"'))
         .expect("the container is one JSON string");
     assert_eq!(container::from_base64(symbols).expect("base64"), bytes);
-    let packed: ControllerSnapshot =
-        serde_json::from_str(PACKED_CHECKPOINT).expect("the fixture decodes");
-    assert_eq!(packed.to_bytes(), bytes, "the fixture re-encodes to them");
+    assert_eq!(CONVERTED_CHECKPOINT, bytes, "the fixture converted to them");
+    let refused = serde_json::from_str::<ControllerSnapshot>(PACKED_CHECKPOINT)
+        .expect_err("the JSON map is refused");
+    assert!(refused.to_string().contains("pre-container"), "{refused}");
     let back = ControllerSnapshot::from_bytes(&bytes).expect("the bytes decode");
     assert_eq!(back, snapshot);
     let mut h = Fnv::new();
