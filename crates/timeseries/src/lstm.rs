@@ -11,24 +11,27 @@
 //! such models are needed for the whole datacenter, so each one trains in
 //! seconds on a laptop core (Table II).
 //!
-//! Training runs one compute path: fused flat-buffer kernels from
-//! `utilcast_linalg::kernels` (blocked GEMV, rank-1 update, fused gate
-//! activation) over one recycled workspace per fit. The gate
-//! nonlinearities are the kernels' own branch-free `sigmoid`/`tanh`, not
-//! libm's: within `1e-15` of libm per call, and the same bits on every
-//! platform. The allocating nested-`Vec` scalar loops the fused path
-//! replaced are kept as the `#[cfg(test)]` oracle in `lstm/oracle.rs`; run
-//! with the same activations, the two are bit-identical by construction —
-//! every accumulator sees the same IEEE op sequence — and the differential
-//! suite beside the oracle enforces it. `lstm/libm_gate.rs` holds the owned
-//! activations to libm's at model level.
+//! At hidden widths up to 16, training and forecasting run fixed-width
+//! `[f64; H]` kernels, monomorphised per width behind one dispatch
+//! (`by_width!`). A training step (`TrainKernel`) runs the forward over
+//! per-gate-block transposed weights, reloaded from the row-major
+//! parameters after each Adam step, and BPTT with only its serial chain
+//! (`dz`, then `Whᵀ·dz`) inside the reverse time loop: the weight-gradient
+//! sums and the input gradient for the layer below run after it. A forecast
+//! needs no BPTT state, so it runs an inference-only forward (`InferKernel`)
+//! that keeps only each layer's running `(h, c)`. Wider states train and forecast
+//! through dynamic-width flat-buffer kernels from `utilcast_linalg::kernels`
+//! (blocked GEMV, rank-1 update, fused gate activation) over one recycled
+//! `Workspace`. The gate nonlinearities are the kernels' own branch-free
+//! `sigmoid`/`tanh`, not libm's: within `1e-15` of libm per call, and the
+//! same bits on every platform.
 //!
-//! Forecasting needs no BPTT state, so at hidden widths up to 16 it runs an
-//! inference-only forward instead (`InferKernel`): fixed-width `[f64; H]`
-//! arrays that keep only each layer's running `(h, c)`, with the same op
-//! sequence per accumulator as the training forward, hence the same bits.
-//! Wider states forecast through the training forward, which the
-//! differential suite also holds the inference kernel to.
+//! Every kernel gives every accumulator the IEEE op sequence of the
+//! allocating nested-`Vec` scalar loops they replaced, kept as the
+//! `#[cfg(test)]` oracle in `lstm/oracle.rs`; run with the same activations,
+//! the paths are bit-identical by construction, and the differential suite
+//! beside the oracle enforces it on both sides of the width dispatch.
+//! `lstm/libm_gate.rs` holds the owned activations to libm's at model level.
 //!
 //! [`Forecaster::refit`] continues from the outgoing weights: `epochs`
 //! passes over the windows new since the last (re)fit plus the
@@ -51,6 +54,24 @@ use crate::{Forecaster, TimeSeriesError};
 /// ones, so a refit on a barely grown history still takes a few dozen
 /// gradient steps and the weights do not chase only the newest points.
 pub const REPLAY_WINDOWS: usize = 16;
+
+/// The width dispatch of the fixed-width kernels: evaluates `$fixed` with
+/// the const `$H` bound to `$width` for widths 1–16, and `$wide` for any
+/// other width. `fit` and `forecast` both dispatch through it.
+macro_rules! by_width {
+    ($width:expr, $H:ident => $fixed:expr, _ => $wide:expr $(,)?) => {
+        by_width!(@arms $width, $H, $fixed, $wide, [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16])
+    };
+    (@arms $width:expr, $H:ident, $fixed:expr, $wide:expr, [$($w:literal)*]) => {
+        match $width {
+            $($w => {
+                const $H: usize = $w;
+                $fixed
+            })*
+            _ => $wide,
+        }
+    };
+}
 
 /// Hyperparameters for [`Lstm`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -227,8 +248,9 @@ struct LayerWs {
     grads: Vec<f64>,
 }
 
-/// One recycled workspace per fit, and per forecast of a state wider than
-/// the inference kernel's 16: all per-step state, hoisted into flat buffers.
+/// The dynamic-width training step, for states wider than the fixed-width
+/// kernels' 16: one recycled workspace per fit and per forecast, all
+/// per-step state hoisted into flat buffers.
 #[derive(Debug, Clone)]
 struct Workspace {
     layers: Vec<LayerWs>,
@@ -462,6 +484,199 @@ impl Adam {
     }
 }
 
+/// One training step's kernel, fixed-width ([`TrainKernel`]) or
+/// dynamic-width ([`Workspace`]), recycled across a fit.
+trait Bptt {
+    /// The forward over one normalized window, keeping what BPTT reads;
+    /// returns the head's pre-activation.
+    fn forward(&mut self, state: &LstmState, window: &[f64]) -> f64;
+
+    /// BPTT of the last forward for `dy` at the head, into the head's and
+    /// every layer's parameter gradients.
+    fn backward(&mut self, state: &LstmState, window: &[f64], dy: f64);
+
+    /// One Adam step on every parameter from the last backward's gradients.
+    fn apply(
+        &mut self,
+        state: &mut LstmState,
+        layer_opts: &mut [Adam],
+        head_opt: &mut Adam,
+        grad_clip: f64,
+    );
+}
+
+/// One training step: forward, head + BPTT gradients, Adam updates.
+/// Returns the squared error contribution of the sample.
+fn train_sample(
+    kernel: &mut impl Bptt,
+    state: &mut LstmState,
+    window: &[f64],
+    target: f64,
+    layer_opts: &mut [Adam],
+    head_opt: &mut Adam,
+    grad_clip: f64,
+) -> f64 {
+    let pre = kernel.forward(state, window);
+    let y = pre.max(0.0);
+    let err = y - target;
+    // dLoss/dy for squared error (factor 2 folded into lr); leaky gradient
+    // through the ReLU during training so the output unit cannot die.
+    let mut dy = err;
+    if pre <= 0.0 {
+        dy *= 0.01;
+    }
+    kernel.backward(state, window, dy);
+    kernel.apply(state, layer_opts, head_opt, grad_clip);
+    err * err
+}
+
+/// Adam on the head: `grads` is the head weights' gradient, then the bias'.
+// lint:allow(panic-path): fn-scope audit: Adam hands out indices below
+// `grads.len()`, the head's `H + 1`; exemplar chain:
+// clustering::baselines::StaticClustering::fit ->
+// timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+// timeseries::lstm::apply_head
+fn apply_head(state: &mut LstmState, opt: &mut Adam, grads: &[f64], grad_clip: f64) {
+    let h = state.head_w.len();
+    let head_w = &mut state.head_w;
+    let head_b = &mut state.head_b;
+    opt.apply(grads, grad_clip, |i, d| {
+        if i < h {
+            head_w[i] += d;
+        } else {
+            *head_b += d;
+        }
+    });
+}
+
+impl Bptt for Workspace {
+    /// Writes every layer's gates and cell and hidden states into the
+    /// workspace; the top layer's last hidden state stays readable there.
+    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
+    // affine in the hidden/input dims fixed at construction, with buffer
+    // lengths debug_asserted at kernel entry; exemplar chain:
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+    // timeseries::lstm::Workspace::forward
+    fn forward(&mut self, state: &LstmState, window: &[f64]) -> f64 {
+        let steps = window.len();
+        for (idx, layer) in state.layers.iter().enumerate() {
+            let (below, cur) = self.layers.split_at_mut(idx);
+            let lw = &mut cur[0];
+            if idx == 0 {
+                forward_layer_fused(layer, window, steps, &mut self.z, &self.zeros, lw);
+            } else {
+                forward_layer_fused(
+                    layer,
+                    &below[idx - 1].hs,
+                    steps,
+                    &mut self.z,
+                    &self.zeros,
+                    lw,
+                );
+            }
+        }
+        let h = state.head_w.len();
+        match self.layers.last() {
+            Some(top) if steps > 0 => {
+                let last_h = &top.hs[(steps - 1) * h..steps * h];
+                state
+                    .head_w
+                    .iter()
+                    .zip(last_h)
+                    .map(|(w, hv)| w * hv)
+                    .sum::<f64>()
+                    + state.head_b
+            }
+            _ => state.head_b,
+        }
+    }
+
+    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
+    // affine in the hidden/input dims fixed at construction, with buffer
+    // lengths debug_asserted at kernel entry; exemplar chain:
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+    // timeseries::lstm::Workspace::backward
+    fn backward(&mut self, state: &LstmState, window: &[f64], dy: f64) {
+        let steps = window.len();
+        let h = state.head_w.len();
+        // Head gradients, then the gradient into the top layer's last hidden
+        // state. `validate` guarantees at least one layer, but stay panic-free.
+        if let Some(top) = self.layers.last() {
+            let last_h = &top.hs[(steps - 1) * h..steps * h];
+            for (g, &hv) in self.head_grads[..h].iter_mut().zip(last_h) {
+                *g = dy * hv;
+            }
+        }
+        self.head_grads[h] = dy;
+        if let Some(top) = self.layers.last_mut() {
+            for v in top.dh.iter_mut() {
+                *v = 0.0;
+            }
+            for (j, &w) in state.head_w.iter().enumerate() {
+                top.dh[(steps - 1) * h + j] = dy * w;
+            }
+        }
+        // Backward through the stack, top to bottom. Layer `idx` writes its
+        // input gradient into layer `idx - 1`'s `dh` buffer; the bottom layer's
+        // input gradient is not needed and is skipped.
+        for idx in (0..state.layers.len()).rev() {
+            let layer = &state.layers[idx];
+            let (below, cur) = self.layers.split_at_mut(idx);
+            let lw = &mut cur[0];
+            for g in lw.grads.iter_mut() {
+                *g = 0.0;
+            }
+            let (xs, dx_out): (&[f64], Option<&mut [f64]>) = match below.last_mut() {
+                Some(prev) => {
+                    for v in prev.dh.iter_mut() {
+                        *v = 0.0;
+                    }
+                    (&prev.hs, Some(&mut prev.dh))
+                }
+                None => (window, None),
+            };
+            backward_layer_fused(
+                layer,
+                xs,
+                steps,
+                &lw.gates,
+                &lw.cs,
+                &lw.tanh_cs,
+                &lw.hs,
+                &lw.dh,
+                &mut lw.grads,
+                dx_out,
+                &mut self.dz,
+                &mut self.dh_carry,
+                &mut self.dc_carry,
+                &mut self.dc_scratch,
+            );
+        }
+    }
+
+    // lint:allow(panic-path): fn-scope audit: Adam hands out indices below
+    // `grads.len()`, the layer's parameter count; exemplar chain:
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+    // timeseries::lstm::Workspace::apply
+    fn apply(
+        &mut self,
+        state: &mut LstmState,
+        layer_opts: &mut [Adam],
+        head_opt: &mut Adam,
+        grad_clip: f64,
+    ) {
+        // In place — no delta vectors allocated.
+        for ((layer, lw), opt) in state.layers.iter_mut().zip(&self.layers).zip(layer_opts) {
+            let params = &mut layer.params;
+            opt.apply(&lw.grads, grad_clip, |i, d| params[i] += d);
+        }
+        apply_head(state, head_opt, &self.head_grads, grad_clip);
+    }
+}
+
 /// Fitted network state.
 #[derive(Debug, Clone, PartialEq)]
 struct LstmState {
@@ -634,116 +849,90 @@ impl Lstm {
                 reason: "learning rate must be positive".into(),
             });
         }
-        Ok(())
-    }
-
-    /// Full forward pass into the recycled workspace. Returns
-    /// the pre-activation of the head (`y = pre.max(0.0)`); the top layer's
-    /// last hidden state stays readable in the workspace.
-    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
-    // affine in the hidden/input dims fixed at construction, with buffer
-    // lengths debug_asserted at kernel entry; exemplar chain:
-    // clustering::baselines::StaticClustering::fit ->
-    // timeseries::lstm::Lstm::fit -> timeseries::lstm::fused_train_sample ->
-    // timeseries::lstm::Lstm::forward_fused
-    fn forward_fused(state: &LstmState, ws: &mut Workspace, window: &[f64]) -> f64 {
-        let steps = window.len();
-        for (idx, layer) in state.layers.iter().enumerate() {
-            let (below, cur) = ws.layers.split_at_mut(idx);
-            let lw = &mut cur[0];
-            if idx == 0 {
-                forward_layer_fused(layer, window, steps, &mut ws.z, &ws.zeros, lw);
-            } else {
-                forward_layer_fused(layer, &below[idx - 1].hs, steps, &mut ws.z, &ws.zeros, lw);
-            }
+        // A fit needs `window + 2` points; the sum must exist.
+        if c.window.checked_add(2).is_none() {
+            return Err(TimeSeriesError::InvalidConfig {
+                reason: format!("window {} is too long", c.window),
+            });
         }
-        let h = state.head_w.len();
-        let pre: f64 = match ws.layers.last() {
-            Some(top) if steps > 0 => {
-                let last_h = &top.hs[(steps - 1) * h..steps * h];
-                state
-                    .head_w
-                    .iter()
-                    .zip(last_h)
-                    .map(|(w, hv)| w * hv)
-                    .sum::<f64>()
-                    + state.head_b
-            }
-            _ => state.head_b,
-        };
-        pre
+        Ok(())
     }
 }
 
-/// Gate pre-activations or weights of one column, regrouped into the four
-/// gate blocks `(i, f, g, o)` of `H` rows each.
+/// Gate pre-activations, gradients or weights of one column, regrouped into
+/// the four gate blocks `(i, f, g, o)` of `H` rows each.
 type Gates<const H: usize> = [[f64; H]; 4];
 
-/// One layer's weights for the inference forward: `wx` and `wh` transposed
-/// into per-gate-block columns, so one column's terms reach a gate block's
-/// `H` rows together while every row still gains its terms in ascending
-/// column order — `gemv_acc`'s per-row order.
+/// One layer's weights for the fixed-width kernels: the row-major
+/// `[wx | wh | b]` transposed into per-gate-block columns, one per layer
+/// input, one per hidden unit, then the biases. One column's terms reach a
+/// gate block's `H` rows together, while every row still gains its terms in
+/// ascending column order — `gemv_acc`'s per-row order.
 struct InferLayer<const H: usize> {
-    /// `wx` columns, one per layer input.
-    wx: Vec<Gates<H>>,
-    /// `wh` columns, one per hidden unit.
-    wh: [Gates<H>; H],
-    b: Gates<H>,
+    input: usize,
+    /// `input + H + 1` columns: `wx`'s, `wh`'s, then `b`.
+    cols: Vec<Gates<H>>,
 }
 
 impl<const H: usize> InferLayer<H> {
     /// Transposes `layer`, whose hidden width the caller has checked is `H`.
     fn new(layer: &LstmLayer) -> Self {
         debug_assert_eq!(layer.hidden, H);
-        let mut b = [[0.0; H]; 4];
-        for (v, &bias) in b.iter_mut().flatten().zip(layer.b()) {
-            *v = bias;
-        }
-        InferLayer {
-            wx: (0..layer.input)
-                .map(|c| Self::column(layer.wx(), layer.input, c))
-                .collect(),
-            wh: std::array::from_fn(|c| Self::column(layer.wh(), H, c)),
-            b,
+        let mut fwd = InferLayer {
+            input: layer.input,
+            cols: vec![[[0.0; H]; 4]; layer.input + H + 1],
+        };
+        fwd.load(&layer.params);
+        fwd
+    }
+
+    /// Rewrites the columns from the layer's row-major `[wx | wh | b]`.
+    fn load(&mut self, params: &[f64]) {
+        let (wx, rest) = params.split_at(4 * H * self.input);
+        let (wh, b) = rest.split_at(4 * H * H);
+        let (wx_cols, rest) = self.cols.split_at_mut(self.input);
+        let (wh_cols, b_col) = rest.split_at_mut(H);
+        for (cols, block) in [(wx_cols, wx), (wh_cols, wh), (b_col, b)] {
+            let width = cols.len();
+            for (g, rows) in block.chunks_exact(H * width).enumerate() {
+                for (j, row) in rows.chunks_exact(width).enumerate() {
+                    for (col, &w) in cols.iter_mut().zip(row) {
+                        col[g][j] = w;
+                    }
+                }
+            }
         }
     }
 
-    /// Column `c` of a row-major `4H x cols` weight block.
-    fn column(w: &[f64], cols: usize, c: usize) -> Gates<H> {
-        let mut col = [[0.0; H]; 4];
-        for (r, v) in col.iter_mut().flatten().enumerate() {
-            *v = w[r * cols + c];
-        }
-        col
-    }
-
-    /// Advances the running `(h, c)` by one step on input `x`; `recur` is
-    /// false at a window's first step, where the state is the zero reset and
-    /// the `wh` terms are skipped as in [`forward_layer_fused`].
+    /// One step's activated gates on input `x`; `h` is the previous hidden
+    /// state, `None` at a window's first step, where the state is the zero
+    /// reset and the `wh` terms are skipped as in [`forward_layer_fused`].
     ///
-    /// Bitwise equal to one step of the training forward: each row starts at
+    /// Bitwise equal to the dynamic-width forward's gates: each row starts at
     /// `b` and adds its `wx` then its `wh` terms in ascending column order;
     /// one activation pass computes `sigmoid(m·z)` with `m = 2` on the
     /// candidate block and `1` elsewhere (`1·z` is exact), then `g = 2s − 1`
-    /// on that block — `kernels::tanh` spelled out — and `c`, `tanh(c)` and
-    /// `h` follow `lstm_gate_fuse` term for term.
-    ///
-    /// The sums run one gate block at a time, so a block's `H` accumulators
-    /// stay in registers across all its columns. Kept out of line: inlined
-    /// into the forecast driver's sixteen monomorphisations it ran at about
-    /// twice the cost.
-    #[inline(never)]
-    fn step(&self, x: &[f64], recur: bool, [h, c]: &mut [[f64; H]; 2]) {
-        let mut z = self.b;
+    /// on that block — `kernels::tanh` spelled out. The sums run one gate
+    /// block at a time, so a block's `H` accumulators stay in registers
+    /// across all its columns.
+    #[inline(always)]
+    // lint:allow(panic-path): fn-scope audit: `cols` holds `input + H + 1`
+    // columns from construction on; exemplar chain:
+    // timeseries::lstm::Lstm::forecast -> timeseries::lstm::InferKernel::predict
+    // -> timeseries::lstm::InferLayer::step -> timeseries::lstm::InferLayer::gates
+    fn gates(&self, x: &[f64], h: Option<&[f64; H]>) -> Gates<H> {
+        let wx = &self.cols[..self.input];
+        let wh = &self.cols[self.input..self.input + H];
+        let mut z = self.cols[self.input + H];
         for (g, zg) in z.iter_mut().enumerate() {
             let mut acc = *zg;
-            for (col, &xv) in self.wx.iter().zip(x) {
+            for (col, &xv) in wx.iter().zip(x) {
                 for (a, &w) in acc.iter_mut().zip(&col[g]) {
                     *a += w * xv;
                 }
             }
-            if recur {
-                for (col, &hv) in self.wh.iter().zip(h.iter()) {
+            if let Some(h) = h {
+                for (col, &hv) in wh.iter().zip(h) {
                     for (a, &w) in acc.iter_mut().zip(&col[g]) {
                         *a += w * hv;
                     }
@@ -756,23 +945,51 @@ impl<const H: usize> InferLayer<H> {
                 *v = sigmoid(m * *v);
             }
         }
-        let [gi, gf, gg, go] = &mut z;
-        for v in gg.iter_mut() {
+        for v in z[2].iter_mut() {
             *v = 2.0 * *v - 1.0;
         }
-        for (((cv, &i), &f), &g) in c.iter_mut().zip(&*gi).zip(&*gf).zip(&*gg) {
+        z
+    }
+
+    /// Advances the running `(h, c)` by one step on input `x`; `recur` is
+    /// false at a window's first step. `c = f·c_prev + i·g` and
+    /// `h = o·tanh(c)` follow `lstm_gate_fuse` term for term.
+    ///
+    /// Kept out of line: inlined into the forecast driver's sixteen
+    /// monomorphisations it ran at about twice the cost.
+    #[inline(never)]
+    fn step(&self, x: &[f64], recur: bool, [h, c]: &mut [[f64; H]; 2]) {
+        let [gi, gf, gg, go] = self.gates(x, recur.then_some(&*h));
+        for (((cv, &i), &f), &g) in c.iter_mut().zip(&gi).zip(&gf).zip(&gg) {
             *cv = f * *cv + i * g;
         }
-        for ((hv, &o), &cv) in h.iter_mut().zip(&*go).zip(&*c) {
+        for ((hv, &o), &cv) in h.iter_mut().zip(&go).zip(&*c) {
             *hv = o * tanh(cv);
         }
+    }
+
+    /// [`InferLayer::step`] keeping what BPTT reads: the step's gates, cell
+    /// state, `tanh(c)` and hidden state, written into `out`.
+    #[inline(never)]
+    fn record(&self, x: &[f64], recur: bool, [h, c]: &mut [[f64; H]; 2], out: &mut StepRecord<H>) {
+        let gates = self.gates(x, recur.then_some(&*h));
+        let [gi, gf, gg, go] = &gates;
+        for (((cv, &i), &f), &g) in c.iter_mut().zip(gi).zip(gf).zip(gg) {
+            *cv = f * *cv + i * g;
+        }
+        for (((hv, tc), &o), &cv) in h.iter_mut().zip(&mut out.tanh_c).zip(go).zip(&*c) {
+            *tc = tanh(cv);
+            *hv = o * *tc;
+        }
+        out.gates = gates;
+        out.c = *c;
+        out.h = *h;
     }
 }
 
 /// The inference-only forward at hidden width `H`, built once per forecast:
 /// the transposed layers and each layer's running `(h, c)`, nothing else.
-/// [`Lstm::forecast`] monomorphises it for `H` in `1..=16`; a wider state
-/// forecasts through [`Lstm::forward_fused`].
+/// A wider state forecasts through [`Workspace`]'s forward.
 struct InferKernel<const H: usize> {
     layers: Vec<InferLayer<H>>,
     /// Running `[h, c]` per layer.
@@ -788,9 +1005,9 @@ impl<const H: usize> InferKernel<H> {
     }
 
     /// The head's pre-activation on one normalized window, bitwise equal to
-    /// [`Lstm::forward_fused`]'s. Steps run time-major: each layer's step
-    /// `t` reads the step-`t` hidden state of the layer below, the value the
-    /// training forward's layer-major order reads too.
+    /// the training forward's. Steps run time-major: each layer's step `t`
+    /// reads the step-`t` hidden state of the layer below, the value the
+    /// training forwards' layer-major order reads too.
     fn predict(&mut self, params: &LstmState, window: &[f64]) -> f64 {
         // The t = 0 state reset: every window starts from zero (h, c).
         self.state.fill([[0.0; H]; 2]);
@@ -817,106 +1034,264 @@ impl<const H: usize> InferKernel<H> {
     }
 }
 
-/// One fused training step: forward, head + BPTT gradients, Adam updates.
-/// Returns the squared error contribution of the sample.
-// lint:allow(panic-path): fn-scope audit: gate and weight offsets are
-// affine in the hidden/input dims fixed at construction, with buffer
-// lengths debug_asserted at kernel entry; exemplar chain:
-// clustering::baselines::StaticClustering::fit ->
-// timeseries::lstm::Lstm::fit -> timeseries::lstm::fused_train_sample
-fn fused_train_sample(
-    state: &mut LstmState,
-    ws: &mut Workspace,
-    window: &[f64],
-    target: f64,
-    layer_opts: &mut [Adam],
-    head_opt: &mut Adam,
-    grad_clip: f64,
-) -> f64 {
-    let steps = window.len();
-    let h = state.head_w.len();
-    let pre = Lstm::forward_fused(state, ws, window);
-    let y = pre.max(0.0);
-    let err = y - target;
-    // dLoss/dy for squared error (factor 2 folded into lr); leaky gradient
-    // through the ReLU during training so the output unit cannot die.
-    let mut dy = err;
-    if pre <= 0.0 {
-        dy *= 0.01;
-    }
-    // Head gradients, then the gradient into the top layer's last hidden
-    // state. `validate` guarantees at least one layer, but stay panic-free.
-    if let Some(top) = ws.layers.last() {
-        let last_h = &top.hs[(steps - 1) * h..steps * h];
-        for (g, &hv) in ws.head_grads[..h].iter_mut().zip(last_h) {
-            *g = dy * hv;
+/// What one step of one layer leaves for BPTT.
+#[derive(Debug, Clone, Copy)]
+struct StepRecord<const H: usize> {
+    /// Activated gates.
+    gates: Gates<H>,
+    /// Cell state.
+    c: [f64; H],
+    /// `tanh(c)`, computed once by the forward.
+    tanh_c: [f64; H],
+    /// Hidden state.
+    h: [f64; H],
+}
+
+/// One layer of the fixed-width training step, recycled across a fit.
+struct TrainLayer<const H: usize> {
+    /// The transposed weights the forward reads, reloaded after each Adam
+    /// step.
+    fwd: InferLayer<H>,
+    /// The forward's record of each step.
+    steps: Vec<StepRecord<H>>,
+    /// Incoming hidden-state gradient per step: the head's for the top
+    /// layer, the layer above's input gradient for the others.
+    dh: Vec<[f64; H]>,
+    /// Pre-activation gradient per step.
+    dz: Vec<Gates<H>>,
+    /// Parameter gradient in the row-major `[wx | wh | b]` layout.
+    grads: Vec<f64>,
+}
+
+impl<const H: usize> TrainLayer<H> {
+    fn new(layer: &LstmLayer, steps: usize) -> Self {
+        let zero = [0.0; H];
+        TrainLayer {
+            fwd: InferLayer::new(layer),
+            steps: vec![
+                StepRecord {
+                    gates: [zero; 4],
+                    c: zero,
+                    tanh_c: zero,
+                    h: zero,
+                };
+                steps
+            ],
+            dh: vec![zero; steps],
+            dz: vec![[zero; 4]; steps],
+            grads: vec![0.0; layer.num_params()],
         }
     }
-    ws.head_grads[h] = dy;
-    if let Some(top) = ws.layers.last_mut() {
-        for v in top.dh.iter_mut() {
-            *v = 0.0;
-        }
-        for (j, &w) in state.head_w.iter().enumerate() {
-            top.dh[(steps - 1) * h + j] = dy * w;
+
+    /// The forward over one window, `xs` yielding each step's input.
+    fn forward<'a>(&mut self, xs: impl Iterator<Item = &'a [f64]>) {
+        // The t = 0 state reset: every window starts from zero (h, c).
+        let mut hc = [[0.0; H]; 2];
+        for (t, (out, x)) in self.steps.iter_mut().zip(xs).enumerate() {
+            self.fwd.record(x, t > 0, &mut hc, out);
         }
     }
-    // Backward through the stack, top to bottom. Layer `idx` writes its
-    // input gradient into layer `idx - 1`'s `dh` buffer; the bottom layer's
-    // input gradient is not needed and is skipped.
-    for idx in (0..state.layers.len()).rev() {
-        let layer = &state.layers[idx];
-        let (below, cur) = ws.layers.split_at_mut(idx);
-        let lw = &mut cur[0];
-        for g in lw.grads.iter_mut() {
-            *g = 0.0;
+
+    /// BPTT through this layer from its `dh`: fills `grads` from `layer`, the
+    /// row-major parameters the forward ran on, and, when a layer sits below
+    /// (whose hidden states were this layer's inputs), that layer's `dh`.
+    /// The bottom layer's inputs are the window's values.
+    ///
+    /// Bitwise equal to [`backward_layer_fused`]: only the serial chain —
+    /// `dz`, then `dh_carry = Whᵀ·dz` — runs inside the reverse time loop,
+    /// with its `dh`/`dc` carries in registers. Every weight and bias
+    /// gradient is summed after it, over `t` descending from `0.0`, the
+    /// order the per-step rank-1 updates accumulated in; each input gradient
+    /// for the layer below is its own `gemv_t_acc` sum into a zeroed output,
+    /// ascending `r`.
+    // lint:allow(panic-path): fn-scope audit: gate and weight offsets are
+    // affine in the hidden/input dims fixed at construction; exemplar chain:
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+    // timeseries::lstm::TrainKernel::backward ->
+    // timeseries::lstm::TrainLayer::backward
+    fn backward(&mut self, layer: &LstmLayer, window: &[f64], below: Option<&mut TrainLayer<H>>) {
+        let (wh_rows, _) = layer.wh().as_chunks::<H>();
+        let mut dh_carry = [0.0; H];
+        let mut dc_carry = [0.0; H];
+        for (t, (dz, dh_in)) in self.dz.iter_mut().zip(&self.dh).enumerate().rev() {
+            let StepRecord {
+                gates: [gi, gf, gg, go],
+                tanh_c,
+                ..
+            } = &self.steps[t];
+            let c_prev = match t.checked_sub(1) {
+                Some(p) => self.steps[p].c,
+                None => [0.0; H],
+            };
+            let dh: [f64; H] = std::array::from_fn(|j| dh_in[j] + dh_carry[j]);
+            let dc: [f64; H] = std::array::from_fn(|j| {
+                dc_carry[j] + dh[j] * go[j] * (1.0 - tanh_c[j] * tanh_c[j])
+            });
+            *dz = [
+                std::array::from_fn(|j| dc[j] * gg[j] * gi[j] * (1.0 - gi[j])),
+                std::array::from_fn(|j| dc[j] * c_prev[j] * gf[j] * (1.0 - gf[j])),
+                std::array::from_fn(|j| dc[j] * gi[j] * (1.0 - gg[j] * gg[j])),
+                std::array::from_fn(|j| dh[j] * tanh_c[j] * go[j] * (1.0 - go[j])),
+            ];
+            dc_carry = std::array::from_fn(|j| dc[j] * gf[j]);
+            dh_carry = rows_t_dot(wh_rows, dz);
         }
-        let (xs, dx_out): (&[f64], Option<&mut [f64]>) = match below.last_mut() {
-            Some(prev) => {
-                for v in prev.dh.iter_mut() {
-                    *v = 0.0;
-                }
-                (&prev.hs, Some(&mut prev.dh))
+        let (g_wx, rest) = self.grads.split_at_mut(layer.wh_offset());
+        let (g_wh, g_b) = rest.split_at_mut(4 * H * H);
+        match &below {
+            Some(below) => {
+                let xs = below.steps.iter().map(|s| &s.h);
+                outer_sum(g_wx, self.dz.iter().zip(xs).rev());
             }
-            None => (window, None),
-        };
-        backward_layer_fused(
-            layer,
-            xs,
-            steps,
-            &lw.gates,
-            &lw.cs,
-            &lw.tanh_cs,
-            &lw.hs,
-            &lw.dh,
-            &mut lw.grads,
-            dx_out,
-            &mut ws.dz,
-            &mut ws.dh_carry,
-            &mut ws.dc_carry,
-            &mut ws.dc_scratch,
-        );
-    }
-    // Apply Adam updates in place — no delta vectors allocated.
-    for ((layer, lw), opt) in state
-        .layers
-        .iter_mut()
-        .zip(&ws.layers)
-        .zip(layer_opts.iter_mut())
-    {
-        let params = &mut layer.params;
-        opt.apply(&lw.grads, grad_clip, |i, d| params[i] += d);
-    }
-    let head_w = &mut state.head_w;
-    let head_b = &mut state.head_b;
-    head_opt.apply(&ws.head_grads, grad_clip, |i, d| {
-        if i < h {
-            head_w[i] += d;
-        } else {
-            *head_b += d;
+            None => outer_sum(g_wx, self.dz.iter().zip(window.as_chunks::<1>().0).rev()),
         }
-    });
-    err * err
+        let h_prev = self.steps.iter().map(|s| &s.h);
+        outer_sum(g_wh, self.dz.iter().skip(1).zip(h_prev).rev());
+        let mut db = [[0.0; H]; 4];
+        for dz in self.dz.iter().rev() {
+            for (a, &d) in db.as_flattened_mut().iter_mut().zip(dz.as_flattened()) {
+                *a += d;
+            }
+        }
+        g_b.copy_from_slice(db.as_flattened());
+        if let Some(below) = below {
+            let (wx_rows, _) = layer.wx().as_chunks::<H>();
+            for (dx, dz) in below.dh.iter_mut().zip(&self.dz) {
+                *dx = rows_t_dot(wx_rows, dz);
+            }
+        }
+    }
+}
+
+/// `Wᵀ·dz` for a `4H x C` weight block given by its rows: each output sums
+/// `dz[r]·W[r][c]` from `0.0` in ascending `r` — `gemv_t_acc`'s order into a
+/// zeroed output — with all `C` sums in registers.
+fn rows_t_dot<const H: usize, const C: usize>(rows: &[[f64; C]], dz: &Gates<H>) -> [f64; C] {
+    let mut acc = [0.0; C];
+    for (row, &d) in rows.iter().zip(dz.as_flattened()) {
+        for (a, &w) in acc.iter_mut().zip(row) {
+            *a += d * w;
+        }
+    }
+    acc
+}
+
+/// Writes the `4H x C` gradient `out[r][c] = Σ dz[r]·x[c]` over `pairs`, each
+/// sum from `0.0` in the order `pairs` gives: the order the per-step
+/// `rank1_acc` updates accumulated in, with each row's `C` sums in registers
+/// across the pairs.
+fn outer_sum<'a, const H: usize, const C: usize>(
+    out: &mut [f64],
+    pairs: impl Iterator<Item = (&'a Gates<H>, &'a [f64; C])> + Clone,
+) {
+    for (r, row) in out.as_chunks_mut::<C>().0.iter_mut().enumerate() {
+        let mut acc = [0.0; C];
+        for (dz, x) in pairs.clone() {
+            let d = dz.as_flattened()[r];
+            for (a, &xv) in acc.iter_mut().zip(x) {
+                *a += d * xv;
+            }
+        }
+        *row = acc;
+    }
+}
+
+/// The fixed-width training step at hidden width `H`, built once per fit:
+/// per layer, the transposed weights the forward reads, each step's record
+/// and the gradients, all at register width.
+struct TrainKernel<const H: usize> {
+    layers: Vec<TrainLayer<H>>,
+    /// Head gradient: the `H` weights', then the bias'.
+    head_grads: Vec<f64>,
+}
+
+impl<const H: usize> TrainKernel<H> {
+    /// The kernel for windows of `steps` values over `state`, whose width
+    /// the caller has checked is `H`.
+    fn new(state: &LstmState, steps: usize) -> Self {
+        TrainKernel {
+            layers: state
+                .layers
+                .iter()
+                .map(|l| TrainLayer::new(l, steps))
+                .collect(),
+            head_grads: vec![0.0; H + 1],
+        }
+    }
+}
+
+impl<const H: usize> Bptt for TrainKernel<H> {
+    fn forward(&mut self, state: &LstmState, window: &[f64]) -> f64 {
+        let mut below: Option<&TrainLayer<H>> = None;
+        for layer in self.layers.iter_mut() {
+            match below {
+                Some(b) => layer.forward(b.steps.iter().map(|s| s.h.as_slice())),
+                None => layer.forward(window.chunks_exact(1)),
+            }
+            below = Some(layer);
+        }
+        match self.layers.last().and_then(|l| l.steps.last()) {
+            Some(top) => {
+                state
+                    .head_w
+                    .iter()
+                    .zip(&top.h)
+                    .map(|(w, hv)| w * hv)
+                    .sum::<f64>()
+                    + state.head_b
+            }
+            None => state.head_b,
+        }
+    }
+
+    fn backward(&mut self, state: &LstmState, window: &[f64], dy: f64) {
+        if let Some(top) = self.layers.last_mut() {
+            let last_h = top.steps.last().map_or([0.0; H], |s| s.h);
+            let (w_grads, b_grad) = self.head_grads.split_at_mut(H);
+            for (g, &hv) in w_grads.iter_mut().zip(&last_h) {
+                *g = dy * hv;
+            }
+            b_grad.fill(dy);
+            top.dh.fill([0.0; H]);
+            if let Some(last) = top.dh.last_mut() {
+                for (d, &w) in last.iter_mut().zip(&state.head_w) {
+                    *d = dy * w;
+                }
+            }
+        }
+        for (idx, layer) in state.layers.iter().enumerate().rev() {
+            let (below, cur) = self.layers.split_at_mut(idx);
+            if let Some(cur) = cur.first_mut() {
+                cur.backward(layer, window, below.last_mut());
+            }
+        }
+    }
+
+    // lint:allow(panic-path): fn-scope audit: Adam hands out indices below
+    // `grads.len()`, the layer's parameter count; exemplar chain:
+    // clustering::baselines::StaticClustering::fit ->
+    // timeseries::lstm::Lstm::fit -> timeseries::lstm::train_sample ->
+    // timeseries::lstm::TrainKernel::apply
+    fn apply(
+        &mut self,
+        state: &mut LstmState,
+        layer_opts: &mut [Adam],
+        head_opt: &mut Adam,
+        grad_clip: f64,
+    ) {
+        for ((layer, kl), opt) in state
+            .layers
+            .iter_mut()
+            .zip(&mut self.layers)
+            .zip(layer_opts)
+        {
+            let params = &mut layer.params;
+            opt.apply(&kl.grads, grad_clip, |i, d| params[i] += d);
+            kl.fwd.load(params);
+        }
+        apply_head(state, head_opt, &self.head_grads, grad_clip);
+    }
 }
 
 impl Lstm {
@@ -1034,20 +1409,37 @@ impl Lstm {
         Ok(())
     }
 
-    /// [`Lstm::fit_with`] through the fused training step.
+    /// [`Lstm::fit_with`] through the training step at the width training
+    /// starts from (the outgoing state's, else the config's): the
+    /// fixed-width kernel up to hidden 16, the dynamic-width one beyond.
     fn fit_fused(
         &mut self,
         history: &[f64],
         start: Option<LstmState>,
     ) -> Result<(), TimeSeriesError> {
+        let width = start
+            .as_ref()
+            .map_or(self.config.hidden, |s| s.head_w.len());
+        by_width!(width, H => self.fit_by(history, start, TrainKernel::<H>::new),
+            _ => self.fit_by(history, start, |state, steps| Workspace::new(&state.layers, steps)))
+    }
+
+    /// [`Lstm::fit_with`] through [`train_sample`] on one kernel per fit,
+    /// built by `kernel` from the starting state and the window length.
+    fn fit_by<K: Bptt>(
+        &mut self,
+        history: &[f64],
+        start: Option<LstmState>,
+        kernel: impl Fn(&LstmState, usize) -> K,
+    ) -> Result<(), TimeSeriesError> {
         let grad_clip = self.config.grad_clip;
-        let mut ws = None;
+        let mut k = None;
         self.fit_with(
             history,
             start,
             |state, window, target, layer_opts, head_opt| {
-                let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
-                fused_train_sample(state, ws, window, target, layer_opts, head_opt, grad_clip)
+                let k = k.get_or_insert_with(|| kernel(state, window.len()));
+                train_sample(k, state, window, target, layer_opts, head_opt, grad_clip)
             },
         )
     }
@@ -1135,33 +1527,16 @@ impl Forecaster for Lstm {
 
     /// Dispatches on the fitted state's own width (`head_w.len()`, which
     /// every layer shares): the inference-only forward up to hidden 16, the
-    /// training forward beyond.
+    /// dynamic-width training forward beyond.
     fn forecast(&self, history: &[f64], horizon: usize) -> Result<Vec<f64>, TimeSeriesError> {
-        match self.state.as_ref().map_or(0, |s| s.head_w.len()) {
-            1 => self.forecast_at::<1>(history, horizon),
-            2 => self.forecast_at::<2>(history, horizon),
-            3 => self.forecast_at::<3>(history, horizon),
-            4 => self.forecast_at::<4>(history, horizon),
-            5 => self.forecast_at::<5>(history, horizon),
-            6 => self.forecast_at::<6>(history, horizon),
-            7 => self.forecast_at::<7>(history, horizon),
-            8 => self.forecast_at::<8>(history, horizon),
-            9 => self.forecast_at::<9>(history, horizon),
-            10 => self.forecast_at::<10>(history, horizon),
-            11 => self.forecast_at::<11>(history, horizon),
-            12 => self.forecast_at::<12>(history, horizon),
-            13 => self.forecast_at::<13>(history, horizon),
-            14 => self.forecast_at::<14>(history, horizon),
-            15 => self.forecast_at::<15>(history, horizon),
-            16 => self.forecast_at::<16>(history, horizon),
-            _ => {
-                let mut ws = None;
-                self.forecast_with(history, horizon, |state, window| {
-                    let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
-                    Lstm::forward_fused(state, ws, window).max(0.0)
-                })
-            }
-        }
+        let width = self.state.as_ref().map_or(0, |s| s.head_w.len());
+        by_width!(width, H => self.forecast_at::<H>(history, horizon), _ => {
+            let mut ws = None;
+            self.forecast_with(history, horizon, |state, window| {
+                let ws = ws.get_or_insert_with(|| Workspace::new(&state.layers, window.len()));
+                ws.forward(state, window).max(0.0)
+            })
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -1456,66 +1831,108 @@ mod tests {
         assert!(m.forecast(&series, 0).unwrap().is_empty());
     }
 
+    /// The head's pre-activation on `window` and its gradient in every
+    /// layer's parameters, through the training kernel the width dispatch
+    /// picks for `state`.
+    fn pre_and_grads(state: &LstmState, window: &[f64]) -> (f64, Vec<Vec<f64>>) {
+        by_width!(state.head_w.len(), H => {
+            let mut k = TrainKernel::<H>::new(state, window.len());
+            let pre = k.forward(state, window);
+            k.backward(state, window, 1.0);
+            (pre, k.layers.iter().map(|l| l.grads.clone()).collect())
+        }, _ => {
+            let mut ws = Workspace::new(&state.layers, window.len());
+            let pre = ws.forward(state, window);
+            ws.backward(state, window, 1.0);
+            (pre, ws.layers.iter().map(|l| l.grads.clone()).collect())
+        })
+    }
+
     #[test]
     fn gradient_check_fused_backward() {
-        // Finite-difference check of the fused flat-buffer backward pass:
-        // run forward + backward through the workspace and compare analytic
-        // gradients to numeric ones from the fused forward.
-        let mut rng = StdRng::seed_from_u64(9);
-        let layer = LstmLayer::new(2, 4, &mut rng);
-        let xs = vec![0.3, -0.2, -0.1, 0.4, 0.5, 0.05];
-        let steps = 3;
-        let fused_loss = |l: &LstmLayer| -> f64 {
-            let mut ws = Workspace::new(std::slice::from_ref(l), steps);
-            let mut z = vec![0.0; 4 * l.hidden];
-            let zeros = vec![0.0; l.hidden];
-            forward_layer_fused(l, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
-            ws.layers[0].hs[(steps - 1) * l.hidden..].iter().sum()
+        // Finite-difference check of both training kernels' BPTT through a
+        // two-layer stack and the head, on each side of the width dispatch:
+        // the fixed-width kernel at hidden 8, the dynamic-width one at 17.
+        // Every 7th parameter of each layer is probed, so each gate block of
+        // `wx`, `wh` and `b` is, in both layers.
+        let window = [0.3, -0.2, 0.5, 0.1, 0.4];
+        for hidden in [8, 17] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let layers = vec![
+                LstmLayer::new(1, hidden, &mut rng),
+                LstmLayer::new(hidden, hidden, &mut rng),
+            ];
+            let head_w = (0..hidden).map(|_| normal(&mut rng, 0.0, 0.5)).collect();
+            let state = LstmState {
+                layers,
+                head_w,
+                head_b: 0.1,
+                lo: 0.0,
+                hi: 1.0,
+                train_mse: 0.0,
+                trained_len: 0,
+            };
+            let (_, grads) = pre_and_grads(&state, &window);
+            let eps = 1e-6;
+            for (k, layer_grads) in grads.iter().enumerate() {
+                for idx in (0..layer_grads.len()).step_by(7) {
+                    let pre_at = |delta: f64| {
+                        let mut s = state.clone();
+                        s.layers[k].params[idx] += delta;
+                        pre_and_grads(&s, &window).0
+                    };
+                    let numeric = (pre_at(eps) - pre_at(-eps)) / (2.0 * eps);
+                    assert!(
+                        (numeric - layer_grads[idx]).abs() < 1e-5,
+                        "hidden {hidden}, layer {k}, param[{idx}]: numeric {numeric} vs analytic {}",
+                        layer_grads[idx]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_whose_minimum_history_overflows_is_an_invalid_config() {
+        // A fit needs `window + 2` points; that sum used to overflow (a panic
+        // in debug builds, a wrapped length and `FitDiverged` in release).
+        let history = [0.5; 40];
+        let invalid = |e: Result<(), TimeSeriesError>| {
+            matches!(e, Err(TimeSeriesError::InvalidConfig { .. }))
         };
-        let mut ws = Workspace::new(std::slice::from_ref(&layer), steps);
-        {
-            let mut z = vec![0.0; 4 * layer.hidden];
-            let zeros = vec![0.0; layer.hidden];
-            forward_layer_fused(&layer, &xs, steps, &mut z, &zeros, &mut ws.layers[0]);
-        }
-        // dLoss/dh = 1 on the last step only.
-        let mut dh = vec![0.0; steps * layer.hidden];
-        for v in dh[(steps - 1) * layer.hidden..].iter_mut() {
-            *v = 1.0;
-        }
-        let mut grads = vec![0.0; layer.num_params()];
-        let lw = ws.layers[0].clone();
-        backward_layer_fused(
-            &layer,
-            &xs,
-            steps,
-            &lw.gates,
-            &lw.cs,
-            &lw.tanh_cs,
-            &lw.hs,
-            &dh,
-            &mut grads,
-            None,
-            &mut ws.dz,
-            &mut ws.dh_carry,
-            &mut ws.dc_carry,
-            &mut ws.dc_scratch,
-        );
-        let eps = 1e-6;
-        // Probe entries across all three parameter blocks.
-        let wh_probe = layer.wh_offset() + 5;
-        let b_probe = layer.b_offset() + 3;
-        for &idx in &[0usize, 5, wh_probe, b_probe] {
-            let mut lp = layer.clone();
-            lp.params[idx] += eps;
-            let mut lm = layer.clone();
-            lm.params[idx] -= eps;
-            let numeric = (fused_loss(&lp) - fused_loss(&lm)) / (2.0 * eps);
+        for window in [usize::MAX, usize::MAX - 1] {
+            let config = LstmConfig {
+                window,
+                ..tiny_config()
+            };
             assert!(
-                (numeric - grads[idx]).abs() < 1e-5,
-                "param[{idx}]: numeric {numeric} vs analytic {}",
-                grads[idx]
+                invalid(Lstm::new(config.clone()).fit(&history)),
+                "fit, window {window}"
             );
+            assert!(
+                invalid(Lstm::new(config.clone()).refit(&history)),
+                "refit, window {window}"
+            );
+            // An unfitted model decodes whatever its config; `fit` then
+            // refuses it.
+            let mut back = through_container(&Lstm::new(config)).unwrap();
+            assert_eq!(back.config().window, window);
+            assert!(invalid(back.fit(&history)), "decoded, window {window}");
         }
+        // The longest window whose sum exists is merely too long for the
+        // history.
+        let longest = LstmConfig {
+            window: usize::MAX - 2,
+            ..tiny_config()
+        };
+        assert!(matches!(
+            Lstm::new(longest).fit(&history),
+            Err(TimeSeriesError::TooShort { got: 40, .. })
+        ));
+        // A fitted model checkpointed with such a window is refused at decode.
+        let mut m = Lstm::new(tiny_config());
+        m.fit(&history).unwrap();
+        let err = through_container(&with_config(&m, |c| c.window = usize::MAX)).unwrap_err();
+        assert!(err.to_string().contains("lstm config"), "{err}");
     }
 }

@@ -1,12 +1,14 @@
-//! Differential tests: the fused flat-buffer training path and the
-//! forecast path (the inference-only forward up to hidden 16, the training
-//! forward beyond, both behind the buffer-sliding closed-loop driver)
-//! against the scalar [`super::oracle`] they replaced — same training
-//! trajectory (per-epoch MSE), same fitted state, same forecasts. Equality
-//! is exact floating-point equality, never a tolerance: the oracle runs
-//! with [`Activations::OWNED`], the same `utilcast_linalg::kernels`
-//! `sigmoid`/`tanh` the fused gate update calls, on the same inputs. What
-//! this proves is the loop structure (blocking, fusion, buffer reuse); the
+//! Differential tests: the training path (the fixed-width step up to
+//! hidden 16, the dynamic-width flat-buffer step beyond) and the forecast
+//! path (the inference-only forward up to hidden 16, the dynamic-width
+//! training forward beyond, both behind the buffer-sliding closed-loop
+//! driver) against the scalar [`super::oracle`] they replaced — same
+//! training trajectory (per-epoch MSE), same fitted state, same forecasts.
+//! Equality is exact floating-point equality, never a tolerance: the
+//! oracle runs with [`Activations::OWNED`], the same `utilcast_linalg::kernels`
+//! `sigmoid`/`tanh` the production kernels call, on the same inputs. What
+//! this proves is the loop structure (blocking, fusion, buffer reuse, the
+//! gradient sums moved out of the recurrence); the
 //! activation functions themselves are held to libm by the kernel's
 //! envelope test and, at model level, by `libm_gate`.
 
@@ -31,6 +33,34 @@ fn series(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// What the bitwise contract holds of a fitted model, through the oracle's
+/// closed loop or the production one: every bit of each layer's parameters,
+/// the head, the normalization and the training MSE; the trained length;
+/// and every bit of a 16-step closed-loop forecast, which feeds predictions
+/// back through the network and so compounds any kernel difference.
+fn fit_bits(m: &Lstm, data: &[f64], oracle: bool) -> (Vec<u64>, usize, Vec<u64>) {
+    let s = m.state.as_ref().expect("fitted");
+    let mut state: Vec<u64> = s
+        .layers
+        .iter()
+        .flat_map(|l| &l.params)
+        .chain(&s.head_w)
+        .map(|v| v.to_bits())
+        .collect();
+    state.extend([s.head_b, s.lo, s.hi, s.train_mse].map(f64::to_bits));
+    let forecast = if oracle {
+        m.forecast_exact(data, 16, OWNED)
+    } else {
+        m.forecast(data, 16)
+    };
+    let forecast = forecast
+        .expect("forecast")
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    (state, s.trained_len, forecast)
+}
+
 /// The same model fitted through the oracle and through the production path.
 fn fit_pair(config: &LstmConfig, data: &[f64]) -> (Lstm, Lstm) {
     let mut exact = Lstm::new(config.clone());
@@ -41,13 +71,17 @@ fn fit_pair(config: &LstmConfig, data: &[f64]) -> (Lstm, Lstm) {
 }
 
 proptest! {
-    /// Fused training and forecasting are bitwise equal to the scalar
-    /// oracle across window/hidden/layer/epoch/seed shapes.
+    /// Training and forecasting are bitwise equal to the scalar oracle
+    /// across window/hidden/layer/epoch/seed shapes, on both sides of the
+    /// width dispatch (the fixed-width kernels up to hidden 16, the
+    /// dynamic-width ones beyond). The last-epoch MSE accumulates every
+    /// per-sample forward/backward pass, so its bits certify the whole
+    /// training trajectory.
     #[test]
     fn fused_path_bit_identical_across_shapes(
         window in 2usize..6,
-        hidden in 1usize..6,
-        layers in 1usize..3,
+        hidden in 1usize..=20,
+        layers in 1usize..=3,
         epochs in 1usize..4,
         seed in 0u64..1000,
         data_seed in 0u64..1000,
@@ -63,22 +97,11 @@ proptest! {
         };
         let data = series(window * 4 + 24, data_seed);
         let (exact, fused) = fit_pair(&config, &data);
-        // Training trajectory: the last-epoch MSE is an accumulation over
-        // every per-sample forward/backward pass, so bitwise equality here
-        // certifies the whole trajectory matched.
         prop_assert_eq!(
-            exact.train_mse().expect("trained").to_bits(),
-            fused.train_mse().expect("trained").to_bits(),
-            "train_mse diverged"
+            fit_bits(&exact, &data, true),
+            fit_bits(&fused, &data, false),
+            "hidden {}, layers {}", hidden, layers
         );
-        prop_assert_eq!(&exact.state, &fused.state, "fitted state diverged");
-        // Closed-loop multi-step forecasts feed predictions back through
-        // the network, compounding any kernel difference.
-        let ef = exact.forecast_exact(&data, 8, OWNED).expect("oracle forecast");
-        let ff = fused.forecast(&data, 8).expect("fused forecast");
-        for (h, (e, f)) in ef.iter().zip(ff.iter()).enumerate() {
-            prop_assert_eq!(e.to_bits(), f.to_bits(), "forecast h={} diverged", h);
-        }
     }
 
     /// The forecast on both sides of its width dispatch against the
@@ -178,40 +201,45 @@ fn fused_path_bit_identical_at_production_widths() {
 }
 
 /// A fit → refit → refit chain through both paths over the one training
-/// seam: the warm start, the window rule and the derived shuffle stream are
-/// shared, so every link of the chain — weights, training MSE and a 16-step
-/// closed-loop forecast — agrees bit for bit. The first refit grows the
-/// history by 16 points (the benchmark's cadence), the second by 44, more
-/// than the replay tail.
+/// seam, at every hidden width 1–20 (both sides of the width dispatch) and
+/// 1–3 layers: the warm start, the window rule and the derived shuffle
+/// stream are shared, so every link of the chain — weights, training MSE
+/// and a 16-step closed-loop forecast — agrees bit for bit. The first refit
+/// grows the history by 16 points (the benchmark's cadence), the second by
+/// 44, more than the replay tail. Optimised builds (`scripts/check.sh`'s
+/// release `lstm::` leg) run every width at every layer count; unoptimised
+/// ones run every width once, the layer count cycling through 1–3.
 #[test]
 fn refit_chain_bit_identical() {
-    let data = series(160, 11);
-    for hidden in [3, 8] {
-        let config = LstmConfig {
-            window: 8,
-            hidden,
-            epochs: 2,
-            learning_rate: 0.02,
-            seed: 5,
-            ..Default::default()
+    let data = series(100, 11);
+    for hidden in 1..=20 {
+        let layer_counts = if cfg!(debug_assertions) {
+            1 + hidden % 3..=1 + hidden % 3
+        } else {
+            1..=3
         };
-        let (mut exact, mut fused) = fit_pair(&config, &data[..100]);
-        for len in [116, 160] {
-            exact
-                .refit_exact(&data[..len], OWNED)
-                .expect("oracle refit");
-            fused.refit(&data[..len]).expect("fused refit");
-            let tag = format!("hidden {hidden}, refit at {len}");
-            assert_eq!(exact.state, fused.state, "{tag}");
-            assert_eq!(
-                exact.train_mse().expect("trained").to_bits(),
-                fused.train_mse().expect("trained").to_bits(),
-                "{tag}"
-            );
-            let ef = exact.forecast_exact(&data[..len], 16, OWNED).unwrap();
-            let ff = fused.forecast(&data[..len], 16).unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ef), bits(&ff), "{tag}");
+        for layers in layer_counts {
+            let config = LstmConfig {
+                window: 8,
+                hidden,
+                layers,
+                epochs: 2,
+                learning_rate: 0.02,
+                seed: 5,
+                ..Default::default()
+            };
+            let (mut exact, mut fused) = fit_pair(&config, &data[..40]);
+            for len in [56, 100] {
+                exact
+                    .refit_exact(&data[..len], OWNED)
+                    .expect("oracle refit");
+                fused.refit(&data[..len]).expect("fused refit");
+                assert_eq!(
+                    fit_bits(&exact, &data[..len], true),
+                    fit_bits(&fused, &data[..len], false),
+                    "hidden {hidden}, layers {layers}, refit at {len}"
+                );
+            }
         }
     }
 }

@@ -1,9 +1,12 @@
-//! The ARIMA fit's hot loop allocates nothing: once the per-fit workspace
+//! The fits' hot loops allocate nothing. ARIMA: once the per-fit workspace
 //! and the optimizer's vertex buffers are built, neither an objective
-//! evaluation nor a Nelder–Mead iteration touches the heap.
+//! evaluation nor a Nelder–Mead iteration touches the heap. LSTM: once a
+//! refit has built its training kernel, Adam moments and window list, no
+//! training step does.
 //!
 //! Shown from outside, with a counting allocator: a run that spends four
-//! times the evaluations makes exactly as many allocations. This file is
+//! times the evaluations, or ten times the training windows, makes exactly
+//! as many allocations. This file is
 //! its own test binary because `#[global_allocator]` is per binary (and
 //! needs the one `unsafe impl` the library crates forbid).
 
@@ -12,6 +15,7 @@ use std::cell::Cell;
 
 use utilcast_linalg::optimize::{nelder_mead, NelderMeadOptions};
 use utilcast_timeseries::arima::{Arima, ArimaFitOptions, ArimaOrder};
+use utilcast_timeseries::lstm::{Lstm, LstmConfig};
 use utilcast_timeseries::Forecaster;
 
 thread_local! {
@@ -115,5 +119,34 @@ fn css_evaluations_do_not_allocate() {
             "{order:?}: 450 more evaluations, same allocations"
         );
         assert!(short < 40, "{order:?}: {short} allocations per fit");
+    }
+}
+
+#[test]
+fn lstm_refit_training_steps_do_not_allocate() {
+    let history = series(400);
+    // Both sides of the width dispatch: the fixed-width kernel at the
+    // benchmark's hidden 8, the dynamic-width one at 20.
+    for hidden in [8, 20] {
+        let mut fitted = Lstm::new(LstmConfig {
+            hidden,
+            epochs: 2,
+            ..Default::default()
+        });
+        fitted.fit(&history[..100]).expect("fit");
+        let refit = |len: usize| {
+            let mut model = fitted.clone();
+            let (count, result) = allocations_during(|| model.refit(&history[..len]));
+            result.expect("refit");
+            count
+        };
+        // The windows new since the fit at 100 plus the 16 replayed before
+        // them: 32 at the benchmark's 16-point cadence, 300 after 284.
+        let short = refit(116);
+        let long = refit(384);
+        assert_eq!(
+            long, short,
+            "hidden {hidden}: 268 more training windows, same allocations"
+        );
     }
 }
